@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-metrics bench-gate store-smoke trace-smoke fault-smoke fuzz-smoke vrange-ablation service-smoke lint-catalog telemetry-catalog tracediff-selftest fmt fmt-fix vet lint lint-strict irlint print-staticcheck-version check
+.PHONY: all build bench-build test race bench bench-smoke bench-metrics bench-gate store-smoke trace-smoke fault-smoke fuzz-smoke vrange-ablation service-smoke lint-catalog telemetry-catalog tracediff-selftest fmt fmt-fix vet lint lint-strict irlint print-staticcheck-version check
 
 # Pinned staticcheck release; CI installs exactly this version.
 STATICCHECK_VERSION = 2025.1.1
@@ -12,6 +12,13 @@ all: check
 
 build:
 	$(GO) build ./...
+
+# bench/ is its own module importing castan/internal/... directly, so
+# `go build ./...` above does not see it: an internal API change that
+# breaks the benchmark must fail here, not at benchmark time.
+bench-build:
+	$(GO) vet -C bench ./...
+	$(GO) build -C bench -o /dev/null .
 
 test:
 	$(GO) test ./...
@@ -108,7 +115,7 @@ fault-smoke:
 
 # Value-range ablation smoke (what CI runs): one cmd/castan run on a
 # ring NF with -no-vrange, proving the analysis is cleanly severable —
-# pruning, merging, and the solver memo all off, yet the run completes,
+# pruning and the solver memo both off, yet the run completes,
 # writes a schema-valid report, and reports zero for every vrange
 # counter. CI overrides VRANGE_ABLATION_DIR and uploads it.
 VRANGE_ABLATION_DIR ?= /tmp/castan-vrange-ablation
@@ -122,7 +129,7 @@ vrange-ablation:
 		-report $(VRANGE_ABLATION_DIR)/report.json
 	$(GO) run ./cmd/reportcheck -report $(VRANGE_ABLATION_DIR)/report.json \
 		-nf nat-ring
-	@for c in symbex.pruned_edges symbex.merged_states solver.memo_hits; do \
+	@for c in symbex.pruned_edges solver.memo_hits; do \
 		if grep -q "\"$$c\": *[1-9]" $(VRANGE_ABLATION_DIR)/metrics.json; then \
 			echo "-no-vrange run still moved $$c:"; \
 			grep "\"$$c\"" $(VRANGE_ABLATION_DIR)/metrics.json; exit 1; \

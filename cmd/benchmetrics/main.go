@@ -49,12 +49,10 @@ type row struct {
 	Phases   []obs.Phase       `json:"phases,omitempty"`
 	Counters map[string]uint64 `json:"counters,omitempty"`
 	// Searcher efficiency: state pops until the path that ends up worst
-	// completes, with the static-cost priority component on (the default
-	// pipeline) and off (a second, ablated run). StaticCostBound is the
-	// abstract cache analysis's worst-case cycle bound for the workload.
-	StepsToWorst         int    `json:"steps_to_worst,omitempty"`
-	StepsToWorstBaseline int    `json:"steps_to_worst_baseline,omitempty"`
-	StaticCostBound      uint64 `json:"static_cost_bound,omitempty"`
+	// completes. StaticCostBound is the abstract cache analysis's
+	// worst-case cycle bound for the workload.
+	StepsToWorst    int    `json:"steps_to_worst,omitempty"`
+	StaticCostBound uint64 `json:"static_cost_bound,omitempty"`
 	// Degraded flags runs that hit a budget or fault fallback (always
 	// false here — benchmetrics runs with an unlimited counting meter —
 	// but recorded so regressions that start degrading are visible).
@@ -156,26 +154,11 @@ func runRows(names []string, packets, states int, seed uint64, st *store.Store) 
 		r.StaticCostBound = res.StaticCostBound
 		r.Degraded = res.Degraded()
 		r.BudgetTicksUsed = res.BudgetTicksUsed
-
-		// Ablated rerun on a fresh instance: same budgets, static-cost
-		// priority off, to record how many extra pops the baseline needs.
-		if base, err := nf.New(name); err == nil {
-			bres, err := castan.Analyze(base, memsim.New(memsim.DefaultGeometry(), seed), castan.Config{
-				NPackets:     packets,
-				MaxStates:    states,
-				Seed:         seed,
-				NoStaticCost: true,
-				Store:        st,
-			})
-			if err == nil {
-				r.StepsToWorstBaseline = bres.StepsToWorstPath
-			}
-		}
 		rows = append(rows, r)
-		fmt.Printf("%-12s %6.2fs  %d states, %d solver queries, %d probe line reads, %d DRAM misses, worst path in %d pops (baseline %d)\n",
+		fmt.Printf("%-12s %6.2fs  %d states, %d solver queries, %d probe line reads, %d DRAM misses, worst path in %d pops\n",
 			name, r.Seconds, r.Counters["symbex.states_explored"],
 			r.Counters["solver.queries"], r.Counters["memsim.probe_line_reads"],
-			r.Counters["memsim.dram_misses"], r.StepsToWorst, r.StepsToWorstBaseline)
+			r.Counters["memsim.dram_misses"], r.StepsToWorst)
 	}
 	return rows
 }

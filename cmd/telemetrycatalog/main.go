@@ -72,7 +72,6 @@ var counterMeta = map[string]meta{
 	"symbex.folded_instructions":    {"instructions", "instructions skipped by straight-line folding"},
 	"symbex.forks":                  {"states", "state forks at symbolic branches"},
 	"symbex.instructions":           {"instructions", "IR instructions symbolically executed"},
-	"symbex.merged_states":          {"states", "popped states dropped as duplicates at value-range merge points"},
 	"symbex.pruned_edges":           {"edges", "conditional-branch edges skipped as infeasible by value-range analysis"},
 	"symbex.state_pops":             {"states", "states popped off the priority queue (the searcher's step count)"},
 	"symbex.states_explored":        {"states", "distinct states explored before the budget or queue ran out"},

@@ -159,21 +159,6 @@ func (a *Analysis) buildBounds(f *ir.Func, fc *funcCost) {
 	fc.acyclic = acyR[f.Entry()]
 }
 
-// BlockBound bounds the total cost block b can contribute to one
-// execution of its function (cost of one pass times its loop trip
-// multiplier). ok=false means no static bound exists.
-func (a *Analysis) BlockBound(b *ir.Block) (uint64, bool) {
-	fc := a.fns[b.Fn]
-	if fc == nil {
-		return 0, false
-	}
-	bb, ok := fc.blockBound[b]
-	if !ok {
-		return 0, false
-	}
-	return bb.v, bb.ok
-}
-
 // FuncBound bounds the cost of one call to f, callees included.
 func (a *Analysis) FuncBound(f *ir.Func) (uint64, bool) {
 	fc := a.fns[f]

@@ -71,8 +71,8 @@ func DefaultGeometry() Geometry {
 	return Geometry{Sets: 0, Ways: 16, LineBytes: 64}
 }
 
-// CostParams prices instructions for the worst-case bounds.
-type CostParams struct {
+// costParams prices instructions for the worst-case bounds.
+type costParams struct {
 	// Op supplies per-opcode costs; Op.MemL1 is the always-hit latency.
 	Op icfg.CostModel
 	// MissPenalty is added to Op.MemL1 for every access not classified
@@ -80,12 +80,12 @@ type CostParams struct {
 	MissPenalty uint64
 }
 
-// DefaultCostParams matches the symbex engine's realized-cost accounting:
+// defaultCostParams matches the symbex engine's realized-cost accounting:
 // hits at MemL1, everything else at MemL1+206 = the simulated DRAM
 // latency.
-func DefaultCostParams() CostParams {
+func defaultCostParams() costParams {
 	cm := icfg.DefaultCostModel()
-	return CostParams{Op: cm, MissPenalty: cm.MemDRAM - cm.MemL1}
+	return costParams{Op: cm, MissPenalty: cm.MemDRAM - cm.MemL1}
 }
 
 // Config tunes a run.
@@ -96,7 +96,6 @@ type Config struct {
 	// L3. Lines the model does not cover conservatively conflict with
 	// everything.
 	Model *cachemodel.Model
-	Cost  CostParams
 	// Obs, when non-nil, receives the cachecost.fixpoint_iterations
 	// counter (one count per block sweep until convergence).
 	Obs *obs.Recorder
@@ -146,7 +145,7 @@ type Analysis struct {
 	mod   *ir.Module
 	geo   Geometry
 	model *cachemodel.Model
-	cost  CostParams
+	cost  costParams
 
 	class map[*ir.Instr]Class
 	refs  map[*ir.Instr]string // "fn/block/idx" for diagnostics
@@ -181,14 +180,11 @@ func Run(mf *analysis.ModuleFacts, mr *analysis.MemRegions, cfg Config) *Analysi
 	if cfg.Geometry.LineBytes <= 0 {
 		cfg.Geometry.LineBytes = DefaultGeometry().LineBytes
 	}
-	if cfg.Cost.Op.MemL1 == 0 {
-		cfg.Cost = DefaultCostParams()
-	}
 	a := &Analysis{
 		mod:   mf.Mod,
 		geo:   cfg.Geometry,
 		model: cfg.Model,
-		cost:  cfg.Cost,
+		cost:  defaultCostParams(),
 		class: map[*ir.Instr]Class{},
 		refs:  map[*ir.Instr]string{},
 		fns:   map[*ir.Func]*funcCost{},
@@ -279,11 +275,7 @@ func regionBase(r *analysis.RegionInfo) (uint64, bool) {
 // ProvablyDisjoint reports whether a discovered model proves that lines
 // x and y map to different L3 contention sets, so neither can ever evict
 // the other. It is conservative: false when either line is outside the
-// model's coverage (or the model is nil). Beyond refining this package's
-// conflict relation, it is the disjointness oracle callers bind into
-// cachemodel.DiscoverConfig.Disjoint to prune re-discovery probing with
-// a prior model (cachemodel cannot import this package, so the function
-// travels as a closure).
+// model's coverage (or the model is nil).
 func ProvablyDisjoint(m *cachemodel.Model, x, y uint64) bool {
 	if m == nil {
 		return false

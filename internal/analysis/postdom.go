@@ -10,9 +10,8 @@ import (
 // result maps each block to its immediate postdominator's block index,
 // len(blocks) for the virtual exit itself, or -1 for blocks that cannot
 // reach function exit (those dominate nothing backwards; callers treat
-// their control-dependence region as unbounded). It is the one shared
-// implementation behind taint's implicit-flow closure, vrange's
-// dead-edge reasoning, and symbex's merge-point selection.
+// their control-dependence region as unbounded). Taint's implicit-flow
+// closure is built on it.
 func Postdoms(f *ir.Func) []int {
 	n := len(f.Blocks)
 	exit := n
@@ -139,25 +138,6 @@ func CtlRegion(f *ir.Func, b *ir.Block, ipd int) []int {
 	for i := 0; i < n; i++ {
 		if seen[i] {
 			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// MergeBlocks returns the set of blocks that are the immediate
-// postdominator of some two-successor block — the KLEE-style merge
-// points where diverged paths rejoin. The virtual exit (a function-level
-// merge point) is not representable as a block and is handled by
-// callers (symbex merges at packet boundaries for it).
-func MergeBlocks(f *ir.Func) map[*ir.Block]bool {
-	pd := Postdoms(f)
-	out := map[*ir.Block]bool{}
-	for _, b := range f.Blocks {
-		if len(b.Succs()) < 2 {
-			continue
-		}
-		if ipd := pd[b.Index]; ipd >= 0 && ipd < len(f.Blocks) {
-			out[f.Blocks[ipd]] = true
 		}
 	}
 	return out

@@ -27,15 +27,6 @@ func (a *Analysis) ClassOf(in *ir.Instr) Class {
 	return TaintedOpaque
 }
 
-// AddrClassOf returns the class of a load/store address or havoc key
-// pointer, TaintedOpaque when unreached.
-func (a *Analysis) AddrClassOf(in *ir.Instr) Class {
-	if it, ok := a.instr[in]; ok {
-		return it.Addr.Class
-	}
-	return TaintedOpaque
-}
-
 // Summary counts the per-instruction classification outcomes.
 type Summary struct {
 	// Instructions is how many instructions the analysis reached.

@@ -317,41 +317,6 @@ func TestDiscoverScalarProberFallback(t *testing.T) {
 	}
 }
 
-// TestDiscoverDisjointPrune asserts that a (ground-truth) disjointness
-// oracle leaves the discovered model unchanged while skipping probe
-// work, the contract castan relies on when it binds
-// cachecost.ProvablyDisjoint over a prior model.
-func TestDiscoverDisjointPrune(t *testing.T) {
-	g := memsim.TinyGeometry()
-	run := func(disjoint func(a, b uint64) bool) (*Model, uint64) {
-		h := memsim.New(g, 11)
-		var reads uint64
-		cfg := tinyConfig(pool(0, 64))
-		cfg.Disjoint = disjoint
-		m, err := Discover(&scalarProber{h: h, reads: &reads}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, reads
-	}
-	base, baseReads := run(nil)
-	oracle := memsim.New(g, 11) // same seed: same hidden mapping
-	pruned, prunedReads := run(func(a, b uint64) bool {
-		return oracle.DebugContentionSet(a) != oracle.DebugContentionSet(b)
-	})
-	if len(pruned.Sets) != len(base.Sets) {
-		t.Fatalf("pruned found %d sets, base %d", len(pruned.Sets), len(base.Sets))
-	}
-	for si := range base.Sets {
-		if got, want := pruned.Sets[si].Addrs, base.Sets[si].Addrs; !equalAddrs(got, want) {
-			t.Errorf("set %d: pruned %v != base %v", si, got, want)
-		}
-	}
-	if prunedReads >= baseReads {
-		t.Errorf("prune saved nothing: %d reads with oracle, %d without", prunedReads, baseReads)
-	}
-}
-
 func equalAddrs(a, b []uint64) bool {
 	if len(a) != len(b) {
 		return false

@@ -115,9 +115,6 @@ type DiscoverConfig struct {
 	// MaxSets stops discovery after this many contention sets (0 = all
 	// that can be found).
 	MaxSets int
-	// Reboots is the number of simulated reboots used by the consistency
-	// filter (default 3; 0 disables filtering).
-	Reboots int
 	// Seed drives the shuffled growth order.
 	Seed uint64
 	// Workers bounds the fan-out of the candidate sweep and the
@@ -136,14 +133,6 @@ type DiscoverConfig struct {
 	// orchestration point — and stops there, returning whatever partial
 	// model exists alongside ErrBudget.
 	Budget *budget.Stage
-	// Disjoint, when set, reports that two line addresses provably map to
-	// different contention sets, so they cannot evict each other. It must
-	// be conservative: false whenever the answer is unknown. The shrink
-	// and sweep phases use it to skip probes for candidates a prior
-	// (partial) model already separates from the set being grown —
-	// callers typically bind cachecost.ProvablyDisjoint over such a model
-	// (the function is injected because cachecost imports this package).
-	Disjoint func(a, b uint64) bool
 	// Progress, when set, is called after each findOne iteration with the
 	// number of contention sets discovered so far and the pool addresses
 	// still unclassified. It runs on Discover's goroutine between
@@ -152,6 +141,10 @@ type DiscoverConfig struct {
 	// breaking worker-count invariance.
 	Progress func(setsFound, poolLeft int)
 }
+
+// reboots is the number of simulated reboots the consistency filter
+// re-verifies every discovered set across.
+const reboots = 3
 
 // Discover runs the §3.2 pipeline and returns the model.
 func Discover(p Prober, cfg DiscoverConfig) (*Model, error) {
@@ -163,9 +156,6 @@ func Discover(p Prober, cfg DiscoverConfig) (*Model, error) {
 	}
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 1
-	}
-	if cfg.Reboots == 0 {
-		cfg.Reboots = 3
 	}
 	d := &discoverer{p: p, cfg: cfg, rng: stats.NewRNG(cfg.Seed ^ 0xca57a)}
 	pool := append([]uint64(nil), cfg.Pool...)
@@ -209,7 +199,7 @@ func Discover(p Prober, cfg DiscoverConfig) (*Model, error) {
 		return nil, fmt.Errorf("%w (pool of %d)", ErrNoSets, len(cfg.Pool))
 	}
 	if budgetReason == "" {
-		// The consistency filter costs Reboots probes per set, so a
+		// The consistency filter costs reboots probes per set, so a
 		// budget-cut run skips it and hands back the unfiltered partial
 		// model — the caller already knows (via ErrBudget) to treat it as
 		// degraded.
@@ -325,20 +315,6 @@ func (d *discoverer) sweepDelta() uint64 {
 	return uint64(d.cfg.Rounds) * (d.cfg.LatDRAM + d.cfg.LatL3) / 2
 }
 
-// provablyNotIn reports that addr provably cannot share a contention set
-// with any of the given known members, per the injected Disjoint oracle.
-func (d *discoverer) provablyNotIn(members []uint64, addr uint64) bool {
-	if d.cfg.Disjoint == nil {
-		return false
-	}
-	for _, m := range members {
-		if d.cfg.Disjoint(m, addr) {
-			return true
-		}
-	}
-	return false
-}
-
 // findOne runs steps (1)-(3) of §3.2 once: returns the α+1.. members of
 // one contention set and the pool with those members removed.
 func (d *discoverer) findOne(pool []uint64) (set []uint64, rest []uint64, found bool) {
@@ -346,7 +322,7 @@ func (d *discoverer) findOne(pool []uint64) (set []uint64, rest []uint64, found 
 	if trigger < 0 {
 		return nil, pool, false
 	}
-	members := d.shrink(pool[:trigger+1], pool[trigger])
+	members := d.shrink(pool[:trigger+1])
 	if len(members) < d.cfg.Assoc+1 {
 		// The jump was noise (should not happen in the simulator, but be
 		// robust): drop the trigger address and let the caller continue.
@@ -426,16 +402,8 @@ func (d *discoverer) grow(pool []uint64) int {
 // group is removable the partition is refined; as a last resort one
 // pass of the original per-element scan polishes the remainder, so the
 // result is never worse than the unbatched algorithm's.
-func (d *discoverer) shrink(prefix []uint64, knownMember uint64) []uint64 {
-	s := make([]uint64, 0, len(prefix))
-	for _, a := range prefix {
-		// A prior model may already prove a prefix line disjoint from the
-		// triggering address (a certain member of C): drop it probe-free.
-		if a != knownMember && d.provablyNotIn([]uint64{knownMember}, a) {
-			continue
-		}
-		s = append(s, a)
-	}
+func (d *discoverer) shrink(prefix []uint64) []uint64 {
+	s := append([]uint64(nil), prefix...)
 	groups := d.cfg.Assoc + 2
 	for len(s) > d.cfg.Assoc+1 {
 		k := groups
@@ -512,13 +480,9 @@ func (d *discoverer) sweep(pool, members []uint64) []uint64 {
 	baseCore := d.probe(core)
 	cands := make([]uint64, 0, len(pool)-len(members))
 	for _, a := range pool {
-		if inSet[a] {
-			continue
+		if !inSet[a] {
+			cands = append(cands, a)
 		}
-		if d.provablyNotIn(members, a) {
-			continue // provably in another set: skip without probing
-		}
-		cands = append(cands, a)
 	}
 
 	batchSize := d.cfg.Assoc // one short of completing another set
@@ -586,9 +550,6 @@ func (d *discoverer) sweep(pool, members []uint64) []uint64 {
 // cross-reboot filter). Within a set, members that individually fail are
 // removed; a set shrinking below α+1 is dropped entirely.
 func (d *discoverer) filterConsistent(m *Model) {
-	if d.cfg.Reboots <= 0 {
-		return
-	}
 	// Each set's verdict depends only on (set index, reboot round): Reboot
 	// fully resets a prober's mapping and caches, so the per-set loop
 	// shards across forked probers without any cross-talk.
@@ -615,9 +576,9 @@ func (d *discoverer) filterConsistent(m *Model) {
 }
 
 // consistentAcrossReboots re-verifies one set's contention signature on p
-// across the configured simulated reboots.
+// across the simulated reboots.
 func (d *discoverer) consistentAcrossReboots(p Prober, si int, set ContentionSet) bool {
-	for r := 1; r <= d.cfg.Reboots; r++ {
+	for r := 1; r <= reboots; r++ {
 		p.Reboot(d.cfg.Seed + uint64(si*1000+r))
 		core := set.Addrs
 		if len(core) > d.cfg.Assoc+1 {

@@ -52,16 +52,6 @@ type Config struct {
 	MaxStates int
 	// Seed drives discovery sampling.
 	Seed uint64
-	// DiscoverStride is the line-granularity sampling stride (in cache
-	// lines) used to build discovery pools: it models the partial coverage
-	// that survives the paper's cross-reboot consistency filtering.
-	// Default 8.
-	DiscoverStride int
-	// DiscoverPoolCap bounds the pool size per NF. Default 2600.
-	DiscoverPoolCap int
-	// DiscoverMaxSets bounds how many contention sets to discover.
-	// Default 6.
-	DiscoverMaxSets int
 	// NoCacheModel disables the cache model (ablation).
 	NoCacheModel bool
 	// CacheModel, when non-nil, is used instead of running discovery
@@ -75,19 +65,8 @@ type Config struct {
 	NoStaticCost bool
 	// NoVRange disables the value-range abstract interpretation and
 	// everything it feeds: no statically-decided branch pruning in the
-	// searcher, no normalized-constraint solver memo, and no merge-point
-	// state deduplication (ablation).
+	// searcher and no normalized-constraint solver memo (ablation).
 	NoVRange bool
-	// RainbowCoverage multiplies the default table size. Default 8.
-	RainbowCoverage int
-	// MaxLoopIters caps symbolic loop unrolling per state.
-	MaxLoopIters int
-	// ICFGLoopBound is the M of §3.4: potential-cost estimation assumes
-	// every loop runs M-1 times. The paper uses M=2; our searcher keeps
-	// loop-heavy paths hot by over-estimating more aggressively (M=8 by
-	// default), which plays the role of the paper's always-deepen loop
-	// policy.
-	ICFGLoopBound int
 	// Workers bounds the analysis fan-out (0 = GOMAXPROCS): rainbow-chain
 	// generation, contention-set sweeps, batched candidate solver checks
 	// during havoc reconciliation, and frame extraction. Output is
@@ -112,13 +91,6 @@ type Config struct {
 	// writes} counters, bumped on the pipeline goroutine only, so they
 	// are invariant under Workers.
 	Store *store.Store
-	// PriorModel, when non-nil, serves as a conservative disjointness
-	// oracle during discovery: pool lines it places in different
-	// contention sets provably cannot evict each other, so discovery
-	// skips probes that cannot change the answer. It only prunes effort —
-	// the discovered model is identical with or without it — and is
-	// therefore excluded from the store key.
-	PriorModel *cachemodel.Model
 	// Budget, when non-nil, bounds the run in deterministic ticks
 	// (symbex state pops, solver steps, probe line reads, rainbow chain
 	// links) with an optional wall-clock deadline. On exhaustion the
@@ -139,25 +111,27 @@ func (c *Config) fill() {
 	if c.MaxStates <= 0 {
 		c.MaxStates = 12000
 	}
-	if c.DiscoverStride <= 0 {
-		c.DiscoverStride = 8
-	}
-	if c.DiscoverPoolCap <= 0 {
-		c.DiscoverPoolCap = 2600
-	}
-	if c.DiscoverMaxSets <= 0 {
-		c.DiscoverMaxSets = 6
-	}
-	if c.RainbowCoverage <= 0 {
-		c.RainbowCoverage = 8
-	}
-	if c.MaxLoopIters <= 0 {
-		c.MaxLoopIters = 96
-	}
-	if c.ICFGLoopBound <= 0 {
-		c.ICFGLoopBound = 8
-	}
 }
+
+const (
+	// discoverStride is the line-granularity sampling stride (in cache
+	// lines) used to build discovery pools: it models the partial coverage
+	// that survives the paper's cross-reboot consistency filtering.
+	discoverStride = 8
+	// discoverPoolCap bounds the discovery pool size per attack region.
+	discoverPoolCap = 2600
+	// discoverMaxSets bounds how many contention sets to discover.
+	discoverMaxSets = 6
+	// rainbowCoverage multiplies the default rainbow table size.
+	rainbowCoverage = 8
+	// maxLoopIters caps symbolic loop unrolling per state.
+	maxLoopIters = 96
+	// icfgLoopBound is the M of §3.4: potential-cost estimation assumes
+	// every loop runs M-1 times. The paper uses M=2; our searcher keeps
+	// loop-heavy paths hot by over-estimating more aggressively, which
+	// plays the role of the paper's always-deepen loop policy.
+	icfgLoopBound = 8
+)
 
 // PacketMetrics is the per-packet prediction CASTAN emits alongside the
 // workload (the paper's "second file": per-packet CPU model metrics).
@@ -319,9 +293,8 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	ta := taint.Run(mf, mr, taint.Config{EntryHints: taint.NFEntryTaints()})
 	// Value-range abstract interpretation over the same facts: proves
 	// per-value intervals and congruences the engine uses to take
-	// statically-decided branches concretely, to deduplicate states at
-	// merge points, and (through the solver memo below) to canonicalize
-	// away repeated infeasibility queries.
+	// statically-decided branches concretely and (through the solver memo
+	// below) to canonicalize away repeated infeasibility queries.
 	var vr *vrange.Analysis
 	var memo *solver.Memo
 	if !cfg.NoVRange {
@@ -416,11 +389,7 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	if err != nil {
 		return nil, fmt.Errorf("castan: icfg: %w", err)
 	}
-	loopBound := cfg.ICFGLoopBound
-	if loopBound < cfg.NPackets+2 {
-		loopBound = cfg.NPackets + 2
-	}
-	potAn, err := icfg.Analyze(inst.Mod, loopBound, icfg.DefaultCostModel())
+	potAn, err := icfg.Analyze(inst.Mod, max(icfgLoopBound, cfg.NPackets+2), icfg.DefaultCostModel())
 	if err != nil {
 		return nil, fmt.Errorf("castan: icfg potential: %w", err)
 	}
@@ -439,7 +408,7 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 			NPackets:     cfg.NPackets,
 			PacketLen:    nf.SymbolicPacketLen,
 			MaxStates:    cfg.MaxStates,
-			MaxLoopIters: cfg.MaxLoopIters,
+			MaxLoopIters: maxLoopIters,
 		},
 		Obs:         rec,
 		Budget:      cfg.Budget,
@@ -685,14 +654,15 @@ var errStoreSkip = errors.New("castan: artifact not persistable")
 // modelStoreKey derives the content address of a discovered model: every
 // input that can change the model's bytes is included (plus an algorithm
 // revision salt, bumped whenever the discovery pipeline itself changes);
-// Workers and PriorModel are deliberately excluded because neither may
-// influence the output, only the effort.
-func modelStoreKey(geo memsim.Geometry, regions []nf.Region, cfg Config) string {
+// Workers is deliberately excluded because it may not influence the
+// output, only the effort. The stride/cap/maxsets text predates those
+// becoming constants and stays so existing stores remain warm.
+func modelStoreKey(geo memsim.Geometry, regions []nf.Region, seed uint64) string {
 	parts := []string{
 		"discover/v2",
 		fmt.Sprintf("geo=%+v", geo),
 		fmt.Sprintf("seed=%d stride=%d cap=%d maxsets=%d",
-			cfg.Seed, cfg.DiscoverStride, cfg.DiscoverPoolCap, cfg.DiscoverMaxSets),
+			seed, discoverStride, discoverPoolCap, discoverMaxSets),
 	}
 	for _, r := range regions {
 		parts = append(parts, fmt.Sprintf("region=%s@%#x+%d", r.Name, r.Addr, r.Size))
@@ -707,7 +677,7 @@ func modelStoreKey(geo memsim.Geometry, regions []nf.Region, cfg Config) string 
 // two-stage result) from a budget cut or a suspicious filter wipeout.
 func discoverModel(regions []nf.Region, hier *memsim.Hierarchy, cfg Config, rec *obs.Recorder) (*cachemodel.Model, error) {
 	geo := hier.Geometry()
-	stride := uint64(cfg.DiscoverStride * geo.LineBytes)
+	stride := uint64(discoverStride * geo.LineBytes)
 	var pool []uint64
 	for _, r := range regions {
 		for a := r.Addr; a < r.Addr+r.Size; a += stride {
@@ -720,7 +690,7 @@ func discoverModel(regions []nf.Region, hier *memsim.Hierarchy, cfg Config, rec 
 	// The pool budget is per region: an NF with several tables (the NAT's
 	// two rings) needs each discovered set to hold enough members *within
 	// each table* to exceed associativity there.
-	poolCap := cfg.DiscoverPoolCap * len(regions)
+	poolCap := discoverPoolCap * len(regions)
 	if len(pool) > poolCap {
 		// Deterministic subsample.
 		rng := stats.NewRNG(cfg.Seed + 17)
@@ -734,19 +704,15 @@ func discoverModel(regions []nf.Region, hier *memsim.Hierarchy, cfg Config, rec 
 			LineBytes: geo.LineBytes,
 			LatL3:     geo.LatL3,
 			LatDRAM:   geo.LatDRAM,
-			MaxSets:   cfg.DiscoverMaxSets,
+			MaxSets:   discoverMaxSets,
 			Seed:      cfg.Seed,
 			Workers:   cfg.Workers,
 			Fork:      func() cachemodel.Prober { return hier.Fork() },
 			Budget:    cfg.Budget.Stage(budget.StageDiscover),
 		}
-		if pm := cfg.PriorModel; pm != nil {
-			dcfg.Disjoint = func(a, b uint64) bool { return cachecost.ProvablyDisjoint(pm, a, b) }
-		}
 		if rec.Publishing() {
-			total := uint64(cfg.DiscoverMaxSets)
 			dcfg.Progress = func(setsFound, poolLeft int) {
-				rec.Progress("castan.discover", "contention_sets", uint64(setsFound), total)
+				rec.Progress("castan.discover", "contention_sets", uint64(setsFound), discoverMaxSets)
 			}
 		}
 		return cachemodel.Discover(hier, dcfg)
@@ -761,7 +727,7 @@ func discoverModel(regions []nf.Region, hier *memsim.Hierarchy, cfg Config, rec 
 		return discover()
 	}
 
-	key := modelStoreKey(geo, regions, cfg)
+	key := modelStoreKey(geo, regions, cfg.Seed)
 	var gotModel *cachemodel.Model
 	var gotErr error
 	ran := false
@@ -983,13 +949,13 @@ func buildRainbowTables(inst *nf.Instance, cfg Config, staticHashIDs map[int]boo
 		}
 		key := fmt.Sprintf("%s/%d/%d/%T%v", inst.Name, h.HashID, h.Bits, h.Space, h.Space)
 		h := h
-		// rcfg.Obs stays nil on purpose: cached tables outlive one
-		// Analyze, so a build-time recorder would credit all chain
-		// work to whichever run built the table first. Counting below
-		// from the finished table charges every run identically,
-		// cache hit or fresh build.
+		// Build effort is not recorded at build time: cached tables
+		// outlive one Analyze, so a build-time recorder would credit all
+		// chain work to whichever run built the table first. Counting
+		// below from the finished table charges every run identically,
+		// cache hit or fresh build (DESIGN.md decision 8).
 		rcfg := rainbow.DefaultConfig(h.Bits)
-		rcfg.Chains *= cfg.RainbowCoverage
+		rcfg.Chains *= rainbowCoverage
 		rcfg.Workers = cfg.Workers
 		rcfg.Corrupt = corrupt
 		diskStore := cfg.Store

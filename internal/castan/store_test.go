@@ -249,3 +249,20 @@ func TestStoreFaultedRunBypassesStore(t *testing.T) {
 	}
 	resetRainbowCache()
 }
+
+// TestModelStoreKeyPinned pins the content address of lpm-dl1's cache
+// model at the default geometry and seed 2018 — the file name a
+// `castan -nf lpm-dl1 -store` run has written since the discover/v2
+// salt. Any edit to modelStoreKey's inputs or formatting that moves it
+// silently cold-starts every existing store; bump the salt on purpose
+// instead.
+func TestModelStoreKeyPinned(t *testing.T) {
+	inst, err := nf.New("lpm-dl1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := modelStoreKey(memsim.DefaultGeometry(), inst.AttackRegions, 2018)
+	if want := "53430df0d8be1b7feab2d8483ca88818"; got != want {
+		t.Fatalf("modelStoreKey = %s, want %s", got, want)
+	}
+}

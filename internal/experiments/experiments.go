@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"castan/internal/budget"
 	"castan/internal/castan"
 	"castan/internal/faultinject"
 	"castan/internal/memsim"
@@ -48,12 +47,6 @@ type Config struct {
 	// Obs, when non-nil, instruments every per-NF CASTAN analysis in the
 	// campaign (shared recorder; counters aggregate across NFs).
 	Obs *obs.Recorder
-	// CastanBudget, when non-zero, caps each per-NF analysis at that many
-	// deterministic ticks. Each analysis gets its own meter — a meter
-	// shared across the campaign's concurrent analyses would make *which*
-	// NF hits the cut depend on scheduling — so every NF degrades (or
-	// not) reproducibly on its own.
-	CastanBudget uint64
 	// Faults arms the same fault plan on every per-NF analysis (tests
 	// and chaos campaigns only).
 	Faults *faultinject.Plan
@@ -143,7 +136,7 @@ func (c *Campaign) Castan(nfName string) (*castan.Output, error) {
 		if c.opts.Geometry.LineBytes == 0 {
 			hier = memsim.New(memsim.DefaultGeometry(), c.cfg.Seed)
 		}
-		ccfg := castan.Config{
+		out, err := castan.Analyze(inst, hier, castan.Config{
 			NPackets:  np,
 			MaxStates: c.cfg.CastanStates,
 			Seed:      c.cfg.Seed,
@@ -151,11 +144,7 @@ func (c *Campaign) Castan(nfName string) (*castan.Output, error) {
 			Obs:       c.cfg.Obs,
 			Faults:    c.cfg.Faults,
 			Store:     c.cfg.Store,
-		}
-		if c.cfg.CastanBudget > 0 {
-			ccfg.Budget = budget.New(c.cfg.CastanBudget)
-		}
-		out, err := castan.Analyze(inst, hier, ccfg)
+		})
 		if err == nil {
 			c.cfg.Obs.Progress("campaign", nfName, 1, 1)
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"castan/internal/parallel"
-	"castan/internal/stats"
 	"castan/internal/testbed"
 	"castan/internal/workload"
 )
@@ -135,7 +134,3 @@ func (r *MixedResult) DamagePerPacket() []float64 {
 	}
 	return out
 }
-
-// CDFOf is a tiny helper re-exported for binaries that want to render a
-// mixed run's full distribution.
-func CDFOf(m *testbed.Measurement) *stats.CDF { return m.Latency }

@@ -153,9 +153,3 @@ func ChainBucketOf(t packet.FiveTuple) uint64 {
 	k := t.Bytes()
 	return nfhash.TableHash(k[:]) & (ChainBuckets - 1)
 }
-
-// RingSlotOf returns the ring's initial probe slot for a tuple.
-func RingSlotOf(t packet.FiveTuple) uint64 {
-	k := t.Bytes()
-	return nfhash.RingHash(k[:]) & (RingEntries - 1)
-}

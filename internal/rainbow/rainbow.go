@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"castan/internal/nfhash"
-	"castan/internal/obs"
 	"castan/internal/parallel"
 	"castan/internal/stats"
 )
@@ -45,11 +44,6 @@ type Config struct {
 	// built table is bit-for-bit identical at every worker count: chain c
 	// always walks from the c-th draw of the seed's splitmix64 stream.
 	Workers int
-	// Obs, when set, counts build effort (chains and hash steps walked).
-	// Callers whose tables come from a cross-run cache must leave it nil
-	// and count at the orchestration site instead, so cache hits and
-	// fresh builds record identically (DESIGN.md decision 8).
-	Obs *obs.Recorder
 	// Corrupt is a fault-injection hook perturbing stored chain ends
 	// (nil in production). A corrupted table still answers lookups — the
 	// walks just dead-end — which is exactly what SelfCheck exists to
@@ -109,8 +103,6 @@ func Build(hash func([]byte) uint64, space nfhash.KeySpace, cfg Config) (*Table,
 		t.ends[end] = append(t.ends[end], ch.start)
 		t.nchains++
 	}
-	cfg.Obs.Counter("rainbow.chains_built").Add(uint64(t.nchains))
-	cfg.Obs.Counter("rainbow.build_hash_steps").Add(uint64(t.nchains) * uint64(t.chainLen))
 	return t, nil
 }
 

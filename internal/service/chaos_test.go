@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"castan/internal/faultinject"
+	"castan/internal/nf"
 	"castan/internal/retry"
 )
 
@@ -22,7 +23,9 @@ import (
 //     429 (admission pushback), or 503 (crash/quarantine/drain);
 //   - every 200 passes the Report schema gate;
 //   - backpressure was actually observed (at least one 429);
-//   - every injected fault plan produced a degraded-but-valid report;
+//   - every fault-plan request completes (its 429s are retried, so the
+//     overload burst cannot starve the matrix) with a valid report, and
+//     a degraded one wherever the plan has something to bite on;
 //   - worker crashes were contained and restarted (counters moved, and
 //     healthy requests still succeed afterwards);
 //   - a drain during the tail returns valid degraded reports.
@@ -52,6 +55,7 @@ func TestChaosSoak(t *testing.T) {
 			Seed: 1, Fault: p.Name, Budget: 150, Tenant: "fault",
 		})
 	}
+	nFault := len(reqs)
 	// Overload burst: more concurrent healthy work than queue+fleet holds.
 	for i := 0; i < 30; i++ {
 		reqs = append(reqs, Request{
@@ -69,7 +73,14 @@ func TestChaosSoak(t *testing.T) {
 		wg.Add(1)
 		go func(req Request) {
 			defer wg.Done()
-			results <- outcome{req, s.Do(context.Background(), req, nil)}
+			resp := s.Do(context.Background(), req, nil)
+			// The burst can shed or refuse any fault-plan request; those
+			// wait it out, so the matrix always runs to completion.
+			for req.Fault != "" && resp.Status == 429 {
+				time.Sleep(time.Millisecond)
+				resp = s.Do(context.Background(), req, nil)
+			}
+			results <- outcome{req, resp}
 		}(req)
 	}
 	wg.Wait()
@@ -87,7 +98,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 			if out.req.Fault != "" {
 				faultOK++
-				if !out.resp.Degraded {
+				if !out.resp.Degraded && faultMustDegrade(t, out.req) {
 					// Fault plans must leave a degradation trace — that is
 					// the point of the matrix.
 					t.Errorf("fault %s on %s produced a clean report", out.req.Fault, out.req.NF)
@@ -104,8 +115,8 @@ func TestChaosSoak(t *testing.T) {
 	if n429 == 0 {
 		t.Error("no 429 observed: overload never hit admission control")
 	}
-	if faultOK == 0 {
-		t.Error("no fault-plan request completed")
+	if faultOK != nFault {
+		t.Errorf("%d of %d fault-plan requests completed", faultOK, nFault)
 	}
 	if nDegraded == 0 {
 		t.Error("no degraded report observed")
@@ -162,4 +173,28 @@ func TestChaosSoak(t *testing.T) {
 	// the job crossed that checkpoint first — either way the report is a
 	// valid partial. TestShutdownDrainsToValidDegradedReports pins the
 	// drain-specific reason on a quiet server.
+}
+
+// faultMustDegrade reports whether a completed fault-plan request is
+// required to carry a degradation. A tiny tick budget always cuts
+// something. Of the plans, two can legitimately leave no trace:
+// chain-corrupt has no rainbow table to corrupt on an NF without hash
+// sites, and probe-perturb's jitter is exactly what discovery's
+// thresholds are sized to absorb.
+func faultMustDegrade(t *testing.T, req Request) bool {
+	t.Helper()
+	if req.Budget > 0 {
+		return true
+	}
+	switch req.Fault {
+	case "probe-perturb":
+		return false
+	case "chain-corrupt":
+		inst, err := nf.New(req.NF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(inst.Hashes) > 0
+	}
+	return true
 }

@@ -94,6 +94,14 @@ const ChaosPanicWorker = "panic-worker"
 // client — the client is gone — but tests observe it.
 const StatusClientGone = 499
 
+const (
+	// maxPackets / maxStatesLimit reject oversized requests.
+	maxPackets     = 64
+	maxStatesLimit = 50000
+	// retryAfter is the backoff hint attached to 429 responses.
+	retryAfter = time.Second
+)
+
 // Config tunes a Server. The zero value is usable.
 type Config struct {
 	// Workers is the analysis worker fleet size (default 4).
@@ -121,17 +129,10 @@ type Config struct {
 	// so an unconfigured request stays interactive).
 	DefaultPackets   int
 	DefaultMaxStates int
-	// MaxPackets / MaxMaxStates reject oversized requests (defaults
-	// 64 / 50000).
-	MaxPackets   int
-	MaxMaxStates int
 	// CrashQuarantine is how many worker crashes one request shape
 	// (NF+fault+chaos) may cause before the circuit breaker quarantines
 	// it (default 3).
 	CrashQuarantine int
-	// RetryAfter is the backoff hint attached to 429 responses
-	// (default 1s).
-	RetryAfter time.Duration
 	// Restart is the supervisor's worker-restart backoff policy. Its
 	// seed is decorrelated per worker via parallel.ShardSeed; its Sleep
 	// is injectable so tests pin restart schedules without waiting.
@@ -169,17 +170,8 @@ func (c Config) fill() Config {
 	if c.DefaultMaxStates <= 0 {
 		c.DefaultMaxStates = 1500
 	}
-	if c.MaxPackets <= 0 {
-		c.MaxPackets = 64
-	}
-	if c.MaxMaxStates <= 0 {
-		c.MaxMaxStates = 50000
-	}
 	if c.CrashQuarantine <= 0 {
 		c.CrashQuarantine = 3
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.Clock == nil {
 		c.Clock = obs.NewWallClock()
@@ -355,14 +347,14 @@ func (s *Server) validate(req *Request) error {
 	if req.Packets == 0 {
 		req.Packets = s.cfg.DefaultPackets
 	}
-	if req.Packets < 0 || req.Packets > s.cfg.MaxPackets {
-		return fmt.Errorf("packets %d out of range [1,%d]", req.Packets, s.cfg.MaxPackets)
+	if req.Packets < 0 || req.Packets > maxPackets {
+		return fmt.Errorf("packets %d out of range [1,%d]", req.Packets, maxPackets)
 	}
 	if req.MaxStates == 0 {
 		req.MaxStates = s.cfg.DefaultMaxStates
 	}
-	if req.MaxStates < 0 || req.MaxStates > s.cfg.MaxMaxStates {
-		return fmt.Errorf("max_states %d out of range [1,%d]", req.MaxStates, s.cfg.MaxMaxStates)
+	if req.MaxStates < 0 || req.MaxStates > maxStatesLimit {
+		return fmt.Errorf("max_states %d out of range [1,%d]", req.MaxStates, maxStatesLimit)
 	}
 	if req.DeadlineMS < 0 {
 		return fmt.Errorf("deadline_ms must be >= 0")
@@ -551,7 +543,7 @@ func (s *Server) admitLocked(ctx context.Context, req Request, sub *obs.ChanSub,
 }
 
 func (s *Server) reject429(msg string) Response {
-	return Response{Status: 429, Err: msg, RetryAfterMS: s.cfg.RetryAfter.Milliseconds()}
+	return Response{Status: 429, Err: msg, RetryAfterMS: retryAfter.Milliseconds()}
 }
 
 // finishLocked answers a job exactly once and releases its admission

@@ -31,25 +31,28 @@ type Config struct {
 	// MaxStates bounds how many state suspensions the searcher processes
 	// (the "time budget" of §3.1). Defaults to 20000.
 	MaxStates int
-	// StepChunk is how many instructions a state may run before the
-	// searcher reconsiders priorities. Defaults to 2048.
-	StepChunk int
 	// MaxLoopIters bounds consecutive symbolic iterations of one loop
 	// head within a state. Defaults to 64.
 	MaxLoopIters int
-	// SolverSteps is the per-query budget for full feasibility checks
-	// (local repair handles the common cases first). Defaults to 40000.
-	SolverSteps int
-	// LocalSolverSteps is the per-query budget for localRepair's small
-	// substituted problems. Defaults to 20000.
-	LocalSolverSteps int
-	// KeepBest is how many completed states to retain. Defaults to 8.
-	KeepBest int
-	// StopAfterDone halts exploration once this many states have consumed
-	// all N packets — in best-first order the earliest completions follow
-	// the highest-cost paths. Defaults to 16.
-	StopAfterDone int
 }
+
+const (
+	// stepChunk is how many instructions a state may run before the
+	// searcher reconsiders priorities.
+	stepChunk = 2048
+	// solverSteps is the per-query budget for full feasibility checks
+	// (local repair handles the common cases first).
+	solverSteps = 8000
+	// localSolverSteps is the per-query budget for localRepair's small
+	// substituted problems.
+	localSolverSteps = 20000
+	// keepBest is how many completed states to retain.
+	keepBest = 8
+	// stopAfterDone halts exploration once this many states have consumed
+	// all N packets — in best-first order the earliest completions follow
+	// the highest-cost paths.
+	stopAfterDone = 16
+)
 
 func (c *Config) fill() {
 	if c.Entry == "" {
@@ -64,23 +67,8 @@ func (c *Config) fill() {
 	if c.MaxStates <= 0 {
 		c.MaxStates = 20000
 	}
-	if c.StepChunk <= 0 {
-		c.StepChunk = 2048
-	}
 	if c.MaxLoopIters <= 0 {
 		c.MaxLoopIters = 64
-	}
-	if c.SolverSteps <= 0 {
-		c.SolverSteps = 8000
-	}
-	if c.LocalSolverSteps <= 0 {
-		c.LocalSolverSteps = 20000
-	}
-	if c.KeepBest <= 0 {
-		c.KeepBest = 8
-	}
-	if c.StopAfterDone <= 0 {
-		c.StopAfterDone = 16
 	}
 }
 
@@ -146,9 +134,7 @@ type Engine struct {
 
 	// VRange, when non-nil, enables value-range-directed shortcuts: a
 	// conditional branch the analysis statically decides is taken
-	// concretely — no fork, no feasibility query, no constraint — and
-	// states popped at merge points are deduplicated against
-	// already-pursued equal-configuration states (merge.go). Decided
+	// concretely — no fork, no feasibility query, no constraint. Decided
 	// conditions are tautologies over the packet/havoc variable domains
 	// (vrange's entry facts cover every assignment the solver can
 	// produce), so skipping the constraint never excludes a model.
@@ -170,9 +156,6 @@ type Engine struct {
 	cFolded  *obs.Counter
 	cAvoided *obs.Counter
 	cPruned  *obs.Counter
-
-	merged      map[string]uint64 // merge-point key -> best pursued cost
-	mergeBlocks map[*ir.Func]map[*ir.Block]bool
 }
 
 // Result is the outcome of an exploration.
@@ -180,7 +163,7 @@ type Result struct {
 	// Best is the completed state with the highest current cost, or nil
 	// if no state consumed all N packets within budget.
 	Best *State
-	// Completed holds the KeepBest best completed states (Best first).
+	// Completed holds the keepBest best completed states (Best first).
 	Completed []*State
 	// StatesExplored and Forks describe the search effort.
 	StatesExplored int
@@ -194,7 +177,7 @@ type Result struct {
 	PopsToBest int
 	// BudgetExhausted is the budget's exhaustion reason when the search
 	// was cut short by its budget.Meter ("" when the search ran to its
-	// own MaxStates/StopAfterDone limits).
+	// own MaxStates/stopAfterDone limits).
 	BudgetExhausted string
 	// BestPartial is the most-progressed pending state when no state
 	// completed: most packets consumed, then highest realized cost, then
@@ -233,7 +216,7 @@ func (e *Engine) havocVarBase() expr.VarID {
 // newSolver is the single place engine solvers are configured: every
 // solver the engine creates (the full-check solver and localRepair's
 // per-problem solvers) carries the engine's recorder and an explicit
-// step budget. Call only after Cfg.fill has run.
+// step budget.
 func (e *Engine) newSolver(maxSteps int) solver.Solver {
 	return solver.Solver{
 		MaxSteps:     maxSteps,
@@ -254,7 +237,7 @@ func (e *Engine) Run() (*Result, error) {
 	if entry.NumParams != 2 {
 		return nil, fmt.Errorf("symbex: entry %q must take (pktAddr, pktLen)", e.Cfg.Entry)
 	}
-	e.sol = e.newSolver(e.Cfg.SolverSteps)
+	e.sol = e.newSolver(solverSteps)
 
 	init := &State{
 		ID:           e.nextID,
@@ -286,7 +269,6 @@ func (e *Engine) Run() (*Result, error) {
 	e.cFolded = e.Obs.Counter("symbex.folded_instructions")
 	e.cAvoided = e.Obs.Counter("solver.queries_avoided")
 	e.cPruned = e.Obs.Counter("symbex.pruned_edges")
-	cMerged := e.Obs.Counter("symbex.merged_states")
 
 	var completed []*State
 	done := 0
@@ -294,7 +276,7 @@ func (e *Engine) Run() (*Result, error) {
 	popsToFirstDone, popsToBest := 0, 0
 	bSymbex := e.Budget.Stage(budget.StageSymbex)
 	var budgetReason string
-	for pq.Len() > 0 && e.explored < e.Cfg.MaxStates && done < e.Cfg.StopAfterDone {
+	for pq.Len() > 0 && e.explored < e.Cfg.MaxStates && done < stopAfterDone {
 		// The budget cut point is the pop boundary: single goroutine,
 		// checked before any work on the next state, so exhaustion lands
 		// on the same pop at every worker count.
@@ -315,16 +297,6 @@ func (e *Engine) Run() (*Result, error) {
 		}
 		if e.Trace != nil {
 			e.Trace("pop", s)
-		}
-		// Merge-point dedup: a popped state whose full configuration
-		// was already pursued at equal or higher cost is a duplicate —
-		// drop it instead of re-exploring its future.
-		if e.VRange != nil && e.tryMerge(s) {
-			cMerged.Inc()
-			if e.Trace != nil {
-				e.Trace("merge", s)
-			}
-			continue
 		}
 		// Local pursuit: keep stepping this state while it still outranks
 		// everything pending. A loose (optimistic) heuristic would
@@ -359,7 +331,7 @@ func (e *Engine) Run() (*Result, error) {
 			if done == 1 {
 				popsToFirstDone = pops
 			}
-			completed = insertCompleted(completed, s, e.Cfg.KeepBest)
+			completed = insertCompleted(completed, s)
 			if completed[0] == s {
 				popsToBest = pops
 			}
@@ -409,13 +381,13 @@ func bestPartial(pq stateHeap) *State {
 	return best
 }
 
-func insertCompleted(list []*State, s *State, keep int) []*State {
+func insertCompleted(list []*State, s *State) []*State {
 	list = append(list, s)
 	for i := len(list) - 1; i > 0 && list[i].CurCost > list[i-1].CurCost; i-- {
 		list[i], list[i-1] = list[i-1], list[i]
 	}
-	if len(list) > keep {
-		list = list[:keep]
+	if len(list) > keepBest {
+		list = list[:keepBest]
 	}
 	return list
 }
@@ -513,7 +485,7 @@ func (e *Engine) injectPacket(s *State, entry *ir.Func) {
 func (e *Engine) step(s *State, entry *ir.Func) []*State {
 	var forks []*State
 	cm := e.Analysis.Cost
-	for n := 0; n < e.Cfg.StepChunk; n++ {
+	for n := 0; n < stepChunk; n++ {
 		f := s.top()
 		if f.pc >= len(f.blk.Instrs) {
 			s.trapped = fmt.Errorf("fell off block %s", f.blk.Name)
@@ -916,7 +888,7 @@ func (e *Engine) localRepair(s *State, c *expr.Expr, filter func(expr.VarID) boo
 	}
 	collectFixed(c)
 	local = append(local, c.Substitute(fixed))
-	sol := e.newSolver(e.Cfg.LocalSolverSteps)
+	sol := e.newSolver(localSolverSteps)
 	sol.Hint = s.model
 	res, m := sol.Check(local)
 	if res != solver.Sat {

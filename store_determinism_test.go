@@ -79,11 +79,11 @@ func TestStoreWarmRunDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestDiscoveryProbeBudgetRegression pins the batched-probing win: before
-// batched probes and disjointness pruning, a cold lpm-dl1 discovery at
-// this configuration read 16,429,074 cache lines; the rewritten discovery
-// reads under 1.5M. The ceiling here is 10x below the old cost with ~10%
-// headroom, so any change that quietly reverts the batching or the
-// pruning fails this test (and the CI perf gate) rather than landing.
+// batched probes, a cold lpm-dl1 discovery at this configuration read
+// 16,429,074 cache lines; the rewritten discovery reads under 1.5M. The
+// ceiling here is 10x below the old cost with ~10% headroom, so any
+// change that quietly reverts the batching fails this test (and the CI
+// perf gate) rather than landing.
 func TestDiscoveryProbeBudgetRegression(t *testing.T) {
 	inst, err := nf.New("lpm-dl1")
 	if err != nil {
