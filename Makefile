@@ -206,13 +206,17 @@ irlint:
 	$(GO) run ./cmd/irlint
 
 # Fuzz smoke (what CI runs): replay the seed corpus, then a short live
-# fuzzing session of the module validator. Arbitrary decoded modules must
-# never panic Validate, and modules it accepts must survive the
-# Disassemble round-trip.
+# fuzzing session, of each untrusted-input decoder. Arbitrary decoded
+# modules must never panic Validate, and modules it accepts must survive
+# the Disassemble round-trip; arbitrary store payloads must never panic
+# rainbow.LoadTable, and tables it accepts must be stable under
+# Serialize/LoadTable and safe to SelfCheck and Invert.
 FUZZ_TIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/ir/ -run FuzzModuleValidate -count=1
 	$(GO) test ./internal/ir/ -fuzz FuzzModuleValidate -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/rainbow/ -run FuzzLoadTable -count=1
+	$(GO) test ./internal/rainbow/ -fuzz FuzzLoadTable -fuzztime $(FUZZ_TIME)
 
 # Lint-catalog gate (what CI runs): regenerate the full irlint -json
 # document (findings with source coordinates, cache-cost stats, taint

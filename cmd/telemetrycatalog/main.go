@@ -55,10 +55,10 @@ var counterMeta = map[string]meta{
 	"memsim.probe_calls":            {"probes", "timing-probe invocations during contention-set discovery"},
 	"memsim.probe_line_reads":       {"lines", "cache lines touched by discovery probes — the discovery-effort gate column"},
 	"obs.sub.dropped":               {"events", "progress events a bounded subscriber (obs.ChanSub) discarded because its buffer was full — a slow-consumer signal, deliberately not a gate column"},
-	"rainbow.bruteforce_calls":      {"calls", "hash inversions that fell back to bounded brute force"},
+	"rainbow.bruteforce_calls":      {"calls", "hash inversions whose table candidates were all rejected (or already taken) and that fell back to bounded brute force"},
 	"rainbow.chains":                {"chains", "rainbow-table chains built for hash inversion"},
 	"rainbow.invert_attempts":       {"lookups", "rainbow-table inversion lookups attempted"},
-	"rainbow.invert_keys":           {"keys", "hash preimages recovered by table lookup or brute force"},
+	"rainbow.invert_keys":           {"keys", "hash preimages recovered by table lookup, plus brute-force preimages for the inversions where that fallback ran"},
 	"rainbow.tables":                {"tables", "rainbow tables built (or loaded from the store) this run"},
 	"solver.backtracks":             {"backtracks", "constraint-solver search backtracks"},
 	"solver.hint_hits":              {"queries", "solver queries answered from the warm-start hint cache"},

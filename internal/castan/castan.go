@@ -947,15 +947,13 @@ func buildRainbowTables(inst *nf.Instance, cfg Config, staticHashIDs map[int]boo
 		if !staticHashIDs[h.HashID] {
 			continue
 		}
-		key := fmt.Sprintf("%s/%d/%d/%T%v", inst.Name, h.HashID, h.Bits, h.Space, h.Space)
 		h := h
 		// Build effort is not recorded at build time: cached tables
 		// outlive one Analyze, so a build-time recorder would credit all
 		// chain work to whichever run built the table first. Counting
 		// below from the finished table charges every run identically,
 		// cache hit or fresh build (DESIGN.md decision 8).
-		rcfg := rainbow.DefaultConfig(h.Bits)
-		rcfg.Chains *= rainbowCoverage
+		key, diskKey, rcfg := rainbowSite(inst.Name, h)
 		rcfg.Workers = cfg.Workers
 		rcfg.Corrupt = corrupt
 		diskStore := cfg.Store
@@ -964,8 +962,6 @@ func buildRainbowTables(inst *nf.Instance, cfg Config, staticHashIDs map[int]boo
 			// it a possibly corrupted table.
 			diskStore = nil
 		}
-		diskKey := store.Key("rainbow/v1", key,
-			fmt.Sprintf("chains=%d len=%d seed=%d", rcfg.Chains, rcfg.ChainLen, rcfg.Seed))
 		build := func() (*rainbow.Table, error) {
 			// Disk first: a stored table is only trusted after a
 			// SelfCheck rewalks sample chains from the build seed —
@@ -985,8 +981,8 @@ func buildRainbowTables(inst *nf.Instance, cfg Config, staticHashIDs map[int]boo
 			if err != nil {
 				return nil, err
 			}
-			if data, serr := tbl.Serialize(); serr == nil {
-				if diskStore.Put(store.KindRainbow, diskKey, data) == nil && diskStore != nil {
+			if diskStore != nil {
+				if data, serr := tbl.Serialize(); serr == nil && diskStore.Put(store.KindRainbow, diskKey, data) == nil {
 					cfg.Obs.Counter("castan.store.writes").Inc()
 				}
 			}
@@ -1021,6 +1017,19 @@ func buildRainbowTables(inst *nf.Instance, cfg Config, staticHashIDs map[int]boo
 		out[h.HashID] = tbl
 	}
 	return out
+}
+
+// rainbowSite sizes the table for one hash site of the named NF and gives
+// its two addresses: the in-process cache key, and the content address in
+// the cross-run store. Any edit that moves the latter silently cold-starts
+// every existing store; bump the "rainbow/v1" salt on purpose instead.
+func rainbowSite(nfName string, h nf.HashUse) (cacheKey, diskKey string, rcfg rainbow.Config) {
+	rcfg = rainbow.DefaultConfig(h.Bits)
+	rcfg.Chains *= rainbowCoverage
+	cacheKey = fmt.Sprintf("%s/%d/%d/%T%v", nfName, h.HashID, h.Bits, h.Space, h.Space)
+	diskKey = store.Key("rainbow/v1", cacheKey,
+		fmt.Sprintf("chains=%d len=%d seed=%d", rcfg.Chains, rcfg.ChainLen, rcfg.Seed))
+	return cacheKey, diskKey, rcfg
 }
 
 // reconcileHavoc implements §3.5's three-step reconciliation for one
@@ -1072,15 +1081,82 @@ func reconcileHavoc(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pin
 	}
 
 	// Key still has free bytes: invert candidate hash values and test
-	// preimages against the constraints. Rainbow candidates come first;
-	// brute force (per §3.5: "brute-force methods augmented by the use of
-	// rainbow tables") fills in when the attack needs many distinct
-	// preimages of one value, as collision workloads do.
+	// preimages against the constraints.
 	rec := sol.Obs
-	candidates := tbl.Invert(want, 16)
 	rec.Counter("rainbow.invert_attempts").Inc()
-	rec.Counter("rainbow.invert_keys").Add(uint64(len(candidates)))
-	if len(candidates) < 16 {
+	// Shared expression nodes cache var lists and const-ness lazily;
+	// warm those caches up front so concurrent checks only read them.
+	warmExprs(cons)
+	warmExprs(h.Key)
+	// try checks one batch of candidates and returns the pins of the one
+	// it accepts, or nil. Candidate checks are independent — each builds
+	// its own pin set over the shared constraint prefix — so they fan out
+	// in batches, keeping sequential semantics by accepting the
+	// lowest-index Sat candidate. checked counts the candidates a
+	// sequential scan would have checked, over every batch tried.
+	checked := 0
+	try := func(candidates [][]byte) []*expr.Expr {
+		rec.Counter("rainbow.invert_keys").Add(uint64(len(candidates)))
+		viable := candidates[:0]
+		for _, key := range candidates {
+			if len(key) != len(h.Key) {
+				continue
+			}
+			if usedKeys[string(key)] {
+				continue // identical to an already-pinned key: flow uniqueness
+			}
+			viable = append(viable, key)
+		}
+		first := checked
+		pins := make([][]*expr.Expr, len(viable))
+		hit := parallel.First(workers, len(viable), func(i int) bool {
+			if hook != nil {
+				hook(first + i)
+			}
+			key := viable[i]
+			p := make([]*expr.Expr, 0, len(key)+len(h.OutVars))
+			for j, ke := range h.Key {
+				p = append(p, expr.Eq(ke, expr.Const(uint64(key[j]))))
+			}
+			p = append(p, pinOut(h, want)...)
+			all := append(append([]*expr.Expr(nil), cons...), p...)
+			if solver.QuickFeasible(all) == solver.Unsat {
+				return false
+			}
+			// Worker solvers stay uninstrumented: parallel.First batches may
+			// speculatively check a few candidates past the accepting index,
+			// so per-worker query counts vary with the worker count. The
+			// sequential-equivalent effort is recorded below instead
+			// (DESIGN.md decision 8).
+			worker := solver.Solver{MaxSteps: sol.MaxSteps, Hint: sol.Hint}
+			if res, _ := worker.Check(all); res != solver.Sat {
+				return false
+			}
+			pins[i] = p
+			return true
+		})
+		// hit is worker-count invariant (lowest accepted index), so so is
+		// checked.
+		if hit < 0 {
+			checked += len(viable)
+			return nil
+		}
+		checked += hit + 1
+		usedKeys[string(viable[hit])] = true
+		return pins[hit]
+	}
+	// Rainbow candidates come first; brute force (per §3.5: "brute-force
+	// methods augmented by the use of rainbow tables") runs only when the
+	// table had fewer than its 16 to offer and none of them was accepted.
+	// The accepted key is the lowest-index Sat candidate of the table's
+	// list followed by the brute-force list, whether or not the second
+	// list is computed before the first is checked. The ring NFs always
+	// accept the table's first key; the chain NFs' colliding packets want
+	// one hash value many times, exhaust the few keys the table has for
+	// it, and take the rest from the sweep.
+	candidates := tbl.Invert(want, 16)
+	pins := try(candidates)
+	if pins == nil && len(candidates) < 16 {
 		// Finding one preimage costs ~2^bits random tries; budget for a
 		// handful, capped so wide hashes stay tractable.
 		budget := 8 << uint(hu.Bits)
@@ -1088,65 +1164,10 @@ func reconcileHavoc(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pin
 			budget = 4 << 20
 		}
 		rec.Counter("rainbow.bruteforce_calls").Inc()
-		candidates = append(candidates, tbl.BruteForce(want, 48, budget, want^uint64(h.Packet)*0x9e3779b9)...)
+		pins = try(tbl.BruteForce(want, 48, budget, want^uint64(h.Packet)*0x9e3779b9))
 	}
-	viable := candidates[:0]
-	for _, key := range candidates {
-		if len(key) != len(h.Key) {
-			continue
-		}
-		if usedKeys[string(key)] {
-			continue // identical to an already-pinned key: flow uniqueness
-		}
-		viable = append(viable, key)
-	}
-
-	// Candidate checks are independent — each builds its own pin set over
-	// the shared constraint prefix — so they fan out in batches, keeping
-	// sequential semantics by accepting the lowest-index Sat candidate.
-	// Shared expression nodes cache var lists and const-ness lazily;
-	// warm those caches up front so concurrent checks only read them.
-	warmExprs(cons)
-	warmExprs(h.Key)
-	pins := make([][]*expr.Expr, len(viable))
-	hit := parallel.First(workers, len(viable), func(i int) bool {
-		if hook != nil {
-			hook(i)
-		}
-		key := viable[i]
-		p := make([]*expr.Expr, 0, len(key)+len(h.OutVars))
-		for j, ke := range h.Key {
-			p = append(p, expr.Eq(ke, expr.Const(uint64(key[j]))))
-		}
-		p = append(p, pinOut(h, want)...)
-		all := append(append([]*expr.Expr(nil), cons...), p...)
-		if solver.QuickFeasible(all) == solver.Unsat {
-			return false
-		}
-		// Worker solvers stay uninstrumented: parallel.First batches may
-		// speculatively check a few candidates past the accepting index,
-		// so per-worker query counts vary with the worker count. The
-		// sequential-equivalent effort is recorded below instead
-		// (DESIGN.md decision 8).
-		worker := solver.Solver{MaxSteps: sol.MaxSteps, Hint: sol.Hint}
-		if res, _ := worker.Check(all); res != solver.Sat {
-			return false
-		}
-		pins[i] = p
-		return true
-	})
-	// hit is worker-count invariant (lowest accepted index), so so is this
-	// count: candidates a sequential scan would have checked.
-	if hit >= 0 {
-		rec.Counter("castan.reconcile_checks").Add(uint64(hit + 1))
-	} else {
-		rec.Counter("castan.reconcile_checks").Add(uint64(len(viable)))
-	}
-	if hit < 0 {
-		return false, nil
-	}
-	usedKeys[string(viable[hit])] = true
-	return true, pins[hit]
+	rec.Counter("castan.reconcile_checks").Add(uint64(checked))
+	return pins != nil, pins
 }
 
 // warmExprs populates the lazily cached per-node fields (variable lists,

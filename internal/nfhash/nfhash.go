@@ -59,14 +59,18 @@ func Masked(fn func([]byte) uint64, bits int) func([]byte) uint64 {
 
 // KeySpace enumerates a structured subset of an NF's key space. Rainbow
 // reduction functions map hash values back into the key space through
-// FromSeed, which is why a *tailored* space (matching the packet
+// Fill, which is why a *tailored* space (matching the packet
 // constraints, e.g. "UDP only, this destination") makes inversion succeed
 // where a generic space would reject almost every candidate (§3.5).
 type KeySpace interface {
 	// KeyLen is the byte length of produced keys.
 	KeyLen() int
-	// FromSeed derives a key deterministically from a 64-bit seed.
-	// Distinct seeds should produce well-spread keys.
+	// Fill derives a key deterministically from a 64-bit seed into dst,
+	// which must be KeyLen bytes long; every byte of dst is overwritten.
+	// Distinct seeds should produce well-spread keys. Chain walks call it
+	// on one reused buffer, so it must not allocate.
+	Fill(dst []byte, seed uint64)
+	// FromSeed is Fill into a freshly allocated key.
 	FromSeed(seed uint64) []byte
 }
 
@@ -90,10 +94,10 @@ type UDPFlowSpace struct {
 // KeyLen implements KeySpace.
 func (s UDPFlowSpace) KeyLen() int { return FlowKeyLen }
 
-// FromSeed implements KeySpace: bits 0-15 become the low source IP bytes,
+// Fill implements KeySpace: bits 0-15 become the low source IP bytes,
 // bits 16-31 the source port.
-func (s UDPFlowSpace) FromSeed(seed uint64) []byte {
-	k := make([]byte, FlowKeyLen)
+func (s UDPFlowSpace) Fill(k []byte, seed uint64) {
+	_ = k[FlowKeyLen-1]
 	srcIP := uint32(s.SrcNet)<<16 | uint32(seed&0xffff)
 	srcPort := uint16(seed >> 16)
 	binary.BigEndian.PutUint32(k[0:], srcIP)
@@ -101,6 +105,12 @@ func (s UDPFlowSpace) FromSeed(seed uint64) []byte {
 	binary.BigEndian.PutUint16(k[8:], srcPort)
 	binary.BigEndian.PutUint16(k[10:], s.DstPort)
 	k[12] = 17 // UDP
+}
+
+// FromSeed implements KeySpace.
+func (s UDPFlowSpace) FromSeed(seed uint64) []byte {
+	k := make([]byte, FlowKeyLen)
+	s.Fill(k, seed)
 	return k
 }
 
@@ -111,16 +121,22 @@ type RawSpace struct{ Len int }
 // KeyLen implements KeySpace.
 func (s RawSpace) KeyLen() int { return s.Len }
 
-// FromSeed implements KeySpace: the seed's big-endian bytes, right-aligned
+// Fill implements KeySpace: the seed's big-endian bytes, right-aligned
 // in the key.
-func (s RawSpace) FromSeed(seed uint64) []byte {
-	k := make([]byte, s.Len)
+func (s RawSpace) Fill(k []byte, seed uint64) {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], seed)
 	if s.Len >= 8 {
+		clear(k[:s.Len-8])
 		copy(k[s.Len-8:], buf[:])
 	} else {
 		copy(k, buf[8-s.Len:])
 	}
+}
+
+// FromSeed implements KeySpace.
+func (s RawSpace) FromSeed(seed uint64) []byte {
+	k := make([]byte, s.Len)
+	s.Fill(k, seed)
 	return k
 }

@@ -1,6 +1,7 @@
 package nfhash
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -122,5 +123,28 @@ func TestRawSpace(t *testing.T) {
 	k = long.FromSeed(0x01)
 	if len(k) != 12 || k[11] != 1 || k[0] != 0 {
 		t.Errorf("long key = %v", k)
+	}
+}
+
+// TestFillMatchesFromSeed: Fill into a reused (dirty) buffer produces the
+// key FromSeed allocates, for every space — rainbow chain walks rely on
+// it overwriting every byte.
+func TestFillMatchesFromSeed(t *testing.T) {
+	spaces := []KeySpace{
+		UDPFlowSpace{SrcNet: 0x0a01, DstIP: 0xc0a80117, DstPort: 443},
+		RawSpace{Len: 1}, RawSpace{Len: 4}, RawSpace{Len: 8}, RawSpace{Len: 13},
+	}
+	for _, s := range spaces {
+		dst := make([]byte, s.KeyLen())
+		f := func(seed uint64) bool {
+			for i := range dst {
+				dst[i] = 0xa5
+			}
+			s.Fill(dst, seed)
+			return bytes.Equal(dst, s.FromSeed(seed))
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("%T%v: %v", s, s, err)
+		}
 	}
 }

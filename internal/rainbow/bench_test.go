@@ -1,0 +1,64 @@
+package rainbow
+
+import (
+	"fmt"
+	"testing"
+
+	"castan/internal/nfhash"
+)
+
+// The ring NFs' table: RingHash over the tailored UDP flow space. Sized
+// down from the pipeline's 2^19 chains so one Build is tens of ms.
+var (
+	benchSpace = nfhash.UDPFlowSpace{SrcNet: 0x0a00, DstIP: 0xc0a80101, DstPort: 80}
+	benchCfg   = Config{Bits: 16, Chains: 1 << 13, ChainLen: 64, Seed: 0x9a3b}
+	benchSink  uint64
+)
+
+// BenchmarkChainLink times one hash+reduce link of a chain walk — the
+// unit cold hash-NF analyses execute tens of millions of times.
+func BenchmarkChainLink(b *testing.B) {
+	tbl, err := Build(nfhash.RingHash, benchSpace, Config{Bits: 16, Chains: 1, ChainLen: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := make([]byte, benchSpace.KeyLen())
+	b.ReportAllocs()
+	b.ResetTimer()
+	h := uint64(1)
+	for i := 0; i < b.N; i++ {
+		h = tbl.step(key, tbl.reduce(h, i&63))
+	}
+	benchSink = h
+}
+
+func BenchmarkBuild(b *testing.B) {
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			cfg := benchCfg
+			cfg.Workers = w
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tbl, err := Build(nfhash.RingHash, benchSpace, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += uint64(tbl.Chains())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Chains*cfg.ChainLen), "ns/link")
+		})
+	}
+}
+
+func BenchmarkInvert(b *testing.B) {
+	tbl, err := Build(nfhash.RingHash, benchSpace, benchCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hash := nfhash.Masked(nfhash.RingHash, benchCfg.Bits)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += uint64(len(tbl.Invert(hash(benchSpace.FromSeed(uint64(i))), 16)))
+	}
+}

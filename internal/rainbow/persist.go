@@ -9,16 +9,17 @@ package rainbow
 // wrong chain data is only detectable by rewalking chains).
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"castan/internal/nfhash"
 )
 
-// tableJSON is the serialized form. Ends are flattened into pairs
-// sorted by end hash, so serializing the same table always produces the
-// same bytes (the in-memory map iterates randomly).
+// tableJSON is the serialized form: one entry per distinct end hash, in
+// ascending end order, each listing its chains' start seeds in build
+// order — the in-memory index, grouped.
 type tableJSON struct {
 	Bits     int       `json:"bits"`
 	ChainLen int       `json:"chain_len"`
@@ -38,13 +39,13 @@ func (t *Table) Serialize() ([]byte, error) {
 		Bits:     t.bits,
 		ChainLen: t.chainLen,
 		Seed:     t.seed,
-		NChains:  t.nchains,
-		Ends:     make([]endJSON, 0, len(t.ends)),
+		NChains:  len(t.ends),
 	}
-	for end, starts := range t.ends {
-		tj.Ends = append(tj.Ends, endJSON{End: end, Starts: starts})
+	for lo, hi := 0, 0; lo < len(t.ends); lo = hi {
+		for hi = lo + 1; hi < len(t.ends) && t.ends[hi] == t.ends[lo]; hi++ {
+		}
+		tj.Ends = append(tj.Ends, endJSON{End: t.ends[lo], Starts: t.starts[lo:hi]})
 	}
-	sort.Slice(tj.Ends, func(i, j int) bool { return tj.Ends[i].End < tj.Ends[j].End })
 	return json.Marshal(tj)
 }
 
@@ -52,7 +53,8 @@ func (t *Table) Serialize() ([]byte, error) {
 // hash function and key space the table was built over (they are part
 // of the caller's store key, so a mismatch cannot alias silently — but
 // it would also be caught by SelfCheck, which callers must run before
-// trusting the result).
+// trusting the result). Any structurally valid payload yields a correctly
+// sorted index, whatever order its entries arrive in.
 func LoadTable(data []byte, hash func([]byte) uint64, space nfhash.KeySpace) (*Table, error) {
 	var tj tableJSON
 	if err := json.Unmarshal(data, &tj); err != nil {
@@ -64,28 +66,38 @@ func LoadTable(data []byte, hash func([]byte) uint64, space nfhash.KeySpace) (*T
 	if tj.ChainLen <= 0 || tj.NChains <= 0 {
 		return nil, fmt.Errorf("rainbow: bad table size %d×%d", tj.NChains, tj.ChainLen)
 	}
+	// Serialize writes entries in end order; tampered or foreign bytes
+	// need not, and binary search over a misordered index would miss
+	// chains that are there. Equal ends are rejected below, so the sort
+	// has no ties to keep in order.
+	slices.SortFunc(tj.Ends, func(a, b endJSON) int { return cmp.Compare(a.End, b.End) })
+	total := 0
+	for i, e := range tj.Ends {
+		if len(e.Starts) == 0 {
+			return nil, fmt.Errorf("rainbow: end %#x with no starts", e.End)
+		}
+		if i > 0 && e.End == tj.Ends[i-1].End {
+			return nil, fmt.Errorf("rainbow: duplicate end %#x", e.End)
+		}
+		total += len(e.Starts)
+	}
+	if total != tj.NChains {
+		return nil, fmt.Errorf("rainbow: %d chains serialized, header says %d", total, tj.NChains)
+	}
 	t := &Table{
 		hash:     nfhash.Masked(hash, tj.Bits),
 		bits:     tj.Bits,
 		space:    space,
 		chainLen: tj.ChainLen,
 		seed:     tj.Seed,
-		ends:     make(map[uint64][]uint64, len(tj.Ends)),
+		ends:     make([]uint64, 0, total),
+		starts:   make([]uint64, 0, total),
 	}
-	total := 0
 	for _, e := range tj.Ends {
-		if len(e.Starts) == 0 {
-			return nil, fmt.Errorf("rainbow: end %#x with no starts", e.End)
+		for range e.Starts {
+			t.ends = append(t.ends, e.End)
 		}
-		if _, dup := t.ends[e.End]; dup {
-			return nil, fmt.Errorf("rainbow: duplicate end %#x", e.End)
-		}
-		t.ends[e.End] = e.Starts
-		total += len(e.Starts)
+		t.starts = append(t.starts, e.Starts...)
 	}
-	if total != tj.NChains {
-		return nil, fmt.Errorf("rainbow: %d chains serialized, header says %d", total, tj.NChains)
-	}
-	t.nchains = total
 	return t, nil
 }

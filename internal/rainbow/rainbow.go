@@ -10,7 +10,10 @@
 package rainbow
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 
 	"castan/internal/nfhash"
 	"castan/internal/parallel"
@@ -25,8 +28,12 @@ type Table struct {
 
 	chainLen int
 	seed     uint64
-	ends     map[uint64][]uint64 // endHash -> start seeds (collisions kept)
-	nchains  int
+	// ends and starts are the chain index: parallel arrays, one entry per
+	// chain, sorted by (end hash, chain number). Chains sharing an end
+	// (merges) are therefore adjacent and in build order, which is the
+	// order Invert offers their candidates in and Serialize writes them.
+	ends   []uint64
+	starts []uint64
 }
 
 // Config sizes a table.
@@ -63,6 +70,11 @@ func DefaultConfig(bits int) Config {
 	return Config{Bits: bits, Chains: chains, ChainLen: chainLen, Seed: 0x9a3b}
 }
 
+// buildChunk is how many consecutive chains one fan-out item walks: large
+// enough that a chunk's RNG skip and scratch key are noise, small enough
+// that workers stay balanced on the smallest catalog table (4096 chains).
+const buildChunk = 512
+
 // Build generates the table. The hash function is truncated to cfg.Bits.
 func Build(hash func([]byte) uint64, space nfhash.KeySpace, cfg Config) (*Table, error) {
 	if cfg.Bits <= 0 || cfg.Bits > 32 {
@@ -77,38 +89,76 @@ func Build(hash func([]byte) uint64, space nfhash.KeySpace, cfg Config) (*Table,
 		space:    space,
 		chainLen: cfg.ChainLen,
 		seed:     cfg.Seed,
-		ends:     make(map[uint64][]uint64, cfg.Chains),
+		ends:     make([]uint64, cfg.Chains),
+		starts:   make([]uint64, cfg.Chains),
 	}
 	// Chains are independent given their start seed, and chain c's start
 	// is the c-th draw of the seed's splitmix64 stream — reachable in O(1)
-	// with Skip — so chain walks fan out across workers while the merged
-	// table stays identical to a sequential build (ends map contents match
-	// because slot order, not completion order, drives the merge).
-	type chain struct{ start, end uint64 }
-	walked := parallel.Map(cfg.Workers, cfg.Chains, func(c int) chain {
+	// with Skip — so contiguous chunks of chains fan out across workers,
+	// each with a private scratch key, writing only their own slots. No
+	// structure is shared until the one sort below, so the table is
+	// identical to a sequential build at every worker count.
+	chunks := (cfg.Chains + buildChunk - 1) / buildChunk
+	parallel.ForEach(cfg.Workers, chunks, func(k int) {
+		lo := k * buildChunk
+		hi := min(lo+buildChunk, cfg.Chains)
+		key := make([]byte, space.KeyLen())
 		rng := stats.NewRNG(cfg.Seed)
-		rng.Skip(uint64(c))
-		start := rng.Uint64()
-		h := t.step(start, 0)
-		for pos := 1; pos < t.chainLen; pos++ {
-			h = t.step(t.reduce(h, pos-1), pos)
+		rng.Skip(uint64(lo))
+		for c := lo; c < hi; c++ {
+			t.starts[c] = rng.Uint64()
+			t.ends[c] = t.walk(key, t.starts[c])
 		}
-		return chain{start: start, end: h}
 	})
-	for c, ch := range walked {
-		end := ch.end
-		if cfg.Corrupt != nil {
-			end = cfg.Corrupt(c, end)
+	if cfg.Corrupt != nil {
+		for c, end := range t.ends {
+			t.ends[c] = cfg.Corrupt(c, end)
 		}
-		t.ends[end] = append(t.ends[end], ch.start)
-		t.nchains++
 	}
+	sortIndex(t.ends, t.starts)
 	return t, nil
 }
 
-// step hashes the key derived from seed at chain position pos.
-func (t *Table) step(seed uint64, pos int) uint64 {
-	return t.hash(t.space.FromSeed(seed))
+// sortIndex reorders the parallel per-chain arrays by (end, chain number).
+func sortIndex(ends, starts []uint64) {
+	byChain := slices.Clone(starts)
+	if uint64(len(ends)) <= 1<<32 && slices.Max(ends) < 1<<32 {
+		// Real ends are hashes masked to at most 32 bits, so end and chain
+		// number pack into one word and a plain integer sort orders both.
+		for c, end := range ends {
+			ends[c] = end<<32 | uint64(c)
+		}
+		slices.Sort(ends)
+		for i, k := range ends {
+			ends[i], starts[i] = k>>32, byChain[uint32(k)]
+		}
+		return
+	}
+	// Only a Corrupt hook produces wider ends (fault injection XORs in a
+	// full 64-bit word).
+	type link struct {
+		end   uint64
+		chain int
+	}
+	links := make([]link, len(ends))
+	for c, end := range ends {
+		links[c] = link{end, c}
+	}
+	slices.SortFunc(links, func(a, b link) int {
+		return cmp.Or(cmp.Compare(a.end, b.end), cmp.Compare(a.chain, b.chain))
+	})
+	for i, l := range links {
+		ends[i], starts[i] = l.end, byChain[l.chain]
+	}
+}
+
+// step hashes the key derived from seed. key is the caller's scratch
+// buffer, KeyLen bytes, overwritten on every call: chain walks hash out
+// of one reused key so a link allocates nothing. A goroutine walking
+// chains owns its key; nothing else about a Table is mutable.
+func (t *Table) step(key []byte, seed uint64) uint64 {
+	t.space.Fill(key, seed)
+	return t.hash(key)
 }
 
 // reduce maps a hash value to the next chain seed; the position salt makes
@@ -120,8 +170,25 @@ func (t *Table) reduce(h uint64, pos int) uint64 {
 	return v
 }
 
+// walk returns the end hash of the chain starting at seed start.
+func (t *Table) walk(key []byte, start uint64) uint64 {
+	h := t.step(key, start)
+	for pos := 1; pos < t.chainLen; pos++ {
+		h = t.step(key, t.reduce(h, pos-1))
+	}
+	return h
+}
+
+// chainsEnding returns the index range [lo, hi) of chains whose end is h.
+func (t *Table) chainsEnding(h uint64) (lo, hi int) {
+	lo, _ = slices.BinarySearch(t.ends, h)
+	for hi = lo; hi < len(t.ends) && t.ends[hi] == h; hi++ {
+	}
+	return lo, hi
+}
+
 // Chains reports how many chains the table holds.
-func (t *Table) Chains() int { return t.nchains }
+func (t *Table) Chains() int { return len(t.ends) }
 
 // ChainLen reports the chain length.
 func (t *Table) ChainLen() int { return t.chainLen }
@@ -136,25 +203,16 @@ func (t *Table) Bits() int { return t.bits }
 // of the first bad chain. The walk costs n×ChainLen hash steps, so
 // callers usually spot-check a sample before trusting a cached table.
 func (t *Table) SelfCheck(n int) error {
-	if n <= 0 || n > t.nchains {
-		n = t.nchains
+	if n <= 0 || n > len(t.ends) {
+		n = len(t.ends)
 	}
+	key := make([]byte, t.space.KeyLen())
+	rng := stats.NewRNG(t.seed)
 	for c := 0; c < n; c++ {
-		rng := stats.NewRNG(t.seed)
-		rng.Skip(uint64(c))
 		start := rng.Uint64()
-		h := t.step(start, 0)
-		for pos := 1; pos < t.chainLen; pos++ {
-			h = t.step(t.reduce(h, pos-1), pos)
-		}
-		found := false
-		for _, s := range t.ends[h] {
-			if s == start {
-				found = true
-				break
-			}
-		}
-		if !found {
+		h := t.walk(key, start)
+		lo, hi := t.chainsEnding(h)
+		if !slices.Contains(t.starts[lo:hi], start) {
 			return fmt.Errorf("rainbow: self-check failed at chain %d: recomputed end %#x not indexed to start %#x", c, h, start)
 		}
 	}
@@ -168,35 +226,25 @@ func (t *Table) SelfCheck(n int) error {
 func (t *Table) Invert(h uint64, max int) [][]byte {
 	h &= uint64(1)<<uint(t.bits) - 1
 	var out [][]byte
-	seen := map[string]bool{}
+	key := make([]byte, t.space.KeyLen())
 	// Try each possible position of h within a chain, from the end
 	// backwards (shortest walk first).
 	for pos := t.chainLen - 1; pos >= 0 && len(out) < max; pos-- {
 		// Walk h from position pos to the chain end.
 		cur := h
 		for p := pos + 1; p < t.chainLen; p++ {
-			cur = t.step(t.reduce(cur, p-1), p)
+			cur = t.step(key, t.reduce(cur, p-1))
 		}
-		starts, ok := t.ends[cur]
-		if !ok {
-			continue
-		}
-		for _, start := range starts {
+		lo, hi := t.chainsEnding(cur)
+		for _, seed := range t.starts[lo:hi] {
 			// Regenerate the chain to position pos and check for a true
 			// preimage (end-hash matches can be chain-merge artifacts).
-			seed := start
 			for p := 0; p < pos; p++ {
-				seed = t.reduce(t.step(seed, p), p)
+				seed = t.reduce(t.step(key, seed), p)
 			}
-			key := t.space.FromSeed(seed)
-			if t.hash(key) == h {
-				ks := string(key)
-				if !seen[ks] {
-					seen[ks] = true
-					out = append(out, key)
-					if len(out) >= max {
-						break
-					}
+			if t.step(key, seed) == h {
+				if out = appendDistinct(out, key); len(out) >= max {
+					break
 				}
 			}
 		}
@@ -204,22 +252,32 @@ func (t *Table) Invert(h uint64, max int) [][]byte {
 	return out
 }
 
+// appendDistinct appends a copy of the scratch key unless out has it.
+func appendDistinct(out [][]byte, key []byte) [][]byte {
+	for _, k := range out {
+		if bytes.Equal(k, key) {
+			return out
+		}
+	}
+	return append(out, bytes.Clone(key))
+}
+
 // BruteForce searches the key space directly for up to max preimages of h
 // (masked to the table's width), trying at most tries seeds. The paper
 // reverses hashes with "brute-force methods augmented by the use of
 // rainbow tables" (§3.5): the table answers point queries cheaply, and
-// brute force supplies additional distinct preimages when an attack needs
-// many keys hashing to one value (collision workloads).
+// brute force supplies further distinct preimages when the table's are
+// all unusable — rejected by the packet constraints, or already spent on
+// other packets of a collision workload that needs many keys hashing to
+// one value.
 func (t *Table) BruteForce(h uint64, max, tries int, seed uint64) [][]byte {
 	h &= uint64(1)<<uint(t.bits) - 1
 	rng := stats.NewRNG(seed ^ 0xb207ef0c)
 	var out [][]byte
-	seen := map[string]bool{}
+	key := make([]byte, t.space.KeyLen())
 	for i := 0; i < tries && len(out) < max; i++ {
-		key := t.space.FromSeed(rng.Uint64())
-		if t.hash(key) == h && !seen[string(key)] {
-			seen[string(key)] = true
-			out = append(out, key)
+		if t.step(key, rng.Uint64()) == h {
+			out = appendDistinct(out, key)
 		}
 	}
 	return out

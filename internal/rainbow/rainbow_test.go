@@ -1,7 +1,11 @@
 package rainbow
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"castan/internal/nfhash"
@@ -123,9 +127,8 @@ func TestTailoringMatters(t *testing.T) {
 }
 
 // TestBuildWorkerCountInvariant asserts the determinism contract of the
-// parallel build: any worker count produces the same table (same chain
-// count, same end-hash buckets with the same start seeds in the same
-// order) as the sequential one.
+// parallel build: any worker count produces the same index (same ends,
+// same start seeds, same order) as the sequential one.
 func TestBuildWorkerCountInvariant(t *testing.T) {
 	space := nfhash.UDPFlowSpace{SrcNet: 0x0a00, DstIP: 0xc0a80101, DstPort: 80}
 	cfg := DefaultConfig(12)
@@ -140,22 +143,157 @@ func TestBuildWorkerCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tbl.nchains != ref.nchains || len(tbl.ends) != len(ref.ends) {
-			t.Fatalf("w=%d: %d chains / %d ends, want %d / %d",
-				w, tbl.nchains, len(tbl.ends), ref.nchains, len(ref.ends))
+		if !slices.Equal(tbl.ends, ref.ends) || !slices.Equal(tbl.starts, ref.starts) {
+			t.Fatalf("w=%d: index differs from the sequential build", w)
 		}
-		for end, starts := range ref.ends {
-			got := tbl.ends[end]
-			if len(got) != len(starts) {
-				t.Fatalf("w=%d: end %x has %d starts, want %d", w, end, len(got), len(starts))
+	}
+}
+
+// refTable is the algorithm this package used before the flat index,
+// kept as the oracle the current one is compared against: a fresh
+// FromSeed key per link, a map from end hash to start seeds filled in
+// chain order, candidates offered in map-slice order.
+type refTable struct {
+	*Table // hash, space, sizes and reduce only; its index is unused
+	ends   map[uint64][]uint64
+}
+
+func refBuild(hash func([]byte) uint64, space nfhash.KeySpace, cfg Config) *refTable {
+	r := &refTable{
+		Table: &Table{hash: nfhash.Masked(hash, cfg.Bits), bits: cfg.Bits, space: space, chainLen: cfg.ChainLen, seed: cfg.Seed},
+		ends:  map[uint64][]uint64{},
+	}
+	rng := stats.NewRNG(cfg.Seed)
+	for c := 0; c < cfg.Chains; c++ {
+		start := rng.Uint64()
+		h := r.hash(space.FromSeed(start))
+		for pos := 1; pos < cfg.ChainLen; pos++ {
+			h = r.hash(space.FromSeed(r.reduce(h, pos-1)))
+		}
+		r.ends[h] = append(r.ends[h], start)
+	}
+	return r
+}
+
+func (r *refTable) invert(h uint64, max int) [][]byte {
+	var out [][]byte
+	seen := map[string]bool{}
+	for pos := r.chainLen - 1; pos >= 0 && len(out) < max; pos-- {
+		cur := h
+		for p := pos + 1; p < r.chainLen; p++ {
+			cur = r.hash(r.space.FromSeed(r.reduce(cur, p-1)))
+		}
+		for _, seed := range r.ends[cur] {
+			for p := 0; p < pos; p++ {
+				seed = r.reduce(r.hash(r.space.FromSeed(seed)), p)
 			}
-			for i := range starts {
-				if got[i] != starts[i] {
-					t.Fatalf("w=%d: end %x start[%d] = %x, want %x", w, end, i, got[i], starts[i])
+			key := r.space.FromSeed(seed)
+			if r.hash(key) == h && !seen[string(key)] {
+				seen[string(key)] = true
+				if out = append(out, key); len(out) >= max {
+					break
 				}
 			}
 		}
 	}
+	return out
+}
+
+func (r *refTable) serialize(t *testing.T) []byte {
+	tj := tableJSON{Bits: r.bits, ChainLen: r.chainLen, Seed: r.seed}
+	for end, starts := range r.ends {
+		tj.Ends = append(tj.Ends, endJSON{End: end, Starts: starts})
+		tj.NChains += len(starts)
+	}
+	sort.Slice(tj.Ends, func(i, j int) bool { return tj.Ends[i].End < tj.Ends[j].End })
+	data, err := json.Marshal(tj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestBuildMatchesReference holds the flat-index table to the reference
+// on everything a caller or a store can observe: the index itself,
+// Invert's candidates and their order, and Serialize's bytes.
+func TestBuildMatchesReference(t *testing.T) {
+	hashes := map[string]func([]byte) uint64{"table": nfhash.TableHash, "ring": nfhash.RingHash}
+	spaces := []nfhash.KeySpace{
+		nfhash.UDPFlowSpace{SrcNet: 0x0a00, DstIP: 0xc0a80101, DstPort: 80},
+		nfhash.RawSpace{Len: 4},
+		nfhash.RawSpace{Len: 13},
+	}
+	// Three full build chunks and a ragged fourth.
+	cfg := Config{Bits: 11, Chains: 3*buildChunk + 77, ChainLen: 24, Seed: 0x9a3b}
+	for hname, hash := range hashes {
+		for _, space := range spaces {
+			ref := refBuild(hash, space, cfg)
+			want := ref.serialize(t)
+			for _, w := range []int{1, 2, 4, 8} {
+				name := fmt.Sprintf("%s/%T%v/w=%d", hname, space, space, w)
+				cfg.Workers = w
+				tbl, err := Build(hash, space, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for lo, hi := 0, 0; lo < len(tbl.ends); lo = hi {
+					_, hi = tbl.chainsEnding(tbl.ends[lo])
+					if !slices.Equal(tbl.starts[lo:hi], ref.ends[tbl.ends[lo]]) {
+						t.Fatalf("%s: end %#x indexes starts %x, want %x", name, tbl.ends[lo], tbl.starts[lo:hi], ref.ends[tbl.ends[lo]])
+					}
+				}
+				if !slices.IsSorted(tbl.ends) || tbl.Chains() != cfg.Chains {
+					t.Fatalf("%s: index unsorted or %d chains, want %d", name, tbl.Chains(), cfg.Chains)
+				}
+				rng := stats.NewRNG(11)
+				for i := 0; i < 200; i++ {
+					h := rng.Uint64() & (1<<uint(cfg.Bits) - 1)
+					got, exp := tbl.Invert(h, 16), ref.invert(h, 16)
+					if !slices.EqualFunc(got, exp, bytes.Equal) {
+						t.Fatalf("%s: Invert(%#x) = %x, want %x", name, h, got, exp)
+					}
+				}
+				got, err := tbl.Serialize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: Serialize differs from the reference bytes", name)
+				}
+			}
+		}
+	}
+}
+
+// TestChainWalksDoNotAllocate pins the allocation contract: a chain walk
+// hashes out of the caller's scratch key and allocates nothing, and a
+// lookup allocates its scratch key and its results — never per link or
+// per try.
+func TestChainWalksDoNotAllocate(t *testing.T) {
+	space := nfhash.UDPFlowSpace{SrcNet: 0x0a00, DstIP: 0xc0a80101, DstPort: 80}
+	tbl, err := Build(nfhash.RingHash, space, DefaultConfig(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := make([]byte, space.KeyLen())
+	seed := uint64(1)
+	if n := testing.AllocsPerRun(100, func() { seed = tbl.walk(key, seed) }); n != 0 {
+		t.Errorf("chain walk: %v allocs, want 0", n)
+	}
+	// One scratch key, one copy per returned key, and the result slice's
+	// growth (at most one reallocation per key).
+	lookup := func(name string, find func() [][]byte) {
+		keys := len(find())
+		if keys == 0 {
+			t.Fatalf("%s found nothing; the bound below would be vacuous", name)
+		}
+		if n := testing.AllocsPerRun(10, func() { find() }); n > float64(1+2*keys) {
+			t.Errorf("%s: %v allocs for %d keys, want at most %d", name, n, keys, 1+2*keys)
+		}
+	}
+	target := nfhash.Masked(nfhash.RingHash, 12)(space.FromSeed(7))
+	lookup("Invert", func() [][]byte { return tbl.Invert(target, 16) })
+	lookup("BruteForce", func() [][]byte { return tbl.BruteForce(target, 4, 1<<16, 3) })
 }
 
 func TestSelfCheckPassesOnHealthyTable(t *testing.T) {
@@ -184,7 +322,7 @@ func TestSerializeLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Serialization is deterministic despite the map-backed index.
+	// Serialization is deterministic.
 	again, err := tbl.Serialize()
 	if err != nil {
 		t.Fatal(err)
