@@ -73,9 +73,9 @@ store-smoke:
 		-report $(STORE_SMOKE_DIR)/warm-report.json \
 		-metrics-out $(STORE_SMOKE_DIR)/warm-metrics.json
 	cmp $(STORE_SMOKE_DIR)/cold.pcap $(STORE_SMOKE_DIR)/warm.pcap
-	$(GO) run ./cmd/tracecheck -metrics $(STORE_SMOKE_DIR)/warm-metrics.json \
+	$(GO) run ./cmd/tracediff check -metrics $(STORE_SMOKE_DIR)/warm-metrics.json \
 		-require castan.store.hits
-	$(GO) run ./cmd/reportcheck -report $(STORE_SMOKE_DIR)/cold-report.json \
+	$(STORE_SMOKE_DIR)/castan reportcheck -report $(STORE_SMOKE_DIR)/cold-report.json \
 		-nf lpm-dl1 -compare $(STORE_SMOKE_DIR)/warm-report.json
 
 # Short observability smoke (what CI runs): one traced cmd/castan run,
@@ -89,7 +89,7 @@ trace-smoke:
 		-trace $(TRACE_SMOKE_DIR)/trace.json \
 		-metrics-out $(TRACE_SMOKE_DIR)/metrics.json \
 		-report $(TRACE_SMOKE_DIR)/report.json
-	$(GO) run ./cmd/tracecheck -trace $(TRACE_SMOKE_DIR)/trace.json \
+	$(GO) run ./cmd/tracediff check -trace $(TRACE_SMOKE_DIR)/trace.json \
 		-metrics $(TRACE_SMOKE_DIR)/metrics.json \
 		-require solver.queries,memsim.dram_misses,symbex.states_explored
 
@@ -109,7 +109,7 @@ fault-smoke:
 			-out $(FAULT_SMOKE_DIR)/$$n.pcap \
 			-report $(FAULT_SMOKE_DIR)/$$n-report.json || code=$$?; \
 		if [ "$$code" -ne 3 ]; then echo "want exit 3, got $$code"; exit 1; fi; \
-		$(GO) run ./cmd/reportcheck -report $(FAULT_SMOKE_DIR)/$$n-report.json \
+		$(FAULT_SMOKE_DIR)/castan reportcheck -report $(FAULT_SMOKE_DIR)/$$n-report.json \
 			-nf $$n -require-degraded; \
 	done
 
@@ -127,7 +127,7 @@ vrange-ablation:
 		-out $(VRANGE_ABLATION_DIR)/nat-ring.pcap \
 		-metrics-out $(VRANGE_ABLATION_DIR)/metrics.json \
 		-report $(VRANGE_ABLATION_DIR)/report.json
-	$(GO) run ./cmd/reportcheck -report $(VRANGE_ABLATION_DIR)/report.json \
+	$(VRANGE_ABLATION_DIR)/castan reportcheck -report $(VRANGE_ABLATION_DIR)/report.json \
 		-nf nat-ring
 	@for c in symbex.pruned_edges solver.memo_hits; do \
 		if grep -q "\"$$c\": *[1-9]" $(VRANGE_ABLATION_DIR)/metrics.json; then \
@@ -139,16 +139,16 @@ vrange-ablation:
 # Service smoke (what CI runs): boot castand with chaos and a store,
 # drive 50 mixed requests through castanload (tiny budgets forcing
 # degradation, armed fault plans, idempotency-key collisions, retried
-# 429s), gate one live endpoint response through reportcheck -url, then
-# SIGTERM the daemon: it must drain in-flight work to valid reports,
-# flush metrics, and exit 0. CI overrides SERVICE_SMOKE_DIR and uploads
-# the logs, load summary, and final metrics snapshot.
+# 429s), gate one live endpoint response through castan reportcheck
+# -url, then SIGTERM the daemon: it must drain in-flight work to valid
+# reports, flush metrics, and exit 0. CI overrides SERVICE_SMOKE_DIR and
+# uploads the logs, load summary, and final metrics snapshot.
 SERVICE_SMOKE_DIR ?= /tmp/castan-service-smoke
 service-smoke:
 	mkdir -p $(SERVICE_SMOKE_DIR)
 	$(GO) build -o $(SERVICE_SMOKE_DIR)/castand ./cmd/castand
 	$(GO) build -o $(SERVICE_SMOKE_DIR)/castanload ./cmd/castanload
-	$(GO) build -o $(SERVICE_SMOKE_DIR)/reportcheck ./cmd/reportcheck
+	$(GO) build -o $(SERVICE_SMOKE_DIR)/castan ./cmd/castan
 	@set -e; dir=$(SERVICE_SMOKE_DIR); rm -f $$dir/addr; \
 	$$dir/castand -addr 127.0.0.1:0 -addr-file $$dir/addr -chaos \
 		-store $$dir/store -metrics-out $$dir/metrics.json \
@@ -160,8 +160,8 @@ service-smoke:
 	echo "== castand on $$addr: 50 mixed requests (tiny budgets + fault plans)"; \
 	$$dir/castanload -addr-file $$dir/addr -n 50 -c 8 -seed 1 \
 		-tiny-budget-frac 0.3 -fault-frac 0.2 -out $$dir/load-summary.json; \
-	echo "== live-endpoint report gate (reportcheck -url)"; \
-	$$dir/reportcheck -url "http://$$addr/v1/analyze?nf=lpm-trie&packets=4&states=1200&seed=7" -nf lpm-trie; \
+	echo "== live-endpoint report gate (castan reportcheck -url)"; \
+	$$dir/castan reportcheck -url "http://$$addr/v1/analyze?nf=lpm-trie&packets=4&states=1200&seed=7" -nf lpm-trie; \
 	echo "== SIGTERM: graceful drain must exit 0"; \
 	kill -TERM $$pid; \
 	wait $$pid || { echo "castand drain exited nonzero:"; cat $$dir/castand.log; exit 1; }; \

@@ -1,11 +1,12 @@
-// Command contention reverse-engineers the simulated processor's L3
+// castan contention reverse-engineers the simulated processor's L3
 // contention sets by timed pointer-chase probing (§3.2), printing a
 // summary and optionally the full sets. The hidden slice hash is never
 // consulted: only probe timings are.
 //
 // Usage:
 //
-//	contention -lines 2600 -sets 6
+//	castan contention -lines 2600 -sets 6
+
 package main
 
 import (
@@ -17,17 +18,17 @@ import (
 	"castan/internal/memsim"
 )
 
-func main() {
+func contention(args []string) {
+	fs := flag.NewFlagSet("castan contention", flag.ExitOnError)
 	var (
-		lines   = flag.Int("lines", 2600, "pool size in cache lines")
-		stride  = flag.Int("stride", 8, "pool sampling stride in lines")
-		sets    = flag.Int("sets", 6, "how many contention sets to discover (0 = all)")
-		seed    = flag.Uint64("seed", 2018, "machine seed (fixes the hidden hash)")
-		base    = flag.Uint64("base", 0x10000000, "base address of the probed region")
-		verbose = flag.Bool("v", false, "print every member address")
-		save    = flag.String("save", "", "persist the discovered model as JSON")
+		lines   = fs.Int("lines", 2600, "pool size in cache lines")
+		stride  = fs.Int("stride", 8, "pool sampling stride in lines")
+		sets    = fs.Int("sets", 6, "how many contention sets to discover (0 = all)")
+		seed    = fs.Uint64("seed", 2018, "machine seed (fixes the hidden hash)")
+		base    = fs.Uint64("base", 0x10000000, "base address of the probed region")
+		verbose = fs.Bool("v", false, "print every member address")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	geo := memsim.DefaultGeometry()
 	hier := memsim.New(geo, *seed)
@@ -50,13 +51,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "contention:", err)
 		os.Exit(1)
-	}
-	if *save != "" {
-		if err := model.SaveFile(*save); err != nil {
-			fmt.Fprintln(os.Stderr, "contention:", err)
-			os.Exit(1)
-		}
-		fmt.Println("saved model to", *save)
 	}
 	fmt.Printf("discovered %d contention sets from a %d-line pool:\n", len(model.Sets), len(pool))
 	for i, s := range model.Sets {

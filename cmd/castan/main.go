@@ -6,10 +6,16 @@
 // Usage:
 //
 //	castan -nf lpm-dl1 -packets 40 -out adversarial.pcap
+//	castan reportcheck|rainbow|contention [flags]
 //
 // Exit codes: 0 = clean analysis, 1 = failure, 2 = usage error,
 // 3 = degraded analysis (a budget or deadline cut a stage short and the
 // emitted workload is best-effort; see the "degradations" report field).
+//
+// The subcommands are the tool's small companions, each with its own
+// flag set (castan <subcommand> -h): reportcheck gates a metrics report,
+// rainbow builds one §3.5 table and reports its coverage, contention runs
+// §3.2 discovery on a bare region.
 package main
 
 import (
@@ -21,7 +27,6 @@ import (
 	"strings"
 
 	"castan/internal/budget"
-	"castan/internal/cachemodel"
 	"castan/internal/castan"
 	"castan/internal/memsim"
 	"castan/internal/nf"
@@ -32,6 +37,19 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "reportcheck":
+			reportcheck(os.Args[2:])
+			return
+		case "rainbow":
+			rainbowCmd(os.Args[2:])
+			return
+		case "contention":
+			contention(os.Args[2:])
+			return
+		}
+	}
 	var (
 		nfName   = flag.String("nf", "", "network function to analyze ("+strings.Join(nf.Names, ", ")+")")
 		packets  = flag.Int("packets", 0, "adversarial workload length (default: the paper's per-NF size)")
@@ -39,7 +57,6 @@ func main() {
 		seed     = flag.Uint64("seed", 2018, "seed for discovery sampling and the DUT's hidden hash")
 		out      = flag.String("out", "", "PCAP output path (default <nf>-castan.pcap)")
 		noCache  = flag.Bool("no-cache-model", false, "disable the cache model (ablation)")
-		modelIn  = flag.String("cache-model", "", "load a persisted contention-set model instead of discovering one")
 		storeDir = flag.String("store", "", "cross-run artifact store directory: cache models and rainbow tables are reused from it and persisted to it; a warm store skips discovery with byte-identical output")
 		report   = flag.String("report", "", "write the per-packet metrics report (JSON) to this path")
 		noRain   = flag.Bool("no-rainbow", false, "disable havoc reconciliation (ablation)")
@@ -75,7 +92,7 @@ func main() {
 	}
 	np := *packets
 	if np == 0 {
-		np = paperPackets[*nfName]
+		np = nf.PaperPackets[*nfName]
 	}
 	if np == 0 {
 		np = 30
@@ -91,13 +108,6 @@ func main() {
 		NoRainbow:    *noRain,
 		NoVRange:     *noVR,
 		Workers:      *workers,
-	}
-	if *modelIn != "" {
-		m, err := cachemodel.LoadFile(*modelIn)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.CacheModel = m
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
@@ -249,12 +259,6 @@ func main() {
 		}
 		os.Exit(3)
 	}
-}
-
-var paperPackets = map[string]int{
-	"lb-chain": 30, "lb-ring": 40, "lb-rbtree": 30, "lb-ubtree": 30,
-	"lpm-trie": 30, "lpm-dl1": 40, "lpm-dl2": 40,
-	"nat-chain": 30, "nat-ring": 40, "nat-rbtree": 35, "nat-ubtree": 50,
 }
 
 func fatal(err error) {

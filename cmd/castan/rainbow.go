@@ -1,10 +1,11 @@
-// Command rainbow builds a rainbow table for one of the NF hash functions
+// castan rainbow builds a rainbow table for one of the NF hash functions
 // over a tailored key space and reports its inversion coverage — the
 // §3.5 preprocessing step.
 //
 // Usage:
 //
-//	rainbow -hash table -bits 12 -coverage 8
+//	castan rainbow -hash table -bits 12 -coverage 8
+
 package main
 
 import (
@@ -18,16 +19,17 @@ import (
 	"castan/internal/rainbow"
 )
 
-func main() {
+func rainbowCmd(args []string) {
+	fs := flag.NewFlagSet("castan rainbow", flag.ExitOnError)
 	var (
-		hashName = flag.String("hash", "table", "hash family: table or ring")
-		bits     = flag.Int("bits", 12, "hash output width in bits")
-		coverage = flag.Int("coverage", 8, "table size multiplier over 2^bits")
-		dstIP    = flag.Uint64("dst", uint64(nf.LBVIP), "pinned destination IP of the tailored key space")
-		dstPort  = flag.Uint("dport", 80, "pinned destination port")
-		samples  = flag.Int("samples", 400, "values sampled for the coverage estimate")
+		hashName = fs.String("hash", "table", "hash family: table or ring")
+		bits     = fs.Int("bits", 12, "hash output width in bits")
+		coverage = fs.Int("coverage", 8, "table size multiplier over 2^bits")
+		dstIP    = fs.Uint64("dst", uint64(nf.LBVIP), "pinned destination IP of the tailored key space")
+		dstPort  = fs.Uint("dport", 80, "pinned destination port")
+		samples  = fs.Int("samples", 400, "values sampled for the coverage estimate")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	var fn func([]byte) uint64
 	switch *hashName {

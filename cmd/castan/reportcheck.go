@@ -1,4 +1,4 @@
-// Command reportcheck validates a castan metrics report (JSON): the file
+// castan reportcheck validates a castan metrics report (JSON): the file
 // must decode against the report schema, carry a well-formed packet list,
 // and (optionally) match an expected NF. With -require-degraded it
 // additionally asserts the run recorded stage degradations and a budget
@@ -14,9 +14,13 @@
 //
 // Usage:
 //
-//	reportcheck -report report.json -nf lpm-trie -require-degraded
-//	reportcheck -report cold.json -compare warm.json
-//	reportcheck -url 'http://127.0.0.1:8080/v1/analyze?nf=lpm-trie&packets=4'
+//	castan reportcheck -report report.json -nf lpm-trie -require-degraded
+//	castan reportcheck -report cold.json -compare warm.json
+//	castan reportcheck -url 'http://127.0.0.1:8080/v1/analyze?nf=lpm-trie&packets=4'
+//
+// Exit codes: 0 = report accepted, 1 = rejected or unreadable, 2 = usage
+// error.
+
 package main
 
 import (
@@ -30,16 +34,17 @@ import (
 	"castan/internal/castan"
 )
 
-func main() {
+func reportcheck(args []string) {
+	fs := flag.NewFlagSet("castan reportcheck", flag.ExitOnError)
 	var (
-		path    = flag.String("report", "", "report JSON path")
-		url     = flag.String("url", "", "fetch the report from a castand endpoint instead of a file")
-		nfName  = flag.String("nf", "", "expected NF name (optional)")
-		reqDeg  = flag.Bool("require-degraded", false, "fail unless the report records degradations and budget ticks")
-		compare = flag.String("compare", "", "second report that must describe the identical outcome (only analysis_seconds and telemetry may differ)")
-		timeout = flag.Duration("timeout", 2*time.Minute, "HTTP timeout for -url fetches")
+		path    = fs.String("report", "", "report JSON path")
+		url     = fs.String("url", "", "fetch the report from a castand endpoint instead of a file")
+		nfName  = fs.String("nf", "", "expected NF name (optional)")
+		reqDeg  = fs.Bool("require-degraded", false, "fail unless the report records degradations and budget ticks")
+		compare = fs.String("compare", "", "second report that must describe the identical outcome (only analysis_seconds and telemetry may differ)")
+		timeout = fs.Duration("timeout", 2*time.Minute, "HTTP timeout for -url fetches")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if (*path == "") == (*url == "") {
 		fmt.Fprintln(os.Stderr, "reportcheck: exactly one of -report or -url is required")
 		os.Exit(2)
@@ -51,16 +56,16 @@ func main() {
 	)
 	if *url != "" {
 		src = *url
-		rep, err = fetch(*url, *timeout)
+		rep, err = fetchReport(*url, *timeout)
 	} else {
 		src = *path
-		rep, err = load(*path)
+		rep, err = loadReport(*path)
 	}
 	if err != nil {
 		fatal(err)
 	}
 	if *compare != "" {
-		other, err := load(*compare)
+		other, err := loadReport(*compare)
 		if err != nil {
 			fatal(err)
 		}
@@ -84,7 +89,7 @@ func main() {
 		src, rep.NF, len(rep.Packets), len(rep.Degradations), rep.BudgetTicksUsed)
 }
 
-func load(path string) (*castan.Report, error) {
+func loadReport(path string) (*castan.Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -93,7 +98,7 @@ func load(path string) (*castan.Report, error) {
 	return castan.ReadReport(f)
 }
 
-func fetch(url string, timeout time.Duration) (*castan.Report, error) {
+func fetchReport(url string, timeout time.Duration) (*castan.Report, error) {
 	client := &http.Client{Timeout: timeout}
 	resp, err := client.Get(url)
 	if err != nil {
@@ -105,9 +110,4 @@ func fetch(url string, timeout time.Duration) (*castan.Report, error) {
 		return nil, fmt.Errorf("GET %s: %s: %s", url, resp.Status, body)
 	}
 	return castan.ReadReport(resp.Body)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "reportcheck:", err)
-	os.Exit(1)
 }

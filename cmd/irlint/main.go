@@ -136,8 +136,7 @@ func run(mods []*ir.Module, verbose, werror, jsonOut bool, w io.Writer) int {
 		// may already have mentioned) before counting and rendering.
 		var cc *cachecost.Analysis
 		if !rep.HasErrors() {
-			mf := analysis.ForModule(mod)
-			mr := analysis.RunMemRegions(mf, analysis.NFEntryHints())
+			mf, mr := rep.Facts, rep.Regions
 			cc = cachecost.Run(mf, mr, cachecost.Config{Geometry: cachecost.DefaultGeometry()})
 			ta := taint.Run(mf, mr, taint.Config{EntryHints: taint.NFEntryTaints()})
 			rep.Findings = append(rep.Findings, ta.Controllability(cc)...)

@@ -15,6 +15,10 @@
 //	tracediff -base metrics_a.json -new metrics_b.json
 //	tracediff -base a.json -base-trace a_trace.json -new b.json -new-trace b_trace.json -json report.json
 //	tracediff -base-trace a_trace.json -new-trace b_trace.json
+//	tracediff check -trace out.jsonl -metrics metrics.json -require solver.queries
+//
+// The check subcommand (check.go) validates one run's artifacts instead
+// of comparing two.
 package main
 
 import (
@@ -32,6 +36,9 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && args[0] == "check" {
+		return check(args[1:], stdout, stderr)
+	}
 	fs := flag.NewFlagSet("tracediff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (

@@ -103,3 +103,24 @@ func TestUsageErrors(t *testing.T) {
 		t.Errorf("missing file: exit %d, want 1", code)
 	}
 }
+
+// TestCheckSubcommand pins the exit codes tracecheck had as a binary of
+// its own: 0 on valid artifacts, 1 on a missing required counter or an
+// unreadable file, 2 when given nothing to check.
+func TestCheckSubcommand(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"check", "-metrics", "testdata/base_metrics.json", "-require", "solver.queries"}, 0},
+		{[]string{"check", "-metrics", "testdata/base_metrics.json", "-require", "no.such.counter"}, 1},
+		{[]string{"check", "-trace", "testdata/nope.json"}, 1},
+		{[]string{"check"}, 2},
+		{[]string{"check", "-bogus"}, 2},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != tc.want {
+			t.Errorf("%v: exit %d, want %d; stderr: %s", tc.args, code, tc.want, errb.String())
+		}
+	}
+}

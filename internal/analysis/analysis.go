@@ -59,108 +59,48 @@ type Facts struct {
 func ForFunc(f *ir.Func) *Facts {
 	fa := &Facts{Fn: f}
 	fa.buildCFG()
-	fa.buildDominators()
 	fa.buildLoops()
 	fa.Live = liveness(f)
 	return fa
 }
 
+// buildCFG fills in the predecessor lists, the reverse postorder and the
+// dominator tree (see idoms).
 func (fa *Facts) buildCFG() {
 	f := fa.Fn
 	n := len(f.Blocks)
-	fa.Preds = make([][]*ir.Block, n)
+	succ := make([][]int, n)
+	pred := make([][]int, n)
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
-			fa.Preds[s.Index] = append(fa.Preds[s.Index], b)
+			succ[b.Index] = append(succ[b.Index], s.Index)
+			pred[s.Index] = append(pred[s.Index], b.Index)
 		}
 	}
-	for _, ps := range fa.Preds {
-		sort.Slice(ps, func(i, j int) bool { return ps[i].Index < ps[j].Index })
-	}
-	// Iterative postorder DFS from the entry, successors in Succs order.
-	fa.RPONum = make([]int, n)
-	for i := range fa.RPONum {
-		fa.RPONum[i] = -1
-	}
-	type frame struct {
-		b    *ir.Block
-		next int
-	}
-	seen := make([]bool, n)
-	var post []*ir.Block
-	stack := []frame{{b: f.Entry()}}
-	seen[f.Entry().Index] = true
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		succs := fr.b.Succs()
-		if fr.next < len(succs) {
-			s := succs[fr.next]
-			fr.next++
-			if !seen[s.Index] {
-				seen[s.Index] = true
-				stack = append(stack, frame{b: s})
-			}
-			continue
+	blocks := func(idx []int) []*ir.Block {
+		out := make([]*ir.Block, len(idx))
+		for i, v := range idx {
+			out[i] = f.Blocks[v]
 		}
-		post = append(post, fr.b)
-		stack = stack[:len(stack)-1]
+		return out
 	}
-	fa.RPO = make([]*ir.Block, len(post))
-	for i := range post {
-		fa.RPO[len(post)-1-i] = post[i]
+	fa.Preds = make([][]*ir.Block, n)
+	for i, ps := range pred {
+		sort.Ints(ps)
+		fa.Preds[i] = blocks(ps)
 	}
-	for i, b := range fa.RPO {
-		fa.RPONum[b.Index] = i
+	idom, rpo, rpoNum := idoms(n, f.Entry().Index, succ, pred)
+	fa.RPO, fa.RPONum = blocks(rpo), rpoNum
+	fa.Idom = make([]*ir.Block, n)
+	for i, d := range idom {
+		if d >= 0 {
+			fa.Idom[i] = f.Blocks[d]
+		}
 	}
 }
 
 // Reachable reports whether b is reachable from the function entry.
 func (fa *Facts) Reachable(b *ir.Block) bool { return fa.RPONum[b.Index] >= 0 }
-
-// buildDominators runs the Cooper-Harvey-Kennedy iterative dominator
-// algorithm ("A Simple, Fast Dominance Algorithm"): intersect dominator
-// paths in reverse postorder until a fixed point.
-func (fa *Facts) buildDominators() {
-	f := fa.Fn
-	n := len(f.Blocks)
-	fa.Idom = make([]*ir.Block, n)
-	entry := f.Entry()
-	fa.Idom[entry.Index] = entry
-	intersect := func(a, b *ir.Block) *ir.Block {
-		for a != b {
-			for fa.RPONum[a.Index] > fa.RPONum[b.Index] {
-				a = fa.Idom[a.Index]
-			}
-			for fa.RPONum[b.Index] > fa.RPONum[a.Index] {
-				b = fa.Idom[b.Index]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range fa.RPO {
-			if b == entry {
-				continue
-			}
-			var newIdom *ir.Block
-			for _, p := range fa.Preds[b.Index] {
-				if fa.Idom[p.Index] == nil {
-					continue // predecessor not yet processed or unreachable
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
-			}
-			if newIdom != nil && fa.Idom[b.Index] != newIdom {
-				fa.Idom[b.Index] = newIdom
-				changed = true
-			}
-		}
-	}
-}
 
 // Dominates reports whether a dominates b (reflexively). Unreachable
 // blocks are dominated by nothing and dominate nothing (except

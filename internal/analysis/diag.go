@@ -71,6 +71,11 @@ func (f Finding) String() string {
 type Report struct {
 	Module   string
 	Findings []Finding
+	// Facts and Regions are the per-function facts and the memory-region
+	// result Lint computed on the way, for callers that run further passes
+	// over the same module; both nil when structural validation failed.
+	Facts   *ModuleFacts
+	Regions *MemRegions
 }
 
 func (r *Report) add(f Finding) { r.Findings = append(r.Findings, f) }
@@ -199,17 +204,17 @@ func Lint(mod *ir.Module, opts Options) *Report {
 		rep.add(Finding{Pass: "validate", Sev: SevError, Msg: err.Error()})
 		return rep
 	}
-	mf := ForModule(mod)
-	for _, name := range mf.FuncNames {
+	rep.Facts = ForModule(mod)
+	for _, name := range rep.Facts.FuncNames {
 		f := mod.Funcs[name]
-		fa := mf.Funcs[f]
+		fa := rep.Facts.Funcs[f]
 		checkDefBeforeUse(f, fa, rep)
 		if !opts.NoDeadDefs {
 			checkDeadDefs(f, fa, rep)
 		}
 	}
-	mr := RunMemRegions(mf, opts.EntryHints)
-	mr.report(rep)
+	rep.Regions = RunMemRegions(rep.Facts, opts.EntryHints)
+	rep.Regions.report(rep)
 	rep.Sort()
 	return rep
 }

@@ -312,121 +312,18 @@ func RunMemRegions(mf *ModuleFacts, entryHints map[string][]Value) *MemRegions {
 	return mr
 }
 
-// CallerFirstOrder exposes the caller-first topological function order to
-// sibling analysis packages (cachecost, taint) that run interprocedural
-// fixpoints in the same direction.
-func CallerFirstOrder(mf *ModuleFacts) []*ir.Func { return callerFirstOrder(mf) }
-
-// callerFirstOrder topologically sorts functions so every caller precedes
-// its callees (roots first). The call graph is acyclic by validation.
-func callerFirstOrder(mf *ModuleFacts) []*ir.Func {
-	indeg := map[*ir.Func]int{}
-	callees := map[*ir.Func][]*ir.Func{}
-	for _, name := range mf.FuncNames {
-		f := mf.Mod.Funcs[name]
-		if _, ok := indeg[f]; !ok {
-			indeg[f] = 0
-		}
-		seen := map[*ir.Func]bool{}
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpCall && !seen[in.Callee] {
-					seen[in.Callee] = true
-					callees[f] = append(callees[f], in.Callee)
-					indeg[in.Callee]++
-				}
-			}
-		}
-	}
-	var ready []*ir.Func
-	for _, name := range mf.FuncNames {
-		f := mf.Mod.Funcs[name]
-		if indeg[f] == 0 {
-			ready = append(ready, f)
-		}
-	}
-	var order []*ir.Func
-	for len(ready) > 0 {
-		sort.Slice(ready, func(i, j int) bool { return ready[i].Name < ready[j].Name })
-		f := ready[0]
-		ready = ready[1:]
-		order = append(order, f)
-		for _, c := range callees[f] {
-			indeg[c]--
-			if indeg[c] == 0 {
-				ready = append(ready, c)
-			}
-		}
-	}
-	return order
-}
-
-// widenAfter bounds how many times a block is re-joined before growing
-// intervals are widened to their extremes.
-const widenAfter = 4
-
 func (mr *MemRegions) analyzeFunc(f *ir.Func, params []Value) {
 	fa := mr.mf.Funcs[f]
-	n := len(f.Blocks)
 	entryState := make([]Value, f.NumRegs)
 	copy(entryState, params)
-
-	in := make([][]Value, n)
-	visits := make([]int, n)
-	in[f.Entry().Index] = entryState
 
 	// Distinct heap regions per allocation site, stable across the
 	// fixpoint so joins of the same site stay precise.
 	allocRegions := map[*ir.Instr]*RegionInfo{}
 
-	work := []int{f.Entry().Index}
-	inWork := make([]bool, n)
-	inWork[f.Entry().Index] = true
-	for len(work) > 0 {
-		// Pop the block earliest in RPO for fast convergence.
-		best := 0
-		for i := 1; i < len(work); i++ {
-			if fa.RPONum[work[i]] < fa.RPONum[work[best]] {
-				best = i
-			}
-		}
-		bi := work[best]
-		work = append(work[:best], work[best+1:]...)
-		inWork[bi] = false
-		b := f.Blocks[bi]
-
-		state := cloneState(in[bi])
+	in := RegFixpoint(fa, entryState, func(b *ir.Block, state []Value) {
 		mr.execBlock(f, b, state, allocRegions, nil)
-		for _, s := range b.Succs() {
-			si := s.Index
-			var next []Value
-			if in[si] == nil {
-				next = cloneState(state)
-			} else {
-				next = make([]Value, f.NumRegs)
-				changed := false
-				for r := 0; r < f.NumRegs; r++ {
-					j := join(in[si][r], state[r])
-					if visits[si] >= widenAfter {
-						j = widen(in[si][r], j)
-					}
-					next[r] = j
-					if j != in[si][r] {
-						changed = true
-					}
-				}
-				if !changed {
-					continue
-				}
-			}
-			in[si] = next
-			visits[si]++
-			if !inWork[si] {
-				inWork[si] = true
-				work = append(work, si)
-			}
-		}
-	}
+	}, join, widen)
 
 	// Final classification pass with the converged entry states, and
 	// call-site argument propagation into callee parameter joins.
@@ -437,12 +334,6 @@ func (mr *MemRegions) analyzeFunc(f *ir.Func, params []Value) {
 		state := cloneState(in[b.Index])
 		mr.execBlock(f, b, state, allocRegions, fa)
 	}
-}
-
-func cloneState(s []Value) []Value {
-	c := make([]Value, len(s))
-	copy(c, s)
-	return c
 }
 
 // execBlock abstractly executes one block, mutating state. When record is

@@ -32,80 +32,7 @@ func Postdoms(f *ir.Func) []int {
 		}
 	}
 
-	// Iterative RPO DFS from the virtual exit over the reversed graph.
-	rpoNum := make([]int, n+1)
-	for i := range rpoNum {
-		rpoNum[i] = -1
-	}
-	type frame struct {
-		v    int
-		next int
-	}
-	seen := make([]bool, n+1)
-	var post []int
-	stack := []frame{{v: exit}}
-	seen[exit] = true
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		if fr.next < len(succ[fr.v]) {
-			s := succ[fr.v][fr.next]
-			fr.next++
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, frame{v: s})
-			}
-			continue
-		}
-		post = append(post, fr.v)
-		stack = stack[:len(stack)-1]
-	}
-	rpo := make([]int, len(post))
-	for i := range post {
-		rpo[len(post)-1-i] = post[i]
-	}
-	for i, v := range rpo {
-		rpoNum[v] = i
-	}
-
-	idom := make([]int, n+1)
-	for i := range idom {
-		idom[i] = -1
-	}
-	idom[exit] = exit
-	intersect := func(a, b int) int {
-		for a != b {
-			for rpoNum[a] > rpoNum[b] {
-				a = idom[a]
-			}
-			for rpoNum[b] > rpoNum[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, v := range rpo {
-			if v == exit {
-				continue
-			}
-			newIdom := -1
-			for _, p := range pred[v] {
-				if idom[p] < 0 {
-					continue
-				}
-				if newIdom < 0 {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
-			}
-			if newIdom >= 0 && idom[v] != newIdom {
-				idom[v] = newIdom
-				changed = true
-			}
-		}
-	}
+	idom, _, _ := idoms(n+1, exit, succ, pred)
 	return idom[:n]
 }
 

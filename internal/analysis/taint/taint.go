@@ -188,7 +188,7 @@ func join(a, b Taint) Taint {
 func join3(a, b, c Taint) Taint { return join(join(a, b), c) }
 
 // widen accelerates loop fixpoints: a byte set still growing after
-// widenAfter re-joins jumps straight to TaintedOpaque (class changes
+// analysis.WidenAfter re-joins jumps straight to TaintedOpaque (class changes
 // need no widening — the class chain has height two).
 func widen(prev, next Taint) Taint {
 	if prev.Class == TaintedLinear && next.Class == TaintedLinear && next != prev {
@@ -196,10 +196,6 @@ func widen(prev, next Taint) Taint {
 	}
 	return next
 }
-
-// widenAfter matches the memregion pass: how many re-joins of a block
-// before growing values are widened.
-const widenAfter = 4
 
 // InstrTaint is the per-instruction classification.
 type InstrTaint struct {
@@ -271,9 +267,8 @@ type Analysis struct {
 	// allocation address input-dependent.
 	heapCursor Taint
 
-	order     []*ir.Func
-	reachable map[*ir.Func]bool
-	pdoms     map[*ir.Func][]int
+	order []*ir.Func
+	pdoms map[*ir.Func][]int
 }
 
 // maxRounds caps the module-level fixpoint; the lattice is finite so
@@ -292,11 +287,9 @@ func Run(mf *analysis.ModuleFacts, mr *analysis.MemRegions, cfg Config) *Analysi
 		instr:     map[*ir.Instr]InstrTaint{},
 		accessOf:  map[*ir.Instr]*analysis.Access{},
 		keyReadOf: map[*ir.Instr]*analysis.Access{},
-		params:    map[*ir.Func][]Taint{},
 		rets:      map[*ir.Func]Taint{},
 		entryCtl:  map[*ir.Func]Taint{},
 		mem:       map[regionKey]Taint{},
-		reachable: map[*ir.Func]bool{},
 		pdoms:     map[*ir.Func][]int{},
 	}
 	for i := range mr.Accesses {
@@ -308,49 +301,9 @@ func Run(mf *analysis.ModuleFacts, mr *analysis.MemRegions, cfg Config) *Analysi
 		a.keyReadOf[acc.Block.Instrs[acc.InstrIdx]] = acc
 	}
 
-	// Roots: hinted functions present in the module, sorted for
-	// determinism; reachability closes over the (acyclic) call graph.
-	var roots []*ir.Func
-	for _, name := range mf.FuncNames {
-		hints, ok := cfg.EntryHints[name]
-		f := mf.Mod.Funcs[name]
-		if !ok || f == nil {
-			continue
-		}
-		roots = append(roots, f)
-		a.Entries = append(a.Entries, name)
-		params := make([]Taint, f.NumParams)
-		for i := range params {
-			if i < len(hints) {
-				params[i] = hints[i]
-			} else {
-				params[i] = Opaque()
-			}
-		}
-		a.params[f] = params
-	}
-	var mark func(f *ir.Func)
-	mark = func(f *ir.Func) {
-		if a.reachable[f] {
-			return
-		}
-		a.reachable[f] = true
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpCall {
-					mark(in.Callee)
-				}
-			}
-		}
-	}
-	for _, f := range roots {
-		mark(f)
-	}
-	for _, f := range analysis.CallerFirstOrder(mf) {
-		if a.reachable[f] {
-			a.order = append(a.order, f)
-		}
-	}
+	// Roots are the hinted functions present in the module; parameters
+	// the hints do not cover are opaque.
+	a.Entries, a.params, a.order = analysis.HintedOrder(mf, cfg.EntryHints, Opaque())
 
 	for a.Rounds = 1; ; a.Rounds++ {
 		changed := false
@@ -449,62 +402,11 @@ func (a *Analysis) analyzeFunc(f *ir.Func) bool {
 // per-block control taints, returning per-block entry states (nil for
 // unreachable blocks).
 func (a *Analysis) regFixpoint(f *ir.Func, fa *analysis.Facts, ctl []Taint) [][]Taint {
-	n := len(f.Blocks)
 	entryState := make([]Taint, f.NumRegs)
 	copy(entryState, a.params[f])
-
-	in := make([][]Taint, n)
-	visits := make([]int, n)
-	in[f.Entry().Index] = entryState
-
-	work := []int{f.Entry().Index}
-	inWork := make([]bool, n)
-	inWork[f.Entry().Index] = true
-	for len(work) > 0 {
-		best := 0
-		for i := 1; i < len(work); i++ {
-			if fa.RPONum[work[i]] < fa.RPONum[work[best]] {
-				best = i
-			}
-		}
-		bi := work[best]
-		work = append(work[:best], work[best+1:]...)
-		inWork[bi] = false
-		b := f.Blocks[bi]
-
-		state := cloneTaints(in[bi])
-		a.execBlock(f, b, state, ctl[bi], false)
-		for _, s := range b.Succs() {
-			si := s.Index
-			var next []Taint
-			if in[si] == nil {
-				next = cloneTaints(state)
-			} else {
-				next = make([]Taint, f.NumRegs)
-				changed := false
-				for r := 0; r < f.NumRegs; r++ {
-					j := join(in[si][r], state[r])
-					if visits[si] >= widenAfter {
-						j = widen(in[si][r], j)
-					}
-					next[r] = j
-					if j != in[si][r] {
-						changed = true
-					}
-				}
-				if !changed {
-					continue
-				}
-			}
-			in[si] = next
-			visits[si]++
-			if !inWork[si] {
-				inWork[si] = true
-				work = append(work, si)
-			}
-		}
-	}
-	return in
+	return analysis.RegFixpoint(fa, entryState, func(b *ir.Block, state []Taint) {
+		a.execBlock(f, b, state, ctl[b.Index], false)
+	}, join, widen)
 }
 
 // execBlock abstractly executes one block, mutating state. When record

@@ -464,7 +464,6 @@ func loadResult(size uint8) VRange {
 }
 
 const (
-	widenAfter  = 4   // in-state joins per block before widening kicks in
 	maxRounds   = 48  // module-level fixpoint cap before degrading to top
 	maxFnPasses = 512 // worklist pops per block; exceeding degrades to top
 )
@@ -516,7 +515,6 @@ func Run(mf *analysis.ModuleFacts, cfg Config) *Analysis {
 	a := &Analysis{
 		mf:      mf,
 		cfg:     cfg,
-		params:  map[*ir.Func][]VRange{},
 		rets:    map[*ir.Func]VRange{},
 		instr:   map[*ir.Instr]VRange{},
 		condRng: map[*ir.Instr]VRange{},
@@ -525,49 +523,9 @@ func Run(mf *analysis.ModuleFacts, cfg Config) *Analysis {
 		pdoms:   map[*ir.Func][]int{},
 	}
 
-	roots := map[*ir.Func]bool{}
-	for name, hints := range cfg.EntryHints {
-		f := mf.Mod.Funcs[name]
-		if f == nil {
-			continue
-		}
-		roots[f] = true
-		ps := make([]VRange, f.NumParams)
-		for i := range ps {
-			if i < len(hints) {
-				ps[i] = hints[i]
-			} else {
-				ps[i] = Full()
-			}
-		}
-		a.params[f] = ps
-	}
-	if len(roots) == 0 {
+	_, a.params, a.order = analysis.HintedOrder(mf, cfg.EntryHints, Full())
+	if len(a.order) == 0 {
 		return a
-	}
-
-	reachable := map[*ir.Func]bool{}
-	var mark func(f *ir.Func)
-	mark = func(f *ir.Func) {
-		if reachable[f] {
-			return
-		}
-		reachable[f] = true
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpCall {
-					mark(in.Callee)
-				}
-			}
-		}
-	}
-	for f := range roots {
-		mark(f)
-	}
-	for _, f := range analysis.CallerFirstOrder(mf) {
-		if reachable[f] {
-			a.order = append(a.order, f)
-		}
 	}
 
 	for a.Rounds = 1; ; a.Rounds++ {
@@ -640,7 +598,7 @@ func (a *Analysis) analyzeFunc(f *ir.Func) bool {
 			return true
 		}
 		ch := false
-		wide := visits[bi] >= widenAfter
+		wide := visits[bi] >= analysis.WidenAfter
 		for i, r := range st {
 			var nr VRange
 			if wide {

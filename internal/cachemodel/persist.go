@@ -4,13 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Discovery is expensive (minutes of simulated probing in the paper's
 // setting), so models are persisted and reused across analysis runs —
 // the paper ships its reverse-engineered Xeon model the same way. The
-// format is plain JSON.
+// format is plain JSON; internal/store is what puts it on disk.
 
 // modelJSON is the serialized form.
 type modelJSON struct {
@@ -28,19 +27,6 @@ func (m *Model) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(mj)
-}
-
-// SaveFile writes the model to a file.
-func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := m.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
 }
 
 // Load reads a model from JSON.
@@ -71,14 +57,4 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("%w: %d addresses indexed across %d set entries (duplicate membership)", ErrInconsistent, len(m.setOf), total)
 	}
 	return m, nil
-}
-
-// LoadFile reads a model from a file.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

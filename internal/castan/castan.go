@@ -54,9 +54,6 @@ type Config struct {
 	Seed uint64
 	// NoCacheModel disables the cache model (ablation).
 	NoCacheModel bool
-	// CacheModel, when non-nil, is used instead of running discovery
-	// (e.g. a model persisted by cmd/contention -save).
-	CacheModel *cachemodel.Model
 	// NoRainbow disables havoc reconciliation (ablation).
 	NoRainbow bool
 	// NoStaticCost disables the abstract cache analysis: no static
@@ -91,6 +88,14 @@ type Config struct {
 	// writes} counters, bumped on the pipeline goroutine only, so they
 	// are invariant under Workers.
 	Store *store.Store
+	// Tables, when non-nil, is the caller's in-process memo of built or
+	// loaded rainbow tables: Analyze calls handed the same TableCache build
+	// (or load from Store) each table once between them, and only the call
+	// that did so records the table's castan.store.* outcome. Nil means
+	// nothing outlives this call — it builds or loads its own tables, so
+	// its effort and telemetry do not depend on what the process analyzed
+	// before. Runs with chain corruption injected never read or fill it.
+	Tables *TableCache
 	// Budget, when non-nil, bounds the run in deterministic ticks
 	// (symbex state pops, solver steps, probe line reads, rainbow chain
 	// links) with an optional wall-clock deadline. On exhaustion the
@@ -111,6 +116,20 @@ func (c *Config) fill() {
 	if c.MaxStates <= 0 {
 		c.MaxStates = 12000
 	}
+	if c.Tables == nil {
+		// Per-call memo: the completed states concretize falls back
+		// through still share one build.
+		c.Tables = new(TableCache)
+	}
+}
+
+// TableCache memoizes rainbow tables across the Analyze calls of one owner
+// (Config.Tables): a single-flight group keyed by hash site, so concurrent
+// analyses of the same NF build each table exactly once instead of racing.
+// The zero value is ready to use; entries are never evicted, so the owner
+// bounds its lifetime.
+type TableCache struct {
+	tables parallel.Group[string, *rainbow.Table]
 }
 
 const (
@@ -281,8 +300,7 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 		return nil, fmt.Errorf("castan: static analysis rejects %s: %s",
 			inst.Mod.Name, rep.Findings[0].String())
 	}
-	mf := analysis.ForModule(inst.Mod)
-	mr := analysis.RunMemRegions(mf, analysis.NFEntryHints())
+	mf, mr := rep.Facts, rep.Regions
 	staticSites := mf.HavocSites()
 	// Input-taint dataflow over the same facts: classifies every value as
 	// input-independent, affine in input bytes, or opaque. It powers the
@@ -332,8 +350,6 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	var model *cachemodel.Model
 	switch {
 	case cfg.NoCacheModel:
-	case cfg.CacheModel != nil:
-		model = cfg.CacheModel
 	case len(regions) > 0:
 		var derr error
 		model, derr = discoverModel(regions, hier, cfg, rec)
@@ -927,12 +943,9 @@ func safeReconcile(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pinn
 	return ok, extra, nil
 }
 
-// buildRainbowTables builds (and memoizes per process) one rainbow table
-// per havocable hash site. The cache is a single-flight group: concurrent
-// analyses of NFs sharing a hash site (the campaign fans out across NFs)
-// build each table exactly once instead of racing on a bare map.
-var rainbowCache parallel.Group[string, *rainbow.Table]
-
+// buildRainbowTables returns one rainbow table per havocable hash site,
+// built or loaded through cfg.Tables (Analyze fills in a per-call cache
+// when the caller passed none).
 func buildRainbowTables(inst *nf.Instance, cfg Config, staticHashIDs map[int]bool, degrade func(stage, reason, fallback string)) map[int]*rainbow.Table {
 	corrupt := cfg.Faults.ChainHook()
 	out := map[int]*rainbow.Table{}
@@ -948,9 +961,9 @@ func buildRainbowTables(inst *nf.Instance, cfg Config, staticHashIDs map[int]boo
 			continue
 		}
 		h := h
-		// Build effort is not recorded at build time: cached tables
-		// outlive one Analyze, so a build-time recorder would credit all
-		// chain work to whichever run built the table first. Counting
+		// Build effort is not recorded at build time: a table in a
+		// caller-owned cache outlives one Analyze, so a build-time recorder
+		// would credit all chain work to whichever run built it. Counting
 		// below from the finished table charges every run identically,
 		// cache hit or fresh build (DESIGN.md decision 8).
 		key, diskKey, rcfg := rainbowSite(inst.Name, h)
@@ -991,13 +1004,14 @@ func buildRainbowTables(inst *nf.Instance, cfg Config, staticHashIDs map[int]boo
 		var tbl *rainbow.Table
 		var err error
 		if corrupt != nil {
-			// A corrupted table must never enter the shared cross-run
-			// cache, so fault runs build privately and eat the cost
+			// A corrupted table must never enter a cache the caller may
+			// share with clean runs, so fault runs build privately and eat
+			// the cost
 			// (diskStore is already nil under faults, so the corrupted
 			// table cannot be persisted either).
 			tbl, err = build()
 		} else {
-			tbl, err = rainbowCache.Do(key, build)
+			tbl, err = cfg.Tables.tables.Do(key, build)
 		}
 		if err != nil {
 			continue

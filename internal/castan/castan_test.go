@@ -11,8 +11,15 @@ import (
 	"castan/internal/packet"
 )
 
+// testTables is the one table cache this package's tests share: many of
+// them analyze the same hash NFs, and a table is the same whichever run
+// builds it. The tests about what a run records when nothing is shared
+// (store_test.go, TestAnalyzeTelemetryIgnoresProcessHistory) pass none.
+var testTables TableCache
+
 func analyze(t *testing.T, name string, cfg Config) *Output {
 	t.Helper()
+	cfg.Tables = &testTables
 	inst, err := nf.New(name)
 	if err != nil {
 		t.Fatal(err)

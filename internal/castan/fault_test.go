@@ -37,6 +37,7 @@ func TestFaultMatrix(t *testing.T) {
 					Seed:      7,
 					Budget:    m,
 					Faults:    plan,
+					Tables:    &testTables,
 				})
 				if err != nil {
 					t.Fatalf("Analyze must degrade, not fail: %v", err)

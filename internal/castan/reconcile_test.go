@@ -52,7 +52,7 @@ func TestReconcileCatalogPinned(t *testing.T) {
 			}
 			rec := obs.New(obs.NewFakeClock(1))
 			out, err := Analyze(inst, memsim.New(memsim.DefaultGeometry(), 2018),
-				Config{NPackets: 6, MaxStates: 4000, Seed: 2018, Obs: rec})
+				Config{NPackets: 6, MaxStates: 4000, Seed: 2018, Obs: rec, Tables: &testTables})
 			if err != nil {
 				t.Fatal(err)
 			}

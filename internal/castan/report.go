@@ -133,7 +133,7 @@ func ReadReport(r io.Reader) (*Report, error) {
 // Check validates the report's structural invariants: a named NF
 // (matching expectNF when non-empty), a non-empty packet list with dense
 // 0-based indices, and complete degradation records. It is the shared
-// schema gate behind cmd/reportcheck and the castand service contract —
+// schema gate behind castan reportcheck and the castand service contract —
 // every HTTP 200 response, however degraded, must pass it.
 func (r *Report) Check(expectNF string) error {
 	if r == nil {

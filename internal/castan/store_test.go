@@ -12,19 +12,12 @@ import (
 	"castan/internal/memsim"
 	"castan/internal/nf"
 	"castan/internal/obs"
-	"castan/internal/parallel"
-	"castan/internal/rainbow"
 	"castan/internal/store"
 )
 
-// resetRainbowCache empties the process-wide rainbow single-flight so the
-// next Analyze must go through the on-disk store, as a fresh process
-// would. (The only cost to later tests is a rebuild.)
-func resetRainbowCache() { rainbowCache = parallel.Group[string, *rainbow.Table]{} }
-
 // analyzeStored runs one Analyze against the store directory with its own
-// store handle and recorder — the shape of separate processes sharing a
-// store.
+// store handle and recorder and no shared table cache — the shape of
+// separate processes sharing a store.
 func analyzeStored(t *testing.T, name, dir string, cfg Config) (*Output, *obs.Recorder) {
 	t.Helper()
 	st, err := store.Open(dir)
@@ -133,7 +126,6 @@ func TestStoreCorruptModelEntryReadsAsMiss(t *testing.T) {
 func TestStoreRainbowSelfCheckGate(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{NPackets: 10, MaxStates: 4000, Seed: 1}
-	resetRainbowCache()
 	cold, _ := analyzeStored(t, "lb-chain", dir, cfg)
 
 	rfiles, err := filepath.Glob(filepath.Join(dir, store.KindRainbow+"-*.json"))
@@ -141,8 +133,7 @@ func TestStoreRainbowSelfCheckGate(t *testing.T) {
 		t.Fatalf("no rainbow entries persisted: %v (%v)", rfiles, err)
 	}
 
-	// Fresh "process": tables come from disk, after the self-check.
-	resetRainbowCache()
+	// Tables come from disk, after the self-check.
 	warm, recWarm := analyzeStored(t, "lb-chain", dir, cfg)
 	if v := recWarm.Counter("castan.store.hits").Value(); v == 0 {
 		t.Error("warm run loaded no artifacts from the store")
@@ -200,7 +191,6 @@ func TestStoreRainbowSelfCheckGate(t *testing.T) {
 		tamperedBytes = append(tamperedBytes, mangled)
 	}
 
-	resetRainbowCache()
 	out3, rec3 := analyzeStored(t, "lb-chain", dir, cfg)
 	if v := rec3.Counter("castan.store.misses").Value(); v == 0 {
 		t.Error("tampered rainbow entry was trusted")
@@ -233,7 +223,6 @@ func TestStoreFaultedRunBypassesStore(t *testing.T) {
 		Seed:      1,
 		Faults:    &faultinject.Plan{Name: "chain-corrupt", Seed: 3, CorruptChainEvery: 1},
 	}
-	resetRainbowCache()
 	_, rec := analyzeStored(t, "lb-chain", dir, cfg)
 	files, err := filepath.Glob(filepath.Join(dir, "*"))
 	if err != nil {
@@ -247,7 +236,6 @@ func TestStoreFaultedRunBypassesStore(t *testing.T) {
 			t.Errorf("faulted run touched the store: %s = %d", name, v)
 		}
 	}
-	resetRainbowCache()
 }
 
 // TestModelStoreKeyPinned pins the content address of lpm-dl1's cache
@@ -264,5 +252,69 @@ func TestModelStoreKeyPinned(t *testing.T) {
 	got := modelStoreKey(memsim.DefaultGeometry(), inst.AttackRegions, 2018)
 	if want := "53430df0d8be1b7feab2d8483ca88818"; got != want {
 		t.Fatalf("modelStoreKey = %s, want %s", got, want)
+	}
+}
+
+// TestAnalyzeTelemetryIgnoresProcessHistory pins Analyze as a function of
+// its arguments: with no shared table cache, the second of two identical
+// runs — each against its own empty store — records exactly what the
+// first did, rainbow store misses and writes included. Nothing the first
+// run built is left anywhere for the second to find.
+func TestAnalyzeTelemetryIgnoresProcessHistory(t *testing.T) {
+	cfg := Config{NPackets: 6, MaxStates: 4000, Seed: 1}
+	_, rec1 := analyzeStored(t, "lb-chain", t.TempDir(), cfg)
+	_, rec2 := analyzeStored(t, "lb-chain", t.TempDir(), cfg)
+	c1, c2 := rec1.Snapshot().Counters, rec2.Snapshot().Counters
+	if c1["castan.store.writes"] == 0 {
+		t.Fatal("first run persisted no rainbow table")
+	}
+	if !reflect.DeepEqual(c1, c2) {
+		t.Errorf("counters differ between two identical runs:\n first: %v\nsecond: %v", c1, c2)
+	}
+}
+
+// TestSharedTablesBuildOnceAndSkipFaultedRuns pins the caller-owned cache:
+// two runs handed the same TableCache build (and persist) each table once
+// between them, and a chain-corrupting run handed that cache neither
+// serves its corrupted tables from it nor leaves them in it.
+func TestSharedTablesBuildOnceAndSkipFaultedRuns(t *testing.T) {
+	var tables TableCache
+	cfg := Config{NPackets: 6, MaxStates: 2500, Seed: 1, Tables: &tables}
+
+	faulted := cfg
+	faulted.Faults = &faultinject.Plan{Name: "chain-corrupt", Seed: 3, CorruptChainEvery: 1}
+	bad, _ := analyzeStored(t, "lb-chain", t.TempDir(), faulted)
+	if bad.HavocsReconciled != 0 {
+		t.Fatalf("%d havocs reconciled through corrupted tables", bad.HavocsReconciled)
+	}
+
+	dir := t.TempDir()
+	first, rec1 := analyzeStored(t, "lb-chain", dir, cfg)
+	if first.HavocsReconciled == 0 {
+		t.Fatal("clean run after a corrupted one reconciled nothing: the cache was poisoned")
+	}
+	rainbowFiles := func() int {
+		files, err := filepath.Glob(filepath.Join(dir, store.KindRainbow+"-*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(files)
+	}
+	persisted := rainbowFiles()
+	if persisted == 0 {
+		t.Fatal("first clean run persisted no table")
+	}
+	// Same NF, another seed: a different analysis over the same tables.
+	cfg.Seed = 2
+	_, rec2 := analyzeStored(t, "lb-chain", dir, cfg)
+	if got := rainbowFiles(); got != persisted {
+		t.Errorf("rainbow entries on disk: %d after the second run, %d after the first", got, persisted)
+	}
+	w1 := rec1.Counter("castan.store.writes").Value()
+	if w2 := rec2.Counter("castan.store.writes").Value(); w1 != uint64(persisted) || w2 != 0 {
+		t.Errorf("store writes = %d then %d, want %d then 0", w1, w2, persisted)
+	}
+	if v := rec2.Counter("rainbow.tables").Value(); v != rec1.Counter("rainbow.tables").Value() || v == 0 {
+		t.Errorf("second run used %d tables, first %d", v, rec1.Counter("rainbow.tables").Value())
 	}
 }

@@ -74,21 +74,6 @@ func (c *Config) fill() {
 	}
 }
 
-// PaperPackets is the paper's Table 4 workload sizes per NF.
-var PaperPackets = map[string]int{
-	"lb-chain":   30,
-	"lb-ring":    40,
-	"lb-rbtree":  30,
-	"lb-ubtree":  30,
-	"lpm-trie":   30,
-	"lpm-dl1":    40,
-	"lpm-dl2":    40,
-	"nat-chain":  30,
-	"nat-ring":   40,
-	"nat-rbtree": 35,
-	"nat-ubtree": 50,
-}
-
 // Campaign caches per-NF CASTAN outputs and measurements across the
 // tables and figures, which share them. All caches are memoizing
 // single-flight groups, so concurrent figure/table renders — and the
@@ -127,7 +112,7 @@ func (c *Campaign) Castan(nfName string) (*castan.Output, error) {
 		}
 		np := c.cfg.CastanPackets[nfName]
 		if np == 0 {
-			np = PaperPackets[nfName]
+			np = nf.PaperPackets[nfName]
 		}
 		if np == 0 {
 			np = 30

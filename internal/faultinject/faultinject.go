@@ -37,7 +37,7 @@ type Plan struct {
 	// progress mid-run). 1 means "fail from the start".
 	SolverUnknownAfter int
 	// ProbePerturb injects deterministic jitter into memsim probe
-	// timings, corrupting the signal cache-model discovery measures.
+	// timings, corrupting the signal cache model discovery measures.
 	ProbePerturb bool
 	// CorruptChainEvery > 0 corrupts every n-th rainbow chain end,
 	// simulating a torn or bit-flipped table.

@@ -94,6 +94,21 @@ var Names = []string{
 	"nat-chain", "lb-chain", "nat-ring", "lb-ring",
 }
 
+// PaperPackets is the paper's Table 4 workload sizes per NF.
+var PaperPackets = map[string]int{
+	"lb-chain":   30,
+	"lb-ring":    40,
+	"lb-rbtree":  30,
+	"lb-ubtree":  30,
+	"lpm-trie":   30,
+	"lpm-dl1":    40,
+	"lpm-dl2":    40,
+	"nat-chain":  30,
+	"nat-ring":   40,
+	"nat-rbtree": 35,
+	"nat-ubtree": 50,
+}
+
 // New builds the named NF.
 func New(name string) (*Instance, error) {
 	b, ok := Catalog[name]

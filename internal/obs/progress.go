@@ -331,7 +331,7 @@ func (t *TTYRenderer) OnProgress(ev ProgressEvent) {
 }
 
 // ReadProgressEvents decodes a JSONL stream written by JSONLSink back
-// into events (the tracediff/tracecheck side of the seam).
+// into events (the tracediff side of the seam).
 func ReadProgressEvents(r io.Reader) ([]ProgressEvent, error) {
 	var out []ProgressEvent
 	dec := json.NewDecoder(r)

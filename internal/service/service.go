@@ -253,6 +253,10 @@ type Server struct {
 	cfg   Config
 	rec   *obs.Recorder
 	clock obs.Clock
+	// tables is this server's in-process rainbow-table memo: the daemon
+	// is the one caller that analyzes the same NF many times per process,
+	// so every job shares it and each table is built or loaded once.
+	tables castan.TableCache
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -683,6 +687,7 @@ func (s *Server) runJob(j *job) (crashed bool) {
 		Obs:       rec,
 		Budget:    j.meter,
 		Store:     s.cfg.Store,
+		Tables:    &s.tables,
 		Faults:    s.plan(j.req.Fault),
 	}
 	out, err := castan.Analyze(inst, hier, cfg)

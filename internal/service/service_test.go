@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -493,5 +494,60 @@ func shutdown(t *testing.T, s *Server) {
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
 		t.Errorf("shutdown: %v", err)
+	}
+}
+
+// TestServerOwnsItsRainbowTables pins where in-process table reuse lives:
+// one Server builds and persists nat-chain's tables on the first request
+// and a second request (another seed, so no report-level reuse) neither
+// rebuilds nor rewrites them; a second Server in the same process starts
+// with none of them and persists its own.
+func TestServerOwnsItsRainbowTables(t *testing.T) {
+	kindFiles := func(dir, kind string) int {
+		files, err := filepath.Glob(filepath.Join(dir, kind+"-*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(files)
+	}
+	serve := func(s *Server, seed uint64) *castan.Report {
+		resp := s.Do(context.Background(), Request{NF: "nat-chain", Packets: 4, MaxStates: 1500, Seed: seed}, nil)
+		if resp.Status != 200 || resp.Degraded {
+			t.Fatalf("seed %d: %+v, want a clean 200", seed, resp)
+		}
+		return resp.Report
+	}
+	fresh := func() (*Server, string) {
+		dir := t.TempDir()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New(Config{Workers: 1, Store: st}), dir
+	}
+
+	s1, dir1 := fresh()
+	defer shutdown(t, s1)
+	serve(s1, 1)
+	tables := kindFiles(dir1, store.KindRainbow)
+	if tables == 0 {
+		t.Fatal("first request persisted no rainbow table")
+	}
+	models := kindFiles(dir1, store.KindModel)
+	second := serve(s1, 2)
+	if got := kindFiles(dir1, store.KindRainbow); got != tables {
+		t.Errorf("rainbow entries: %d after the second request, %d after the first", got, tables)
+	}
+	// Whatever the second request wrote was its own seed's cache model.
+	wroteModels := uint64(kindFiles(dir1, store.KindModel) - models)
+	if got := second.Telemetry.Counters["castan.store.writes"]; got != wroteModels {
+		t.Errorf("second request recorded %d store writes, %d of them models: it rewrote tables", got, wroteModels)
+	}
+
+	s2, dir2 := fresh()
+	defer shutdown(t, s2)
+	serve(s2, 1)
+	if got := kindFiles(dir2, store.KindRainbow); got != tables {
+		t.Errorf("second server persisted %d rainbow tables, want %d: it saw the first server's", got, tables)
 	}
 }

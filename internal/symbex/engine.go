@@ -3,7 +3,6 @@ package symbex
 import (
 	"container/heap"
 	"fmt"
-	"sync/atomic"
 
 	"castan/internal/analysis/cachecost"
 	"castan/internal/analysis/taint"
@@ -803,35 +802,23 @@ func (e *Engine) extendModel(s *State, c *expr.Expr) (solver.Model, bool) {
 	// local problem tiny.
 	switch m, res := e.localRepair(s, c, e.currentPacketFilter(s)); res {
 	case solver.Sat:
-		DbgLocal1.Add(1)
 		return m, true
 	case solver.Unsat:
 		// Unsatisfiable with the whole current packet free and all earlier
 		// packets pinned. Re-choosing earlier packets' bytes could in
 		// principle reopen the branch, but the engine commits to its
 		// earlier choices (the locally-optimal policy of §3.3).
-		DbgLocalUnsat.Add(1)
 		return nil, false
 	}
-	DbgFull.Add(1)
 	all := append(append([]*expr.Expr(nil), s.constraints...), c)
 	e.sol.Hint = s.model
 	res, m := e.sol.Check(all)
 	e.sol.Hint = nil
 	if res != solver.Sat {
-		DbgFullFail.Add(1)
 		return nil, false
 	}
 	return m, true
 }
-
-// Debug counters (instrumentation; reset freely in tests). Atomic so
-// concurrent Analyze runs (the castand service) tally without racing.
-var DbgLocal1, DbgLocal2, DbgLocalUnsat, DbgFull, DbgFullFail atomic.Int64
-
-// DbgDump, when set, receives local problems the budgeted solver could not
-// decide (instrumentation).
-var DbgDump func(c *expr.Expr, local []*expr.Expr, free map[expr.VarID]bool)
 
 // currentPacketFilter restricts repairs to the in-flight packet's bytes
 // and havoc output symbols.
@@ -892,9 +879,6 @@ func (e *Engine) localRepair(s *State, c *expr.Expr, filter func(expr.VarID) boo
 	sol.Hint = s.model
 	res, m := sol.Check(local)
 	if res != solver.Sat {
-		if DbgDump != nil && res == solver.Unknown {
-			DbgDump(c, local, free)
-		}
 		return nil, res
 	}
 	merged := make(solver.Model, len(s.model)+len(m))

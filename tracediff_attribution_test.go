@@ -16,7 +16,7 @@ import (
 // false positives from the untouched ones.
 //
 // The faultinject probe-timing perturbation corrupts the signal
-// cache-model discovery measures, so the perturbed run gives up on sets
+// cache model discovery measures, so the perturbed run gives up on sets
 // earlier and probes *less* (fewer memsim.probe_line_reads, fewer
 // contention sets). Diffing perturbed -> clean therefore shows a real
 // discovery-effort regression whose top attribution is castan.discover.
