@@ -32,8 +32,11 @@ bench:
 
 # Scaled-down benchmark pass (what CI runs): every benchmark executes
 # once with -short budgets, proving the harness end to end in minutes.
+# The per-layer packages are listed so their testing.B benchmarks (the
+# yardsticks performance PRs quote) cannot rot unrun.
 bench-smoke:
-	$(GO) test -short -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -short -bench . -benchtime 1x -run '^$$' \
+		. ./internal/rainbow ./internal/expr ./internal/solver ./internal/symbex
 
 # Instrumented analysis over the seed NF catalog: phase durations plus
 # core effort counters per NF, written as results/BENCH_castan.json.
@@ -206,17 +209,21 @@ irlint:
 	$(GO) run ./cmd/irlint
 
 # Fuzz smoke (what CI runs): replay the seed corpus, then a short live
-# fuzzing session, of each untrusted-input decoder. Arbitrary decoded
-# modules must never panic Validate, and modules it accepts must survive
-# the Disassemble round-trip; arbitrary store payloads must never panic
+# fuzzing session, of each fuzz target. Arbitrary decoded modules must
+# never panic Validate, and modules it accepts must survive the
+# Disassemble round-trip; arbitrary store payloads must never panic
 # rainbow.LoadTable, and tables it accepts must be stable under
-# Serialize/LoadTable and safe to SelfCheck and Invert.
+# Serialize/LoadTable and safe to SelfCheck and Invert; the interval
+# kernels must equal the reference Hacker's Delight loops on any
+# operands and brute force on 8-bit ones.
 FUZZ_TIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/ir/ -run FuzzModuleValidate -count=1
 	$(GO) test ./internal/ir/ -fuzz FuzzModuleValidate -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/rainbow/ -run FuzzLoadTable -count=1
 	$(GO) test ./internal/rainbow/ -fuzz FuzzLoadTable -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/expr/ -run FuzzIntervalKernels -count=1
+	$(GO) test ./internal/expr/ -fuzz FuzzIntervalKernels -fuzztime $(FUZZ_TIME)
 
 # Lint-catalog gate (what CI runs): regenerate the full irlint -json
 # document (findings with source coordinates, cache-cost stats, taint

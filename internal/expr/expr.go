@@ -674,27 +674,30 @@ func (e *Expr) HasVars() bool {
 // present in vals are kept symbolic. The walk is DAG-aware: shared
 // subtrees are rewritten once.
 func (e *Expr) Substitute(vals map[VarID]uint64) *Expr {
-	return e.substitute(vals, map[*Expr]*Expr{})
+	// Sized for a path constraint's two or three dozen interior nodes, so
+	// the common walk never rehashes.
+	return e.substitute(vals, make(map[*Expr]*Expr, 32))
 }
 
 func (e *Expr) substitute(vals map[VarID]uint64, cache map[*Expr]*Expr) *Expr {
 	if !e.HasVars() {
 		return e
 	}
+	if e.Op == OpVar {
+		// Leaves are not worth a cache entry: a pinned one folds into its
+		// parent by value, an unpinned one is returned as is.
+		if v, ok := vals[e.Var]; ok {
+			return Const(v & 0xff)
+		}
+		return e
+	}
 	if r, ok := cache[e]; ok {
 		return r
 	}
 	var r *Expr
-	switch e.Op {
-	case OpVar:
-		if v, ok := vals[e.Var]; ok {
-			r = Const(v & 0xff)
-		} else {
-			r = e
-		}
-	case OpIte:
+	if e.Op == OpIte {
 		r = Ite(e.A.substitute(vals, cache), e.B.substitute(vals, cache), e.C.substitute(vals, cache))
-	default:
+	} else {
 		r = New(e.Op, e.A.substitute(vals, cache), e.B.substitute(vals, cache))
 	}
 	cache[e] = r
@@ -753,4 +756,27 @@ func ConcatBytes(bs ...*Expr) *Expr {
 		acc = Or(Shl(acc, Const(8)), And(b, Const(0xff)))
 	}
 	return acc
+}
+
+// SameStructure reports whether a and b are the same expression node
+// for node: equal ops, constants and variables throughout. False may
+// also mean "too expensive to tell" — two distinct DAGs are compared as
+// trees, so the walk gives up after a fixed number of nodes — which is
+// the safe answer for callers that use a true to drop a duplicate.
+func SameStructure(a, b *Expr) bool {
+	budget := 4096
+	return sameStructure(a, b, &budget)
+}
+
+func sameStructure(a, b *Expr, budget *int) bool {
+	if a == b {
+		return true
+	}
+	if a == nil || b == nil || a.fp != b.fp || a.Op != b.Op || a.Val != b.Val || a.Var != b.Var {
+		return false
+	}
+	if *budget--; *budget < 0 {
+		return false
+	}
+	return sameStructure(a.A, b.A, budget) && sameStructure(a.B, b.B, budget) && sameStructure(a.C, b.C, budget)
 }

@@ -2,14 +2,8 @@ package expr
 
 import "math/bits"
 
-// hdStart returns the starting mask for the Hacker's Delight interval
-// loops: bits above the highest set bit of any operand bound can never
-// trigger, so starting at the MSB (instead of bit 63) makes the loops
-// proportional to the operands' width — most values here are bytes.
-func hdStart(v uint64) uint64 {
-	if v == 0 {
-		return 0
-	}
+// highBit returns the highest set bit of v as a mask (v must be nonzero).
+func highBit(v uint64) uint64 {
 	return uint64(1) << (63 - bits.LeadingZeros64(v))
 }
 
@@ -72,19 +66,34 @@ func Range(e *Expr, vals map[VarID]uint64) Interval {
 			}
 			return Range(e.C, vals)
 		}
-		t, f := Range(e.B, vals), Range(e.C, vals)
-		lo, hi := t.Lo, t.Hi
-		if f.Lo < lo {
-			lo = f.Lo
-		}
-		if f.Hi > hi {
-			hi = f.Hi
-		}
-		return Interval{lo, hi}
+		return rangeIte(c, Range(e.B, vals), Range(e.C, vals))
 	}
-	a := Range(e.A, vals)
-	b := Range(e.B, vals)
-	switch e.Op {
+	return rangeBin(e.Op, Range(e.A, vals), Range(e.B, vals))
+}
+
+// rangeIte is Range's transfer function for OpIte given the three
+// operand intervals.
+func rangeIte(c, t, f Interval) Interval {
+	if v, ok := c.Singleton(); ok {
+		if v != 0 {
+			return t
+		}
+		return f
+	}
+	lo, hi := t.Lo, t.Hi
+	if f.Lo < lo {
+		lo = f.Lo
+	}
+	if f.Hi > hi {
+		hi = f.Hi
+	}
+	return Interval{lo, hi}
+}
+
+// rangeBin is Range's transfer function for the binary ops: the one
+// definition both the tree walk above and Program.Range evaluate.
+func rangeBin(op Op, a, b Interval) Interval {
+	switch op {
 	case OpAdd:
 		lo, hi := a.Lo+b.Lo, a.Hi+b.Hi
 		if hi < a.Hi || lo > hi { // wrapped
@@ -187,87 +196,85 @@ func Range(e *Expr, vals map[VarID]uint64) Interval {
 
 // The four functions below compute tight bounds for bitwise OR/AND of two
 // independent intervals [a,b] and [c,d] (Hacker's Delight, section 4-3).
+// HD steps a one-bit mask m down from bit 63 and, where a guard on the
+// operands' bits holds, tries to move one bound: raise a (or c) to
+// t = (a|m)&^(m-1), or lower b (or d) to t = (b&^m)|(m-1), if t stays
+// inside its interval. The operands change only on the iteration that
+// breaks, so which positions pass the guard is known up front, and a
+// try on [a,b] can only succeed at or below the highest bit where a and
+// b differ: above it t agrees with both bounds except at m itself,
+// which puts it outside. Each loop therefore visits only the positions
+// that can fire — the set bits of one word, highest first — and
+// returns exactly what the 64-step loop returns; with both operands
+// pinned it does not iterate at all. FuzzIntervalKernels keeps the
+// textbook loops as the oracle.
 
 func minOR(a, b, c, d uint64) uint64 {
-	m := hdStart(b | d)
-	for m != 0 {
-		if ^a&c&m != 0 {
-			t := (a | m) &^ (m - 1)
-			if t <= b {
+	for cand := ^a&c&coverMask(a^b) | a&^c&coverMask(c^d); cand != 0; {
+		m := highBit(cand)
+		cand &^= m
+		if c&m != 0 {
+			if t := (a | m) &^ (m - 1); t <= b {
 				a = t
 				break
 			}
-		} else if a&^c&m != 0 {
-			t := (c | m) &^ (m - 1)
-			if t <= d {
+		} else {
+			if t := (c | m) &^ (m - 1); t <= d {
 				c = t
 				break
 			}
 		}
-		m >>= 1
 	}
 	return a | c
 }
 
 func maxOR(a, b, c, d uint64) uint64 {
-	m := hdStart(b & d)
-	for m != 0 {
-		if b&d&m != 0 {
-			t := (b - m) | (m - 1)
-			if t >= a {
-				b = t
-				break
-			}
-			t = (d - m) | (m - 1)
-			if t >= c {
-				d = t
-				break
-			}
+	for cand := b & d & coverMask((a^b)|(c^d)); cand != 0; {
+		m := highBit(cand)
+		cand &^= m
+		if t := (b - m) | (m - 1); t >= a {
+			b = t
+			break
 		}
-		m >>= 1
+		if t := (d - m) | (m - 1); t >= c {
+			d = t
+			break
+		}
 	}
 	return b | d
 }
 
 func minAND(a, b, c, d uint64) uint64 {
-	// Above msb(b|d), (a|m) exceeds b and (c|m) exceeds d, so nothing
-	// can change: start at the operands' width.
-	m := hdStart(b | d)
-	for m != 0 {
-		if ^a&^c&m != 0 {
-			t := (a | m) &^ (m - 1)
-			if t <= b {
-				a = t
-				break
-			}
-			t = (c | m) &^ (m - 1)
-			if t <= d {
-				c = t
-				break
-			}
+	for cand := ^a & ^c & coverMask((a^b)|(c^d)); cand != 0; {
+		m := highBit(cand)
+		cand &^= m
+		if t := (a | m) &^ (m - 1); t <= b {
+			a = t
+			break
 		}
-		m >>= 1
+		if t := (c | m) &^ (m - 1); t <= d {
+			c = t
+			break
+		}
 	}
 	return a & c
 }
 
 func maxAND(a, b, c, d uint64) uint64 {
-	m := hdStart(b | d)
-	for m != 0 {
-		if b&^d&m != 0 {
-			t := (b &^ m) | (m - 1)
-			if t >= a {
+	for cand := b&^d&coverMask(a^b) | ^b&d&coverMask(c^d); cand != 0; {
+		m := highBit(cand)
+		cand &^= m
+		if b&m != 0 {
+			if t := (b &^ m) | (m - 1); t >= a {
 				b = t
 				break
 			}
-		} else if ^b&d&m != 0 {
-			t := (d &^ m) | (m - 1)
-			if t >= c {
+		} else {
+			if t := (d &^ m) | (m - 1); t >= c {
 				d = t
 				break
 			}
 		}
-		m >>= 1
 	}
 	return b & d
 }

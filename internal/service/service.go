@@ -429,10 +429,13 @@ func (s *Server) Do(ctx context.Context, req Request, sub *obs.ChanSub) Response
 
 	s.mu.Lock()
 	// In-process single-flight: concurrent duplicates wait for the
-	// leader instead of recomputing.
+	// leader instead of recomputing. Flights are keyed like the report
+	// cache, by everything the outcome depends on: a client that reuses
+	// an idempotency key for a different NF or size is not a duplicate
+	// and must not be handed the other request's report.
 	var fl *flight
-	if req.Key != "" && !chaotic {
-		if existing := s.flights[req.Key]; existing != nil {
+	if key != "" {
+		if existing := s.flights[key]; existing != nil {
 			s.mu.Unlock()
 			s.cSingleflight.Inc()
 			select {
@@ -445,13 +448,13 @@ func (s *Server) Do(ctx context.Context, req Request, sub *obs.ChanSub) Response
 			}
 		}
 		fl = &flight{done: make(chan struct{})}
-		s.flights[req.Key] = fl
+		s.flights[key] = fl
 	}
 
 	resp, j := s.admitLocked(ctx, req, sub, fl, key)
 	if j == nil {
 		if fl != nil {
-			s.completeFlightLocked(req.Key, fl, resp)
+			s.completeFlightLocked(key, fl, resp)
 		}
 		s.mu.Unlock()
 		return resp
@@ -563,7 +566,7 @@ func (s *Server) finishLocked(j *job, resp Response) {
 		delete(s.tenants, j.req.Tenant)
 	}
 	if j.fl != nil {
-		s.completeFlightLocked(j.req.Key, j.fl, resp)
+		s.completeFlightLocked(j.key, j.fl, resp)
 	}
 	close(j.done)
 }

@@ -305,6 +305,57 @@ func TestIdempotentKeySingleCompute(t *testing.T) {
 	}
 }
 
+// TestSingleflightDoesNotAliasAcrossParams: an idempotency key names a
+// request only together with what is being asked. Two concurrent
+// requests that reuse one key for different NFs (castanload draws its
+// colliding keys across the whole NF mix) are two computations, and each
+// is answered with its own NF's report — the single-flight map is keyed
+// like the report cache, not by the bare key.
+func TestSingleflightDoesNotAliasAcrossParams(t *testing.T) {
+	// No fleet yet: both requests must be sitting in the queue at once,
+	// which is exactly what a flight shared on the bare key prevents (the
+	// second would wait on the first's flight and never be queued).
+	s := newServer(Config{Workers: 2})
+	reqs := []Request{
+		{NF: "lpm-trie", Packets: 3, MaxStates: 800, Seed: 5, Key: "shared"},
+		{NF: "nop", Packets: 2, MaxStates: 300, Seed: 5, Key: "shared"},
+	}
+	resps := make([]Response, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i] = s.Do(context.Background(), req, nil)
+		}()
+		waitFor(t, fmt.Sprintf("%d queued jobs", i+1), func() bool { q, _ := s.queueSnapshot(); return q == i+1 })
+	}
+	for i := 0; i < s.cfg.Workers; i++ {
+		s.workerWG.Add(1)
+		go s.supervise(i)
+	}
+	defer shutdown(t, s)
+	wg.Wait()
+	for i, r := range resps {
+		if r.Status != 200 || r.CacheHit {
+			t.Fatalf("%s = %+v, want a computed 200", reqs[i].NF, r)
+		}
+		if r.Report.NF != reqs[i].NF {
+			t.Fatalf("request for %s was answered with %s's report", reqs[i].NF, r.Report.NF)
+		}
+		if err := r.Report.Check(reqs[i].NF); err != nil {
+			t.Fatalf("%s report invalid: %v", reqs[i].NF, err)
+		}
+	}
+	m := s.Metrics()
+	if got := counterValue(m, CounterSingleflight); got != 0 {
+		t.Errorf("%s = %d, want 0: the two requests are not duplicates", CounterSingleflight, got)
+	}
+	if got := counterValue(m, CounterCompleted); got != 2 {
+		t.Errorf("%s = %d, want 2 computes", CounterCompleted, got)
+	}
+}
+
 // TestTenantBudgetExhaustion: with a cumulative per-tenant allotment, a
 // tenant that burned it is rejected 429 while others proceed.
 func TestTenantBudgetExhaustion(t *testing.T) {

@@ -1,0 +1,273 @@
+package solver_test
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"testing"
+
+	"castan/internal/analysis"
+	"castan/internal/analysis/cachecost"
+	"castan/internal/analysis/taint"
+	"castan/internal/analysis/vrange"
+	"castan/internal/expr"
+	"castan/internal/icfg"
+	"castan/internal/ir"
+	"castan/internal/memsim"
+	"castan/internal/nf"
+	"castan/internal/solver"
+	"castan/internal/symbex"
+)
+
+// The solver's dense, compiled search must be the reference search made
+// cheaper and nothing else: every query gets the same Result, the same
+// model, and the same steps, propagation rounds, backtracks and hint
+// hits. That is what keeps every PCAP, report, store key and budget tick
+// where it was, so it is checked query by query here rather than
+// inferred from end-to-end goldens.
+
+type query struct {
+	cons     []*expr.Expr
+	hint     solver.Model
+	maxSteps int
+}
+
+// sameAsReference runs q through Check and through the reference search
+// and fails on any difference.
+func sameAsReference(t *testing.T, what string, q query) (solver.Result, solver.Model, solver.Effort) {
+	t.Helper()
+	sol := solver.Solver{MaxSteps: q.maxSteps, Hint: q.hint}
+	res, m, eff := sol.CheckEffort(q.cons)
+	wantRes, wantM, wantEff := solver.RefCheck(q.cons, q.hint, q.maxSteps)
+	if res != wantRes || eff != wantEff || !maps.Equal(m, wantM) || (m == nil) != (wantM == nil) {
+		t.Fatalf("%s (%d constraints, hint=%v, cap %d):\n  Check     %v %+v model %v\n  reference %v %+v model %v",
+			what, len(q.cons), q.hint != nil, q.maxSteps, res, eff, m, wantRes, wantEff, wantM)
+	}
+	return res, m, eff
+}
+
+// explore runs the symbex engine on one catalog NF, assembled as
+// castan.Analyze assembles it minus the cache model, and returns every
+// query it posed to a solver and the path constraints of every state it
+// completed.
+func explore(t testing.TB, name string) (qs []query, done [][]*expr.Expr) {
+	t.Helper()
+	const pkts, states = 6, 4000
+	inst, err := nf.New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf := analysis.ForModule(inst.Mod)
+	mr := analysis.RunMemRegions(mf, analysis.NFEntryHints())
+	geo := memsim.DefaultGeometry()
+	an, err := icfg.Analyze(inst.Mod, 2, icfg.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	potential, err := icfg.Analyze(inst.Mod, pkts+2, icfg.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &symbex.Engine{
+		Mod: inst.Mod, Analysis: an, PotentialAnalysis: potential,
+		StaticCost: cachecost.Run(mf, mr, cachecost.Config{
+			Geometry: cachecost.Geometry{Ways: geo.L3Assoc(), LineBytes: geo.LineBytes},
+		}),
+		Base: inst.Machine.Mem, HeapTop: ir.HeapBase + inst.Machine.HeapUsed(),
+		Cfg: symbex.Config{
+			Entry: "nf_process", NPackets: pkts, PacketLen: nf.SymbolicPacketLen,
+			MaxStates: states, MaxLoopIters: 96,
+		},
+		Taint:  taint.Run(mf, mr, taint.Config{EntryHints: taint.NFEntryTaints()}),
+		VRange: vrange.Run(mf, vrange.Config{EntryHints: vrange.NFEntryRanges()}),
+		Memo:   solver.NewMemo(expr.VarID(pkts*nf.SymbolicPacketLen), nil),
+		QueryTrace: func(cons []*expr.Expr, hint solver.Model, maxSteps int) {
+			qs = append(qs, query{append([]*expr.Expr(nil), cons...), maps.Clone(hint), maxSteps})
+		},
+		Trace: func(event string, s *symbex.State) {
+			if event == "done" {
+				done = append(done, append([]*expr.Expr(nil), s.Constraints()...))
+			}
+		},
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(qs) == 0 || len(done) == 0 {
+		t.Fatalf("%s: exploration posed %d queries and completed %d states", name, len(qs), len(done))
+	}
+	return qs, done
+}
+
+// TestCheckMatchesReferenceOnCapturedQueries replays every query a
+// 6-packet / 4000-state exploration poses — tree, trie, chain and ring
+// NF — as posed, without its hint, and under each of the pipeline's
+// three step caps (symbex full solve 8000, local repair 20000, reconcile
+// 30000), so that queries which hit a cap are compared at the cut too.
+func TestCheckMatchesReferenceOnCapturedQueries(t *testing.T) {
+	for _, name := range []string{"lb-rbtree", "nat-ubtree", "lpm-trie", "nat-chain", "lb-ring"} {
+		t.Run(name, func(t *testing.T) {
+			qs, _ := explore(t, name)
+			searched, capped := 0, 0
+			for i, q := range qs {
+				what := fmt.Sprintf("%s query %d", name, i)
+				res, _, eff := sameAsReference(t, what, q)
+				if eff.Steps > 0 {
+					searched++
+				}
+				if res == solver.Unknown {
+					capped++
+				}
+				sameAsReference(t, what, query{q.cons, nil, q.maxSteps})
+				for _, steps := range []int{8000, 20000, 30000} {
+					if steps != q.maxSteps {
+						sameAsReference(t, what, query{q.cons, q.hint, steps})
+					}
+				}
+			}
+			t.Logf("%s: %d queries, %d searched, %d hit their cap", name, len(qs), searched, capped)
+		})
+	}
+}
+
+// randomSystem draws a constraint system over nvars byte variables,
+// each confined by an explicit bound to bounds[v]+1 values so that brute
+// force over the whole space stays cheap. Every expr op occurs, shared
+// sub-DAGs and repeated constraints included.
+func randomSystem(rng *rand.Rand, nvars int, bounds []uint64) []*expr.Expr {
+	vars := make([]*expr.Expr, nvars)
+	for i := range vars {
+		vars[i] = expr.Var(expr.VarID(i * 3)) // sparse IDs: slots are not IDs
+	}
+	binops := []expr.Op{
+		expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpAnd, expr.OpOr, expr.OpXor,
+		expr.OpShl, expr.OpLshr, expr.OpUDiv, expr.OpURem,
+	}
+	cmps := []expr.Op{expr.OpEq, expr.OpNe, expr.OpUlt, expr.OpUle}
+	var pool []*expr.Expr // sub-DAGs available for sharing
+	var term func(rng *rand.Rand, depth int) *expr.Expr
+	term = func(rng *rand.Rand, depth int) *expr.Expr {
+		switch r := rng.Intn(10); {
+		case depth == 0 || r < 2:
+			return vars[rng.Intn(nvars)]
+		case r < 3:
+			return expr.Const(uint64(rng.Intn(40)))
+		case r < 4 && len(pool) > 0:
+			return pool[rng.Intn(len(pool))]
+		case r < 5:
+			c := expr.New(cmps[rng.Intn(len(cmps))], term(rng, depth-1), term(rng, depth-1))
+			return expr.Ite(c, term(rng, depth-1), term(rng, depth-1))
+		default:
+			e := expr.New(binops[rng.Intn(len(binops))], term(rng, depth-1), term(rng, depth-1))
+			pool = append(pool, e)
+			return e
+		}
+	}
+	constraint := func(rng *rand.Rand) *expr.Expr {
+		lhs := term(rng, 1+rng.Intn(3))
+		if rng.Intn(6) == 0 {
+			return lhs // a bare term: "lhs != 0"
+		}
+		rhs := expr.Const(uint64(rng.Intn(64)))
+		if rng.Intn(3) == 0 {
+			rhs = term(rng, 2)
+		}
+		return expr.New(cmps[rng.Intn(len(cmps))], lhs, rhs)
+	}
+	var cons []*expr.Expr
+	for v, b := range bounds {
+		cons = append(cons, expr.Ule(vars[v], expr.Const(b)))
+	}
+	for n := 1 + rng.Intn(4); n > 0; n-- {
+		seed, shared := rng.Int63(), len(pool)
+		cons = append(cons, constraint(rand.New(rand.NewSource(seed))))
+		switch rng.Intn(8) {
+		case 0: // the same node again
+			cons = append(cons, cons[rng.Intn(len(cons))])
+		case 1: // the same structure rebuilt from fresh nodes
+			pool = pool[:shared]
+			cons = append(cons, constraint(rand.New(rand.NewSource(seed))))
+		}
+	}
+	rng.Shuffle(len(cons), func(i, j int) { cons[i], cons[j] = cons[j], cons[i] })
+	return cons
+}
+
+// satisfiable enumerates the bounded space.
+func satisfiable(cons []*expr.Expr, nvars int, bounds []uint64) bool {
+	vals := map[expr.VarID]uint64{}
+	var rec func(v int) bool
+	rec = func(v int) bool {
+		if v == nvars {
+			for _, c := range cons {
+				if c.Eval(vals) == 0 {
+					return false
+				}
+			}
+			return true
+		}
+		for x := uint64(0); x <= bounds[v]; x++ {
+			vals[expr.VarID(v*3)] = x
+			if rec(v + 1) {
+				return true
+			}
+		}
+		return false
+	}
+	return rec(0)
+}
+
+// TestCheckMatchesReferenceAndBruteForce: on seeded random systems over
+// at most four byte variables Check equals the reference search (with
+// and without a hint, uncapped and under a cap small enough to bite),
+// every Sat model satisfies every constraint, and every verdict agrees
+// with exhaustive enumeration.
+func TestCheckMatchesReferenceAndBruteForce(t *testing.T) {
+	const systems = 3000
+	rng := rand.New(rand.NewSource(2018))
+	verdicts := map[solver.Result]int{}
+	for i := 0; i < systems; i++ {
+		nvars := 1 + rng.Intn(4)
+		bounds := make([]uint64, nvars)
+		for v := range bounds {
+			bounds[v] = uint64([]int{1, 3, 6, 7}[rng.Intn(4)])
+		}
+		cons := randomSystem(rng, nvars, bounds)
+		what := fmt.Sprintf("system %d", i)
+
+		res, m, _ := sameAsReference(t, what, query{cons, nil, 400000})
+		verdicts[res]++
+		want := satisfiable(cons, nvars, bounds)
+		switch res {
+		case solver.Sat:
+			for _, c := range cons {
+				if c.Eval(m) == 0 {
+					t.Fatalf("%s: model %v violates %v", what, m, c)
+				}
+			}
+			if !want {
+				t.Fatalf("%s: Sat, but no assignment in the bounded space satisfies it", what)
+			}
+		case solver.Unsat:
+			if want {
+				t.Fatalf("%s: Unsat, but enumeration finds a solution: %v", what, cons)
+			}
+		default:
+			t.Fatalf("%s: Unknown under the default cap", what)
+		}
+
+		hint := solver.Model{}
+		for v := 0; v < nvars; v++ {
+			if rng.Intn(3) > 0 {
+				hint[expr.VarID(v*3)] = uint64(rng.Intn(300)) // > 255 exercises the byte mask
+			}
+		}
+		sameAsReference(t, what, query{cons, hint, 400000})
+		sameAsReference(t, what, query{cons, hint, 1 + rng.Intn(40)})
+		sameAsReference(t, what, query{cons, nil, 1 + rng.Intn(40)})
+	}
+	if verdicts[solver.Sat] < systems/10 || verdicts[solver.Unsat] < systems/10 {
+		t.Fatalf("generator is lopsided: %v", verdicts)
+	}
+	t.Logf("verdicts over %d systems: %v", systems, verdicts)
+}

@@ -125,6 +125,13 @@ func (m *Memo) count(name string) {
 //  3. the whole set is re-serialized with one dense global renaming in
 //     sorted traversal order.
 func (m *Memo) canonicalKey(constraints []*expr.Expr) (string, bool) {
+	// Participation first: a query none of whose variables reaches
+	// MinVar can never qualify below, whatever else happens to it, so it
+	// is turned away before anything is serialized. (The tree NFs pose
+	// only such queries.)
+	if !m.mentionsMinVar(constraints) {
+		return "", false
+	}
 	type entry struct {
 		t     *expr.Expr
 		shape string
@@ -184,6 +191,17 @@ func (m *Memo) canonicalKey(constraints []*expr.Expr) (string, bool) {
 		}
 	}
 	return string(b), true
+}
+
+// mentionsMinVar reports whether any constraint mentions a variable
+// >= MinVar (VarList is ascending, so its last element decides).
+func (m *Memo) mentionsMinVar(constraints []*expr.Expr) bool {
+	for _, c := range constraints {
+		if vs := c.VarList(); len(vs) > 0 && vs[len(vs)-1] >= m.MinVar {
+			return true
+		}
+	}
+	return false
 }
 
 // localRenaming maps each variable of t to its first-occurrence index.

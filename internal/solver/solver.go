@@ -15,7 +15,7 @@ package solver
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"castan/internal/budget"
 	"castan/internal/expr"
@@ -180,7 +180,7 @@ func (s *Solver) check(constraints []*expr.Expr) (Result, Model, *problem, bool)
 			memoKey = key
 		}
 	}
-	p, res := newProblem(constraints)
+	p, res := newProblem(constraints, s.Hint)
 	defer func() {
 		if p != nil {
 			s.Budget.Charge(uint64(p.steps))
@@ -197,7 +197,6 @@ func (s *Solver) check(constraints []*expr.Expr) (Result, Model, *problem, bool)
 		budget = DefaultMaxSteps
 	}
 	p.budget = budget
-	p.hint = s.Hint
 	switch p.search() {
 	case searchSat:
 		return Sat, p.model(), p, false
@@ -256,17 +255,20 @@ const (
 	searchBudget
 )
 
+// problem is one query's search state, dense: variables are renumbered
+// to slots in ascending VarID order and every per-variable or
+// per-constraint fact is a slice indexed by slot or constraint, so a
+// search step touches no map. Each constraint is compiled once into an
+// expr.Program, which recomputes only what the just-moved variable
+// reaches.
 type problem struct {
-	cons     []*expr.Expr
-	consVars [][]expr.VarID // cached variable lists per constraint
-	vars     []expr.VarID
-	varCons  map[expr.VarID][]int // var -> constraint indices
-	unVars   []int                // per-constraint count of unassigned vars
-	assign   map[expr.VarID]uint64
-	hint     Model
-	order    []expr.VarID
-	steps    int
-	budget   int
+	vars    []expr.VarID // slot -> variable
+	state   []uint16     // slot -> assigned byte, or expr.Free
+	hint    []uint16     // slot -> hinted byte, or noHint; nil without a hint
+	cons    []constraint
+	varCons [][]int32 // slot -> the constraints it occurs in, ascending
+	steps   int
+	budget  int
 
 	// Telemetry tallies (flushed by Solver.record).
 	props      int // propagateCheck invocations
@@ -274,20 +276,30 @@ type problem struct {
 	hintHits   int // hinted values that survived propagation
 }
 
+type constraint struct {
+	prog  *expr.Program
+	slots []int32 // its variables' slots, ascending
+	free  int     // how many of them are unassigned
+}
+
+const noHint uint16 = 0xffff
+
 // newProblem normalizes constraints. Returns (nil, Unsat) for a trivially
-// false system and (nil, Sat) for a trivially true one.
-func newProblem(constraints []*expr.Expr) (*problem, Result) {
-	p := &problem{
-		varCons: map[expr.VarID][]int{},
-		assign:  map[expr.VarID]uint64{},
-	}
-	seen := map[expr.VarID]bool{}
+// false system and an empty problem with Sat for a trivially true one.
+func newProblem(constraints []*expr.Expr, hint Model) (*problem, Result) {
 	// Interval pre-pass: constraints comparing structurally identical
 	// expressions against constants narrow a shared interval; an empty
 	// intersection refutes the system without any search. This catches
 	// the "w <= c together with w > c" window conflicts that backtracking
 	// is hopeless at.
 	ivs := map[uint64]*expr.Interval{}
+	// A structurally equal repeat of an earlier constraint is dropped: it
+	// fails exactly when the earlier one does and, coming later with the
+	// same count of unassigned variables, never wins pickVar's
+	// first-minimum scan, so the search visits the same nodes without it.
+	first := make(map[uint64]*expr.Expr, len(constraints))
+	kept := make([]*expr.Expr, 0, len(constraints))
+	nvars := 0
 	for _, c := range constraints {
 		t := expr.Truth(c)
 		if b, ok := t.IsBool(); ok {
@@ -299,89 +311,111 @@ func newProblem(constraints []*expr.Expr) (*problem, Result) {
 		if !narrow(ivs, t) {
 			return nil, Unsat
 		}
-		idx := len(p.cons)
-		p.cons = append(p.cons, t)
-		vs := t.VarList()
-		p.consVars = append(p.consVars, vs)
-		p.unVars = append(p.unVars, len(vs))
-		for _, v := range vs {
-			p.varCons[v] = append(p.varCons[v], idx)
-			if !seen[v] {
-				seen[v] = true
-				p.vars = append(p.vars, v)
+		if prev, dup := first[t.Fingerprint()]; dup {
+			if expr.SameStructure(prev, t) {
+				continue
+			}
+		} else {
+			first[t.Fingerprint()] = t
+		}
+		kept = append(kept, t)
+		nvars += len(t.VarList())
+	}
+	p := &problem{}
+	if len(kept) == 0 {
+		return p, Sat
+	}
+	p.vars = make([]expr.VarID, 0, nvars)
+	for _, t := range kept {
+		p.vars = append(p.vars, t.VarList()...)
+	}
+	slices.Sort(p.vars)
+	p.vars = slices.Compact(p.vars)
+
+	p.state = make([]uint16, len(p.vars))
+	for i := range p.state {
+		p.state[i] = expr.Free
+	}
+	if hint != nil {
+		p.hint = make([]uint16, len(p.vars))
+		for i, v := range p.vars {
+			p.hint[i] = noHint
+			if val, ok := hint[v]; ok {
+				p.hint[i] = uint16(val & 0xff)
 			}
 		}
 	}
-	if len(p.cons) == 0 {
-		return p, Sat
-	}
-	// Deterministic variable order: most-constrained first, then by ID.
-	p.order = append([]expr.VarID(nil), p.vars...)
-	sort.Slice(p.order, func(i, j int) bool {
-		a, b := p.order[i], p.order[j]
-		if len(p.varCons[a]) != len(p.varCons[b]) {
-			return len(p.varCons[a]) > len(p.varCons[b])
+	// Every constraint's slot list and every variable's constraint list
+	// are carved out of two backing arrays of one entry per occurrence.
+	p.cons = make([]constraint, len(kept))
+	slots := make([]int32, 0, nvars)
+	occurs := make([]int32, len(p.vars))
+	var compiler expr.Compiler
+	for ci, t := range kept {
+		from := len(slots)
+		for _, v := range t.VarList() {
+			slot, _ := slices.BinarySearch(p.vars, v)
+			slots = append(slots, int32(slot))
+			occurs[slot]++
 		}
-		return a < b
-	})
+		own := slots[from:len(slots):len(slots)]
+		p.cons[ci] = constraint{prog: compiler.Compile(t, own), slots: own, free: len(own)}
+	}
+	p.varCons = make([][]int32, len(p.vars))
+	backing := make([]int32, nvars)
+	for slot, n := range occurs {
+		p.varCons[slot], backing = backing[:0:n], backing[n:]
+	}
+	for ci := range p.cons {
+		for _, slot := range p.cons[ci].slots {
+			p.varCons[slot] = append(p.varCons[slot], int32(ci))
+		}
+	}
 	return p, Unknown
 }
 
+// model reads the assignment out as a Model; called once, on Sat.
 func (p *problem) model() Model {
-	m := make(Model, len(p.assign))
-	for k, v := range p.assign {
-		m[k] = v
+	m := make(Model, len(p.vars))
+	for slot, v := range p.vars {
+		m[v] = uint64(p.state[slot])
 	}
 	return m
 }
 
-// pickVar returns the next variable to assign: an unassigned variable of
-// the constraint with the fewest unassigned variables (fail-first).
-func (p *problem) pickVar() (expr.VarID, bool) {
+// pickVar returns the slot of the next variable to assign: the
+// smallest-ID unassigned variable of the first constraint with the
+// fewest unassigned variables (fail-first), or -1 when every variable is
+// assigned — each one occurs in some constraint, so that is exactly
+// when no constraint has an unassigned variable left.
+func (p *problem) pickVar() int32 {
 	best, bestCount := -1, 1<<30
-	for ci, n := range p.unVars {
-		if n > 0 && n < bestCount {
+	for ci := range p.cons {
+		if n := p.cons[ci].free; n > 0 && n < bestCount {
 			best, bestCount = ci, n
 			if n == 1 {
 				break
 			}
 		}
 	}
-	if best >= 0 {
-		vs := p.consVars[best]
-		// Deterministic: smallest unassigned ID in that constraint.
-		found := false
-		var min expr.VarID
-		for _, v := range vs {
-			if _, ok := p.assign[v]; !ok {
-				if !found || v < min {
-					min, found = v, true
-				}
-			}
-		}
-		if found {
-			return min, true
+	if best < 0 {
+		return -1
+	}
+	for _, slot := range p.cons[best].slots {
+		if p.state[slot] == expr.Free {
+			return slot
 		}
 	}
-	for _, v := range p.order {
-		if _, ok := p.assign[v]; !ok {
-			return v, true
-		}
-	}
-	return 0, false
+	panic("solver: constraint counts an unassigned variable it does not have")
 }
 
-// valueAt maps iteration index k to the k-th candidate value for v:
-// the hinted value first, then ascending order.
-func (p *problem) valueAt(v expr.VarID, k uint64) uint64 {
-	if p.hint == nil {
+// valueAt maps iteration index k to the k-th candidate value for the
+// variable in slot: the hinted value first, then ascending order.
+func (p *problem) valueAt(slot int32, k uint16) uint16 {
+	if p.hint == nil || p.hint[slot] == noHint {
 		return k
 	}
-	hintVal, ok := p.hint[v]
-	if !ok {
-		return k
-	}
-	hintVal &= 0xff
+	hintVal := p.hint[slot]
 	switch {
 	case k == 0:
 		return hintVal
@@ -392,23 +426,24 @@ func (p *problem) valueAt(v expr.VarID, k uint64) uint64 {
 	}
 }
 
-// propagateCheck verifies all constraints touching v after assigning it:
-// fully-assigned constraints must evaluate nonzero; nearly-assigned ones
-// must still admit a nonzero value by interval analysis. Constraints with
-// many free variables are left unchecked — interval pruning almost never
-// fires for them, and the cost would dominate the search.
+// propagateCheck verifies all constraints touching the variable in slot
+// after assigning it: fully-assigned constraints must evaluate nonzero;
+// nearly-assigned ones must still admit a nonzero value by interval
+// analysis. Constraints with many free variables are left unchecked —
+// interval pruning almost never fires for them, and the cost would
+// dominate the search.
 const rangeCheckMaxFree = 6
 
-func (p *problem) propagateCheck(v expr.VarID) bool {
+func (p *problem) propagateCheck(slot int32) bool {
 	p.props++
-	for _, ci := range p.varCons[v] {
-		c := p.cons[ci]
-		if p.unVars[ci] == 0 {
-			if c.Eval(p.assign) == 0 {
+	for _, ci := range p.varCons[slot] {
+		c := &p.cons[ci]
+		if c.free == 0 {
+			if c.prog.Eval(p.state) == 0 {
 				return false
 			}
-		} else if p.unVars[ci] <= rangeCheckMaxFree {
-			if iv := expr.Range(c, p.assign); iv.Hi == 0 {
+		} else if c.free <= rangeCheckMaxFree {
+			if c.prog.Range(p.state).Hi == 0 {
 				return false
 			}
 		}
@@ -416,45 +451,42 @@ func (p *problem) propagateCheck(v expr.VarID) bool {
 	return true
 }
 
-func (p *problem) assignVar(v expr.VarID, val uint64) {
-	p.assign[v] = val
-	for _, ci := range p.varCons[v] {
-		p.unVars[ci]--
+func (p *problem) assignVar(slot int32, val uint16) {
+	p.state[slot] = val
+	for _, ci := range p.varCons[slot] {
+		p.cons[ci].free--
 	}
 }
 
-func (p *problem) unassignVar(v expr.VarID) {
+func (p *problem) unassignVar(slot int32) {
 	p.backtracks++
-	delete(p.assign, v)
-	for _, ci := range p.varCons[v] {
-		p.unVars[ci]++
+	p.state[slot] = expr.Free
+	for _, ci := range p.varCons[slot] {
+		p.cons[ci].free++
 	}
 }
 
 func (p *problem) search() searchResult {
-	v, more := p.pickVar()
-	if !more {
+	slot := p.pickVar()
+	if slot < 0 {
 		return searchSat
 	}
-	for k := uint64(0); k < 256; k++ {
+	for k := uint16(0); k < 256; k++ {
 		p.steps++
 		if p.steps > p.budget {
 			return searchBudget
 		}
-		val := p.valueAt(v, k)
-		p.assignVar(v, val)
-		if p.propagateCheck(v) {
-			if k == 0 && p.hint != nil {
-				if _, hinted := p.hint[v]; hinted {
-					p.hintHits++
-				}
+		p.assignVar(slot, p.valueAt(slot, k))
+		if p.propagateCheck(slot) {
+			if k == 0 && p.hint != nil && p.hint[slot] != noHint {
+				p.hintHits++
 			}
 			switch r := p.search(); r {
 			case searchSat, searchBudget:
 				return r
 			}
 		}
-		p.unassignVar(v)
+		p.unassignVar(slot)
 	}
 	return searchUnsat
 }

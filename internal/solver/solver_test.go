@@ -364,3 +364,34 @@ func TestIntervalPrePassRefutesWindows(t *testing.T) {
 		t.Errorf("model outside window: %d", v)
 	}
 }
+
+// TestDuplicateConstraintsDropped: newProblem keeps one copy of
+// structurally equal constraints — same node or rebuilt from fresh
+// nodes, bare or already in truth form — and does not confuse distinct
+// constraints that merely share a shape.
+func TestDuplicateConstraintsDropped(t *testing.T) {
+	mk := func() *expr.Expr { return expr.Ult(word(0, 1), expr.Const(0x1234)) }
+	first := mk()
+	bare := expr.And(expr.Var(2), expr.Const(0x0f))
+	cons := []*expr.Expr{
+		first, mk(), first,
+		bare, expr.Ne(expr.And(expr.Var(2), expr.Const(0x0f)), expr.Const(0)),
+		expr.Ult(word(0, 3), expr.Const(0x1234)), // same shape, another variable
+	}
+	p, res := newProblem(cons, nil)
+	if res != Unknown || p == nil {
+		t.Fatalf("newProblem = %v, want an undecided problem", res)
+	}
+	if got := len(p.cons); got != 3 {
+		t.Fatalf("problem kept %d of %d constraints, want 3 distinct", got, len(cons))
+	}
+	if got := len(p.vars); got != 4 {
+		t.Fatalf("problem has %d variables, want 4", got)
+	}
+	s := Solver{}
+	res, m := s.Check(cons)
+	if res != Sat {
+		t.Fatalf("Check = %v, want sat", res)
+	}
+	checkModel(t, cons, m)
+}

@@ -47,6 +47,10 @@ const (
 	localSolverSteps = 20000
 	// keepBest is how many completed states to retain.
 	keepBest = 8
+	// maxPinned bounds the substitution cache (Engine.pinned). An entry
+	// is a few KB of expression nodes; a 6-packet run makes a thousand or
+	// two, a paper-size run of a tree NF would make hundreds of thousands.
+	maxPinned = 1 << 14
 	// stopAfterDone halts exploration once this many states have consumed
 	// all N packets — in best-first order the earliest completions follow
 	// the highest-cost paths.
@@ -101,6 +105,12 @@ type Engine struct {
 	// "fork") for debugging and tests.
 	Trace func(event string, s *State)
 
+	// QueryTrace, when non-nil, is shown every constraint list the engine
+	// hands a solver, with that query's hint and step cap, just before
+	// the solve (debugging and tests). Both the list and the hint are the
+	// engine's own and change after the call: copy what you keep.
+	QueryTrace func(cons []*expr.Expr, hint solver.Model, maxSteps int)
+
 	// Obs, when non-nil, receives search telemetry: instruction steps,
 	// forks, state-queue depth, path-constraint sizes, and (through the
 	// engine's solvers) per-query solver effort. The engine runs on one
@@ -147,14 +157,31 @@ type Engine struct {
 	// solvers.
 	Memo *solver.Memo
 
-	sol      solver.Solver
-	nextID   int
+	sol    solver.Solver
+	nextID int
+	// pinned caches localRepair's substituted path constraints (see
+	// pinKey); free, pins and local are its scratch, reused across calls.
+	pinned map[pinKey]*expr.Expr
+	free   []expr.VarID
+	pins   []byte
+	local  []*expr.Expr
+
 	forks    int
 	explored int
 	hStatic  *obs.Histogram
 	cFolded  *obs.Counter
 	cAvoided *obs.Counter
 	cPruned  *obs.Counter
+}
+
+// pinKey identifies one substituted form of a path constraint: the
+// constraint node and, per variable of its VarList in order, two bytes
+// holding the byte it is pinned to or expr.Free. A path re-poses the
+// same constraint under the same pins at nearly every fork, and
+// Substitute is a pure function of exactly this pair.
+type pinKey struct {
+	c    *expr.Expr
+	pins string
 }
 
 // Result is the outcome of an exploration.
@@ -746,7 +773,7 @@ func (e *Engine) fork(s *State, f *frame, in *ir.Instr, cond *expr.Expr) *State 
 		an = e.Analysis
 	}
 	preferOther := an.Potential(otherBlk, 0) > an.Potential(freeBlk, 0)
-	otherModel, otherOK := e.extendModel(s, otherC)
+	fix, otherOK := e.extendModel(s, otherC)
 	if !otherOK {
 		s.addConstraint(freeC)
 		e.jump(s, f, freeBlk)
@@ -763,12 +790,12 @@ func (e *Engine) fork(s *State, f *frame, in *ir.Instr, cond *expr.Expr) *State 
 		branch.top().pc = 0
 		branch.Potential = e.potential(branch)
 		s.addConstraint(otherC)
-		s.model = otherModel
+		fix.apply(s)
 		e.jump(s, f, otherBlk)
 		return branch
 	}
 	branch.addConstraint(otherC)
-	branch.model = otherModel
+	fix.apply(branch)
 	branch.top().blk = otherBlk
 	branch.top().pc = 0
 	branch.Potential = e.potential(branch)
@@ -777,47 +804,74 @@ func (e *Engine) fork(s *State, f *frame, in *ir.Instr, cond *expr.Expr) *State 
 	return branch
 }
 
-// extendModel tries to extend the state's constraints with c, returning a
-// satisfying model. Three stages, cheapest first: (1) the cached model
-// may already satisfy c; (2) local repair — re-solve only c's variables
-// with everything else substituted from the model, which handles the
-// common "pick a different source port" adjustments in microseconds;
-// (3) a full hinted solve. Unknown results are treated as infeasible,
-// preserving the model invariant.
-func (e *Engine) extendModel(s *State, c *expr.Expr) (solver.Model, bool) {
-	if b, ok := c.IsBool(); ok {
-		if b {
-			return s.model, true
+// modelFix is what extendModel found: how to turn a state's cached model
+// into one that also satisfies the new constraint. Each state owns its
+// model map, so a fix is applied in place — to the state itself or to
+// its fresh clone — instead of building a merged copy per repair.
+type modelFix struct {
+	// vals is nil when the cached model already satisfies the constraint.
+	vals solver.Model
+	// whole says vals is a complete model from a full solve and replaces
+	// the cached one; otherwise vals holds only the repaired variables.
+	whole bool
+}
+
+func (f modelFix) apply(s *State) {
+	switch {
+	case f.vals == nil:
+	case f.whole:
+		s.model = f.vals
+	default:
+		for k, v := range f.vals {
+			s.model[k] = v
 		}
-		return nil, false
+	}
+}
+
+// extendModel tries to extend the state's constraints with c, returning
+// the fix that makes the cached model satisfy it. Three stages, cheapest
+// first: (1) the cached model may already satisfy c; (2) local repair —
+// re-solve only c's variables with everything else substituted from the
+// model, which handles the common "pick a different source port"
+// adjustments in microseconds; (3) a full hinted solve. Unknown results
+// are treated as infeasible, preserving the model invariant.
+func (e *Engine) extendModel(s *State, c *expr.Expr) (modelFix, bool) {
+	if b, ok := c.IsBool(); ok {
+		return modelFix{}, b
 	}
 	if c.Eval(s.model) != 0 {
-		return s.model, true
+		return modelFix{}, true
 	}
 	if solver.QuickFeasible([]*expr.Expr{c}) == solver.Unsat {
-		return nil, false
+		return modelFix{}, false
 	}
 	// Prefer repairing only the in-flight packet's bytes (and havoc
 	// outputs): earlier packets' constraints stay untouched, keeping the
 	// local problem tiny.
 	switch m, res := e.localRepair(s, c, e.currentPacketFilter(s)); res {
 	case solver.Sat:
-		return m, true
+		return modelFix{vals: m}, true
 	case solver.Unsat:
 		// Unsatisfiable with the whole current packet free and all earlier
 		// packets pinned. Re-choosing earlier packets' bytes could in
 		// principle reopen the branch, but the engine commits to its
 		// earlier choices (the locally-optimal policy of §3.3).
-		return nil, false
+		return modelFix{}, false
 	}
+	// Local repair was inconclusive (Unknown: its step cap ran out). The
+	// full solve may still succeed by re-choosing an earlier packet's
+	// bytes, and paths depend on it doing so.
 	all := append(append([]*expr.Expr(nil), s.constraints...), c)
+	if e.QueryTrace != nil {
+		e.QueryTrace(all, s.model, solverSteps)
+	}
 	e.sol.Hint = s.model
 	res, m := e.sol.Check(all)
 	e.sol.Hint = nil
 	if res != solver.Sat {
-		return nil, false
+		return modelFix{}, false
 	}
-	return m, true
+	return modelFix{vals: m, whole: true}, true
 }
 
 // currentPacketFilter restricts repairs to the in-flight packet's bytes
@@ -834,61 +888,93 @@ func (e *Engine) currentPacketFilter(s *State) func(expr.VarID) bool {
 // localRepair attempts to satisfy c by reassigning only the variables
 // occurring in c (optionally narrowed by filter): every other variable is
 // pinned to its model value, and the constraints sharing the free
-// variables are re-solved as a small local problem. Failure is not
-// conclusive (the pinning may be too rigid), so callers fall through.
+// variables are re-solved as a small local problem. On Sat the returned
+// model holds the free variables only. Failure is not conclusive (the
+// pinning may be too rigid), so callers fall through.
 func (e *Engine) localRepair(s *State, c *expr.Expr, filter func(expr.VarID) bool) (solver.Model, solver.Result) {
 	vars := c.VarList()
 	if len(vars) == 0 || len(vars) > 40 {
 		return nil, solver.Unknown
 	}
-	free := make(map[expr.VarID]bool, len(vars))
+	e.free = e.free[:0]
 	for _, v := range vars {
 		if filter == nil || filter(v) {
-			free[v] = true
+			e.free = append(e.free, v)
 		}
 	}
-	if len(free) == 0 {
+	if len(e.free) == 0 {
 		return nil, solver.Unknown
 	}
-	fixed := make(map[expr.VarID]uint64)
-	collectFixed := func(ex *expr.Expr) {
-		for _, v := range ex.VarList() {
-			if !free[v] {
-				fixed[v] = s.model[v] & 0xff
-			}
-		}
-	}
-	var local []*expr.Expr
+	e.local = e.local[:0]
 	for _, pc := range s.constraints {
-		shares := false
-		for _, v := range pc.VarList() {
-			if free[v] {
-				shares = true
-				break
-			}
+		if sharesVar(pc.VarList(), e.free) {
+			e.local = append(e.local, e.pin(pc, s.model))
 		}
-		if !shares {
-			continue
-		}
-		collectFixed(pc)
-		local = append(local, pc.Substitute(fixed))
 	}
-	collectFixed(c)
-	local = append(local, c.Substitute(fixed))
+	e.local = append(e.local, e.pin(c, s.model))
+	if e.QueryTrace != nil {
+		e.QueryTrace(e.local, s.model, localSolverSteps)
+	}
 	sol := e.newSolver(localSolverSteps)
 	sol.Hint = s.model
-	res, m := sol.Check(local)
+	res, m := sol.Check(e.local)
 	if res != solver.Sat {
 		return nil, res
 	}
-	merged := make(solver.Model, len(s.model)+len(m))
-	for k, v := range s.model {
-		merged[k] = v
+	return m, solver.Sat
+}
+
+// sharesVar reports whether two ascending variable lists intersect.
+func sharesVar(a, b []expr.VarID) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
 	}
-	for k, v := range m {
-		merged[k] = v
+	return false
+}
+
+// pin returns c with every variable outside e.free replaced by its model
+// byte — c.Substitute of those bindings, computed once per pinKey.
+func (e *Engine) pin(c *expr.Expr, model solver.Model) *expr.Expr {
+	vars := c.VarList()
+	e.pins = e.pins[:0]
+	fi := 0
+	for _, v := range vars {
+		for fi < len(e.free) && e.free[fi] < v {
+			fi++
+		}
+		state := expr.Free
+		if fi == len(e.free) || e.free[fi] != v {
+			state = uint16(model[v] & 0xff)
+		}
+		e.pins = append(e.pins, byte(state), byte(state>>8))
 	}
-	return merged, solver.Sat
+	if r, ok := e.pinned[pinKey{c, string(e.pins)}]; ok {
+		return r
+	}
+	fixed := make(map[expr.VarID]uint64, len(vars))
+	for i, v := range vars {
+		if e.pins[2*i+1] == 0 {
+			fixed[v] = uint64(e.pins[2*i])
+		}
+	}
+	r := c.Substitute(fixed)
+	switch {
+	case e.pinned == nil:
+		e.pinned = map[pinKey]*expr.Expr{}
+	case len(e.pinned) >= maxPinned:
+		// Dropped whole rather than aged: the paths being forked right now
+		// refill it within a few repairs, and nothing depends on a hit.
+		clear(e.pinned)
+	}
+	e.pinned[pinKey{c, string(e.pins)}] = r
+	return r
 }
 
 // resolveAddr turns a (possibly symbolic) address expression into a
@@ -944,12 +1030,12 @@ func (e *Engine) resolveAddr(s *State, a *expr.Expr) (uint64, bool) {
 				}
 				tried++
 				inLine := expr.Eq(expr.And(a, expr.Const(^(lb-1))), expr.Const(line))
-				m, ok := e.extendModel(s, inLine)
+				fix, ok := e.extendModel(s, inLine)
 				if !ok {
 					continue
 				}
-				s.model = m
-				addr := a.Eval(m)
+				fix.apply(s)
+				addr := a.Eval(s.model)
 				s.addConstraint(expr.Eq(a, expr.Const(addr)))
 				s.markPinned(a)
 				return addr, true
