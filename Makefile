@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build bench-build test race bench bench-smoke bench-metrics bench-gate store-smoke trace-smoke fault-smoke fuzz-smoke vrange-ablation service-smoke lint-catalog telemetry-catalog tracediff-selftest fmt fmt-fix vet lint lint-strict irlint print-staticcheck-version check
+.PHONY: all build bench-build test race bench bench-smoke bench-metrics bench-gate store-smoke trace-smoke testbed-smoke fault-smoke fuzz-smoke vrange-ablation service-smoke lint-catalog telemetry-catalog tracediff-selftest fmt fmt-fix vet lint lint-strict irlint print-staticcheck-version check
 
 # Pinned staticcheck release; CI installs exactly this version.
 STATICCHECK_VERSION = 2025.1.1
@@ -36,7 +36,8 @@ bench:
 # yardsticks performance PRs quote) cannot rot unrun.
 bench-smoke:
 	$(GO) test -short -bench . -benchtime 1x -run '^$$' \
-		. ./internal/rainbow ./internal/expr ./internal/solver ./internal/symbex
+		. ./internal/rainbow ./internal/expr ./internal/solver ./internal/symbex \
+		./internal/memsim ./internal/interp ./internal/testbed
 
 # Instrumented analysis over the seed NF catalog: phase durations plus
 # core effort counters per NF, written as results/BENCH_castan.json.
@@ -95,6 +96,25 @@ trace-smoke:
 	$(GO) run ./cmd/tracediff check -trace $(TRACE_SMOKE_DIR)/trace.json \
 		-metrics $(TRACE_SMOKE_DIR)/metrics.json \
 		-require solver.queries,memsim.dram_misses,symbex.states_explored
+
+# Testbed smoke (what CI runs): the command's documented invocations at
+# its defaults. Figures 4 and 5 must reproduce the checked-in results/
+# byte for byte once the trailing blank line and "(campaign time: …)" are
+# dropped — they are made of nothing but simulated cycles, so any change
+# to memsim, interp or testbed that moves one fails here. Figure 7 needs
+# the campaign's exploration budget (lpm-trie, 30 packets) and only has
+# to render. CI overrides TESTBED_SMOKE_DIR and uploads it.
+TESTBED_SMOKE_DIR ?= /tmp/castan-testbed-smoke
+testbed-smoke:
+	mkdir -p $(TESTBED_SMOKE_DIR)
+	$(GO) build -o $(TESTBED_SMOKE_DIR)/testbed ./cmd/testbed
+	@set -e; for n in 04 05; do \
+		echo "== testbed -figure $${n#0} vs results/figure$$n.txt"; \
+		$(TESTBED_SMOKE_DIR)/testbed -figure $${n#0} > $(TESTBED_SMOKE_DIR)/figure$$n.out; \
+		sed '$$d' $(TESTBED_SMOKE_DIR)/figure$$n.out | sed '$$d' > $(TESTBED_SMOKE_DIR)/figure$$n.txt; \
+		cmp $(TESTBED_SMOKE_DIR)/figure$$n.txt results/figure$$n.txt; \
+	done
+	$(TESTBED_SMOKE_DIR)/testbed -figure 7 > $(TESTBED_SMOKE_DIR)/figure07.out
 
 # Robustness smoke (what CI runs): the fault-injection matrix over the
 # whole NF catalog, then two cmd/castan runs under a deliberately tiny
@@ -215,7 +235,8 @@ irlint:
 # rainbow.LoadTable, and tables it accepts must be stable under
 # Serialize/LoadTable and safe to SelfCheck and Invert; the interval
 # kernels must equal the reference Hacker's Delight loops on any
-# operands and brute force on 8-bit ones.
+# operands and brute force on 8-bit ones; the memory hierarchy must be
+# indistinguishable from its stamp-based reference on any call trace.
 FUZZ_TIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/ir/ -run FuzzModuleValidate -count=1
@@ -224,6 +245,8 @@ fuzz-smoke:
 	$(GO) test ./internal/rainbow/ -fuzz FuzzLoadTable -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/expr/ -run FuzzIntervalKernels -count=1
 	$(GO) test ./internal/expr/ -fuzz FuzzIntervalKernels -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/memsim/ -run FuzzHierarchyTrace -count=1
+	$(GO) test ./internal/memsim/ -fuzz FuzzHierarchyTrace -fuzztime $(FUZZ_TIME)
 
 # Lint-catalog gate (what CI runs): regenerate the full irlint -json
 # document (findings with source coordinates, cache-cost stats, taint

@@ -55,7 +55,7 @@ func benchCampaign() *experiments.Campaign {
 			Packets:      65536,
 			ZipfUniverse: 4096,
 			MeasureCap:   4096,
-			CastanStates: 120000,
+			CastanStates: experiments.CampaignStates,
 			CastanPackets: map[string]int{
 				// Tree analyses are the slowest (as in the paper, where
 				// NAT/unbalanced-tree took 2444 s); the counts below keep

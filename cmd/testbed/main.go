@@ -33,7 +33,7 @@ func main() {
 		nfs      = flag.String("nfs", "", "comma-separated NF subset for tables")
 		seed     = flag.Uint64("seed", 2018, "campaign seed")
 		packets  = flag.Int("packets", 0, "Zipfian/UniRand workload size")
-		states   = flag.Int("states", 6000, "CASTAN exploration budget")
+		states   = flag.Int("states", experiments.CampaignStates, "CASTAN exploration budget (default: what results/ was generated at)")
 		nfName   = flag.String("nf", "", "measure one NF under a custom workload")
 		pcapIn   = flag.String("pcap", "", "PCAP file with the custom workload")
 		mix      = flag.String("mix", "", "run the adversarial-fraction sweep (§5.5 future work) for this NF")

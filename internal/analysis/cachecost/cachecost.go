@@ -17,10 +17,10 @@
 // can never reach DRAM. Two properties of the simulated hierarchy
 // (internal/memsim) force a deliberately conservative instantiation:
 //
-//   - L1/L2 hits do not refresh a line's L3 replacement stamp, and
+//   - L1/L2 hits do not refresh a line's L3 recency, and
 //   - the L3 is inclusive: an L3 eviction back-invalidates L1 and L2.
 //
-// Together these mean a line's L3 stamp can be arbitrarily stale no
+// Together these mean a line's L3 recency can be arbitrarily stale no
 // matter how recently the line was touched, so a single conflicting fill
 // may evict it from the whole hierarchy. Soundly, a line therefore enters
 // the must cache at age Ways-1 (one possible conflicting fill evicts it),
@@ -452,9 +452,9 @@ func (a *Analysis) applyAccess(st *absState, op memOp) Class {
 		}
 		if op.definite {
 			// Every line of a definite access is resident afterwards — at
-			// *some* level, hence (inclusion) in the L3, but with a stamp
+			// *some* level, hence (inclusion) in the L3, but at a recency
 			// that may be as stale as the set allows: the hierarchy never
-			// refreshes L3 stamps on L1/L2 hits, so insertion age is
+			// refreshes L3 recency on L1/L2 hits, so insertion age is
 			// Ways-1, one conflicting fill short of eviction.
 			entry := a.geo.Ways - 1
 			for _, l := range op.lines {

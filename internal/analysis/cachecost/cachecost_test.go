@@ -63,7 +63,7 @@ func TestRepeatedLoadAlwaysHit(t *testing.T) {
 }
 
 // A possibly-conflicting fill must evict a must line: the hierarchy's L3
-// never refreshes stamps on upper-level hits, so one fill can push any
+// never refreshes recency on upper-level hits, so one fill can push any
 // resident line out.
 func TestConflictingFillEvictsMust(t *testing.T) {
 	m := ir.NewModule("t")

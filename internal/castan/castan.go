@@ -519,7 +519,8 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 
 	if res.Best == nil {
 		if res.BudgetExhausted == "" && !cfg.Faults.Enabled() {
-			return nil, fmt.Errorf("castan: no state consumed all %d packets within budget", cfg.NPackets)
+			return nil, fmt.Errorf("castan: no state consumed all %d packets within the exploration budget of %d states (Config.MaxStates, the commands' -states)",
+				cfg.NPackets, cfg.MaxStates)
 		}
 		// Degraded emit: the search was cut (budget) or starved
 		// (injected solver fault) before any state finished. The paper's

@@ -23,6 +23,12 @@ import (
 	"castan/internal/workload"
 )
 
+// CampaignStates is the exploration budget the checked-in results/ were
+// generated at (bench_test.go's full campaign) and cmd/testbed's default.
+// Config's own default is far smaller — enough for tests, too small for
+// lpm-trie's 30-packet workload behind Figures 7 and 8.
+const CampaignStates = 120000
+
 // Config scales a campaign. The zero value reproduces the full evaluation;
 // tests use smaller workloads and budgets.
 type Config struct {

@@ -41,6 +41,42 @@ type Machine struct {
 
 	heapTop uint64
 	steps   int
+	counts  OpCounts
+
+	// regs is the register stack: the frames of the active functions,
+	// caller below callee. ir.Validate rejects recursion, so its depth
+	// is bounded by the call graph and it is sized once the deepest
+	// chain has run.
+	regs []uint64
+	// key is OpHavoc's key buffer.
+	key []byte
+	// pages caches Mem's page lookups for loads and stores. A Memory
+	// never moves or drops a page once it exists and only existing
+	// pages are cached, so an entry cannot go stale — not even when
+	// setup code creates pages through Mem behind the machine's back.
+	// It lives here, not in Memory, because Memory reads must stay
+	// free of writes (see Memory.Read).
+	pages pageCache
+}
+
+// OpCounts tallies executed instructions by what the cost model prices
+// them on: the opcode, and for OpBin the operation. The arrays are
+// indexed by ir.Opcode and ir.BinOp; they are sized to a power of two so
+// the step loop can index them without a bounds check.
+type OpCounts struct {
+	Op  [16]uint64
+	Bin [16]uint64
+}
+
+// pageCacheSize is the number of direct-mapped page-cache slots: the
+// packet, the stack of globals an NF walks per packet and a few hundred
+// KiB of table or heap stay resident.
+const pageCacheSize = 256
+
+type pageCache struct {
+	of   *Memory                        // the Memory the entries belong to
+	key  [pageCacheSize]uint64          // page index + 1; 0 = empty
+	page [pageCacheSize]*[pageSize]byte // never nil where key is set
 }
 
 // DefaultMaxSteps bounds a single Call.
@@ -63,43 +99,80 @@ func (m *Machine) Alloc(size uint64) uint64 {
 	return addr
 }
 
+// Steps reports how many instructions the last Call executed.
+func (m *Machine) Steps() int { return m.steps }
+
+// OpCounts reports the last Call's instructions by cost class. The
+// result is valid until the next Call.
+func (m *Machine) OpCounts() *OpCounts { return &m.counts }
+
 // Call runs the named function with the given arguments and returns its
 // return value. The per-call step budget guards against runaway loops.
+// Hooks and MaxSteps are sampled as each function is entered; changing
+// them from inside a hook takes effect at the next call or Call.
 func (m *Machine) Call(name string, args ...uint64) (uint64, error) {
 	fn := m.Mod.Funcs[name]
 	if fn == nil {
 		return 0, fmt.Errorf("interp: no function %q", name)
 	}
 	m.steps = 0
-	return m.run(fn, args)
+	m.counts = OpCounts{}
+	if m.pages.of != m.Mem {
+		m.pages = pageCache{of: m.Mem}
+	}
+	frame, err := m.frame(fn, 0, len(args))
+	if err != nil {
+		return 0, err
+	}
+	copy(frame, args)
+	return m.run(fn, frame, 0)
 }
 
-func (m *Machine) budget() int {
-	if m.MaxSteps > 0 {
-		return m.MaxSteps
+// frame carves fn's zeroed register frame out of the register stack at
+// base. A stack too small is replaced by a larger one, not moved: frames
+// below base stay where they are, in the old array, which lives as long
+// as the activations holding them — a frame is only ever touched by its
+// own activation.
+func (m *Machine) frame(fn *ir.Func, base, nargs int) ([]uint64, error) {
+	if nargs != fn.NumParams {
+		return nil, fmt.Errorf("interp: %s expects %d args, got %d", fn.Name, fn.NumParams, nargs)
 	}
-	return DefaultMaxSteps
+	top := base + fn.NumRegs
+	if top > len(m.regs) {
+		m.regs = make([]uint64, 2*top)
+	}
+	f := m.regs[base:top]
+	clear(f)
+	return f, nil
 }
 
-func (m *Machine) run(fn *ir.Func, args []uint64) (uint64, error) {
-	if len(args) != fn.NumParams {
-		return 0, fmt.Errorf("interp: %s expects %d args, got %d", fn.Name, fn.NumParams, len(args))
+// run executes fn on its frame regs, which the caller has carved at base
+// and filled with the arguments.
+func (m *Machine) run(fn *ir.Func, regs []uint64, base int) (uint64, error) {
+	onInstr, onMem, onDef := m.Hooks.OnInstr, m.Hooks.OnMem, m.Hooks.OnDef
+	budget := m.MaxSteps
+	if budget <= 0 {
+		budget = DefaultMaxSteps
 	}
-	regs := make([]uint64, fn.NumRegs)
-	copy(regs, args)
+	// steps is m.steps kept in a register; it is written back wherever
+	// control leaves this activation.
+	steps := m.steps
 	blk := fn.Entry()
 	pc := 0
 	for {
 		if pc >= len(blk.Instrs) {
+			m.steps = steps
 			return 0, fmt.Errorf("interp: fell off block %s/%s", fn.Name, blk.Name)
 		}
 		in := blk.Instrs[pc]
-		m.steps++
-		if m.steps > m.budget() {
+		if steps >= budget {
+			m.steps = steps
 			return 0, ErrStepBudget
 		}
-		if m.Hooks.OnInstr != nil {
-			m.Hooks.OnInstr(fn, in)
+		steps++
+		m.counts.Op[in.Op%16]++
+		if onInstr != nil {
+			onInstr(fn, in)
 		}
 		switch in.Op {
 		case ir.OpConst:
@@ -107,6 +180,7 @@ func (m *Machine) run(fn *ir.Func, args []uint64) (uint64, error) {
 		case ir.OpMov:
 			regs[in.Dst] = regs[in.A]
 		case ir.OpBin:
+			m.counts.Bin[in.Bin%16]++
 			regs[in.Dst] = in.Bin.Eval(regs[in.A], regs[in.B])
 		case ir.OpCmp:
 			regs[in.Dst] = in.Pred.Eval(regs[in.A], regs[in.B])
@@ -118,16 +192,16 @@ func (m *Machine) run(fn *ir.Func, args []uint64) (uint64, error) {
 			}
 		case ir.OpLoad:
 			addr := regs[in.A] + in.Imm
-			if m.Hooks.OnMem != nil {
-				m.Hooks.OnMem(MemAccess{Addr: addr, Size: in.Size})
+			if onMem != nil {
+				onMem(MemAccess{Addr: addr, Size: in.Size})
 			}
-			regs[in.Dst] = m.Mem.Read(addr, in.Size)
+			regs[in.Dst] = m.load(addr, in.Size)
 		case ir.OpStore:
 			addr := regs[in.A] + in.Imm
-			if m.Hooks.OnMem != nil {
-				m.Hooks.OnMem(MemAccess{Addr: addr, Size: in.Size, IsWrite: true})
+			if onMem != nil {
+				onMem(MemAccess{Addr: addr, Size: in.Size, IsWrite: true})
 			}
-			m.Mem.Write(addr, regs[in.B], in.Size)
+			m.store(addr, regs[in.B], in.Size)
 		case ir.OpBr:
 			blk, pc = in.Blk0, 0
 			continue
@@ -140,18 +214,28 @@ func (m *Machine) run(fn *ir.Func, args []uint64) (uint64, error) {
 			pc = 0
 			continue
 		case ir.OpCall:
-			callArgs := make([]uint64, len(in.Args))
-			for i, a := range in.Args {
-				callArgs[i] = regs[a]
+			// Arguments go straight into the callee's frame, which sits
+			// on top of this one.
+			top := base + len(regs)
+			frame, err := m.frame(in.Callee, top, len(in.Args))
+			if err != nil {
+				m.steps = steps
+				return 0, err
 			}
-			ret, err := m.run(in.Callee, callArgs)
+			for i, a := range in.Args {
+				frame[i] = regs[a]
+			}
+			m.steps = steps
+			ret, err := m.run(in.Callee, frame, top)
 			if err != nil {
 				return 0, err
 			}
+			steps = m.steps
 			if in.Dst != ir.NoReg {
 				regs[in.Dst] = ret
 			}
 		case ir.OpRet:
+			m.steps = steps
 			if in.A == ir.NoReg {
 				return 0, nil
 			}
@@ -160,17 +244,20 @@ func (m *Machine) run(fn *ir.Func, args []uint64) (uint64, error) {
 			regs[in.Dst] = m.Alloc(regs[in.A])
 		case ir.OpHavoc:
 			h := m.Mod.Hashes[in.HashID]
-			key := make([]byte, in.Imm)
+			if uint64(cap(m.key)) < in.Imm {
+				m.key = make([]byte, in.Imm)
+			}
+			key := m.key[:in.Imm]
 			m.Mem.ReadBytes(regs[in.A], key)
 			// The key bytes flow through the hash; account the reads so
 			// the cache simulator sees them like any other access.
-			if m.Hooks.OnMem != nil {
+			if onMem != nil {
 				for off := uint64(0); off < in.Imm; off += 8 {
 					sz := in.Imm - off
 					if sz > 8 {
 						sz = 8
 					}
-					m.Hooks.OnMem(MemAccess{Addr: regs[in.A] + off, Size: uint8(sz)})
+					onMem(MemAccess{Addr: regs[in.A] + off, Size: uint8(sz)})
 				}
 			}
 			mask := uint64(1)<<uint(h.Bits) - 1
@@ -179,13 +266,47 @@ func (m *Machine) run(fn *ir.Func, args []uint64) (uint64, error) {
 			}
 			regs[in.Dst] = h.Fn(key) & mask
 		default:
+			m.steps = steps
 			return 0, fmt.Errorf("interp: bad opcode %d in %s", in.Op, fn.Name)
 		}
-		if m.Hooks.OnDef != nil {
+		if onDef != nil {
 			if d := in.Def(); d != ir.NoReg {
-				m.Hooks.OnDef(fn, in, regs[d])
+				onDef(fn, in, regs[d])
 			}
 		}
 		pc++
 	}
+}
+
+// page returns the page holding addr through the page cache, nil if it
+// does not exist and create is false.
+func (m *Machine) page(addr uint64, create bool) *[pageSize]byte {
+	idx := addr >> pageBits
+	slot := idx % pageCacheSize
+	if m.pages.key[slot] == idx+1 {
+		return m.pages.page[slot]
+	}
+	p := m.Mem.page(addr, create)
+	if p != nil {
+		m.pages.key[slot], m.pages.page[slot] = idx+1, p
+	}
+	return p
+}
+
+// load is Mem.Read through the page cache.
+func (m *Machine) load(addr uint64, size uint8) uint64 {
+	off := addr & (pageSize - 1)
+	if off+uint64(size) > pageSize {
+		return m.Mem.Read(addr, size) // straddles two pages
+	}
+	return readAt(m.page(addr, false), off, size)
+}
+
+// store is Mem.Write through the page cache.
+func (m *Machine) store(addr, v uint64, size uint8) {
+	if off := addr & (pageSize - 1); off+uint64(size) <= pageSize {
+		writeBE(m.page(addr, true)[off:], v, size)
+		return
+	}
+	m.Mem.Write(addr, v, size)
 }

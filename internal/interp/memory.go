@@ -48,39 +48,70 @@ func (m *Memory) StoreByte(addr uint64, v byte) {
 }
 
 // Read returns size bytes at addr as a big-endian value. size must be
-// 1, 2, 4 or 8.
+// 1, 2, 4 or 8. Reading never changes the memory (symbex shares one
+// Memory between workers through Engine.Base): caches of page lookups
+// belong to the reader, see Machine.
 func (m *Memory) Read(addr uint64, size uint8) uint64 {
-	var buf [8]byte
-	m.ReadBytes(addr, buf[:size])
-	switch size {
-	case 1:
-		return uint64(buf[0])
-	case 2:
-		return uint64(binary.BigEndian.Uint16(buf[:2]))
-	case 4:
-		return uint64(binary.BigEndian.Uint32(buf[:4]))
-	case 8:
-		return binary.BigEndian.Uint64(buf[:8])
+	off := addr & (pageSize - 1)
+	if off+uint64(size) > pageSize {
+		// The value straddles two pages.
+		var buf [8]byte
+		m.ReadBytes(addr, buf[:size])
+		return readBE(buf[:], size)
 	}
-	panic("interp: bad read size")
+	return readAt(m.page(addr, false), off, size)
+}
+
+// readAt decodes size bytes at offset off of page p; p is nil where
+// memory was never written, which reads as zero.
+func readAt(p *[pageSize]byte, off uint64, size uint8) uint64 {
+	if p == nil {
+		var untouched [8]byte
+		return readBE(untouched[:], size)
+	}
+	return readBE(p[off:], size)
 }
 
 // Write stores size bytes at addr from a big-endian value.
 func (m *Memory) Write(addr uint64, v uint64, size uint8) {
+	if off := addr & (pageSize - 1); off+uint64(size) <= pageSize {
+		writeBE(m.page(addr, true)[off:], v, size)
+		return
+	}
 	var buf [8]byte
+	writeBE(buf[:], v, size)
+	m.WriteBytes(addr, buf[:size])
+}
+
+// readBE decodes the first size bytes of b, in place.
+func readBE(b []byte, size uint8) uint64 {
 	switch size {
 	case 1:
-		buf[0] = byte(v)
+		return uint64(b[0])
 	case 2:
-		binary.BigEndian.PutUint16(buf[:2], uint16(v))
+		return uint64(binary.BigEndian.Uint16(b))
 	case 4:
-		binary.BigEndian.PutUint32(buf[:4], uint32(v))
+		return uint64(binary.BigEndian.Uint32(b))
 	case 8:
-		binary.BigEndian.PutUint64(buf[:8], v)
+		return binary.BigEndian.Uint64(b)
+	}
+	panic("interp: bad read size")
+}
+
+// writeBE encodes v into the first size bytes of b, in place.
+func writeBE(b []byte, v uint64, size uint8) {
+	switch size {
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		binary.BigEndian.PutUint16(b, uint16(v))
+	case 4:
+		binary.BigEndian.PutUint32(b, uint32(v))
+	case 8:
+		binary.BigEndian.PutUint64(b, v)
 	default:
 		panic("interp: bad write size")
 	}
-	m.WriteBytes(addr, buf[:size])
 }
 
 // ReadBytes copies len(dst) bytes starting at addr into dst.

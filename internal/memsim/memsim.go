@@ -124,72 +124,85 @@ type obsCounters struct {
 	probeCalls, probeLineReads             *obs.Counter
 }
 
-// cache is one set-associative level with LRU replacement.
-type cache struct {
-	sets  int
-	ways  int
-	tags  []uint64 // sets × ways line addresses; 0 = empty (line 0 unused)
-	stamp []uint64 // LRU timestamps
-	clock uint64
+// level is one set-associative cache level with LRU replacement. Which
+// way a line sits in is unobservable — only hit/miss and the victim are —
+// so a set is stored as its recency order: the ways of one set are
+// adjacent in tags, most recently used first, valid lines before empty
+// ways (tag 0; line 0 is never used as a tag). A hit moves the line to
+// the front, a fill pushes the set down one and drops the last entry,
+// which is the least recently used line when the set is full and an empty
+// way otherwise. That is exactly "first empty way, else the oldest
+// timestamp" (DESIGN.md decision 18) without a timestamp per way.
+type level struct {
+	ways int
+	tags []uint64 // sets × ways
+	// sets is the set count and mask is sets-1 when that is a power of
+	// two (every shipped geometry), selecting the index without a divide.
+	sets, mask uint64
+	pow2       bool
 }
 
-func newCache(sets, ways int) *cache {
-	return &cache{
-		sets:  sets,
-		ways:  ways,
-		tags:  make([]uint64, sets*ways),
-		stamp: make([]uint64, sets*ways),
+func newLevel(sets, ways int) level {
+	n := uint64(sets)
+	return level{
+		ways: ways,
+		tags: make([]uint64, sets*ways),
+		sets: n, mask: n - 1, pow2: n&(n-1) == 0,
 	}
 }
 
-func (c *cache) reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamp[i] = 0
+func (c *level) reset() { clear(c.tags) }
+
+// index is the set a physical line maps to (L1 and L2; the L3 index comes
+// from the hidden hash).
+func (c *level) index(pline uint64) int {
+	if c.pow2 {
+		return int(pline & c.mask)
 	}
-	c.clock = 0
+	return int(pline % c.sets)
 }
 
-// lookup probes set for line; on hit it refreshes LRU and returns true.
-func (c *cache) lookup(set int, line uint64) bool {
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == line {
-			c.clock++
-			c.stamp[base+w] = c.clock
+func (c *level) set(set int) []uint64 { return c.tags[set*c.ways:][:c.ways] }
+
+// hit probes set for line; on a hit the line becomes the most recent.
+func (c *level) hit(set int, line uint64) bool {
+	s := c.set(set)
+	for i, t := range s {
+		if t == line {
+			if i > 0 {
+				copy(s[1:i+1], s[:i])
+				s[0] = line
+			}
 			return true
+		}
+		if t == 0 {
+			return false // empty ways trail the valid ones
 		}
 	}
 	return false
 }
 
-// insert fills line into set, returning the evicted line (0 if none).
-func (c *cache) insert(set int, line uint64) uint64 {
-	base := set * c.ways
-	victim := base
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == 0 {
-			victim = base + w
-			break
-		}
-		if c.stamp[base+w] < c.stamp[victim] {
-			victim = base + w
-		}
-	}
-	evicted := c.tags[victim]
-	c.tags[victim] = line
-	c.clock++
-	c.stamp[victim] = c.clock
+// fill makes line the most recent of set, returning the line that fell
+// off the end (0 if a way was free). The line must not be resident.
+func (c *level) fill(set int, line uint64) uint64 {
+	s := c.set(set)
+	evicted := s[len(s)-1]
+	copy(s[1:], s)
+	s[0] = line
 	return evicted
 }
 
-// invalidate removes line from set if present.
-func (c *cache) invalidate(set int, line uint64) {
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == line {
-			c.tags[base+w] = 0
-			c.stamp[base+w] = 0
+// invalidate removes line from set if present, closing the gap so the
+// remaining lines keep their order and the freed way joins the tail.
+func (c *level) invalidate(set int, line uint64) {
+	s := c.set(set)
+	for i, t := range s {
+		if t == line {
+			copy(s[i:], s[i+1:])
+			s[len(s)-1] = 0
+			return
+		}
+		if t == 0 {
 			return
 		}
 	}
@@ -198,6 +211,8 @@ func (c *cache) invalidate(set int, line uint64) {
 // Hierarchy is one simulated machine's memory system.
 type Hierarchy struct {
 	geo Geometry
+	// derived holds what every access needs of geo, computed once.
+	derived
 
 	// secret parameterizes the hidden L3 slice/set hash. It is derived
 	// from the machine seed and never exposed; internal/cachemodel must
@@ -208,8 +223,12 @@ type Hierarchy struct {
 	pageMap map[uint64]uint64
 	pageRng *stats.RNG
 	nextPPN uint64
+	// tlb fronts pageMap on the access path. It only ever holds what
+	// pageMap holds, so first-touch allocation (the pageRng/nextPPN
+	// draws) still happens exactly once per page, in first-touch order.
+	tlb [tlbEntries]tlbEntry
 
-	l1, l2, l3 *cache
+	l1, l2, l3 level
 
 	Stats Counters
 	obs   obsCounters
@@ -231,30 +250,58 @@ type Hierarchy struct {
 	// hierarchy is goroutine-confined (parallel discovery forks first),
 	// so reusing it across probes is safe and keeps the tight loop
 	// allocation-free.
-	scratch probeScratch
+	scratch []probeLine
 }
 
-// probeScratch caches the per-address translation work ProbeBatch does
-// once per probe set: the line tag and the L1/L2/L3 set indices. The
-// page mapping cannot change mid-probe, so the warm-up pass and every
-// timed round reuse the same entries instead of re-translating per
-// access like the general Access path must.
-type probeScratch struct {
-	tag                 []uint64
-	l1set, l2set, l3set []int32
+// derived is the part of a Geometry the per-line path reads, as shifts
+// and masks instead of the sizes they come from.
+type derived struct {
+	lineShift     uint   // log2(LineBytes)
+	lineMask      uint64 // LineBytes-1
+	pageBits      uint
+	pageMask      uint64 // in-page offset bits of an address
+	pageLineShift uint   // log2(lines per page)
+	pageLineMask  uint64 // in-page bits of a line number
+	l3Mask        uint64 // contention sets - 1 (a power of two)
+	lat           [DRAM + 1]uint64
 }
 
-func (s *probeScratch) grow(n int) {
-	if cap(s.tag) < n {
-		s.tag = make([]uint64, n)
-		s.l1set = make([]int32, n)
-		s.l2set = make([]int32, n)
-		s.l3set = make([]int32, n)
+func derive(g Geometry) derived {
+	shift := uint(0)
+	for 1<<shift < g.LineBytes {
+		shift++
 	}
-	s.tag = s.tag[:n]
-	s.l1set = s.l1set[:n]
-	s.l2set = s.l2set[:n]
-	s.l3set = s.l3set[:n]
+	pageBits := uint(g.PageBits)
+	return derived{
+		lineShift:     shift,
+		lineMask:      uint64(g.LineBytes) - 1,
+		pageBits:      pageBits,
+		pageMask:      1<<pageBits - 1,
+		pageLineShift: pageBits - shift,
+		pageLineMask:  1<<(pageBits-shift) - 1,
+		l3Mask:        uint64(g.L3Slices*g.L3SetsPerSlice) - 1,
+		lat:           [...]uint64{L1: g.LatL1, L2: g.LatL2, L3: g.LatL3, DRAM: g.LatDRAM},
+	}
+}
+
+// tlbEntries sizes the direct-mapped translation cache. Default-geometry
+// NFs live in two 1 GiB pages; eight entries also cover the tiny test
+// geometry's 1 MiB pages for everything but table sweeps.
+const tlbEntries = 8
+
+// tlbEntry caches one pageMap entry: key is the virtual page number plus
+// one (0 = empty), base the physical page's byte address.
+type tlbEntry struct {
+	key, base uint64
+}
+
+// probeLine is one probe address with its translation and set selection
+// done: the page mapping cannot change mid-probe, so the warm-up pass and
+// every timed round reuse it instead of re-translating per access like the
+// general Access path must.
+type probeLine struct {
+	tag        uint64
+	s1, s2, s3 int32
 }
 
 // SetObs points the hierarchy's telemetry at rec (nil disables it).
@@ -297,11 +344,12 @@ func New(geo Geometry, seed uint64) *Hierarchy {
 	r := stats.NewRNG(seed)
 	h := &Hierarchy{
 		geo:     geo,
+		derived: derive(geo),
 		secretF: r.Uint64() | 1,
 		secretG: r.Uint64() | 1,
-		l1:      newCache(geo.L1Sets, geo.L1Ways),
-		l2:      newCache(geo.L2Sets, geo.L2Ways),
-		l3:      newCache(geo.L3Slices*geo.L3SetsPerSlice, geo.L3Ways),
+		l1:      newLevel(geo.L1Sets, geo.L1Ways),
+		l2:      newLevel(geo.L2Sets, geo.L2Ways),
+		l3:      newLevel(geo.L3Slices*geo.L3SetsPerSlice, geo.L3Ways),
 	}
 	h.Reboot(seed)
 	return h
@@ -320,14 +368,16 @@ func (h *Hierarchy) Geometry() Geometry { return h.geo }
 func (h *Hierarchy) Fork() *Hierarchy {
 	f := &Hierarchy{
 		geo:         h.geo,
+		derived:     h.derived,
 		secretF:     h.secretF,
 		secretG:     h.secretG,
 		pageMap:     make(map[uint64]uint64, len(h.pageMap)),
 		pageRng:     h.pageRng.Clone(),
 		nextPPN:     h.nextPPN,
-		l1:          newCache(h.geo.L1Sets, h.geo.L1Ways),
-		l2:          newCache(h.geo.L2Sets, h.geo.L2Ways),
-		l3:          newCache(h.geo.L3Slices*h.geo.L3SetsPerSlice, h.geo.L3Ways),
+		tlb:         h.tlb, // a subset of the page map copied below
+		l1:          newLevel(h.geo.L1Sets, h.geo.L1Ways),
+		l2:          newLevel(h.geo.L2Sets, h.geo.L2Ways),
+		l3:          newLevel(h.geo.L3Slices*h.geo.L3SetsPerSlice, h.geo.L3Ways),
 		obs:         h.obs,
 		probeBudget: h.probeBudget,
 		probeFault:  h.probeFault,
@@ -343,6 +393,7 @@ func (h *Hierarchy) Fork() *Hierarchy {
 func (h *Hierarchy) Reboot(bootID uint64) {
 	h.pageRng = stats.NewRNG(bootID*0x9e3779b97f4a7c15 + 1)
 	h.pageMap = map[uint64]uint64{}
+	h.tlb = [tlbEntries]tlbEntry{}
 	h.nextPPN = 0
 	h.Flush()
 }
@@ -360,7 +411,24 @@ func (h *Hierarchy) ResetCounters() { h.Stats = Counters{} }
 // translate maps a virtual address to a physical one through the hugepage
 // table, allocating a random physical page on first touch.
 func (h *Hierarchy) translate(vaddr uint64) uint64 {
-	vpn := vaddr >> h.geo.PageBits
+	if paddr, ok := h.cachedTranslation(vaddr); ok {
+		return paddr
+	}
+	return h.walkPageMap(vaddr)
+}
+
+// cachedTranslation is the call-free half of translate, small enough to
+// inline into Access.
+func (h *Hierarchy) cachedTranslation(vaddr uint64) (uint64, bool) {
+	vpn := vaddr >> h.pageBits
+	e := &h.tlb[vpn%tlbEntries]
+	return e.base | vaddr&h.pageMask, e.key == vpn+1
+}
+
+// walkPageMap translates through the page table proper and leaves the
+// mapping in the translation cache.
+func (h *Hierarchy) walkPageMap(vaddr uint64) uint64 {
+	vpn := vaddr >> h.pageBits
 	ppn, ok := h.pageMap[vpn]
 	if !ok {
 		// Random physical page, unique per virtual page.
@@ -368,8 +436,9 @@ func (h *Hierarchy) translate(vaddr uint64) uint64 {
 		h.nextPPN++
 		h.pageMap[vpn] = ppn
 	}
-	off := vaddr & ((1 << h.geo.PageBits) - 1)
-	return ppn<<h.geo.PageBits | off
+	base := ppn << h.pageBits
+	h.tlb[vpn%tlbEntries] = tlbEntry{key: vpn + 1, base: base}
+	return base | vaddr&h.pageMask
 }
 
 func mix(v, key uint64) uint64 {
@@ -386,21 +455,9 @@ func mix(v, key uint64) uint64 {
 // constant XOR within each hugepage — the structure that makes the
 // paper's cross-reboot consistency filtering meaningful.
 func (h *Hierarchy) l3Set(pline uint64) int {
-	n := uint64(h.geo.L3Slices * h.geo.L3SetsPerSlice) // power of two
-	pageLines := uint64(1) << (h.geo.PageBits - lineShift(h.geo))
-	inPage := pline & (pageLines - 1)
-	page := pline >> (h.geo.PageBits - lineShift(h.geo))
-	f := mix(inPage, h.secretF)
-	g := mix(page, h.secretG)
-	return int((f ^ g) & (n - 1))
-}
-
-func lineShift(g Geometry) int {
-	s := 0
-	for 1<<s < g.LineBytes {
-		s++
-	}
-	return s
+	f := mix(pline&h.pageLineMask, h.secretF)
+	g := mix(pline>>h.pageLineShift, h.secretG)
+	return int((f ^ g) & h.l3Mask)
 }
 
 // Access simulates one memory access of the given size at a virtual
@@ -408,62 +465,84 @@ func lineShift(g Geometry) int {
 // cost. Accesses spanning a line boundary touch both lines (costs sum,
 // the slower level is reported).
 func (h *Hierarchy) Access(vaddr uint64, size uint8, write bool) (Level, uint64) {
-	lb := uint64(h.geo.LineBytes)
-	first := vaddr &^ (lb - 1)
-	last := (vaddr + uint64(size) - 1) &^ (lb - 1)
-	lvl, cyc := h.accessLine(first)
-	for line := first + lb; line <= last; line += lb {
-		l2, c2 := h.accessLine(line)
-		cyc += c2
-		if l2 > lvl {
-			lvl = l2
+	line := vaddr &^ h.lineMask
+	last := (vaddr + uint64(size) - 1) &^ h.lineMask
+	var (
+		slowest Level
+		cycles  uint64
+	)
+	for {
+		paddr, ok := h.cachedTranslation(line)
+		if !ok {
+			paddr = h.walkPageMap(line)
+		}
+		pline := paddr >> h.lineShift
+		// Tag 0 means "empty way"; offset all line tags by +1 to disambiguate.
+		lvl, evicted := h.touch(pline+1, h.l1.index(pline), h.l2.index(pline), -1)
+		h.Stats.Accesses++
+		h.obs.accesses.Inc()
+		switch lvl {
+		case L1:
+			h.Stats.L1Hits++
+			h.obs.l1Hits.Inc()
+		case L2:
+			h.Stats.L2Hits++
+			h.obs.l2Hits.Inc()
+		case L3:
+			h.Stats.L3Hits++
+			h.obs.l3Hits.Inc()
+		default:
+			h.Stats.DRAM++
+			h.obs.dram.Inc()
+			if evicted {
+				h.obs.l3Evictions.Inc()
+			}
+		}
+		cycles += h.lat[lvl]
+		if lvl > slowest {
+			slowest = lvl
+		}
+		line += h.lineMask + 1
+		if line > last {
+			return slowest, cycles
 		}
 	}
-	return lvl, cyc
 }
 
-// accessLine performs the per-line hit/miss/fill logic.
-func (h *Hierarchy) accessLine(vline uint64) (Level, uint64) {
-	h.Stats.Accesses++
-	h.obs.accesses.Inc()
-	pline := h.translate(vline) >> lineShift(h.geo)
-	// Tag 0 means "empty way"; offset all line tags by +1 to disambiguate.
-	tag := pline + 1
-
-	l1set := int(pline % uint64(h.geo.L1Sets))
-	if h.l1.lookup(l1set, tag) {
-		h.Stats.L1Hits++
-		h.obs.l1Hits.Inc()
-		return L1, h.geo.LatL1
+// touch is the per-line hit/miss/fill sequence, the one body behind
+// Access, InjectPacket and ProbeBatch: it returns the serving level and
+// whether the fill evicted an L3 line. s1 and s2 are the line's L1 and L2
+// sets; s3 is its contention set, or negative to have the hidden hash
+// computed only if the line misses L1 and L2.
+func (h *Hierarchy) touch(tag uint64, s1, s2, s3 int) (Level, bool) {
+	if h.l1.hit(s1, tag) {
+		return L1, false
 	}
-	l2set := int(pline % uint64(h.geo.L2Sets))
-	if h.l2.lookup(l2set, tag) {
-		h.Stats.L2Hits++
-		h.obs.l2Hits.Inc()
-		h.l1.insert(l1set, tag)
-		return L2, h.geo.LatL2
+	if h.l2.hit(s2, tag) {
+		h.l1.fill(s1, tag)
+		return L2, false
 	}
-	l3set := h.l3Set(pline)
-	if h.l3.lookup(l3set, tag) {
-		h.Stats.L3Hits++
-		h.obs.l3Hits.Inc()
-		h.l2.insert(l2set, tag)
-		h.l1.insert(l1set, tag)
-		return L3, h.geo.LatL3
+	// An L1 or L2 hit deliberately leaves the line's L3 recency stale
+	// (DESIGN.md decision 9).
+	if s3 < 0 {
+		s3 = h.l3Set(tag - 1)
+	}
+	if h.l3.hit(s3, tag) {
+		h.l2.fill(s2, tag)
+		h.l1.fill(s1, tag)
+		return L3, false
 	}
 	// Miss everywhere: fill all levels; the L3 is inclusive, so an L3
 	// eviction back-invalidates L1 and L2.
-	h.Stats.DRAM++
-	h.obs.dram.Inc()
-	if evicted := h.l3.insert(l3set, tag); evicted != 0 {
-		h.obs.l3Evictions.Inc()
+	evicted := h.l3.fill(s3, tag)
+	if evicted != 0 {
 		ep := evicted - 1
-		h.l1.invalidate(int(ep%uint64(h.geo.L1Sets)), evicted)
-		h.l2.invalidate(int(ep%uint64(h.geo.L2Sets)), evicted)
+		h.l1.invalidate(h.l1.index(ep), evicted)
+		h.l2.invalidate(h.l2.index(ep), evicted)
 	}
-	h.l2.insert(l2set, tag)
-	h.l1.insert(l1set, tag)
-	return DRAM, h.geo.LatDRAM
+	h.l2.fill(s2, tag)
+	h.l1.fill(s1, tag)
+	return DRAM, evicted != 0
 }
 
 // InjectPacket emulates DDIO: the NIC writes the arriving packet's header
@@ -471,12 +550,11 @@ func (h *Hierarchy) accessLine(vline uint64) (Level, uint64) {
 // through to L1 as drivers touch descriptors), so the first header access
 // does not pay a compulsory DRAM miss. No cycles are charged to the NF.
 func (h *Hierarchy) InjectPacket(vaddr uint64, length int) {
-	lb := uint64(h.geo.LineBytes)
 	end := vaddr + uint64(length)
 	// DDIO placement is not an NF memory access: preserve the counters.
 	saved := h.Stats
-	for line := vaddr &^ (lb - 1); line < end; line += lb {
-		h.accessLine(line)
+	for line := vaddr &^ h.lineMask; line < end; line += h.lineMask + 1 {
+		h.Access(line, 1, true)
 	}
 	h.Stats = saved
 }
@@ -511,84 +589,59 @@ func (h *Hierarchy) ProbeBatch(sets [][]uint64, rounds int) []uint64 {
 	h.probeBudget.Charge(lineReads)
 
 	out := make([]uint64, len(sets))
-	var acc Counters
+	var served [DRAM + 1]uint64 // line reads by serving level
 	var evictions uint64
 	for i, addrs := range sets {
-		out[i] = h.probeSet(addrs, rounds, &acc, &evictions)
+		out[i] = h.probeSet(addrs, rounds, &served, &evictions)
 	}
-	h.obs.accesses.Add(acc.Accesses)
-	h.obs.l1Hits.Add(acc.L1Hits)
-	h.obs.l2Hits.Add(acc.L2Hits)
-	h.obs.l3Hits.Add(acc.L3Hits)
-	h.obs.dram.Add(acc.DRAM)
+	h.obs.accesses.Add(lineReads)
+	h.obs.l1Hits.Add(served[L1])
+	h.obs.l2Hits.Add(served[L2])
+	h.obs.l3Hits.Add(served[L3])
+	h.obs.dram.Add(served[DRAM])
 	h.obs.l3Evictions.Add(evictions)
 	return out
 }
 
-// probeSet times one probe set with precomputed line indices; per-level
-// tallies land in acc (NF-visible Stats are never touched, matching the
-// save/restore the scalar path used).
-func (h *Hierarchy) probeSet(addrs []uint64, rounds int, acc *Counters, evictions *uint64) uint64 {
+// probeSet times one probe set. It differs from a loop of Access only
+// in where the indices and tallies come from: indices are computed once
+// per address, tallies land in served (NF-visible Stats are never
+// touched, matching the save/restore the scalar path used).
+func (h *Hierarchy) probeSet(addrs []uint64, rounds int, served *[DRAM + 1]uint64, evictions *uint64) uint64 {
 	h.Flush()
-	n := len(addrs)
-	sc := &h.scratch
-	sc.grow(n)
-	lineMask := ^(uint64(h.geo.LineBytes) - 1)
-	shift := lineShift(h.geo)
+	if cap(h.scratch) < len(addrs) {
+		h.scratch = make([]probeLine, len(addrs))
+	}
+	lines := h.scratch[:len(addrs)]
 	// First-touch page allocation happens here in address order — the
 	// same order the scalar warm-up pass would allocate in.
 	for i, a := range addrs {
-		pline := h.translate(a&lineMask) >> shift
-		sc.tag[i] = pline + 1
-		sc.l1set[i] = int32(pline % uint64(h.geo.L1Sets))
-		sc.l2set[i] = int32(pline % uint64(h.geo.L2Sets))
-		sc.l3set[i] = int32(h.l3Set(pline))
+		pline := h.translate(a&^h.lineMask) >> h.lineShift
+		lines[i] = probeLine{
+			tag: pline + 1,
+			s1:  int32(h.l1.index(pline)),
+			s2:  int32(h.l2.index(pline)),
+			s3:  int32(h.l3Set(pline)),
+		}
 	}
 	var total uint64
 	for r := 0; r <= rounds; r++ {
-		for i := 0; i < n; i++ {
-			cyc := h.probeLine(sc.tag[i], int(sc.l1set[i]), int(sc.l2set[i]), int(sc.l3set[i]), acc, evictions)
+		for i := range lines {
+			p := &lines[i]
+			lvl, evicted := h.touch(p.tag, int(p.s1), int(p.s2), int(p.s3))
+			served[lvl]++
+			if evicted {
+				*evictions++
+			}
 			if r > 0 { // round 0 is the excluded warm-up pass
-				total += cyc
+				total += h.lat[lvl]
 			}
 		}
 	}
-	acc.Accesses += uint64(n * (rounds + 1))
 	if h.probeFault != nil {
 		total = h.probeFault(addrs, total)
 	}
 	return total
-}
-
-// probeLine is accessLine with translation and set selection hoisted out;
-// the lookup/insert/invalidate sequence (and thus LRU clock evolution) is
-// identical.
-func (h *Hierarchy) probeLine(tag uint64, l1set, l2set, l3set int, acc *Counters, evictions *uint64) uint64 {
-	if h.l1.lookup(l1set, tag) {
-		acc.L1Hits++
-		return h.geo.LatL1
-	}
-	if h.l2.lookup(l2set, tag) {
-		acc.L2Hits++
-		h.l1.insert(l1set, tag)
-		return h.geo.LatL2
-	}
-	if h.l3.lookup(l3set, tag) {
-		acc.L3Hits++
-		h.l2.insert(l2set, tag)
-		h.l1.insert(l1set, tag)
-		return h.geo.LatL3
-	}
-	acc.DRAM++
-	if evicted := h.l3.insert(l3set, tag); evicted != 0 {
-		*evictions++
-		ep := evicted - 1
-		h.l1.invalidate(int(ep%uint64(h.geo.L1Sets)), evicted)
-		h.l2.invalidate(int(ep%uint64(h.geo.L2Sets)), evicted)
-	}
-	h.l2.insert(l2set, tag)
-	h.l1.insert(l1set, tag)
-	return h.geo.LatDRAM
 }
 
 // CyclesToNanos converts cycles to nanoseconds at the configured clock.
@@ -600,7 +653,7 @@ func (h *Hierarchy) CyclesToNanos(cycles uint64) float64 {
 // not by cachemodel) returning the hidden (slice,set) index of a virtual
 // address.
 func (h *Hierarchy) DebugContentionSet(vaddr uint64) int {
-	return h.l3Set(h.translate(vaddr) >> lineShift(h.geo))
+	return h.l3Set(h.translate(vaddr) >> h.lineShift)
 }
 
 // String summarizes the geometry.

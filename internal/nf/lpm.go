@@ -1,6 +1,7 @@
 package nf
 
 import (
+	"bytes"
 	"fmt"
 
 	"castan/internal/interp"
@@ -170,10 +171,8 @@ func NewLPMDirect1() (*Instance, error) {
 					continue
 				}
 				start := uint64(r.Prefix) >> (32 - dl1Bits)
-				count := uint64(1) << (dl1Bits - r.Len)
-				for e := uint64(0); e < count; e++ {
-					m.Mem.StoreByte(tbl.Addr+start+e, byte(r.Port))
-				}
+				count := 1 << (dl1Bits - r.Len)
+				m.Mem.WriteBytes(tbl.Addr+start, bytes.Repeat([]byte{byte(r.Port)}, count))
 			}
 		}
 		return nil

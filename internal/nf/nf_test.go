@@ -388,3 +388,39 @@ func TestChainCollisionSlowsLookup(t *testing.T) {
 		t.Errorf("colliding inserts did not grow lookup cost: %v", costs)
 	}
 }
+
+// TestDL1TableContents checks the table setup fills route by route
+// against longest-prefix match — at both edges of every route's run, just
+// outside them, and on a stride that visits every page — and that filling
+// it materializes exactly the pages the routes cover.
+func TestDL1TableContents(t *testing.T) {
+	inst := build(t, "lpm-dl1")
+	routes := DefaultFIB(false)
+	tbl := inst.AttackRegions[0]
+	if tbl.Size != dl1Entries {
+		t.Fatalf("table region is %d bytes, want %d", tbl.Size, dl1Entries)
+	}
+	covered := map[uint64]bool{}
+	check := func(e uint64) {
+		want := byte(LookupFIB(routes, uint32(e)<<(32-dl1Bits)))
+		if got := inst.Machine.Mem.LoadByte(tbl.Addr + e); got != want {
+			t.Fatalf("entry %#x holds port %d, longest-prefix match says %d", e, got, want)
+		}
+		if want != 0 {
+			covered[(tbl.Addr+e)>>12] = true
+		}
+	}
+	for e := uint64(0); e < dl1Entries; e += 13 {
+		check(e)
+	}
+	for _, r := range routes {
+		start := uint64(r.Prefix) >> (32 - dl1Bits)
+		end := start + 1<<(dl1Bits-r.Len)
+		for _, e := range []uint64{start - 1, start, end - 1, end} {
+			check(e % dl1Entries)
+		}
+	}
+	if got := inst.Machine.Mem.PagesTouched(); got != len(covered) {
+		t.Errorf("setup materialized %d pages, routes cover %d", got, len(covered))
+	}
+}

@@ -92,19 +92,16 @@ func Measure(nfName string, wl *workload.Workload, opt Options) (*Measurement, e
 		return nil, err
 	}
 	hier := memsim.New(opt.Geometry, opt.Seed)
-	cost := icfg.DefaultCostModel()
+	price := newPriceList(icfg.DefaultCostModel())
 
-	var cycles, instrs, misses uint64
+	// Loads and stores are priced by where the hierarchy serves them;
+	// everything else is priced per packet from the machine's own
+	// instruction tally (see priceList).
+	var memCycles, misses uint64
 	inst.Machine.Hooks = interp.Hooks{
-		OnInstr: func(fn *ir.Func, in *ir.Instr) {
-			instrs++
-			if in.Op != ir.OpLoad && in.Op != ir.OpStore {
-				cycles += cost.InstrCost(in)
-			}
-		},
 		OnMem: func(a interp.MemAccess) {
 			lvl, cyc := hier.Access(a.Addr, a.Size, a.IsWrite)
-			cycles += cyc
+			memCycles += cyc
 			if lvl == memsim.DRAM {
 				misses++
 			}
@@ -135,14 +132,14 @@ func Measure(nfName string, wl *workload.Workload, opt Options) (*Measurement, e
 	serviceNS := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
 		fr := wl.Frames[i%len(wl.Frames)]
-		cycles, instrs, misses = 0, 0, 0
+		memCycles, misses = 0, 0
 		if err := runPacket(fr); err != nil {
 			return nil, fmt.Errorf("testbed: measure: %w", err)
 		}
-		total := cycles + opt.OverheadCycles
+		total := memCycles + price.of(inst.Machine.OpCounts()) + opt.OverheadCycles
 		latency = append(latency, opt.WireNS+hier.CyclesToNanos(total))
 		cyc = append(cyc, float64(total))
-		ins = append(ins, float64(instrs))
+		ins = append(ins, float64(inst.Machine.Steps()))
 		mis = append(mis, float64(misses))
 		serviceNS = append(serviceNS, hier.CyclesToNanos(total))
 	}
@@ -159,6 +156,38 @@ func Measure(nfName string, wl *workload.Workload, opt Options) (*Measurement, e
 	}, nil
 }
 
+// priceList is the cost model laid out the way interp.OpCounts tallies
+// instructions, so a packet's CPU cycles are one multiply-add per cost
+// class instead of one InstrCost call per instruction. Sums of uint64
+// commute, so the total is the one per-instruction accounting gives.
+type priceList struct {
+	op, bin [len(interp.OpCounts{}.Op)]uint64
+}
+
+func newPriceList(cost icfg.CostModel) priceList {
+	var p priceList
+	for op := ir.OpConst; op <= ir.OpHavoc; op++ {
+		switch op {
+		case ir.OpLoad, ir.OpStore: // priced by the hierarchy
+		case ir.OpBin: // priced by operation below
+		default:
+			p.op[op] = cost.InstrCost(&ir.Instr{Op: op})
+		}
+	}
+	for bin := ir.Add; bin <= ir.Lshr; bin++ {
+		p.bin[bin] = cost.InstrCost(&ir.Instr{Op: ir.OpBin, Bin: bin})
+	}
+	return p
+}
+
+func (p *priceList) of(n *interp.OpCounts) uint64 {
+	var cycles uint64
+	for i := range p.op {
+		cycles += n.Op[i]*p.op[i] + n.Bin[i]*p.bin[i]
+	}
+	return cycles
+}
+
 // maxThroughput finds the highest arrival rate (Mpps) at which a
 // single-server queue with the observed service times drops less than 1%
 // of packets, via binary search over deterministic arrivals.
@@ -169,30 +198,36 @@ func maxThroughput(serviceNS []float64, queueDepth int) float64 {
 	if arrivals < 20000 {
 		arrivals = 20000
 	}
+	// finish holds the accepted packets' finish times in arrival order;
+	// the FIFO of packets in the system is finish[head:tail].
+	finish := make([]float64, arrivals)
 	lossAt := func(mpps float64) float64 {
-		interval := 1000.0 / mpps                    // ns between arrivals
-		inSystem := make([]float64, 0, queueDepth+1) // finish times, FIFO
+		interval := 1000.0 / mpps // ns between arrivals
+		head, tail := 0, 0
 		var lastFinish float64
 		drops := 0
+		next := 0 // i % len(serviceNS)
 		for i := 0; i < arrivals; i++ {
-			s := serviceNS[i%len(serviceNS)]
+			s := serviceNS[next]
+			if next++; next == len(serviceNS) {
+				next = 0
+			}
 			t := float64(i) * interval
 			// Depart everything that finished by now.
-			k := 0
-			for k < len(inSystem) && inSystem[k] <= t {
-				k++
+			for head < tail && finish[head] <= t {
+				head++
 			}
-			inSystem = inSystem[k:]
-			if len(inSystem) > queueDepth {
+			if tail-head > queueDepth {
 				drops++
 				continue
 			}
 			start := t
-			if len(inSystem) > 0 {
+			if tail > head {
 				start = lastFinish
 			}
 			lastFinish = start + s
-			inSystem = append(inSystem, lastFinish)
+			finish[tail] = lastFinish
+			tail++
 		}
 		return float64(drops) / float64(arrivals)
 	}
