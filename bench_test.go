@@ -25,56 +25,16 @@ var (
 	campaign     *experiments.Campaign
 )
 
-// benchCampaign returns the shared, full-scale campaign. Workload sizes
-// follow §5.1 (scaled per DESIGN.md); CASTAN packet counts follow the
-// paper's Table 4 where tractable. Under -short (the CI bench-smoke job)
-// every knob is scaled down so the whole suite completes in minutes while
-// still exercising each table and figure end to end.
+// benchCampaign returns the shared campaign: the full evaluation
+// (experiments.Config's zero value, what results/ is generated at), or
+// under -short (the CI bench-smoke job) experiments.Short.
 func benchCampaign() *experiments.Campaign {
 	campaignOnce.Do(func() {
+		var cfg experiments.Config
 		if testing.Short() {
-			campaign = experiments.NewCampaign(experiments.Config{
-				Seed:         2018,
-				Packets:      4096,
-				ZipfUniverse: 512,
-				MeasureCap:   512,
-				CastanStates: 30000,
-				CastanPackets: map[string]int{
-					"nat-ubtree": 6, "lb-ubtree": 6,
-					"nat-rbtree": 6, "lb-rbtree": 6,
-					"lpm-trie": 8, "lpm-dl1": 8, "lpm-dl2": 8,
-					"lb-chain": 8, "nat-chain": 8,
-					"lb-ring": 6, "nat-ring": 6,
-				},
-			})
-			_ = os.MkdirAll("results", 0o755)
-			return
+			cfg = experiments.Short()
 		}
-		campaign = experiments.NewCampaign(experiments.Config{
-			Seed:         2018,
-			Packets:      65536,
-			ZipfUniverse: 4096,
-			MeasureCap:   4096,
-			CastanStates: experiments.CampaignStates,
-			CastanPackets: map[string]int{
-				// Tree analyses are the slowest (as in the paper, where
-				// NAT/unbalanced-tree took 2444 s); the counts below keep
-				// the full campaign within a benchmark run while staying
-				// past every threshold that matters (L3 associativity 16,
-				// visible skew depth).
-				"nat-ubtree": 24,
-				"lb-ubtree":  24,
-				"nat-rbtree": 16,
-				"lb-rbtree":  16,
-				"lpm-trie":   30,
-				"lpm-dl1":    40,
-				"lpm-dl2":    40,
-				"lb-chain":   30,
-				"nat-chain":  30,
-				"lb-ring":    24,
-				"nat-ring":   24,
-			},
-		})
+		campaign = experiments.NewCampaign(cfg)
 		_ = os.MkdirAll("results", 0o755)
 	})
 	return campaign

@@ -50,9 +50,9 @@ func budgetedAnalyze(t *testing.T, workers int) (*obs.Recorder, *castan.Output) 
 
 func degradedRunBytes(t *testing.T, rec *obs.Recorder, out *castan.Output) (report, trace []byte) {
 	t.Helper()
-	// AnalysisTime is wall-clock by design (the paper's Table 4 column);
+	// AnalysisSeconds is wall-clock by design (the paper's Table 4 column);
 	// zero it so the report bytes compare across runs.
-	out.AnalysisTime = 0
+	out.AnalysisSeconds = 0
 	var rb, tb bytes.Buffer
 	if err := out.WriteReport(&rb); err != nil {
 		t.Fatal(err)

@@ -37,11 +37,6 @@ import (
 	"castan/internal/store"
 )
 
-// coreCounters are the effort columns every benchmark row carries: the
-// canonical perf-gate list, shared with the telemetry catalog so
-// docs/TELEMETRY.md and this gate can never disagree about what gates.
-var coreCounters = obs.GateCounters
-
 type row struct {
 	NF       string            `json:"nf"`
 	Error    string            `json:"error,omitempty"`
@@ -144,10 +139,11 @@ func runRows(names []string, packets, states int, seed uint64, st *store.Store) 
 			rows = append(rows, r)
 			continue
 		}
-		r.Seconds = res.AnalysisTime.Seconds()
+		r.Seconds = res.AnalysisSeconds
 		r.Phases = res.Telemetry.Phases
 		r.Counters = map[string]uint64{}
-		for _, c := range coreCounters {
+		// The effort columns every row carries: the catalog's gated rows.
+		for _, c := range obs.GateCounters {
 			r.Counters[c] = res.Telemetry.Counters[c]
 		}
 		r.StepsToWorst = res.StepsToWorstPath

@@ -215,7 +215,7 @@ func main() {
 	w := workload.FromFrames("CASTAN", res.Frames)
 	fmt.Printf("wrote %s: %d packets, %d flows\n", path, len(res.Frames), w.Flows)
 	fmt.Printf("analysis: %.1fs, %d states explored, %d contention sets, havocs %d/%d reconciled\n",
-		res.AnalysisTime.Seconds(), res.StatesExplored, res.ContentionSetsFound,
+		res.AnalysisSeconds, res.StatesExplored, res.ContentionSetsFound,
 		res.HavocsReconciled, res.HavocsTotal)
 	fmt.Printf("predicted path: %d instrs, %d loads, %d stores, %d expected DRAM trips\n",
 		res.Instrs, res.Loads, res.Stores, res.ExpectDRAM)
@@ -224,7 +224,7 @@ func main() {
 			res.StaticCostBound, len(res.Frames), res.StepsToWorstPath)
 	}
 	for i, pm := range res.Packets {
-		fmt.Printf("  packet %2d: %5d predicted cycles\n", i, pm.Cycles)
+		fmt.Printf("  packet %2d: %5d predicted cycles\n", i, pm.PredictedCycles)
 	}
 	if *report != "" {
 		if err := res.WriteReportFile(*report); err != nil {

@@ -32,8 +32,8 @@ func main() {
 		all      = flag.Bool("all", false, "reproduce every table and figure")
 		nfs      = flag.String("nfs", "", "comma-separated NF subset for tables")
 		seed     = flag.Uint64("seed", 2018, "campaign seed")
-		packets  = flag.Int("packets", 0, "Zipfian/UniRand workload size")
-		states   = flag.Int("states", experiments.CampaignStates, "CASTAN exploration budget (default: what results/ was generated at)")
+		packets  = flag.Int("packets", 0, "Zipfian/UniRand workload size (0 = the full campaign's, what results/ was generated at)")
+		states   = flag.Int("states", experiments.CampaignStates, "CASTAN exploration budget (default: the full campaign's)")
 		nfName   = flag.String("nf", "", "measure one NF under a custom workload")
 		pcapIn   = flag.String("pcap", "", "PCAP file with the custom workload")
 		mix      = flag.String("mix", "", "run the adversarial-fraction sweep (§5.5 future work) for this NF")

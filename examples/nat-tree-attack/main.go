@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("analysis took %.1fs over %d states\n\n", out.AnalysisTime.Seconds(), out.StatesExplored)
+	fmt.Printf("analysis took %.1fs over %d states\n\n", out.AnalysisSeconds, out.StatesExplored)
 
 	opts := testbed.Options{Seed: seed, MeasureCap: 4096}
 	manual := workload.FromFrames("Manual", inst.Manual(packets))

@@ -36,7 +36,7 @@ func main() {
 	}
 
 	fmt.Printf("analysis: %.1fs, %d states explored\n",
-		out.AnalysisTime.Seconds(), out.StatesExplored)
+		out.AnalysisSeconds, out.StatesExplored)
 	fmt.Printf("predicted path: %d instructions, %d loads\n\n", out.Instrs, out.Loads)
 	fmt.Println("synthesized adversarial packets (note the destinations walking")
 	fmt.Println("the trie's deepest, most specific routes):")

@@ -29,7 +29,6 @@ import (
 	"castan/internal/expr"
 	"castan/internal/faultinject"
 	"castan/internal/icfg"
-	"castan/internal/interp"
 	"castan/internal/ir"
 	"castan/internal/memsim"
 	"castan/internal/nf"
@@ -152,12 +151,6 @@ const (
 	icfgLoopBound = 8
 )
 
-// PacketMetrics is the per-packet prediction CASTAN emits alongside the
-// workload (the paper's "second file": per-packet CPU model metrics).
-type PacketMetrics struct {
-	Cycles uint64
-}
-
 // StageDegradation records one stage the pipeline had to cut short —
 // budget exhaustion, an injected or real fault — and the fallback that
 // kept the run producing output. Degradations appear in pipeline order,
@@ -202,59 +195,12 @@ type VRangeSummary struct {
 	UnreachableBlocks int  `json:"unreachable_blocks"`
 }
 
-// Output is a completed analysis.
+// Output is a completed analysis: the paper's two files. Frames is the
+// workload (exported as PCAP via internal/pcap); the embedded Report is
+// the per-path metrics file, field for field what WriteReport serializes.
 type Output struct {
-	NF     string
+	Report
 	Frames [][]byte
-	// Predicted per-packet cycle costs along the chosen path.
-	Packets []PacketMetrics
-	// Instrs/Loads/Stores/ExpectDRAM/ExpectHit summarize the chosen path.
-	Instrs, Loads, Stores uint64
-	ExpectDRAM, ExpectHit uint64
-	// HavocsTotal and HavocsReconciled report §3.5's outcome.
-	HavocsTotal      int
-	HavocsReconciled int
-	// LintWarnings counts static-analysis warnings on the NF module (the
-	// gate rejects modules with errors before exploration starts).
-	LintWarnings int
-	// StaticHavocSites counts the OpHavoc sites found statically; the
-	// rainbow builder only spends effort on hash IDs the taint analysis
-	// could not prove input-independent.
-	StaticHavocSites int
-	// Taint summarizes the input-taint dataflow analysis of the module.
-	Taint TaintSummary
-	// VRange summarizes the value-range abstract interpretation.
-	VRange VRangeSummary
-	// ContentionSetsFound is the discovery result size (0 = no model).
-	ContentionSetsFound int
-	// StaticCostBound is the abstract cache analysis's worst-case cycle
-	// bound for the whole synthesized workload (0 when the analysis is
-	// disabled or the NF has no static bound).
-	StaticCostBound uint64
-	// StepsToWorstPath is how many state pops the searcher needed before
-	// the state that ended up best completed.
-	StepsToWorstPath int
-	// StatesExplored, Forks and AnalysisTime describe the effort (Table 4).
-	StatesExplored int
-	Forks          int
-	AnalysisTime   time.Duration
-	// Degradations lists the stages that were cut short and their
-	// fallbacks, in pipeline order (empty for a clean run). A non-empty
-	// list means the workload is best-effort, not the full analysis.
-	Degradations []StageDegradation
-	// UnreconciledSites lists the hash IDs of havoc sites left
-	// unreconciled (sorted, deduplicated). Unreconciled sites occur in
-	// healthy runs too (§5.4's related-key failure); under degradation
-	// the list flags which parts of the workload rest on unconstrained
-	// hash outputs.
-	UnreconciledSites []int
-	// BudgetTicksUsed is the meter total at the end of the run: all
-	// ticks charged across stages, whether or not a limit was hit (0
-	// when no meter was configured).
-	BudgetTicksUsed uint64
-	// Telemetry is the observability snapshot for this run (nil unless
-	// Config.Obs was set).
-	Telemetry *obs.Metrics
 }
 
 // Degraded reports whether any stage was cut short.
@@ -289,9 +235,8 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	// symbolic exploration explore garbage; reject it up front. The same
 	// run yields the facts the later stages reuse: the memory-region
 	// footprints seed contention-set candidates when the NF declares no
-	// attack regions, and the static havoc sites bound rainbow-table work.
-	rec.StageBegin("castan.static")
-	spStatic := root.Child("castan.static")
+	// attack regions.
+	spStatic := root.Stage("castan.static")
 	rep := analysis.Lint(inst.Mod, analysis.Options{
 		EntryHints: analysis.NFEntryHints(),
 		NoDeadDefs: true,
@@ -301,7 +246,6 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 			inst.Mod.Name, rep.Findings[0].String())
 	}
 	mf, mr := rep.Facts, rep.Regions
-	staticSites := mf.HavocSites()
 	// Input-taint dataflow over the same facts: classifies every value as
 	// input-independent, affine in input bytes, or opaque. It powers the
 	// engine's concrete folding, and replaces the footprint-based havoc
@@ -330,7 +274,6 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 		}
 	}
 	spStatic.End()
-	rec.StageEnd("castan.static")
 
 	// Stage 1: empirical cache model over the NF's attack regions; when
 	// the NF declares none, fall back to the statically derived table
@@ -339,8 +282,7 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	if len(regions) == 0 {
 		regions = staticAttackRegions(mr)
 	}
-	rec.StageBegin("castan.discover")
-	spDiscover := root.Child("castan.discover")
+	spDiscover := root.Stage("castan.discover")
 	// Probe ticks charge the "discover" stage through the hierarchy
 	// itself (forks inherit the stage); the fault hook perturbs probe
 	// timings. Both are cleared after discovery — later stages never
@@ -370,9 +312,8 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	}
 	hier.SetBudget(nil)
 	hier.SetProbeFault(nil)
-	spDiscover.End()
 	rec.Counter("castan.contention_sets").Add(uint64(modelSets(model)))
-	rec.StageEnd("castan.discover")
+	spDiscover.End()
 
 	// Stage 1.5: abstract cache analysis. The must/may fixpoint classifies
 	// every load/store (always-hit accesses cost MemL1, everything else is
@@ -383,8 +324,7 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	// each other.
 	var cc *cachecost.Analysis
 	if !cfg.NoStaticCost {
-		rec.StageBegin("castan.cachecost")
-		spCache := root.Child("castan.cachecost")
+		spCache := root.Stage("castan.cachecost")
 		geo := hier.Geometry()
 		cc = cachecost.Run(mf, mr, cachecost.Config{
 			Geometry: cachecost.Geometry{Ways: geo.L3Assoc(), LineBytes: geo.LineBytes},
@@ -392,15 +332,13 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 			Obs:      rec,
 		})
 		spCache.End()
-		rec.StageEnd("castan.cachecost")
 	}
 
 	// Stage 2: directed symbolic execution. Realized costs use the
 	// realistic model; the search heuristic uses an optimistic one
 	// (memory at DRAM latency, loops assumed to run as often as there are
 	// packets), so the best-first queue surfaces worst-case paths first.
-	rec.StageBegin("castan.icfg")
-	spICFG := root.Child("castan.icfg")
+	spICFG := root.Stage("castan.icfg")
 	an, err := icfg.Analyze(inst.Mod, 2, icfg.DefaultCostModel())
 	if err != nil {
 		return nil, fmt.Errorf("castan: icfg: %w", err)
@@ -410,7 +348,6 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 		return nil, fmt.Errorf("castan: icfg potential: %w", err)
 	}
 	spICFG.End()
-	rec.StageEnd("castan.icfg")
 	eng := &symbex.Engine{
 		Mod:               inst.Mod,
 		Analysis:          an,
@@ -433,11 +370,9 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 		VRange:      vr,
 		Memo:        memo,
 	}
-	rec.StageBegin("castan.symbex")
-	spSymbex := root.Child("castan.symbex")
+	spSymbex := root.Stage("castan.symbex")
 	res, err := eng.Run()
 	spSymbex.End()
-	rec.StageEnd("castan.symbex")
 	if err != nil {
 		return nil, fmt.Errorf("castan: symbex: %w", err)
 	}
@@ -445,15 +380,13 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	// Stages 3+4: reconcile havocs and solve. finish carries everything
 	// common to the clean path and the degraded ones: summary fields,
 	// the crosscheck sanitizer, degradation counters, spans, telemetry.
-	rec.StageBegin("castan.reconcile")
-	spReconcile := root.Child("castan.reconcile")
-	finish := func(out *Output) (*Output, error) {
+	spReconcile := root.Stage("castan.reconcile")
+	finish := func(out *Output, cycles []uint64) (*Output, error) {
+		out.Packets = packetReports(out.Frames, cycles)
 		out.ContentionSetsFound = modelSets(model)
 		out.StatesExplored = res.StatesExplored
 		out.Forks = res.Forks
 		out.StepsToWorstPath = res.PopsToBest
-		out.LintWarnings = rep.Count(analysis.SevWarn)
-		out.StaticHavocSites = len(staticSites)
 		st := ta.Stats()
 		out.Taint = TaintSummary{
 			Instructions:      st.Instructions,
@@ -488,12 +421,10 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 			// injected faults a failure is the expected consequence of a
 			// corrupted cache model, so a faulty or already-degraded run
 			// downgrades the alarm to a degradation instead of dying.
-			rec.StageBegin("castan.crosscheck")
-			spCheck := root.Child("castan.crosscheck")
+			spCheck := root.Stage("castan.crosscheck")
 			ccErr := cachecost.CrossCheck(cc, inst.Machine,
 				memsim.New(hier.Geometry(), cfg.Seed), "nf_process", out.Frames)
 			spCheck.End()
-			rec.StageEnd("castan.crosscheck")
 			if ccErr != nil {
 				if len(degr) == 0 && !cfg.Faults.Enabled() {
 					return nil, fmt.Errorf("castan: static cache analysis unsound on %s: %w",
@@ -507,11 +438,10 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 		for _, d := range degr {
 			rec.Counter("castan.degraded." + d.Stage).Inc()
 		}
-		out.AnalysisTime = time.Since(start)
+		out.AnalysisSeconds = time.Since(start).Seconds()
 		// End the spans before snapshotting so every phase is in the
 		// snapshot; Telemetry is the last field assigned.
 		spReconcile.End()
-		rec.StageEnd("castan.reconcile")
 		root.End()
 		out.Telemetry = rec.Snapshot()
 		return out, nil
@@ -532,8 +462,9 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 		if reason == "" {
 			reason = "no state consumed all packets under injected faults"
 		}
-		out := &Output{NF: inst.Name}
+		out := &Output{Report: Report{NF: inst.Name}}
 		mdl := solver.Model{}
+		var cycles []uint64
 		if st := res.BestPartial; st != nil {
 			degrade("symbex", reason,
 				fmt.Sprintf("most-progressed partial state (%d/%d packets)", st.PacketsDone, cfg.NPackets))
@@ -546,14 +477,12 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 				unrec[h.HashID] = true
 			}
 			out.UnreconciledSites = sortedSites(unrec)
-			for _, c := range st.PacketCosts {
-				out.Packets = append(out.Packets, PacketMetrics{Cycles: c})
-			}
+			cycles = st.PacketCosts
 		} else {
 			degrade("symbex", reason, "no surviving states; zero-model frames")
 		}
 		out.Frames = buildFrames(eng, mdl, cfg, degrade)
-		return finish(out)
+		return finish(out, cycles)
 	}
 	if res.BudgetExhausted != "" {
 		degrade("symbex", res.BudgetExhausted, "best completed state from truncated search")
@@ -571,7 +500,7 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 			continue
 		}
 		degr = attempt
-		return finish(out)
+		return finish(out, st.PacketCosts)
 	}
 	return nil, fmt.Errorf("castan: no completed state solvable: %v", lastErr)
 }
@@ -909,22 +838,20 @@ func concretize(inst *nf.Instance, eng *symbex.Engine, st *symbex.State, cfg Con
 	cfg.Obs.Counter("castan.havocs").Add(uint64(len(st.Havocs)))
 	cfg.Obs.Counter("castan.havocs_reconciled").Add(uint64(reconciled))
 
-	out := &Output{
-		NF:                inst.Name,
-		Frames:            buildFrames(eng, mdl, cfg, degrade),
-		Instrs:            st.Instrs,
-		Loads:             st.Loads,
-		Stores:            st.Stores,
-		ExpectDRAM:        st.ExpectDRAM,
-		ExpectHit:         st.ExpectHit,
-		HavocsTotal:       len(st.Havocs),
-		HavocsReconciled:  reconciled,
-		UnreconciledSites: sortedSites(unrec),
-	}
-	for _, c := range st.PacketCosts {
-		out.Packets = append(out.Packets, PacketMetrics{Cycles: c})
-	}
-	return out, nil
+	return &Output{
+		Report: Report{
+			NF:                inst.Name,
+			Instrs:            st.Instrs,
+			Loads:             st.Loads,
+			Stores:            st.Stores,
+			ExpectDRAM:        st.ExpectDRAM,
+			ExpectHit:         st.ExpectHit,
+			HavocsTotal:       len(st.Havocs),
+			HavocsReconciled:  reconciled,
+			UnreconciledSites: sortedSites(unrec),
+		},
+		Frames: buildFrames(eng, mdl, cfg, degrade),
+	}, nil
 }
 
 // safeReconcile contains a worker panic escaping one havoc's candidate
@@ -1237,9 +1164,10 @@ func Validate(name string, frames [][]byte) (uint64, error) {
 		return 0, err
 	}
 	var instrs uint64
-	inst.Machine.Hooks = interp.Hooks{OnInstr: func(*ir.Func, *ir.Instr) { instrs++ }}
 	for _, fr := range frames {
-		if _, err := inst.Process(fr); err != nil {
+		_, err := inst.Process(fr)
+		instrs += uint64(inst.Machine.Steps())
+		if err != nil {
 			return instrs, err
 		}
 	}

@@ -37,17 +37,24 @@ type Report struct {
 	// StaticCostBound is the abstract cache analysis's worst-case cycle
 	// bound for the whole workload, printed next to measured cycles
 	// (0 = analysis disabled or no static bound).
-	StaticCostBound  uint64  `json:"static_cost_bound,omitempty"`
-	StepsToWorstPath int     `json:"steps_to_worst_path,omitempty"`
-	StatesExplored   int     `json:"states_explored"`
-	Forks            int     `json:"forks"`
-	AnalysisSeconds  float64 `json:"analysis_seconds"`
+	StaticCostBound uint64 `json:"static_cost_bound,omitempty"`
+	// StepsToWorstPath is how many state pops the searcher needed before
+	// the state that ended up best completed.
+	StepsToWorstPath int `json:"steps_to_worst_path,omitempty"`
+	// StatesExplored, Forks and AnalysisSeconds describe the effort
+	// (Table 4); the last is wall-clock.
+	StatesExplored  int     `json:"states_explored"`
+	Forks           int     `json:"forks"`
+	AnalysisSeconds float64 `json:"analysis_seconds"`
 	// Degradations lists the stages the run had to cut short (absent for
 	// a clean run); a consumer seeing any entry knows the workload is
 	// best-effort rather than the full analysis.
 	Degradations []StageDegradation `json:"degradations,omitempty"`
 	// UnreconciledSites lists hash sites whose havocs were left
 	// unreconciled (sorted hash IDs; absent when every site reconciled).
+	// They occur in healthy runs too (§5.4's related-key failure); under
+	// degradation the list flags which parts of the workload rest on
+	// unconstrained hash outputs.
 	UnreconciledSites []int `json:"unreconciled_sites,omitempty"`
 	// BudgetTicksUsed is the deterministic tick total the run consumed
 	// (absent when no budget meter was configured).
@@ -64,48 +71,29 @@ type PacketReport struct {
 	PredictedCycles uint64 `json:"predicted_cycles"`
 }
 
-// Report builds the serializable summary of an Output.
-func (o *Output) Report() *Report {
-	r := &Report{
-		NF:                  o.NF,
-		Instrs:              o.Instrs,
-		Loads:               o.Loads,
-		Stores:              o.Stores,
-		ExpectDRAM:          o.ExpectDRAM,
-		ExpectHit:           o.ExpectHit,
-		HavocsTotal:         o.HavocsTotal,
-		HavocsReconciled:    o.HavocsReconciled,
-		ContentionSetsFound: o.ContentionSetsFound,
-		Taint:               o.Taint,
-		VRange:              o.VRange,
-		StaticCostBound:     o.StaticCostBound,
-		StepsToWorstPath:    o.StepsToWorstPath,
-		StatesExplored:      o.StatesExplored,
-		Forks:               o.Forks,
-		AnalysisSeconds:     o.AnalysisTime.Seconds(),
-		Degradations:        o.Degradations,
-		UnreconciledSites:   o.UnreconciledSites,
-		BudgetTicksUsed:     o.BudgetTicksUsed,
-		Telemetry:           o.Telemetry,
-	}
-	for i, fr := range o.Frames {
+// packetReports describes each frame of a workload: its flow, and the
+// cycles the chosen path predicts for it (0 past the last packet a
+// partial state reached).
+func packetReports(frames [][]byte, cycles []uint64) []PacketReport {
+	var prs []PacketReport
+	for i, fr := range frames {
 		pr := PacketReport{Index: i}
-		if i < len(o.Packets) {
-			pr.PredictedCycles = o.Packets[i].Cycles
+		if i < len(cycles) {
+			pr.PredictedCycles = cycles[i]
 		}
 		if p, err := packet.Parse(fr); err == nil {
 			pr.Flow = p.Tuple().String()
 		}
-		r.Packets = append(r.Packets, pr)
+		prs = append(prs, pr)
 	}
-	return r
+	return prs
 }
 
 // WriteReport serializes the report as indented JSON.
 func (o *Output) WriteReport(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(o.Report())
+	return enc.Encode(&o.Report)
 }
 
 // WriteReportFile writes the report to a file.

@@ -44,7 +44,7 @@ func analyzeStored(t *testing.T, name, dir string, cfg Config) (*Output, *obs.Re
 // the telemetry snapshot (which records discovery effort).
 func storedComparable(o *Output) Output {
 	c := *o
-	c.AnalysisTime = 0
+	c.AnalysisSeconds = 0
 	c.Telemetry = nil
 	return c
 }

@@ -23,26 +23,50 @@ import (
 	"castan/internal/workload"
 )
 
-// CampaignStates is the exploration budget the checked-in results/ were
-// generated at (bench_test.go's full campaign) and cmd/testbed's default.
-// Config's own default is far smaller — enough for tests, too small for
-// lpm-trie's 30-packet workload behind Figures 7 and 8.
+// CampaignStates is the exploration budget of the full campaign (and so
+// cmd/testbed's -states default). Test campaigns pass far less; lpm-trie's
+// 30-packet workload behind Figures 7 and 8 needs this much.
 const CampaignStates = 120000
 
-// Config scales a campaign. The zero value reproduces the full evaluation;
-// tests use smaller workloads and budgets.
+// campaignPackets is the full campaign's synthesized workload length per
+// NF. Tree analyses are the slowest (as in the paper, where
+// NAT/unbalanced-tree took 2444 s); these counts keep the whole campaign
+// within a benchmark run while staying past every threshold that matters
+// (L3 associativity 16, visible skew depth).
+var campaignPackets = map[string]int{
+	"nat-ubtree": 24,
+	"lb-ubtree":  24,
+	"nat-rbtree": 16,
+	"lb-rbtree":  16,
+	"lpm-trie":   30,
+	"lpm-dl1":    40,
+	"lpm-dl2":    40,
+	"lb-chain":   30,
+	"nat-chain":  30,
+	"lb-ring":    24,
+	"nat-ring":   24,
+}
+
+// Config scales a campaign. The zero value is the full evaluation: the
+// campaign the checked-in results/ were generated at, which is what
+// `go test -bench .` and cmd/testbed at its defaults both run. Workload
+// sizes follow §5.1 (scaled per DESIGN.md). Tests pass smaller workloads
+// and budgets; Short is the scale-down CI's bench-smoke uses.
 type Config struct {
+	// Seed defaults to 2018.
 	Seed uint64
 	// Packets is the Zipfian/UniRand workload size (default 65536).
 	Packets int
 	// ZipfUniverse is the Zipfian flow universe (default 4096).
 	ZipfUniverse int
-	// MeasureCap bounds measured packets per experiment (default 8192).
+	// MeasureCap bounds measured packets per experiment (default 4096).
 	MeasureCap int
-	// CastanStates is CASTAN's exploration budget per NF (default 6000).
+	// CastanStates is CASTAN's exploration budget per NF (default
+	// CampaignStates).
 	CastanStates int
-	// CastanPackets overrides the synthesized workload length per NF;
-	// missing entries use the paper's Table 4 sizes.
+	// CastanPackets is the synthesized workload length per NF (default:
+	// the full campaign's sizes); NFs it does not list use the paper's
+	// Table 4 sizes.
 	CastanPackets map[string]int
 	// Workers bounds the campaign fan-out (0 = GOMAXPROCS): per-NF CASTAN
 	// analyses, per-workload measurements, and the parallel stages inside
@@ -62,6 +86,25 @@ type Config struct {
 	Store *store.Store
 }
 
+// Short is the campaign `go test -short -bench .` runs (CI's bench-smoke):
+// every knob scaled down so the whole suite completes in minutes while
+// still exercising each table and figure end to end.
+func Short() Config {
+	return Config{
+		Packets:      4096,
+		ZipfUniverse: 512,
+		MeasureCap:   512,
+		CastanStates: 30000,
+		CastanPackets: map[string]int{
+			"nat-ubtree": 6, "lb-ubtree": 6,
+			"nat-rbtree": 6, "lb-rbtree": 6,
+			"lpm-trie": 8, "lpm-dl1": 8, "lpm-dl2": 8,
+			"lb-chain": 8, "nat-chain": 8,
+			"lb-ring": 6, "nat-ring": 6,
+		},
+	}
+}
+
 func (c *Config) fill() {
 	if c.Seed == 0 {
 		c.Seed = 2018
@@ -73,10 +116,13 @@ func (c *Config) fill() {
 		c.ZipfUniverse = workload.DefaultZipfUniverse
 	}
 	if c.MeasureCap <= 0 {
-		c.MeasureCap = 8192
+		c.MeasureCap = 4096
 	}
 	if c.CastanStates <= 0 {
-		c.CastanStates = 6000
+		c.CastanStates = CampaignStates
+	}
+	if c.CastanPackets == nil {
+		c.CastanPackets = campaignPackets
 	}
 }
 
@@ -413,7 +459,7 @@ func (c *Campaign) Table4(nfs []string) (*Table, error) {
 			Label: nfName,
 			Cells: []string{
 				fmt.Sprintf("%d", len(out.Frames)),
-				fmt.Sprintf("%.1f", out.AnalysisTime.Seconds()),
+				fmt.Sprintf("%.1f", out.AnalysisSeconds),
 				fmt.Sprintf("%d", out.StatesExplored),
 				fmt.Sprintf("%d/%d", out.HavocsReconciled, out.HavocsTotal),
 			},

@@ -325,3 +325,48 @@ func TestServeDebugMetricsz(t *testing.T) {
 		t.Errorf("pprof index status = %d", resp2.StatusCode)
 	}
 }
+
+// TestStageIsBeginChildEndEnd pins Span.Stage to the four calls it stands
+// for — stage_begin, child span, span end, stage_end — clock reading for
+// clock reading, with and without a subscriber, so a pipeline written
+// either way records the same events and publishes the same stream. A nil
+// root (no recorder) opens nil stages whose End is a no-op.
+func TestStageIsBeginChildEndEnd(t *testing.T) {
+	for _, subscribed := range []bool{true, false} {
+		run := func(stage func(rec *Recorder, root *Span, name string, work func())) ([]ProgressEvent, []Event) {
+			rec := New(NewFakeClock(1000))
+			sub := NewChanSub(64)
+			if subscribed {
+				rec.Subscribe(sub)
+			}
+			root := rec.Span("root")
+			stage(rec, root, "a", func() { rec.Counter("c").Add(3) })
+			stage(rec, root, "b", func() { rec.Progress("b", "batch", 1, 2) })
+			root.End()
+			return drain(sub), rec.Events()
+		}
+		wantPub, wantSpans := run(func(rec *Recorder, root *Span, name string, work func()) {
+			rec.StageBegin(name)
+			sp := root.Child(name)
+			work()
+			sp.End()
+			rec.StageEnd(name)
+		})
+		gotPub, gotSpans := run(func(_ *Recorder, root *Span, name string, work func()) {
+			sp := root.Stage(name)
+			work()
+			sp.End()
+		})
+		if fmt.Sprint(gotPub) != fmt.Sprint(wantPub) {
+			t.Errorf("subscribed=%v: published\n %v\nwant\n %v", subscribed, gotPub, wantPub)
+		}
+		if fmt.Sprint(gotSpans) != fmt.Sprint(wantSpans) {
+			t.Errorf("subscribed=%v: spans\n %v\nwant\n %v", subscribed, gotSpans, wantSpans)
+		}
+		if subscribed && len(gotPub) != 5 {
+			t.Errorf("published %d events, want 5", len(gotPub))
+		}
+	}
+	var none *Span
+	none.Stage("x").End()
+}

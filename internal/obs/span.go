@@ -13,6 +13,7 @@ type Span struct {
 	id     int64
 	parent int64
 	start  uint64
+	stage  bool // opened by Stage: End also publishes stage_end
 }
 
 // Event is one completed span in the JSONL event sink.
@@ -46,8 +47,24 @@ func (s *Span) Child(name string) *Span {
 	return s.r.span(name, s.id)
 }
 
-// End completes the span and emits it to the event sink. End is
-// idempotent-unsafe by design: call it exactly once.
+// Stage opens a pipeline stage under s: it publishes the stage_begin
+// progress event and then starts the child span, both under one name, and
+// the returned span's End closes both in the reverse order. The name is
+// the stage's identity on the event bus, in the trace and in the catalog's
+// phase rows, so it is written once per stage.
+func (s *Span) Stage(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	s.r.StageBegin(name)
+	c := s.r.span(name, s.id)
+	c.stage = true
+	return c
+}
+
+// End completes the span and emits it to the event sink; a span opened
+// by Stage then publishes its stage_end. End is idempotent-unsafe by
+// design: call it exactly once.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -57,6 +74,9 @@ func (s *Span) End() {
 	s.r.mu.Lock()
 	s.r.events = append(s.r.events, ev)
 	s.r.mu.Unlock()
+	if s.stage {
+		s.r.StageEnd(s.name)
+	}
 }
 
 // Events returns a copy of the completed spans in sorted emission order:

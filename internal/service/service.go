@@ -61,7 +61,7 @@ import (
 	"castan/internal/store"
 )
 
-// Service counter and gauge names (see docs/TELEMETRY.md).
+// Service counter and gauge names.
 const (
 	CounterRequests         = "service.requests"
 	CounterAccepted         = "service.accepted"
@@ -82,6 +82,36 @@ const (
 	GaugeQueueDepth         = "service.queue_depth"
 	GaugeInflight           = "service.inflight"
 )
+
+// Instruments is the daemon's half of the telemetry catalog (the
+// pipeline's is obs.Catalog): a row per instrument a Server keeps on its
+// own recorder, all of them created at construction so /metrics lists
+// them from the first scrape. They count scheduling, which depends on
+// arrival order and timing, so none is a perf-gate column.
+var Instruments = []obs.Instrument{
+	counter(CounterRequests, "requests", "calls to Server.Do, whatever their outcome"),
+	counter(CounterAccepted, "requests", "requests that passed admission and were queued"),
+	counter(CounterRejectedInvalid, "requests", "requests refused with 400: unknown NF, out-of-range size, or a chaos/fault order the server does not allow"),
+	counter(CounterRejectedQueue, "requests", "requests refused with 429 because the queue was full and held nothing of lower priority to shed"),
+	counter(CounterRejectedTenant, "requests", "requests refused with 429 because their tenant was at its concurrency cap"),
+	counter(CounterRejectedBudget, "requests", "requests refused with 429 because their tenant's tick budget was spent"),
+	counter(CounterRejectedDraining, "requests", "requests refused with 503 after Shutdown began"),
+	counter(CounterRejectedQuarant, "requests", "requests refused with 503 because their shape's circuit breaker is open"),
+	counter(CounterShed, "requests", "queued requests evicted (answered 429) to admit a higher-priority arrival under a full queue"),
+	counter(CounterCompleted, "requests", "analyses that ran to a report (HTTP 200), degraded ones included"),
+	counter(CounterDegraded, "requests", "completed analyses whose report lists at least one stage degradation"),
+	counter(CounterCrashes, "crashes", "worker panics contained while running a job"),
+	counter(CounterRestarts, "restarts", "worker goroutines the supervisor started again after a crash"),
+	counter(CounterQuarantineOpens, "shapes", "request shapes whose circuit breaker opened after repeated crashes"),
+	counter(CounterCacheHits, "requests", "idempotent retries answered from a clean report persisted in the store, before admission"),
+	counter(CounterSingleflight, "requests", "requests that joined an identical in-flight request instead of running their own analysis"),
+	{Name: GaugeQueueDepth, Kind: obs.GaugeKind, Unit: "requests", Owner: "internal/service", Desc: "current/peak number of admitted requests waiting for a worker"},
+	{Name: GaugeInflight, Kind: obs.GaugeKind, Unit: "requests", Owner: "internal/service", Desc: "current/peak number of requests a worker is running"},
+}
+
+func counter(name, unit, desc string) obs.Instrument {
+	return obs.Instrument{Name: name, Kind: obs.CounterKind, Unit: unit, Owner: "internal/service", Desc: desc}
+}
 
 // ChaosPanicWorker is the Request.Chaos value that panics the worker
 // goroutine running the job (before any analysis), exercising crash
@@ -700,7 +730,7 @@ func (s *Server) runJob(j *job) (crashed bool) {
 		s.finish(j, Response{Status: 422, Err: err.Error()})
 		return false
 	}
-	rep := out.Report()
+	rep := &out.Report
 	degraded := len(rep.Degradations) > 0
 	s.cCompleted.Inc()
 	if degraded {

@@ -602,3 +602,39 @@ func TestServerOwnsItsRainbowTables(t *testing.T) {
 		t.Errorf("second server persisted %d rainbow tables, want %d: it saw the first server's", got, tables)
 	}
 }
+
+// TestMetricsMatchInstruments is the service half of the telemetry
+// catalog's drift check: a server's recorder carries exactly the
+// instruments the Instruments table declares, with the declared kinds,
+// from construction on — a row without an instrument, or an instrument
+// without a row, fails.
+func TestMetricsMatchInstruments(t *testing.T) {
+	m := newServer(Config{}).Metrics()
+	declared := map[string]obs.InstrumentKind{}
+	for _, in := range Instruments {
+		if _, dup := declared[in.Name]; dup {
+			t.Errorf("%s is declared twice", in.Name)
+		}
+		declared[in.Name] = in.Kind
+	}
+	live := map[string]obs.InstrumentKind{}
+	for n := range m.Counters {
+		live[n] = obs.CounterKind
+	}
+	for n := range m.Gauges {
+		live[n] = obs.GaugeKind
+	}
+	for n := range m.Histograms {
+		live[n] = obs.HistogramKind
+	}
+	for n, k := range declared {
+		if live[n] != k {
+			t.Errorf("Instruments declares %s %s; a new server has %q", k, n, live[n])
+		}
+	}
+	for n, k := range live {
+		if _, ok := declared[n]; !ok {
+			t.Errorf("a new server has %s %s, which Instruments does not declare", k, n)
+		}
+	}
+}
