@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build bench-build test race bench bench-smoke bench-metrics bench-gate store-smoke trace-smoke testbed-smoke fault-smoke fuzz-smoke vrange-ablation service-smoke lint-catalog telemetry-catalog tracediff-selftest fmt fmt-fix vet lint lint-strict irlint print-staticcheck-version check
+.PHONY: all build bench-build test race bench bench-smoke bench-metrics bench-gate store-smoke trace-smoke testbed-smoke fault-smoke fuzz-smoke service-smoke lint-catalog telemetry-catalog tracediff-selftest fmt fmt-fix vet lint lint-strict irlint print-staticcheck-version check
 
 # Pinned staticcheck release; CI installs exactly this version.
 STATICCHECK_VERSION = 2025.1.1
@@ -136,29 +136,6 @@ fault-smoke:
 			-nf $$n -require-degraded; \
 	done
 
-# Value-range ablation smoke (what CI runs): one cmd/castan run on a
-# ring NF with -no-vrange, proving the analysis is cleanly severable —
-# pruning and the solver memo both off, yet the run completes,
-# writes a schema-valid report, and reports zero for every vrange
-# counter. CI overrides VRANGE_ABLATION_DIR and uploads it.
-VRANGE_ABLATION_DIR ?= /tmp/castan-vrange-ablation
-vrange-ablation:
-	mkdir -p $(VRANGE_ABLATION_DIR)
-	$(GO) build -o $(VRANGE_ABLATION_DIR)/castan ./cmd/castan
-	$(VRANGE_ABLATION_DIR)/castan -nf nat-ring -packets 6 -states 4000 \
-		-no-vrange \
-		-out $(VRANGE_ABLATION_DIR)/nat-ring.pcap \
-		-metrics-out $(VRANGE_ABLATION_DIR)/metrics.json \
-		-report $(VRANGE_ABLATION_DIR)/report.json
-	$(VRANGE_ABLATION_DIR)/castan reportcheck -report $(VRANGE_ABLATION_DIR)/report.json \
-		-nf nat-ring
-	@for c in symbex.pruned_edges solver.memo_hits; do \
-		if grep -q "\"$$c\": *[1-9]" $(VRANGE_ABLATION_DIR)/metrics.json; then \
-			echo "-no-vrange run still moved $$c:"; \
-			grep "\"$$c\"" $(VRANGE_ABLATION_DIR)/metrics.json; exit 1; \
-		fi; \
-	done
-
 # Service smoke (what CI runs): boot castand with chaos and a store,
 # drive 50 mixed requests through castanload (tiny budgets forcing
 # degradation, armed fault plans, idempotency-key collisions, retried
@@ -240,7 +217,8 @@ irlint:
 # arbitrary bytes in a store entry's file must read as a miss or as that
 # entry's payload; arbitrary bytes must never panic cachemodel.Load or
 # the pcap reader, and what they accept must survive a write/read round
-# trip.
+# trip; arbitrary bytes POSTed to /v1/analyze must never panic the
+# handler or draw a 5xx, and are a 400 unless they decode and validate.
 FUZZ_TIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/ir/ -run FuzzModuleValidate -count=1
@@ -257,6 +235,8 @@ fuzz-smoke:
 	$(GO) test ./internal/cachemodel/ -fuzz FuzzModelLoad -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/pcap/ -run FuzzPcapRead -count=1
 	$(GO) test ./internal/pcap/ -fuzz FuzzPcapRead -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/service/ -run FuzzAnalyzeBody -count=1
+	$(GO) test ./internal/service/ -fuzz FuzzAnalyzeBody -fuzztime $(FUZZ_TIME)
 
 # Lint-catalog gate (what CI runs): regenerate the full irlint -json
 # document (findings with source coordinates, cache-cost stats, taint

@@ -60,7 +60,6 @@ func main() {
 		storeDir = flag.String("store", "", "cross-run artifact store directory: cache models and rainbow tables are reused from it and persisted to it; a warm store skips discovery with byte-identical output")
 		report   = flag.String("report", "", "write the per-packet metrics report (JSON) to this path")
 		noRain   = flag.Bool("no-rainbow", false, "disable havoc reconciliation (ablation)")
-		noVR     = flag.Bool("no-vrange", false, "disable value-range pruning and the solver memo (ablation)")
 		validate = flag.Bool("validate", true, "replay the workload on the interpreter as a sanity check")
 		workers  = flag.Int("workers", 0, "worker count for parallel analysis stages (0 = GOMAXPROCS); output is identical at any value")
 		trace    = flag.String("trace", "", "write a Chrome trace_event file (load in chrome://tracing or ui.perfetto.dev) of the pipeline to this path")
@@ -106,7 +105,6 @@ func main() {
 		Seed:         *seed,
 		NoCacheModel: *noCache,
 		NoRainbow:    *noRain,
-		NoVRange:     *noVR,
 		Workers:      *workers,
 	}
 	if *storeDir != "" {

@@ -50,17 +50,14 @@ type Facts struct {
 	Idom []*ir.Block
 	// Loops is the natural-loop forest.
 	Loops *LoopForest
-	// Live is the per-block register liveness solution.
-	Live *Liveness
 }
 
 // ForFunc computes the CFG facts for one function: predecessors, reverse
-// postorder, dominator tree, loop forest, and liveness.
+// postorder, dominator tree, and loop forest.
 func ForFunc(f *ir.Func) *Facts {
 	fa := &Facts{Fn: f}
 	fa.buildCFG()
 	fa.buildLoops()
-	fa.Live = liveness(f)
 	return fa
 }
 

@@ -38,7 +38,6 @@ func (s regSet) and(t regSet) {
 // which registers may be read after each block boundary before being
 // redefined.
 type Liveness struct {
-	fn *ir.Func
 	// liveIn/liveOut are indexed by block index.
 	liveIn, liveOut []regSet
 }
@@ -49,17 +48,6 @@ func (lv *Liveness) LiveIn(b *ir.Block, r ir.Reg) bool { return lv.liveIn[b.Inde
 // LiveOut reports whether r is live at the exit of b.
 func (lv *Liveness) LiveOut(b *ir.Block, r ir.Reg) bool { return lv.liveOut[b.Index].has(r) }
 
-// LiveInCount returns how many registers are live at the entry of b.
-func (lv *Liveness) LiveInCount(b *ir.Block) int {
-	n := 0
-	for r := ir.Reg(0); int(r) < lv.fn.NumRegs; r++ {
-		if lv.liveIn[b.Index].has(r) {
-			n++
-		}
-	}
-	return n
-}
-
 // liveness runs the classic iterative backward may-analysis:
 //
 //	liveOut[b] = ∪ liveIn[succ]
@@ -69,7 +57,6 @@ func (lv *Liveness) LiveInCount(b *ir.Block) int {
 func liveness(f *ir.Func) *Liveness {
 	n := len(f.Blocks)
 	lv := &Liveness{
-		fn:      f,
 		liveIn:  make([]regSet, n),
 		liveOut: make([]regSet, n),
 	}
@@ -199,6 +186,7 @@ func checkDefBeforeUse(f *ir.Func, fa *Facts, rep *Report) {
 // (cache traffic, heap growth, havoc recording) that NFs use on purpose
 // (the NOP's header touch, for one).
 func checkDeadDefs(f *ir.Func, fa *Facts, rep *Report) {
+	lv := liveness(f)
 	for _, b := range fa.RPO {
 		for idx, in := range b.Instrs {
 			switch in.Op {
@@ -230,7 +218,7 @@ func checkDeadDefs(f *ir.Func, fa *Facts, rep *Report) {
 					break
 				}
 			}
-			if dead && !redefined && fa.Live.LiveOut(b, d) {
+			if dead && !redefined && lv.LiveOut(b, d) {
 				dead = false
 			}
 			if dead {

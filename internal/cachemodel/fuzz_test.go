@@ -26,12 +26,13 @@ func FuzzModelLoad(f *testing.F) {
 	f.Add([]byte(`{"assoc":4,"line_bytes":64,"sets":[[]]}`))
 	f.Add([]byte(`{"assoc":4,"line_bytes":64,"sets":[[64,128],[128]]}`))
 	f.Add([]byte(`{"assoc":4,"line_bytes":3,"sets":[[18446744073709551615]]}`))
+	f.Add([]byte(`{"assoc":4,"line_bytes":48,"sets":[[4096,8192]]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if got.Assoc <= 0 || got.LineBytes <= 0 {
+		if got.Assoc <= 0 || got.LineBytes <= 0 || got.LineBytes&(got.LineBytes-1) != 0 {
 			t.Fatalf("accepted model has assoc %d, line %d", got.Assoc, got.LineBytes)
 		}
 		for i, s := range got.Sets {
@@ -55,9 +56,10 @@ func FuzzModelLoad(f *testing.F) {
 		if !reflect.DeepEqual(got, again) {
 			t.Fatal("Save → Load changed the model")
 		}
-		// Load checks neither that LineBytes is a power of two nor that
-		// addresses are line-aligned, so nothing is asserted about what the
-		// tracker places — only that walking an accepted model is safe.
+		// Load does not check that addresses are line-aligned (static
+		// attack regions may be unaligned), so nothing is asserted about
+		// what the tracker places — only that walking an accepted model is
+		// safe.
 		tr := got.NewTracker()
 		for _, a := range tr.Candidates() {
 			tr.RecordAccess(a)

@@ -35,7 +35,10 @@ func Load(r io.Reader) (*Model, error) {
 	if err := json.NewDecoder(r).Decode(&mj); err != nil {
 		return nil, fmt.Errorf("cachemodel: decode: %w", err)
 	}
-	if mj.Assoc <= 0 || mj.LineBytes <= 0 {
+	// Every consumer computes a line as addr &^ (LineBytes-1), so a line
+	// size that is not a power of two would steer the search at lines
+	// that do not exist.
+	if mj.Assoc <= 0 || mj.LineBytes <= 0 || mj.LineBytes&(mj.LineBytes-1) != 0 {
 		return nil, fmt.Errorf("cachemodel: invalid model (assoc %d, line %d)", mj.Assoc, mj.LineBytes)
 	}
 	m := &Model{Assoc: mj.Assoc, LineBytes: mj.LineBytes}

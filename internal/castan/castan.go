@@ -23,7 +23,6 @@ import (
 	"castan/internal/analysis"
 	"castan/internal/analysis/cachecost"
 	"castan/internal/analysis/taint"
-	"castan/internal/analysis/vrange"
 	"castan/internal/budget"
 	"castan/internal/cachemodel"
 	"castan/internal/expr"
@@ -59,10 +58,6 @@ type Config struct {
 	// worst-case bound, no static priority component in the searcher, and
 	// no memsim cross-check of the synthesized workload (ablation).
 	NoStaticCost bool
-	// NoVRange disables the value-range abstract interpretation and
-	// everything it feeds: no statically-decided branch pruning in the
-	// searcher and no normalized-constraint solver memo (ablation).
-	NoVRange bool
 	// Workers bounds the analysis fan-out (0 = GOMAXPROCS): rainbow-chain
 	// generation, contention-set sweeps, batched candidate solver checks
 	// during havoc reconciliation, and frame extraction. Output is
@@ -179,22 +174,6 @@ type TaintSummary struct {
 	FoldableHashSites int `json:"foldable_hash_sites"`
 }
 
-// VRangeSummary is the value-range abstract interpretation's outcome on
-// the NF module: how many facts it proved (and how many pin a value to a
-// constant), how many branches it statically decided, and the dead
-// edges / unreachable blocks those decisions imply. Zero-valued when the
-// analysis is disabled (Config.NoVRange).
-type VRangeSummary struct {
-	Funcs             int  `json:"funcs"`
-	Rounds            int  `json:"rounds"`
-	Capped            bool `json:"capped"`
-	Facts             int  `json:"facts"`
-	Singletons        int  `json:"singletons"`
-	DecidedBranches   int  `json:"decided_branches"`
-	DeadEdges         int  `json:"dead_edges"`
-	UnreachableBlocks int  `json:"unreachable_blocks"`
-}
-
 // Output is a completed analysis: the paper's two files. Frames is the
 // workload (exported as PCAP via internal/pcap); the embedded Report is
 // the per-path metrics file, field for field what WriteReport serializes.
@@ -253,20 +232,6 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	// adversary can actually influence (unreached sites conservatively
 	// count as influenced).
 	ta := taint.Run(mf, mr, taint.Config{EntryHints: taint.NFEntryTaints()})
-	// Value-range abstract interpretation over the same facts: proves
-	// per-value intervals and congruences the engine uses to take
-	// statically-decided branches concretely and (through the solver memo
-	// below) to canonicalize away repeated infeasibility queries.
-	var vr *vrange.Analysis
-	var memo *solver.Memo
-	if !cfg.NoVRange {
-		vr = vrange.Run(mf, vrange.Config{EntryHints: vrange.NFEntryRanges()})
-		// The memo participates only in queries that mention havoc-range
-		// variables (IDs past all packet bytes): hash-probe infeasibility
-		// is where sibling states repeat each other, while packet-byte
-		// query streams stay byte-for-byte untouched.
-		memo = solver.NewMemo(expr.VarID(cfg.NPackets*nf.SymbolicPacketLen), rec)
-	}
 	staticHashIDs := map[int]bool{}
 	for _, s := range ta.HashSites() {
 		if !s.Foldable {
@@ -367,8 +332,6 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 		Budget:      cfg.Budget,
 		SolverFault: solverFault,
 		Taint:       ta,
-		VRange:      vr,
-		Memo:        memo,
 	}
 	spSymbex := root.Stage("castan.symbex")
 	res, err := eng.Run()
@@ -395,19 +358,6 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 			TaintedOpaque:     st.Opaque,
 			HashSites:         st.HashSites,
 			FoldableHashSites: st.FoldableHashSites,
-		}
-		if vr != nil {
-			vs := vr.Stats()
-			out.VRange = VRangeSummary{
-				Funcs:             vs.Funcs,
-				Rounds:            vs.Rounds,
-				Capped:            vs.Capped,
-				Facts:             vs.Facts,
-				Singletons:        vs.Singletons,
-				DecidedBranches:   vs.DecidedBranches,
-				DeadEdges:         vs.DeadEdges,
-				UnreachableBlocks: vs.UnreachableBlocks,
-			}
 		}
 		if cc != nil {
 			if b, ok := cc.WorkloadBound("nf_process", cfg.NPackets); ok {
@@ -691,9 +641,11 @@ func discoverModel(regions []nf.Region, hier *memsim.Hierarchy, cfg Config, rec 
 	})
 	if err == nil && hit {
 		// Served from disk or from another caller's flight. Load validates
-		// internal consistency, so a decodable-but-inconsistent payload
-		// degrades to a miss below instead of poisoning the pipeline.
-		if m, lerr := cachemodel.Load(bytes.NewReader(payload)); lerr == nil {
+		// internal consistency, so a decodable-but-inconsistent payload —
+		// or one for a geometry other than the probed one — degrades to a
+		// miss below instead of poisoning the pipeline.
+		if m, lerr := cachemodel.Load(bytes.NewReader(payload)); lerr == nil &&
+			m.Assoc == geo.L3Assoc() && m.LineBytes == geo.LineBytes {
 			rec.Counter("castan.store.hits").Inc()
 			return m, nil
 		}
@@ -739,15 +691,9 @@ func concretize(inst *nf.Instance, eng *symbex.Engine, st *symbex.State, cfg Con
 	// hint for all reconciliation checks. The solver runs on the pipeline
 	// goroutine, so instrumenting it keeps the recorded totals
 	// deterministic.
-	// The engine's memo carries over: Unsat verdicts learned during the
-	// search answer reconciliation's re-derived infeasibilities too. The
-	// speculative worker solvers below stay memo-free for the same reason
-	// they stay uninstrumented — shared mutable state across workers
-	// would make effort (and map growth) worker-count-dependent.
 	sol := solver.Solver{
 		Hint: st.Model(), MaxSteps: 30000, Obs: cfg.Obs,
 		Budget: cfg.Budget.Stage(budget.StageSolver), ForceUnknown: solverFault,
-		Memo: eng.Memo,
 	}
 	cons := append([]*expr.Expr(nil), st.Constraints()...)
 	mdl, err := sol.Solve(cons)

@@ -31,9 +31,6 @@ type Report struct {
 	// Taint summarizes the input-taint dataflow analysis (instruction
 	// classification and hash-site key controllability).
 	Taint TaintSummary `json:"taint"`
-	// VRange summarizes the value-range abstract interpretation (zeros
-	// when the pass was disabled with -no-vrange).
-	VRange VRangeSummary `json:"vrange"`
 	// StaticCostBound is the abstract cache analysis's worst-case cycle
 	// bound for the whole workload, printed next to measured cycles
 	// (0 = analysis disabled or no static bound).

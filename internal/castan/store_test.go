@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"castan/internal/cachemodel"
 	"castan/internal/faultinject"
 	"castan/internal/memsim"
 	"castan/internal/nf"
@@ -81,40 +82,83 @@ func TestStoreWarmRunSkipsDiscovery(t *testing.T) {
 	}
 }
 
+// TestStoreCorruptModelEntryReadsAsMiss: a model entry that cannot be
+// trusted — bytes that are no envelope, or a well-formed model for a
+// geometry other than the probed one — is a miss that re-derives and
+// overwrites, never a model the search is steered by.
 func TestStoreCorruptModelEntryReadsAsMiss(t *testing.T) {
-	dir := t.TempDir()
 	cfg := Config{NPackets: 20, MaxStates: 3000, Seed: 1}
-	cold, _ := analyzeStored(t, "lpm-dl1", dir, cfg)
+	corruptions := []struct {
+		name    string
+		corrupt func(t *testing.T, dir, file string)
+	}{
+		{"not an envelope", func(t *testing.T, _, file string) {
+			if err := os.WriteFile(file, []byte("\x00\xffnot an envelope"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"other geometry", func(t *testing.T, dir, _ string) {
+			inst, err := nf.New("lpm-dl1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := modelStoreKey(memsim.DefaultGeometry(), inst.AttackRegions, cfg.Seed)
+			payload, ok := st.Get(store.KindModel, key)
+			if !ok {
+				t.Fatal("cold run's model entry not found under its key")
+			}
+			m, err := cachemodel.Load(bytes.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.LineBytes *= 2
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(store.KindModel, key, buf.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range corruptions {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cold, _ := analyzeStored(t, "lpm-dl1", dir, cfg)
 
-	files, err := filepath.Glob(filepath.Join(dir, store.KindModel+"-*.json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("model entries on disk: %v (%v)", files, err)
-	}
-	if err := os.WriteFile(files[0], []byte("\x00\xffnot an envelope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			files, err := filepath.Glob(filepath.Join(dir, store.KindModel+"-*.json"))
+			if err != nil || len(files) != 1 {
+				t.Fatalf("model entries on disk: %v (%v)", files, err)
+			}
+			c.corrupt(t, dir, files[0])
 
-	warm, rec := analyzeStored(t, "lpm-dl1", dir, cfg)
-	if v := rec.Counter("castan.store.hits").Value(); v != 0 {
-		t.Errorf("corrupt entry served as hit (%d)", v)
-	}
-	if v := rec.Counter("castan.store.misses").Value(); v == 0 {
-		t.Error("corrupt entry not recorded as miss")
-	}
-	if v := rec.Counter("memsim.probe_line_reads").Value(); v == 0 {
-		t.Error("corrupt entry did not trigger re-discovery")
-	}
-	if v := rec.Counter("castan.store.writes").Value(); v == 0 {
-		t.Error("re-discovered model not written back")
-	}
-	if !reflect.DeepEqual(storedComparable(cold), storedComparable(warm)) {
-		t.Error("re-discovered output differs from cold output")
-	}
+			warm, rec := analyzeStored(t, "lpm-dl1", dir, cfg)
+			if v := rec.Counter("castan.store.hits").Value(); v != 0 {
+				t.Errorf("corrupt entry served as hit (%d)", v)
+			}
+			if v := rec.Counter("castan.store.misses").Value(); v == 0 {
+				t.Error("corrupt entry not recorded as miss")
+			}
+			if v := rec.Counter("memsim.probe_line_reads").Value(); v == 0 {
+				t.Error("corrupt entry did not trigger re-discovery")
+			}
+			if v := rec.Counter("castan.store.writes").Value(); v == 0 {
+				t.Error("re-discovered model not written back")
+			}
+			if !reflect.DeepEqual(storedComparable(cold), storedComparable(warm)) {
+				t.Error("re-discovered output differs from cold output")
+			}
 
-	// The overwrite healed the entry: a third run hits.
-	_, rec3 := analyzeStored(t, "lpm-dl1", dir, cfg)
-	if v := rec3.Counter("castan.store.hits").Value(); v != 1 {
-		t.Errorf("healed entry not hit: hits = %d", v)
+			// The overwrite healed the entry: a third run hits.
+			_, rec3 := analyzeStored(t, "lpm-dl1", dir, cfg)
+			if v := rec3.Counter("castan.store.hits").Value(); v != 1 {
+				t.Errorf("healed entry not hit: hits = %d", v)
+			}
+		})
 	}
 }
 

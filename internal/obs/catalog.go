@@ -69,8 +69,6 @@ var Catalog = []Instrument{
 	{"rainbow.tables", CounterKind, "tables", "internal/castan", false, "rainbow tables built (or loaded from the store) this run"},
 	{"solver.backtracks", CounterKind, "backtracks", "internal/solver", true, "constraint-solver search backtracks"},
 	{"solver.hint_hits", CounterKind, "values", "internal/solver", false, "hinted variable values (from the warm-start model) that survived propagation and were taken without search"},
-	{"solver.memo_hits", CounterKind, "queries", "internal/solver", true, "queries discharged without search by the memo (cached Unsat or range-probed model)"},
-	{"solver.memo_misses", CounterKind, "queries", "internal/solver", true, "memo-eligible queries that fell through to a full search"},
 	{"solver.propagation_rounds", CounterKind, "rounds", "internal/solver", false, "constraint-propagation rounds across all queries"},
 	{"solver.queries", CounterKind, "queries", "internal/solver", true, "satisfiability queries issued by symbolic execution"},
 	{"solver.queries_avoided", CounterKind, "queries", "internal/symbex", true, "candidate-line feasibility probes the taint-directed sweep skip did not pose"},

@@ -9,7 +9,6 @@ import (
 	"castan/internal/analysis"
 	"castan/internal/analysis/cachecost"
 	"castan/internal/analysis/taint"
-	"castan/internal/analysis/vrange"
 	"castan/internal/expr"
 	"castan/internal/icfg"
 	"castan/internal/ir"
@@ -78,9 +77,7 @@ func explore(t testing.TB, name string) (qs []query, done [][]*expr.Expr) {
 			Entry: "nf_process", NPackets: pkts, PacketLen: nf.SymbolicPacketLen,
 			MaxStates: states, MaxLoopIters: 96,
 		},
-		Taint:  taint.Run(mf, mr, taint.Config{EntryHints: taint.NFEntryTaints()}),
-		VRange: vrange.Run(mf, vrange.Config{EntryHints: vrange.NFEntryRanges()}),
-		Memo:   solver.NewMemo(expr.VarID(pkts*nf.SymbolicPacketLen), nil),
+		Taint: taint.Run(mf, mr, taint.Config{EntryHints: taint.NFEntryTaints()}),
 		QueryTrace: func(cons []*expr.Expr, hint solver.Model, maxSteps int) {
 			qs = append(qs, query{append([]*expr.Expr(nil), cons...), maps.Clone(hint), maxSteps})
 		},

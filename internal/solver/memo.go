@@ -1,44 +1,30 @@
 // Normalized-constraint query memo. Symbolic execution re-derives the
 // same facts over and over: sibling states probing a ring or a hash
 // table assert structurally identical constraint sets that differ only
-// in which fresh havoc variables they mention. The memo discharges a
-// qualifying query without search through two mechanisms, in order:
+// in which fresh havoc variables they mention. The memo is a
+// canonical-key Unsat cache: each query is canonicalized — fold to truth
+// form, drop tautologies by interval analysis, sort constraints by a
+// rename-invariant shape, densely rename variables in canonical
+// traversal order — and Unsat verdicts are cached under the key. Every
+// solver behaves identically on Unsat (no model to act on), so replaying
+// a cached Unsat is observationally equivalent to re-searching. Renaming
+// is sound because every solver variable ranges over the same domain
+// (one byte, 0..255): any variable bijection preserves satisfiability,
+// so equal canonical keys are equisatisfiable.
 //
-//  1. A canonical-key Unsat cache. Each query is canonicalized — fold
-//     to truth form, drop tautologies by interval analysis, sort
-//     constraints by a rename-invariant shape, densely rename variables
-//     in canonical traversal order — and Unsat verdicts are cached
-//     under the key. Every solver behaves identically on Unsat (no
-//     model to act on), so replaying a cached Unsat is observationally
-//     equivalent to re-searching. Renaming is sound because every
-//     solver variable ranges over the same domain (one byte, 0..255):
-//     any variable bijection preserves satisfiability, so equal
-//     canonical keys are equisatisfiable.
+// Sat results are never cached: their models steer path selection and
+// pointer concretization, and replaying a stale searched model under a
+// renamed key would change exploration order.
 //
-//  2. A value-range model probe (vrange.SolveByRange). The query's
-//     atomic constraints tighten per-variable ranges; each remaining
-//     constraint's demanded value is pushed backward through its
-//     expression tree (the ring NFs' address-equality probes invert
-//     exactly: mask, constant offset, slot stride, byte
-//     concatenation). The constructed model is verified by concrete
-//     evaluation before being returned, so a probe answer is a proof of
-//     satisfiability, and the construction is deterministic — every
-//     choice point picks the canonical minimum — so replacing the
-//     search result keeps exploration reproducible across runs and
-//     worker counts.
-//
-// Sat results from a *search* are never cached: their models steer path
-// selection and pointer concretization, and replaying a stale searched
-// model under a renamed key would change exploration order. The probe
-// is different — it recomputes its model from the query itself on every
-// hit, so there is no staleness to replay.
+// castan.Analyze does not construct one: the cache has never hit on a
+// catalog NF (DESIGN.md decision 14). It stays for bench/layers.go until
+// the benchmark-only PR of ROADMAP item 2 unfreezes the name.
 package solver
 
 import (
 	"sort"
 	"strconv"
 
-	"castan/internal/analysis/vrange"
 	"castan/internal/expr"
 	"castan/internal/obs"
 )
@@ -49,10 +35,9 @@ import (
 const memoMaxKey = 64 << 10
 
 // Memo discharges qualifying queries without search: cached Unsat
-// verdicts under canonical keys, plus a deterministic value-range model
-// probe for the directly invertible ones. It is not safe for concurrent
-// use; parallel speculative workers must run with a nil memo, same as
-// they run with a nil recorder (DESIGN.md decision 8).
+// verdicts under canonical keys. It is not safe for concurrent use;
+// parallel speculative workers must run with a nil memo, same as they
+// run with a nil recorder (DESIGN.md decision 8).
 type Memo struct {
 	// MinVar filters which queries participate: a constraint set is
 	// memoized only if it mentions at least one variable >= MinVar.
@@ -68,41 +53,28 @@ type Memo struct {
 
 // NewMemo returns an empty memo with the given participation threshold.
 func NewMemo(minVar expr.VarID, rec *obs.Recorder) *Memo {
-	if rec != nil {
-		// Register both counters up front so runs where no query ever
-		// qualifies still report them at zero (the perf gate diffs over
-		// the column intersection, so absent columns are blind spots).
-		rec.Counter("solver.memo_hits")
-		rec.Counter("solver.memo_misses")
-	}
 	return &Memo{MinVar: minVar, Obs: rec, unsat: map[string]bool{}}
 }
 
 // Len reports how many Unsat verdicts are cached.
 func (m *Memo) Len() int { return len(m.unsat) }
 
-// lookup consults the Unsat cache and then the value-range model
-// probe. ok=false means the query is not memoizable (no qualifying
-// variable, oversized key, or trivially decided forms the solver
-// handles for free). When ok, res is Unsat (cached refutation), Sat
-// (probe-constructed model, already verified by concrete evaluation),
-// or Unknown — a miss; the caller may store the key on a searched
-// Unsat.
-func (m *Memo) lookup(constraints []*expr.Expr) (key string, res Result, model Model, ok bool) {
+// lookup consults the Unsat cache. ok=false means the query is not
+// memoizable (no qualifying variable, oversized key, or trivially
+// decided forms the solver handles for free). When ok, hit reports a
+// cached refutation; on a miss the caller may store the key on a
+// searched Unsat.
+func (m *Memo) lookup(constraints []*expr.Expr) (key string, hit, ok bool) {
 	key, ok = m.canonicalKey(constraints)
 	if !ok {
-		return "", Unknown, nil, false
+		return "", false, false
 	}
 	if m.unsat[key] {
 		m.count("solver.memo_hits")
-		return key, Unsat, nil, true
-	}
-	if mdl, solved := vrange.SolveByRange(constraints); solved {
-		m.count("solver.memo_hits")
-		return key, Sat, Model(mdl), true
+		return key, true, true
 	}
 	m.count("solver.memo_misses")
-	return key, Unknown, nil, true
+	return key, false, true
 }
 
 // store records an Unsat verdict under a key lookup returned.

@@ -15,9 +15,8 @@ func unsatPair(v expr.VarID) []*expr.Expr {
 	}
 }
 
-// probeProof builds a query the range probe cannot invert (a sum of two
-// free variables) so lookups fall through to the search.
-func probeProof(v expr.VarID, sum uint64) []*expr.Expr {
+// satSum builds a satisfiable query: two free variables with a fixed sum.
+func satSum(v expr.VarID, sum uint64) []*expr.Expr {
 	return []*expr.Expr{
 		expr.Eq(expr.Add(expr.Var(v), expr.Var(v+1)), expr.Const(sum)),
 	}
@@ -64,72 +63,11 @@ func TestMemoUnsatHit(t *testing.T) {
 	}
 }
 
-func TestMemoProbeAnswersInvertibleSat(t *testing.T) {
-	rec := obs.New(obs.NewFakeClock(1))
-	m := NewMemo(0, rec)
-	s := &Solver{Obs: rec, Memo: m}
-	cs := []*expr.Expr{expr.Eq(expr.Var(1), expr.Const(42))}
-	res, model := s.Check(cs)
-	if res != Sat || model[1] != 42 {
-		t.Fatalf("probe check: %v %v", res, model)
-	}
-	snap := rec.Snapshot()
-	if got := snap.Counters["solver.queries"]; got != 0 {
-		t.Errorf("probe hit must not count a query: %d", got)
-	}
-	if got := snap.Counters["solver.memo_hits"]; got != 1 {
-		t.Errorf("memo_hits = %d, want 1", got)
-	}
-	if m.Len() != 0 {
-		t.Errorf("probe hits must not populate the Unsat cache; memo has %d", m.Len())
-	}
-}
-
-// The ring NFs' hot query shape: slot address computed as
-// (base + concat(hi, lo)*stride) & alignMask compared against a
-// candidate address. The probe must invert the whole chain and produce
-// the exact hash bytes, deterministically.
-func TestMemoProbeInvertsAddressChain(t *testing.T) {
-	const (
-		base   = 0x10001000
-		stride = 0x40
-		mask   = ^uint64(0x3f)
-	)
-	concat := expr.Or(expr.Shl(expr.Var(2), expr.Const(8)), expr.Var(3))
-	addr := expr.And(
-		expr.Add(expr.Const(base), expr.Mul(concat, expr.Const(stride))),
-		expr.Const(mask),
-	)
-	want := uint64(base + 0x1234*stride)
-	cs := []*expr.Expr{expr.Eq(addr, expr.Const(want))}
-
-	rec := obs.New(obs.NewFakeClock(1))
-	s := &Solver{Obs: rec, Memo: NewMemo(0, rec)}
-	res, model := s.Check(cs)
-	if res != Sat {
-		t.Fatalf("probe check: %v", res)
-	}
-	if model[2] != 0x12 || model[3] != 0x34 {
-		t.Errorf("inverted hash bytes = %#x, %#x; want 0x12, 0x34", model[2], model[3])
-	}
-	if cs[0].Eval(map[expr.VarID]uint64(model)) == 0 {
-		t.Error("probe model does not satisfy the query")
-	}
-	if got := rec.Snapshot().Counters["solver.queries"]; got != 0 {
-		t.Errorf("probe hit must not count a query: %d", got)
-	}
-	// Repeat query: same deterministic model, no search.
-	res2, model2 := s.Check(cs)
-	if res2 != Sat || model2[2] != model[2] || model2[3] != model[3] {
-		t.Errorf("probe must be deterministic: %v %v vs %v", res2, model2, model)
-	}
-}
-
 func TestMemoSearchedSatNotCached(t *testing.T) {
 	rec := obs.New(obs.NewFakeClock(1))
 	m := NewMemo(0, rec)
 	s := &Solver{Obs: rec, Memo: m}
-	cs := probeProof(1, 10)
+	cs := satSum(1, 10)
 	res, model := s.Check(cs)
 	if res != Sat || model[1]+model[2] != 10 {
 		t.Fatalf("sat check: %v %v", res, model)
@@ -153,11 +91,11 @@ func TestMemoSearchedSatNotCached(t *testing.T) {
 func TestMemoMinVarFilter(t *testing.T) {
 	m := NewMemo(100, nil)
 	// Only low (packet-byte) variables: not memoizable.
-	if _, _, _, ok := m.lookup(unsatPair(7)); ok {
+	if _, _, ok := m.lookup(unsatPair(7)); ok {
 		t.Error("query below MinVar must not participate")
 	}
 	// Mentions a havoc-range variable: memoizable.
-	if _, _, _, ok := m.lookup(unsatPair(100)); !ok {
+	if _, _, ok := m.lookup(unsatPair(100)); !ok {
 		t.Error("query at MinVar must participate")
 	}
 }
@@ -168,8 +106,8 @@ func TestMemoTautologyDropped(t *testing.T) {
 	withTaut := append([]*expr.Expr{
 		expr.Ule(expr.Var(5), expr.Const(255)), // always true for a byte
 	}, base...)
-	k1, _, _, ok1 := m.lookup(base)
-	k2, _, _, ok2 := m.lookup(withTaut)
+	k1, _, ok1 := m.lookup(base)
+	k2, _, ok2 := m.lookup(withTaut)
 	if !ok1 || !ok2 || k1 != k2 {
 		t.Errorf("tautologies must not split keys: %q vs %q", k1, k2)
 	}
@@ -178,7 +116,7 @@ func TestMemoTautologyDropped(t *testing.T) {
 func TestMemoConstFalseNotMemoized(t *testing.T) {
 	m := NewMemo(0, nil)
 	cs := []*expr.Expr{expr.Const(0)}
-	if _, _, _, ok := m.lookup(cs); ok {
+	if _, _, ok := m.lookup(cs); ok {
 		t.Error("trivially false sets must fall through to the solver")
 	}
 }

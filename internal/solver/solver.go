@@ -131,9 +131,8 @@ type Solver struct {
 	// leaves it nil; internal/faultinject supplies seeded hooks.
 	ForceUnknown func() bool
 	// Memo, when set, answers qualifying queries without search: cached
-	// Unsat verdicts under normalized constraint keys, and verified
-	// models constructed by the value-range probe (see memo.go). A memo
-	// hit bypasses the per-query telemetry — only the memo's own hit
+	// Unsat verdicts under normalized constraint keys (see memo.go). A
+	// memo hit bypasses the per-query telemetry — only the memo's own hit
 	// counter moves — so discharged queries vanish from solver.queries
 	// exactly as if the caller had never asked. Shared, like Hint,
 	// across the solvers one engine constructs; never across workers.
@@ -170,12 +169,9 @@ func (s *Solver) check(constraints []*expr.Expr) (Result, Model, *problem, bool)
 	// before problem construction so a hit costs no search steps.
 	var memoKey string
 	if s.Memo != nil {
-		if key, res, model, ok := s.Memo.lookup(constraints); ok {
-			switch res {
-			case Unsat:
+		if key, hit, ok := s.Memo.lookup(constraints); ok {
+			if hit {
 				return Unsat, nil, nil, true
-			case Sat:
-				return Sat, model, nil, true
 			}
 			memoKey = key
 		}

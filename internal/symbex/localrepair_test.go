@@ -11,7 +11,6 @@ import (
 	"castan/internal/analysis"
 	"castan/internal/analysis/cachecost"
 	"castan/internal/analysis/taint"
-	"castan/internal/analysis/vrange"
 	"castan/internal/expr"
 	"castan/internal/icfg"
 	"castan/internal/ir"
@@ -52,9 +51,7 @@ func catalogEngine(tb testing.TB, name string, pkts, states int) *Engine {
 			Entry: "nf_process", NPackets: pkts, PacketLen: nf.SymbolicPacketLen,
 			MaxStates: states, MaxLoopIters: 96,
 		},
-		Taint:  taint.Run(mf, mr, taint.Config{EntryHints: taint.NFEntryTaints()}),
-		VRange: vrange.Run(mf, vrange.Config{EntryHints: vrange.NFEntryRanges()}),
-		Memo:   solver.NewMemo(expr.VarID(pkts*nf.SymbolicPacketLen), nil),
+		Taint: taint.Run(mf, mr, taint.Config{EntryHints: taint.NFEntryTaints()}),
 	}
 }
 
