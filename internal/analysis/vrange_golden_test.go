@@ -4,7 +4,8 @@ package analysis_test
 // fixpoint stats (rounds, facts, singletons, decided branches, dead
 // edges, unreachable blocks) plus every dead-edge/unreachable finding.
 // Like the taint golden, it lives in the external test package so it can
-// import internal/nf without a cycle; `make lint-catalog` gates drift.
+// import internal/nf without a cycle. Regenerate it with
+// `go test ./internal/analysis -run TestVRangeCatalogGolden -update`.
 
 import (
 	"bytes"

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"castan/internal/analysis"
 	"castan/internal/analysis/cachecost"
 	"castan/internal/memsim"
 	"castan/internal/nf"
@@ -12,14 +11,18 @@ import (
 )
 
 // TestCrossCheckCatalog extends the must-soundness gate from random
-// modules to every catalog NF: the analysis classifies the real NFs'
-// memory instructions, and a warm memsim replay of varied traffic must
-// never see an always-hit instruction reach DRAM.
+// modules to every catalog NF: the analysis the pipeline runs — refined by
+// the discovered contention model on the NFs that have one — classifies
+// the real NFs' memory instructions, and a memsim replay of varied traffic
+// must never see an always-hit instruction reach DRAM. The replay
+// hierarchy has the discovery seed, because the model is only valid for
+// that seed's hidden slice hash.
 func TestCrossCheckCatalog(t *testing.T) {
 	names := nf.Names
 	if testing.Short() {
 		names = []string{"lb-chain", "lpm-dl1", "nat-ring"}
 	}
+	const seed = 2018
 	geo := memsim.DefaultGeometry()
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
@@ -27,33 +30,25 @@ func TestCrossCheckCatalog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mf := analysis.ForModule(inst.Mod)
-			mr := analysis.RunMemRegions(mf, analysis.NFEntryHints())
-			cc := cachecost.Run(mf, mr, cachecost.Config{
-				Geometry: cachecost.Geometry{Ways: geo.L3Assoc(), LineBytes: geo.LineBytes},
-			})
-			hit := false
-			for _, fn := range cc.FuncNames() {
-				if cc.FuncStats(inst.Mod.Funcs[fn]).AlwaysHit > 0 {
-					hit = true
-				}
-			}
-			_ = hit // some NFs legitimately have none; the catalog check below is the gate
-
-			r := rand.New(rand.NewSource(7))
-			frames := make([][]byte, 16)
-			for i := range frames {
-				frames[i] = packet.Build(packet.Spec{
-					Proto:   packet.ProtoUDP,
-					SrcIP:   r.Uint32(),
-					DstIP:   r.Uint32(),
-					SrcPort: uint16(r.Uint32()),
-					DstPort: uint16(r.Uint32()),
-				})
-			}
-			hier := memsim.New(geo, 99)
-			if err := cachecost.CrossCheck(cc, inst.Machine, hier, "nf_process", frames); err != nil {
+			s, err := NewSearch(inst, memsim.New(geo, seed), Config{NPackets: 6, Seed: seed})
+			if err != nil {
 				t.Fatal(err)
+			}
+			for round := int64(0); round < 3; round++ {
+				r := rand.New(rand.NewSource(7 + round))
+				frames := make([][]byte, 64)
+				for i := range frames {
+					frames[i] = packet.Build(packet.Spec{
+						Proto:   packet.ProtoUDP,
+						SrcIP:   r.Uint32(),
+						DstIP:   r.Uint32(),
+						SrcPort: uint16(r.Uint32()),
+						DstPort: uint16(r.Uint32()),
+					})
+				}
+				if err := cachecost.CrossCheck(s.cc, inst.Machine, memsim.New(geo, seed), "nf_process", frames); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
 			}
 		})
 	}

@@ -59,9 +59,9 @@ type Config struct {
 	// no memsim cross-check of the synthesized workload (ablation).
 	NoStaticCost bool
 	// Workers bounds the analysis fan-out (0 = GOMAXPROCS): rainbow-chain
-	// generation, contention-set sweeps, batched candidate solver checks
-	// during havoc reconciliation, and frame extraction. Output is
-	// identical at every worker count.
+	// generation, contention-set sweeps, and batched candidate solver
+	// checks during havoc reconciliation. Output is identical at every
+	// worker count.
 	Workers int
 	// Obs, when non-nil, receives pipeline telemetry: phase spans, solver
 	// and symbex effort, memory-simulator traffic, and rainbow/havoc
@@ -152,7 +152,7 @@ const (
 // so the list is deterministic.
 type StageDegradation struct {
 	// Stage is the pipeline stage that degraded: "discover", "symbex",
-	// "solve", "rainbow", "reconcile", "frames", or "crosscheck".
+	// "solve", "rainbow", "reconcile", or "crosscheck".
 	Stage string `json:"stage"`
 	// Reason says why (budget exhaustion reason, fault description).
 	Reason string `json:"reason"`
@@ -185,29 +185,51 @@ type Output struct {
 // Degraded reports whether any stage was cut short.
 func (o *Output) Degraded() bool { return len(o.Degradations) > 0 }
 
-// Analyze runs the full CASTAN pipeline on a *freshly built* NF instance.
-// The hierarchy is only ever probed as a black box.
-func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, error) {
+// Search is a catalog NF's directed symbolic search, assembled the way
+// Analyze runs it and not yet run. The unexported fields are what the
+// stages after symbex read.
+type Search struct {
+	// Engine is the ready engine. Callers may set its QueryTrace and
+	// Trace hooks before calling Run.
+	Engine *symbex.Engine
+
+	cfg           Config
+	model         *cachemodel.Model
+	cc            *cachecost.Analysis
+	ta            *taint.Analysis
+	staticHashIDs map[int]bool
+	// degr accumulates degradations in pipeline order; the matching
+	// counters are bumped once, at the end, from the accepted output
+	// only, so retried concretize attempts never pollute telemetry.
+	degr  []StageDegradation
+	root  *obs.Span
+	start time.Time
+}
+
+// degrade records a stage cut and publishes it as a note. A concretize
+// attempt that is rolled back keeps its notes: the live stream reports
+// what actually happened, in attempt order, which is deterministic
+// (completed states are tried in order).
+func (s *Search) degrade(stage, reason, fallback string) {
+	s.degr = append(s.degr, StageDegradation{Stage: stage, Reason: reason, Fallback: fallback})
+	s.cfg.Obs.Note(stage, "degraded: "+reason+"; fallback: "+fallback)
+}
+
+// NewSearch runs every stage in front of symbolic execution on a
+// *freshly built* NF instance — the static gate and taint, cache-model
+// discovery, the abstract cache analysis, both ICFG analyses — and
+// builds the engine from their results. It is the one place the
+// pipeline's engine is assembled: Analyze and the tests that watch the
+// pipeline's solver queries all build through it. (bench/layers.go still
+// carries its own copy until the benchmark itself adopts this function.)
+func NewSearch(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Search, error) {
 	cfg.fill()
-	start := time.Now()
+	s := &Search{cfg: cfg, start: time.Now()}
 	rec := cfg.Obs
 	if rec != nil {
 		hier.SetObs(rec)
 	}
-	root := rec.Span("castan.analyze")
-
-	// Degradations accumulate in pipeline order; the matching counters
-	// are bumped once, at the end, from the accepted output only, so
-	// retried concretize attempts never pollute telemetry.
-	var degr []StageDegradation
-	degrade := func(stage, reason, fallback string) {
-		degr = append(degr, StageDegradation{Stage: stage, Reason: reason, Fallback: fallback})
-		rec.Note(stage, "degraded: "+reason+"; fallback: "+fallback)
-	}
-	// One counting solver-fault closure per run, shared by every solver
-	// on the pipeline goroutine (the engine's and concretize's); worker
-	// solvers stay unhooked, like Obs and Budget.
-	solverFault := cfg.Faults.SolverHook()
+	s.root = rec.Span("castan.analyze")
 
 	// Stage 0: static gate. A module that fails the pass pipeline (broken
 	// structure, use-before-def, definite out-of-extent access) would make
@@ -215,7 +237,7 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	// run yields the facts the later stages reuse: the memory-region
 	// footprints seed contention-set candidates when the NF declares no
 	// attack regions.
-	spStatic := root.Stage("castan.static")
+	spStatic := s.root.Stage("castan.static")
 	rep := analysis.Lint(inst.Mod, analysis.Options{
 		EntryHints: analysis.NFEntryHints(),
 		NoDeadDefs: true,
@@ -231,11 +253,11 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	// filter — rainbow tables are only built for hash sites whose key the
 	// adversary can actually influence (unreached sites conservatively
 	// count as influenced).
-	ta := taint.Run(mf, mr, taint.Config{EntryHints: taint.NFEntryTaints()})
-	staticHashIDs := map[int]bool{}
-	for _, s := range ta.HashSites() {
-		if !s.Foldable {
-			staticHashIDs[s.HashID] = true
+	s.ta = taint.Run(mf, mr, taint.Config{EntryHints: taint.NFEntryTaints()})
+	s.staticHashIDs = map[int]bool{}
+	for _, site := range s.ta.HashSites() {
+		if !site.Foldable {
+			s.staticHashIDs[site.HashID] = true
 		}
 	}
 	spStatic.End()
@@ -247,29 +269,28 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	if len(regions) == 0 {
 		regions = staticAttackRegions(mr)
 	}
-	spDiscover := root.Stage("castan.discover")
+	spDiscover := s.root.Stage("castan.discover")
 	// Probe ticks charge the "discover" stage through the hierarchy
 	// itself (forks inherit the stage); the fault hook perturbs probe
 	// timings. Both are cleared after discovery — later stages never
 	// probe this hierarchy.
 	hier.SetBudget(cfg.Budget.Stage(budget.StageDiscover))
 	hier.SetProbeFault(cfg.Faults.ProbeHook())
-	var model *cachemodel.Model
 	switch {
 	case cfg.NoCacheModel:
 	case len(regions) > 0:
 		var derr error
-		model, derr = discoverModel(regions, hier, cfg, rec)
+		s.model, derr = discoverModel(regions, hier, cfg, rec)
 		switch {
 		case derr == nil:
-		case errors.Is(derr, cachemodel.ErrBudget) && model != nil:
-			degrade("discover", derr.Error(), "partial unfiltered cache model")
+		case errors.Is(derr, cachemodel.ErrBudget) && s.model != nil:
+			s.degrade("discover", derr.Error(), "partial unfiltered cache model")
 		case errors.Is(derr, cachemodel.ErrBudget):
-			degrade("discover", derr.Error(), "no cache model; cold-miss-once cost assumptions")
+			s.degrade("discover", derr.Error(), "no cache model; cold-miss-once cost assumptions")
 		case errors.Is(derr, cachemodel.ErrInconsistent):
 			// Every set failing the cross-reboot filter points at
 			// perturbed probe timings in the noise-free simulator.
-			degrade("discover", derr.Error(), "no cache model; cold-miss-once cost assumptions")
+			s.degrade("discover", derr.Error(), "no cache model; cold-miss-once cost assumptions")
 		default:
 			// ErrNoSets (and region pools too small to probe) is the
 			// paper's benign LPM two-stage outcome, not a degradation.
@@ -277,7 +298,7 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	}
 	hier.SetBudget(nil)
 	hier.SetProbeFault(nil)
-	rec.Counter("castan.contention_sets").Add(uint64(modelSets(model)))
+	rec.Counter("castan.contention_sets").Add(uint64(modelSets(s.model)))
 	spDiscover.End()
 
 	// Stage 1.5: abstract cache analysis. The must/may fixpoint classifies
@@ -287,23 +308,22 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	// priority component. The discovered model refines the conflict
 	// relation: lines in different contention sets provably don't evict
 	// each other.
-	var cc *cachecost.Analysis
 	if !cfg.NoStaticCost {
-		spCache := root.Stage("castan.cachecost")
+		spCache := s.root.Stage("castan.cachecost")
 		geo := hier.Geometry()
-		cc = cachecost.Run(mf, mr, cachecost.Config{
+		s.cc = cachecost.Run(mf, mr, cachecost.Config{
 			Geometry: cachecost.Geometry{Ways: geo.L3Assoc(), LineBytes: geo.LineBytes},
-			Model:    model,
+			Model:    s.model,
 			Obs:      rec,
 		})
 		spCache.End()
 	}
 
-	// Stage 2: directed symbolic execution. Realized costs use the
-	// realistic model; the search heuristic uses an optimistic one
-	// (memory at DRAM latency, loops assumed to run as often as there are
-	// packets), so the best-first queue surfaces worst-case paths first.
-	spICFG := root.Stage("castan.icfg")
+	// Stage 2, set up: realized costs use the realistic model; the search
+	// heuristic uses an optimistic one (memory at DRAM latency, loops
+	// assumed to run as often as there are packets), so the best-first
+	// queue surfaces worst-case paths first.
+	spICFG := s.root.Stage("castan.icfg")
 	an, err := icfg.Analyze(inst.Mod, 2, icfg.DefaultCostModel())
 	if err != nil {
 		return nil, fmt.Errorf("castan: icfg: %w", err)
@@ -313,12 +333,12 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 		return nil, fmt.Errorf("castan: icfg potential: %w", err)
 	}
 	spICFG.End()
-	eng := &symbex.Engine{
+	s.Engine = &symbex.Engine{
 		Mod:               inst.Mod,
 		Analysis:          an,
 		PotentialAnalysis: potAn,
-		StaticCost:        cc,
-		Model:             model,
+		StaticCost:        s.cc,
+		Model:             s.model,
 		Base:              inst.Machine.Mem,
 		HeapTop:           ir.HeapBase + inst.Machine.HeapUsed(),
 		Cfg: symbex.Config{
@@ -328,11 +348,29 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 			MaxStates:    cfg.MaxStates,
 			MaxLoopIters: maxLoopIters,
 		},
-		Obs:         rec,
-		Budget:      cfg.Budget,
-		SolverFault: solverFault,
-		Taint:       ta,
+		Obs:    rec,
+		Budget: cfg.Budget,
+		// One counting solver-fault closure per run, shared by every
+		// solver on the pipeline goroutine (the engine's and
+		// concretize's); worker solvers stay unhooked, like Obs and
+		// Budget.
+		SolverFault: cfg.Faults.SolverHook(),
+		Taint:       s.ta,
 	}
+	return s, nil
+}
+
+// Analyze runs the full CASTAN pipeline on a *freshly built* NF instance.
+// The hierarchy is only ever probed as a black box.
+func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, error) {
+	s, err := NewSearch(inst, hier, cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg, eng, root := s.cfg, s.Engine, s.root
+	rec := cfg.Obs
+
+	// Stage 2: directed symbolic execution.
 	spSymbex := root.Stage("castan.symbex")
 	res, err := eng.Run()
 	spSymbex.End()
@@ -346,11 +384,11 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	spReconcile := root.Stage("castan.reconcile")
 	finish := func(out *Output, cycles []uint64) (*Output, error) {
 		out.Packets = packetReports(out.Frames, cycles)
-		out.ContentionSetsFound = modelSets(model)
+		out.ContentionSetsFound = modelSets(s.model)
 		out.StatesExplored = res.StatesExplored
 		out.Forks = res.Forks
 		out.StepsToWorstPath = res.PopsToBest
-		st := ta.Stats()
+		st := s.ta.Stats()
 		out.Taint = TaintSummary{
 			Instructions:      st.Instructions,
 			Untainted:         st.Untainted,
@@ -359,8 +397,8 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 			HashSites:         st.HashSites,
 			FoldableHashSites: st.FoldableHashSites,
 		}
-		if cc != nil {
-			if b, ok := cc.WorkloadBound("nf_process", cfg.NPackets); ok {
+		if s.cc != nil {
+			if b, ok := s.cc.WorkloadBound("nf_process", cfg.NPackets); ok {
 				out.StaticCostBound = b
 			}
 			// Sanitizer gate: replay the synthesized workload on a fresh
@@ -372,23 +410,23 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 			// corrupted cache model, so a faulty or already-degraded run
 			// downgrades the alarm to a degradation instead of dying.
 			spCheck := root.Stage("castan.crosscheck")
-			ccErr := cachecost.CrossCheck(cc, inst.Machine,
+			ccErr := cachecost.CrossCheck(s.cc, inst.Machine,
 				memsim.New(hier.Geometry(), cfg.Seed), "nf_process", out.Frames)
 			spCheck.End()
 			if ccErr != nil {
-				if len(degr) == 0 && !cfg.Faults.Enabled() {
+				if len(s.degr) == 0 && !cfg.Faults.Enabled() {
 					return nil, fmt.Errorf("castan: static cache analysis unsound on %s: %w",
 						inst.Name, ccErr)
 				}
-				degrade("crosscheck", ccErr.Error(), "workload emitted without the sanitizer guarantee")
+				s.degrade("crosscheck", ccErr.Error(), "workload emitted without the sanitizer guarantee")
 			}
 		}
-		out.Degradations = degr
+		out.Degradations = s.degr
 		out.BudgetTicksUsed = cfg.Budget.TotalUsed()
-		for _, d := range degr {
+		for _, d := range s.degr {
 			rec.Counter("castan.degraded." + d.Stage).Inc()
 		}
-		out.AnalysisSeconds = time.Since(start).Seconds()
+		out.AnalysisSeconds = time.Since(s.start).Seconds()
 		// End the spans before snapshotting so every phase is in the
 		// snapshot; Telemetry is the last field assigned.
 		spReconcile.End()
@@ -416,7 +454,7 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 		mdl := solver.Model{}
 		var cycles []uint64
 		if st := res.BestPartial; st != nil {
-			degrade("symbex", reason,
+			s.degrade("symbex", reason,
 				fmt.Sprintf("most-progressed partial state (%d/%d packets)", st.PacketsDone, cfg.NPackets))
 			mdl = st.Model()
 			out.Instrs, out.Loads, out.Stores = st.Instrs, st.Loads, st.Stores
@@ -429,13 +467,13 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 			out.UnreconciledSites = sortedSites(unrec)
 			cycles = st.PacketCosts
 		} else {
-			degrade("symbex", reason, "no surviving states; zero-model frames")
+			s.degrade("symbex", reason, "no surviving states; zero-model frames")
 		}
-		out.Frames = buildFrames(eng, mdl, cfg, degrade)
+		out.Frames = buildFrames(eng, mdl)
 		return finish(out, cycles)
 	}
 	if res.BudgetExhausted != "" {
-		degrade("symbex", res.BudgetExhausted, "best completed state from truncated search")
+		s.degrade("symbex", res.BudgetExhausted, "best completed state from truncated search")
 	}
 
 	// Clean(ish) path: fall back to the next-best completed state if the
@@ -443,13 +481,12 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 	// are rolled back — only the accepted attempt's survive.
 	var lastErr error
 	for _, st := range res.Completed {
-		attempt := append([]StageDegradation(nil), degr...)
-		out, err := concretize(inst, eng, st, cfg, staticHashIDs, &attempt, solverFault)
+		kept := s.degr
+		out, err := s.concretize(inst, st)
 		if err != nil {
-			lastErr = err
+			s.degr, lastErr = kept, err
 			continue
 		}
-		degr = attempt
 		return finish(out, st.PacketCosts)
 	}
 	return nil, fmt.Errorf("castan: no completed state solvable: %v", lastErr)
@@ -468,49 +505,13 @@ func sortedSites(m map[int]bool) []int {
 	return out
 }
 
-// buildFrames extracts the workload's frames from a model. Worker panics
-// are contained by internal/parallel; on one the frames are rebuilt
-// sequentially, index by index, with a zero-model frame standing in for
-// any index that still panics.
-func buildFrames(eng *symbex.Engine, mdl solver.Model, cfg Config, degrade func(stage, reason, fallback string)) [][]byte {
-	hook := cfg.Faults.PanicHook(faultinject.PanicFrames)
-	frames, pan := tryFrames(eng, mdl, cfg, hook)
-	if pan == nil {
-		return frames
+// buildFrames extracts the workload's frames from a model.
+func buildFrames(eng *symbex.Engine, mdl solver.Model) [][]byte {
+	frames := make([][]byte, eng.Cfg.NPackets)
+	for p := range frames {
+		frames[p] = frameFromModel(eng, mdl, p)
 	}
-	degrade("frames", pan.Error(), "sequential per-packet rebuild with zero-model fallback")
-	out := make([][]byte, eng.Cfg.NPackets)
-	for p := range out {
-		out[p] = frameSafe(eng, mdl, p)
-	}
-	return out
-}
-
-func tryFrames(eng *symbex.Engine, mdl solver.Model, cfg Config, hook func(int)) (frames [][]byte, pan *parallel.Panic) {
-	defer func() {
-		if v := recover(); v != nil {
-			p, ok := v.(*parallel.Panic)
-			if !ok {
-				panic(v)
-			}
-			frames, pan = nil, p
-		}
-	}()
-	return parallel.Map(cfg.Workers, eng.Cfg.NPackets, func(p int) []byte {
-		if hook != nil {
-			hook(p)
-		}
-		return frameFromModel(eng, mdl, p)
-	}), nil
-}
-
-func frameSafe(eng *symbex.Engine, mdl solver.Model, p int) (fr []byte) {
-	defer func() {
-		if recover() != nil {
-			fr = frameFromModel(eng, solver.Model{}, p)
-		}
-	}()
-	return frameFromModel(eng, mdl, p)
+	return frames
 }
 
 func modelSets(m *cachemodel.Model) int {
@@ -676,16 +677,10 @@ func discoverModel(regions []nf.Region, hier *memsim.Hierarchy, cfg Config, rec 
 }
 
 // concretize reconciles the state's havocs and solves its constraints
-// into frames. Degradations it records land in *degr: the caller snapshots
-// and restores that slice around failed attempts.
-func concretize(inst *nf.Instance, eng *symbex.Engine, st *symbex.State, cfg Config, staticHashIDs map[int]bool, degr *[]StageDegradation, solverFault func() bool) (*Output, error) {
-	degrade := func(stage, reason, fallback string) {
-		*degr = append(*degr, StageDegradation{Stage: stage, Reason: reason, Fallback: fallback})
-		// Attempts the caller rolls back still published their notes: the
-		// live stream reports what actually happened, in attempt order,
-		// which is deterministic (completed states are tried in order).
-		cfg.Obs.Note(stage, "degraded: "+reason+"; fallback: "+fallback)
-	}
+// into frames. The degradations it records land in s.degr; the caller
+// rolls them back when the attempt fails.
+func (s *Search) concretize(inst *nf.Instance, st *symbex.State) (*Output, error) {
+	cfg, eng := s.cfg, s.Engine
 	// The engine maintains the invariant that each state's cached model
 	// satisfies its constraints, so it is both the starting model and the
 	// hint for all reconciliation checks. The solver runs on the pipeline
@@ -693,7 +688,7 @@ func concretize(inst *nf.Instance, eng *symbex.Engine, st *symbex.State, cfg Con
 	// deterministic.
 	sol := solver.Solver{
 		Hint: st.Model(), MaxSteps: 30000, Obs: cfg.Obs,
-		Budget: cfg.Budget.Stage(budget.StageSolver), ForceUnknown: solverFault,
+		Budget: cfg.Budget.Stage(budget.StageSolver), ForceUnknown: eng.SolverFault,
 	}
 	cons := append([]*expr.Expr(nil), st.Constraints()...)
 	mdl, err := sol.Solve(cons)
@@ -709,7 +704,7 @@ func concretize(inst *nf.Instance, eng *symbex.Engine, st *symbex.State, cfg Con
 		// candidate preimages against.
 		mdl = st.Model()
 		solveDegraded = true
-		degrade("solve", err.Error(), "state's cached localRepair model")
+		s.degrade("solve", err.Error(), "state's cached localRepair model")
 	}
 	sol.Hint = mdl
 
@@ -726,7 +721,7 @@ func concretize(inst *nf.Instance, eng *symbex.Engine, st *symbex.State, cfg Con
 			}
 		}
 	} else {
-		tables := buildRainbowTables(inst, cfg, staticHashIDs, degrade)
+		tables := buildRainbowTables(inst, cfg, s.staticHashIDs, s.degrade)
 		hook := cfg.Faults.PanicHook(faultinject.PanicReconcile)
 		bRainbow := cfg.Budget.Stage(budget.StageRainbow)
 		pinnedVars := map[expr.VarID]bool{}
@@ -741,7 +736,7 @@ func concretize(inst *nf.Instance, eng *symbex.Engine, st *symbex.State, cfg Con
 				// Havoc records are the rainbow stage's deterministic cut
 				// points: single goroutine, fixed record order.
 				if reason, ok := bRainbow.Exhausted(); ok {
-					degrade("reconcile", reason, "remaining havoc sites left unreconciled")
+					s.degrade("reconcile", reason, "remaining havoc sites left unreconciled")
 					cut = true
 				}
 			}
@@ -752,7 +747,7 @@ func concretize(inst *nf.Instance, eng *symbex.Engine, st *symbex.State, cfg Con
 			ok, extra, pan := safeReconcile(&sol, cons, mdl, pinnedVars, usedKeys, h, hu, tables[h.HashID], cfg.Workers, hook)
 			if pan != nil {
 				if !panicked {
-					degrade("reconcile", pan.Error(), "havoc site left unreconciled")
+					s.degrade("reconcile", pan.Error(), "havoc site left unreconciled")
 					panicked = true
 				}
 				unrec[h.HashID] = true
@@ -796,7 +791,7 @@ func concretize(inst *nf.Instance, eng *symbex.Engine, st *symbex.State, cfg Con
 			HavocsReconciled:  reconciled,
 			UnreconciledSites: sortedSites(unrec),
 		},
-		Frames: buildFrames(eng, mdl, cfg, degrade),
+		Frames: buildFrames(eng, mdl),
 	}, nil
 }
 

@@ -14,7 +14,7 @@ import (
 // TestFaultMatrix drives every NF in the catalog under every seeded fault
 // plan, with tight per-stage budgets so the matrix stays fast. Whatever is
 // injected — forced solver Unknowns, perturbed probe timings, corrupted
-// rainbow chains, worker panics — Analyze must return a valid (possibly
+// rainbow chains — Analyze must return a valid (possibly
 // degraded) output with well-formed frames and a serializable report, and
 // must never crash or error out.
 func TestFaultMatrix(t *testing.T) {
@@ -108,44 +108,6 @@ func TestChainCorruptionDegradesRainbow(t *testing.T) {
 	}
 	if out.HavocsTotal > 0 && len(out.UnreconciledSites) == 0 {
 		t.Error("havocs exist but no unreconciled sites flagged")
-	}
-}
-
-// TestFramePanicDegradesToSequentialRebuild pins the worker-panic path in
-// frame extraction: the contained panic surfaces as a "frames" degradation
-// and the sequential rebuild still emits every frame.
-func TestFramePanicDegradesToSequentialRebuild(t *testing.T) {
-	inst, err := nf.New("lpm-dl2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hier := memsim.New(memsim.DefaultGeometry(), 2024)
-	out, err := Analyze(inst, hier, Config{
-		NPackets:  4,
-		MaxStates: 1500,
-		Seed:      1,
-		Workers:   4,
-		Faults:    &faultinject.Plan{Name: "frames-panic", Seed: 9, PanicStage: faultinject.PanicFrames},
-	})
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	hasFrames := false
-	for _, d := range out.Degradations {
-		if d.Stage == "frames" {
-			hasFrames = true
-		}
-	}
-	if !hasFrames {
-		t.Fatalf("no frames degradation recorded: %+v", out.Degradations)
-	}
-	if len(out.Frames) != 4 {
-		t.Fatalf("sequential rebuild produced %d frames, want 4", len(out.Frames))
-	}
-	for i, fr := range out.Frames {
-		if _, err := packet.Parse(fr); err != nil {
-			t.Errorf("rebuilt frame %d does not parse: %v", i, err)
-		}
 	}
 }
 

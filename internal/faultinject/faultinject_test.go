@@ -18,7 +18,7 @@ func TestNilAndZeroPlansArmNothing(t *testing.T) {
 		if p.ChainHook() != nil {
 			t.Fatal("chain hook armed")
 		}
-		if p.PanicHook(PanicFrames) != nil {
+		if p.PanicHook(PanicReconcile) != nil {
 			t.Fatal("panic hook armed")
 		}
 	}
@@ -78,11 +78,11 @@ func TestChainHookCorruptsSelectedChains(t *testing.T) {
 }
 
 func TestPanicHookTargetsStageAndItemZero(t *testing.T) {
-	p := &Plan{Name: "test", PanicStage: PanicFrames}
-	if p.PanicHook(PanicReconcile) != nil {
+	p := &Plan{Name: "test", PanicStage: PanicReconcile}
+	if p.PanicHook("discover") != nil {
 		t.Fatal("hook armed for wrong stage")
 	}
-	hook := p.PanicHook(PanicFrames)
+	hook := p.PanicHook(PanicReconcile)
 	hook(1) // non-zero items pass through
 	defer func() {
 		if recover() == nil {
@@ -94,8 +94,8 @@ func TestPanicHookTargetsStageAndItemZero(t *testing.T) {
 
 func TestMatrixPlansCoverEveryFaultClass(t *testing.T) {
 	plans := MatrixPlans()
-	if len(plans) != 4 {
-		t.Fatalf("want 4 matrix plans, got %d", len(plans))
+	if len(plans) != 3 {
+		t.Fatalf("want 3 matrix plans, got %d", len(plans))
 	}
 	seen := map[string]bool{}
 	for _, p := range plans {

@@ -42,7 +42,6 @@ var Catalog = []Instrument{
 	{"castan.contention_sets", CounterKind, "sets", "internal/castan", false, "cache contention sets the discovery stage (or a store hit) produced"},
 	{"castan.degraded.crosscheck", CounterKind, "cuts", "internal/castan", false, "replay of the emitted workload contradicted an always-hit classification on a faulted or already-degraded run; the workload ships without the sanitizer guarantee"},
 	{"castan.degraded.discover", CounterKind, "cuts", "internal/castan", false, "discovery cut short by its budget, or every candidate set failed the cross-reboot filter; a partial or no cache model is used"},
-	{"castan.degraded.frames", CounterKind, "cuts", "internal/castan", false, "a frame-synthesis worker panicked; frames were rebuilt sequentially with a zero-model fallback"},
 	{"castan.degraded.rainbow", CounterKind, "cuts", "internal/castan", false, "a rainbow table failed its self-check and was dropped (one per table); its havoc sites stay unreconciled"},
 	{"castan.degraded.reconcile", CounterKind, "cuts", "internal/castan", false, "reconciliation cut by the rainbow budget or a candidate-check worker panic; remaining havoc sites stay unreconciled"},
 	{"castan.degraded.solve", CounterKind, "cuts", "internal/castan", false, "the final solve of the chosen path hit its budget (or an injected Unknown); the state's cached model stands in and reconciliation is skipped"},

@@ -87,7 +87,6 @@ var stagePrefixes = []struct{ prefix, stage string }{
 	{"castan.degraded.solve", "castan.reconcile"},
 	{"castan.degraded.rainbow", "castan.reconcile"},
 	{"castan.degraded.reconcile", "castan.reconcile"},
-	{"castan.degraded.frames", "castan.reconcile"},
 	{"castan.degraded.crosscheck", "castan.crosscheck"},
 	{"castan.store.", "castan.discover"},
 	{"castan.contention_sets", "castan.discover"},

@@ -6,12 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"castan/internal/analysis"
-	"castan/internal/analysis/cachecost"
-	"castan/internal/analysis/taint"
+	"castan/internal/castan"
 	"castan/internal/expr"
-	"castan/internal/icfg"
-	"castan/internal/ir"
 	"castan/internal/memsim"
 	"castan/internal/nf"
 	"castan/internal/solver"
@@ -45,49 +41,29 @@ func sameAsReference(t *testing.T, what string, q query) (solver.Result, solver.
 	return res, m, eff
 }
 
-// explore runs the symbex engine on one catalog NF, assembled as
-// castan.Analyze assembles it minus the cache model, and returns every
-// query it posed to a solver and the path constraints of every state it
-// completed.
+// explore runs the engine castan.Analyze runs on one catalog NF at
+// -packets 6 -states 4000 -seed 2018 and returns every query it posed to
+// a solver and the path constraints of every state it completed.
 func explore(t testing.TB, name string) (qs []query, done [][]*expr.Expr) {
 	t.Helper()
-	const pkts, states = 6, 4000
 	inst, err := nf.New(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf := analysis.ForModule(inst.Mod)
-	mr := analysis.RunMemRegions(mf, analysis.NFEntryHints())
-	geo := memsim.DefaultGeometry()
-	an, err := icfg.Analyze(inst.Mod, 2, icfg.DefaultCostModel())
+	s, err := castan.NewSearch(inst, memsim.New(memsim.DefaultGeometry(), 2018),
+		castan.Config{NPackets: 6, MaxStates: 4000, Seed: 2018})
 	if err != nil {
 		t.Fatal(err)
 	}
-	potential, err := icfg.Analyze(inst.Mod, pkts+2, icfg.DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
+	s.Engine.QueryTrace = func(cons []*expr.Expr, hint solver.Model, maxSteps int) {
+		qs = append(qs, query{append([]*expr.Expr(nil), cons...), maps.Clone(hint), maxSteps})
 	}
-	eng := &symbex.Engine{
-		Mod: inst.Mod, Analysis: an, PotentialAnalysis: potential,
-		StaticCost: cachecost.Run(mf, mr, cachecost.Config{
-			Geometry: cachecost.Geometry{Ways: geo.L3Assoc(), LineBytes: geo.LineBytes},
-		}),
-		Base: inst.Machine.Mem, HeapTop: ir.HeapBase + inst.Machine.HeapUsed(),
-		Cfg: symbex.Config{
-			Entry: "nf_process", NPackets: pkts, PacketLen: nf.SymbolicPacketLen,
-			MaxStates: states, MaxLoopIters: 96,
-		},
-		Taint: taint.Run(mf, mr, taint.Config{EntryHints: taint.NFEntryTaints()}),
-		QueryTrace: func(cons []*expr.Expr, hint solver.Model, maxSteps int) {
-			qs = append(qs, query{append([]*expr.Expr(nil), cons...), maps.Clone(hint), maxSteps})
-		},
-		Trace: func(event string, s *symbex.State) {
-			if event == "done" {
-				done = append(done, append([]*expr.Expr(nil), s.Constraints()...))
-			}
-		},
+	s.Engine.Trace = func(event string, st *symbex.State) {
+		if event == "done" {
+			done = append(done, append([]*expr.Expr(nil), st.Constraints()...))
+		}
 	}
-	if _, err := eng.Run(); err != nil {
+	if _, err := s.Engine.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(qs) == 0 || len(done) == 0 {
@@ -98,11 +74,13 @@ func explore(t testing.TB, name string) (qs []query, done [][]*expr.Expr) {
 
 // TestCheckMatchesReferenceOnCapturedQueries replays every query a
 // 6-packet / 4000-state exploration poses — tree, trie, chain and ring
-// NF — as posed, without its hint, and under each of the pipeline's
-// three step caps (symbex full solve 8000, local repair 20000, reconcile
-// 30000), so that queries which hit a cap are compared at the cut too.
+// NF, and lpm-dl1, whose address sweeps run over the discovered
+// contention sets — as posed, without its hint, and under each of the
+// pipeline's three step caps (symbex full solve 8000, local repair 20000,
+// reconcile 30000), so that queries which hit a cap are compared at the
+// cut too.
 func TestCheckMatchesReferenceOnCapturedQueries(t *testing.T) {
-	for _, name := range []string{"lb-rbtree", "nat-ubtree", "lpm-trie", "nat-chain", "lb-ring"} {
+	for _, name := range []string{"lb-rbtree", "nat-ubtree", "lpm-trie", "nat-chain", "lb-ring", "lpm-dl1"} {
 		t.Run(name, func(t *testing.T) {
 			qs, _ := explore(t, name)
 			searched, capped := 0, 0

@@ -1,4 +1,4 @@
-package symbex
+package symbex_test
 
 import (
 	"flag"
@@ -8,51 +8,31 @@ import (
 	"strings"
 	"testing"
 
-	"castan/internal/analysis"
-	"castan/internal/analysis/cachecost"
-	"castan/internal/analysis/taint"
+	"castan/internal/castan"
 	"castan/internal/expr"
-	"castan/internal/icfg"
-	"castan/internal/ir"
 	"castan/internal/memsim"
 	"castan/internal/nf"
 	"castan/internal/solver"
+	"castan/internal/symbex"
 )
 
 var updateLocalQueries = flag.Bool("update-local-queries", false,
 	"rewrite testdata/lb-ubtree.localqueries from this build (only ever do this at a commit whose localRepair is known good)")
 
-// catalogEngine assembles the engine for a catalog NF the way
-// castan.Analyze does, minus the cache model.
-func catalogEngine(tb testing.TB, name string, pkts, states int) *Engine {
+// catalogEngine is the engine castan.Analyze runs on a catalog NF at
+// -seed 2018.
+func catalogEngine(tb testing.TB, name string, pkts, states int) *symbex.Engine {
 	tb.Helper()
 	inst, err := nf.New(name)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	mf := analysis.ForModule(inst.Mod)
-	mr := analysis.RunMemRegions(mf, analysis.NFEntryHints())
-	geo := memsim.DefaultGeometry()
-	an, err := icfg.Analyze(inst.Mod, 2, icfg.DefaultCostModel())
+	s, err := castan.NewSearch(inst, memsim.New(memsim.DefaultGeometry(), 2018),
+		castan.Config{NPackets: pkts, MaxStates: states, Seed: 2018})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	potential, err := icfg.Analyze(inst.Mod, pkts+2, icfg.DefaultCostModel())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return &Engine{
-		Mod: inst.Mod, Analysis: an, PotentialAnalysis: potential,
-		StaticCost: cachecost.Run(mf, mr, cachecost.Config{
-			Geometry: cachecost.Geometry{Ways: geo.L3Assoc(), LineBytes: geo.LineBytes},
-		}),
-		Base: inst.Machine.Mem, HeapTop: ir.HeapBase + inst.Machine.HeapUsed(),
-		Cfg: Config{
-			Entry: "nf_process", NPackets: pkts, PacketLen: nf.SymbolicPacketLen,
-			MaxStates: states, MaxLoopIters: 96,
-		},
-		Taint: taint.Run(mf, mr, taint.Config{EntryHints: taint.NFEntryTaints()}),
-	}
+	return s.Engine
 }
 
 // TestLocalRepairPosesSameQuery: caching substituted path constraints
@@ -70,7 +50,7 @@ func TestLocalRepairPosesSameQuery(t *testing.T) {
 	var lines []string
 	queries, posed := 0, 0
 	e.QueryTrace = func(cons []*expr.Expr, _ solver.Model, maxSteps int) {
-		if maxSteps != localSolverSteps {
+		if maxSteps != symbex.LocalSolverSteps {
 			return // a full solve: the path as is, nothing substituted
 		}
 		var buf [8]byte
@@ -117,8 +97,8 @@ func TestLocalRepairPosesSameQuery(t *testing.T) {
 	if len(lines) != len(wantLines) {
 		t.Fatalf("posed %d local queries, the recording ends after %s", queries, wantLines[len(wantLines)-1])
 	}
-	if len(e.pinned) == 0 || len(e.pinned) > posed/4 {
-		t.Fatalf("substitution cache holds %d entries for %d constraints posed: it is not being reused", len(e.pinned), posed)
+	if n := e.PinnedLen(); n == 0 || n > posed/4 {
+		t.Fatalf("substitution cache holds %d entries for %d constraints posed: it is not being reused", n, posed)
 	}
 }
 
@@ -132,8 +112,8 @@ var sinkModel solver.Model
 // rebuilt every pinned constraint node by node.
 func BenchmarkLocalRepair(b *testing.B) {
 	e := catalogEngine(b, "lb-ubtree", 6, 4000)
-	var s *State
-	e.Trace = func(event string, st *State) {
+	var s *symbex.State
+	e.Trace = func(event string, st *symbex.State) {
 		if event == "done" && s == nil {
 			s = st
 		}
@@ -147,10 +127,10 @@ func BenchmarkLocalRepair(b *testing.B) {
 	// Flip the deepest branch decision whose repair is a real local
 	// problem: decided within the cap, over several pinned constraints.
 	var flipped *expr.Expr
-	for last := len(s.constraints) - 1; last > 0 && flipped == nil; last-- {
-		c := expr.Not(s.constraints[last])
-		s.constraints = s.constraints[:last]
-		if _, res := e.localRepair(s, c, nil); res != solver.Unknown && len(e.local) >= 4 {
+	for last := len(s.Constraints()) - 1; last > 0 && flipped == nil; last-- {
+		c := expr.Not(s.Constraints()[last])
+		s.TruncateConstraints(last)
+		if _, res := e.LocalRepair(s, c); res != solver.Unknown && e.LocalLen() >= 4 {
 			flipped = c
 		}
 	}
@@ -160,6 +140,6 @@ func BenchmarkLocalRepair(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkModel, _ = e.localRepair(s, flipped, nil)
+		sinkModel, _ = e.LocalRepair(s, flipped)
 	}
 }
