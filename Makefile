@@ -65,10 +65,12 @@ bench-gate:
 		-attrib-dir $(BENCH_ATTRIB_DIR)
 
 # Store smoke (what CI runs): two identical cmd/castan runs sharing one
-# -store directory. The warm run must hit the store (castan.store.hits
-# nonzero), and both runs must produce byte-identical workloads and
-# identical reports modulo wall-clock/telemetry — a warm store changes
-# effort, never output. CI overrides STORE_SMOKE_DIR and uploads it.
+# -store directory, once for lpm-dl1 (a stored cache model) and once for
+# lb-chain (a stored rainbow table). Each warm run must hit the store
+# (castan.store.hits nonzero), and both runs must produce byte-identical
+# workloads (and, for lpm-dl1, identical reports modulo
+# wall-clock/telemetry) — a warm store changes effort, never output. CI
+# overrides STORE_SMOKE_DIR and uploads it.
 STORE_SMOKE_DIR ?= /tmp/castan-store-smoke
 store-smoke:
 	rm -rf $(STORE_SMOKE_DIR)/store
@@ -88,6 +90,16 @@ store-smoke:
 		-require castan.store.hits
 	$(STORE_SMOKE_DIR)/castan reportcheck -report $(STORE_SMOKE_DIR)/cold-report.json \
 		-nf lpm-dl1 -compare $(STORE_SMOKE_DIR)/warm-report.json
+	$(STORE_SMOKE_DIR)/castan -nf lb-chain -packets 8 -states 3000 \
+		-store $(STORE_SMOKE_DIR)/store \
+		-out $(STORE_SMOKE_DIR)/cold-table.pcap
+	$(STORE_SMOKE_DIR)/castan -nf lb-chain -packets 8 -states 3000 \
+		-store $(STORE_SMOKE_DIR)/store \
+		-out $(STORE_SMOKE_DIR)/warm-table.pcap \
+		-metrics-out $(STORE_SMOKE_DIR)/warm-table-metrics.json
+	cmp $(STORE_SMOKE_DIR)/cold-table.pcap $(STORE_SMOKE_DIR)/warm-table.pcap
+	$(GO) run ./cmd/tracediff check -metrics $(STORE_SMOKE_DIR)/warm-table-metrics.json \
+		-require castan.store.hits
 
 # Short observability smoke (what CI runs): one traced cmd/castan run,
 # then schema-validate the trace and assert the core counters moved.

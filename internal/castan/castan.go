@@ -905,12 +905,12 @@ func buildRainbowTables(inst *nf.Instance, cfg Config, staticHashIDs map[int]boo
 // rainbowSite sizes the table for one hash site of the named NF and gives
 // its two addresses: the in-process cache key, and the content address in
 // the cross-run store. Any edit that moves the latter silently cold-starts
-// every existing store; bump the "rainbow/v1" salt on purpose instead.
+// every existing store; bump the "rainbow/v2" salt on purpose instead.
 func rainbowSite(nfName string, h nf.HashUse) (cacheKey, diskKey string, rcfg rainbow.Config) {
 	rcfg = rainbow.DefaultConfig(h.Bits)
 	rcfg.Chains *= rainbowCoverage
 	cacheKey = fmt.Sprintf("%s/%d/%d/%T%v", nfName, h.HashID, h.Bits, h.Space, h.Space)
-	diskKey = store.Key("rainbow/v1", cacheKey,
+	diskKey = store.Key("rainbow/v2", cacheKey,
 		fmt.Sprintf("chains=%d len=%d seed=%d", rcfg.Chains, rcfg.ChainLen, rcfg.Seed))
 	return cacheKey, diskKey, rcfg
 }

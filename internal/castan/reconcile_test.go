@@ -261,10 +261,10 @@ func TestReconcileWorkerPanicDegrades(t *testing.T) {
 
 // TestRainbowStoreKeyPinned pins the content address of lb-chain's table
 // — the file name a `castan -nf lb-chain -store` run has written since
-// the rainbow/v1 salt — and holds the current code to an envelope the
-// flat-index rewrite's parent wrote under it: it must load, pass a full
-// self-check, and re-serialize to the same bytes, or existing stores go
-// cold (or worse, get rewritten differently by every other run).
+// the rainbow/v2 salt — and holds the current code to an entry the
+// rainbow/v2 code wrote under it: it must read as a hit, load, pass a
+// full self-check, and re-serialize to the same bytes, or existing stores
+// go cold (or worse, get rewritten differently by every other run).
 func TestRainbowStoreKeyPinned(t *testing.T) {
 	inst, err := nf.New("lb-chain")
 	if err != nil {
@@ -275,7 +275,7 @@ func TestRainbowStoreKeyPinned(t *testing.T) {
 	}
 	h := inst.Hashes[0]
 	_, diskKey, _ := rainbowSite(inst.Name, h)
-	if want := "ac610dd1a48bf6efd3fd0bfe47cdd4c7"; diskKey != want {
+	if want := "b40a3439104a33aa7968803169df1bbe"; diskKey != want {
 		t.Fatalf("rainbow store key = %s, want %s", diskKey, want)
 	}
 	st, err := store.Open("testdata")
@@ -284,7 +284,7 @@ func TestRainbowStoreKeyPinned(t *testing.T) {
 	}
 	payload, ok := st.Get(store.KindRainbow, diskKey)
 	if !ok {
-		t.Fatal("parent-written envelope not readable from testdata")
+		t.Fatal("pinned entry not readable from testdata")
 	}
 	tbl, err := rainbow.LoadTable(payload, h.Fn, h.Space)
 	if err != nil {

@@ -2,7 +2,6 @@ package castan
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +12,7 @@ import (
 	"castan/internal/memsim"
 	"castan/internal/nf"
 	"castan/internal/obs"
+	"castan/internal/rainbow"
 	"castan/internal/store"
 )
 
@@ -163,96 +163,94 @@ func TestStoreCorruptModelEntryReadsAsMiss(t *testing.T) {
 }
 
 // TestStoreRainbowSelfCheckGate covers the rainbow trust boundary end to
-// end through the store: a persisted table is only used after SelfCheck
-// rewalks sample chains, so an entry whose bytes decode fine but whose
-// chain data was tampered with is rebuilt from scratch and overwritten —
-// it can never reach reconciliation.
+// end through the store, once for each check that guards it: a table that
+// is well-formed but wrong, which only SelfCheck can reject, and an entry
+// damaged on disk, which the store's checksum rejects. Either way the run
+// counts a miss, rebuilds the table and writes it back — the healed entry
+// is byte-identical to the cold run's — and its output is the cold run's:
+// a bad entry can never reach reconciliation.
 func TestStoreRainbowSelfCheckGate(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{NPackets: 10, MaxStates: 4000, Seed: 1}
-	cold, _ := analyzeStored(t, "lb-chain", dir, cfg)
-
-	rfiles, err := filepath.Glob(filepath.Join(dir, store.KindRainbow+"-*.json"))
-	if err != nil || len(rfiles) == 0 {
-		t.Fatalf("no rainbow entries persisted: %v (%v)", rfiles, err)
+	cold, recCold := analyzeStored(t, "lb-chain", dir, cfg)
+	inst, err := nf.New("lb-chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := inst.Hashes[0]
+	_, diskKey, rcfg := rainbowSite(inst.Name, h)
+	file := filepath.Join(dir, store.KindRainbow+"-"+diskKey+".json")
+	healthy, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatalf("cold run persisted no table: %v", err)
 	}
 
+	if v := recCold.Counter("castan.store.writes").Value(); v != 1 {
+		t.Fatalf("cold run store writes = %d, want 1", v)
+	}
 	// Tables come from disk, after the self-check.
 	warm, recWarm := analyzeStored(t, "lb-chain", dir, cfg)
-	if v := recWarm.Counter("castan.store.hits").Value(); v == 0 {
-		t.Error("warm run loaded no artifacts from the store")
+	if v := recWarm.Counter("castan.store.hits").Value(); v != 1 {
+		t.Errorf("warm run store hits = %d, want 1", v)
 	}
 	if !reflect.DeepEqual(storedComparable(cold), storedComparable(warm)) {
 		t.Error("warm output differs from cold output")
 	}
 
-	// Tamper with the chain data inside the (valid) envelopes: every end
-	// hash is flipped, so LoadTable succeeds but every chain rewalk fails.
-	type endJSON struct {
-		End    uint64   `json:"end"`
-		Starts []uint64 `json:"starts"`
+	cases := []struct {
+		name   string
+		tamper func(t *testing.T)
+	}{
+		{"selfcheck", func(t *testing.T) {
+			// Every chain's end is off by one bit yet inside the hash
+			// width, so the payload is well-formed and loads.
+			rcfg.Corrupt = func(_ int, end uint64) uint64 { return end ^ 1 }
+			bad, err := rainbow.Build(h.Fn, h.Space, rcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := bad.Serialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tbl, err := rainbow.LoadTable(data, h.Fn, h.Space); err != nil || tbl.SelfCheck(4) == nil {
+				t.Fatalf("planted table must load and fail only SelfCheck (load err %v)", err)
+			}
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(store.KindRainbow, diskKey, data); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"crc", func(t *testing.T) {
+			raw := bytes.Clone(healthy)
+			raw[len(raw)-1] ^= 1
+			if err := os.WriteFile(file, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
-	var tamperedBytes [][]byte
-	for _, f := range rfiles {
-		raw, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var env struct {
-			Schema  string          `json:"schema"`
-			Kind    string          `json:"kind"`
-			Key     string          `json:"key"`
-			Payload json.RawMessage `json:"payload"`
-		}
-		if err := json.Unmarshal(raw, &env); err != nil {
-			t.Fatal(err)
-		}
-		var tj struct {
-			Bits     int       `json:"bits"`
-			ChainLen int       `json:"chain_len"`
-			Seed     uint64    `json:"seed"`
-			NChains  int       `json:"nchains"`
-			Ends     []endJSON `json:"ends"`
-		}
-		if err := json.Unmarshal(env.Payload, &tj); err != nil {
-			t.Fatal(err)
-		}
-		for i := range tj.Ends {
-			tj.Ends[i].End ^= 0xdeadbeef
-		}
-		payload, err := json.Marshal(tj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env.Payload = payload
-		mangled, err := json.Marshal(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(f, mangled, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		tamperedBytes = append(tamperedBytes, mangled)
-	}
-
-	out3, rec3 := analyzeStored(t, "lb-chain", dir, cfg)
-	if v := rec3.Counter("castan.store.misses").Value(); v == 0 {
-		t.Error("tampered rainbow entry was trusted")
-	}
-	if v := rec3.Counter("castan.store.writes").Value(); v == 0 {
-		t.Error("rebuilt table not written back")
-	}
-	if !reflect.DeepEqual(storedComparable(cold), storedComparable(out3)) {
-		t.Error("output through tampered store differs from cold output")
-	}
-	for i, f := range rfiles {
-		healed, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Equal(healed, tamperedBytes[i]) {
-			t.Errorf("entry %s not healed after rebuild", filepath.Base(f))
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.tamper(t)
+			out, rec := analyzeStored(t, "lb-chain", dir, cfg)
+			// The table's miss and write-back are the cold run's. (No cache
+			// model is ever stored for lb-chain, so its model lookup
+			// misses on every run.)
+			for _, name := range []string{"castan.store.hits", "castan.store.misses", "castan.store.writes"} {
+				if v, want := rec.Counter(name).Value(), recCold.Counter(name).Value(); v != want {
+					t.Errorf("%s = %d, want the cold run's %d", name, v, want)
+				}
+			}
+			if !reflect.DeepEqual(storedComparable(cold), storedComparable(out)) {
+				t.Error("output through the tampered store differs from cold output")
+			}
+			if healed, err := os.ReadFile(file); err != nil || !bytes.Equal(healed, healthy) {
+				t.Errorf("entry not rebuilt to the cold run's bytes (err %v)", err)
+			}
+		})
 	}
 }
 

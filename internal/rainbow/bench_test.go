@@ -2,6 +2,7 @@ package rainbow
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"castan/internal/nfhash"
@@ -60,5 +61,51 @@ func BenchmarkInvert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink += uint64(len(tbl.Invert(hash(benchSpace.FromSeed(uint64(i))), 16)))
+	}
+}
+
+// ringTable is the table Analyze builds for a ring NF's hash site:
+// DefaultConfig(20) at coverage 8, 2^19 chains of 64 links over the UDP
+// flow space. Built once per process (about a second), outside any timer.
+var ringTable = sync.OnceValues(func() (*Table, error) {
+	return Build(nfhash.RingHash, benchSpace, Config{Bits: 20, Chains: 1 << 19, ChainLen: 64, Seed: 0x9a3b})
+})
+
+// BenchmarkSerialize times encoding the ring table for the store.
+func BenchmarkSerialize(b *testing.B) {
+	tbl, err := ringTable()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := tbl.Serialize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += uint64(len(data))
+	}
+}
+
+// BenchmarkLoadTable times decoding the ring table from its stored bytes
+// — the per-table cost of a warm-store run before SelfCheck.
+func BenchmarkLoadTable(b *testing.B) {
+	tbl, err := ringTable()
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := tbl.Serialize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := LoadTable(data, nfhash.RingHash, benchSpace)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += uint64(got.Chains())
 	}
 }

@@ -5,99 +5,111 @@ package rainbow
 // travels — the hash and key space are code, reattached on load. The
 // caller owns integrity: a loaded table must pass SelfCheck before it is
 // trusted, because these bytes may come from a torn or tampered file
-// (the store treats undecodable entries as misses, but decodable-yet-
+// (LoadTable rejects what is structurally wrong, but well-formed yet
 // wrong chain data is only detectable by rewalking chains).
 
 import (
-	"cmp"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
-	"slices"
+	"math"
 
 	"castan/internal/nfhash"
 )
 
-// tableJSON is the serialized form: one entry per distinct end hash, in
-// ascending end order, each listing its chains' start seeds in build
-// order — the in-memory index, grouped.
-type tableJSON struct {
-	Bits     int       `json:"bits"`
-	ChainLen int       `json:"chain_len"`
-	Seed     uint64    `json:"seed"`
-	NChains  int       `json:"nchains"`
-	Ends     []endJSON `json:"ends"`
-}
+// The serialized form is a fixed header followed by the index's two
+// parallel arrays, in index order (ascending end, build order within an
+// end):
+//
+//	magic    [8]byte  "rainbow2"
+//	bits     uint32
+//	chainLen uint32
+//	seed     uint64
+//	nchains  uint64
+//	ends     [nchains]uint32
+//	starts   [nchains]uint64
+//
+// All integers are little-endian. Ends fit 32 bits because real ends are
+// hashes masked to at most 32 bits.
+const (
+	tableMagic  = "rainbow2"
+	tableHeader = len(tableMagic) + 4 + 4 + 8 + 8
+	chainBytes  = 4 + 8
+)
 
-type endJSON struct {
-	End    uint64   `json:"end"`
-	Starts []uint64 `json:"starts"`
-}
-
-// Serialize encodes the table's chain data deterministically.
+// Serialize encodes the table's chain data deterministically. A table
+// whose ends are wider than its hash (only a fault-injection Corrupt hook
+// makes one) has no encoding and is refused.
 func (t *Table) Serialize() ([]byte, error) {
-	tj := tableJSON{
-		Bits:     t.bits,
-		ChainLen: t.chainLen,
-		Seed:     t.seed,
-		NChains:  len(t.ends),
+	n := len(t.ends)
+	if n > 0 && t.ends[n-1]>>uint(t.bits) != 0 {
+		return nil, fmt.Errorf("rainbow: end %#x wider than %d bits", t.ends[n-1], t.bits)
 	}
-	for lo, hi := 0, 0; lo < len(t.ends); lo = hi {
-		for hi = lo + 1; hi < len(t.ends) && t.ends[hi] == t.ends[lo]; hi++ {
-		}
-		tj.Ends = append(tj.Ends, endJSON{End: t.ends[lo], Starts: t.starts[lo:hi]})
+	if uint64(t.chainLen) > math.MaxUint32 {
+		return nil, fmt.Errorf("rainbow: chain length %d does not fit the format", t.chainLen)
 	}
-	return json.Marshal(tj)
+	data := make([]byte, tableHeader, tableHeader+n*chainBytes)
+	copy(data, tableMagic)
+	le := binary.LittleEndian
+	le.PutUint32(data[8:], uint32(t.bits))
+	le.PutUint32(data[12:], uint32(t.chainLen))
+	le.PutUint64(data[16:], t.seed)
+	le.PutUint64(data[24:], uint64(n))
+	for _, end := range t.ends {
+		data = le.AppendUint32(data, uint32(end))
+	}
+	for _, start := range t.starts {
+		data = le.AppendUint64(data, start)
+	}
+	return data, nil
 }
 
 // LoadTable rebuilds a table from Serialize's output, reattaching the
 // hash function and key space the table was built over (they are part
 // of the caller's store key, so a mismatch cannot alias silently — but
 // it would also be caught by SelfCheck, which callers must run before
-// trusting the result). Any structurally valid payload yields a correctly
-// sorted index, whatever order its entries arrive in.
+// trusting the result). A payload is rejected unless its length matches
+// its header exactly, every end fits the hash width, and the ends are
+// non-decreasing: binary search over a misordered index would miss
+// chains that are there.
 func LoadTable(data []byte, hash func([]byte) uint64, space nfhash.KeySpace) (*Table, error) {
-	var tj tableJSON
-	if err := json.Unmarshal(data, &tj); err != nil {
-		return nil, fmt.Errorf("rainbow: decode table: %w", err)
+	if len(data) < tableHeader || string(data[:len(tableMagic)]) != tableMagic {
+		return nil, fmt.Errorf("rainbow: not a serialized table")
 	}
-	if tj.Bits <= 0 || tj.Bits > 32 {
-		return nil, fmt.Errorf("rainbow: unsupported hash width %d", tj.Bits)
+	le := binary.LittleEndian
+	bits := int(le.Uint32(data[8:]))
+	chainLen := int(le.Uint32(data[12:]))
+	seed := le.Uint64(data[16:])
+	nchains := le.Uint64(data[24:])
+	if bits <= 0 || bits > 32 {
+		return nil, fmt.Errorf("rainbow: unsupported hash width %d", bits)
 	}
-	if tj.ChainLen <= 0 || tj.NChains <= 0 {
-		return nil, fmt.Errorf("rainbow: bad table size %d×%d", tj.NChains, tj.ChainLen)
+	// The length check comes before anything is sized from the header,
+	// whose chain count may be any 64-bit value.
+	body := len(data) - tableHeader
+	if chainLen <= 0 || nchains == 0 || body%chainBytes != 0 || uint64(body/chainBytes) != nchains {
+		return nil, fmt.Errorf("rainbow: bad table size %d×%d in %d bytes", nchains, chainLen, len(data))
 	}
-	// Serialize writes entries in end order; tampered or foreign bytes
-	// need not, and binary search over a misordered index would miss
-	// chains that are there. Equal ends are rejected below, so the sort
-	// has no ties to keep in order.
-	slices.SortFunc(tj.Ends, func(a, b endJSON) int { return cmp.Compare(a.End, b.End) })
-	total := 0
-	for i, e := range tj.Ends {
-		if len(e.Starts) == 0 {
-			return nil, fmt.Errorf("rainbow: end %#x with no starts", e.End)
-		}
-		if i > 0 && e.End == tj.Ends[i-1].End {
-			return nil, fmt.Errorf("rainbow: duplicate end %#x", e.End)
-		}
-		total += len(e.Starts)
-	}
-	if total != tj.NChains {
-		return nil, fmt.Errorf("rainbow: %d chains serialized, header says %d", total, tj.NChains)
-	}
+	n := int(nchains)
+	rawEnds, rawStarts := data[tableHeader:tableHeader+4*n], data[tableHeader+4*n:]
 	t := &Table{
-		hash:     nfhash.Masked(hash, tj.Bits),
-		bits:     tj.Bits,
+		hash:     nfhash.Masked(hash, bits),
+		bits:     bits,
 		space:    space,
-		chainLen: tj.ChainLen,
-		seed:     tj.Seed,
-		ends:     make([]uint64, 0, total),
-		starts:   make([]uint64, 0, total),
+		chainLen: chainLen,
+		seed:     seed,
+		ends:     make([]uint64, n),
+		starts:   make([]uint64, n),
 	}
-	for _, e := range tj.Ends {
-		for range e.Starts {
-			t.ends = append(t.ends, e.End)
+	for i := range t.ends {
+		end := uint64(le.Uint32(rawEnds[4*i:]))
+		if end>>uint(bits) != 0 {
+			return nil, fmt.Errorf("rainbow: end %#x wider than %d bits", end, bits)
 		}
-		t.starts = append(t.starts, e.Starts...)
+		if i > 0 && end < t.ends[i-1] {
+			return nil, fmt.Errorf("rainbow: end %#x out of order at chain %d", end, i)
+		}
+		t.ends[i] = end
+		t.starts[i] = le.Uint64(rawStarts[8*i:])
 	}
 	return t, nil
 }

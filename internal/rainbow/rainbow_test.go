@@ -2,10 +2,8 @@ package rainbow
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"slices"
-	"sort"
 	"testing"
 
 	"castan/internal/nfhash"
@@ -199,18 +197,21 @@ func (r *refTable) invert(h uint64, max int) [][]byte {
 	return out
 }
 
-func (r *refTable) serialize(t *testing.T) []byte {
-	tj := tableJSON{Bits: r.bits, ChainLen: r.chainLen, Seed: r.seed}
-	for end, starts := range r.ends {
-		tj.Ends = append(tj.Ends, endJSON{End: end, Starts: starts})
-		tj.NChains += len(starts)
+func (r *refTable) serialize() []byte {
+	keys := make([]uint64, 0, len(r.ends))
+	for end := range r.ends {
+		keys = append(keys, end)
 	}
-	sort.Slice(tj.Ends, func(i, j int) bool { return tj.Ends[i].End < tj.Ends[j].End })
-	data, err := json.Marshal(tj)
-	if err != nil {
-		t.Fatal(err)
+	slices.Sort(keys)
+	var ends []uint32
+	var starts []uint64
+	for _, end := range keys {
+		for _, start := range r.ends[end] {
+			ends = append(ends, uint32(end))
+			starts = append(starts, start)
+		}
 	}
-	return data
+	return rawTable(uint32(r.bits), uint32(r.chainLen), r.seed, uint64(len(ends)), ends, starts)
 }
 
 // TestBuildMatchesReference holds the flat-index table to the reference
@@ -228,7 +229,7 @@ func TestBuildMatchesReference(t *testing.T) {
 	for hname, hash := range hashes {
 		for _, space := range spaces {
 			ref := refBuild(hash, space, cfg)
-			want := ref.serialize(t)
+			want := ref.serialize()
 			for _, w := range []int{1, 2, 4, 8} {
 				name := fmt.Sprintf("%s/%T%v/w=%d", hname, space, space, w)
 				cfg.Workers = w
@@ -368,26 +369,40 @@ func TestSerializeLoadRoundTrip(t *testing.T) {
 
 func TestLoadTableRejectsMalformed(t *testing.T) {
 	space := nfhash.RawSpace{Len: 4}
-	cases := map[string]string{
-		"garbage":        `not json`,
-		"zero-bits":      `{"bits":0,"chain_len":8,"seed":1,"nchains":1,"ends":[{"end":1,"starts":[2]}]}`,
-		"wide-bits":      `{"bits":40,"chain_len":8,"seed":1,"nchains":1,"ends":[{"end":1,"starts":[2]}]}`,
-		"zero-chain-len": `{"bits":12,"chain_len":0,"seed":1,"nchains":1,"ends":[{"end":1,"starts":[2]}]}`,
-		"count-mismatch": `{"bits":12,"chain_len":8,"seed":1,"nchains":3,"ends":[{"end":1,"starts":[2]}]}`,
-		"empty-starts":   `{"bits":12,"chain_len":8,"seed":1,"nchains":1,"ends":[{"end":1,"starts":[]}]}`,
-		"duplicate-end":  `{"bits":12,"chain_len":8,"seed":1,"nchains":2,"ends":[{"end":1,"starts":[2]},{"end":1,"starts":[3]}]}`,
+	one := func(bits, chainLen uint32, nchains uint64) []byte {
+		return rawTable(bits, chainLen, 1, nchains, []uint32{1}, []uint64{2})
+	}
+	cases := map[string][]byte{
+		"garbage":        []byte(`not a table`),
+		"short-header":   one(12, 8, 1)[:tableHeader-1],
+		"json-v1":        []byte(`{"bits":12,"chain_len":8,"seed":1,"nchains":1,"ends":[{"end":1,"starts":[2]}]}`),
+		"zero-bits":      one(0, 8, 1),
+		"wide-bits":      one(40, 8, 1),
+		"zero-chain-len": one(12, 0, 1),
+		"no-chains":      rawTable(12, 8, 1, 0, nil, nil),
+		"count-mismatch": one(12, 8, 3),
+		"truncated":      one(12, 8, 1)[:tableHeader+chainBytes-1],
+		"trailing-bytes": append(one(12, 8, 1), 0),
+		// Sizing anything from this claim before checking it against the
+		// payload length would panic.
+		"huge-count":      rawTable(12, 8, 1, 1<<62, nil, nil),
+		"wide-end":        rawTable(12, 8, 1, 1, []uint32{1 << 12}, []uint64{2}),
+		"misordered-ends": rawTable(12, 8, 1, 2, []uint32{9, 1}, []uint64{2, 3}),
 	}
 	for name, data := range cases {
-		if _, err := LoadTable([]byte(data), nfhash.TableHash, space); err == nil {
+		if _, err := LoadTable(data, nfhash.TableHash, space); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	if _, err := LoadTable(one(12, 8, 1), nfhash.TableHash, space); err != nil {
+		t.Fatalf("well-formed one-chain payload rejected: %v", err)
 	}
 }
 
 // TestLoadedTamperedTableFailsSelfCheck exercises the trust boundary the
-// store relies on: bytes that decode fine but carry wrong chain data load
-// without error, and only SelfCheck exposes them — which is why callers
-// must self-check every table loaded from disk before using it.
+// store relies on: bytes that are structurally valid but carry wrong chain
+// data load without error, and only SelfCheck exposes them — which is why
+// callers must self-check every table loaded from disk before using it.
 func TestLoadedTamperedTableFailsSelfCheck(t *testing.T) {
 	space := nfhash.RawSpace{Len: 4}
 	tbl, err := Build(nfhash.TableHash, space, DefaultConfig(12))
@@ -398,18 +413,11 @@ func TestLoadedTamperedTableFailsSelfCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tj tableJSON
-	if err := json.Unmarshal(data, &tj); err != nil {
-		t.Fatal(err)
+	// Flip one bit of every start seed.
+	for i := tableHeader + 4*tbl.Chains(); i < len(data); i += 8 {
+		data[i] ^= 1
 	}
-	for i := range tj.Ends {
-		tj.Ends[i].End ^= 0xdeadbeef
-	}
-	tampered, err := json.Marshal(tj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTable(tampered, nfhash.TableHash, space)
+	got, err := LoadTable(data, nfhash.TableHash, space)
 	if err != nil {
 		t.Fatalf("structurally valid tampered table must load: %v", err)
 	}
@@ -438,5 +446,9 @@ func TestSelfCheckCatchesCorruption(t *testing.T) {
 	// Chain 0 is corrupted, so even a 1-chain spot check catches it.
 	if err := tbl.SelfCheck(1); err == nil {
 		t.Fatal("spot check missed corrupted chain 0")
+	}
+	// Its ends are wider than the hash, which the format cannot carry.
+	if _, err := tbl.Serialize(); err == nil {
+		t.Fatal("table with ends wider than its hash serialized")
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -111,10 +112,16 @@ func TestConcurrentPutGetNoTornReads(t *testing.T) {
 // fresh Put fully recovers the slot.
 func TestMidWriteCrashIsCleanMiss(t *testing.T) {
 	payload := makePayload(t, 7)
-	full, err := json.Marshal(envelope{Schema: Schema, Kind: KindRainbow, Key: "k", Payload: payload})
+	written := open(t)
+	if err := written.Put(KindRainbow, "k", payload); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(written.path(KindRainbow, "k"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Put writes the header line and the payload separately.
+	headerOnly := full[:bytes.IndexByte(full, '\n')+1]
 
 	crashes := map[string]func(t *testing.T, s *Store){
 		// Killed after CreateTemp, before any bytes: empty orphan temp.
@@ -123,13 +130,13 @@ func TestMidWriteCrashIsCleanMiss(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		// Killed mid-Write: a partial envelope in the temp file.
+		// Killed mid-Write: a partial entry in the temp file.
 		"mid-write": func(t *testing.T, s *Store) {
 			if err := os.WriteFile(filepath.Join(s.Dir(), KindRainbow+"-456.tmp"), full[:len(full)/2], 0o644); err != nil {
 				t.Fatal(err)
 			}
 		},
-		// Killed after Close, before Rename: a complete envelope that
+		// Killed after Close, before Rename: a complete entry that
 		// never got committed. Still invisible — only the rename publishes.
 		"before-rename": func(t *testing.T, s *Store) {
 			if err := os.WriteFile(filepath.Join(s.Dir(), KindRainbow+"-789.tmp"), full, 0o644); err != nil {
@@ -140,6 +147,13 @@ func TestMidWriteCrashIsCleanMiss(t *testing.T) {
 		// final file itself holds a prefix. Get must treat it as a miss.
 		"torn-final-file": func(t *testing.T, s *Store) {
 			if err := os.WriteFile(s.path(KindRainbow, "k"), full[:len(full)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		// The same, torn between Put's two writes: a complete header line
+		// announcing a payload that never arrived.
+		"torn-after-header": func(t *testing.T, s *Store) {
+			if err := os.WriteFile(s.path(KindRainbow, "k"), headerOnly, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		},

@@ -9,34 +9,37 @@
 // from every input that influenced the artifact (geometry, memory
 // regions, seed, discovery configuration, algorithm revision), so a
 // config change can never alias a stale artifact — it simply misses.
-// Entries are JSON envelopes carrying a schema tag, the kind, the key,
-// and the payload; reads that fail for any reason (missing file,
-// truncated or garbage bytes, schema/kind/key mismatch) are misses,
-// never errors: the caller re-derives and overwrites. Writes go through
-// a temp file and rename, so a crashed writer leaves either the old
-// entry or none — a torn write surfaces as a miss on the next run.
+// An entry is one JSON header line carrying a schema tag, the kind, the
+// key, the payload's length and its CRC-32C, then the payload's raw
+// bytes; reads that fail for any reason (missing file, truncated or
+// garbage bytes, schema/kind/key mismatch, wrong length or checksum) are
+// misses, never errors: the caller re-derives and overwrites. Writes go
+// through a temp file and rename, so a crashed writer leaves either the
+// old entry or none — a torn write surfaces as a miss on the next run.
 //
 // Do wraps Get/Put in a keyed single-flight (parallel.Group), so
 // concurrent analyses in one process derive a missing artifact once.
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 
 	"castan/internal/parallel"
 )
 
-// Schema tags the envelope layout. Bump it to invalidate every existing
-// store entry at once: old envelopes then read as misses.
-const Schema = "castan-store/v1"
+// Schema tags the entry layout. Bump it to invalidate every existing
+// store entry at once: old entries then read as misses.
+const Schema = "castan-store/v2"
 
 // Artifact kinds. The kind is part of both the file name and the
-// envelope, so two artifact types can never alias even under key
+// entry header, so two artifact types can never alias even under key
 // collision.
 const (
 	KindModel   = "cachemodel"
@@ -61,13 +64,17 @@ func Key(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
-// envelope is the on-disk form of one entry.
-type envelope struct {
-	Schema  string          `json:"schema"`
-	Kind    string          `json:"kind"`
-	Key     string          `json:"key"`
-	Payload json.RawMessage `json:"payload"`
+// header is the first line of an entry's file; the payload's bytes
+// follow its newline verbatim, so reading an entry parses only this.
+type header struct {
+	Schema string `json:"schema"`
+	Kind   string `json:"kind"`
+	Key    string `json:"key"`
+	Len    int    `json:"len"`
+	CRC32C uint32 `json:"crc32c"`
 }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Store is one on-disk artifact directory. The zero value is not
 // usable; Open it. A nil *Store is valid and behaves as an always-miss,
@@ -97,16 +104,21 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-// path names the entry file for (kind, key).
+// path names the entry file for (kind, key). The ".json" suffix outlives
+// the JSON envelopes of castan-store/v1 on purpose: a v1 entry under a
+// key that has not changed since is overwritten by the next Put rather
+// than left behind as an orphan.
 func (s *Store) path(kind, key string) string {
 	return filepath.Join(s.dir, kind+"-"+key+".json")
 }
 
-// Get returns the payload stored under (kind, key). Every failure mode
-// — absent file, unreadable bytes, malformed JSON, schema version bump,
-// kind or key mismatch, empty payload — is reported as a plain miss:
-// the artifact is re-derivable by construction, so corruption is never
-// worth an error path, let alone a crash.
+// Get returns the payload stored under (kind, key), as a sub-slice of
+// the file's bytes. Every failure mode — absent file, unreadable bytes,
+// no header line, malformed header, schema version bump, kind or key
+// mismatch, a length other than the bytes that follow, a checksum
+// mismatch — is reported as a plain miss: the artifact is re-derivable by
+// construction, so corruption is never worth an error path, let alone a
+// crash.
 func (s *Store) Get(kind, key string) ([]byte, bool) {
 	if s == nil {
 		return nil, false
@@ -115,26 +127,31 @@ func (s *Store) Get(kind, key string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
+	line, payload, ok := bytes.Cut(raw, []byte{'\n'})
+	if !ok {
 		return nil, false
 	}
-	if env.Schema != Schema || env.Kind != kind || env.Key != key || len(env.Payload) == 0 {
+	var h header
+	if err := json.Unmarshal(line, &h); err != nil {
 		return nil, false
 	}
-	return env.Payload, true
+	if h.Schema != Schema || h.Kind != kind || h.Key != key || h.Len != len(payload) ||
+		h.CRC32C != crc32.Checksum(payload, castagnoli) {
+		return nil, false
+	}
+	return payload, true
 }
 
-// Put stores payload under (kind, key), atomically: the envelope is
-// written to a temp file in the store directory and renamed into place,
-// so concurrent readers (and crashed writers) see either the previous
-// entry or the complete new one.
+// Put stores payload under (kind, key), atomically: the entry is written
+// to a temp file in the store directory and renamed into place, so
+// concurrent readers (and crashed writers) see either the previous entry
+// or the complete new one.
 func (s *Store) Put(kind, key string, payload []byte) error {
 	if s == nil {
 		return nil
 	}
-	env := envelope{Schema: Schema, Kind: kind, Key: key, Payload: payload}
-	data, err := json.Marshal(env)
+	line, err := json.Marshal(header{Schema: Schema, Kind: kind, Key: key, Len: len(payload),
+		CRC32C: crc32.Checksum(payload, castagnoli)})
 	if err != nil {
 		return fmt.Errorf("store: encode %s/%s: %w", kind, key, err)
 	}
@@ -142,7 +159,11 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	_, err = tmp.Write(append(line, '\n'))
+	if err == nil {
+		_, err = tmp.Write(payload)
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: write %s/%s: %w", kind, key, err)

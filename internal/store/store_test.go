@@ -1,7 +1,8 @@
 package store
 
 import (
-	"encoding/json"
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,54 +51,30 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 // TestCorruptEntriesReadAsMisses is the core robustness contract: no
-// on-disk state, however mangled, may surface as anything but a miss.
+// on-disk state, however mangled, may surface as anything but a miss, and
+// Do re-derives through the miss and heals the entry.
 func TestCorruptEntriesReadAsMisses(t *testing.T) {
 	payload := []byte(`{"assoc":16}`)
-	corrupt := map[string]func(path string) error{
-		"truncated": func(path string) error {
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(path, raw[:len(raw)/2], 0o644)
+	corrupt := map[string]func(raw []byte) []byte{
+		"truncated": func(raw []byte) []byte { return raw[:len(raw)/2] },
+		"garbage":   func([]byte) []byte { return []byte("\x00\xffnot json at all") },
+		"empty":     func([]byte) []byte { return nil },
+		"version-bumped": func(raw []byte) []byte {
+			return bytes.Replace(raw, []byte(Schema), []byte("castan-store/v0"), 1)
 		},
-		"garbage": func(path string) error {
-			return os.WriteFile(path, []byte("\x00\xffnot json at all"), 0o644)
+		"key-mismatch": func(raw []byte) []byte {
+			return bytes.Replace(raw, []byte(`"key":"k"`), []byte(`"key":"j"`), 1)
 		},
-		"empty": func(path string) error {
-			return os.WriteFile(path, nil, 0o644)
+		// The entry as castan-store/v1 wrote it, under the same file name.
+		"v1-envelope": func([]byte) []byte {
+			return []byte(`{"schema":"castan-store/v1","kind":"cachemodel","key":"k","payload":{"assoc":16}}`)
 		},
-		"version-bumped": func(path string) error {
-			var env envelope
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			if err := json.Unmarshal(raw, &env); err != nil {
-				return err
-			}
-			env.Schema = "castan-store/v0"
-			out, err := json.Marshal(env)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(path, out, 0o644)
+		"length-mismatch": func(raw []byte) []byte {
+			return bytes.Replace(raw, []byte(fmt.Sprintf(`"len":%d`, len(payload))), []byte(fmt.Sprintf(`"len":%d`, len(payload)-1)), 1)
 		},
-		"key-mismatch": func(path string) error {
-			var env envelope
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			if err := json.Unmarshal(raw, &env); err != nil {
-				return err
-			}
-			env.Key = "someone-else"
-			out, err := json.Marshal(env)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(path, out, 0o644)
+		"flipped-payload-byte": func(raw []byte) []byte {
+			raw[len(raw)-1] ^= 1
+			return raw
 		},
 	}
 	for name, mangle := range corrupt {
@@ -106,18 +83,27 @@ func TestCorruptEntriesReadAsMisses(t *testing.T) {
 			if err := s.Put(KindModel, "k", payload); err != nil {
 				t.Fatal(err)
 			}
-			if err := mangle(s.path(KindModel, "k")); err != nil {
+			path := s.path(KindModel, "k")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mangled := mangle(bytes.Clone(raw))
+			if bytes.Equal(mangled, raw) {
+				t.Fatal("mangle left the entry intact")
+			}
+			if err := os.WriteFile(path, mangled, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if got, ok := s.Get(KindModel, "k"); ok {
 				t.Fatalf("corrupt entry read as hit: %q", got)
 			}
-			// And the slot is recoverable: a fresh Put heals it.
-			if err := s.Put(KindModel, "k", payload); err != nil {
-				t.Fatal(err)
+			got, hit, err := s.Do(KindModel, "k", func() ([]byte, error) { return payload, nil })
+			if err != nil || hit || !bytes.Equal(got, payload) {
+				t.Fatalf("Do over a corrupt entry: %q hit=%v err=%v", got, hit, err)
 			}
-			if _, ok := s.Get(KindModel, "k"); !ok {
-				t.Error("slot not recoverable after re-Put")
+			if healed, err := os.ReadFile(path); err != nil || !bytes.Equal(healed, raw) {
+				t.Errorf("entry not healed to the bytes Put writes (err %v)", err)
 			}
 		})
 	}
