@@ -43,7 +43,7 @@ bench:
 # yardsticks performance PRs quote) cannot rot unrun.
 bench-smoke:
 	$(GO) test -short -bench . -benchtime 1x -run '^$$' \
-		. ./internal/rainbow ./internal/expr ./internal/solver ./internal/symbex \
+		. ./internal/nfhash ./internal/rainbow ./internal/expr ./internal/solver ./internal/symbex \
 		./internal/memsim ./internal/interp ./internal/testbed
 
 # Instrumented analysis over the seed NF catalog: phase durations plus
@@ -224,8 +224,9 @@ lint-strict:
 # never panic Validate, and modules it accepts must survive the
 # Disassemble round-trip; arbitrary store payloads must never panic
 # rainbow.LoadTable, and tables it accepts must be stable under
-# Serialize/LoadTable and safe to SelfCheck and Invert; the interval
-# kernels must equal the reference Hacker's Delight loops on any
+# Serialize/LoadTable and safe to SelfCheck and Invert; the fused
+# ring-hash lanes must equal RingHash on any seeds, space and width;
+# the interval kernels must equal the reference Hacker's Delight loops on any
 # operands and brute force on 8-bit ones; the memory hierarchy must be
 # indistinguishable from its stamp-based reference on any call trace;
 # arbitrary bytes in a store entry's file must read as a miss or as that
@@ -239,6 +240,8 @@ fuzz-smoke:
 	$(GO) test ./internal/ir/ -fuzz FuzzModuleValidate -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/rainbow/ -run FuzzLoadTable -count=1
 	$(GO) test ./internal/rainbow/ -fuzz FuzzLoadTable -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/nfhash/ -run FuzzRingLanes -count=1
+	$(GO) test ./internal/nfhash/ -fuzz FuzzRingLanes -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/expr/ -run FuzzIntervalKernels -count=1
 	$(GO) test ./internal/expr/ -fuzz FuzzIntervalKernels -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/memsim/ -run FuzzHierarchyTrace -count=1

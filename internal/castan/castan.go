@@ -118,8 +118,9 @@ func (c *Config) fill() {
 }
 
 // TableCache memoizes rainbow tables across the Analyze calls of one owner
-// (Config.Tables): a single-flight group keyed by hash site, so concurrent
-// analyses of the same NF build each table exactly once instead of racing.
+// (Config.Tables): a single-flight group keyed by table content, so
+// concurrent analyses, and the hash sites of one analysis, that need the
+// same table build it exactly once instead of racing.
 // The zero value is ready to use; entries are never evicted, so the owner
 // bounds its lifetime.
 type TableCache struct {
@@ -835,7 +836,7 @@ func buildRainbowTables(inst *nf.Instance, cfg Config, staticHashIDs map[int]boo
 		// would credit all chain work to whichever run built it. Counting
 		// below from the finished table charges every run identically,
 		// cache hit or fresh build (DESIGN.md decision 8).
-		key, diskKey, rcfg := rainbowSite(inst.Name, h)
+		key, diskKey, rcfg := rainbowSite(h)
 		rcfg.Workers = cfg.Workers
 		rcfg.Corrupt = corrupt
 		diskStore := cfg.Store
@@ -902,17 +903,26 @@ func buildRainbowTables(inst *nf.Instance, cfg Config, staticHashIDs map[int]boo
 	return out
 }
 
-// rainbowSite sizes the table for one hash site of the named NF and gives
-// its two addresses: the in-process cache key, and the content address in
-// the cross-run store. Any edit that moves the latter silently cold-starts
-// every existing store; bump the "rainbow/v2" salt on purpose instead.
-func rainbowSite(nfName string, h nf.HashUse) (cacheKey, diskKey string, rcfg rainbow.Config) {
+// rainbowSite sizes the table for one hash site and gives its two
+// addresses: the in-process cache key, and the content address in the
+// cross-run store. Both name what fixes the table's bytes — width, key
+// space, chain geometry, seed and hash function — and not the site or its
+// NF, so sites that need the same table (the NATs' forward and reverse
+// flow tables) share one. The hash enters as its masked values on eight
+// fixed keys of the space: a function has no other stable identity. Any
+// edit that moves the store address silently cold-starts every existing
+// store; bump the "rainbow/v3" salt on purpose instead.
+func rainbowSite(h nf.HashUse) (cacheKey, diskKey string, rcfg rainbow.Config) {
 	rcfg = rainbow.DefaultConfig(h.Bits)
 	rcfg.Chains *= rainbowCoverage
-	cacheKey = fmt.Sprintf("%s/%d/%d/%T%v", nfName, h.HashID, h.Bits, h.Space, h.Space)
-	diskKey = store.Key("rainbow/v2", cacheKey,
-		fmt.Sprintf("chains=%d len=%d seed=%d", rcfg.Chains, rcfg.ChainLen, rcfg.Seed))
-	return cacheKey, diskKey, rcfg
+	masked := nfhash.Masked(h.Fn, h.Bits)
+	var fingerprint [8]uint64
+	for i := range fingerprint {
+		fingerprint[i] = masked(h.Space.FromSeed(uint64(i)))
+	}
+	cacheKey = fmt.Sprintf("bits=%d space=%T%v chains=%d len=%d seed=%d hash=%x",
+		h.Bits, h.Space, h.Space, rcfg.Chains, rcfg.ChainLen, rcfg.Seed, fingerprint)
+	return cacheKey, store.Key("rainbow/v3", cacheKey), rcfg
 }
 
 // reconcileHavoc implements §3.5's three-step reconciliation for one

@@ -261,8 +261,8 @@ func TestReconcileWorkerPanicDegrades(t *testing.T) {
 
 // TestRainbowStoreKeyPinned pins the content address of lb-chain's table
 // — the file name a `castan -nf lb-chain -store` run has written since
-// the rainbow/v2 salt — and holds the current code to an entry the
-// rainbow/v2 code wrote under it: it must read as a hit, load, pass a
+// the rainbow/v3 salt — and holds the current code to an entry the
+// rainbow/v3 code wrote under it: it must read as a hit, load, pass a
 // full self-check, and re-serialize to the same bytes, or existing stores
 // go cold (or worse, get rewritten differently by every other run).
 func TestRainbowStoreKeyPinned(t *testing.T) {
@@ -274,8 +274,8 @@ func TestRainbowStoreKeyPinned(t *testing.T) {
 		t.Fatalf("lb-chain has %d hash sites", len(inst.Hashes))
 	}
 	h := inst.Hashes[0]
-	_, diskKey, _ := rainbowSite(inst.Name, h)
-	if want := "b40a3439104a33aa7968803169df1bbe"; diskKey != want {
+	_, diskKey, _ := rainbowSite(h)
+	if want := "9bfade52db40c1eddb6d0348e35079d5"; diskKey != want {
 		t.Fatalf("rainbow store key = %s, want %s", diskKey, want)
 	}
 	st, err := store.Open("testdata")
@@ -299,5 +299,31 @@ func TestRainbowStoreKeyPinned(t *testing.T) {
 	}
 	if !bytes.Equal(again, payload) {
 		t.Fatal("re-serialized table differs from the stored payload")
+	}
+}
+
+// TestRainbowSiteKeysTableContent: a table's addresses name what it is
+// built from, not where it is used. nat-ring's forward and reverse sites
+// share both; the same width and space under TableHash share neither.
+func TestRainbowSiteKeysTableContent(t *testing.T) {
+	inst, err := nf.New("nat-ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inst.Hashes) != 2 {
+		t.Fatalf("nat-ring has %d hash sites", len(inst.Hashes))
+	}
+	keys := func(h nf.HashUse) [2]string {
+		cacheKey, diskKey, _ := rainbowSite(h)
+		return [2]string{cacheKey, diskKey}
+	}
+	ring := keys(inst.Hashes[0])
+	if rev := keys(inst.Hashes[1]); rev != ring {
+		t.Errorf("nat-ring's two sites are keyed %q and %q", ring, rev)
+	}
+	table := inst.Hashes[0]
+	table.Fn = nfhash.TableHash
+	if k := keys(table); k[0] == ring[0] || k[1] == ring[1] {
+		t.Errorf("TableHash and RingHash over one width and space share a key: %q", k)
 	}
 }

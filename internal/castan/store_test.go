@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"castan/internal/budget"
 	"castan/internal/cachemodel"
 	"castan/internal/faultinject"
 	"castan/internal/memsim"
@@ -178,7 +179,7 @@ func TestStoreRainbowSelfCheckGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := inst.Hashes[0]
-	_, diskKey, rcfg := rainbowSite(inst.Name, h)
+	_, diskKey, rcfg := rainbowSite(h)
 	file := filepath.Join(dir, store.KindRainbow+"-"+diskKey+".json")
 	healthy, err := os.ReadFile(file)
 	if err != nil {
@@ -251,6 +252,39 @@ func TestStoreRainbowSelfCheckGate(t *testing.T) {
 				t.Errorf("entry not rebuilt to the cold run's bytes (err %v)", err)
 			}
 		})
+	}
+}
+
+// TestIdenticalSitesShareOneTable: nat-chain's forward and reverse flow
+// tables hash the same width of the same space with the same function,
+// so they need one rainbow table. A cold run against an empty store
+// builds and persists it once, yet counts and charges it per site: the
+// values below are the ones the run had when each site built its own
+// table. A warm run loads it once.
+func TestIdenticalSitesShareOneTable(t *testing.T) {
+	dir := t.TempDir()
+	run := func() (*Output, *obs.Recorder) {
+		return analyzeStored(t, "nat-chain", dir, Config{NPackets: 6, MaxStates: 4000, Seed: 2018, Budget: budget.New(0)})
+	}
+	cold, rec := run()
+	files, err := filepath.Glob(filepath.Join(dir, store.KindRainbow+"-*.json"))
+	if err != nil || len(files) != 1 {
+		t.Errorf("rainbow entries on disk: %v (%v), want one", files, err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"rainbow.tables", rec.Counter("rainbow.tables").Value(), 2},
+		{"rainbow.chains", rec.Counter("rainbow.chains").Value(), 2 * 2048},
+		{"castan.budget_ticks", cold.BudgetTicksUsed, 443459},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	if _, warm := run(); warm.Counter("castan.store.hits").Value() != 1 {
+		t.Errorf("warm run store hits = %d, want 1", warm.Counter("castan.store.hits").Value())
 	}
 }
 

@@ -32,11 +32,42 @@ func TableHash(key []byte) uint64 {
 // RingHash indexes the open-addressing hash ring. A different constant
 // family keeps it independent from TableHash.
 func RingHash(key []byte) uint64 {
-	h := uint64(0xc2b2ae3d27d4eb4f)
+	h := uint64(ringInit)
 	for _, b := range key {
-		h = (h ^ uint64(b)) * 0x00000100000001b3
+		h = ringRound(h, b)
 	}
-	return mix64(h ^ h>>17)
+	return ringFinal(h)
+}
+
+// RingHash's state: its start value, one round per key byte, and the
+// finalizer. RingLanes runs the same three, so the two cannot drift.
+const ringInit = 0xc2b2ae3d27d4eb4f
+
+func ringRound(h uint64, b byte) uint64 { return (h ^ uint64(b)) * 0x00000100000001b3 }
+
+func ringFinal(h uint64) uint64 { return mix64(h ^ h>>17) }
+
+// Lanes is how many seeds RingLanes hashes per call.
+const Lanes = 8
+
+// RingLanes replaces each of the eight seeds in v with
+// RingHash(s.FromSeed(seed)) & mask. It builds no key: each lane is
+// hashed straight from its seed, with the space's fixed source-net bytes
+// folded into the start state once per call. One RingHash is a chain of
+// dependent multiplies; eight independent lanes let the CPU overlap them
+// where hashing one key at a time leaves the multiplier waiting.
+func RingLanes(s UDPFlowSpace, v *[Lanes]uint64, mask uint64) {
+	// Fill's layout: srcNet(2) srcLow(2) dstIP(4) srcPort(2) dstPort(2)
+	// proto(1), the seed supplying srcLow (bits 0-15) and srcPort (16-31).
+	pre := ringRound(ringRound(ringInit, byte(s.SrcNet>>8)), byte(s.SrcNet))
+	for i, seed := range v {
+		h := ringRound(ringRound(pre, byte(seed>>8)), byte(seed))
+		h = ringRound(ringRound(h, byte(s.DstIP>>24)), byte(s.DstIP>>16))
+		h = ringRound(ringRound(h, byte(s.DstIP>>8)), byte(s.DstIP))
+		h = ringRound(ringRound(h, byte(seed>>24)), byte(seed>>16))
+		h = ringRound(ringRound(ringRound(h, byte(s.DstPort>>8)), byte(s.DstPort)), 17)
+		v[i] = ringFinal(h) & mask
+	}
 }
 
 func mix64(v uint64) uint64 {

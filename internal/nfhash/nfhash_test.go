@@ -2,6 +2,7 @@ package nfhash
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -147,4 +148,55 @@ func TestFillMatchesFromSeed(t *testing.T) {
 			t.Errorf("%T%v: %v", s, s, err)
 		}
 	}
+}
+
+// FuzzRingLanes holds the fused kernel to its definition: every lane
+// equals RingHash over the key FromSeed builds, masked, for any seeds,
+// any space and any width from 1 to 32 bits. Seeds come from the byte
+// input, eight bytes a lane, zero-padded.
+func FuzzRingLanes(f *testing.F) {
+	f.Add(uint16(0x0a00), uint32(0x08080808), uint16(53), uint8(20), []byte("eight lanes of seeds, sixty-four bytes of them, give or take"))
+	f.Add(uint16(0xffff), uint32(0), uint16(0xffff), uint8(31), []byte{0xff})
+	f.Fuzz(func(t *testing.T, srcNet uint16, dstIP uint32, dstPort uint16, bits uint8, raw []byte) {
+		s := UDPFlowSpace{SrcNet: srcNet, DstIP: dstIP, DstPort: dstPort}
+		mask := uint64(1)<<(1+bits%32) - 1
+		var buf [8 * Lanes]byte
+		copy(buf[:], raw)
+		var seeds, v [Lanes]uint64
+		for i := range seeds {
+			seeds[i] = binary.LittleEndian.Uint64(buf[8*i:])
+		}
+		v = seeds
+		RingLanes(s, &v, mask)
+		for i, seed := range seeds {
+			if want := RingHash(s.FromSeed(seed)) & mask; v[i] != want {
+				t.Fatalf("%+v mask %#x lane %d seed %#x: %#x, want %#x", s, mask, i, seed, v[i], want)
+			}
+		}
+	})
+}
+
+var benchSink uint64
+
+// BenchmarkRingHash times one ring hash of a UDP flow key built from a
+// seed: the scalar Fill-then-hash step against the fused kernel, per key.
+func BenchmarkRingHash(b *testing.B) {
+	s := UDPFlowSpace{SrcNet: 0x0a00, DstIP: 0xc0a80101, DstPort: 80}
+	b.Run("scalar", func(b *testing.B) {
+		key := make([]byte, FlowKeyLen)
+		for i := 0; i < b.N; i++ {
+			s.Fill(key, uint64(i))
+			benchSink += RingHash(key)
+		}
+	})
+	b.Run("lanes", func(b *testing.B) {
+		var v [Lanes]uint64
+		for i := 0; i < b.N; i += Lanes {
+			for j := range v {
+				v[j] += uint64(i + j)
+			}
+			RingLanes(s, &v, 1<<20-1)
+		}
+		benchSink += v[0]
+	})
 }

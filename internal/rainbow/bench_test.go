@@ -17,20 +17,34 @@ var (
 )
 
 // BenchmarkChainLink times one hash+reduce link of a chain walk — the
-// unit cold hash-NF analyses execute tens of millions of times.
+// unit cold hash-NF analyses execute tens of millions of times — walked
+// one chain at a time (scalar: SelfCheck and Invert) and eight chains in
+// lock-step through the fused ring kernel (lanes: Build).
 func BenchmarkChainLink(b *testing.B) {
 	tbl, err := Build(nfhash.RingHash, benchSpace, Config{Bits: 16, Chains: 1, ChainLen: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	key := make([]byte, benchSpace.KeyLen())
-	b.ReportAllocs()
-	b.ResetTimer()
-	h := uint64(1)
-	for i := 0; i < b.N; i++ {
-		h = tbl.step(key, tbl.reduce(h, i&63))
-	}
-	benchSink = h
+	b.Run("scalar", func(b *testing.B) {
+		b.ReportAllocs()
+		h := uint64(1)
+		for i := 0; i < b.N; i++ {
+			h = tbl.step(key, tbl.reduce(h, i&63))
+		}
+		benchSink = h
+	})
+	b.Run("lanes", func(b *testing.B) {
+		b.ReportAllocs()
+		var v [nfhash.Lanes]uint64
+		for i := 0; i < b.N; i += nfhash.Lanes {
+			for j := range v {
+				v[j] = tbl.reduce(v[j], i&63)
+			}
+			tbl.stepLanes(key, &v)
+		}
+		benchSink = v[0]
+	})
 }
 
 func BenchmarkBuild(b *testing.B) {

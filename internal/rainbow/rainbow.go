@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"reflect"
 	"slices"
 
 	"castan/internal/nfhash"
@@ -25,6 +26,10 @@ type Table struct {
 	hash  func([]byte) uint64
 	bits  int
 	space nfhash.KeySpace
+	// ring is set by Build when the hash is nfhash.RingHash and the space
+	// this UDPFlowSpace: lane walks then hash through nfhash.RingLanes,
+	// which computes exactly what hash does, eight keys at a time.
+	ring *nfhash.UDPFlowSpace
 
 	chainLen int
 	seed     uint64
@@ -72,7 +77,7 @@ func DefaultConfig(bits int) Config {
 
 // buildChunk is how many consecutive chains one fan-out item walks: large
 // enough that a chunk's RNG skip and scratch key are noise, small enough
-// that workers stay balanced on the smallest catalog table (4096 chains).
+// that workers stay balanced on the smallest catalog table (2048 chains).
 const buildChunk = 512
 
 // Build generates the table. The hash function is truncated to cfg.Bits.
@@ -92,12 +97,17 @@ func Build(hash func([]byte) uint64, space nfhash.KeySpace, cfg Config) (*Table,
 		ends:     make([]uint64, cfg.Chains),
 		starts:   make([]uint64, cfg.Chains),
 	}
+	if ring, ok := space.(nfhash.UDPFlowSpace); ok && isRingHash(hash) {
+		t.ring = &ring
+	}
 	// Chains are independent given their start seed, and chain c's start
 	// is the c-th draw of the seed's splitmix64 stream — reachable in O(1)
 	// with Skip — so contiguous chunks of chains fan out across workers,
 	// each with a private scratch key, writing only their own slots. No
 	// structure is shared until the one sort below, so the table is
-	// identical to a sequential build at every worker count.
+	// identical to a sequential build at every worker count. A chunk's
+	// chains walk nfhash.Lanes at a time; in a short last group the spare
+	// lanes walk seed 0 and their ends are dropped.
 	chunks := (cfg.Chains + buildChunk - 1) / buildChunk
 	parallel.ForEach(cfg.Workers, chunks, func(k int) {
 		lo := k * buildChunk
@@ -105,9 +115,15 @@ func Build(hash func([]byte) uint64, space nfhash.KeySpace, cfg Config) (*Table,
 		key := make([]byte, space.KeyLen())
 		rng := stats.NewRNG(cfg.Seed)
 		rng.Skip(uint64(lo))
-		for c := lo; c < hi; c++ {
-			t.starts[c] = rng.Uint64()
-			t.ends[c] = t.walk(key, t.starts[c])
+		for c := lo; c < hi; c += nfhash.Lanes {
+			var v [nfhash.Lanes]uint64
+			n := min(nfhash.Lanes, hi-c)
+			for i := range n {
+				t.starts[c+i] = rng.Uint64()
+				v[i] = t.starts[c+i]
+			}
+			t.walkLanes(key, &v)
+			copy(t.ends[c:c+n], v[:n])
 		}
 	})
 	if cfg.Corrupt != nil {
@@ -117,6 +133,12 @@ func Build(hash func([]byte) uint64, space nfhash.KeySpace, cfg Config) (*Table,
 	}
 	sortIndex(t.ends, t.starts)
 	return t, nil
+}
+
+// isRingHash reports whether hash is nfhash.RingHash itself, by code
+// address; a wrapper around it is not, and takes the generic lane path.
+func isRingHash(hash func([]byte) uint64) bool {
+	return reflect.ValueOf(hash).Pointer() == reflect.ValueOf(nfhash.RingHash).Pointer()
 }
 
 // sortIndex reorders the parallel per-chain arrays by (end, chain number).
@@ -177,6 +199,32 @@ func (t *Table) walk(key []byte, start uint64) uint64 {
 		h = t.step(key, t.reduce(h, pos-1))
 	}
 	return h
+}
+
+// walkLanes is walk on nfhash.Lanes chains in lock-step: each start seed
+// in v is replaced by its chain's end hash. One chain is a sequence of
+// dependent multiplies; stepping every lane through a link before the
+// next gives the CPU independent ones to overlap.
+func (t *Table) walkLanes(key []byte, v *[nfhash.Lanes]uint64) {
+	t.stepLanes(key, v)
+	for pos := 1; pos < t.chainLen; pos++ {
+		for i := range v {
+			v[i] = t.reduce(v[i], pos-1)
+		}
+		t.stepLanes(key, v)
+	}
+}
+
+// stepLanes is step on every lane of v, through the fused ring kernel
+// when the table has one.
+func (t *Table) stepLanes(key []byte, v *[nfhash.Lanes]uint64) {
+	if t.ring != nil {
+		nfhash.RingLanes(*t.ring, v, uint64(1)<<uint(t.bits)-1)
+		return
+	}
+	for i := range v {
+		v[i] = t.step(key, v[i])
+	}
 }
 
 // chainsEnding returns the index range [lo, hi) of chains whose end is h.

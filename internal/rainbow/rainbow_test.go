@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"castan/internal/nf"
 	"castan/internal/nfhash"
 	"castan/internal/stats"
 )
@@ -216,50 +217,59 @@ func (r *refTable) serialize() []byte {
 
 // TestBuildMatchesReference holds the flat-index table to the reference
 // on everything a caller or a store can observe: the index itself,
-// Invert's candidates and their order, and Serialize's bytes.
+// Invert's candidates and their order, and Serialize's bytes. RingHash
+// over a UDP flow space builds through the fused lane kernel, every other
+// pair through Fill and the hash, each at chain counts that leave a short
+// last lane group.
 func TestBuildMatchesReference(t *testing.T) {
 	hashes := map[string]func([]byte) uint64{"table": nfhash.TableHash, "ring": nfhash.RingHash}
 	spaces := []nfhash.KeySpace{
 		nfhash.UDPFlowSpace{SrcNet: 0x0a00, DstIP: 0xc0a80101, DstPort: 80},
+		// The catalog's two: the NAT's 8.8.8.8:53 and the LB's VIP:80.
+		nfhash.UDPFlowSpace{SrcNet: 0x0a00, DstIP: 0x08080808, DstPort: 53},
+		nfhash.UDPFlowSpace{SrcNet: 0x0a00, DstIP: nf.LBVIP, DstPort: 80},
 		nfhash.RawSpace{Len: 4},
 		nfhash.RawSpace{Len: 13},
 	}
-	// Three full build chunks and a ragged fourth.
-	cfg := Config{Bits: 11, Chains: 3*buildChunk + 77, ChainLen: 24, Seed: 0x9a3b}
-	for hname, hash := range hashes {
-		for _, space := range spaces {
-			ref := refBuild(hash, space, cfg)
-			want := ref.serialize()
-			for _, w := range []int{1, 2, 4, 8} {
-				name := fmt.Sprintf("%s/%T%v/w=%d", hname, space, space, w)
-				cfg.Workers = w
-				tbl, err := Build(hash, space, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for lo, hi := 0, 0; lo < len(tbl.ends); lo = hi {
-					_, hi = tbl.chainsEnding(tbl.ends[lo])
-					if !slices.Equal(tbl.starts[lo:hi], ref.ends[tbl.ends[lo]]) {
-						t.Fatalf("%s: end %#x indexes starts %x, want %x", name, tbl.ends[lo], tbl.starts[lo:hi], ref.ends[tbl.ends[lo]])
+	// Three full build chunks and a ragged fourth (77 = 9 lane groups and
+	// 5); fewer chains than one lane group; one chunk and 4 groups and 3.
+	for _, chains := range []int{3*buildChunk + 77, 5, buildChunk + 4*nfhash.Lanes + 3} {
+		cfg := Config{Bits: 11, Chains: chains, ChainLen: 24, Seed: 0x9a3b}
+		for hname, hash := range hashes {
+			for _, space := range spaces {
+				ref := refBuild(hash, space, cfg)
+				want := ref.serialize()
+				for _, w := range []int{1, 2, 4, 8} {
+					name := fmt.Sprintf("%s/%T%v/chains=%d/w=%d", hname, space, space, chains, w)
+					cfg.Workers = w
+					tbl, err := Build(hash, space, cfg)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if !slices.IsSorted(tbl.ends) || tbl.Chains() != cfg.Chains {
-					t.Fatalf("%s: index unsorted or %d chains, want %d", name, tbl.Chains(), cfg.Chains)
-				}
-				rng := stats.NewRNG(11)
-				for i := 0; i < 200; i++ {
-					h := rng.Uint64() & (1<<uint(cfg.Bits) - 1)
-					got, exp := tbl.Invert(h, 16), ref.invert(h, 16)
-					if !slices.EqualFunc(got, exp, bytes.Equal) {
-						t.Fatalf("%s: Invert(%#x) = %x, want %x", name, h, got, exp)
+					for lo, hi := 0, 0; lo < len(tbl.ends); lo = hi {
+						_, hi = tbl.chainsEnding(tbl.ends[lo])
+						if !slices.Equal(tbl.starts[lo:hi], ref.ends[tbl.ends[lo]]) {
+							t.Fatalf("%s: end %#x indexes starts %x, want %x", name, tbl.ends[lo], tbl.starts[lo:hi], ref.ends[tbl.ends[lo]])
+						}
 					}
-				}
-				got, err := tbl.Serialize()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s: Serialize differs from the reference bytes", name)
+					if !slices.IsSorted(tbl.ends) || tbl.Chains() != cfg.Chains {
+						t.Fatalf("%s: index unsorted or %d chains, want %d", name, tbl.Chains(), cfg.Chains)
+					}
+					rng := stats.NewRNG(11)
+					for i := 0; i < 200; i++ {
+						h := rng.Uint64() & (1<<uint(cfg.Bits) - 1)
+						got, exp := tbl.Invert(h, 16), ref.invert(h, 16)
+						if !slices.EqualFunc(got, exp, bytes.Equal) {
+							t.Fatalf("%s: Invert(%#x) = %x, want %x", name, h, got, exp)
+						}
+					}
+					got, err := tbl.Serialize()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s: Serialize differs from the reference bytes", name)
+					}
 				}
 			}
 		}
@@ -280,6 +290,21 @@ func TestChainWalksDoNotAllocate(t *testing.T) {
 	seed := uint64(1)
 	if n := testing.AllocsPerRun(100, func() { seed = tbl.walk(key, seed) }); n != 0 {
 		t.Errorf("chain walk: %v allocs, want 0", n)
+	}
+	// The lane walk Build runs, through the fused kernel (this table) and
+	// through Fill and the hash (a TableHash one).
+	if tbl.ring == nil {
+		t.Fatal("RingHash over a UDPFlowSpace built without the fused lane kernel")
+	}
+	generic, err := Build(nfhash.TableHash, space, DefaultConfig(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lanes [nfhash.Lanes]uint64
+	for name, tb := range map[string]*Table{"fused": tbl, "generic": generic} {
+		if n := testing.AllocsPerRun(100, func() { tb.walkLanes(key, &lanes) }); n != 0 {
+			t.Errorf("%s lane walk: %v allocs, want 0", name, n)
+		}
 	}
 	// One scratch key, one copy per returned key, and the result slice's
 	// growth (at most one reallocation per key).
