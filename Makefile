@@ -40,11 +40,14 @@ bench:
 # Scaled-down benchmark pass (what CI runs): every benchmark executes
 # once with -short budgets, proving the harness end to end in minutes.
 # The per-layer packages are listed so their testing.B benchmarks (the
-# yardsticks performance PRs quote) cannot rot unrun.
+# yardsticks performance PRs quote) cannot rot unrun. internal/testbed's
+# run at one and two Ps: testbed.Measure is a two-goroutine pipeline, and
+# with one P its stages must take turns.
 bench-smoke:
 	$(GO) test -short -bench . -benchtime 1x -run '^$$' \
 		. ./internal/nfhash ./internal/rainbow ./internal/expr ./internal/solver ./internal/symbex \
-		./internal/memsim ./internal/interp ./internal/testbed
+		./internal/memsim ./internal/interp
+	$(GO) test -short -bench . -benchtime 1x -run '^$$' -cpu 1,2 ./internal/testbed
 
 # Instrumented analysis over the seed NF catalog: phase durations plus
 # core effort counters per NF, written as results/BENCH_castan.json.

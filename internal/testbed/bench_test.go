@@ -7,17 +7,28 @@ import (
 )
 
 // Per-layer yardsticks (ROADMAP north-star aim 1), shaped like the
-// isolated drives in bench/layers.go: one Measure per NF class.
+// isolated drives in bench/layers.go: one Measure per NF class, and the
+// replay workload's heaviest job at its sizes. Run them at -cpu 1,2:
+// with one P the interpreter and the simulator take turns, so the -cpu 1
+// number is the pipeline's hand-off cost on a host with no second core.
 
 func BenchmarkMeasure(b *testing.B) {
-	for _, name := range []string{"lpm-dl1", "lb-rbtree", "lb-chain"} {
-		b.Run(name, func(b *testing.B) {
-			wl := workload.UniRand(workload.ProfileFor(name), 4096, 2018)
-			opt := Options{Seed: 2018, MeasureCap: 2048}
+	for _, job := range []struct {
+		nf              string
+		frames, measure int
+	}{
+		{"lpm-dl1", 4096, 2048},
+		{"lb-rbtree", 4096, 2048},
+		{"lb-chain", 4096, 2048},
+		{"nat-rbtree", 16384, 8192},
+	} {
+		b.Run(job.nf, func(b *testing.B) {
+			wl := workload.UniRand(workload.ProfileFor(job.nf), job.frames, 2018)
+			opt := Options{Seed: 2018, MeasureCap: job.measure}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Measure(name, wl, opt); err != nil {
+				if _, err := Measure(job.nf, wl, opt); err != nil {
 					b.Fatal(err)
 				}
 			}

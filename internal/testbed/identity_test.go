@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,6 +13,48 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestMeasureMatchesReference holds the two-stage Measure to the single
+// loop it replaced (refMeasure) on every catalog NF under uniform and
+// Zipfian traffic: every sample of every CDF, and the throughput. The
+// shapes put the warm-up/measure boundary and the end of the run on a
+// chunk edge and one packet either side of it; the longest wraps the
+// chunk ring.
+func TestMeasureMatchesReference(t *testing.T) {
+	const c, seed = chunkPackets, 2018
+	shapes := []struct{ frames, measure int }{
+		{1, 1}, {1, c - 2}, {1, c - 1}, {1, c},
+		{c - 1, 1}, {c - 1, c + 2},
+		{c, c},
+		{c + 1, c - 2}, {c + 1, c - 1},
+		{3*c + 5, c - 5}, {3*c + 5, 3*c + 5},
+	}
+	for _, name := range nf.Names {
+		prof := workload.ProfileFor(name)
+		for _, sh := range shapes {
+			zipf, err := workload.Zipfian(prof, sh.frames, 256, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, wl := range []*workload.Workload{workload.UniRand(prof, sh.frames, seed), zipf} {
+				opt := Options{Seed: seed, MeasureCap: sh.measure}
+				got, err := Measure(name, wl, opt)
+				if err != nil {
+					t.Fatalf("Measure(%s, %s): %v", name, wl.Name, err)
+				}
+				want, err := refMeasure(name, wl, opt)
+				if err != nil {
+					t.Fatalf("refMeasure(%s, %s): %v", name, wl.Name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s, %d frames, %d measured: Measure differs from the single loop: median cycles %v vs %v, mean misses %v vs %v, %v vs %v Mpps",
+						name, wl.Name, sh.frames, sh.measure, got.Cycles.Median(), want.Cycles.Median(),
+						got.L3Misses.Mean(), want.L3Misses.Mean(), got.ThroughputMpps, want.ThroughputMpps)
+				}
+			}
+		}
+	}
+}
 
 // TestMeasureDigestPinned pins what Measure simulates — the medians the
 // figures and tables are made of, printed exactly — for every catalog NF

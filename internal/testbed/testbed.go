@@ -10,12 +10,14 @@ package testbed
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"castan/internal/icfg"
 	"castan/internal/interp"
 	"castan/internal/ir"
 	"castan/internal/memsim"
 	"castan/internal/nf"
+	"castan/internal/parallel"
 	"castan/internal/stats"
 	"castan/internal/workload"
 )
@@ -81,7 +83,19 @@ func (m *Measurement) MedianDeviation(nop *Measurement) float64 {
 	return m.Latency.Median() - nop.Latency.Median()
 }
 
-// Measure replays the workload against a fresh instance of the named NF.
+// Measure replays the workload against a fresh instance of the named NF:
+// a warm-up pass over every frame installs flow state and warms the
+// caches, like the start of the paper's 20-second looped replay, then
+// the workload is looped until MeasureCap packets are measured.
+//
+// The replay is a two-stage pipeline. The calling goroutine runs the
+// interpreter and prices each measured packet's instructions from the
+// machine's own tally (see priceList); its OnMem hook only records the
+// packet's loads and stores. A simulator goroutine that owns the
+// hierarchy replays those records in packet order and prices them by
+// where the hierarchy serves them (see simulator). The interpreter never
+// reads the hierarchy, so the hierarchy sees exactly the calls a single
+// loop would make, in the same order, and every cycle is the same.
 func Measure(nfName string, wl *workload.Workload, opt Options) (*Measurement, error) {
 	opt.fill()
 	if len(wl.Frames) == 0 {
@@ -94,56 +108,55 @@ func Measure(nfName string, wl *workload.Workload, opt Options) (*Measurement, e
 	hier := memsim.New(opt.Geometry, opt.Seed)
 	price := newPriceList(icfg.DefaultCostModel())
 
-	// Loads and stores are priced by where the hierarchy serves them;
-	// everything else is priced per packet from the machine's own
-	// instruction tally (see priceList).
-	var memCycles, misses uint64
+	// Per measured packet: instruction cycles and count from this
+	// goroutine, memory cycles and DRAM misses from the simulator's.
+	warm, n := len(wl.Frames), opt.MeasureCap
+	cpu := make([]uint64, n)
+	ins := make([]float64, n)
+	mem := make([]uint64, n)
+	mis := make([]float64, n)
+
+	sim := startSimulator(hier, warm, mem, mis)
+	c := sim.next(0)
 	inst.Machine.Hooks = interp.Hooks{
-		OnMem: func(a interp.MemAccess) {
-			lvl, cyc := hier.Access(a.Addr, a.Size, a.IsWrite)
-			memCycles += cyc
-			if lvl == memsim.DRAM {
-				misses++
+		OnMem: func(a interp.MemAccess) { c.acc = append(c.acc, a) },
+	}
+	for p := 0; p < warm+n && c != nil; p++ {
+		fr := wl.Frames[p%warm]
+		if err = runPacket(inst.Machine, fr, p); err != nil {
+			if p < warm {
+				err = fmt.Errorf("testbed: warmup: %w", err)
+			} else {
+				err = fmt.Errorf("testbed: measure: %w", err)
 			}
-		},
-	}
-
-	runPacket := func(frame []byte) error {
-		hier.InjectPacket(ir.PacketBase, len(frame))
-		inst.Machine.Mem.WriteBytes(ir.PacketBase, frame)
-		_, err := inst.Machine.Call("nf_process", ir.PacketBase, uint64(len(frame)))
-		return err
-	}
-
-	// Warm-up pass: install all flow state and warm the caches, like the
-	// start of the paper's 20-second looped replay.
-	for _, fr := range wl.Frames {
-		if err := runPacket(fr); err != nil {
-			return nil, fmt.Errorf("testbed: warmup: %w", err)
+			c = nil // the failed packet's accesses are never replayed
+			break
 		}
-	}
-
-	// Measurement pass: loop the workload until MeasureCap packets.
-	n := opt.MeasureCap
-	latency := make([]float64, 0, n)
-	cyc := make([]float64, 0, n)
-	ins := make([]float64, 0, n)
-	mis := make([]float64, 0, n)
-	serviceNS := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		fr := wl.Frames[i%len(wl.Frames)]
-		memCycles, misses = 0, 0
-		if err := runPacket(fr); err != nil {
-			return nil, fmt.Errorf("testbed: measure: %w", err)
+		c.length = append(c.length, len(fr))
+		c.end = append(c.end, len(c.acc))
+		if i := p - warm; i >= 0 {
+			cpu[i] = price.of(inst.Machine.OpCounts())
+			ins[i] = float64(inst.Machine.Steps())
 		}
-		total := memCycles + price.of(inst.Machine.OpCounts()) + opt.OverheadCycles
-		latency = append(latency, opt.WireNS+hier.CyclesToNanos(total))
-		cyc = append(cyc, float64(total))
-		ins = append(ins, float64(inst.Machine.Steps()))
-		mis = append(mis, float64(misses))
-		serviceNS = append(serviceNS, hier.CyclesToNanos(total))
+		if len(c.length) == chunkPackets {
+			c = sim.handOff(c, p+1)
+		}
 	}
 	inst.Machine.Hooks = interp.Hooks{}
+	sim.stop(c)
+	if err != nil {
+		return nil, err
+	}
+
+	latency := make([]float64, n)
+	cyc := make([]float64, n)
+	serviceNS := make([]float64, n)
+	for i := range n {
+		total := mem[i] + cpu[i] + opt.OverheadCycles
+		latency[i] = opt.WireNS + hier.CyclesToNanos(total)
+		cyc[i] = float64(total)
+		serviceNS[i] = hier.CyclesToNanos(total)
+	}
 
 	return &Measurement{
 		NF:             nfName,
@@ -154,6 +167,140 @@ func Measure(nfName string, wl *workload.Workload, opt Options) (*Measurement, e
 		L3Misses:       stats.NewCDF(mis),
 		ThroughputMpps: maxThroughput(serviceNS, opt.QueueDepth),
 	}, nil
+}
+
+// runPacket runs nf_process on frame, packet p of the run (warm-up
+// packets count from 0).
+func runPacket(m *interp.Machine, frame []byte, p int) error {
+	if interpFault != nil {
+		if err := interpFault(p); err != nil {
+			return err
+		}
+	}
+	m.Mem.WriteBytes(ir.PacketBase, frame)
+	_, err := m.Call("nf_process", ir.PacketBase, uint64(len(frame)))
+	return err
+}
+
+// Test seams for the pipeline's failure paths; nil outside tests.
+// interpFault fails packet p of the run as an interpreter error would;
+// simFault runs on the simulator goroutine before it replays packet p.
+var (
+	interpFault func(p int) error
+	simFault    func(p int)
+)
+
+// The interpreter hands the simulator chunkPackets packets at a time
+// from a ring of chunksInFlight reused chunks: it fills one while the
+// simulator replays the others, and waits when it is a whole ring ahead.
+// Chunks keep their buffers, so after the first lap the pipeline
+// allocates nothing.
+const (
+	chunkPackets   = 128
+	chunksInFlight = 4
+)
+
+// chunk is one hand-off: the loads and stores of consecutive packets in
+// the order the interpreter made them.
+type chunk struct {
+	first  int   // the run index of the chunk's first packet
+	length []int // frame length, per packet
+	end    []int // end of the packet's accesses in acc, per packet
+	acc    []interp.MemAccess
+}
+
+// simulator is Measure's second stage: the goroutine that owns the
+// hierarchy.
+type simulator struct {
+	// Both buffers hold the whole ring, so no send ever waits.
+	free, full chan *chunk
+	done       chan struct{}
+	// panicked is written before done is closed and read after.
+	panicked *parallel.Panic
+}
+
+// startSimulator starts the simulator. It writes measured packet i's
+// memory cycles and DRAM misses to mem[i] and mis[i]; the first warm
+// packets of the run are warm-up, replayed but not recorded.
+func startSimulator(hier *memsim.Hierarchy, warm int, mem []uint64, mis []float64) *simulator {
+	s := &simulator{
+		free: make(chan *chunk, chunksInFlight),
+		full: make(chan *chunk, chunksInFlight),
+		done: make(chan struct{}),
+	}
+	for range chunksInFlight {
+		s.free <- &chunk{length: make([]int, 0, chunkPackets), end: make([]int, 0, chunkPackets)}
+	}
+	go s.run(hier, warm, mem, mis)
+	return s
+}
+
+func (s *simulator) run(hier *memsim.Hierarchy, warm int, mem []uint64, mis []float64) {
+	defer close(s.done)
+	p := 0
+	defer func() {
+		if v := recover(); v != nil {
+			s.panicked = &parallel.Panic{Index: p, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	for c := range s.full {
+		start := 0
+		for k, length := range c.length {
+			p = c.first + k
+			if simFault != nil {
+				simFault(p)
+			}
+			hier.InjectPacket(ir.PacketBase, length)
+			var cycles, misses uint64
+			for _, a := range c.acc[start:c.end[k]] {
+				lvl, cyc := hier.Access(a.Addr, a.Size, a.IsWrite)
+				cycles += cyc
+				if lvl == memsim.DRAM {
+					misses++
+				}
+			}
+			start = c.end[k]
+			if i := p - warm; i >= 0 {
+				mem[i], mis[i] = cycles, float64(misses)
+			}
+		}
+		s.free <- c
+	}
+}
+
+// next returns an empty chunk whose first packet is run packet first,
+// or nil if the simulator has stopped (it panicked; stop re-raises).
+func (s *simulator) next(first int) *chunk {
+	select {
+	case c := <-s.free:
+		c.first = first
+		c.length, c.end, c.acc = c.length[:0], c.end[:0], c.acc[:0]
+		return c
+	case <-s.done:
+		return nil
+	}
+}
+
+// handOff queues the filled chunk c for the simulator and returns the
+// next one, as next does.
+func (s *simulator) handOff(c *chunk, first int) *chunk {
+	s.full <- c
+	return s.next(first)
+}
+
+// stop queues the last chunk c, if it holds packets, waits until the
+// simulator has replayed everything queued, and re-raises a simulator
+// panic on the caller's goroutine, where callers such as parallel.MapErr
+// can contain it.
+func (s *simulator) stop(c *chunk) {
+	if c != nil && len(c.length) > 0 {
+		s.full <- c
+	}
+	close(s.full)
+	<-s.done
+	if s.panicked != nil {
+		panic(s.panicked)
+	}
 }
 
 // priceList is the cost model laid out the way interp.OpCounts tallies
