@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build bench-build test race bench bench-smoke bench-metrics bench-gate store-smoke trace-smoke testbed-smoke fault-smoke fuzz-smoke service-smoke telemetry-catalog tracediff-selftest fmt fmt-fix vet lint lint-strict print-staticcheck-version check
+.PHONY: all build bench-build test race bench bench-smoke bench-metrics bench-gate store-smoke trace-smoke testbed-smoke fault-smoke fuzz-smoke service-smoke telemetry-catalog fmt fmt-fix vet lint lint-strict print-staticcheck-version check
 
 # Pinned staticcheck release; CI installs exactly this version.
 STATICCHECK_VERSION = 2025.1.1
@@ -21,11 +21,12 @@ bench-build:
 	$(GO) build -C bench -o /dev/null .
 
 # Tier-1 tests. Besides the unit tests, these include the IR gate
-# (cmd/irlint's TestSeedCorpusPasses: every catalog NF lints clean), the
-# fault-injection matrix (internal/castan's TestFaultMatrix) and the
-# goldens of irlint -json and of the value-range catalog. After an
-# intentional change, regenerate the goldens with
-# `go test ./cmd/irlint -run TestJSONGolden -update` and
+# (cmd/castan's TestSeedCorpusPasses: every catalog NF lints clean), the
+# fault-injection matrix (internal/castan's TestFaultMatrix), the
+# tracediff fixture pair (identical runs exit 0, the regressed pair exits
+# 3 naming castan.discover) and the goldens of castan lint -json and of
+# the value-range catalog. After an intentional change, regenerate the
+# goldens with `go test ./cmd/castan -run TestJSONGolden -update` and
 # `go test ./internal/analysis -run TestVRangeCatalogGolden -update`.
 test:
 	$(GO) test ./...
@@ -53,7 +54,7 @@ bench-smoke:
 # core effort counters per NF, written as results/BENCH_castan.json.
 # Performance PRs diff this file to prove their speedups.
 bench-metrics:
-	$(GO) run ./cmd/benchmetrics -out results/BENCH_castan.json
+	$(GO) run ./cmd/castan bench -out results/BENCH_castan.json
 
 # Perf gate (what CI runs): re-run the checked-in benchmark baseline's
 # configuration and fail if any deterministic effort counter — probe line
@@ -64,7 +65,7 @@ bench-metrics:
 # per-NF reports land in BENCH_ATTRIB_DIR for CI artifact upload.
 BENCH_ATTRIB_DIR ?= /tmp/castan-bench-attrib
 bench-gate:
-	$(GO) run ./cmd/benchmetrics -compare results/BENCH_castan.json \
+	$(GO) run ./cmd/castan bench -compare results/BENCH_castan.json \
 		-attrib-dir $(BENCH_ATTRIB_DIR)
 
 # Store smoke (what CI runs): two identical cmd/castan runs sharing one
@@ -89,7 +90,7 @@ store-smoke:
 		-report $(STORE_SMOKE_DIR)/warm-report.json \
 		-metrics-out $(STORE_SMOKE_DIR)/warm-metrics.json
 	cmp $(STORE_SMOKE_DIR)/cold.pcap $(STORE_SMOKE_DIR)/warm.pcap
-	$(GO) run ./cmd/tracediff check -metrics $(STORE_SMOKE_DIR)/warm-metrics.json \
+	$(STORE_SMOKE_DIR)/castan tracediff check -metrics $(STORE_SMOKE_DIR)/warm-metrics.json \
 		-require castan.store.hits
 	$(STORE_SMOKE_DIR)/castan reportcheck -report $(STORE_SMOKE_DIR)/cold-report.json \
 		-nf lpm-dl1 -compare $(STORE_SMOKE_DIR)/warm-report.json
@@ -101,7 +102,7 @@ store-smoke:
 		-out $(STORE_SMOKE_DIR)/warm-table.pcap \
 		-metrics-out $(STORE_SMOKE_DIR)/warm-table-metrics.json
 	cmp $(STORE_SMOKE_DIR)/cold-table.pcap $(STORE_SMOKE_DIR)/warm-table.pcap
-	$(GO) run ./cmd/tracediff check -metrics $(STORE_SMOKE_DIR)/warm-table-metrics.json \
+	$(STORE_SMOKE_DIR)/castan tracediff check -metrics $(STORE_SMOKE_DIR)/warm-table-metrics.json \
 		-require castan.store.hits
 
 # Short observability smoke (what CI runs): one traced cmd/castan run,
@@ -110,16 +111,17 @@ store-smoke:
 TRACE_SMOKE_DIR ?= /tmp/castan-trace-smoke
 trace-smoke:
 	mkdir -p $(TRACE_SMOKE_DIR)
-	$(GO) run ./cmd/castan -nf lpm-trie -packets 6 -states 3000 \
+	$(GO) build -o $(TRACE_SMOKE_DIR)/castan ./cmd/castan
+	$(TRACE_SMOKE_DIR)/castan -nf lpm-trie -packets 6 -states 3000 \
 		-out $(TRACE_SMOKE_DIR)/lpm-trie.pcap \
 		-trace $(TRACE_SMOKE_DIR)/trace.json \
 		-metrics-out $(TRACE_SMOKE_DIR)/metrics.json \
 		-report $(TRACE_SMOKE_DIR)/report.json
-	$(GO) run ./cmd/tracediff check -trace $(TRACE_SMOKE_DIR)/trace.json \
+	$(TRACE_SMOKE_DIR)/castan tracediff check -trace $(TRACE_SMOKE_DIR)/trace.json \
 		-metrics $(TRACE_SMOKE_DIR)/metrics.json \
 		-require solver.queries,memsim.dram_misses,symbex.states_explored
 
-# Testbed smoke (what CI runs): the command's documented invocations at
+# Testbed smoke (what CI runs): castan testbed's documented invocations at
 # its defaults, which are the full campaign results/ was generated at
 # (experiments.Config's zero value). Figures 4, 5, 7 and 8 must reproduce
 # the checked-in results/ byte for byte once the trailing blank line and
@@ -130,10 +132,10 @@ trace-smoke:
 TESTBED_SMOKE_DIR ?= /tmp/castan-testbed-smoke
 testbed-smoke:
 	mkdir -p $(TESTBED_SMOKE_DIR)
-	$(GO) build -o $(TESTBED_SMOKE_DIR)/testbed ./cmd/testbed
+	$(GO) build -o $(TESTBED_SMOKE_DIR)/castan ./cmd/castan
 	@set -e; for n in 04 05 07 08; do \
-		echo "== testbed -figure $${n#0} vs results/figure$$n.txt"; \
-		$(TESTBED_SMOKE_DIR)/testbed -figure $${n#0} > $(TESTBED_SMOKE_DIR)/figure$$n.out; \
+		echo "== castan testbed -figure $${n#0} vs results/figure$$n.txt"; \
+		$(TESTBED_SMOKE_DIR)/castan testbed -figure $${n#0} > $(TESTBED_SMOKE_DIR)/figure$$n.out; \
 		sed '$$d' $(TESTBED_SMOKE_DIR)/figure$$n.out | sed '$$d' > $(TESTBED_SMOKE_DIR)/figure$$n.txt; \
 		cmp $(TESTBED_SMOKE_DIR)/figure$$n.txt results/figure$$n.txt; \
 	done
@@ -158,7 +160,7 @@ fault-smoke:
 	done
 
 # Service smoke (what CI runs): boot castand with chaos and a store,
-# drive 50 mixed requests through castanload (tiny budgets forcing
+# drive 50 mixed requests through castand load (tiny budgets forcing
 # degradation, armed fault plans, idempotency-key collisions, retried
 # 429s), gate one live endpoint response through castan reportcheck
 # -url, then SIGTERM the daemon: it must drain in-flight work to valid
@@ -168,7 +170,6 @@ SERVICE_SMOKE_DIR ?= /tmp/castan-service-smoke
 service-smoke:
 	mkdir -p $(SERVICE_SMOKE_DIR)
 	$(GO) build -o $(SERVICE_SMOKE_DIR)/castand ./cmd/castand
-	$(GO) build -o $(SERVICE_SMOKE_DIR)/castanload ./cmd/castanload
 	$(GO) build -o $(SERVICE_SMOKE_DIR)/castan ./cmd/castan
 	@set -e; dir=$(SERVICE_SMOKE_DIR); rm -f $$dir/addr; \
 	$$dir/castand -addr 127.0.0.1:0 -addr-file $$dir/addr -chaos \
@@ -179,7 +180,7 @@ service-smoke:
 	[ -s $$dir/addr ] || { echo "castand never published its address:"; cat $$dir/castand.log; exit 1; }; \
 	addr=$$(cat $$dir/addr); \
 	echo "== castand on $$addr: 50 mixed requests (tiny budgets + fault plans)"; \
-	$$dir/castanload -addr-file $$dir/addr -n 50 -c 8 -seed 1 \
+	$$dir/castand load -addr-file $$dir/addr -n 50 -c 8 -seed 1 \
 		-tiny-budget-frac 0.3 -fault-frac 0.2 -out $$dir/load-summary.json; \
 	echo "== live-endpoint report gate (castan reportcheck -url)"; \
 	$$dir/castan reportcheck -url "http://$$addr/v1/analyze?nf=lpm-trie&packets=4&states=1200&seed=7" -nf lpm-trie; \
@@ -263,29 +264,6 @@ fuzz-smoke:
 # drift, since the document is TestTelemetryCatalog's golden file.
 telemetry-catalog:
 	$(GO) test . -run TestTelemetryCatalog -update -count=1
-
-# tracediff self-test (what CI runs): the stored fixture pair under
-# cmd/tracediff/testdata must keep diffing the same way — a clean exit on
-# identical runs, exit 3 with castan.discover as the top stage on the
-# regressed pair.
-TRACEDIFF_SELFTEST_DIR ?= /tmp/castan-tracediff-selftest
-tracediff-selftest:
-	mkdir -p $(TRACEDIFF_SELFTEST_DIR)
-	$(GO) build -o $(TRACEDIFF_SELFTEST_DIR)/tracediff ./cmd/tracediff
-	$(TRACEDIFF_SELFTEST_DIR)/tracediff \
-		-base cmd/tracediff/testdata/base_metrics.json \
-		-new cmd/tracediff/testdata/base_metrics.json
-	@code=0; $(TRACEDIFF_SELFTEST_DIR)/tracediff \
-		-base cmd/tracediff/testdata/base_metrics.json \
-		-base-trace cmd/tracediff/testdata/base_trace.jsonl \
-		-new cmd/tracediff/testdata/regressed_metrics.json \
-		-new-trace cmd/tracediff/testdata/regressed_trace.jsonl \
-		-json $(TRACEDIFF_SELFTEST_DIR)/report.json || code=$$?; \
-	if [ "$$code" -ne 3 ]; then echo "want exit 3 on regressed fixtures, got $$code"; exit 1; fi
-	grep -q '"top_stage": *"castan.discover"' $(TRACEDIFF_SELFTEST_DIR)/report.json || { \
-		echo "fixture report lost its castan.discover attribution:"; \
-		cat $(TRACEDIFF_SELFTEST_DIR)/report.json; exit 1; \
-	}
 
 # Used by CI to install the exact pinned staticcheck.
 print-staticcheck-version:

@@ -1,29 +1,18 @@
-// Command benchmetrics runs an instrumented CASTAN analysis over the
-// seed NF catalog with modest budgets and writes per-NF phase durations
-// plus core effort counters as one JSON file (results/BENCH_castan.json
-// via `make bench-metrics`). Later performance PRs diff these numbers to
-// prove their speedups against recorded baselines rather than anecdotes.
-//
-// Durations come from the wall clock, so only the counter columns are
-// run-to-run stable; the phase timings are indicative.
-//
-// With -compare, benchmetrics instead re-runs the baseline's exact
-// configuration and fails (exit 1) if any deterministic effort counter —
-// probe line reads, solver queries, state pops, budget ticks; never
-// wall-clock — regresses by more than -tolerance against the baseline
-// file. This is the CI perf gate: effort counters are bit-identical
-// across machines and load, so the gate has no flakiness to absorb.
-//
-// Usage:
-//
-//	benchmetrics -out results/BENCH_castan.json
-//	benchmetrics -compare results/BENCH_castan.json
+// castan bench runs an instrumented CASTAN analysis over the seed NF
+// catalog with modest budgets and writes per-NF phase durations plus core
+// effort counters as one JSON file (results/BENCH_castan.json via `make
+// bench-metrics`), the recorded baseline that performance changes are
+// diffed against. Only the counter columns are run-to-run stable: durations come
+// from the wall clock. With -compare it is the CI perf gate instead: it
+// re-runs the baseline's configuration and exits 1 if any deterministic
+// effort counter regresses by more than -tolerance.
+
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,7 +38,7 @@ type row struct {
 	StepsToWorst    int    `json:"steps_to_worst,omitempty"`
 	StaticCostBound uint64 `json:"static_cost_bound,omitempty"`
 	// Degraded flags runs that hit a budget or fault fallback (always
-	// false here — benchmetrics runs with an unlimited counting meter —
+	// false here — castan bench runs with an unlimited counting meter —
 	// but recorded so regressions that start degrading are visible).
 	// BudgetTicksUsed is the run's deterministic tick total: the stable
 	// effort column performance PRs should diff first.
@@ -65,52 +54,46 @@ type report struct {
 	Rows    []row  `json:"rows"`
 }
 
-func main() {
+func benchCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("castan bench", stderr)
 	var (
-		out       = flag.String("out", "results/BENCH_castan.json", "output path")
-		nfs       = flag.String("nfs", "", "comma-separated NF subset (default: the full catalog)")
-		packets   = flag.Int("packets", 6, "workload length per NF")
-		states    = flag.Int("states", 4000, "exploration budget per NF")
-		seed      = flag.Uint64("seed", 2018, "analysis seed")
-		storeDir  = flag.String("store", "", "cross-run artifact store directory (see cmd/castan -store)")
-		compare   = flag.String("compare", "", "baseline bench JSON: re-run its configuration and exit 1 if any deterministic effort counter regresses more than -tolerance (perf gate mode; -out/-packets/-states/-seed are ignored)")
-		tolerance = flag.Float64("tolerance", 0.05, "allowed relative effort-counter regression in -compare mode")
-		attribDir = flag.String("attrib-dir", "", "in -compare mode, write per-NF tracediff attribution reports (JSON) to this directory on failure — CI uploads them as artifacts")
+		out       = fs.String("out", "results/BENCH_castan.json", "output path")
+		nfs       = fs.String("nfs", "", "comma-separated NF subset (default: the full catalog)")
+		packets   = fs.Int("packets", 6, "workload length per NF")
+		states    = fs.Int("states", 4000, "exploration budget per NF")
+		seed      = fs.Uint64("seed", 2018, "analysis seed")
+		storeDir  = fs.String("store", "", "cross-run artifact store directory (see castan -store)")
+		compare   = fs.String("compare", "", "baseline bench JSON: re-run its configuration and exit 1 if any deterministic effort counter regresses more than -tolerance (perf gate mode; -out/-packets/-states/-seed are ignored)")
+		tolerance = fs.Float64("tolerance", 0.05, "allowed relative effort-counter regression in -compare mode")
+		attribDir = fs.String("attrib-dir", "", "in -compare mode, write per-NF tracediff attribution reports (JSON) to this directory on failure — CI uploads them as artifacts")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
 	var st *store.Store
 	if *storeDir != "" {
 		var err error
-		st, err = store.Open(*storeDir)
-		if err != nil {
-			fatal(err)
+		if st, err = store.Open(*storeDir); err != nil {
+			return fail(stderr, "bench", err)
 		}
 	}
 	if *compare != "" {
-		os.Exit(compareAgainst(*compare, *tolerance, st, *attribDir))
+		return compareAgainst(*compare, *tolerance, st, *attribDir, stdout, stderr)
 	}
 	names := nf.Names
 	if *nfs != "" {
 		names = strings.Split(*nfs, ",")
 	}
 	rep := report{Schema: "castan-bench-metrics/v1", Packets: *packets, States: *states, Seed: *seed}
-	rep.Rows = runRows(names, *packets, *states, *seed, st)
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
+	rep.Rows = runRows(names, *packets, *states, *seed, st, stdout)
+	if err := writeJSONFile(*out, rep); err != nil {
+		return fail(stderr, "bench", err)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(rep); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d NFs)\n", *out, len(rep.Rows))
+	fmt.Fprintf(stdout, "wrote %s (%d NFs)\n", *out, len(rep.Rows))
+	return 0
 }
 
-func runRows(names []string, packets, states int, seed uint64, st *store.Store) []row {
+func runRows(names []string, packets, states int, seed uint64, st *store.Store, stdout io.Writer) []row {
 	var rows []row
 	for _, name := range names {
 		name = strings.TrimSpace(name)
@@ -151,7 +134,7 @@ func runRows(names []string, packets, states int, seed uint64, st *store.Store) 
 		r.Degraded = res.Degraded()
 		r.BudgetTicksUsed = res.BudgetTicksUsed
 		rows = append(rows, r)
-		fmt.Printf("%-12s %6.2fs  %d states, %d solver queries, %d probe line reads, %d DRAM misses, worst path in %d pops\n",
+		fmt.Fprintf(stdout, "%-12s %6.2fs  %d states, %d solver queries, %d probe line reads, %d DRAM misses, worst path in %d pops\n",
 			name, r.Seconds, r.Counters["symbex.states_explored"],
 			r.Counters["solver.queries"], r.Counters["memsim.probe_line_reads"],
 			r.Counters["memsim.dram_misses"], r.StepsToWorst)
@@ -167,46 +150,47 @@ func runRows(names []string, packets, states int, seed uint64, st *store.Store) 
 // tracediff attribution table names which stage's counters moved, and
 // attribDir (when set) receives the per-NF reports as JSON for CI
 // artifact upload.
-func compareAgainst(path string, tolerance float64, st *store.Store, attribDir string) int {
+func compareAgainst(path string, tolerance float64, st *store.Store, attribDir string, stdout, stderr io.Writer) int {
+	fatal := func(err error) int { return fail(stderr, "bench", err) }
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	var base report
 	if err := json.Unmarshal(raw, &base); err != nil {
-		fatal(fmt.Errorf("decode baseline %s: %w", path, err))
+		return fatal(fmt.Errorf("decode baseline %s: %w", path, err))
 	}
 	if base.Schema != "castan-bench-metrics/v1" {
-		fatal(fmt.Errorf("baseline %s has schema %q, want castan-bench-metrics/v1", path, base.Schema))
+		return fatal(fmt.Errorf("baseline %s has schema %q, want castan-bench-metrics/v1", path, base.Schema))
 	}
 	names := make([]string, 0, len(base.Rows))
 	for _, r := range base.Rows {
 		names = append(names, r.NF)
 	}
-	fmt.Printf("perf gate: re-running %d NFs (packets=%d states=%d seed=%d) against %s, tolerance %.0f%%\n",
+	fmt.Fprintf(stdout, "perf gate: re-running %d NFs (packets=%d states=%d seed=%d) against %s, tolerance %.0f%%\n",
 		len(names), base.Packets, base.States, base.Seed, path, tolerance*100)
-	fresh := runRows(names, base.Packets, base.States, base.Seed, st)
+	fresh := runRows(names, base.Packets, base.States, base.Seed, st, stdout)
 	regressions := 0
 	for i, br := range base.Rows {
 		fr := fresh[i]
 		if br.Error != "" {
 			if fr.Error == "" {
-				fmt.Printf("  %s: baseline errored (%s), fresh run succeeds — update the baseline\n", br.NF, br.Error)
+				fmt.Fprintf(stdout, "  %s: baseline errored (%s), fresh run succeeds — update the baseline\n", br.NF, br.Error)
 			}
 			continue
 		}
 		if fr.Error != "" {
-			fmt.Printf("FAIL %s: fresh run errored: %s\n", fr.NF, fr.Error)
+			fmt.Fprintf(stdout, "FAIL %s: fresh run errored: %s\n", fr.NF, fr.Error)
 			regressions++
 			continue
 		}
 		if fr.Degraded && !br.Degraded {
-			fmt.Printf("FAIL %s: fresh run degraded, baseline did not\n", fr.NF)
+			fmt.Fprintf(stdout, "FAIL %s: fresh run degraded, baseline did not\n", fr.NF)
 			regressions++
 		}
 		check := func(col string, bv, fv uint64) {
 			if fv > bv && float64(fv) > float64(bv)*(1+tolerance) {
-				fmt.Printf("FAIL %s: %s regressed %d -> %d (+%.1f%%)\n",
+				fmt.Fprintf(stdout, "FAIL %s: %s regressed %d -> %d (+%.1f%%)\n",
 					fr.NF, col, bv, fv, 100*(float64(fv)/float64(bv)-1))
 				regressions++
 			}
@@ -223,19 +207,19 @@ func compareAgainst(path string, tolerance float64, st *store.Store, attribDir s
 		// bare FAIL line, and attribDir receives it as a CI artifact.
 		rep := tracediff.Diff(rowRun(br, "baseline "+br.NF), rowRun(fr, "fresh "+fr.NF), tolerance)
 		if rep.HasRegressions() {
-			rep.Render(os.Stdout)
+			rep.Render(stdout)
 			if attribDir != "" {
 				if err := writeAttrib(attribDir, fr.NF, rep); err != nil {
-					fmt.Fprintln(os.Stderr, "benchmetrics: attribution report:", err)
+					fmt.Fprintln(stderr, "bench: attribution report:", err)
 				}
 			}
 		}
 	}
 	if regressions > 0 {
-		fmt.Printf("perf gate: %d regression(s) beyond %.0f%% tolerance\n", regressions, tolerance*100)
+		fmt.Fprintf(stdout, "perf gate: %d regression(s) beyond %.0f%% tolerance\n", regressions, tolerance*100)
 		return 1
 	}
-	fmt.Println("perf gate: all effort counters within tolerance")
+	fmt.Fprintln(stdout, "perf gate: all effort counters within tolerance")
 	return 0
 }
 
@@ -255,20 +239,5 @@ func writeAttrib(dir, nfName string, rep *tracediff.Report) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, "attrib_"+nfName+".json"))
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchmetrics:", err)
-	os.Exit(1)
+	return writeJSONFile(filepath.Join(dir, "attrib_"+nfName+".json"), rep)
 }

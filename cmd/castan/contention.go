@@ -2,24 +2,19 @@
 // contention sets by timed pointer-chase probing (§3.2), printing a
 // summary and optionally the full sets. The hidden slice hash is never
 // consulted: only probe timings are.
-//
-// Usage:
-//
-//	castan contention -lines 2600 -sets 6
 
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"castan/internal/cachemodel"
 	"castan/internal/memsim"
 )
 
-func contention(args []string) {
-	fs := flag.NewFlagSet("castan contention", flag.ExitOnError)
+func contentionCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("castan contention", stderr)
 	var (
 		lines   = fs.Int("lines", 2600, "pool size in cache lines")
 		stride  = fs.Int("stride", 8, "pool sampling stride in lines")
@@ -28,11 +23,13 @@ func contention(args []string) {
 		base    = fs.Uint64("base", 0x10000000, "base address of the probed region")
 		verbose = fs.Bool("v", false, "print every member address")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
 
 	geo := memsim.DefaultGeometry()
 	hier := memsim.New(geo, *seed)
-	fmt.Printf("probing %s (associativity %d, %d hidden sets)\n",
+	fmt.Fprintf(stdout, "probing %s (associativity %d, %d hidden sets)\n",
 		geo, geo.L3Assoc(), geo.NumContentionSets())
 
 	pool := make([]uint64, 0, *lines)
@@ -49,12 +46,11 @@ func contention(args []string) {
 		Seed:      *seed,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "contention:", err)
-		os.Exit(1)
+		return fail(stderr, "contention", err)
 	}
-	fmt.Printf("discovered %d contention sets from a %d-line pool:\n", len(model.Sets), len(pool))
+	fmt.Fprintf(stdout, "discovered %d contention sets from a %d-line pool:\n", len(model.Sets), len(pool))
 	for i, s := range model.Sets {
-		fmt.Printf("  set %d: %d members", i, len(s.Addrs))
+		fmt.Fprintf(stdout, "  set %d: %d members", i, len(s.Addrs))
 		// Ground-truth check via the debug backdoor (the real tool cannot
 		// do this; it is printed here to demonstrate discovery quality).
 		consistent := true
@@ -65,11 +61,12 @@ func contention(args []string) {
 				break
 			}
 		}
-		fmt.Printf(" (hidden set %d, consistent=%v)\n", want, consistent)
+		fmt.Fprintf(stdout, " (hidden set %d, consistent=%v)\n", want, consistent)
 		if *verbose {
 			for _, a := range s.Addrs {
-				fmt.Printf("    %#x\n", a)
+				fmt.Fprintf(stdout, "    %#x\n", a)
 			}
 		}
 	}
+	return 0
 }

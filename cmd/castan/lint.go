@@ -1,38 +1,24 @@
-// irlint runs the full static-analysis pass pipeline (structural
+// castan lint runs the full static-analysis pass pipeline (structural
 // validation, def-before-use, register liveness, memory-region extent
-// checks) over IR modules and reports structured findings. It is the CI
-// gate that keeps every built-in NF — and therefore every module the
-// examples run — clean before symbolic execution ever sees it.
-//
-//	irlint             # lint every NF in the built-in catalog
-//	irlint lpm-trie    # lint selected NFs
-//	irlint -v          # also print info-level findings (dead defs)
-//	irlint -werror     # treat warnings as failures
-//	irlint -json       # machine-readable output (includes cachecost stats)
-//
-// With -json the output is a single castan-irlint/v1 document: per module,
-// the findings (each carrying source coordinates: function, block index,
-// instruction index) plus the abstract cache analysis's classification
-// summary (always-hit / always-miss / unclassified counts and the
-// unclassified ratio per function).
-//
-// Structurally clean modules additionally get the input-taint dataflow
-// pass: adversary-controllability findings flag every load/store whose
-// address the input controls — ranked by whether the access stays
-// cache-resident or reaches a DRAM-cost region — and classify each hash
-// site's key as input-independent or adversary-controlled.
+// checks) over the NFs named as arguments, or the whole built-in catalog,
+// and reports structured findings: the gate that keeps every module clean
+// before symbolic execution sees it. Structurally clean modules also get
+// the input-taint pass (adversary-controllability findings) and the
+// value-range pass. With -json the output is one castan-irlint/v1
+// document: per module, the findings with their source coordinates plus
+// the abstract cache analysis's per-function classification summary.
 //
 // Exit status is non-zero iff any module produced an error-level finding
 // (or, with -werror, a warning).
+
 package main
 
 import (
+	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"castan/internal/analysis"
 	"castan/internal/analysis/cachecost"
@@ -42,13 +28,15 @@ import (
 	"castan/internal/nf"
 )
 
-func main() {
-	verbose := flag.Bool("v", false, "print info-level findings too")
-	werror := flag.Bool("werror", false, "treat warnings as errors")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (castan-irlint/v1)")
-	flag.Parse()
-
-	names := flag.Args()
+func lintCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("castan lint", stderr)
+	verbose := fs.Bool("v", false, "print info-level findings too")
+	werror := fs.Bool("werror", false, "treat warnings as errors")
+	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (castan-irlint/v1)")
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
+	names := fs.Args()
 	if len(names) == 0 {
 		names = nf.Names
 	}
@@ -56,12 +44,17 @@ func main() {
 	for _, name := range names {
 		inst, err := nf.New(name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "irlint: %v\n", err)
-			os.Exit(1)
+			return fail(stderr, "lint", err)
 		}
 		mods = append(mods, inst.Mod)
 	}
-	os.Exit(run(mods, *verbose, *werror, *jsonOut, os.Stdout))
+	var buf bytes.Buffer
+	code := lintModules(mods, *verbose, *werror, *jsonOut, &buf)
+	if _, err := stdout.Write(buf.Bytes()); err != nil {
+		fmt.Fprintln(stderr, "lint:", err)
+		return 2
+	}
+	return code
 }
 
 // jsonDoc is the -json output: one castan-irlint/v1 document.
@@ -115,10 +108,10 @@ type jsonFuncCost struct {
 	AcyclicPath uint64 `json:"acyclic_path_bound"`
 }
 
-// run lints each module in turn and returns the process exit code: 1 if
-// any module has an error-level finding (or a warning under werror),
-// 0 otherwise.
-func run(mods []*ir.Module, verbose, werror, jsonOut bool, w io.Writer) int {
+// lintModules lints each module in turn, rendering the findings into w,
+// and returns the exit code: 1 if any module has an error-level finding
+// (or a warning under werror), 0 otherwise.
+func lintModules(mods []*ir.Module, verbose, werror, jsonOut bool, w *bytes.Buffer) int {
 	minSev := analysis.SevWarn
 	if verbose {
 		minSev = analysis.SevInfo
@@ -147,9 +140,8 @@ func run(mods []*ir.Module, verbose, werror, jsonOut bool, w io.Writer) int {
 		}
 		if jsonOut {
 			doc.Modules = append(doc.Modules, jsonify(mod, rep, minSev, cc))
-		} else if err := rep.Write(w, minSev); err != nil {
-			fmt.Fprintf(os.Stderr, "irlint: %v\n", err)
-			return 2
+		} else {
+			rep.Write(w, minSev)
 		}
 		if rep.HasErrors() || (werror && rep.Count(analysis.SevWarn) > 0) {
 			failed = true
@@ -159,8 +151,7 @@ func run(mods []*ir.Module, verbose, werror, jsonOut bool, w io.Writer) int {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")
 		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintf(os.Stderr, "irlint: %v\n", err)
-			return 2
+			panic(err) // the document holds only encodable values
 		}
 	}
 	if failed {

@@ -28,7 +28,7 @@ func TestJSONGolden(t *testing.T) {
 		mods = append(mods, inst.Mod)
 	}
 	var buf bytes.Buffer
-	if code := run(mods, false, false, true, &buf); code != 0 {
+	if code := lintModules(mods, false, false, true, &buf); code != 0 {
 		t.Fatalf("catalog should pass, got exit %d:\n%s", code, buf.String())
 	}
 
@@ -64,7 +64,7 @@ func TestJSONShape(t *testing.T) {
 		mods = append(mods, inst.Mod)
 	}
 	var buf bytes.Buffer
-	if code := run(mods, false, false, true, &buf); code != 0 {
+	if code := lintModules(mods, false, false, true, &buf); code != 0 {
 		t.Fatalf("catalog should pass, got exit %d:\n%s", code, buf.String())
 	}
 	var doc jsonDoc

@@ -21,7 +21,7 @@ func TestSeedCorpusPasses(t *testing.T) {
 		mods = append(mods, inst.Mod)
 	}
 	var buf bytes.Buffer
-	if code := run(mods, false, false, false, &buf); code != 0 {
+	if code := lintModules(mods, false, false, false, &buf); code != 0 {
 		t.Fatalf("seed corpus should pass, got exit %d:\n%s", code, buf.String())
 	}
 	if !strings.Contains(buf.String(), "0 error(s)") {
@@ -40,7 +40,7 @@ func TestDefBeforeUseFixtureFails(t *testing.T) {
 	mod.Layout()
 
 	var buf bytes.Buffer
-	if code := run([]*ir.Module{mod}, false, false, false, &buf); code == 0 {
+	if code := lintModules([]*ir.Module{mod}, false, false, false, &buf); code == 0 {
 		t.Fatalf("def-before-use fixture should fail:\n%s", buf.String())
 	}
 	if !strings.Contains(buf.String(), "possibly-undefined") {
@@ -60,7 +60,7 @@ func TestOutOfExtentFixtureFails(t *testing.T) {
 	fb.Seal()
 
 	var buf bytes.Buffer
-	if code := run([]*ir.Module{mod}, false, false, false, &buf); code == 0 {
+	if code := lintModules([]*ir.Module{mod}, false, false, false, &buf); code == 0 {
 		t.Fatalf("out-of-extent fixture should fail:\n%s", buf.String())
 	}
 	if !strings.Contains(buf.String(), "out of extent") {
@@ -76,10 +76,10 @@ func TestWerrorPromotesWarnings(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if code := run([]*ir.Module{inst.Mod}, false, false, false, &buf); code != 0 {
+	if code := lintModules([]*ir.Module{inst.Mod}, false, false, false, &buf); code != 0 {
 		t.Fatalf("lpm-dl2 should pass by default:\n%s", buf.String())
 	}
-	if code := run([]*ir.Module{inst.Mod}, false, true, false, &buf); code != 1 {
+	if code := lintModules([]*ir.Module{inst.Mod}, false, true, false, &buf); code != 1 {
 		t.Fatalf("lpm-dl2 should fail under -werror, got %d", code)
 	}
 }

@@ -1,265 +1,184 @@
 // Command castan analyzes a network function and synthesizes an
 // adversarial workload, writing it as a PCAP file together with the
 // per-packet predicted performance metrics — the reproduction of the
-// paper's analysis tool.
+// paper's analysis tool. Its subcommands, each with its own flag set
+// (castan <subcommand> -h), are the tool's companions:
 //
-// Usage:
+//	castan -nf lpm-dl1 -packets 40 -out adversarial.pcap   # the analysis
+//	castan reportcheck -report report.json -nf lpm-trie    # gate a metrics report
+//	castan rainbow -hash table -bits 12 -coverage 8        # one §3.5 table's coverage
+//	castan contention -lines 2600 -sets 6                  # §3.2 discovery on a bare region
+//	castan bench -compare results/BENCH_castan.json        # record or gate effort counters
+//	castan lint -json lpm-trie                             # the IR static-analysis gate
+//	castan tracediff -base a.json -new b.json              # attribute telemetry deltas
+//	castan tracediff check -trace t.json -metrics m.json   # validate one run's artifacts
+//	castan testbed -figure 4                               # the §5 measurement campaign
 //
-//	castan -nf lpm-dl1 -packets 40 -out adversarial.pcap
-//	castan reportcheck|rainbow|contention [flags]
-//
-// Exit codes: 0 = clean analysis, 1 = failure, 2 = usage error,
-// 3 = degraded analysis (a budget or deadline cut a stage short and the
+// The analysis exits 0 when clean, 1 on failure, 2 on a usage error and
+// 3 when degraded (a budget or deadline cut a stage short and the
 // emitted workload is best-effort; see the "degradations" report field).
-//
-// The subcommands are the tool's small companions, each with its own
-// flag set (castan <subcommand> -h): reportcheck gates a metrics report,
-// rainbow builds one §3.5 table and reports its coverage, contention runs
-// §3.2 discovery on a bare region.
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 
-	"castan/internal/budget"
-	"castan/internal/castan"
-	"castan/internal/memsim"
-	"castan/internal/nf"
 	"castan/internal/obs"
-	"castan/internal/pcap"
-	"castan/internal/store"
-	"castan/internal/workload"
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "reportcheck":
-			reportcheck(os.Args[2:])
-			return
-		case "rainbow":
-			rainbowCmd(os.Args[2:])
-			return
-		case "contention":
-			contention(os.Args[2:])
-			return
-		}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// commands maps each subcommand to its entry point, which parses its own
+// flags from args and returns the process exit code.
+var commands = map[string]func(args []string, stdout, stderr io.Writer) int{
+	"reportcheck": reportcheckCmd,
+	"rainbow":     rainbowCmd,
+	"contention":  contentionCmd,
+	"bench":       benchCmd,
+	"lint":        lintCmd,
+	"tracediff":   tracediffCmd,
+	"testbed":     testbedCmd,
+}
+
+// run runs the analysis unless args start with a subcommand.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		return analyzeCmd(args, stdout, stderr)
 	}
-	var (
-		nfName   = flag.String("nf", "", "network function to analyze ("+strings.Join(nf.Names, ", ")+")")
-		packets  = flag.Int("packets", 0, "adversarial workload length (default: the paper's per-NF size)")
-		states   = flag.Int("states", 6000, "symbolic exploration budget")
-		seed     = flag.Uint64("seed", 2018, "seed for discovery sampling and the DUT's hidden hash")
-		out      = flag.String("out", "", "PCAP output path (default <nf>-castan.pcap)")
-		noCache  = flag.Bool("no-cache-model", false, "disable the cache model (ablation)")
-		storeDir = flag.String("store", "", "cross-run artifact store directory: cache models and rainbow tables are reused from it and persisted to it; a warm store skips discovery with byte-identical output")
-		report   = flag.String("report", "", "write the per-packet metrics report (JSON) to this path")
-		noRain   = flag.Bool("no-rainbow", false, "disable havoc reconciliation (ablation)")
-		validate = flag.Bool("validate", true, "replay the workload on the interpreter as a sanity check")
-		workers  = flag.Int("workers", 0, "worker count for parallel analysis stages (0 = GOMAXPROCS); output is identical at any value")
-		trace    = flag.String("trace", "", "write a Chrome trace_event file (load in chrome://tracing or ui.perfetto.dev) of the pipeline to this path")
-		metrics  = flag.String("metrics-out", "", "write the run's counters/gauges/histograms/phases (JSON) to this path")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this path")
-		budgetT  = flag.Uint64("budget", 0, "whole-run budget in deterministic ticks (0 = unlimited); on exhaustion the pipeline degrades instead of failing")
-		deadline = flag.Duration("deadline", 0, "wall-clock deadline (0 = none); checked at deterministic pipeline points and degrades like -budget")
-		failDeg  = flag.Bool("fail-on-degraded", false, "exit 1 instead of 3 when any stage degraded")
-		progress = flag.Bool("progress", false, "render live per-stage progress on stderr while the analysis runs")
-		events   = flag.String("events", "", "stream the live ProgressEvent feed as JSON Lines to this path")
-		httpDbg  = flag.String("httpdebug", "", "serve net/http/pprof and a /metricsz live metrics snapshot on this address (e.g. localhost:6060); local profiling only — never expose beyond localhost")
-	)
-	flag.Parse()
-	if *nfName == "" {
-		fmt.Fprintln(os.Stderr, "castan: -nf is required; known NFs:", strings.Join(nf.Names, ", "))
-		os.Exit(2)
+	if cmd, ok := commands[args[0]]; ok {
+		return cmd(args[1:], stdout, stderr)
 	}
-	if _, ok := nf.Catalog[*nfName]; !ok {
-		fmt.Fprintf(os.Stderr, "castan: unknown NF %q; known NFs:\n", *nfName)
-		for _, n := range nf.Names {
-			fmt.Fprintf(os.Stderr, "  %s\n", n)
-		}
-		os.Exit(2)
+	fmt.Fprintf(stderr, "castan: unknown subcommand %q; subcommands: %s\n", args[0], subcommandList())
+	return 2
+}
+
+func subcommandList() string {
+	names := make([]string, 0, len(commands))
+	for name := range commands {
+		names = append(names, name)
 	}
-	inst, err := nf.New(*nfName)
+	sort.Strings(names)
+	return strings.Join(names, ", ")
+}
+
+// newFlagSet returns a flag set that reports to stderr; its caller
+// returns parseExit of a failed Parse.
+func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// parseExit is 0 after -h and 2 for a bad flag, as with flag.ExitOnError.
+func parseExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
+}
+
+// fail reports err under the command's name and returns exit code 1.
+func fail(stderr io.Writer, name string, err error) int {
+	fmt.Fprintf(stderr, "%s: %v\n", name, err)
+	return 1
+}
+
+// writeJSONFile writes v to path as indented JSON.
+func writeJSONFile(path string, v any) error {
+	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	np := *packets
-	if np == 0 {
-		np = nf.PaperPackets[*nfName]
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(v); err != nil {
+		f.Close()
+		return err
 	}
-	if np == 0 {
-		np = 30
-	}
-	hier := memsim.New(memsim.DefaultGeometry(), *seed)
-	fmt.Printf("analyzing %s (%d packets, %d states budget) on %s\n",
-		*nfName, np, *states, hier.Geometry())
-	cfg := castan.Config{
-		NPackets:     np,
-		MaxStates:    *states,
-		Seed:         *seed,
-		NoCacheModel: *noCache,
-		NoRainbow:    *noRain,
-		Workers:      *workers,
-	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Store = st
-	}
-	if *budgetT > 0 || *deadline > 0 {
-		cfg.Budget = budget.New(*budgetT)
-		if *deadline > 0 {
-			cfg.Budget.SetDeadline(nil, *deadline)
-		}
-	}
-	if *trace != "" || *metrics != "" || *progress || *events != "" || *httpDbg != "" {
+	return f.Close()
+}
+
+// telemetry is the observability flag group the analysis and the testbed
+// share: -trace, -metrics-out, -cpuprofile, -progress and -httpdebug.
+type telemetry struct {
+	trace, metrics, cpuProf, httpDbg string
+	progress                         bool
+
+	rec  *obs.Recorder // nil unless a flag asked for telemetry
+	prof *os.File
+}
+
+// register adds the flags to fs; subject names what they observe.
+func (t *telemetry) register(fs *flag.FlagSet, subject string) {
+	fs.StringVar(&t.trace, "trace", "", "write a Chrome trace_event file (load in chrome://tracing or ui.perfetto.dev) of "+subject+" to this path")
+	fs.StringVar(&t.metrics, "metrics-out", "", "write the counters/gauges/histograms/phases (JSON) of "+subject+" to this path")
+	fs.StringVar(&t.cpuProf, "cpuprofile", "", "write a pprof CPU profile to this path")
+	fs.BoolVar(&t.progress, "progress", false, "render live progress of "+subject+" on stderr")
+	fs.StringVar(&t.httpDbg, "httpdebug", "", "serve net/http/pprof and a /metricsz live metrics snapshot on this address (e.g. localhost:6060); local profiling only — never expose beyond localhost")
+}
+
+// start creates the recorder when a flag (or want) needs one, then starts
+// the debug server and the CPU profile. The caller defers stop, so the
+// profile is flushed on every exit path.
+func (t *telemetry) start(want bool, stdout, stderr io.Writer) error {
+	if want || t.trace != "" || t.metrics != "" || t.progress || t.httpDbg != "" {
 		// CLI runs use the wall clock: trace durations are real time.
-		cfg.Obs = obs.New(nil)
+		t.rec = obs.New(nil)
 	}
-	if *progress {
-		cfg.Obs.Subscribe(obs.NewTTYRenderer(os.Stderr))
+	if t.progress {
+		t.rec.Subscribe(obs.NewTTYRenderer(stderr))
 	}
-	// The events sink is closed explicitly on every exit path (fatal and
-	// os.Exit bypass defers): a buffered write that never reached disk
-	// must fail the run, not vanish.
-	var eventsSink *obs.JSONLSink
-	if *events != "" {
-		var err error
-		eventsSink, err = obs.OpenJSONLSink(*events)
+	if t.httpDbg != "" {
+		ln, err := obs.ServeDebug(t.httpDbg, t.rec)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		cfg.Obs.Subscribe(eventsSink)
+		fmt.Fprintf(stdout, "debug server on http://%s (/debug/pprof/, /metricsz) — local profiling only\n", ln.Addr())
 	}
-	closeEvents := func() {
-		if eventsSink == nil {
-			return
-		}
-		if err := eventsSink.Close(); err != nil {
-			eventsSink = nil
-			fatal(fmt.Errorf("events stream %s: %w", *events, err))
-		}
-		eventsSink = nil
-	}
-	if *httpDbg != "" {
-		ln, err := obs.ServeDebug(*httpDbg, cfg.Obs)
+	if t.cpuProf != "" {
+		f, err := os.Create(t.cpuProf)
 		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("debug server on http://%s (/debug/pprof/, /metricsz) — local profiling only\n", ln.Addr())
-	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			f.Close()
+			return err
 		}
-		defer f.Close()
-		defer pprof.StopCPUProfile()
+		t.prof = f
 	}
-	res, err := castan.Analyze(inst, hier, cfg)
-	if err != nil {
-		if eventsSink != nil {
-			_ = eventsSink.Close() // best-effort flush; the analysis error wins
-		}
-		fatal(err)
-	}
-	// The stream is complete once Analyze returns; close (and flush) it
-	// before any later exit path can bypass the deferred stack.
-	closeEvents()
-	if *events != "" {
-		fmt.Printf("streamed progress events to %s\n", *events)
-	}
-	if *trace != "" {
-		if err := cfg.Obs.WriteChromeTraceFile(*trace); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote pipeline trace to %s\n", *trace)
-	}
-	if *metrics != "" {
-		if err := res.Telemetry.WriteJSONFile(*metrics); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote metrics to %s\n", *metrics)
-	}
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
-	}
-	path := *out
-	if path == "" {
-		path = *nfName + "-castan.pcap"
-	}
-	if err := pcap.WriteFile(path, res.Frames); err != nil {
-		fatal(err)
-	}
-	w := workload.FromFrames("CASTAN", res.Frames)
-	fmt.Printf("wrote %s: %d packets, %d flows\n", path, len(res.Frames), w.Flows)
-	fmt.Printf("analysis: %.1fs, %d states explored, %d contention sets, havocs %d/%d reconciled\n",
-		res.AnalysisSeconds, res.StatesExplored, res.ContentionSetsFound,
-		res.HavocsReconciled, res.HavocsTotal)
-	fmt.Printf("predicted path: %d instrs, %d loads, %d stores, %d expected DRAM trips\n",
-		res.Instrs, res.Loads, res.Stores, res.ExpectDRAM)
-	if res.StaticCostBound > 0 {
-		fmt.Printf("static worst-case bound: %d cycles for %d packets (worst path after %d state pops)\n",
-			res.StaticCostBound, len(res.Frames), res.StepsToWorstPath)
-	}
-	for i, pm := range res.Packets {
-		fmt.Printf("  packet %2d: %5d predicted cycles\n", i, pm.PredictedCycles)
-	}
-	if *report != "" {
-		if err := res.WriteReportFile(*report); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote metrics report to %s\n", *report)
-	}
-	if *validate {
-		instrs, err := castan.Validate(*nfName, res.Frames)
-		switch {
-		case err != nil && res.Degraded():
-			// A degraded workload is best-effort by contract; a replay
-			// hiccup is information, not a failure.
-			fmt.Printf("validation replay failed on degraded workload: %v\n", err)
-		case err != nil:
-			fatal(fmt.Errorf("validation replay: %w", err))
-		default:
-			fmt.Printf("validation replay executed %d instructions (prediction: %d)\n", instrs, res.Instrs)
-		}
-	}
-	if res.Degraded() {
-		fmt.Printf("DEGRADED: %d stage(s) cut short, %d budget ticks used\n",
-			len(res.Degradations), res.BudgetTicksUsed)
-		for _, d := range res.Degradations {
-			fmt.Printf("  %s: %s; fallback: %s\n", d.Stage, d.Reason, d.Fallback)
-		}
-		if len(res.UnreconciledSites) > 0 {
-			fmt.Printf("  unreconciled hash sites: %v\n", res.UnreconciledSites)
-		}
-		if *failDeg {
-			os.Exit(1)
-		}
-		os.Exit(3)
+	return nil
+}
+
+func (t *telemetry) stop() {
+	if t.prof != nil {
+		pprof.StopCPUProfile()
+		t.prof.Close()
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "castan:", err)
-	os.Exit(1)
+// finish writes the -trace and -metrics-out files, announcing each on
+// stdout under the given names.
+func (t *telemetry) finish(m *obs.Metrics, traceName, metricsName string, stdout io.Writer) error {
+	if t.trace != "" {
+		if err := t.rec.WriteChromeTraceFile(t.trace); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s to %s\n", traceName, t.trace)
+	}
+	if t.metrics != "" {
+		if err := m.WriteJSONFile(t.metrics); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s to %s\n", metricsName, t.metrics)
+	}
+	return nil
 }

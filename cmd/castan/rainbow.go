@@ -1,17 +1,12 @@
 // castan rainbow builds a rainbow table for one of the NF hash functions
 // over a tailored key space and reports its inversion coverage — the
 // §3.5 preprocessing step.
-//
-// Usage:
-//
-//	castan rainbow -hash table -bits 12 -coverage 8
 
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"castan/internal/nf"
@@ -19,8 +14,8 @@ import (
 	"castan/internal/rainbow"
 )
 
-func rainbowCmd(args []string) {
-	fs := flag.NewFlagSet("castan rainbow", flag.ExitOnError)
+func rainbowCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("castan rainbow", stderr)
 	var (
 		hashName = fs.String("hash", "table", "hash family: table or ring")
 		bits     = fs.Int("bits", 12, "hash output width in bits")
@@ -29,7 +24,9 @@ func rainbowCmd(args []string) {
 		dstPort  = fs.Uint("dport", 80, "pinned destination port")
 		samples  = fs.Int("samples", 400, "values sampled for the coverage estimate")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
 
 	var fn func([]byte) uint64
 	switch *hashName {
@@ -38,8 +35,8 @@ func rainbowCmd(args []string) {
 	case "ring":
 		fn = nfhash.RingHash
 	default:
-		fmt.Fprintln(os.Stderr, "rainbow: unknown hash", *hashName)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "rainbow: unknown hash", *hashName)
+		return 2
 	}
 	space := nfhash.UDPFlowSpace{SrcNet: 0x0a00, DstIP: uint32(*dstIP), DstPort: uint16(*dstPort)}
 	cfg := rainbow.DefaultConfig(*bits)
@@ -48,14 +45,14 @@ func rainbowCmd(args []string) {
 	start := time.Now()
 	tbl, err := rainbow.Build(fn, space, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rainbow:", err)
-		os.Exit(1)
+		return fail(stderr, "rainbow", err)
 	}
 	build := time.Since(start)
 	start = time.Now()
 	cov := tbl.Coverage(*samples, 99)
-	fmt.Printf("%s hash, %d bits: %d chains × %d built in %s\n",
+	fmt.Fprintf(stdout, "%s hash, %d bits: %d chains × %d built in %s\n",
 		*hashName, *bits, tbl.Chains(), cfg.ChainLen, build.Round(time.Millisecond))
-	fmt.Printf("inversion coverage: %.1f%% (%d samples, %s)\n",
+	fmt.Fprintf(stdout, "inversion coverage: %.1f%% (%d samples, %s)\n",
 		cov*100, *samples, time.Since(start).Round(time.Millisecond))
+	return 0
 }

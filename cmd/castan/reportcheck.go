@@ -1,22 +1,10 @@
-// castan reportcheck validates a castan metrics report (JSON): the file
-// must decode against the report schema, carry a well-formed packet list,
-// and (optionally) match an expected NF. With -require-degraded it
-// additionally asserts the run recorded stage degradations and a budget
-// tick account — the CI fault-smoke gate uses this to prove a budget-cut
-// run still emits a complete, parseable report. With -compare it asserts
-// a second report describes the identical analysis outcome: every field
-// must match except wall-clock time and the telemetry snapshot, which
-// legitimately differ between runs (e.g. a warm-store run skips
-// discovery effort). The CI store-smoke gate uses this to prove a warm
-// store changes effort, never output. With -url the report is fetched
-// from a running castand endpoint instead of a file, so the service
-// smoke test reuses the same schema gate as offline runs.
-//
-// Usage:
-//
-//	castan reportcheck -report report.json -nf lpm-trie -require-degraded
-//	castan reportcheck -report cold.json -compare warm.json
-//	castan reportcheck -url 'http://127.0.0.1:8080/v1/analyze?nf=lpm-trie&packets=4'
+// castan reportcheck validates a castan metrics report (JSON) read from
+// a file or fetched from a castand endpoint (-url): it must decode against
+// the report schema, carry a well-formed packet list, and (optionally)
+// match an expected NF. -require-degraded also asserts the run recorded
+// degradations and a budget tick account (the fault-smoke gate);
+// -compare asserts a second report describes the identical outcome,
+// wall-clock time and telemetry aside (the store-smoke gate).
 //
 // Exit codes: 0 = report accepted, 1 = rejected or unreadable, 2 = usage
 // error.
@@ -24,7 +12,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,8 +21,8 @@ import (
 	"castan/internal/castan"
 )
 
-func reportcheck(args []string) {
-	fs := flag.NewFlagSet("castan reportcheck", flag.ExitOnError)
+func reportcheckCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("castan reportcheck", stderr)
 	var (
 		path    = fs.String("report", "", "report JSON path")
 		url     = fs.String("url", "", "fetch the report from a castand endpoint instead of a file")
@@ -44,11 +31,14 @@ func reportcheck(args []string) {
 		compare = fs.String("compare", "", "second report that must describe the identical outcome (only analysis_seconds and telemetry may differ)")
 		timeout = fs.Duration("timeout", 2*time.Minute, "HTTP timeout for -url fetches")
 	)
-	fs.Parse(args)
-	if (*path == "") == (*url == "") {
-		fmt.Fprintln(os.Stderr, "reportcheck: exactly one of -report or -url is required")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
 	}
+	if (*path == "") == (*url == "") {
+		fmt.Fprintln(stderr, "reportcheck: exactly one of -report or -url is required")
+		return 2
+	}
+	fatal := func(err error) int { return fail(stderr, "reportcheck", err) }
 	var (
 		rep *castan.Report
 		src string
@@ -62,31 +52,32 @@ func reportcheck(args []string) {
 		rep, err = loadReport(*path)
 	}
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if *compare != "" {
 		other, err := loadReport(*compare)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		if !rep.SameOutcome(other) {
-			fatal(fmt.Errorf("%s and %s describe different outcomes (beyond analysis_seconds/telemetry)", src, *compare))
+			return fatal(fmt.Errorf("%s and %s describe different outcomes (beyond analysis_seconds/telemetry)", src, *compare))
 		}
-		fmt.Printf("reportcheck: %s and %s describe the identical outcome\n", src, *compare)
+		fmt.Fprintf(stdout, "reportcheck: %s and %s describe the identical outcome\n", src, *compare)
 	}
 	if err := rep.Check(*nfName); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if *reqDeg {
 		if len(rep.Degradations) == 0 {
-			fatal(fmt.Errorf("no degradations recorded; expected a budget-cut run"))
+			return fatal(fmt.Errorf("no degradations recorded; expected a budget-cut run"))
 		}
 		if rep.BudgetTicksUsed == 0 {
-			fatal(fmt.Errorf("budget_ticks_used is zero on a budget-cut run"))
+			return fatal(fmt.Errorf("budget_ticks_used is zero on a budget-cut run"))
 		}
 	}
-	fmt.Printf("reportcheck: %s ok (nf %s, %d packets, %d degradations, %d ticks)\n",
+	fmt.Fprintf(stdout, "reportcheck: %s ok (nf %s, %d packets, %d degradations, %d ticks)\n",
 		src, rep.NF, len(rep.Packets), len(rep.Degradations), rep.BudgetTicksUsed)
+	return 0
 }
 
 func loadReport(path string) (*castan.Report, error) {

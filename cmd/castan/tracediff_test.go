@@ -13,7 +13,7 @@ import (
 
 func TestIdenticalRunsExitClean(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{
+	code := tracediffCmd([]string{
 		"-base", "testdata/base_metrics.json",
 		"-new", "testdata/base_metrics.json",
 	}, &out, &errb)
@@ -28,7 +28,7 @@ func TestIdenticalRunsExitClean(t *testing.T) {
 func TestRegressedRunExits3WithAttribution(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "report.json")
 	var out, errb bytes.Buffer
-	code := run([]string{
+	code := tracediffCmd([]string{
 		"-base", "testdata/base_metrics.json",
 		"-base-trace", "testdata/base_trace.jsonl",
 		"-new", "testdata/regressed_metrics.json",
@@ -77,7 +77,7 @@ func TestRegressedRunExits3WithAttribution(t *testing.T) {
 
 func TestTraceOnlyComparison(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{
+	code := tracediffCmd([]string{
 		"-base-trace", "testdata/base_trace.jsonl",
 		"-new-trace", "testdata/regressed_trace.jsonl",
 	}, &out, &errb)
@@ -93,13 +93,13 @@ func TestTraceOnlyComparison(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run(nil, &out, &errb); code != 2 {
+	if code := tracediffCmd(nil, &out, &errb); code != 2 {
 		t.Errorf("no args: exit %d, want 2", code)
 	}
-	if code := run([]string{"-base", "testdata/base_metrics.json"}, &out, &errb); code != 2 {
+	if code := tracediffCmd([]string{"-base", "testdata/base_metrics.json"}, &out, &errb); code != 2 {
 		t.Errorf("missing new run: exit %d, want 2", code)
 	}
-	if code := run([]string{"-base", "testdata/nope.json", "-new", "testdata/base_metrics.json"}, &out, &errb); code != 1 {
+	if code := tracediffCmd([]string{"-base", "testdata/nope.json", "-new", "testdata/base_metrics.json"}, &out, &errb); code != 1 {
 		t.Errorf("missing file: exit %d, want 1", code)
 	}
 }
@@ -119,7 +119,7 @@ func TestCheckSubcommand(t *testing.T) {
 		{[]string{"check", "-bogus"}, 2},
 	} {
 		var out, errb bytes.Buffer
-		if code := run(tc.args, &out, &errb); code != tc.want {
+		if code := tracediffCmd(tc.args, &out, &errb); code != tc.want {
 			t.Errorf("%v: exit %d, want %d; stderr: %s", tc.args, code, tc.want, errb.String())
 		}
 	}

@@ -1,26 +1,18 @@
-// Command castanload is the deterministic load generator for castand: it
+// castand load is the deterministic load generator for the daemon: it
 // replays a seeded mix of analysis requests — mixed NFs, tenants,
 // priorities, tiny budgets that force degradation, and (against a -chaos
 // server) injected fault plans — through a bounded worker pool, retries
 // admission pushback (429) with internal/retry backoff, and validates
-// every 200 against the Report schema gate.
-//
-// Exit code 0 means the service upheld its contract under this load:
-// zero 5xx responses surviving retries, zero transport errors, zero
-// invalid reports. 429s are not failures — they are the backpressure the
-// server is supposed to apply — but they are counted and reported.
-//
-// Usage:
-//
-//	castanload -url http://127.0.0.1:8347 -n 50 -c 8 -seed 1
-//	castanload -addr-file /tmp/castand.addr -n 200 -tiny-budget-frac 0.3 -fault-frac 0.2
+// every 200 against the Report schema gate. It exits 0 when the service
+// upheld its contract: no 5xx survived the retries, no transport errors,
+// no invalid reports. 429s are backpressure, counted but not failures.
+
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,8 +29,8 @@ import (
 	"castan/internal/stats"
 )
 
-// Summary is the machine-readable run verdict (written to -out).
-type Summary struct {
+// loadSummary is the machine-readable run verdict (written to -out).
+type loadSummary struct {
 	Sent       int            `json:"sent"`
 	OK         int            `json:"ok"`
 	Degraded   int            `json:"degraded"`
@@ -51,37 +43,41 @@ type Summary struct {
 	DurationMS int64          `json:"duration_ms"`
 }
 
-func main() {
+func load(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("castand load", stderr)
 	var (
-		baseURL   = flag.String("url", "", "castand base URL (e.g. http://127.0.0.1:8347)")
-		addrFile  = flag.String("addr-file", "", "read the server address from this file (castand -addr-file)")
-		n         = flag.Int("n", 50, "number of requests")
-		c         = flag.Int("c", 8, "client concurrency")
-		seed      = flag.Uint64("seed", 1, "request-mix seed")
-		nfList    = flag.String("nfs", "nop,lpm-trie,nat-chain", "comma-separated NF mix")
-		packets   = flag.Int("packets", 4, "workload length per request")
-		states    = flag.Int("states", 1200, "exploration budget per request")
-		tinyFrac  = flag.Float64("tiny-budget-frac", 0.2, "fraction of requests with a tiny tick budget (forces degradation)")
-		faultFrac = flag.Float64("fault-frac", 0, "fraction of requests arming a faultinject.MatrixPlans entry (server must run -chaos)")
-		keyFrac   = flag.Float64("key-frac", 0.2, "fraction of requests sharing idempotency keys")
-		tenants   = flag.Int("tenants", 3, "tenant pool size")
-		retries   = flag.Int("retries", 5, "attempts per request on 429/503")
-		timeout   = flag.Duration("timeout", 2*time.Minute, "per-attempt HTTP timeout")
-		outPath   = flag.String("out", "", "write the JSON summary here too")
+		baseURL   = fs.String("url", "", "castand base URL (e.g. http://127.0.0.1:8347)")
+		addrFile  = fs.String("addr-file", "", "read the server address from this file (castand -addr-file)")
+		n         = fs.Int("n", 50, "number of requests")
+		c         = fs.Int("c", 8, "client concurrency")
+		seed      = fs.Uint64("seed", 1, "request-mix seed")
+		nfList    = fs.String("nfs", "nop,lpm-trie,nat-chain", "comma-separated NF mix")
+		packets   = fs.Int("packets", 4, "workload length per request")
+		states    = fs.Int("states", 1200, "exploration budget per request")
+		tinyFrac  = fs.Float64("tiny-budget-frac", 0.2, "fraction of requests with a tiny tick budget (forces degradation)")
+		faultFrac = fs.Float64("fault-frac", 0, "fraction of requests arming a faultinject.MatrixPlans entry (server must run -chaos)")
+		keyFrac   = fs.Float64("key-frac", 0.2, "fraction of requests sharing idempotency keys")
+		tenants   = fs.Int("tenants", 3, "tenant pool size")
+		retries   = fs.Int("retries", 5, "attempts per request on 429/503")
+		timeout   = fs.Duration("timeout", 2*time.Minute, "per-attempt HTTP timeout")
+		outPath   = fs.String("out", "", "write the JSON summary here too")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
+	fatal := func(err error) int { return fail(stderr, "castand load", err) }
 
 	base := *baseURL
 	if base == "" && *addrFile != "" {
 		data, err := os.ReadFile(*addrFile)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		base = "http://" + strings.TrimSpace(string(data))
 	}
 	if base == "" {
-		fmt.Fprintln(os.Stderr, "castanload: one of -url or -addr-file is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "castand load: one of -url or -addr-file is required")
+		return 2
 	}
 	nfs := strings.Split(*nfList, ",")
 	planNames := []string{}
@@ -120,7 +116,7 @@ func main() {
 
 	client := &http.Client{Timeout: *timeout}
 	var mu sync.Mutex
-	sum := Summary{Sent: *n, ByStatus: map[string]int{}}
+	sum := loadSummary{Sent: *n, ByStatus: map[string]int{}}
 	start := time.Now()
 
 	parallel.ForEach(*c, *n, func(i int) {
@@ -163,7 +159,7 @@ func main() {
 				sum.Rejected++
 			}
 			sum.Failed++
-			fmt.Fprintf(os.Stderr, "castanload: request %d (%s): %v\n", i, req.NF, err)
+			fmt.Fprintf(stderr, "castand load: request %d (%s): %v\n", i, req.NF, err)
 			return
 		}
 		sum.OK++
@@ -172,7 +168,7 @@ func main() {
 		}
 		if cerr := rep.Check(req.NF); cerr != nil {
 			sum.Invalid++
-			fmt.Fprintf(os.Stderr, "castanload: request %d: invalid report: %v\n", i, cerr)
+			fmt.Fprintf(stderr, "castand load: request %d: invalid report: %v\n", i, cerr)
 			return
 		}
 		if len(rep.Degradations) > 0 {
@@ -182,15 +178,16 @@ func main() {
 	sum.DurationMS = time.Since(start).Milliseconds()
 
 	data, _ := json.MarshalIndent(sum, "", " ")
-	fmt.Println(string(data))
+	fmt.Fprintln(stdout, string(data))
 	if *outPath != "" {
 		if err := os.WriteFile(*outPath, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
 	if sum.Failed > 0 || sum.Invalid > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // post sends one request and decodes a 200 into a Report.
@@ -213,9 +210,4 @@ func post(client *http.Client, base string, req service.Request) (int, *castan.R
 		return resp.StatusCode, nil, false, err
 	}
 	return 200, rep, resp.Header.Get("X-Castan-Cache") == "hit", nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "castanload:", err)
-	os.Exit(1)
 }

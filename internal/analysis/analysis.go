@@ -1,7 +1,7 @@
 // Package analysis is the static-analysis layer over internal/ir: one
 // shared source of truth for control-flow and dataflow facts that every
 // downstream consumer — icfg's potential-cost heuristic, castan's
-// contention-set seeding and havoc-site selection, and the irlint CI gate
+// contention-set seeding and havoc-site selection, and the castan lint CI gate
 // — derives from the same pass pipeline instead of re-implementing ad-hoc
 // walks.
 //

@@ -11,7 +11,7 @@
 // Consumers act only on the lattice's definite points: a branch whose
 // condition range excludes zero (or is exactly zero) is statically
 // decided, so symbex takes it concretely instead of forking and
-// querying; irlint reports the never-taken edge and any block no
+// querying; castan lint reports the never-taken edge and any block no
 // feasible edge reaches. Everything else is a plain range fact.
 package vrange
 
@@ -966,7 +966,7 @@ func (a *Analysis) joinParams(callee *ir.Func, args []VRange) bool {
 }
 
 // finalPass recomputes, from the settled facts, which blocks have a
-// feasible in-edge — the reachability irlint's unreachable-block
+// feasible in-edge — the reachability castan lint's unreachable-block
 // findings report.
 func (a *Analysis) finalPass() {
 	if a.Capped {

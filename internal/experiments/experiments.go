@@ -24,7 +24,7 @@ import (
 )
 
 // CampaignStates is the exploration budget of the full campaign (and so
-// cmd/testbed's -states default). Test campaigns pass far less; lpm-trie's
+// castan testbed's -states default). Test campaigns pass far less; lpm-trie's
 // 30-packet workload behind Figures 7 and 8 needs this much.
 const CampaignStates = 120000
 
@@ -49,7 +49,7 @@ var campaignPackets = map[string]int{
 
 // Config scales a campaign. The zero value is the full evaluation: the
 // campaign the checked-in results/ were generated at, which is what
-// `go test -bench .` and cmd/testbed at its defaults both run. Workload
+// `go test -bench .` and castan testbed at its defaults both run. Workload
 // sizes follow §5.1 (scaled per DESIGN.md). Tests pass smaller workloads
 // and budgets; Short is the scale-down CI's bench-smoke uses.
 type Config struct {

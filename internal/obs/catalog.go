@@ -101,7 +101,7 @@ var Catalog = []Instrument{
 }
 
 // GateCounters is the list of deterministic effort counters the CI perf
-// gate diffs (cmd/benchmetrics -compare): the Gated rows of Catalog.
+// gate diffs (castan bench -compare): the Gated rows of Catalog.
 // Every one counts work items, never time, so the values are
 // bit-identical for a fixed (nf, packets, states, seed) across machines,
 // load and worker counts — the property that lets the gate run with zero

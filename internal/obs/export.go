@@ -159,7 +159,7 @@ type chromeEvent struct {
 
 // WriteChromeTrace exports the recorder as a Chrome trace_event file:
 // a strict JSON array with one event object per line (so the body is
-// also line-parseable, which is what tracediff check validates). Spans
+// also line-parseable, which is what castan tracediff check validates). Spans
 // become "X" complete events; final counter values become one "C"
 // counter sample each at the trace's end timestamp. Load the file in
 // chrome://tracing or https://ui.perfetto.dev.

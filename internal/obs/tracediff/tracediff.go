@@ -1,7 +1,7 @@
 // Package tracediff compares two runs' telemetry — metrics snapshots and
 // optional trace exports — and attributes every regressed counter and
 // phase to the pipeline stage that owns it. It is the analysis engine
-// behind cmd/tracediff and the perf gate's failure report: instead of a
+// behind castan tracediff and the perf gate's failure report: instead of a
 // bare "effort counter regressed, exit 1", the gate names the stage and
 // counter that moved.
 //

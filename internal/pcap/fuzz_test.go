@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// FuzzPcapRead feeds the reader arbitrary bytes (`testbed -pcap` and
+// FuzzPcapRead feeds the reader arbitrary bytes (`castan testbed -pcap` and
 // workload.FromPCAP open whatever file they are given): it must never
 // panic or allocate past its record cap, and the frames it does return
 // must survive being written out and read back.

@@ -1,5 +1,5 @@
 // Package retry is the deterministic exponential-backoff layer shared by
-// the castand worker supervisor and the castanload client. Like every
+// the castand worker supervisor and the castand load client. Like every
 // timing-adjacent piece of this repo it obeys the determinism rule
 // (DESIGN.md decision 6): the backoff schedule is a pure function of the
 // policy and its seed — jitter comes from a seeded splitmix64 stream

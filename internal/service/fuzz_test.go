@@ -16,7 +16,7 @@ import (
 // the server has no workers and every request arrives with its context
 // already cancelled, so Do returns as soon as the request is queued.
 func FuzzAnalyzeBody(f *testing.F) {
-	// castanload's request shapes: plain, tiny budget, armed fault plan,
+	// castand load's request shapes: plain, tiny budget, armed fault plan,
 	// colliding idempotency key.
 	for _, req := range []Request{
 		{NF: "lb-chain", Packets: 4, MaxStates: 1500, Seed: 1, Tenant: "tenant-0", Priority: 2},

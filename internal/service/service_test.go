@@ -307,7 +307,7 @@ func TestIdempotentKeySingleCompute(t *testing.T) {
 
 // TestSingleflightDoesNotAliasAcrossParams: an idempotency key names a
 // request only together with what is being asked. Two concurrent
-// requests that reuse one key for different NFs (castanload draws its
+// requests that reuse one key for different NFs (castand load draws its
 // colliding keys across the whole NF mix) are two computations, and each
 // is answered with its own NF's report — the single-flight map is keyed
 // like the report cache, not by the bare key.

@@ -42,8 +42,8 @@ func renderCatalog(pipeline, daemon []obs.Instrument) []byte {
 	fmt.Fprintf(&w, "hand. After adding, renaming or re-describing an instrument, edit its row\n")
 	fmt.Fprintf(&w, "and run `make telemetry-catalog`.\n\n")
 	fmt.Fprintf(&w, "Counters marked **gated** are the perf gate's columns\n")
-	fmt.Fprintf(&w, "(`obs.GateCounters`, diffed by `cmd/benchmetrics -compare` and\n")
-	fmt.Fprintf(&w, "attributed on failure by `cmd/tracediff`): deterministic work-item\n")
+	fmt.Fprintf(&w, "(`obs.GateCounters`, diffed by `castan bench -compare` and\n")
+	fmt.Fprintf(&w, "attributed on failure by `castan tracediff`): deterministic work-item\n")
 	fmt.Fprintf(&w, "counts, bit-identical across machines and worker counts for a fixed\n")
 	fmt.Fprintf(&w, "(nf, packets, states, seed). Phase durations and the `*_ns` histogram\n")
 	fmt.Fprintf(&w, "come from the wall clock and are never gated.\n\n")
@@ -76,7 +76,7 @@ func renderCatalog(pipeline, daemon []obs.Instrument) []byte {
 
 	fmt.Fprintf(&w, "\n## Phases (span names)\n\n")
 	fmt.Fprintf(&w, "Pipeline-order spans; durations are wall-clock (fake-clock ticks under\n")
-	fmt.Fprintf(&w, "test) and feed `cmd/tracediff`'s attribution and critical-path output.\n\n")
+	fmt.Fprintf(&w, "test) and feed `castan tracediff`'s attribution and critical-path output.\n\n")
 	fmt.Fprintf(&w, "| Phase | What it covers |\n|---|---|\n")
 	for _, in := range of(pipeline, obs.PhaseKind) {
 		fmt.Fprintf(&w, "| `%s` | %s |\n", in.Name, in.Desc)
