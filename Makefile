@@ -201,8 +201,13 @@ fmt:
 fmt-fix:
 	gofmt -w .
 
+# The second run vets the file set an architecture without assembly
+# builds (internal/rainbow's portable ring walk), so it cannot rot; on
+# amd64 the first already checks the assembly against its Go
+# declarations (asmdecl).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # staticcheck is optional locally (skipped when not installed); CI runs
 # lint-strict, which installs nothing but refuses to pass without it.
@@ -228,8 +233,10 @@ lint-strict:
 # never panic Validate, and modules it accepts must survive the
 # Disassemble round-trip; arbitrary store payloads must never panic
 # rainbow.LoadTable, and tables it accepts must be stable under
-# Serialize/LoadTable and safe to SelfCheck and Invert; the fused
-# ring-hash lanes must equal RingHash on any seeds, space and width;
+# Serialize/LoadTable and safe to SelfCheck and Invert; the ring-hash
+# lanes must equal RingHash on any seeds, space and width, and every
+# chain walk Build takes (portable and AVX-512) the scalar walk on any
+# seeds, space, width and chain length;
 # the interval kernels must equal the reference Hacker's Delight loops on any
 # operands and brute force on 8-bit ones; the memory hierarchy must be
 # indistinguishable from its stamp-based reference on any call trace;
@@ -244,6 +251,8 @@ fuzz-smoke:
 	$(GO) test ./internal/ir/ -fuzz FuzzModuleValidate -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/rainbow/ -run FuzzLoadTable -count=1
 	$(GO) test ./internal/rainbow/ -fuzz FuzzLoadTable -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/rainbow/ -run FuzzRingWalk -count=1
+	$(GO) test ./internal/rainbow/ -fuzz FuzzRingWalk -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/nfhash/ -run FuzzRingLanes -count=1
 	$(GO) test ./internal/nfhash/ -fuzz FuzzRingLanes -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/expr/ -run FuzzIntervalKernels -count=1

@@ -32,50 +32,87 @@ func TableHash(key []byte) uint64 {
 // RingHash indexes the open-addressing hash ring. A different constant
 // family keeps it independent from TableHash.
 func RingHash(key []byte) uint64 {
-	h := uint64(ringInit)
+	h := RingInit
 	for _, b := range key {
 		h = ringRound(h, b)
 	}
 	return ringFinal(h)
 }
 
-// RingHash's state: its start value, one round per key byte, and the
-// finalizer. RingLanes runs the same three, so the two cannot drift.
-const ringInit = 0xc2b2ae3d27d4eb4f
+// The hashes' constants: RingHash's start state, per-byte multiplier and
+// finalizer shift, and the mix64 finalizer both hashes end in. They are
+// exported for kernels that compute RingHash outside this package
+// (internal/rainbow's AVX-512 chain walk), so every copy of the function
+// is built from these names.
+const (
+	RingInit       uint64 = 0xc2b2ae3d27d4eb4f
+	RingPrime      uint64 = 0x00000100000001b3
+	RingFinalShift        = 17
+	MixShift              = 33
+	MixMul1        uint64 = 0xff51afd7ed558ccd
+	MixMul2        uint64 = 0xc4ceb9fe1a85ec53
+)
 
-func ringRound(h uint64, b byte) uint64 { return (h ^ uint64(b)) * 0x00000100000001b3 }
+// RingHash's state: one round per key byte, and the finalizer.
+// RingKey.Lanes runs the same two, so the two cannot drift.
+func ringRound(h uint64, b byte) uint64 { return (h ^ uint64(b)) * RingPrime }
 
-func ringFinal(h uint64) uint64 { return mix64(h ^ h>>17) }
+func ringFinal(h uint64) uint64 { return mix64(h ^ h>>RingFinalShift) }
 
-// Lanes is how many seeds RingLanes hashes per call.
+// Lanes is how many seeds RingKey.Lanes hashes per call.
 const Lanes = 8
 
-// RingLanes replaces each of the eight seeds in v with
-// RingHash(s.FromSeed(seed)) & mask. It builds no key: each lane is
-// hashed straight from its seed, with the space's fixed source-net bytes
-// folded into the start state once per call. One RingHash is a chain of
-// dependent multiplies; eight independent lanes let the CPU overlap them
-// where hashing one key at a time leaves the multiplier waiting.
-func RingLanes(s UDPFlowSpace, v *[Lanes]uint64, mask uint64) {
-	// Fill's layout: srcNet(2) srcLow(2) dstIP(4) srcPort(2) dstPort(2)
-	// proto(1), the seed supplying srcLow (bits 0-15) and srcPort (16-31).
-	pre := ringRound(ringRound(ringInit, byte(s.SrcNet>>8)), byte(s.SrcNet))
+// RingKey is a UDPFlowSpace's keys as RingHash consumes them, for
+// kernels that hash a key straight from its seed without building it
+// (Lanes below, internal/rainbow's AVX-512 chain walk). After the two
+// fixed source-net bytes, Fill's 13-byte key is two seed bytes, four
+// fixed, two seed bytes and three fixed.
+type RingKey struct {
+	// Net is the ring state after key bytes 0-1, the source net.
+	Net uint64
+	// SeedShift places the seed in the key: key bytes 2, 3, 8 and 9 (the
+	// source address's low half, then the source port) are
+	// byte(seed >> SeedShift[i]), in that order.
+	SeedShift [4]uint
+	// DstIP is key bytes 4-7 and Tail bytes 10-12: the destination port
+	// and the protocol.
+	DstIP [4]byte
+	Tail  [3]byte
+}
+
+// RingKey lays out s's keys for RingHash. It is Fill, byte for byte.
+func (s UDPFlowSpace) RingKey() RingKey {
+	return RingKey{
+		Net:       ringRound(ringRound(RingInit, byte(s.SrcNet>>8)), byte(s.SrcNet)),
+		SeedShift: [4]uint{srcLowShift + 8, srcLowShift, srcPortShift + 8, srcPortShift},
+		DstIP:     [4]byte{byte(s.DstIP >> 24), byte(s.DstIP >> 16), byte(s.DstIP >> 8), byte(s.DstIP)},
+		Tail:      [3]byte{byte(s.DstPort >> 8), byte(s.DstPort), udpProto},
+	}
+}
+
+// Lanes replaces each of the eight seeds in v with
+// RingHash(s.FromSeed(seed)) & mask, s the space k was laid out from.
+// It takes the seed's bytes with the shifts SeedShift holds, as
+// constants. One RingHash is a chain of dependent multiplies; eight
+// independent lanes let the CPU overlap them where hashing one key at a
+// time leaves the multiplier waiting.
+func (k *RingKey) Lanes(v *[Lanes]uint64, mask uint64) {
 	for i, seed := range v {
-		h := ringRound(ringRound(pre, byte(seed>>8)), byte(seed))
-		h = ringRound(ringRound(h, byte(s.DstIP>>24)), byte(s.DstIP>>16))
-		h = ringRound(ringRound(h, byte(s.DstIP>>8)), byte(s.DstIP))
-		h = ringRound(ringRound(h, byte(seed>>24)), byte(seed>>16))
-		h = ringRound(ringRound(ringRound(h, byte(s.DstPort>>8)), byte(s.DstPort)), 17)
+		h := ringRound(ringRound(k.Net, byte(seed>>(srcLowShift+8))), byte(seed>>srcLowShift))
+		h = ringRound(ringRound(h, k.DstIP[0]), k.DstIP[1])
+		h = ringRound(ringRound(h, k.DstIP[2]), k.DstIP[3])
+		h = ringRound(ringRound(h, byte(seed>>(srcPortShift+8))), byte(seed>>srcPortShift))
+		h = ringRound(ringRound(ringRound(h, k.Tail[0]), k.Tail[1]), k.Tail[2])
 		v[i] = ringFinal(h) & mask
 	}
 }
 
 func mix64(v uint64) uint64 {
-	v ^= v >> 33
-	v *= 0xff51afd7ed558ccd
-	v ^= v >> 33
-	v *= 0xc4ceb9fe1a85ec53
-	v ^= v >> 33
+	v ^= v >> MixShift
+	v *= MixMul1
+	v ^= v >> MixShift
+	v *= MixMul2
+	v ^= v >> MixShift
 	return v
 }
 
@@ -129,14 +166,22 @@ func (s UDPFlowSpace) KeyLen() int { return FlowKeyLen }
 // bits 16-31 the source port.
 func (s UDPFlowSpace) Fill(k []byte, seed uint64) {
 	_ = k[FlowKeyLen-1]
-	srcIP := uint32(s.SrcNet)<<16 | uint32(seed&0xffff)
-	srcPort := uint16(seed >> 16)
+	srcIP := uint32(s.SrcNet)<<16 | uint32(uint16(seed>>srcLowShift))
+	srcPort := uint16(seed >> srcPortShift)
 	binary.BigEndian.PutUint32(k[0:], srcIP)
 	binary.BigEndian.PutUint32(k[4:], s.DstIP)
 	binary.BigEndian.PutUint16(k[8:], srcPort)
 	binary.BigEndian.PutUint16(k[10:], s.DstPort)
-	k[12] = 17 // UDP
+	k[12] = udpProto
 }
+
+// Where Fill takes a UDPFlowSpace key's free fields from the seed, and
+// its fixed last byte.
+const (
+	srcLowShift  = 0  // the source address's low half: seed bits 0-15
+	srcPortShift = 16 // the source port: seed bits 16-31
+	udpProto     = 17 // the IP protocol number of UDP
+)
 
 // FromSeed implements KeySpace.
 func (s UDPFlowSpace) FromSeed(seed uint64) []byte {

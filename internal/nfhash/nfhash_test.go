@@ -150,7 +150,7 @@ func TestFillMatchesFromSeed(t *testing.T) {
 	}
 }
 
-// FuzzRingLanes holds the fused kernel to its definition: every lane
+// FuzzRingLanes holds RingKey.Lanes to its definition: every lane
 // equals RingHash over the key FromSeed builds, masked, for any seeds,
 // any space and any width from 1 to 32 bits. Seeds come from the byte
 // input, eight bytes a lane, zero-padded.
@@ -167,7 +167,8 @@ func FuzzRingLanes(f *testing.F) {
 			seeds[i] = binary.LittleEndian.Uint64(buf[8*i:])
 		}
 		v = seeds
-		RingLanes(s, &v, mask)
+		k := s.RingKey()
+		k.Lanes(&v, mask)
 		for i, seed := range seeds {
 			if want := RingHash(s.FromSeed(seed)) & mask; v[i] != want {
 				t.Fatalf("%+v mask %#x lane %d seed %#x: %#x, want %#x", s, mask, i, seed, v[i], want)
@@ -179,7 +180,7 @@ func FuzzRingLanes(f *testing.F) {
 var benchSink uint64
 
 // BenchmarkRingHash times one ring hash of a UDP flow key built from a
-// seed: the scalar Fill-then-hash step against the fused kernel, per key.
+// seed: the scalar Fill-then-hash step against RingKey.Lanes, per key.
 func BenchmarkRingHash(b *testing.B) {
 	s := UDPFlowSpace{SrcNet: 0x0a00, DstIP: 0xc0a80101, DstPort: 80}
 	b.Run("scalar", func(b *testing.B) {
@@ -190,12 +191,13 @@ func BenchmarkRingHash(b *testing.B) {
 		}
 	})
 	b.Run("lanes", func(b *testing.B) {
+		k := s.RingKey()
 		var v [Lanes]uint64
 		for i := 0; i < b.N; i += Lanes {
 			for j := range v {
 				v[j] += uint64(i + j)
 			}
-			RingLanes(s, &v, 1<<20-1)
+			k.Lanes(&v, 1<<20-1)
 		}
 		benchSink += v[0]
 	})

@@ -17,11 +17,16 @@ var (
 )
 
 // BenchmarkChainLink times one hash+reduce link of a chain walk — the
-// unit cold hash-NF analyses execute tens of millions of times — walked
-// one chain at a time (scalar: SelfCheck and Invert) and eight chains in
-// lock-step through the fused ring kernel (lanes: Build).
+// unit cold hash-NF analyses execute tens of millions of times — over
+// the ring NFs' hash and space: one chain at a time (scalar: SelfCheck
+// and Invert), eight in lock-step through Fill and the hash (lanes: the
+// walk of any other hash), eight straight from their seeds through
+// nfhash.RingKey.Lanes (portable) and thirty-two through the AVX-512
+// kernel (simd: Build on a CPU that has it). Every walk is 64 links;
+// ns/op is per link.
 func BenchmarkChainLink(b *testing.B) {
-	tbl, err := Build(nfhash.RingHash, benchSpace, Config{Bits: 16, Chains: 1, ChainLen: 1})
+	const chainLen = 64
+	tbl, err := Build(nfhash.RingHash, benchSpace, Config{Bits: 20, Chains: 1, ChainLen: chainLen})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -29,39 +34,71 @@ func BenchmarkChainLink(b *testing.B) {
 	b.Run("scalar", func(b *testing.B) {
 		b.ReportAllocs()
 		h := uint64(1)
-		for i := 0; i < b.N; i++ {
-			h = tbl.step(key, tbl.reduce(h, i&63))
+		for i := 0; i < b.N; i += chainLen {
+			h = tbl.walk(key, h)
 		}
 		benchSink = h
 	})
-	b.Run("lanes", func(b *testing.B) {
-		b.ReportAllocs()
-		var v [nfhash.Lanes]uint64
-		for i := 0; i < b.N; i += nfhash.Lanes {
-			for j := range v {
-				v[j] = tbl.reduce(v[j], i&63)
-			}
-			tbl.stepLanes(key, &v)
+	walkers := []struct {
+		name string
+		hash func([]byte) uint64
+		simd bool
+	}{
+		// A wrapper around RingHash is not RingHash itself, so it takes
+		// the generic lane walk.
+		{"lanes", func(key []byte) uint64 { return nfhash.RingHash(key) }, false},
+		{"portable", nfhash.RingHash, false},
+		{"simd", nfhash.RingHash, true},
+	}
+	for _, w := range walkers {
+		if w.simd && !haveAVX512() {
+			continue
 		}
-		benchSink = v[0]
-	})
+		_, width, walkGroup := tbl.walker(benchSpace, w.hash, w.simd)
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			v := make([]uint64, width)
+			for i := range v {
+				v[i] = uint64(i)
+			}
+			for i := 0; i < b.N; i += width * chainLen {
+				walkGroup(key, v)
+			}
+			benchSink = v[0]
+		})
+	}
 }
 
+// BenchmarkBuild times a whole ring-NF table build on each ring walk
+// path, at the smallest catalog table's 2048 chains and at 2^13, one
+// and two workers. ns/link divides by chains × links.
 func BenchmarkBuild(b *testing.B) {
-	for _, w := range []int{1, 2} {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
-			cfg := benchCfg
-			cfg.Workers = w
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tbl, err := Build(nfhash.RingHash, benchSpace, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink += uint64(tbl.Chains())
+	paths := []bool{false}
+	if haveAVX512() {
+		paths = append(paths, true)
+	}
+	for _, simd := range paths {
+		for _, chains := range []int{2048, benchCfg.Chains} {
+			for _, w := range []int{1, 2} {
+				name := fmt.Sprintf("%s/chains=%d/w=%d", pathName(simd), chains, w)
+				b.Run(name, func(b *testing.B) {
+					saved := useSIMD
+					useSIMD = simd
+					defer func() { useSIMD = saved }()
+					cfg := benchCfg
+					cfg.Chains, cfg.Workers = chains, w
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						tbl, err := Build(nfhash.RingHash, benchSpace, cfg)
+						if err != nil {
+							b.Fatal(err)
+						}
+						benchSink += uint64(tbl.Chains())
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Chains*cfg.ChainLen), "ns/link")
+				})
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Chains*cfg.ChainLen), "ns/link")
-		})
+		}
 	}
 }
 

@@ -11,8 +11,9 @@ package rainbow
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 
@@ -23,14 +24,9 @@ import (
 
 // Table is a built rainbow table for one (hash, key space) pair.
 type Table struct {
-	hash  func([]byte) uint64
-	bits  int
-	space nfhash.KeySpace
-	// ring is set by Build when the hash is nfhash.RingHash and the space
-	// this UDPFlowSpace: lane walks then hash through nfhash.RingLanes,
-	// which computes exactly what hash does, eight keys at a time.
-	ring *nfhash.UDPFlowSpace
-
+	hash     func([]byte) uint64
+	bits     int
+	space    nfhash.KeySpace
 	chainLen int
 	seed     uint64
 	// ends and starts are the chain index: parallel arrays, one entry per
@@ -85,7 +81,7 @@ func Build(hash func([]byte) uint64, space nfhash.KeySpace, cfg Config) (*Table,
 	if cfg.Bits <= 0 || cfg.Bits > 32 {
 		return nil, fmt.Errorf("rainbow: unsupported hash width %d", cfg.Bits)
 	}
-	if cfg.Chains <= 0 || cfg.ChainLen <= 0 {
+	if cfg.Chains <= 0 || cfg.ChainLen <= 0 || uint64(cfg.Chains) > math.MaxUint32 {
 		return nil, fmt.Errorf("rainbow: bad table size %d×%d", cfg.Chains, cfg.ChainLen)
 	}
 	t := &Table{
@@ -97,17 +93,15 @@ func Build(hash func([]byte) uint64, space nfhash.KeySpace, cfg Config) (*Table,
 		ends:     make([]uint64, cfg.Chains),
 		starts:   make([]uint64, cfg.Chains),
 	}
-	if ring, ok := space.(nfhash.UDPFlowSpace); ok && isRingHash(hash) {
-		t.ring = &ring
-	}
 	// Chains are independent given their start seed, and chain c's start
 	// is the c-th draw of the seed's splitmix64 stream — reachable in O(1)
 	// with Skip — so contiguous chunks of chains fan out across workers,
 	// each with a private scratch key, writing only their own slots. No
 	// structure is shared until the one sort below, so the table is
 	// identical to a sequential build at every worker count. A chunk's
-	// chains walk nfhash.Lanes at a time; in a short last group the spare
-	// lanes walk seed 0 and their ends are dropped.
+	// chains walk width at a time; in a short last group the spare lanes
+	// walk seed 0 and their ends are dropped.
+	_, width, walkGroup := t.walker(space, hash, useSIMD)
 	chunks := (cfg.Chains + buildChunk - 1) / buildChunk
 	parallel.ForEach(cfg.Workers, chunks, func(k int) {
 		lo := k * buildChunk
@@ -115,14 +109,16 @@ func Build(hash func([]byte) uint64, space nfhash.KeySpace, cfg Config) (*Table,
 		key := make([]byte, space.KeyLen())
 		rng := stats.NewRNG(cfg.Seed)
 		rng.Skip(uint64(lo))
-		for c := lo; c < hi; c += nfhash.Lanes {
-			var v [nfhash.Lanes]uint64
-			n := min(nfhash.Lanes, hi-c)
+		var group [maxWidth]uint64
+		v := group[:width]
+		for c := lo; c < hi; c += width {
+			n := min(width, hi-c)
 			for i := range n {
 				t.starts[c+i] = rng.Uint64()
 				v[i] = t.starts[c+i]
 			}
-			t.walkLanes(key, &v)
+			clear(v[n:])
+			walkGroup(key, v)
 			copy(t.ends[c:c+n], v[:n])
 		}
 	})
@@ -141,36 +137,44 @@ func isRingHash(hash func([]byte) uint64) bool {
 	return reflect.ValueOf(hash).Pointer() == reflect.ValueOf(nfhash.RingHash).Pointer()
 }
 
-// sortIndex reorders the parallel per-chain arrays by (end, chain number).
+// sortIndex reorders the parallel per-chain arrays, given in chain
+// order, by (end, chain number): a stable LSD radix sort on the end,
+// 16 bits a pass, as many passes as the widest end needs. Stability
+// keeps chains that share an end in chain order. Real ends are hashes
+// masked to at most 32 bits (two passes); only a Corrupt hook makes
+// wider ones.
 func sortIndex(ends, starts []uint64) {
-	byChain := slices.Clone(starts)
-	if uint64(len(ends)) <= 1<<32 && slices.Max(ends) < 1<<32 {
-		// Real ends are hashes masked to at most 32 bits, so end and chain
-		// number pack into one word and a plain integer sort orders both.
-		for c, end := range ends {
-			ends[c] = end<<32 | uint64(c)
-		}
-		slices.Sort(ends)
-		for i, k := range ends {
-			ends[i], starts[i] = k>>32, byChain[uint32(k)]
-		}
+	const digit = 16
+	if len(ends) < 2 {
 		return
 	}
-	// Only a Corrupt hook produces wider ends (fault injection XORs in a
-	// full 64-bit word).
-	type link struct {
-		end   uint64
-		chain int
+	passes := (bits.Len64(slices.Max(ends)) + digit - 1) / digit
+	if passes == 0 {
+		return
 	}
-	links := make([]link, len(ends))
-	for c, end := range ends {
-		links[c] = link{end, c}
+	src, dst := [2][]uint64{ends, starts}, [2][]uint64{make([]uint64, len(ends)), make([]uint64, len(ends))}
+	count := make([]uint32, 1<<digit)
+	for shift := 0; shift < passes*digit; shift += digit {
+		clear(count)
+		for _, e := range src[0] {
+			count[uint16(e>>shift)]++
+		}
+		sum := uint32(0)
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for i, e := range src[0] {
+			d := uint16(e >> shift)
+			j := count[d]
+			count[d]++
+			dst[0][j], dst[1][j] = e, src[1][i]
+		}
+		src, dst = dst, src
 	}
-	slices.SortFunc(links, func(a, b link) int {
-		return cmp.Or(cmp.Compare(a.end, b.end), cmp.Compare(a.chain, b.chain))
-	})
-	for i, l := range links {
-		ends[i], starts[i] = l.end, byChain[l.chain]
+	if passes%2 == 1 {
+		copy(ends, src[0])
+		copy(starts, src[1])
 	}
 }
 
@@ -183,12 +187,21 @@ func (t *Table) step(key []byte, seed uint64) uint64 {
 	return t.hash(key)
 }
 
+// reduce's constants: a per-position salt, step × position + offset,
+// then one xorshift-multiply round.
+const (
+	reduceStep   uint64 = 0x9e3779b97f4a7c15
+	reduceOffset uint64 = 0x632be59bd9b4e019
+	reduceShift         = 27
+	reduceMul    uint64 = 0x2545f4914f6cdd1d
+)
+
 // reduce maps a hash value to the next chain seed; the position salt makes
 // each column a distinct reduction function (the defining rainbow trick).
 func (t *Table) reduce(h uint64, pos int) uint64 {
-	v := h + uint64(pos)*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019
-	v ^= v >> 27
-	v *= 0x2545f4914f6cdd1d
+	v := h + uint64(pos)*reduceStep + reduceOffset
+	v ^= v >> reduceShift
+	v *= reduceMul
 	return v
 }
 
@@ -202,28 +215,17 @@ func (t *Table) walk(key []byte, start uint64) uint64 {
 }
 
 // walkLanes is walk on nfhash.Lanes chains in lock-step: each start seed
-// in v is replaced by its chain's end hash. One chain is a sequence of
-// dependent multiplies; stepping every lane through a link before the
-// next gives the CPU independent ones to overlap.
-func (t *Table) walkLanes(key []byte, v *[nfhash.Lanes]uint64) {
-	t.stepLanes(key, v)
+// in v is replaced by its chain's end hash, step hashing every lane. One
+// chain is a sequence of dependent multiplies; stepping every lane
+// through a link before the next gives the CPU independent ones to
+// overlap.
+func (t *Table) walkLanes(v *[nfhash.Lanes]uint64, step func(*[nfhash.Lanes]uint64)) {
+	step(v)
 	for pos := 1; pos < t.chainLen; pos++ {
 		for i := range v {
 			v[i] = t.reduce(v[i], pos-1)
 		}
-		t.stepLanes(key, v)
-	}
-}
-
-// stepLanes is step on every lane of v, through the fused ring kernel
-// when the table has one.
-func (t *Table) stepLanes(key []byte, v *[nfhash.Lanes]uint64) {
-	if t.ring != nil {
-		nfhash.RingLanes(*t.ring, v, uint64(1)<<uint(t.bits)-1)
-		return
-	}
-	for i := range v {
-		v[i] = t.step(key, v[i])
+		step(v)
 	}
 }
 

@@ -127,25 +127,30 @@ func TestTailoringMatters(t *testing.T) {
 
 // TestBuildWorkerCountInvariant asserts the determinism contract of the
 // parallel build: any worker count produces the same index (same ends,
-// same start seeds, same order) as the sequential one.
+// same start seeds, same order) as the sequential one, on either ring
+// walk path.
 func TestBuildWorkerCountInvariant(t *testing.T) {
 	space := nfhash.UDPFlowSpace{SrcNet: 0x0a00, DstIP: 0xc0a80101, DstPort: 80}
-	cfg := DefaultConfig(12)
-	cfg.Workers = 1
-	ref, err := Build(nfhash.TableHash, space, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4, 8} {
-		cfg.Workers = w
-		tbl, err := Build(nfhash.TableHash, space, cfg)
-		if err != nil {
-			t.Fatal(err)
+	ringPaths(t, func(t *testing.T) {
+		for _, hash := range []func([]byte) uint64{nfhash.TableHash, nfhash.RingHash} {
+			cfg := DefaultConfig(12)
+			cfg.Workers = 1
+			ref, err := Build(hash, space, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{2, 4, 8} {
+				cfg.Workers = w
+				tbl, err := Build(hash, space, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(tbl.ends, ref.ends) || !slices.Equal(tbl.starts, ref.starts) {
+					t.Fatalf("w=%d: index differs from the sequential build", w)
+				}
+			}
 		}
-		if !slices.Equal(tbl.ends, ref.ends) || !slices.Equal(tbl.starts, ref.starts) {
-			t.Fatalf("w=%d: index differs from the sequential build", w)
-		}
-	}
+	})
 }
 
 // refTable is the algorithm this package used before the flat index,
@@ -218,9 +223,10 @@ func (r *refTable) serialize() []byte {
 // TestBuildMatchesReference holds the flat-index table to the reference
 // on everything a caller or a store can observe: the index itself,
 // Invert's candidates and their order, and Serialize's bytes. RingHash
-// over a UDP flow space builds through the fused lane kernel, every other
-// pair through Fill and the hash, each at chain counts that leave a short
-// last lane group.
+// over a UDP flow space builds through the ring walk — the portable one
+// and, where the CPU has it, the AVX-512 one — every other pair through
+// Fill and the hash, each at chain counts that leave a short last walk
+// group.
 func TestBuildMatchesReference(t *testing.T) {
 	hashes := map[string]func([]byte) uint64{"table": nfhash.TableHash, "ring": nfhash.RingHash}
 	spaces := []nfhash.KeySpace{
@@ -232,48 +238,51 @@ func TestBuildMatchesReference(t *testing.T) {
 		nfhash.RawSpace{Len: 13},
 	}
 	// Three full build chunks and a ragged fourth (77 = 9 lane groups and
-	// 5); fewer chains than one lane group; one chunk and 4 groups and 3.
-	for _, chains := range []int{3*buildChunk + 77, 5, buildChunk + 4*nfhash.Lanes + 3} {
-		cfg := Config{Bits: 11, Chains: chains, ChainLen: 24, Seed: 0x9a3b}
-		for hname, hash := range hashes {
-			for _, space := range spaces {
-				ref := refBuild(hash, space, cfg)
-				want := ref.serialize()
-				for _, w := range []int{1, 2, 4, 8} {
-					name := fmt.Sprintf("%s/%T%v/chains=%d/w=%d", hname, space, space, chains, w)
-					cfg.Workers = w
-					tbl, err := Build(hash, space, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for lo, hi := 0, 0; lo < len(tbl.ends); lo = hi {
-						_, hi = tbl.chainsEnding(tbl.ends[lo])
-						if !slices.Equal(tbl.starts[lo:hi], ref.ends[tbl.ends[lo]]) {
-							t.Fatalf("%s: end %#x indexes starts %x, want %x", name, tbl.ends[lo], tbl.starts[lo:hi], ref.ends[tbl.ends[lo]])
+	// 5, or 2 SIMD groups and 13); fewer chains than one lane group; one
+	// chunk and 4 lane groups and 3 (one short SIMD group).
+	ringPaths(t, func(t *testing.T) {
+		for _, chains := range []int{3*buildChunk + 77, 5, buildChunk + 4*nfhash.Lanes + 3} {
+			cfg := Config{Bits: 11, Chains: chains, ChainLen: 24, Seed: 0x9a3b}
+			for hname, hash := range hashes {
+				for _, space := range spaces {
+					ref := refBuild(hash, space, cfg)
+					want := ref.serialize()
+					for _, w := range []int{1, 2, 4, 8} {
+						name := fmt.Sprintf("%s/%T%v/chains=%d/w=%d", hname, space, space, chains, w)
+						cfg.Workers = w
+						tbl, err := Build(hash, space, cfg)
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-					if !slices.IsSorted(tbl.ends) || tbl.Chains() != cfg.Chains {
-						t.Fatalf("%s: index unsorted or %d chains, want %d", name, tbl.Chains(), cfg.Chains)
-					}
-					rng := stats.NewRNG(11)
-					for i := 0; i < 200; i++ {
-						h := rng.Uint64() & (1<<uint(cfg.Bits) - 1)
-						got, exp := tbl.Invert(h, 16), ref.invert(h, 16)
-						if !slices.EqualFunc(got, exp, bytes.Equal) {
-							t.Fatalf("%s: Invert(%#x) = %x, want %x", name, h, got, exp)
+						for lo, hi := 0, 0; lo < len(tbl.ends); lo = hi {
+							_, hi = tbl.chainsEnding(tbl.ends[lo])
+							if !slices.Equal(tbl.starts[lo:hi], ref.ends[tbl.ends[lo]]) {
+								t.Fatalf("%s: end %#x indexes starts %x, want %x", name, tbl.ends[lo], tbl.starts[lo:hi], ref.ends[tbl.ends[lo]])
+							}
 						}
-					}
-					got, err := tbl.Serialize()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("%s: Serialize differs from the reference bytes", name)
+						if !slices.IsSorted(tbl.ends) || tbl.Chains() != cfg.Chains {
+							t.Fatalf("%s: index unsorted or %d chains, want %d", name, tbl.Chains(), cfg.Chains)
+						}
+						rng := stats.NewRNG(11)
+						for i := 0; i < 200; i++ {
+							h := rng.Uint64() & (1<<uint(cfg.Bits) - 1)
+							got, exp := tbl.Invert(h, 16), ref.invert(h, 16)
+							if !slices.EqualFunc(got, exp, bytes.Equal) {
+								t.Fatalf("%s: Invert(%#x) = %x, want %x", name, h, got, exp)
+							}
+						}
+						got, err := tbl.Serialize()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("%s: Serialize differs from the reference bytes", name)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestChainWalksDoNotAllocate pins the allocation contract: a chain walk
@@ -291,19 +300,23 @@ func TestChainWalksDoNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { seed = tbl.walk(key, seed) }); n != 0 {
 		t.Errorf("chain walk: %v allocs, want 0", n)
 	}
-	// The lane walk Build runs, through the fused kernel (this table) and
-	// through Fill and the hash (a TableHash one).
-	if tbl.ring == nil {
-		t.Fatal("RingHash over a UDPFlowSpace built without the fused lane kernel")
+	// The group walks Build runs: through Fill and the hash (a TableHash
+	// table), the ring lanes, and the AVX-512 kernel.
+	type path struct {
+		hash func([]byte) uint64
+		simd bool
 	}
-	generic, err := Build(nfhash.TableHash, space, DefaultConfig(12))
-	if err != nil {
-		t.Fatal(err)
+	paths := map[string]path{"generic": {nfhash.TableHash, false}, "portable": {nfhash.RingHash, false}}
+	if haveAVX512() {
+		paths["simd"] = path{nfhash.RingHash, true}
+	} else {
+		t.Log("no AVX-512: the SIMD ring walk's allocations are not checked")
 	}
-	var lanes [nfhash.Lanes]uint64
-	for name, tb := range map[string]*Table{"fused": tbl, "generic": generic} {
-		if n := testing.AllocsPerRun(100, func() { tb.walkLanes(key, &lanes) }); n != 0 {
-			t.Errorf("%s lane walk: %v allocs, want 0", name, n)
+	for name, p := range paths {
+		_, width, walkGroup := tbl.walker(space, p.hash, p.simd)
+		v := make([]uint64, width)
+		if n := testing.AllocsPerRun(100, func() { walkGroup(key, v) }); n != 0 {
+			t.Errorf("%s group walk: %v allocs, want 0", name, n)
 		}
 	}
 	// One scratch key, one copy per returned key, and the result slice's
