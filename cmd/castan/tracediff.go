@@ -1,6 +1,6 @@
 // castan tracediff compares two runs' telemetry artifacts — metrics
-// snapshots (castan -metrics-out) and/or trace exports (-trace, in Chrome
-// or native JSONL format) — and attributes every counter and phase delta
+// snapshots (castan -metrics-out) and/or Chrome traces (castan -trace) —
+// and attributes every counter and phase delta
 // to the pipeline stage that owns it. It prints a human table and
 // optionally writes the same report as JSON.
 //
@@ -30,7 +30,7 @@ func tracediffCmd(args []string, stdout, stderr io.Writer) int {
 	var (
 		baseMetrics = fs.String("base", "", "baseline metrics JSON (obs.Metrics snapshot)")
 		newMetrics  = fs.String("new", "", "new-run metrics JSON")
-		baseTrace   = fs.String("base-trace", "", "baseline trace file (Chrome or native JSONL)")
+		baseTrace   = fs.String("base-trace", "", "baseline trace file (Chrome trace_event array, as castan -trace writes)")
 		newTrace    = fs.String("new-trace", "", "new-run trace file")
 		tolerance   = fs.Float64("tolerance", 0.05, "allowed relative effort-counter growth before a delta counts as a regression")
 		jsonOut     = fs.String("json", "", "also write the report as JSON to this path")

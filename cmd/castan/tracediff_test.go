@@ -30,9 +30,9 @@ func TestRegressedRunExits3WithAttribution(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := tracediffCmd([]string{
 		"-base", "testdata/base_metrics.json",
-		"-base-trace", "testdata/base_trace.jsonl",
+		"-base-trace", "testdata/base_trace.json",
 		"-new", "testdata/regressed_metrics.json",
-		"-new-trace", "testdata/regressed_trace.jsonl",
+		"-new-trace", "testdata/regressed_trace.json",
 		"-json", jsonPath,
 	}, &out, &errb)
 	if code != 3 {
@@ -78,10 +78,10 @@ func TestRegressedRunExits3WithAttribution(t *testing.T) {
 func TestTraceOnlyComparison(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := tracediffCmd([]string{
-		"-base-trace", "testdata/base_trace.jsonl",
-		"-new-trace", "testdata/regressed_trace.jsonl",
+		"-base-trace", "testdata/base_trace.json",
+		"-new-trace", "testdata/regressed_trace.json",
 	}, &out, &errb)
-	// Traces carry phases only (no counter samples in the JSONL fixture),
+	// Traces carry phases only (no counter samples in the fixtures),
 	// and phases never gate.
 	if code != 0 {
 		t.Fatalf("exit %d, want 0; stderr: %s", code, errb.String())

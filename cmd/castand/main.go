@@ -1,6 +1,6 @@
 // Command castand runs castan as a long-lived analysis service: an
 // HTTP/JSON daemon that queues concurrent analysis requests, shards them
-// across a supervised worker fleet, and degrades instead of dying under
+// across a fixed worker fleet, and degrades instead of dying under
 // overload, injected faults, or worker crashes (see internal/service for
 // the full contract).
 //
@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"castan/internal/obs"
-	"castan/internal/retry"
 	"castan/internal/service"
 	"castan/internal/store"
 )
@@ -113,7 +112,6 @@ func serve(args []string, stderr io.Writer) int {
 		DefaultMaxStates: *defStates,
 		CrashQuarantine:  *crashQuar,
 		AllowChaos:       *chaos,
-		Restart:          retry.Policy{Base: 50 * time.Millisecond, Max: 2 * time.Second, Factor: 2, Jitter: 0.2, Seed: 1},
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)

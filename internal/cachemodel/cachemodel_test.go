@@ -25,7 +25,6 @@ func tinyConfig(p []uint64) DiscoverConfig {
 		LineBytes: g.LineBytes,
 		LatL3:     g.LatL3,
 		LatDRAM:   g.LatDRAM,
-		Rounds:    2,
 		MaxSets:   2,
 		Seed:      1,
 	}
@@ -120,7 +119,6 @@ func TestDiscoverDefaultGeometrySingleSet(t *testing.T) {
 		LineBytes: g.LineBytes,
 		LatL3:     g.LatL3,
 		LatDRAM:   g.LatDRAM,
-		Rounds:    2,
 		MaxSets:   1,
 		Seed:      7,
 	}

@@ -106,12 +106,6 @@ type DiscoverConfig struct {
 	// LatL3 and LatDRAM are the publicly documented latencies used to set
 	// the contention threshold δ.
 	LatL3, LatDRAM uint64
-	// Rounds is the number of timed probe rounds after the warm-up pass
-	// (default 1). Every detection threshold scales with Rounds, so any
-	// value classifies identically in the noise-free simulator; one round
-	// halves the probe bill, and the margins at Rounds=1 still dwarf the
-	// ±127-tick jitter the fault-injection harness can add.
-	Rounds int
 	// MaxSets stops discovery after this many contention sets (0 = all
 	// that can be found).
 	MaxSets int
@@ -142,6 +136,13 @@ type DiscoverConfig struct {
 	Progress func(setsFound, poolLeft int)
 }
 
+// rounds is the number of timed probe rounds after the warm-up pass.
+// Every detection threshold scales with it, so any value classifies
+// identically in the noise-free simulator; one is the cheapest, and its
+// margins still dwarf the ±127-tick jitter the fault-injection harness
+// can add.
+const rounds = 1
+
 // reboots is the number of simulated reboots the consistency filter
 // re-verifies every discovered set across.
 const reboots = 3
@@ -153,9 +154,6 @@ func Discover(p Prober, cfg DiscoverConfig) (*Model, error) {
 	}
 	if len(cfg.Pool) == 0 {
 		return nil, fmt.Errorf("cachemodel: empty pool")
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 1
 	}
 	d := &discoverer{p: p, cfg: cfg, rng: stats.NewRNG(cfg.Seed ^ 0xca57a)}
 	pool := append([]uint64(nil), cfg.Pool...)
@@ -235,14 +233,14 @@ func (d *discoverer) probeOn(p Prober, s []uint64) uint64 {
 	if len(s) == 0 {
 		return 0
 	}
-	return p.ProbeTime(s, d.cfg.Rounds)
+	return p.ProbeTime(s, rounds)
 }
 
 // probeBatchOn times many independent probe sets on one prober, using
 // the batch fast path when the prober offers it.
 func (d *discoverer) probeBatchOn(p Prober, sets [][]uint64) []uint64 {
 	if bp, ok := p.(BatchProber); ok {
-		return bp.ProbeBatch(sets, d.cfg.Rounds)
+		return bp.ProbeBatch(sets, rounds)
 	}
 	out := make([]uint64, len(sets))
 	for i, s := range sets {
@@ -271,14 +269,14 @@ func (d *discoverer) probeMany(sets [][]uint64) []uint64 {
 // batchDelta detects "adding this candidate batch added contention";
 // sweepDelta detects "swapping this address kept contention".
 func (d *discoverer) growDelta(chunk int) uint64 {
-	signal := uint64(d.cfg.Rounds) * uint64(d.cfg.Assoc+1) * (d.cfg.LatDRAM - d.cfg.LatL3) / 2
-	noise := uint64(d.cfg.Rounds) * uint64(chunk) * d.cfg.LatL3
+	signal := rounds * uint64(d.cfg.Assoc+1) * (d.cfg.LatDRAM - d.cfg.LatL3) / 2
+	noise := rounds * uint64(chunk) * d.cfg.LatL3
 	return signal + noise
 }
 
 // maxGrowChunk bounds the geometric chunk growth: the noise term of
 // growDelta scales with the chunk while the contention signal does not,
-// so beyond signal/(Rounds×LatL3) lines per chunk a real jump could
+// so beyond signal/(rounds×LatL3) lines per chunk a real jump could
 // drown in the chunk's own (over-estimated) hit cost.
 func (d *discoverer) maxGrowChunk() int {
 	signal := uint64(d.cfg.Assoc+1) * (d.cfg.LatDRAM - d.cfg.LatL3) / 2
@@ -290,7 +288,7 @@ func (d *discoverer) maxGrowChunk() int {
 }
 
 func (d *discoverer) memberDelta() uint64 {
-	return uint64(d.cfg.Rounds) * uint64(d.cfg.Assoc) * (d.cfg.LatDRAM - d.cfg.LatL3) / 2
+	return rounds * uint64(d.cfg.Assoc) * (d.cfg.LatDRAM - d.cfg.LatL3) / 2
 }
 
 // groupDelta is the collapse threshold for removing a whole group of n
@@ -298,7 +296,7 @@ func (d *discoverer) memberDelta() uint64 {
 // round) with them, while losing a member collapses the whole set's
 // thrashing — the half-gap margin separates the two.
 func (d *discoverer) groupDelta(n int) uint64 {
-	return uint64(d.cfg.Rounds) * (uint64(n)*d.cfg.LatL3 + (d.cfg.LatDRAM-d.cfg.LatL3)/2)
+	return rounds * (uint64(n)*d.cfg.LatL3 + (d.cfg.LatDRAM-d.cfg.LatL3)/2)
 }
 
 // igniteDelta is the detection threshold for adding a batch of n
@@ -308,11 +306,11 @@ func (d *discoverer) groupDelta(n int) uint64 {
 // cost (n×LatL3 per round); the ignition signal is half the full-set
 // flip, far above it.
 func (d *discoverer) igniteDelta(n int) uint64 {
-	return uint64(d.cfg.Rounds) * (uint64(n)*d.cfg.LatL3 + uint64(d.cfg.Assoc+1)*(d.cfg.LatDRAM-d.cfg.LatL3)/2)
+	return rounds * (uint64(n)*d.cfg.LatL3 + uint64(d.cfg.Assoc+1)*(d.cfg.LatDRAM-d.cfg.LatL3)/2)
 }
 
 func (d *discoverer) sweepDelta() uint64 {
-	return uint64(d.cfg.Rounds) * (d.cfg.LatDRAM + d.cfg.LatL3) / 2
+	return rounds * (d.cfg.LatDRAM + d.cfg.LatL3) / 2
 }
 
 // findOne runs steps (1)-(3) of §3.2 once: returns the α+1.. members of
@@ -586,7 +584,7 @@ func (d *discoverer) consistentAcrossReboots(p Prober, si int, set ContentionSet
 		}
 		t := d.probeOn(p, core)
 		// Contention signature: substantially more than all-hit time.
-		allHit := uint64(d.cfg.Rounds) * uint64(len(core)) * d.cfg.LatL3
+		allHit := rounds * uint64(len(core)) * d.cfg.LatL3
 		if t < allHit+d.memberDelta() {
 			return false
 		}

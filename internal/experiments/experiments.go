@@ -12,13 +12,11 @@ import (
 	"time"
 
 	"castan/internal/castan"
-	"castan/internal/faultinject"
 	"castan/internal/memsim"
 	"castan/internal/nf"
 	"castan/internal/obs"
 	"castan/internal/parallel"
 	"castan/internal/stats"
-	"castan/internal/store"
 	"castan/internal/testbed"
 	"castan/internal/workload"
 )
@@ -77,13 +75,6 @@ type Config struct {
 	// Obs, when non-nil, instruments every per-NF CASTAN analysis in the
 	// campaign (shared recorder; counters aggregate across NFs).
 	Obs *obs.Recorder
-	// Faults arms the same fault plan on every per-NF analysis (tests
-	// and chaos campaigns only).
-	Faults *faultinject.Plan
-	// Store, when non-nil, is the cross-run artifact store every per-NF
-	// analysis consults for its cache model and rainbow tables (see
-	// castan.Config.Store).
-	Store *store.Store
 }
 
 // Short is the campaign `go test -short -bench .` runs (CI's bench-smoke):
@@ -179,8 +170,6 @@ func (c *Campaign) Castan(nfName string) (*castan.Output, error) {
 			Seed:      c.cfg.Seed,
 			Workers:   c.cfg.Workers,
 			Obs:       c.cfg.Obs,
-			Faults:    c.cfg.Faults,
-			Store:     c.cfg.Store,
 		})
 		if err == nil {
 			c.cfg.Obs.Progress("campaign", nfName, 1, 1)

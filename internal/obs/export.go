@@ -125,18 +125,6 @@ func ReadMetrics(r io.Reader) (*Metrics, error) {
 	return &m, nil
 }
 
-// WriteJSONL emits the event sink in the native schema, one Event object
-// per line, in sorted emission order.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range r.Events() {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // usec renders a nanosecond quantity as Chrome's microsecond timestamps
 // with fixed nanosecond precision, keeping the bytes deterministic.
 type usec uint64

@@ -16,7 +16,7 @@ type Span struct {
 	stage  bool // opened by Stage: End also publishes stage_end
 }
 
-// Event is one completed span in the JSONL event sink.
+// Event is one completed span, as Recorder.Events returns it.
 type Event struct {
 	Name   string `json:"name"`
 	Start  uint64 `json:"start_ns"`

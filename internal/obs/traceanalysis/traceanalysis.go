@@ -2,10 +2,10 @@
 // layer's trace exports and answers the profiling questions the raw files
 // cannot: where did the ticks go (per-span self vs total time), what was
 // the critical path through the pipeline's stages, and which span names
-// dominate (top-K attribution). It understands both export formats —
-// the native JSONL event sink (obs.Event per line, with real span IDs and
-// parents) and the Chrome trace_event array (where the tree is recovered
-// by interval containment).
+// dominate (top-K attribution). Trace files are the Chrome trace_event
+// array `castan -trace` writes, whose tree is recovered by interval
+// containment; in-process obs.Events also carry real span IDs and
+// parents, which FromEvents follows.
 package traceanalysis
 
 import (
@@ -14,7 +14,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"castan/internal/obs"
 )
@@ -133,7 +132,7 @@ func ParseChromeTrace(data []byte) ([]obs.Event, map[string]uint64, error) {
 		Args  map[string]any `json:"args"`
 	}
 	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, nil, fmt.Errorf("traceanalysis: not a Chrome trace array: %w", err)
+		return nil, nil, fmt.Errorf("traceanalysis: not a Chrome trace_event array (the format castan -trace writes): %w", err)
 	}
 	var evs []obs.Event
 	counters := map[string]uint64{}
@@ -154,42 +153,23 @@ func ParseChromeTrace(data []byte) ([]obs.Event, map[string]uint64, error) {
 	return evs, counters, nil
 }
 
-// Load reads a trace in either export format, sniffing by the first
-// non-space byte: '[' is the Chrome array, anything else the native
-// JSONL sink.
+// Load reads a Chrome trace_event array, the format castan -trace
+// writes; anything else is an error.
 func Load(r io.Reader) (*Tree, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	trimmed := strings.TrimSpace(string(data))
-	if trimmed == "" {
-		return nil, fmt.Errorf("traceanalysis: empty trace")
+	evs, counters, err := ParseChromeTrace(data)
+	if err != nil {
+		return nil, err
 	}
-	if trimmed[0] == '[' {
-		evs, counters, err := ParseChromeTrace([]byte(trimmed))
-		if err != nil {
-			return nil, err
-		}
-		t := FromEvents(evs)
-		t.Counters = counters
-		return t, nil
-	}
-	var evs []obs.Event
-	dec := json.NewDecoder(strings.NewReader(trimmed))
-	for {
-		var ev obs.Event
-		if err := dec.Decode(&ev); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("traceanalysis: decode event %d: %w", len(evs)+1, err)
-		}
-		evs = append(evs, ev)
-	}
-	return FromEvents(evs), nil
+	t := FromEvents(evs)
+	t.Counters = counters
+	return t, nil
 }
 
-// LoadFile reads the trace file at path in either export format.
+// LoadFile reads the Chrome trace file at path.
 func LoadFile(path string) (*Tree, error) {
 	f, err := os.Open(path)
 	if err != nil {

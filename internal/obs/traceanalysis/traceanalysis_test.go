@@ -2,6 +2,7 @@ package traceanalysis
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -74,6 +75,18 @@ func TestChromeRoundTripExactTicks(t *testing.T) {
 	}
 	if tree.Counters["solver.queries"] != 7 {
 		t.Errorf("counters = %v, want solver.queries=7", tree.Counters)
+	}
+	// The same events one JSON object per line are not a trace file:
+	// Load names the one format it reads.
+	var jsonl bytes.Buffer
+	enc := json.NewEncoder(&jsonl)
+	for _, ev := range rec.Events() {
+		if err := enc.Encode(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Load(&jsonl); err == nil || !strings.Contains(err.Error(), "Chrome trace_event array") {
+		t.Errorf("Load(JSONL) error = %v, want one naming the Chrome trace_event array", err)
 	}
 	// The Chrome export has no span IDs; containment must recover the
 	// identical shape, and the µs "<d>.<03d>" rendering must round-trip
@@ -163,20 +176,5 @@ func TestByNameAndTopK(t *testing.T) {
 	}
 	if top := tree.TopK(1); len(top) != 1 || top[0].Name != stats[0].Name {
 		t.Errorf("TopK(1) = %+v, want [%+v]", top, stats[0])
-	}
-}
-
-func TestLoadJSONL(t *testing.T) {
-	rec := record()
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tree, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tree.Roots) != 1 || tree.Roots[0].Name != "castan.analyze" {
-		t.Fatalf("JSONL roots = %+v", tree.Roots)
 	}
 }

@@ -1,17 +1,12 @@
-// Package retry is the deterministic exponential-backoff layer shared by
-// the castand worker supervisor and the castand load client. Like every
-// timing-adjacent piece of this repo it obeys the determinism rule
-// (DESIGN.md decision 6): the backoff schedule is a pure function of the
-// policy and its seed — jitter comes from a seeded splitmix64 stream
-// keyed by the attempt index, never from the global RNG or the clock —
-// so a supervisor restart storm replays identically in tests, and the
-// exact schedule can be pinned under an obs.FakeClock.
+// Package retry is the deterministic exponential-backoff layer of the
+// castand load client. Like every timing-adjacent piece of this repo it
+// obeys the determinism rule (DESIGN.md decision 6): the backoff schedule
+// is a pure function of the policy and its seed — jitter comes from a
+// seeded splitmix64 stream keyed by the attempt index, never from the
+// global RNG or the clock — so a retry storm replays identically.
 //
-// Sleeping and time are both injectable: Policy.Sleep replaces the
-// timer-based wait (tests record the schedule instead of waiting), and
-// Policy.Clock drives the optional overall retry deadline (an
-// obs.FakeClock makes deadline cuts byte-reproducible, the same trick
-// budget.Meter.SetDeadline uses).
+// Policy.Sleep replaces the timer-based wait, so tests record the
+// schedule instead of waiting.
 package retry
 
 import (
@@ -19,7 +14,6 @@ import (
 	"errors"
 	"time"
 
-	"castan/internal/obs"
 	"castan/internal/parallel"
 )
 
@@ -40,15 +34,8 @@ type Policy struct {
 	// produce identical schedules; distinct seeds decorrelate them.
 	Seed uint64
 	// Attempts bounds how many times Do invokes fn (default 3;
-	// negative or 0 selects the default, use DoForever for unbounded).
+	// negative or 0 selects the default).
 	Attempts int
-	// Deadline, when positive, bounds the whole Do call measured on
-	// Clock: once the clock has advanced Deadline past the first
-	// attempt, no further retries are scheduled. Unlike Attempts it
-	// depends on time, so tests drive it with an obs.FakeClock.
-	Deadline time.Duration
-	// Clock measures Deadline (nil = wall clock).
-	Clock obs.Clock
 	// Sleep replaces the wait between attempts (nil = a real
 	// context-aware timer). Tests inject a recorder to pin schedules.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -118,34 +105,12 @@ func Stop(err error) error {
 }
 
 // Do runs fn until it returns nil, a Stop-wrapped error, the attempt
-// budget or deadline runs out, or ctx is done. Between attempts it
-// waits Delay(attempt) via the policy's sleeper. The returned error is
-// fn's last error (unwrapped for Stop), or ctx's error when the wait
-// was interrupted.
+// budget runs out, or ctx is done. Between attempts it waits
+// Delay(attempt) via the policy's sleeper. The returned error is fn's
+// last error (unwrapped for Stop), or ctx's error when ctx ended before
+// the first attempt.
 func Do(ctx context.Context, p Policy, fn func(attempt int) error) error {
 	p = p.fill()
-	return run(ctx, p, p.Attempts, fn)
-}
-
-// DoForever is Do without an attempt bound: it retries until fn
-// succeeds, Stop, Deadline, or ctx cancellation. A Policy with neither
-// Deadline nor a cancellable ctx will retry forever — that is the
-// supervisor's contract (a worker fleet must never give up), so the
-// name carries the warning.
-func DoForever(ctx context.Context, p Policy, fn func(attempt int) error) error {
-	p = p.fill()
-	return run(ctx, p, 0, fn)
-}
-
-func run(ctx context.Context, p Policy, attempts int, fn func(attempt int) error) error {
-	clock := p.Clock
-	if clock == nil {
-		clock = obs.NewWallClock()
-	}
-	var deadlineAt uint64
-	if p.Deadline > 0 {
-		deadlineAt = clock.Now() + uint64(p.Deadline)
-	}
 	sleep := p.Sleep
 	if sleep == nil {
 		sleep = sleepCtx
@@ -166,10 +131,7 @@ func run(ctx context.Context, p Policy, attempts int, fn func(attempt int) error
 		if errors.As(err, &st) {
 			return st.err
 		}
-		if attempts > 0 && attempt+1 >= attempts {
-			return err
-		}
-		if deadlineAt > 0 && clock.Now() >= deadlineAt {
+		if attempt+1 >= p.Attempts {
 			return err
 		}
 		if e := sleep(ctx, p.Delay(attempt)); e != nil {

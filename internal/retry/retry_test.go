@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"castan/internal/obs"
 )
 
 // recordingSleep collects every scheduled delay without waiting.
@@ -131,49 +129,6 @@ func TestStopShortCircuits(t *testing.T) {
 	}
 	if Stop(nil) != nil {
 		t.Error("Stop(nil) should stay nil")
-	}
-}
-
-// TestDeadlineUnderFakeClock pins the deadline cut byte-reproducibly: a
-// FakeClock advancing 1ms per reading means the deadline check itself
-// consumes the budget, so the attempt count is an exact function of the
-// policy — no wall clock anywhere.
-func TestDeadlineUnderFakeClock(t *testing.T) {
-	var delays []time.Duration
-	calls := 0
-	p := Policy{
-		Deadline: 5 * time.Millisecond,
-		Clock:    obs.NewFakeClock(uint64(time.Millisecond)),
-		Sleep:    recordingSleep(&delays),
-	}
-	err := DoForever(context.Background(), p, func(int) error {
-		calls++
-		return errors.New("always failing")
-	})
-	if err == nil {
-		t.Fatal("expected the final attempt's error")
-	}
-	// Reading 1 arms the deadline at 1ms+5ms = 6ms; each retry check
-	// reads the clock once, so attempts stop when the reading count
-	// crosses 6: exactly 5 attempts, 4 sleeps.
-	if calls != 5 {
-		t.Errorf("calls = %d, want exactly 5 under the fake clock", calls)
-	}
-	if len(delays) != calls-1 {
-		t.Errorf("sleeps = %d, want %d", len(delays), calls-1)
-	}
-	// Replaying the identical policy reproduces the identical schedule.
-	var delays2 []time.Duration
-	calls2 := 0
-	p2 := p
-	p2.Clock = obs.NewFakeClock(uint64(time.Millisecond))
-	p2.Sleep = recordingSleep(&delays2)
-	_ = DoForever(context.Background(), p2, func(int) error {
-		calls2++
-		return errors.New("always failing")
-	})
-	if calls2 != calls || fmt.Sprint(delays2) != fmt.Sprint(delays) {
-		t.Errorf("replay diverged: calls %d vs %d, delays %v vs %v", calls2, calls, delays2, delays)
 	}
 }
 

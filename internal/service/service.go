@@ -1,6 +1,6 @@
 // Package service is castan-as-a-service (ROADMAP item 2): a long-running
 // analysis server that accepts concurrent requests, shards them across a
-// supervised worker fleet, and is engineered to stay up and useful under
+// fixed worker fleet, and is engineered to stay up and useful under
 // overload, faults, and worker crashes.
 //
 // The robustness contract, end to end:
@@ -20,10 +20,9 @@
 //     served (quarantined shape, crashed worker, draining) gets an
 //     explicit 4xx/5xx JSON error — the analysis pipeline itself never
 //     surfaces a 500.
-//   - Worker supervision. A panicking job (chaos injection or a real bug)
-//     is contained by the worker's recover, the job fails with 503, and
-//     the worker goroutine is restarted by its supervisor under a
-//     deterministic internal/retry backoff schedule. Repeated crashes of
+//   - Crash containment. A panicking job (chaos injection or a real bug)
+//     is contained by runJob's recover: the job fails with 503 and the
+//     same worker goroutine goes on to its next job. Repeated crashes of
 //     the same request shape (NF + fault + chaos) trip a circuit breaker
 //     that quarantines the shape with 503s instead of burning workers.
 //   - Graceful drain. Shutdown stops admissions (readyz goes 503), pulls
@@ -56,8 +55,6 @@ import (
 	"castan/internal/memsim"
 	"castan/internal/nf"
 	"castan/internal/obs"
-	"castan/internal/parallel"
-	"castan/internal/retry"
 	"castan/internal/store"
 )
 
@@ -75,7 +72,6 @@ const (
 	CounterCompleted        = "service.completed"
 	CounterDegraded         = "service.completed_degraded"
 	CounterCrashes          = "service.worker_crashes"
-	CounterRestarts         = "service.worker_restarts"
 	CounterQuarantineOpens  = "service.quarantine_opens"
 	CounterCacheHits        = "service.report_cache_hits"
 	CounterSingleflight     = "service.singleflight_hits"
@@ -101,7 +97,6 @@ var Instruments = []obs.Instrument{
 	counter(CounterCompleted, "requests", "analyses that ran to a report (HTTP 200), degraded ones included"),
 	counter(CounterDegraded, "requests", "completed analyses whose report lists at least one stage degradation"),
 	counter(CounterCrashes, "crashes", "worker panics contained while running a job"),
-	counter(CounterRestarts, "restarts", "worker goroutines the supervisor started again after a crash"),
 	counter(CounterQuarantineOpens, "shapes", "request shapes whose circuit breaker opened after repeated crashes"),
 	counter(CounterCacheHits, "requests", "idempotent retries answered from a clean report persisted in the store, before admission"),
 	counter(CounterSingleflight, "requests", "requests that joined an identical in-flight request instead of running their own analysis"),
@@ -115,8 +110,8 @@ func counter(name, unit, desc string) obs.Instrument {
 
 // ChaosPanicWorker is the Request.Chaos value that panics the worker
 // goroutine running the job (before any analysis), exercising crash
-// containment, supervisor restart, and the quarantine breaker. Honored
-// only when Config.AllowChaos is set.
+// containment and the quarantine breaker. Honored only when
+// Config.AllowChaos is set.
 const ChaosPanicWorker = "panic-worker"
 
 // StatusClientGone is the internal status for a waiter whose context
@@ -163,10 +158,6 @@ type Config struct {
 	// (NF+fault+chaos) may cause before the circuit breaker quarantines
 	// it (default 3).
 	CrashQuarantine int
-	// Restart is the supervisor's worker-restart backoff policy. Its
-	// seed is decorrelated per worker via parallel.ShardSeed; its Sleep
-	// is injectable so tests pin restart schedules without waiting.
-	Restart retry.Policy
 	// Clock drives request deadlines and the service recorder (nil =
 	// wall clock; tests inject obs.NewFakeClock).
 	Clock obs.Clock
@@ -301,22 +292,17 @@ type Server struct {
 	draining    bool
 
 	workerWG sync.WaitGroup
-	baseCtx  context.Context
-	stop     context.CancelFunc
 
 	cRequests, cAccepted, cInvalid, cQueueFull, cTenantCap, cTenantBudget *obs.Counter
 	cDraining, cQuarantined, cShed, cCompleted, cDegraded                 *obs.Counter
-	cCrashes, cRestarts, cQuarantineOpens, cCacheHits, cSingleflight      *obs.Counter
+	cCrashes, cQuarantineOpens, cCacheHits, cSingleflight                 *obs.Counter
 	gQueue, gInflight                                                     *obs.Gauge
 }
 
-// New builds a Server and starts its supervised worker fleet.
+// New builds a Server and starts its worker fleet.
 func New(cfg Config) *Server {
 	s := newServer(cfg)
-	for i := 0; i < s.cfg.Workers; i++ {
-		s.workerWG.Add(1)
-		go s.supervise(i)
-	}
+	s.start()
 	return s
 }
 
@@ -336,7 +322,6 @@ func newServer(cfg Config) *Server {
 		flights:     map[string]*flight{},
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.baseCtx, s.stop = context.WithCancel(context.Background())
 
 	s.cRequests = s.rec.Counter(CounterRequests)
 	s.cAccepted = s.rec.Counter(CounterAccepted)
@@ -350,7 +335,6 @@ func newServer(cfg Config) *Server {
 	s.cCompleted = s.rec.Counter(CounterCompleted)
 	s.cDegraded = s.rec.Counter(CounterDegraded)
 	s.cCrashes = s.rec.Counter(CounterCrashes)
-	s.cRestarts = s.rec.Counter(CounterRestarts)
 	s.cQuarantineOpens = s.rec.Counter(CounterQuarantineOpens)
 	s.cCacheHits = s.rec.Counter(CounterCacheHits)
 	s.cSingleflight = s.rec.Counter(CounterSingleflight)
@@ -651,45 +635,27 @@ func (s *Server) pop() *job {
 	}
 }
 
-// supervise runs one worker slot forever: the loop exits cleanly on
-// drain, and every crash is restarted under the (deterministically
-// seeded, per-worker decorrelated) backoff policy.
-func (s *Server) supervise(id int) {
-	defer s.workerWG.Done()
-	p := s.cfg.Restart
-	p.Seed = parallel.ShardSeed(p.Seed, id)
-	_ = retry.DoForever(s.baseCtx, p, func(attempt int) error {
-		if attempt > 0 {
-			s.cRestarts.Inc()
-		}
-		if s.workerLoop(id) {
-			return fmt.Errorf("worker %d crashed", id)
-		}
-		return nil
-	})
-}
-
-// workerLoop drains jobs until shutdown (returns false) or a crash
-// (returns true; the supervisor restarts us after backoff).
-func (s *Server) workerLoop(id int) (crashed bool) {
-	for {
-		j := s.pop()
-		if j == nil {
-			return false
-		}
-		if s.runJob(j) {
-			return true
-		}
+// start launches the worker fleet. Each worker runs jobs until pop
+// reports the drained queue of a stopping server; runJob contains every
+// panic, so a worker never dies of the job it runs.
+func (s *Server) start() {
+	for i := 0; i < s.cfg.Workers; i++ {
+		s.workerWG.Add(1)
+		go func() {
+			defer s.workerWG.Done()
+			for j := s.pop(); j != nil; j = s.pop() {
+				s.runJob(j)
+			}
+		}()
 	}
 }
 
 // runJob executes one analysis with panic containment. A panic marks the
 // job failed (503), charges the shape's crash budget, and possibly trips
 // the quarantine breaker; it never takes the server down.
-func (s *Server) runJob(j *job) (crashed bool) {
+func (s *Server) runJob(j *job) {
 	defer func() {
 		if r := recover(); r != nil {
-			crashed = true
 			s.recordCrash(j, r)
 		}
 		s.mu.Lock()
@@ -709,7 +675,7 @@ func (s *Server) runJob(j *job) (crashed bool) {
 	inst, err := nf.New(j.req.NF)
 	if err != nil {
 		s.finish(j, Response{Status: 422, Err: err.Error()})
-		return false
+		return
 	}
 	hier := memsim.New(memsim.DefaultGeometry(), j.req.Seed)
 	cfg := castan.Config{
@@ -728,7 +694,7 @@ func (s *Server) runJob(j *job) (crashed bool) {
 		// An analysis refusal is a property of the request, not a server
 		// failure: 422, never 500.
 		s.finish(j, Response{Status: 422, Err: err.Error()})
-		return false
+		return
 	}
 	rep := &out.Report
 	degraded := len(rep.Degradations) > 0
@@ -750,7 +716,6 @@ func (s *Server) runJob(j *job) (crashed bool) {
 		}
 	}
 	s.finish(j, Response{Status: 200, Report: rep, Degraded: degraded})
-	return false
 }
 
 // recordCrash books one worker crash against the job's shape and opens
@@ -800,15 +765,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.workerWG.Wait()
 		close(done)
 	}()
-	var err error
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
-		err = fmt.Errorf("service: drain incomplete: %w", ctx.Err())
+		return fmt.Errorf("service: drain incomplete: %w", ctx.Err())
 	}
-	// Stop crashed-worker supervisors still sleeping in backoff.
-	s.stop()
-	return err
 }
 
 // queueSnapshot returns queue depth and inflight count (tests).

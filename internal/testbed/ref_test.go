@@ -65,8 +65,8 @@ func refMeasure(nfName string, wl *workload.Workload, opt Options) (*Measurement
 		if err := runPacket(fr); err != nil {
 			return nil, fmt.Errorf("testbed: measure: %w", err)
 		}
-		total := memCycles + price.of(inst.Machine.OpCounts()) + opt.OverheadCycles
-		latency = append(latency, opt.WireNS+hier.CyclesToNanos(total))
+		total := memCycles + price.of(inst.Machine.OpCounts()) + overheadCycles
+		latency = append(latency, wireNS+hier.CyclesToNanos(total))
 		cyc = append(cyc, float64(total))
 		ins = append(ins, float64(inst.Machine.Steps()))
 		mis = append(mis, float64(misses))
@@ -81,6 +81,6 @@ func refMeasure(nfName string, wl *workload.Workload, opt Options) (*Measurement
 		Cycles:         stats.NewCDF(cyc),
 		Instrs:         stats.NewCDF(ins),
 		L3Misses:       stats.NewCDF(mis),
-		ThroughputMpps: maxThroughput(serviceNS, opt.QueueDepth),
+		ThroughputMpps: maxThroughput(serviceNS, queueDepth),
 	}, nil
 }

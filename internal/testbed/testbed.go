@@ -28,36 +28,29 @@ type Options struct {
 	Geometry memsim.Geometry
 	// Seed fixes the DUT's hidden hash and page mapping.
 	Seed uint64
-	// WireNS is the constant TG↔DUT wire/NIC/timestamping latency added
-	// to every packet (the NOP floor of the figures). Default 4060 ns.
-	WireNS float64
-	// OverheadCycles models the DPDK driver/mbuf path per packet.
-	// Default 900.
-	OverheadCycles uint64
 	// MeasureCap bounds the measured packets per experiment (the paper
 	// replays for 20 s; we replay the workload in a loop until this many
 	// packets are measured). Default 8192.
 	MeasureCap int
-	// QueueDepth is the DUT RX descriptor ring for throughput search.
-	// Default 256.
-	QueueDepth int
 }
+
+// The modelled testbed's fixed costs.
+const (
+	// wireNS is the constant TG↔DUT wire/NIC/timestamping latency added
+	// to every packet (the NOP floor of the figures).
+	wireNS = 4060
+	// overheadCycles models the DPDK driver/mbuf path per packet.
+	overheadCycles = 900
+	// queueDepth is the DUT RX descriptor ring for throughput search.
+	queueDepth = 256
+)
 
 func (o *Options) fill() {
 	if o.Geometry.LineBytes == 0 {
 		o.Geometry = memsim.DefaultGeometry()
 	}
-	if o.WireNS == 0 {
-		o.WireNS = 4060
-	}
-	if o.OverheadCycles == 0 {
-		o.OverheadCycles = 900
-	}
 	if o.MeasureCap <= 0 {
 		o.MeasureCap = 8192
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 256
 	}
 }
 
@@ -152,8 +145,8 @@ func Measure(nfName string, wl *workload.Workload, opt Options) (*Measurement, e
 	cyc := make([]float64, n)
 	serviceNS := make([]float64, n)
 	for i := range n {
-		total := mem[i] + cpu[i] + opt.OverheadCycles
-		latency[i] = opt.WireNS + hier.CyclesToNanos(total)
+		total := mem[i] + cpu[i] + overheadCycles
+		latency[i] = wireNS + hier.CyclesToNanos(total)
 		cyc[i] = float64(total)
 		serviceNS[i] = hier.CyclesToNanos(total)
 	}
@@ -165,7 +158,7 @@ func Measure(nfName string, wl *workload.Workload, opt Options) (*Measurement, e
 		Cycles:         stats.NewCDF(cyc),
 		Instrs:         stats.NewCDF(ins),
 		L3Misses:       stats.NewCDF(mis),
-		ThroughputMpps: maxThroughput(serviceNS, opt.QueueDepth),
+		ThroughputMpps: maxThroughput(serviceNS, queueDepth),
 	}, nil
 }
 
