@@ -43,13 +43,14 @@ bench:
 # Scaled-down benchmark pass (what CI runs): every benchmark executes
 # once with -short budgets, proving the harness end to end in minutes.
 # The per-layer packages are listed so their testing.B benchmarks (the
-# yardsticks performance PRs quote) cannot rot unrun. internal/testbed's
+# yardsticks performance PRs quote) cannot rot unrun; internal/castan's
+# is BenchmarkDiscover, cold discovery on lpm-dl1. internal/testbed's
 # run at one and two Ps: testbed.Measure is a two-goroutine pipeline, and
 # with one P its stages must take turns.
 bench-smoke:
 	$(GO) test -short -bench . -benchtime 1x -run '^$$' \
 		. ./internal/nfhash ./internal/rainbow ./internal/expr ./internal/solver ./internal/symbex \
-		./internal/memsim ./internal/interp
+		./internal/memsim ./internal/interp ./internal/castan
 	$(GO) test -short -bench . -benchtime 1x -run '^$$' -cpu 1,2 ./internal/testbed
 
 # Instrumented analysis over the seed NF catalog: phase durations plus

@@ -3,6 +3,8 @@ package cachemodel
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"castan/internal/memsim"
@@ -353,4 +355,89 @@ func TestDiscoverWorkerCountInvariant(t *testing.T) {
 			}
 		}
 	}
+}
+
+// noisyProber reads every probe of at most α addresses that ends in at
+// as a contention jump, the way one noisy measurement would: a pure
+// function of the probed addresses, so forks agree on it. The first
+// grow chunk is such a probe when it ends in at, and so is every shrink
+// probe of it, so the faked set can never reach α+1 members.
+type noisyProber struct {
+	h      *memsim.Hierarchy
+	at     uint64
+	assoc  int
+	jumped *atomic.Int64
+}
+
+func (p noisyProber) ProbeTime(addrs []uint64, rounds int) uint64 {
+	t := p.h.ProbeTime(addrs, rounds)
+	if n := len(addrs); n > 0 && n <= p.assoc && addrs[n-1] == p.at {
+		p.jumped.Add(1)
+		t += 1 << 20
+	}
+	return t
+}
+
+func (p noisyProber) Reboot(id uint64) { p.h.Reboot(id) }
+
+// firstProber records the first probe Discover makes: the pre-fault
+// pass over the whole pool, in the shuffled order grow walks.
+type firstProber struct {
+	h     *memsim.Hierarchy
+	first []uint64
+}
+
+func (p *firstProber) ProbeTime(addrs []uint64, rounds int) uint64 {
+	if p.first == nil {
+		p.first = slices.Clone(addrs)
+	}
+	return p.h.ProbeTime(addrs, rounds)
+}
+
+func (p *firstProber) Reboot(id uint64) { p.h.Reboot(id) }
+
+// TestDiscoverContinuesPastNoisyJump fakes one jump in the first grow
+// chunk, on an address the clean run's model does not cover. Shrinking
+// it yields fewer than α+1 members, so discovery must drop that one
+// address and go on to find exactly the clean run's sets, at one worker
+// and with forked probers.
+func TestDiscoverContinuesPastNoisyJump(t *testing.T) {
+	g := memsim.TinyGeometry()
+	for seed := uint64(1); seed <= 32; seed++ {
+		cfg := tinyConfig(pool(0, 64))
+		cfg.Seed = seed
+		rec := &firstProber{h: memsim.New(g, 11)}
+		clean, err := Discover(rec, cfg)
+		if err != nil {
+			t.Fatalf("seed %d: clean run: %v", seed, err)
+		}
+		at := rec.first[g.L3Ways/2-1] // the end of grow's first chunk
+		if clean.SetOf(at) >= 0 {
+			continue
+		}
+		for _, w := range []int{1, 2} {
+			var jumped atomic.Int64
+			h := memsim.New(g, 11)
+			wcfg := cfg
+			wcfg.Workers = w
+			wcfg.Fork = func() Prober { return noisyProber{h.Fork(), at, g.L3Ways, &jumped} }
+			m, err := Discover(noisyProber{h, at, g.L3Ways, &jumped}, wcfg)
+			if err != nil {
+				t.Fatalf("seed %d W=%d: %v after the faked jump", seed, w, err)
+			}
+			if jumped.Load() == 0 {
+				t.Fatalf("seed %d W=%d: the faked jump never fired", seed, w)
+			}
+			if len(m.Sets) != len(clean.Sets) {
+				t.Fatalf("seed %d W=%d: %d sets, clean run %d", seed, w, len(m.Sets), len(clean.Sets))
+			}
+			for si := range clean.Sets {
+				if got, want := m.Sets[si].Addrs, clean.Sets[si].Addrs; !equalAddrs(got, want) {
+					t.Errorf("seed %d W=%d set %d: %v, clean run %v", seed, w, si, got, want)
+				}
+			}
+		}
+		return
+	}
+	t.Fatal("no seed in 1..32 leaves the first chunk's last address uncovered")
 }

@@ -6,14 +6,17 @@
 // probe time jumps by more than a contention threshold δ (the grown set
 // then holds α+1 addresses of some contention set C), shrinks it to
 // exactly those α+1 addresses, sweeps the remaining pool for further
-// members of C, and filters the result for consistency across simulated
-// reboots. The resulting Model is what CASTAN's symbolic pointer
-// concretization uses to pick addresses that maximize cache contention.
+// members of C, and repeats from where the jump was, the prefix before
+// it being clean of every set; it then filters the result for
+// consistency across simulated reboots. The resulting Model is what
+// CASTAN's symbolic pointer concretization uses to pick addresses that
+// maximize cache contention.
 package cachemodel
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"castan/internal/budget"
@@ -175,17 +178,22 @@ func Discover(p Prober, cfg DiscoverConfig) (*Model, error) {
 
 	model := &Model{Assoc: cfg.Assoc, LineBytes: cfg.LineBytes}
 	var budgetReason string
+	clean := 0 // pool[:clean] holds at most α lines of every set
 	for cfg.MaxSets == 0 || len(model.Sets) < cfg.MaxSets {
 		if reason, ok := cfg.Budget.Exhausted(); ok {
 			budgetReason = reason
 			break
 		}
-		set, rest, found := d.findOne(pool)
-		if !found {
+		trigger := d.grow(pool, clean)
+		if trigger < 0 {
 			break
 		}
+		var set []uint64
+		set, pool, clean = d.findOne(pool, trigger)
+		if set == nil {
+			continue // a noisy jump: only its trigger was dropped
+		}
 		model.Sets = append(model.Sets, ContentionSet{Addrs: set})
-		pool = rest
 		if cfg.Progress != nil {
 			cfg.Progress(len(model.Sets), len(pool))
 		}
@@ -313,19 +321,15 @@ func (d *discoverer) sweepDelta() uint64 {
 	return rounds * (d.cfg.LatDRAM + d.cfg.LatL3) / 2
 }
 
-// findOne runs steps (1)-(3) of §3.2 once: returns the α+1.. members of
-// one contention set and the pool with those members removed.
-func (d *discoverer) findOne(pool []uint64) (set []uint64, rest []uint64, found bool) {
-	trigger := d.grow(pool)
-	if trigger < 0 {
-		return nil, pool, false
-	}
-	members := d.shrink(pool[:trigger+1])
+// findOne runs steps (2) and (3) of §3.2 on pool[:trigger+1]. It returns
+// the members of one contention set, the pool without them, and how many
+// of rest's leading addresses preceded the trigger: at most α lines of
+// any set, so the next grow starts there. A jump that shrinks below α+1
+// members was noise: members is nil and only the trigger is dropped.
+func (d *discoverer) findOne(pool []uint64, trigger int) (members, rest []uint64, clean int) {
+	members = d.shrink(pool[:trigger+1])
 	if len(members) < d.cfg.Assoc+1 {
-		// The jump was noise (should not happen in the simulator, but be
-		// robust): drop the trigger address and let the caller continue.
-		rest = append(append([]uint64(nil), pool[:trigger]...), pool[trigger+1:]...)
-		return nil, rest, false
+		return nil, slices.Concat(pool[:trigger], pool[trigger+1:]), trigger
 	}
 	members = d.sweep(pool, members)
 
@@ -334,27 +338,35 @@ func (d *discoverer) findOne(pool []uint64) (set []uint64, rest []uint64, found 
 		inSet[a] = true
 	}
 	rest = make([]uint64, 0, len(pool)-len(members))
-	for _, a := range pool {
+	for i, a := range pool {
 		if !inSet[a] {
 			rest = append(rest, a)
+			if i < trigger {
+				clean++
+			}
 		}
 	}
-	return members, rest, true
+	return members, rest, clean
 }
 
 // grow is step 1: extend a pool prefix until its probe time jumps by
 // more than δ, then binary-search the triggering index. Chunks grow
 // geometrically (probing a prefix costs its whole length, so constant
 // chunks make the phase quadratic) but are capped at maxGrowChunk so the
-// jump cannot hide inside the chunk-size noise term of growDelta.
-func (d *discoverer) grow(pool []uint64) int {
+// jump cannot hide inside the chunk-size noise term of growDelta. A
+// resumed grow probes the clean prefix once as its baseline, then
+// extends it by capped chunks.
+func (d *discoverer) grow(pool []uint64, clean int) int {
 	chunk := d.cfg.Assoc / 2
 	if chunk < 2 {
 		chunk = 2
 	}
 	maxChunk := d.maxGrowChunk()
 	prev := uint64(0)
-	for i := 0; i < len(pool); {
+	if clean > 0 && clean < len(pool) {
+		prev, chunk = d.probe(pool[:clean]), maxChunk
+	}
+	for i := clean; i < len(pool); {
 		end := i + chunk
 		if end > len(pool) {
 			end = len(pool)
@@ -397,14 +409,14 @@ func (d *discoverer) grow(pool []uint64) int {
 // whose absence kept the contention alive — those groups provably held
 // no member, and with at least α+1 members spread over α+2 groups the
 // pigeonhole principle promises progress in the common case. When no
-// group is removable the partition is refined; as a last resort one
-// pass of the original per-element scan polishes the remainder, so the
-// result is never worse than the unbatched algorithm's.
+// group is removable, one pass of the original per-element scan (§3.2
+// step 2) finishes the remainder. Refining the partition first only
+// adds reads: on lpm-dl1 and both rings every refined shrink still
+// ended in the scan.
 func (d *discoverer) shrink(prefix []uint64) []uint64 {
 	s := append([]uint64(nil), prefix...)
-	groups := d.cfg.Assoc + 2
 	for len(s) > d.cfg.Assoc+1 {
-		k := groups
+		k := d.cfg.Assoc + 2
 		if k > len(s) {
 			k = len(s)
 		}
@@ -414,10 +426,7 @@ func (d *discoverer) shrink(prefix []uint64) []uint64 {
 		variants := make([][]uint64, k)
 		for g := 0; g < k; g++ {
 			lo, hi := g*len(s)/k, (g+1)*len(s)/k
-			v := make([]uint64, 0, len(s)-(hi-lo))
-			v = append(v, s[:lo]...)
-			v = append(v, s[hi:]...)
-			variants[g] = v
+			variants[g] = slices.Concat(s[:lo], s[hi:])
 		}
 		times := d.probeMany(variants)
 		kept := make([]uint64, 0, len(s))
@@ -435,15 +444,9 @@ func (d *discoverer) shrink(prefix []uint64) []uint64 {
 			s = kept
 			continue
 		}
-		if k < len(s) && groups < 4*(d.cfg.Assoc+2) {
-			groups *= 2 // members in every group: refine the partition
-			continue
-		}
-		// Fallback: one pass of the original per-element elimination.
+		// No group is removable: one pass of per-element elimination.
 		for i := 0; i < len(s); {
-			without := make([]uint64, 0, len(s)-1)
-			without = append(without, s[:i]...)
-			without = append(without, s[i+1:]...)
+			without := slices.Concat(s[:i], s[i+1:])
 			t := d.probe(without)
 			if full > t && full-t > d.memberDelta() {
 				i++ // member of C: keep it
@@ -505,13 +508,8 @@ func (d *discoverer) sweep(pool, members []uint64) []uint64 {
 	// Per-candidate swap retests, only for flagged batches.
 	var retest []int
 	for b, t := range times {
-		lo := b * batchSize
-		hi := lo + batchSize
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		if t > baseCore && t-baseCore > d.igniteDelta(hi-lo) {
-			for i := lo; i < hi; i++ {
+		if n := len(batches[b]) - len(core); t > baseCore && t-baseCore > d.igniteDelta(n) {
+			for i := b * batchSize; i < b*batchSize+n; i++ {
 				retest = append(retest, i)
 			}
 		}

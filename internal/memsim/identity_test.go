@@ -136,14 +136,7 @@ func (tr *traceRun) run() {
 						sets[i] = append(sets[i], tr.addr(page))
 					}
 				}
-				rounds := int(tr.next()) % 4
-				what = fmt.Sprintf("ProbeBatch(%d sets, %d rounds)", len(sets), rounds)
-				got, want := tw.h.ProbeBatch(sets, rounds), tw.r.ProbeBatch(sets, rounds)
-				for i := range want {
-					if got[i] != want[i] {
-						tr.t.Fatalf("step %d: %s set %d timed %d, reference %d", tr.step, what, i, got[i], want[i])
-					}
-				}
+				what, _ = tr.probeBatch(tw, sets, int(tr.next())%4)
 			case sub < 208:
 				what = "Flush"
 				tw.h.Flush()
@@ -155,17 +148,39 @@ func (tr *traceRun) run() {
 				tw.r.Reboot(boot)
 			}
 		}
-		if tw.h.Stats != tw.r.Stats {
-			tr.t.Fatalf("step %d: after %s Stats = %+v, reference %+v", tr.step, what, tw.h.Stats, tw.r.Stats)
-		}
-		ref := tw.r.tally
-		want := [8]uint64{ref.Accesses, ref.L1Hits, ref.L2Hits, ref.L3Hits, ref.DRAM, ref.evictions, ref.probeCalls, ref.probeLineReads}
-		for i, c := range tr.obs {
-			if c.Value() != want[i] {
-				tr.t.Fatalf("step %d: after %s %s = %d, reference %d", tr.step, what, obsNames[i], c.Value(), want[i])
-			}
+		tr.sameCounters(tw, what)
+	}
+	tr.sameCaches()
+}
+
+// probeBatch runs one ProbeBatch on a twin and compares the timings.
+func (tr *traceRun) probeBatch(tw twin, sets [][]uint64, rounds int) (string, []uint64) {
+	what := fmt.Sprintf("ProbeBatch(%d sets, %d rounds)", len(sets), rounds)
+	got, want := tw.h.ProbeBatch(sets, rounds), tw.r.ProbeBatch(sets, rounds)
+	for i := range want {
+		if got[i] != want[i] {
+			tr.t.Fatalf("step %d: %s set %d timed %d, reference %d", tr.step, what, i, got[i], want[i])
 		}
 	}
+	return what, got
+}
+
+// sameCounters compares a twin's Stats and the obs totals after a call.
+func (tr *traceRun) sameCounters(tw twin, what string) {
+	if tw.h.Stats != tw.r.Stats {
+		tr.t.Fatalf("step %d: after %s Stats = %+v, reference %+v", tr.step, what, tw.h.Stats, tw.r.Stats)
+	}
+	ref := tw.r.tally
+	want := [8]uint64{ref.Accesses, ref.L1Hits, ref.L2Hits, ref.L3Hits, ref.DRAM, ref.evictions, ref.probeCalls, ref.probeLineReads}
+	for i, c := range tr.obs {
+		if c.Value() != want[i] {
+			tr.t.Fatalf("step %d: after %s %s = %d, reference %d", tr.step, what, obsNames[i], c.Value(), want[i])
+		}
+	}
+}
+
+// sameCaches compares every twin's cache contents with its reference's.
+func (tr *traceRun) sameCaches() {
 	for i, tw := range tr.twins {
 		tr.sameResidency(i, "L1", &tw.h.l1, tw.r.l1)
 		tr.sameResidency(i, "L2", &tw.h.l2, tw.r.l2)
@@ -235,6 +250,42 @@ func TestHierarchyMatchesReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestProbeBatchRepeatedLines probes sets that name one line twice:
+// right after itself, and again after more than α lines of its
+// contention set have evicted it. The warm-up pass takes the fill-only
+// miss path just for lines the L3 does not hold, so the first repeat
+// must still be an L1 hit and the second a fresh miss. Both are held to
+// the reference hierarchy (timings, counters, every set's contents) and
+// to scalar ProbeTime.
+func TestProbeBatchRepeatedLines(t *testing.T) {
+	for _, geo := range []Geometry{TinyGeometry(), DefaultGeometry(), oddGeometry()} {
+		tr := newTraceRun(t, geo, 3, nil)
+		tw := tr.twins[0]
+		addr := func(i int) uint64 { return tr.pool[i] * uint64(geo.LineBytes) }
+		x := addr(32) // tr.pool[32:] share one contention set
+		evicting := []uint64{x}
+		for i := 33; i <= 33+geo.L3Ways; i++ {
+			evicting = append(evicting, addr(i))
+		}
+		evicting = append(evicting, x)
+		for rounds := 1; rounds <= 3; rounds++ {
+			for _, set := range [][]uint64{{x, x, addr(0)}, evicting} {
+				tr.step++
+				l1 := tr.obs[1].Value()
+				what, got := tr.probeBatch(tw, [][]uint64{set}, rounds)
+				tr.sameCounters(tw, what)
+				if set[1] == x && tr.obs[1].Value() == l1 {
+					t.Fatalf("%v: %s: the back-to-back repeat was no L1 hit", geo, what)
+				}
+				if scalar := New(geo, 3).ProbeTime(set, rounds); scalar != got[0] {
+					t.Fatalf("%v: %s: scalar ProbeTime timed %d, batch %d", geo, what, scalar, got[0])
+				}
+			}
+		}
+		tr.sameCaches()
 	}
 }
 

@@ -182,6 +182,19 @@ func (c *level) hit(set int, line uint64) bool {
 	return false
 }
 
+// holds reports whether line is resident in set, leaving recency alone.
+func (c *level) holds(set int, line uint64) bool {
+	for _, t := range c.set(set) {
+		if t == line {
+			return true
+		}
+		if t == 0 {
+			return false
+		}
+	}
+	return false
+}
+
 // fill makes line the most recent of set, returning the line that fell
 // off the end (0 if a way was free). The line must not be resident.
 func (c *level) fill(set int, line uint64) uint64 {
@@ -532,8 +545,13 @@ func (h *Hierarchy) touch(tag uint64, s1, s2, s3 int) (Level, bool) {
 		h.l1.fill(s1, tag)
 		return L3, false
 	}
-	// Miss everywhere: fill all levels; the L3 is inclusive, so an L3
-	// eviction back-invalidates L1 and L2.
+	return DRAM, h.miss(tag, s1, s2, s3)
+}
+
+// miss fills a line resident nowhere into every level and reports
+// whether that evicted an L3 line; the L3 is inclusive, so an L3
+// eviction back-invalidates L1 and L2.
+func (h *Hierarchy) miss(tag uint64, s1, s2, s3 int) bool {
 	evicted := h.l3.fill(s3, tag)
 	if evicted != 0 {
 		ep := evicted - 1
@@ -542,7 +560,7 @@ func (h *Hierarchy) touch(tag uint64, s1, s2, s3 int) (Level, bool) {
 	}
 	h.l2.fill(s2, tag)
 	h.l1.fill(s1, tag)
-	return DRAM, evicted != 0
+	return evicted != 0
 }
 
 // InjectPacket emulates DDIO: the NIC writes the arriving packet's header
@@ -628,7 +646,17 @@ func (h *Hierarchy) probeSet(addrs []uint64, rounds int, served *[DRAM + 1]uint6
 	for r := 0; r <= rounds; r++ {
 		for i := range lines {
 			p := &lines[i]
-			lvl, evicted := h.touch(p.tag, int(p.s1), int(p.s2), int(p.s3))
+			var lvl Level
+			var evicted bool
+			if r == 0 && !h.l3.holds(int(p.s3), p.tag) {
+				// The warm-up pass starts from empty caches, so most of
+				// its lines are in no level: the L3 is inclusive, so
+				// absence there means absence in L1 and L2 too, and the
+				// miss path is all touch would do.
+				lvl, evicted = DRAM, h.miss(p.tag, int(p.s1), int(p.s2), int(p.s3))
+			} else {
+				lvl, evicted = h.touch(p.tag, int(p.s1), int(p.s2), int(p.s3))
+			}
 			served[lvl]++
 			if evicted {
 				*evictions++
