@@ -126,21 +126,23 @@ trace-smoke:
 
 # Testbed smoke (what CI runs): castan testbed's documented invocations at
 # its defaults, which are the full campaign results/ was generated at
-# (experiments.Config's zero value). Figures 4, 5, 7 and 8 must reproduce
-# the checked-in results/ byte for byte once the trailing blank line and
-# "(campaign time: …)" are dropped — they are made of nothing but
-# simulated cycles, so any change to memsim, interp or testbed that moves
-# one fails here; 7 and 8 also need the campaign's exploration budget
-# (lpm-trie, 30 packets). CI overrides TESTBED_SMOKE_DIR and uploads it.
+# (experiments.Config's zero value). Figures 4, 5, 7, 8, 12 and 14 and
+# Table 1 must reproduce the checked-in results/ byte for byte once the
+# trailing blank line and "(campaign time: …)" are dropped — they are
+# made of nothing but simulated cycles, so any change to memsim, interp or
+# testbed that moves one fails here; 7, 8, 12, 14 and Table 1 also need
+# the campaign's exploration budget (Table 1 takes ~20 s on 2 vCPUs). CI
+# overrides TESTBED_SMOKE_DIR and uploads it.
 TESTBED_SMOKE_DIR ?= /tmp/castan-testbed-smoke
 testbed-smoke:
 	mkdir -p $(TESTBED_SMOKE_DIR)
 	$(GO) build -o $(TESTBED_SMOKE_DIR)/castan ./cmd/castan
-	@set -e; for n in 04 05 07 08; do \
-		echo "== castan testbed -figure $${n#0} vs results/figure$$n.txt"; \
-		$(TESTBED_SMOKE_DIR)/castan testbed -figure $${n#0} > $(TESTBED_SMOKE_DIR)/figure$$n.out; \
-		sed '$$d' $(TESTBED_SMOKE_DIR)/figure$$n.out | sed '$$d' > $(TESTBED_SMOKE_DIR)/figure$$n.txt; \
-		cmp $(TESTBED_SMOKE_DIR)/figure$$n.txt results/figure$$n.txt; \
+	@set -e; for n in figure04 figure05 figure07 figure08 figure12 figure14 table1; do \
+		kind=$${n%%[0-9]*}; id=$${n#$$kind}; id=$${id#0}; \
+		echo "== castan testbed -$$kind $$id vs results/$$n.txt"; \
+		$(TESTBED_SMOKE_DIR)/castan testbed -$$kind $$id > $(TESTBED_SMOKE_DIR)/$$n.out; \
+		sed '$$d' $(TESTBED_SMOKE_DIR)/$$n.out | sed '$$d' > $(TESTBED_SMOKE_DIR)/$$n.txt; \
+		cmp $(TESTBED_SMOKE_DIR)/$$n.txt results/$$n.txt; \
 	done
 
 # Robustness smoke (what CI runs): two cmd/castan runs under a

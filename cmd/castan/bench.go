@@ -33,10 +33,8 @@ type row struct {
 	Phases   []obs.Phase       `json:"phases,omitempty"`
 	Counters map[string]uint64 `json:"counters,omitempty"`
 	// Searcher efficiency: state pops until the path that ends up worst
-	// completes. StaticCostBound is the abstract cache analysis's
-	// worst-case cycle bound for the workload.
-	StepsToWorst    int    `json:"steps_to_worst,omitempty"`
-	StaticCostBound uint64 `json:"static_cost_bound,omitempty"`
+	// completes.
+	StepsToWorst int `json:"steps_to_worst,omitempty"`
 	// Degraded flags runs that hit a budget or fault fallback (always
 	// false here — castan bench runs with an unlimited counting meter —
 	// but recorded so regressions that start degrading are visible).
@@ -130,7 +128,6 @@ func runRows(names []string, packets, states int, seed uint64, st *store.Store, 
 			r.Counters[c] = res.Telemetry.Counters[c]
 		}
 		r.StepsToWorst = res.StepsToWorstPath
-		r.StaticCostBound = res.StaticCostBound
 		r.Degraded = res.Degraded()
 		r.BudgetTicksUsed = res.BudgetTicksUsed
 		rows = append(rows, r)

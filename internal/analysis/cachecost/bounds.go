@@ -219,18 +219,3 @@ func (a *Analysis) Residual(b *ir.Block, pc int) (uint64, bool) {
 	}
 	return r.v, true
 }
-
-// WorkloadBound bounds the cost of processing packets invocations of the
-// entry function — the per-workload static worst case reported next to
-// measured cycles.
-func (a *Analysis) WorkloadBound(entry string, packets int) (uint64, bool) {
-	f := a.mod.Funcs[entry]
-	if f == nil || packets < 0 {
-		return 0, false
-	}
-	fb, ok := a.FuncBound(f)
-	if !ok {
-		return 0, false
-	}
-	return satMul(fb, uint64(packets)), true
-}

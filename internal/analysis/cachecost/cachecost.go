@@ -1,7 +1,8 @@
 // Package cachecost runs a Ferdinand-style must/may abstract cache
 // analysis over the IR and turns the result into static worst-case cost
-// bounds (per block, per function, per acyclic path) that the directed
-// searcher can use as an admissible priority component.
+// bounds (per block, per function, per acyclic path). Its consumer is
+// `castan lint`, which reports the classification; CrossCheck is the
+// oracle that holds the must side sound against the simulated hierarchy.
 //
 // The abstraction works on cache lines with *statically known* virtual
 // addresses: the memory-region pass resolves every load/store to a base
@@ -25,14 +26,13 @@
 // may evict it from the whole hierarchy. Soundly, a line therefore enters
 // the must cache at age Ways-1 (one possible conflicting fill evicts it),
 // and a guaranteed hit — which cannot fill any level — is the only access
-// that leaves other lines' ages untouched. Conflict is conservative: two
-// distinct lines may conflict unless the discovered cachemodel.Model
-// places them in different contention sets (the L3 set hash is hidden, so
-// nothing else can separate them). The may domain starts cold at function
-// entry and over-approximates the possibly-cached lines, so "always-miss"
-// means a compulsory miss relative to a cold entry cache; only the must
-// side is checked by the memsim cross-checker (warm inter-packet caches
-// make cold-start misses unverifiable).
+// that leaves other lines' ages untouched. Conflict is conservative: with
+// the L3 set hash hidden, any two distinct lines may conflict. The may
+// domain starts cold at function entry and over-approximates the
+// possibly-cached lines, so "always-miss" means a compulsory miss relative
+// to a cold entry cache; only the must side is checked by the memsim
+// cross-checker (warm inter-packet caches make cold-start misses
+// unverifiable).
 //
 // Joins intersect the must cache (max age) and union the may cache (min
 // age). Both domains are finite — candidate lines come from the already
@@ -45,10 +45,8 @@ import (
 	"sort"
 
 	"castan/internal/analysis"
-	"castan/internal/cachemodel"
 	"castan/internal/icfg"
 	"castan/internal/ir"
-	"castan/internal/obs"
 )
 
 // Geometry is the cache shape the analysis assumes.
@@ -91,14 +89,6 @@ func defaultCostParams() costParams {
 // Config tunes a run.
 type Config struct {
 	Geometry Geometry
-	// Model, when non-nil, refines the conflict relation: two lines in
-	// different discovered contention sets provably do not contend in the
-	// L3. Lines the model does not cover conservatively conflict with
-	// everything.
-	Model *cachemodel.Model
-	// Obs, when non-nil, receives the cachecost.fixpoint_iterations
-	// counter (one count per block sweep until convergence).
-	Obs *obs.Recorder
 }
 
 // Class is the static classification of one memory instruction.
@@ -142,18 +132,12 @@ func (s Stats) UnclassifiedRatio() float64 {
 
 // Analysis is the module-level result.
 type Analysis struct {
-	mod   *ir.Module
-	geo   Geometry
-	model *cachemodel.Model
-	cost  costParams
+	geo  Geometry
+	cost costParams
 
 	class map[*ir.Instr]Class
 	refs  map[*ir.Instr]string // "fn/block/idx" for diagnostics
 	fns   map[*ir.Func]*funcCost
-
-	// Iterations counts fixpoint block sweeps across all functions (also
-	// reported to Config.Obs as cachecost.fixpoint_iterations).
-	Iterations uint64
 }
 
 // memOp is the line-level lowering of one memory access.
@@ -181,18 +165,11 @@ func Run(mf *analysis.ModuleFacts, mr *analysis.MemRegions, cfg Config) *Analysi
 		cfg.Geometry.LineBytes = DefaultGeometry().LineBytes
 	}
 	a := &Analysis{
-		mod:   mf.Mod,
 		geo:   cfg.Geometry,
-		model: cfg.Model,
 		cost:  defaultCostParams(),
 		class: map[*ir.Instr]Class{},
 		refs:  map[*ir.Instr]string{},
 		fns:   map[*ir.Func]*funcCost{},
-	}
-	if a.model != nil && a.model.LineBytes != a.geo.LineBytes {
-		// Mismatched line granularity: the model's contention sets are not
-		// comparable with our lines, so drop the refinement.
-		a.model = nil
 	}
 	ops := a.lowerAccesses(mr)
 
@@ -219,7 +196,6 @@ func Run(mf *analysis.ModuleFacts, mr *analysis.MemRegions, cfg Config) *Analysi
 	for _, name := range mf.FuncNames {
 		process(mf.Mod.Funcs[name])
 	}
-	cfg.Obs.Counter("cachecost.fixpoint_iterations").Add(a.Iterations)
 	return a
 }
 
@@ -272,26 +248,10 @@ func regionBase(r *analysis.RegionInfo) (uint64, bool) {
 	return 0, false
 }
 
-// ProvablyDisjoint reports whether a discovered model proves that lines
-// x and y map to different L3 contention sets, so neither can ever evict
-// the other. It is conservative: false when either line is outside the
-// model's coverage (or the model is nil).
-func ProvablyDisjoint(m *cachemodel.Model, x, y uint64) bool {
-	if m == nil {
-		return false
-	}
-	sx, sy := m.SetOf(x), m.SetOf(y)
-	return sx >= 0 && sy >= 0 && sx != sy
-}
-
 // mayConflict reports whether distinct lines x and y can contend for the
-// same cache set. With the set mapping hidden this is true unless the
-// discovered model separates them.
+// same cache set. With the set mapping hidden it always is.
 func (a *Analysis) mayConflict(x, y uint64) bool {
 	if x == y {
-		return false
-	}
-	if ProvablyDisjoint(a.model, x, y) {
 		return false
 	}
 	if a.geo.Sets > 1 {
@@ -595,7 +555,6 @@ func (a *Analysis) analyzeFunc(f *ir.Func, fa *analysis.Facts, ops map[*ir.Instr
 	maxSweeps := 4*len(f.Blocks) + 8
 	converged := false
 	for sweep := 0; sweep < maxSweeps && !converged; sweep++ {
-		a.Iterations++
 		converged = true
 		for _, b := range fa.RPO {
 			if in[b.Index] == nil {
@@ -698,6 +657,3 @@ func (a *Analysis) FuncNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Module returns the module the analysis ran over.
-func (a *Analysis) Module() *ir.Module { return a.mod }

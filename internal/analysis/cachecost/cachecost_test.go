@@ -1,12 +1,13 @@
 package cachecost
 
 import (
+	"strings"
 	"testing"
 
 	"castan/internal/analysis"
-	"castan/internal/cachemodel"
+	"castan/internal/interp"
 	"castan/internal/ir"
-	"castan/internal/obs"
+	"castan/internal/memsim"
 )
 
 // runOn lays out, validates, and analyzes a module.
@@ -83,39 +84,6 @@ func TestConflictingFillEvictsMust(t *testing.T) {
 	loads := loadsOf(m.Funcs["nf_process"])
 	if got := a.ClassOf(loads[2]); got != Unclassified {
 		t.Errorf("re-load after conflicting fill = %v, want unclassified", got)
-	}
-}
-
-// A discovered cache model that separates two lines into different
-// contention sets proves they cannot evict each other.
-func TestModelSeparationPreservesHit(t *testing.T) {
-	m := ir.NewModule("t")
-	ga := m.AddGlobal("a", 64, 64)
-	gb := m.AddGlobal("b", 64, 64)
-	m.Layout()
-	fb := m.NewFunc("nf_process", 2)
-	pa := fb.GlobalAddr(ga)
-	pb := fb.GlobalAddr(gb)
-	fb.Load(pa, 0, 8)
-	fb.Load(pb, 0, 8)
-	fb.Load(pa, 0, 8)
-	fb.RetImm(0)
-	fb.Seal()
-	m.Layout()
-
-	model := &cachemodel.Model{
-		Assoc:     8,
-		LineBytes: 64,
-		Sets: []cachemodel.ContentionSet{
-			{Addrs: []uint64{ga.Addr}},
-			{Addrs: []uint64{gb.Addr}},
-		},
-	}
-	model.Reindex()
-	a := runOn(t, m, Config{Model: model})
-	loads := loadsOf(m.Funcs["nf_process"])
-	if got := a.ClassOf(loads[2]); got != AlwaysHit {
-		t.Errorf("re-load with model separation = %v, want always-hit", got)
 	}
 }
 
@@ -200,10 +168,6 @@ func TestBoundsCountedLoop(t *testing.T) {
 	if !ok || r != fbound {
 		t.Errorf("Residual(entry,0) = %d,%v, want %d,true", r, ok, fbound)
 	}
-	wb, ok := a.WorkloadBound("nf_process", 3)
-	if !ok || wb != 3*fbound {
-		t.Errorf("WorkloadBound(3) = %d,%v, want %d,true", wb, ok, 3*fbound)
-	}
 }
 
 func TestBoundsUnboundedLoop(t *testing.T) {
@@ -229,9 +193,6 @@ func TestBoundsUnboundedLoop(t *testing.T) {
 	if acy := a.AcyclicPathBound(f); acy == 0 {
 		t.Error("AcyclicPathBound = 0, want finite nonzero")
 	}
-	if _, ok := a.WorkloadBound("nf_process", 2); ok {
-		t.Error("WorkloadBound bounded for data-dependent loop")
-	}
 	// Inside the loop the residual has no static bound either.
 	for _, b := range f.Blocks {
 		if l := a.fns[f].outerLoop[b]; l != nil {
@@ -242,29 +203,51 @@ func TestBoundsUnboundedLoop(t *testing.T) {
 	}
 }
 
-func TestFixpointIterationsCounter(t *testing.T) {
+// TestCrossCheckReportsEvictedAlwaysHit is CrossCheck's negative case: a
+// packet-independent load of line a, a straight-line sweep over a table
+// four times the simulated L3, then a re-read of a. The sweep evicts a
+// from the whole (inclusive) hierarchy, so the re-read reaches DRAM on
+// every frame. The honest analysis leaves the re-read unclassified and
+// passes; the same analysis with the re-read forced to always-hit must
+// be reported, naming the instruction.
+func TestCrossCheckReportsEvictedAlwaysHit(t *testing.T) {
+	geo := memsim.TinyGeometry()
 	m := ir.NewModule("t")
-	g := m.AddGlobal("tbl", 64, 64)
+	ga := m.AddGlobal("a", 64, 64)
+	sweep := uint64(4 * geo.L3Bytes())
+	gb := m.AddGlobal("b", sweep, 64)
 	m.Layout()
 	fb := m.NewFunc("nf_process", 2)
-	addr := fb.GlobalAddr(g)
-	fb.Load(addr, 0, 8)
+	pa := fb.GlobalAddr(ga)
+	pb := fb.GlobalAddr(gb)
+	fb.Load(pa, 0, 8)
+	for off := uint64(0); off < sweep; off += 64 {
+		fb.Load(pb, off, 8)
+	}
+	fb.Load(pa, 0, 8)
 	fb.RetImm(0)
 	fb.Seal()
-	m.Layout()
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
+
+	a := runOn(t, m, Config{Geometry: Geometry{Ways: geo.L3Assoc(), LineBytes: geo.LineBytes}})
+	loads := loadsOf(m.Funcs["nf_process"])
+	reread := loads[len(loads)-1]
+	if got := a.ClassOf(reread); got == AlwaysHit {
+		t.Fatalf("re-read after the sweep classified %v", got)
 	}
-	mf := analysis.ForModule(m)
-	mr := analysis.RunMemRegions(mf, analysis.NFEntryHints())
-	rec := obs.New(obs.NewFakeClock(0))
-	a := Run(mf, mr, Config{Obs: rec})
-	if a.Iterations == 0 {
-		t.Error("Iterations = 0 after a fixpoint run")
+	frames := [][]byte{make([]byte, 42), make([]byte, 42), make([]byte, 42)}
+	check := func() error {
+		return CrossCheck(a, interp.NewMachine(m), memsim.New(geo, 1), "nf_process", frames)
 	}
-	snap := rec.Snapshot()
-	if snap.Counters["cachecost.fixpoint_iterations"] != a.Iterations {
-		t.Errorf("counter = %d, want %d",
-			snap.Counters["cachecost.fixpoint_iterations"], a.Iterations)
+	if err := check(); err != nil {
+		t.Fatalf("honest analysis: %v", err)
+	}
+
+	a.class[reread] = AlwaysHit
+	err := check()
+	if err == nil {
+		t.Fatal("CrossCheck accepted an always-hit load that the sweep evicts")
+	}
+	if ref := a.Ref(reread); !strings.Contains(err.Error(), ref) {
+		t.Errorf("error %q does not name the instruction %s", err, ref)
 	}
 }

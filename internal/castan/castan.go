@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"castan/internal/analysis"
-	"castan/internal/analysis/cachecost"
 	"castan/internal/analysis/taint"
 	"castan/internal/budget"
 	"castan/internal/cachemodel"
@@ -54,10 +53,6 @@ type Config struct {
 	NoCacheModel bool
 	// NoRainbow disables havoc reconciliation (ablation).
 	NoRainbow bool
-	// NoStaticCost disables the abstract cache analysis: no static
-	// worst-case bound, no static priority component in the searcher, and
-	// no memsim cross-check of the synthesized workload (ablation).
-	NoStaticCost bool
 	// Workers bounds the analysis fan-out (0 = GOMAXPROCS): rainbow-chain
 	// generation, contention-set sweeps, and batched candidate solver
 	// checks during havoc reconciliation. Output is identical at every
@@ -153,7 +148,7 @@ const (
 // so the list is deterministic.
 type StageDegradation struct {
 	// Stage is the pipeline stage that degraded: "discover", "symbex",
-	// "solve", "rainbow", "reconcile", or "crosscheck".
+	// "solve", "rainbow", or "reconcile".
 	Stage string `json:"stage"`
 	// Reason says why (budget exhaustion reason, fault description).
 	Reason string `json:"reason"`
@@ -196,7 +191,6 @@ type Search struct {
 
 	cfg           Config
 	model         *cachemodel.Model
-	cc            *cachecost.Analysis
 	ta            *taint.Analysis
 	staticHashIDs map[int]bool
 	// degr accumulates degradations in pipeline order; the matching
@@ -218,11 +212,11 @@ func (s *Search) degrade(stage, reason, fallback string) {
 
 // NewSearch runs every stage in front of symbolic execution on a
 // *freshly built* NF instance — the static gate and taint, cache-model
-// discovery, the abstract cache analysis, both ICFG analyses — and
-// builds the engine from their results. It is the one place the
-// pipeline's engine is assembled: Analyze and the tests that watch the
-// pipeline's solver queries all build through it. (bench/layers.go still
-// carries its own copy until the benchmark itself adopts this function.)
+// discovery, both ICFG analyses — and builds the engine from their
+// results. It is the one place the pipeline's engine is assembled:
+// Analyze and the tests that watch the pipeline's solver queries all
+// build through it. (bench/layers.go still carries its own copy until
+// the benchmark itself adopts this function.)
 func NewSearch(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Search, error) {
 	cfg.fill()
 	s := &Search{cfg: cfg, start: time.Now()}
@@ -302,24 +296,6 @@ func NewSearch(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Search, 
 	rec.Counter("castan.contention_sets").Add(uint64(modelSets(s.model)))
 	spDiscover.End()
 
-	// Stage 1.5: abstract cache analysis. The must/may fixpoint classifies
-	// every load/store (always-hit accesses cost MemL1, everything else is
-	// priced at a miss) and the loop forest's trip bounds turn that into
-	// static worst-case cost bounds the searcher can use as an admissible
-	// priority component. The discovered model refines the conflict
-	// relation: lines in different contention sets provably don't evict
-	// each other.
-	if !cfg.NoStaticCost {
-		spCache := s.root.Stage("castan.cachecost")
-		geo := hier.Geometry()
-		s.cc = cachecost.Run(mf, mr, cachecost.Config{
-			Geometry: cachecost.Geometry{Ways: geo.L3Assoc(), LineBytes: geo.LineBytes},
-			Model:    s.model,
-			Obs:      rec,
-		})
-		spCache.End()
-	}
-
 	// Stage 2, set up: realized costs use the realistic model; the search
 	// heuristic uses an optimistic one (memory at DRAM latency, loops
 	// assumed to run as often as there are packets), so the best-first
@@ -338,7 +314,6 @@ func NewSearch(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Search, 
 		Mod:               inst.Mod,
 		Analysis:          an,
 		PotentialAnalysis: potAn,
-		StaticCost:        s.cc,
 		Model:             s.model,
 		Base:              inst.Machine.Mem,
 		HeapTop:           ir.HeapBase + inst.Machine.HeapUsed(),
@@ -381,7 +356,7 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 
 	// Stages 3+4: reconcile havocs and solve. finish carries everything
 	// common to the clean path and the degraded ones: summary fields,
-	// the crosscheck sanitizer, degradation counters, spans, telemetry.
+	// degradation counters, spans, telemetry.
 	spReconcile := root.Stage("castan.reconcile")
 	finish := func(out *Output, cycles []uint64) (*Output, error) {
 		out.Packets = packetReports(out.Frames, cycles)
@@ -397,30 +372,6 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 			TaintedOpaque:     st.Opaque,
 			HashSites:         st.HashSites,
 			FoldableHashSites: st.FoldableHashSites,
-		}
-		if s.cc != nil {
-			if b, ok := s.cc.WorkloadBound("nf_process", cfg.NPackets); ok {
-				out.StaticCostBound = b
-			}
-			// Sanitizer gate: replay the synthesized workload on a fresh
-			// simulated hierarchy and fail loudly if any instruction the
-			// analysis classified always-hit ever reaches DRAM. A fresh
-			// hierarchy (same geometry, same seed) keeps the probing
-			// hierarchy's cache state and telemetry untouched. Under
-			// injected faults a failure is the expected consequence of a
-			// corrupted cache model, so a faulty or already-degraded run
-			// downgrades the alarm to a degradation instead of dying.
-			spCheck := root.Stage("castan.crosscheck")
-			ccErr := cachecost.CrossCheck(s.cc, inst.Machine,
-				memsim.New(hier.Geometry(), cfg.Seed), "nf_process", out.Frames)
-			spCheck.End()
-			if ccErr != nil {
-				if len(s.degr) == 0 && !cfg.Faults.Enabled() {
-					return nil, fmt.Errorf("castan: static cache analysis unsound on %s: %w",
-						inst.Name, ccErr)
-				}
-				s.degrade("crosscheck", ccErr.Error(), "workload emitted without the sanitizer guarantee")
-			}
 		}
 		out.Degradations = s.degr
 		out.BudgetTicksUsed = cfg.Budget.TotalUsed()

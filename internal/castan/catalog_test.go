@@ -85,14 +85,6 @@ func TestCatalogMatchesEmission(t *testing.T) {
 		emitted[p.Name] = obs.PhaseKind
 	}
 
-	// The one row no run here lights: a replay contradicting an always-hit
-	// classification needs a cache model that wrongly separates lines
-	// which conflict, and no fault plan has produced one (probe-perturb
-	// over six NFs x 12 plan seeds at 20 packets: none). The row stays
-	// because the path exists; if a run does light it, the exemption is
-	// the stale thing.
-	const unreached = "castan.degraded.crosscheck"
-
 	rows := map[string]bool{}
 	for i, in := range obs.Catalog {
 		if rows[in.Name] {
@@ -101,10 +93,6 @@ func TestCatalogMatchesEmission(t *testing.T) {
 		rows[in.Name] = true
 		kind, lit := emitted[in.Name]
 		switch {
-		case in.Name == unreached:
-			if lit {
-				t.Errorf("%s is emitted after all: drop its exemption from this test", in.Name)
-			}
 		case !lit:
 			t.Errorf("catalog row %s: no run emits it (stale row, or the sample runs need extending)", in.Name)
 		case kind != in.Kind:

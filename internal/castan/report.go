@@ -31,10 +31,6 @@ type Report struct {
 	// Taint summarizes the input-taint dataflow analysis (instruction
 	// classification and hash-site key controllability).
 	Taint TaintSummary `json:"taint"`
-	// StaticCostBound is the abstract cache analysis's worst-case cycle
-	// bound for the whole workload, printed next to measured cycles
-	// (0 = analysis disabled or no static bound).
-	StaticCostBound uint64 `json:"static_cost_bound,omitempty"`
 	// StepsToWorstPath is how many state pops the searcher needed before
 	// the state that ended up best completed.
 	StepsToWorstPath int `json:"steps_to_worst_path,omitempty"`

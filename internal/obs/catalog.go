@@ -38,9 +38,7 @@ type Instrument struct {
 // service.Instruments. internal/castan's TestCatalogMatchesEmission fails
 // on a name a run emits without a row and on a row no run lights up.
 var Catalog = []Instrument{
-	{"cachecost.fixpoint_iterations", CounterKind, "iterations", "internal/analysis/cachecost", false, "abstract cache-state fixpoint passes until the per-block may/must sets converge"},
 	{"castan.contention_sets", CounterKind, "sets", "internal/castan", false, "cache contention sets the discovery stage (or a store hit) produced"},
-	{"castan.degraded.crosscheck", CounterKind, "cuts", "internal/castan", false, "replay of the emitted workload contradicted an always-hit classification on a faulted or already-degraded run; the workload ships without the sanitizer guarantee"},
 	{"castan.degraded.discover", CounterKind, "cuts", "internal/castan", false, "discovery cut short by its budget, or every candidate set failed the cross-reboot filter; a partial or no cache model is used"},
 	{"castan.degraded.rainbow", CounterKind, "cuts", "internal/castan", false, "a rainbow table failed its self-check and was dropped (one per table); its havoc sites stay unreconciled"},
 	{"castan.degraded.reconcile", CounterKind, "cuts", "internal/castan", false, "reconciliation cut by the rainbow budget or a candidate-check worker panic; remaining havoc sites stay unreconciled"},
@@ -88,16 +86,13 @@ var Catalog = []Instrument{
 	{"solver.query_ns", HistogramKind, "ns", "internal/solver", false, "per-query solver latency (wall clock; indicative, never gated)"},
 	{"solver.steps_per_query", HistogramKind, "steps", "internal/solver", false, "solver search steps per query"},
 	{"symbex.path_constraints", HistogramKind, "constraints", "internal/symbex", false, "path-condition size at state completion"},
-	{"symbex.static_potential", HistogramKind, "cycles", "internal/symbex", false, "static worst-case cost potential of popped states (the search-priority signal)"},
 
 	{"castan.analyze", PhaseKind, "ns", "internal/castan", false, "whole-pipeline root span"},
 	{"castan.static", PhaseKind, "ns", "internal/castan", false, "IR static analysis and lint pass"},
 	{"castan.discover", PhaseKind, "ns", "internal/castan", false, "cache contention-set discovery (probe campaign)"},
-	{"castan.cachecost", PhaseKind, "ns", "internal/castan", false, "abstract cache-cost fixpoint over the ICFG"},
 	{"castan.icfg", PhaseKind, "ns", "internal/castan", false, "interprocedural CFG construction"},
 	{"castan.symbex", PhaseKind, "ns", "internal/castan", false, "symbolic exploration for the worst path"},
 	{"castan.reconcile", PhaseKind, "ns", "internal/castan", false, "havoc reconciliation via rainbow tables"},
-	{"castan.crosscheck", PhaseKind, "ns", "internal/castan", false, "interpreter replay cross-check of the emitted workload"},
 }
 
 // GateCounters is the list of deterministic effort counters the CI perf

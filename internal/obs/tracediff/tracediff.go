@@ -87,14 +87,12 @@ var stagePrefixes = []struct{ prefix, stage string }{
 	{"castan.degraded.solve", "castan.reconcile"},
 	{"castan.degraded.rainbow", "castan.reconcile"},
 	{"castan.degraded.reconcile", "castan.reconcile"},
-	{"castan.degraded.crosscheck", "castan.crosscheck"},
 	{"castan.store.", "castan.discover"},
 	{"castan.contention_sets", "castan.discover"},
 	{"castan.havocs", "castan.reconcile"},
 	{"castan.reconcile_checks", "castan.reconcile"},
 	{"memsim.", "castan.discover"},
 	{"cachemodel.", "castan.discover"},
-	{"cachecost.", "castan.cachecost"},
 	{"symbex.", "castan.symbex"},
 	{"solver.", "castan.symbex"},
 	{"rainbow.", "castan.reconcile"},

@@ -11,18 +11,16 @@ import (
 
 func TestStageOf(t *testing.T) {
 	cases := map[string]string{
-		"memsim.probe_line_reads":    "castan.discover",
-		"castan.store.hits":          "castan.discover",
-		"castan.contention_sets":     "castan.discover",
-		"cachecost.classified":       "castan.cachecost",
-		"symbex.state_pops":          "castan.symbex",
-		"solver.queries":             "castan.symbex",
-		"rainbow.chains":             "castan.reconcile",
-		"castan.havocs_reconciled":   "castan.reconcile",
-		"castan.degraded.discover":   "castan.discover",
-		"castan.degraded.crosscheck": "castan.crosscheck",
-		"budget_ticks_used":          "castan.analyze",
-		"something.else":             "castan.analyze",
+		"memsim.probe_line_reads":  "castan.discover",
+		"castan.store.hits":        "castan.discover",
+		"castan.contention_sets":   "castan.discover",
+		"symbex.state_pops":        "castan.symbex",
+		"solver.queries":           "castan.symbex",
+		"rainbow.chains":           "castan.reconcile",
+		"castan.havocs_reconciled": "castan.reconcile",
+		"castan.degraded.discover": "castan.discover",
+		"budget_ticks_used":        "castan.analyze",
+		"something.else":           "castan.analyze",
 	}
 	for name, want := range cases {
 		if got := StageOf(name); got != want {

@@ -87,9 +87,10 @@ type Engine struct {
 	PotentialAnalysis *icfg.Analysis
 	// StaticCost, when set, contributes an admissible static component to
 	// the search priority: the abstract cache analysis's worst-case bound
-	// on the residual CFG. The searcher takes the max of the ICFG
-	// potential and the static bound, so states whose remaining program
-	// has a higher static worst case are explored first.
+	// on the residual CFG. The searcher takes the min of the ICFG
+	// potential and the static bound (both are upper bounds, so the min
+	// is tighter). castan.Analyze leaves it nil; only the benchmark's own
+	// engine (bench/layers.go) sets it.
 	StaticCost *cachecost.Analysis
 	// Model is the discovered cache model; nil disables adversarial
 	// pointer concretization (costs then assume cold-miss-once).
@@ -168,7 +169,6 @@ type Engine struct {
 
 	forks    int
 	explored int
-	hStatic  *obs.Histogram
 	cFolded  *obs.Counter
 	cAvoided *obs.Counter
 	cPruned  *obs.Counter
@@ -291,7 +291,6 @@ func (e *Engine) Run() (*Result, error) {
 		gQueue    = e.Obs.Gauge("symbex.queue_depth")
 		hPathCons = e.Obs.Histogram("symbex.path_constraints", obs.ExpBuckets(4, 14)...)
 	)
-	e.hStatic = e.Obs.Histogram("symbex.static_potential", obs.ExpBuckets(8, 16)...)
 	e.cFolded = e.Obs.Counter("symbex.folded_instructions")
 	e.cAvoided = e.Obs.Counter("solver.queries_avoided")
 	e.cPruned = e.Obs.Counter("symbex.pruned_edges")
@@ -465,11 +464,8 @@ func (e *Engine) potential(s *State) uint64 {
 			}
 			st += r
 		}
-		if bounded {
-			e.hStatic.Observe(st)
-			if st < p {
-				p = st
-			}
+		if bounded && st < p {
+			p = st
 		}
 	}
 	return p

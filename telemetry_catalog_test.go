@@ -132,9 +132,8 @@ func TestTelemetryCatalog(t *testing.T) {
 		}
 	}
 	for name, want := range map[string]obs.Instrument{
-		"cachecost.fixpoint_iterations": {Owner: "internal/analysis/cachecost", Unit: "iterations"},
-		"solver.queries_avoided":        {Owner: "internal/symbex", Unit: "queries"},
-		"solver.hint_hits":              {Owner: "internal/solver", Unit: "values"},
+		"solver.queries_avoided": {Owner: "internal/symbex", Unit: "queries"},
+		"solver.hint_hits":       {Owner: "internal/solver", Unit: "values"},
 	} {
 		var got obs.Instrument
 		for _, in := range obs.Catalog {
