@@ -25,7 +25,7 @@ func analyzeCmd(args []string, stdout, stderr io.Writer) int {
 	var (
 		nfName   = fs.String("nf", "", "network function to analyze ("+strings.Join(nf.Names, ", ")+")")
 		packets  = fs.Int("packets", 0, "adversarial workload length (default: the paper's per-NF size)")
-		states   = fs.Int("states", 6000, "symbolic exploration budget")
+		states   = fs.Int("states", 0, fmt.Sprintf("symbolic exploration budget (0 = %d); nat-ubtree at its paper size of 50 packets does not finish within minutes at this or half this budget, so give it fewer -packets", castan.DefaultMaxStates))
 		seed     = fs.Uint64("seed", 2018, "seed for discovery sampling and the DUT's hidden hash")
 		out      = fs.String("out", "", "PCAP output path (default <nf>-castan.pcap)")
 		noCache  = fs.Bool("no-cache-model", false, "disable the cache model (ablation)")
@@ -73,8 +73,12 @@ func analyzeCmd(args []string, stdout, stderr io.Writer) int {
 		np = 30
 	}
 	hier := memsim.New(memsim.DefaultGeometry(), *seed)
+	ns := *states
+	if ns <= 0 {
+		ns = castan.DefaultMaxStates
+	}
 	fmt.Fprintf(stdout, "analyzing %s (%d packets, %d states budget) on %s\n",
-		*nfName, np, *states, hier.Geometry())
+		*nfName, np, ns, hier.Geometry())
 	cfg := castan.Config{
 		NPackets:     np,
 		MaxStates:    *states,

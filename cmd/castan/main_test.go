@@ -79,3 +79,14 @@ func TestValidateToleratesUnreconciledSites(t *testing.T) {
 		t.Errorf("stdout does not report the validation replay:\n%s", out.String())
 	}
 }
+
+// TestLPMTrieAtDefaults: the plain documented invocation works. With no
+// -packets and no -states, lpm-trie runs its 30 paper packets at
+// castan.Config's own default budget, which reaches them.
+func TestLPMTrieAtDefaults(t *testing.T) {
+	dir := t.TempDir()
+	var out, errb bytes.Buffer
+	if code := run([]string{"-nf", "lpm-trie", "-out", filepath.Join(dir, "lpm-trie.pcap")}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, want 0; stdout:\n%s\nstderr: %s", code, out.String(), errb.String())
+	}
+}

@@ -2,7 +2,7 @@
 // replays a seeded mix of analysis requests — mixed NFs, tenants,
 // priorities, tiny budgets that force degradation, and (against a -chaos
 // server) injected fault plans — through a bounded worker pool, retries
-// admission pushback (429) with internal/retry backoff, and validates
+// admission pushback (429) with seeded exponential backoff, and validates
 // every 200 against the Report schema gate. It exits 0 when the service
 // upheld its contract: no 5xx survived the retries, no transport errors,
 // no invalid reports. 429s are backpressure, counted but not failures.
@@ -11,7 +11,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,7 +23,6 @@ import (
 	"castan/internal/castan"
 	"castan/internal/faultinject"
 	"castan/internal/parallel"
-	"castan/internal/retry"
 	"castan/internal/service"
 	"castan/internal/stats"
 )
@@ -58,7 +56,7 @@ func load(args []string, stdout, stderr io.Writer) int {
 		faultFrac = fs.Float64("fault-frac", 0, "fraction of requests arming a faultinject.MatrixPlans entry (server must run -chaos)")
 		keyFrac   = fs.Float64("key-frac", 0.2, "fraction of requests sharing idempotency keys")
 		tenants   = fs.Int("tenants", 3, "tenant pool size")
-		retries   = fs.Int("retries", 5, "attempts per request on 429/503")
+		retries   = fs.Int("retries", 5, "attempts per request on 429, 503 and transport errors")
 		timeout   = fs.Duration("timeout", 2*time.Minute, "per-attempt HTTP timeout")
 		outPath   = fs.String("out", "", "write the JSON summary here too")
 	)
@@ -119,38 +117,30 @@ func load(args []string, stdout, stderr io.Writer) int {
 	sum := loadSummary{Sent: *n, ByStatus: map[string]int{}}
 	start := time.Now()
 
+	attempts := max(*retries, 1)
 	parallel.ForEach(*c, *n, func(i int) {
 		req := reqs[i]
-		policy := retry.Policy{
-			Base: 100 * time.Millisecond, Max: 2 * time.Second, Factor: 2,
-			Jitter: 0.3, Seed: parallel.ShardSeed(*seed, i), Attempts: *retries,
-		}
 		var final int
 		var rep *castan.Report
 		var cacheHit bool
-		err := retry.Do(context.Background(), policy, func(attempt int) error {
-			if attempt > 0 {
-				mu.Lock()
-				sum.Retries++
-				mu.Unlock()
+		var err error
+		for k := 0; ; k++ {
+			final, rep, cacheHit, err = post(client, base, req)
+			// Transport errors, backpressure (429) and transient
+			// unavailability (503) are retried; any other status is an
+			// answer a retry cannot change.
+			again := err != nil || final == 429 || final == 503
+			if err == nil && final != 200 {
+				err = fmt.Errorf("status %d", final)
 			}
-			status, report, hit, err := post(client, base, req)
-			final, rep, cacheHit = status, report, hit
-			switch {
-			case err != nil:
-				return err
-			case status == 200:
-				return nil
-			case status == 429 || status == 503:
-				// Backpressure and transient unavailability: retry under
-				// the policy's backoff (respecting the spirit of
-				// Retry-After; the policy's schedule dominates it here).
-				return fmt.Errorf("status %d", status)
-			default:
-				// 4xx and 5xx beyond pushback cannot be fixed by retrying.
-				return retry.Stop(fmt.Errorf("status %d", status))
+			if !again || k+1 >= attempts {
+				break
 			}
-		})
+			time.Sleep(backoff(parallel.ShardSeed(*seed, i), k))
+			mu.Lock()
+			sum.Retries++
+			mu.Unlock()
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		sum.ByStatus[fmt.Sprint(final)]++
@@ -188,6 +178,22 @@ func load(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// backoff is the wait after failed attempt k (0-based) of a request
+// whose jitter seed is seed: min(100 ms·2^k, 2 s), jittered down by up
+// to 30 % with a draw that is a pure function of (seed, k), so a retry
+// storm replays identically (DESIGN.md decision 6).
+func backoff(seed uint64, k int) time.Duration {
+	const base, ceil = float64(100 * time.Millisecond), float64(2 * time.Second)
+	d := base
+	for i := 0; i < k && d < ceil; i++ {
+		d *= 2
+	}
+	d = min(d, ceil)
+	// The top 53 bits of the per-attempt stream make an unbiased [0,1).
+	u := float64(parallel.ShardSeed(seed, k)>>11) / float64(1<<53)
+	return time.Duration(d * (1 - 0.3*u))
 }
 
 // post sends one request and decodes a 200 into a Report.

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"castan/internal/analysis"
-	"castan/internal/analysis/taint"
 	"castan/internal/budget"
 	"castan/internal/cachemodel"
 	"castan/internal/expr"
@@ -45,7 +44,8 @@ import (
 type Config struct {
 	// NPackets is the adversarial workload length (paper: 30-50).
 	NPackets int
-	// MaxStates is the exploration budget (the paper's time budget).
+	// MaxStates is the exploration budget (the paper's time budget;
+	// default DefaultMaxStates).
 	MaxStates int
 	// Seed drives discovery sampling.
 	Seed uint64
@@ -98,12 +98,17 @@ type Config struct {
 	Faults *faultinject.Plan
 }
 
+// DefaultMaxStates is the exploration budget a Config without one gets:
+// enough for every catalog NF at its paper workload size except
+// nat-ubtree's 50 packets.
+const DefaultMaxStates = 12000
+
 func (c *Config) fill() {
 	if c.NPackets <= 0 {
 		c.NPackets = 30
 	}
 	if c.MaxStates <= 0 {
-		c.MaxStates = 12000
+		c.MaxStates = DefaultMaxStates
 	}
 	if c.Tables == nil {
 		// Per-call memo: the completed states concretize falls back
@@ -156,20 +161,6 @@ type StageDegradation struct {
 	Fallback string `json:"fallback"`
 }
 
-// TaintSummary is the input-taint dataflow analysis's classification of
-// the NF module: how many reached instructions are provably
-// input-independent, affine in input bytes, or opaque (through a hash or
-// other scrambling), and how many hash sites have a provably fixed key
-// (those fold to constants in the engine and need no rainbow table).
-type TaintSummary struct {
-	Instructions      int `json:"instructions"`
-	Untainted         int `json:"untainted"`
-	TaintedLinear     int `json:"tainted_linear"`
-	TaintedOpaque     int `json:"tainted_opaque"`
-	HashSites         int `json:"hash_sites"`
-	FoldableHashSites int `json:"foldable_hash_sites"`
-}
-
 // Output is a completed analysis: the paper's two files. Frames is the
 // workload (exported as PCAP via internal/pcap); the embedded Report is
 // the per-path metrics file, field for field what WriteReport serializes.
@@ -191,7 +182,6 @@ type Search struct {
 
 	cfg           Config
 	model         *cachemodel.Model
-	ta            *taint.Analysis
 	staticHashIDs map[int]bool
 	// degr accumulates degradations in pipeline order; the matching
 	// counters are bumped once, at the end, from the accepted output
@@ -211,7 +201,7 @@ func (s *Search) degrade(stage, reason, fallback string) {
 }
 
 // NewSearch runs every stage in front of symbolic execution on a
-// *freshly built* NF instance — the static gate and taint, cache-model
+// *freshly built* NF instance — the static gate, cache-model
 // discovery, both ICFG analyses — and builds the engine from their
 // results. It is the one place the pipeline's engine is assembled:
 // Analyze and the tests that watch the pipeline's solver queries all
@@ -242,18 +232,11 @@ func NewSearch(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Search, 
 			inst.Mod.Name, rep.Findings[0].String())
 	}
 	mf, mr := rep.Facts, rep.Regions
-	// Input-taint dataflow over the same facts: classifies every value as
-	// input-independent, affine in input bytes, or opaque. It powers the
-	// engine's concrete folding, and replaces the footprint-based havoc
-	// filter — rainbow tables are only built for hash sites whose key the
-	// adversary can actually influence (unreached sites conservatively
-	// count as influenced).
-	s.ta = taint.Run(mf, mr, taint.Config{EntryHints: taint.NFEntryTaints()})
+	// Rainbow tables are only built for hash IDs that appear as havoc
+	// sites in the IR.
 	s.staticHashIDs = map[int]bool{}
-	for _, site := range s.ta.HashSites() {
-		if !site.Foldable {
-			s.staticHashIDs[site.HashID] = true
-		}
+	for _, site := range mf.HavocSites() {
+		s.staticHashIDs[site.HashID] = true
 	}
 	spStatic.End()
 
@@ -331,7 +314,6 @@ func NewSearch(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Search, 
 		// concretize's); worker solvers stay unhooked, like Obs and
 		// Budget.
 		SolverFault: cfg.Faults.SolverHook(),
-		Taint:       s.ta,
 	}
 	return s, nil
 }
@@ -364,15 +346,6 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 		out.StatesExplored = res.StatesExplored
 		out.Forks = res.Forks
 		out.StepsToWorstPath = res.PopsToBest
-		st := s.ta.Stats()
-		out.Taint = TaintSummary{
-			Instructions:      st.Instructions,
-			Untainted:         st.Untainted,
-			TaintedLinear:     st.Linear,
-			TaintedOpaque:     st.Opaque,
-			HashSites:         st.HashSites,
-			FoldableHashSites: st.FoldableHashSites,
-		}
 		out.Degradations = s.degr
 		out.BudgetTicksUsed = cfg.Budget.TotalUsed()
 		for _, d := range s.degr {

@@ -28,9 +28,6 @@ type Report struct {
 	HavocsTotal         int            `json:"havocs_total"`
 	HavocsReconciled    int            `json:"havocs_reconciled"`
 	ContentionSetsFound int            `json:"contention_sets_found"`
-	// Taint summarizes the input-taint dataflow analysis (instruction
-	// classification and hash-site key controllability).
-	Taint TaintSummary `json:"taint"`
 	// StepsToWorstPath is how many state pops the searcher needed before
 	// the state that ended up best completed.
 	StepsToWorstPath int `json:"steps_to_worst_path,omitempty"`

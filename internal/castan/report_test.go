@@ -2,6 +2,7 @@ package castan
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"castan/internal/obs"
@@ -64,5 +65,29 @@ func TestReportRoundTripTelemetry(t *testing.T) {
 	}
 	if bytes.Contains(buf.Bytes(), []byte(`"telemetry"`)) {
 		t.Error("uninstrumented report serializes a telemetry section")
+	}
+}
+
+// TestReadReportIgnoresRetiredFields: a report written before the
+// schema lost its taint block and static_cost_bound still loads, passes
+// Check, and describes the same outcome as one without them.
+func TestReadReportIgnoresRetiredFields(t *testing.T) {
+	const current = `{"nf":"nop","packets":[{"index":0,"flow":"","predicted_cycles":7}],"instructions":3}`
+	const older = `{"nf":"nop","packets":[{"index":0,"flow":"","predicted_cycles":7}],"instructions":3,
+		"taint":{"instructions":3,"untainted":2,"tainted_linear":1,"tainted_opaque":0,"hash_sites":0,"foldable_hash_sites":0},
+		"static_cost_bound":1234}`
+	a, err := ReadReport(strings.NewReader(current))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadReport(strings.NewReader(older))
+	if err != nil {
+		t.Fatalf("older report: %v", err)
+	}
+	if err := b.Check("nop"); err != nil {
+		t.Errorf("older report fails Check: %v", err)
+	}
+	if !a.SameOutcome(b) {
+		t.Errorf("older report decodes to %+v, want %+v", b, a)
 	}
 }

@@ -6,7 +6,9 @@ import (
 
 	"castan/internal/analysis"
 	"castan/internal/ir"
+	"castan/internal/memsim"
 	"castan/internal/nf"
+	"castan/internal/obs"
 )
 
 // TestStaticGateRejectsBrokenModule checks stage 0: a module with a
@@ -78,5 +80,37 @@ func TestSeedNFsDeclareOnlyStaticHashes(t *testing.T) {
 				t.Errorf("%s: declared hash %d has no OpHavoc site in the IR", name, hu.HashID)
 			}
 		}
+	}
+}
+
+// TestRingShortcutsNeedNoTaint pins what Analyze's engine gets from the
+// pinned-havoc sweep skip on the ring NFs at 6 packets and 4000 states:
+// 243 candidate-line probes not posed, with no taint analysis attached.
+// The skip and the address write-back rest on the pinned havoc symbols
+// alone, so an engine whose Taint is nil must still take them.
+func TestRingShortcutsNeedNoTaint(t *testing.T) {
+	for _, name := range []string{"lb-ring", "nat-ring"} {
+		t.Run(name, func(t *testing.T) {
+			inst, err := nf.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := obs.New(obs.NewFakeClock(1))
+			s, err := NewSearch(inst, memsim.New(memsim.DefaultGeometry(), 2018), Config{
+				NPackets: 6, MaxStates: 4000, Seed: 2018, Obs: rec, Tables: &testTables,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Engine.Taint != nil {
+				t.Fatal("NewSearch attached a taint analysis to the engine")
+			}
+			if _, err := s.Engine.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := rec.Snapshot().Counters["solver.queries_avoided"]; got != 243 {
+				t.Errorf("solver.queries_avoided = %d, want 243", got)
+			}
+		})
 	}
 }

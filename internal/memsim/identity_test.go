@@ -34,14 +34,14 @@ type traceRun struct {
 	// to overflow it, so every level evicts within a short trace.
 	pool []uint64
 	geo  Geometry
-	obs  [8]*obs.Counter
+	obs  [7]*obs.Counter
 	data []byte
 	pos  int
 	step int
 }
 
-var obsNames = [8]string{
-	"memsim.accesses", "memsim.l1_hits", "memsim.l2_hits", "memsim.l3_hits",
+var obsNames = [7]string{
+	"memsim.l1_hits", "memsim.l2_hits", "memsim.l3_hits",
 	"memsim.dram_misses", "memsim.l3_evictions", "memsim.probe_calls", "memsim.probe_line_reads",
 }
 
@@ -171,7 +171,7 @@ func (tr *traceRun) sameCounters(tw twin, what string) {
 		tr.t.Fatalf("step %d: after %s Stats = %+v, reference %+v", tr.step, what, tw.h.Stats, tw.r.Stats)
 	}
 	ref := tw.r.tally
-	want := [8]uint64{ref.Accesses, ref.L1Hits, ref.L2Hits, ref.L3Hits, ref.DRAM, ref.evictions, ref.probeCalls, ref.probeLineReads}
+	want := [7]uint64{ref.L1Hits, ref.L2Hits, ref.L3Hits, ref.DRAM, ref.evictions, ref.probeCalls, ref.probeLineReads}
 	for i, c := range tr.obs {
 		if c.Value() != want[i] {
 			tr.t.Fatalf("step %d: after %s %s = %d, reference %d", tr.step, what, obsNames[i], c.Value(), want[i])
@@ -274,10 +274,10 @@ func TestProbeBatchRepeatedLines(t *testing.T) {
 		for rounds := 1; rounds <= 3; rounds++ {
 			for _, set := range [][]uint64{{x, x, addr(0)}, evicting} {
 				tr.step++
-				l1 := tr.obs[1].Value()
+				l1 := tr.obs[0].Value() // memsim.l1_hits
 				what, got := tr.probeBatch(tw, [][]uint64{set}, rounds)
 				tr.sameCounters(tw, what)
-				if set[1] == x && tr.obs[1].Value() == l1 {
+				if set[1] == x && tr.obs[0].Value() == l1 {
 					t.Fatalf("%v: %s: the back-to-back repeat was no L1 hit", geo, what)
 				}
 				if scalar := New(geo, 3).ProbeTime(set, rounds); scalar != got[0] {

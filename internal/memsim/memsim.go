@@ -119,9 +119,9 @@ type Counters struct {
 // traffic — obs counters deliberately keep counting through probes:
 // they measure total simulator effort, including discovery.
 type obsCounters struct {
-	accesses, l1Hits, l2Hits, l3Hits, dram *obs.Counter
-	l3Evictions                            *obs.Counter
-	probeCalls, probeLineReads             *obs.Counter
+	l1Hits, l2Hits, l3Hits, dram *obs.Counter
+	l3Evictions                  *obs.Counter
+	probeCalls, probeLineReads   *obs.Counter
 }
 
 // level is one set-associative cache level with LRU replacement. Which
@@ -328,7 +328,6 @@ func (h *Hierarchy) SetObs(rec *obs.Recorder) {
 		return
 	}
 	h.obs = obsCounters{
-		accesses:       rec.Counter("memsim.accesses"),
 		l1Hits:         rec.Counter("memsim.l1_hits"),
 		l2Hits:         rec.Counter("memsim.l2_hits"),
 		l3Hits:         rec.Counter("memsim.l3_hits"),
@@ -493,7 +492,6 @@ func (h *Hierarchy) Access(vaddr uint64, size uint8, write bool) (Level, uint64)
 		// Tag 0 means "empty way"; offset all line tags by +1 to disambiguate.
 		lvl, evicted := h.touch(pline+1, h.l1.index(pline), h.l2.index(pline), -1)
 		h.Stats.Accesses++
-		h.obs.accesses.Inc()
 		switch lvl {
 		case L1:
 			h.Stats.L1Hits++
@@ -612,7 +610,6 @@ func (h *Hierarchy) ProbeBatch(sets [][]uint64, rounds int) []uint64 {
 	for i, addrs := range sets {
 		out[i] = h.probeSet(addrs, rounds, &served, &evictions)
 	}
-	h.obs.accesses.Add(lineReads)
 	h.obs.l1Hits.Add(served[L1])
 	h.obs.l2Hits.Add(served[L2])
 	h.obs.l3Hits.Add(served[L3])

@@ -284,8 +284,7 @@ func TestProbeBatchMatchesScalarProbes(t *testing.T) {
 		t.Errorf("probe traffic leaked into Stats: %+v", hb.Stats)
 	}
 	for _, name := range []string{
-		"memsim.accesses", "memsim.l1_hits", "memsim.l2_hits",
-		"memsim.l3_hits", "memsim.dram_misses", "memsim.l3_evictions",
+		"memsim.l1_hits", "memsim.l2_hits", "memsim.l3_hits", "memsim.dram_misses", "memsim.l3_evictions",
 		"memsim.probe_calls", "memsim.probe_line_reads",
 	} {
 		if b, s := recB.Counter(name).Value(), recS.Counter(name).Value(); b != s {

@@ -50,7 +50,6 @@ var Catalog = []Instrument{
 	{"castan.store.hits", CounterKind, "artifacts", "internal/castan", true, "cross-run store lookups that returned a reusable artifact (skipping discovery/table builds)"},
 	{"castan.store.misses", CounterKind, "artifacts", "internal/castan", false, "store lookups that found nothing and fell through to a fresh computation"},
 	{"castan.store.writes", CounterKind, "artifacts", "internal/castan", false, "freshly computed artifacts persisted for future runs"},
-	{"memsim.accesses", CounterKind, "accesses", "internal/memsim", true, "memory-hierarchy accesses simulated (loads, stores and probe reads)"},
 	{"memsim.dram_misses", CounterKind, "accesses", "internal/memsim", true, "accesses that missed every cache level and paid the DRAM latency"},
 	{"memsim.l1_hits", CounterKind, "accesses", "internal/memsim", false, "accesses served by the L1 model"},
 	{"memsim.l2_hits", CounterKind, "accesses", "internal/memsim", false, "accesses served by the L2 model"},
@@ -68,12 +67,12 @@ var Catalog = []Instrument{
 	{"solver.hint_hits", CounterKind, "values", "internal/solver", false, "hinted variable values (from the warm-start model) that survived propagation and were taken without search"},
 	{"solver.propagation_rounds", CounterKind, "rounds", "internal/solver", false, "constraint-propagation rounds across all queries"},
 	{"solver.queries", CounterKind, "queries", "internal/solver", true, "satisfiability queries issued by symbolic execution"},
-	{"solver.queries_avoided", CounterKind, "queries", "internal/symbex", true, "candidate-line feasibility probes the taint-directed sweep skip did not pose"},
+	{"solver.queries_avoided", CounterKind, "queries", "internal/symbex", true, "candidate-line feasibility probes the pinned-havoc sweep skip did not pose"},
 	{"solver.queries_sat", CounterKind, "queries", "internal/solver", false, "queries that came back satisfiable"},
 	{"solver.queries_unknown", CounterKind, "queries", "internal/solver", false, "queries the step cap, the budget or an injected fault ended before a verdict"},
 	{"solver.queries_unsat", CounterKind, "queries", "internal/solver", false, "queries proved unsatisfiable"},
 	{"symbex.done_states", CounterKind, "states", "internal/symbex", false, "symbolic states that ran to path completion"},
-	{"symbex.folded_instructions", CounterKind, "instructions", "internal/symbex", true, "instructions skipped by straight-line folding"},
+	{"symbex.folded_instructions", CounterKind, "instructions", "internal/symbex", true, "address write-backs: symbolic base registers replaced by the address their access pinned (an engine given a taint analysis also counts input-independent results that came out constant)"},
 	{"symbex.forks", CounterKind, "states", "internal/symbex", true, "state forks at symbolic branches"},
 	{"symbex.instructions", CounterKind, "instructions", "internal/symbex", true, "IR instructions symbolically executed"},
 	{"symbex.pruned_edges", CounterKind, "edges", "internal/symbex", true, "conditional-branch edges skipped as infeasible by value-range analysis"},

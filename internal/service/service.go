@@ -11,7 +11,7 @@
 //     Retry-After. Per-tenant caps bound how much of the queue one tenant
 //     can own, and per-tenant budget.Meters bound the cumulative ticks a
 //     tenant may burn — both reject with 429, which clients retry with
-//     internal/retry backoff.
+//     backoff (castand load's seeded exponential schedule).
 //   - Degradation, never 500. Every admitted analysis carries a
 //     budget.Meter (ticks and/or a deadline on the injectable obs.Clock).
 //     Exhaustion rides the pipeline's existing degraded-exit semantics

@@ -131,15 +131,12 @@ type Engine struct {
 	// deterministic.
 	SolverFault func() bool
 
-	// Taint, when non-nil, enables taint-directed concrete folding: hash
-	// sites whose key the analysis proves input-independent execute
-	// concretely (no havoc record, no rainbow table), resolved symbolic
-	// addresses write their forced constant back into the register, and
-	// address expressions over already-pinned havoc symbols skip the
-	// contended-candidate sweep. All of it is model-preserving — the
-	// engine explores exactly the paths it would without Taint, with
-	// strictly fewer solver queries — so leaving this nil only costs
-	// effort, never coverage.
+	// Taint, when non-nil, enables taint-directed hash folding: a hash
+	// site whose key the analysis proves input-independent, and whose key
+	// bytes are all concrete, executes concretely (no havoc record, no
+	// rainbow table), and instructions it classifies input-independent
+	// that come out constant count as folded. castan.Analyze leaves it
+	// nil; only bench/layers.go sets it, like StaticCost.
 	Taint *taint.Analysis
 
 	// VRange, when non-nil, enables value-range-directed shortcuts: a
@@ -669,9 +666,6 @@ func (e *Engine) step(s *State, entry *ir.Func) []*State {
 // sweep. Model-preserving — any later sweep over the same pinned
 // symbols could only re-derive this very address.
 func (e *Engine) writebackAddr(s *State, in *ir.Instr, addr uint64) {
-	if e.Taint == nil {
-		return
-	}
 	if _, isC := s.reg(in.A).IsConst(); isC {
 		return
 	}
@@ -989,14 +983,14 @@ func (e *Engine) resolveAddr(s *State, a *expr.Expr) (uint64, bool) {
 		hot := s.tracker.HotLines()
 		lists := [2][]uint64{candidates, hot}
 		caps := [2]int{24, 8}
-		// Taint-directed sweep skip: when every symbol in a is a havoc
+		// Pinned-havoc sweep skip: when every symbol in a is a havoc
 		// output a previous pin already forced, the path constraints
 		// determine a's value — every candidate line but the model's own
 		// would come back Unsat from localRepair, and the model's line
 		// would succeed for free and pin the value the model already
 		// holds. Jump straight to that outcome, crediting the probes the
 		// sweep would have burned.
-		if e.Taint != nil && s.allPinnedHavoc(a) {
+		if s.allPinnedHavoc(a) {
 			addr := a.Eval(s.model)
 			modelLine := addr &^ (lb - 1)
 			avoided := uint64(0)

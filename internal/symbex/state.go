@@ -74,8 +74,8 @@ type State struct {
 	// forced through an Eq(addr, const) path constraint. Together they
 	// let the engine prove a later address over the same symbols is
 	// already determined, skipping the contended-candidate sweep whose
-	// every probe would come back Unsat (taint-directed folding; both
-	// nil until the first havoc / first pin).
+	// every probe would come back Unsat (the pinned-havoc sweep skip;
+	// both nil until the first havoc / first pin).
 	havocVars  map[expr.VarID]bool
 	pinnedVars map[expr.VarID]bool
 

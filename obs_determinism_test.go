@@ -55,7 +55,7 @@ func TestWorkerCountDeterminismTelemetry(t *testing.T) {
 	// The run must actually exercise the instrumented layers.
 	for _, name := range []string{
 		"solver.queries", "symbex.states_explored", "symbex.forks",
-		"memsim.accesses", "memsim.dram_misses", "castan.havocs",
+		"memsim.dram_misses", "castan.havocs",
 	} {
 		if refOut.Telemetry.Counters[name] == 0 {
 			t.Errorf("counter %s is zero; run did not exercise its layer", name)
