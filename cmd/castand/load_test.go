@@ -13,9 +13,7 @@ import (
 )
 
 // TestBackoffSchedule pins the retry schedule of castand load: the waits
-// after attempts 0–6 of requests 0 and 7 under -seed 1. They are
-// min(100 ms·2^k, 2 s) jittered down by at most 30 %, and a pure function
-// of (seed, request, attempt).
+// after attempts 0–6 of requests 0 and 7 under -seed 1.
 func TestBackoffSchedule(t *testing.T) {
 	want := map[int][]time.Duration{
 		0: {88954314, 143386146, 394569160, 613415139, 1494824737, 1535360496, 1624240037},
@@ -27,11 +25,38 @@ func TestBackoffSchedule(t *testing.T) {
 			if got != w {
 				t.Errorf("request %d, attempt %d: backoff %v, want %v", i, k, got, w)
 			}
+		}
+	}
+}
+
+// TestBackoffJitterDeterministic checks the jitter of castand load's
+// backoff: every wait is min(100 ms·2^k, 2 s) jittered down by at most
+// 30 %, two evaluations agree exactly, and different requests' seeds give
+// different schedules.
+func TestBackoffJitterDeterministic(t *testing.T) {
+	for i := 0; i < 16; i++ {
+		seed := parallel.ShardSeed(1, i)
+		for k := 0; k < 8; k++ {
+			got := backoff(seed, k)
+			if again := backoff(seed, k); again != got {
+				t.Fatalf("request %d, attempt %d: backoff not deterministic: %v vs %v", i, k, got, again)
+			}
 			full := min(100*time.Millisecond<<k, 2*time.Second)
 			if got > full || float64(got) < 0.7*float64(full) {
 				t.Errorf("request %d, attempt %d: backoff %v outside [0.7·%v, %v]", i, k, got, full, full)
 			}
 		}
+	}
+	a, b := parallel.ShardSeed(1, 0), parallel.ShardSeed(1, 1)
+	same := true
+	for k := 0; k < 8; k++ {
+		if backoff(a, k) != backoff(b, k) {
+			same = false
+			break
+		}
+	}
+	if same {
+		t.Error("requests 0 and 1 got identical jittered schedules")
 	}
 }
 
