@@ -72,12 +72,14 @@ bench-gate:
 		-attrib-dir $(BENCH_ATTRIB_DIR)
 
 # Store smoke (what CI runs): two identical cmd/castan runs sharing one
-# -store directory, once for lpm-dl1 (a stored cache model) and once for
-# lb-chain (a stored rainbow table). Each warm run must hit the store
-# (castan.store.hits nonzero), and both runs must produce byte-identical
-# workloads (and, for lpm-dl1, identical reports modulo
-# wall-clock/telemetry) — a warm store changes effort, never output. CI
-# overrides STORE_SMOKE_DIR and uploads it.
+# -store directory, once for lpm-dl1 (a stored cache model), once for
+# lb-chain (a stored rainbow table) and once for nat-ring (a model over
+# two ring regions plus a table; a warm hit there skips building the
+# discovery pool, the path the bench's warm-hash takes). Each warm run
+# must hit the store (castan.store.hits nonzero), and both runs must
+# produce byte-identical workloads (and, for lpm-dl1, identical reports
+# modulo wall-clock/telemetry) — a warm store changes effort, never
+# output. CI overrides STORE_SMOKE_DIR and uploads it.
 STORE_SMOKE_DIR ?= /tmp/castan-store-smoke
 store-smoke:
 	rm -rf $(STORE_SMOKE_DIR)/store
@@ -106,6 +108,16 @@ store-smoke:
 		-metrics-out $(STORE_SMOKE_DIR)/warm-table-metrics.json
 	cmp $(STORE_SMOKE_DIR)/cold-table.pcap $(STORE_SMOKE_DIR)/warm-table.pcap
 	$(STORE_SMOKE_DIR)/castan tracediff check -metrics $(STORE_SMOKE_DIR)/warm-table-metrics.json \
+		-require castan.store.hits
+	$(STORE_SMOKE_DIR)/castan -nf nat-ring -packets 6 -states 4000 \
+		-store $(STORE_SMOKE_DIR)/store \
+		-out $(STORE_SMOKE_DIR)/cold-ring.pcap
+	$(STORE_SMOKE_DIR)/castan -nf nat-ring -packets 6 -states 4000 \
+		-store $(STORE_SMOKE_DIR)/store \
+		-out $(STORE_SMOKE_DIR)/warm-ring.pcap \
+		-metrics-out $(STORE_SMOKE_DIR)/warm-ring-metrics.json
+	cmp $(STORE_SMOKE_DIR)/cold-ring.pcap $(STORE_SMOKE_DIR)/warm-ring.pcap
+	$(STORE_SMOKE_DIR)/castan tracediff check -metrics $(STORE_SMOKE_DIR)/warm-ring-metrics.json \
 		-require castan.store.hits
 
 # Short observability smoke (what CI runs): one traced cmd/castan run,

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -492,13 +493,10 @@ func modelStoreKey(geo memsim.Geometry, regions []nf.Region, seed uint64) string
 	return store.Key(parts...)
 }
 
-// discoverModel builds the contention-set model over the given attack
-// regions, consulting the cross-run store first when one is configured.
-// (nil, nil) means there was nothing to probe; sentinel errors from
-// cachemodel distinguish the benign no-sets outcome (the paper's LPM
-// two-stage result) from a budget cut or a suspicious filter wipeout.
-func discoverModel(regions []nf.Region, hier *memsim.Hierarchy, cfg Config, rec *obs.Recorder) (*cachemodel.Model, error) {
-	geo := hier.Geometry()
+// discoverPool samples the attack regions at discoverStride lines and,
+// past discoverPoolCap addresses per region, keeps a seeded random
+// subsample. It is empty only when every region is.
+func discoverPool(regions []nf.Region, geo memsim.Geometry, seed uint64) []uint64 {
 	stride := uint64(discoverStride * geo.LineBytes)
 	var pool []uint64
 	for _, r := range regions {
@@ -506,22 +504,33 @@ func discoverModel(regions []nf.Region, hier *memsim.Hierarchy, cfg Config, rec 
 			pool = append(pool, a)
 		}
 	}
-	if len(pool) == 0 {
-		return nil, nil
-	}
 	// The pool budget is per region: an NF with several tables (the NAT's
 	// two rings) needs each discovered set to hold enough members *within
 	// each table* to exceed associativity there.
 	poolCap := discoverPoolCap * len(regions)
 	if len(pool) > poolCap {
 		// Deterministic subsample.
-		rng := stats.NewRNG(cfg.Seed + 17)
+		rng := stats.NewRNG(seed + 17)
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 		pool = pool[:poolCap]
 	}
+	return pool
+}
+
+// discoverModel builds the contention-set model over the given attack
+// regions, consulting the cross-run store first when one is configured.
+// (nil, nil) means there was nothing to probe; sentinel errors from
+// cachemodel distinguish the benign no-sets outcome (the paper's LPM
+// two-stage result) from a budget cut or a suspicious filter wipeout.
+func discoverModel(regions []nf.Region, hier *memsim.Hierarchy, cfg Config, rec *obs.Recorder) (*cachemodel.Model, error) {
+	if !slices.ContainsFunc(regions, func(r nf.Region) bool { return r.Size > 0 }) {
+		return nil, nil // an empty pool: nothing to probe
+	}
+	geo := hier.Geometry()
+	// The pool is built inside the closure: a store hit never reads it.
 	discover := func() (*cachemodel.Model, error) {
 		dcfg := cachemodel.DiscoverConfig{
-			Pool:      pool,
+			Pool:      discoverPool(regions, geo, cfg.Seed),
 			Assoc:     geo.L3Assoc(),
 			LineBytes: geo.LineBytes,
 			LatL3:     geo.LatL3,

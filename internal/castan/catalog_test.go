@@ -18,8 +18,10 @@ import (
 // deleted fails here). The runs are chosen to light every instrument
 // family: a discovery-heavy NF twice through one store (misses and
 // writes, then hits), a rainbow-reconciling NF clean and with its symbex
-// budget cut, and the fault matrix's plans plus the reconcile worker
-// panic on the NFs where each one's degradation lands.
+// budget cut, a tree NF whose path constraints the solver refutes
+// (reconcile's refutable queries no longer reach it), and the fault
+// matrix's plans plus the reconcile worker panic on the NFs where each
+// one's degradation lands.
 func TestCatalogMatchesEmission(t *testing.T) {
 	rec := obs.New(obs.NewFakeClock(1000))
 	// A one-slot subscriber nobody drains: the slow-consumer drop path.
@@ -54,6 +56,7 @@ func TestCatalogMatchesEmission(t *testing.T) {
 		{"lb-chain", Config{NPackets: 8, MaxStates: 3000, Seed: 2018, Budget: cutSymbex()}},
 		{"lb-chain", Config{NPackets: 4, MaxStates: 2500, Seed: 7,
 			Faults: &faultinject.Plan{Name: "worker-panic-reconcile", Seed: 5, PanicStage: faultinject.PanicReconcile}}},
+		{"nat-rbtree", Config{NPackets: 3, MaxStates: 800, Seed: 2018}},
 	}
 	for _, plan := range faultinject.MatrixPlans() {
 		runs = append(runs, run{"nat-ring", Config{NPackets: 3, MaxStates: 800, Seed: 7, Budget: matrix(), Faults: plan}})

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -74,6 +75,65 @@ func TestDiscoverModelsPinned(t *testing.T) {
 		}
 		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestDiscoverFindsHiddenSets grades discovery against the simulator's
+// hidden (slice, set) index, the truth TestDiscoverModelsPinned's bytes
+// only stand for: on the probed NF shapes, at the pinned seeds and one
+// and two workers, discovery finds discoverMaxSets sets, each exactly
+// the pool's members of one hidden set (no impure member, nothing of
+// that set's pool share missed), and no hidden set twice. -short checks
+// seed 2018 only.
+func TestDiscoverFindsHiddenSets(t *testing.T) {
+	seeds := []uint64{2018, 5, 47, 101}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, name := range []string{"lpm-dl1", "nat-ring", "lb-ring"} {
+		inst, err := nf.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range seeds {
+			for _, w := range []int{1, 2} {
+				what := fmt.Sprintf("%s seed=%d W=%d", name, seed, w)
+				hier := memsim.New(memsim.DefaultGeometry(), seed)
+				m, err := discoverModel(inst.AttackRegions, hier, Config{Seed: seed, Workers: w}, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				// Grade after discovery: the backdoor translates through the
+				// page map, and a page it maps first would perturb the probes.
+				members := map[int]map[uint64]bool{}
+				for _, a := range discoverPool(inst.AttackRegions, hier.Geometry(), seed) {
+					hidden := hier.DebugContentionSet(a)
+					if members[hidden] == nil {
+						members[hidden] = map[uint64]bool{}
+					}
+					members[hidden][a] = true
+				}
+				if len(m.Sets) != discoverMaxSets {
+					t.Errorf("%s: %d sets found, want %d", what, len(m.Sets), discoverMaxSets)
+				}
+				seen := map[int]int{}
+				for si, s := range m.Sets {
+					hidden := hier.DebugContentionSet(s.Addrs[0])
+					if prev, dup := seen[hidden]; dup {
+						t.Errorf("%s: sets %d and %d are both hidden set %d", what, prev, si, hidden)
+					}
+					seen[hidden] = si
+					got := map[uint64]bool{}
+					for _, a := range s.Addrs {
+						got[a] = true
+					}
+					if len(got) != len(s.Addrs) || !maps.Equal(got, members[hidden]) {
+						t.Errorf("%s: set %d holds %d addresses, hidden set %d has %d pool members",
+							what, si, len(got), hidden, len(members[hidden]))
+					}
+				}
+			}
 		}
 	}
 }

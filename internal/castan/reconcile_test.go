@@ -31,7 +31,11 @@ import (
 // them except bruteforce_calls itself — zero on the ring NFs, where the
 // table's first candidate is always accepted, and nonzero on the chain
 // NFs, where colliding packets want one hash value many times over and
-// the table's few keys for it are already taken.
+// the table's few keys for it are already taken. No NF poses a query
+// that ends Unknown: the NATs' reverse-direction havocs, whose forced
+// key cannot match (Fig. 14/15), are refuted from their pins by
+// solver.QuickFeasible instead of running the 30 000-step search to its
+// cap, and they stay unreconciled.
 func TestReconcileCatalogPinned(t *testing.T) {
 	cases := []struct {
 		nf                              string
@@ -71,6 +75,7 @@ func TestReconcileCatalogPinned(t *testing.T) {
 				"rainbow.invert_attempts":  tc.attempts,
 				"castan.reconcile_checks":  tc.checks,
 				"rainbow.bruteforce_calls": tc.brute,
+				"solver.queries_unknown":   0,
 			} {
 				if got := rec.Counter(name).Value(); got != want {
 					t.Errorf("%s = %d, want %d", name, got, want)

@@ -246,3 +246,68 @@ func TestCheckMatchesReferenceAndBruteForce(t *testing.T) {
 	}
 	t.Logf("verdicts over %d systems: %v", systems, verdicts)
 }
+
+// TestQuickFeasibleUnsatIsSound: on seeded random systems over at most
+// three bounded byte variables, with v == c pins (either operand order,
+// some outside the bound, some repeated) and comparisons of the
+// variables' concatenated word, QuickFeasible answers Unsat only where
+// exhaustive enumeration finds no model. Enough of those refutations
+// must need the pins — no single constraint is refuted on its own — for
+// the check to cover the pin pass.
+func TestQuickFeasibleUnsatIsSound(t *testing.T) {
+	const systems = 3000
+	rng := rand.New(rand.NewSource(46))
+	var refuted, byPins int
+	for i := 0; i < systems; i++ {
+		nvars := 1 + rng.Intn(3)
+		bounds := make([]uint64, nvars)
+		for v := range bounds {
+			bounds[v] = uint64([]int{1, 3, 6, 7}[rng.Intn(4)])
+		}
+		cons := randomSystem(rng, nvars, bounds)
+		bytes := make([]*expr.Expr, nvars)
+		for v := range bytes {
+			bytes[v] = expr.Var(expr.VarID(v * 3))
+		}
+		for n := rng.Intn(4); n > 0; n-- {
+			v := rng.Intn(nvars)
+			k := expr.Const(uint64(rng.Intn(int(bounds[v]) + 2)))
+			if rng.Intn(2) == 0 {
+				cons = append(cons, expr.Eq(bytes[v], k))
+			} else {
+				cons = append(cons, expr.Eq(k, bytes[v]))
+			}
+		}
+		if rng.Intn(2) == 0 {
+			w := expr.ConcatBytes(bytes...)
+			var k uint64
+			for v := range bytes {
+				k = k<<8 | uint64(rng.Intn(int(bounds[v])+2))
+			}
+			op := []expr.Op{expr.OpEq, expr.OpNe, expr.OpUlt, expr.OpUle}[rng.Intn(4)]
+			cons = append(cons, expr.New(op, w, expr.Const(k)))
+		}
+		rng.Shuffle(len(cons), func(i, j int) { cons[i], cons[j] = cons[j], cons[i] })
+
+		if solver.QuickFeasible(cons) != solver.Unsat {
+			continue
+		}
+		refuted++
+		if satisfiable(cons, nvars, bounds) {
+			t.Fatalf("system %d: QuickFeasible says Unsat, but enumeration finds a model: %v", i, cons)
+		}
+		alone := false
+		for _, c := range cons {
+			if expr.Range(expr.Truth(c), nil).Hi == 0 {
+				alone = true
+			}
+		}
+		if !alone {
+			byPins++
+		}
+	}
+	if byPins < systems/20 {
+		t.Fatalf("only %d of %d refutations needed the pins", byPins, refuted)
+	}
+	t.Logf("%d of %d systems refuted, %d of them by the pins", refuted, systems, byPins)
+}

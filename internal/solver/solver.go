@@ -488,9 +488,15 @@ func (p *problem) search() searchResult {
 }
 
 // QuickFeasible is a cheap, sound-for-Unsat check: it returns Unsat only
-// when interval analysis refutes some constraint outright, otherwise
-// Unknown. The symbex engine uses it as a pre-filter before full checks.
+// when interval analysis refutes some constraint outright, or refutes
+// one under the unit pins (top-level v == c constraints) the system
+// itself carries; otherwise Unknown. The symbex engine uses it as a
+// pre-filter before full checks, and reconciliation before posing a
+// pinned query whose Unknown and Unsat mean the same thing. It stays out
+// of Check: there a capped Unknown falls through to a full solve, and
+// answering Unsat instead would change what that solve finds.
 func QuickFeasible(constraints []*expr.Expr) Result {
+	var pins map[expr.VarID]uint64
 	for _, c := range constraints {
 		t := expr.Truth(c)
 		if b, ok := t.IsBool(); ok {
@@ -502,6 +508,41 @@ func QuickFeasible(constraints []*expr.Expr) Result {
 		if iv := expr.Range(t, nil); iv.Hi == 0 {
 			return Unsat
 		}
+		if v, k, ok := unitPin(t); ok {
+			if pins == nil {
+				pins = map[expr.VarID]uint64{}
+			}
+			pins[v] = k
+		}
+	}
+	if pins == nil {
+		return Unknown
+	}
+	// Two pins that disagree on a variable need no check of their own:
+	// under the one kept, the other's constraint is false. One pass is
+	// enough on the catalog: the refuted constraint there is a 2–3-byte
+	// address equation whose bytes are all pinned directly, so no
+	// fixpoint over derived pins is needed.
+	for _, c := range constraints {
+		if expr.Range(expr.Truth(c), pins).Hi == 0 {
+			return Unsat
+		}
 	}
 	return Unknown
+}
+
+// unitPin reports whether t is v == c for a variable v and constant c,
+// in either operand order.
+func unitPin(t *expr.Expr) (expr.VarID, uint64, bool) {
+	if t.Op != expr.OpEq {
+		return 0, 0, false
+	}
+	a, b := t.A, t.B
+	if a.Op == expr.OpConst {
+		a, b = b, a
+	}
+	if a.Op == expr.OpVar && b.Op == expr.OpConst {
+		return a.Var, b.Val, true
+	}
+	return 0, 0, false
 }

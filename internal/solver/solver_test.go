@@ -263,15 +263,47 @@ func TestForceUnknownHook(t *testing.T) {
 	}
 }
 
+// TestQuickFeasible: interval analysis refutes a constraint that is
+// false or out of range on its own, and top-level v == c constraints
+// pin their variable for a second pass, which refutes a multi-byte word
+// the pins contradict (the shape reconciliation's forced-key queries
+// take) and two pins that disagree on one variable.
 func TestQuickFeasible(t *testing.T) {
-	if QuickFeasible([]*expr.Expr{expr.Const(0)}) != Unsat {
-		t.Error("constant false not refuted")
-	}
-	if QuickFeasible([]*expr.Expr{expr.Ult(expr.Const(1<<20), word(1, 2))}) != Unsat {
-		t.Error("range-impossible not refuted")
-	}
-	if QuickFeasible([]*expr.Expr{expr.Eq(expr.Var(1), expr.Const(3))}) != Unknown {
-		t.Error("feasible constraint refuted")
+	v := expr.Var
+	c := expr.Const
+	pin := func(id expr.VarID, k uint64) *expr.Expr { return expr.Eq(v(id), c(k)) }
+	// A ring slot address: base + ((b0 & 0xf) << 8 | b1) * 8.
+	slot := expr.Add(c(0x1000a000), expr.Mul(expr.Or(expr.Shl(expr.And(v(254), c(0xf)), c(8)), v(255)), c(8)))
+	for _, tc := range []struct {
+		name string
+		cons []*expr.Expr
+		want Result
+	}{
+		{"constant false", []*expr.Expr{c(0)}, Unsat},
+		{"word out of range", []*expr.Expr{expr.Ult(c(1<<20), word(1, 2))}, Unsat},
+		{"feasible pin", []*expr.Expr{pin(1, 3)}, Unknown},
+		{"slot address refuted by its pins",
+			[]*expr.Expr{expr.Eq(slot, c(0x1000a000)), pin(254, 3), pin(255, 7)}, Unsat},
+		{"slot address left open by one pin",
+			[]*expr.Expr{expr.Eq(slot, c(0x1000a000)), pin(254, 0x30)}, Unknown},
+		{"word refuted, pin first, constant on the left",
+			[]*expr.Expr{expr.Eq(c(5), v(1)), expr.Eq(word(1, 2), c(0x0607))}, Unsat},
+		{"word consistent with its pin",
+			[]*expr.Expr{pin(1, 6), expr.Eq(word(1, 2), c(0x0607))}, Unknown},
+		{"word bound refuted",
+			[]*expr.Expr{pin(1, 9), pin(2, 0), expr.Ult(word(1, 2, 3), c(0x090000))}, Unsat},
+		{"conflicting pins",
+			[]*expr.Expr{pin(1, 3), pin(2, 3), pin(1, 4)}, Unsat},
+		{"conflicting pins, operands swapped",
+			[]*expr.Expr{pin(1, 3), expr.Eq(c(4), v(1))}, Unsat},
+		{"repeated pin",
+			[]*expr.Expr{pin(1, 3), pin(1, 3), expr.Ne(word(1, 2), c(0x0300))}, Unknown},
+		{"pins on other variables",
+			[]*expr.Expr{pin(7, 1), pin(8, 2), expr.Eq(word(1, 2), c(0x0102))}, Unknown},
+	} {
+		if got := QuickFeasible(tc.cons); got != tc.want {
+			t.Errorf("%s: QuickFeasible = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
