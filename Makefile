@@ -26,9 +26,10 @@ bench-build:
 # (cmd/castan's TestSeedCorpusPasses: every catalog NF lints clean), the
 # fault-injection matrix (internal/castan's TestFaultMatrix), the
 # tracediff fixture pair (identical runs exit 0, the regressed pair exits
-# 3 naming castan.discover) and the goldens of castan lint -json and of
-# the value-range catalog. After an intentional change, regenerate the
-# goldens with `go test ./cmd/castan -run TestJSONGolden -update` and
+# 3 naming castan.discover) and three catalog goldens: castan lint -json,
+# the taint stats and the value-range stats. After an intentional change,
+# regenerate them with `go test ./cmd/castan -run TestJSONGolden -update`,
+# `go test ./internal/analysis -run TestTaintCatalogGolden -update` and
 # `go test ./internal/analysis -run TestVRangeCatalogGolden -update`.
 test:
 	$(GO) test ./...

@@ -1,12 +1,10 @@
-// castan lint runs the full static-analysis pass pipeline (structural
+// castan lint runs the static-analysis pass pipeline (structural
 // validation, def-before-use, register liveness, memory-region extent
 // checks) over the NFs named as arguments, or the whole built-in catalog,
 // and reports structured findings: the gate that keeps every module clean
-// before symbolic execution sees it. Structurally clean modules also get
-// the input-taint pass (adversary-controllability findings) and the
-// value-range pass. With -json the output is one castan-irlint/v1
-// document: per module, the findings with their source coordinates plus
-// the abstract cache analysis's per-function classification summary.
+// before symbolic execution sees it. With -json the output is one
+// castan-irlint/v2 document: per module, the counts and the findings with
+// their source coordinates.
 //
 // Exit status is non-zero iff any module produced an error-level finding
 // (or, with -werror, a warning).
@@ -18,12 +16,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
 	"castan/internal/analysis"
-	"castan/internal/analysis/cachecost"
-	"castan/internal/analysis/taint"
-	"castan/internal/analysis/vrange"
 	"castan/internal/ir"
 	"castan/internal/nf"
 )
@@ -32,7 +26,7 @@ func lintCmd(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("castan lint", stderr)
 	verbose := fs.Bool("v", false, "print info-level findings too")
 	werror := fs.Bool("werror", false, "treat warnings as errors")
-	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (castan-irlint/v1)")
+	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (castan-irlint/v2)")
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)
 	}
@@ -57,18 +51,22 @@ func lintCmd(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-// jsonDoc is the -json output: one castan-irlint/v1 document.
+// lintSchema tags the -json document. Bump it whenever a field goes or
+// changes meaning, so an old reader fails loudly instead of reading
+// nothing.
+const lintSchema = "castan-irlint/v2"
+
+// jsonDoc is the -json output: one castan-irlint/v2 document.
 type jsonDoc struct {
 	Schema  string       `json:"schema"`
 	Modules []jsonModule `json:"modules"`
 }
 
 type jsonModule struct {
-	Module    string        `json:"module"`
-	Errors    int           `json:"errors"`
-	Warnings  int           `json:"warnings"`
-	Findings  []jsonFinding `json:"findings"`
-	CacheCost jsonCacheCost `json:"cachecost"`
+	Module   string        `json:"module"`
+	Errors   int           `json:"errors"`
+	Warnings int           `json:"warnings"`
+	Findings []jsonFinding `json:"findings"`
 }
 
 type jsonFinding struct {
@@ -85,29 +83,6 @@ type jsonFinding struct {
 	Msg   string `json:"msg"`
 }
 
-type jsonCacheCost struct {
-	Geometry  jsonGeometry   `json:"geometry"`
-	Functions []jsonFuncCost `json:"functions"`
-}
-
-type jsonGeometry struct {
-	Ways      int `json:"ways"`
-	LineBytes int `json:"line_bytes"`
-}
-
-type jsonFuncCost struct {
-	Fn                string  `json:"fn"`
-	MemInstrs         int     `json:"mem_instrs"`
-	AlwaysHit         int     `json:"always_hit"`
-	AlwaysMiss        int     `json:"always_miss"`
-	Unclassified      int     `json:"unclassified"`
-	UnclassifiedRatio float64 `json:"unclassified_ratio"`
-	// StaticBound is the whole-function worst-case cycle bound; absent
-	// when a data-dependent loop leaves the function unbounded.
-	StaticBound uint64 `json:"static_bound,omitempty"`
-	AcyclicPath uint64 `json:"acyclic_path_bound"`
-}
-
 // lintModules lints each module in turn, rendering the findings into w,
 // and returns the exit code: 1 if any module has an error-level finding
 // (or a warning under werror), 0 otherwise.
@@ -116,30 +91,15 @@ func lintModules(mods []*ir.Module, verbose, werror, jsonOut bool, w *bytes.Buff
 	if verbose {
 		minSev = analysis.SevInfo
 	}
-	doc := jsonDoc{Schema: "castan-irlint/v1"}
+	doc := jsonDoc{Schema: lintSchema}
 	failed := false
 	for _, mod := range mods {
 		rep := analysis.Lint(mod, analysis.Options{
 			EntryHints: analysis.NFEntryHints(),
 			NoDeadDefs: !verbose,
 		})
-		// Structurally clean modules get the cache-cost summary and the
-		// taint controllability pass; their findings merge into the lint
-		// report (deduplicated — taint flags accesses the extent checks
-		// may already have mentioned) before counting and rendering.
-		var cc *cachecost.Analysis
-		if !rep.HasErrors() {
-			mf, mr := rep.Facts, rep.Regions
-			cc = cachecost.Run(mf, mr, cachecost.Config{Geometry: cachecost.DefaultGeometry()})
-			ta := taint.Run(mf, mr, taint.Config{EntryHints: taint.NFEntryTaints()})
-			rep.Findings = append(rep.Findings, ta.Controllability(cc)...)
-			vr := vrange.Run(mf, vrange.Config{EntryHints: vrange.NFEntryRanges()})
-			rep.Findings = append(rep.Findings, vr.Findings()...)
-			rep.Dedup()
-			rep.Sort()
-		}
 		if jsonOut {
-			doc.Modules = append(doc.Modules, jsonify(mod, rep, minSev, cc))
+			doc.Modules = append(doc.Modules, jsonify(rep, minSev))
 		} else {
 			rep.Write(w, minSev)
 		}
@@ -160,12 +120,9 @@ func lintModules(mods []*ir.Module, verbose, werror, jsonOut bool, w *bytes.Buff
 	return 0
 }
 
-// jsonify packages one module's report plus its cache-classification
-// summary. cc is the caller's cache analysis at the default geometry (the
-// simulated L3's associativity and line size) with no contention-set
-// model — the most conservative classification, which is the right
-// baseline for a lint gate; nil when the module had errors.
-func jsonify(mod *ir.Module, rep *analysis.Report, minSev analysis.Severity, cc *cachecost.Analysis) jsonModule {
+// jsonify packages one module's report: its counts and the findings at
+// or above minSev.
+func jsonify(rep *analysis.Report, minSev analysis.Severity) jsonModule {
 	jm := jsonModule{
 		Module:   rep.Module,
 		Errors:   rep.Count(analysis.SevError),
@@ -192,31 +149,6 @@ func jsonify(mod *ir.Module, rep *analysis.Report, minSev analysis.Severity, cc 
 			jf.Instr = f.InstrIdx
 		}
 		jm.Findings = append(jm.Findings, jf)
-	}
-	geo := cachecost.DefaultGeometry()
-	jm.CacheCost.Geometry = jsonGeometry{Ways: geo.Ways, LineBytes: geo.LineBytes}
-	jm.CacheCost.Functions = []jsonFuncCost{}
-	if cc == nil {
-		// A structurally broken module would feed garbage to the abstract
-		// interpreter; findings alone are the story here.
-		return jm
-	}
-	for _, name := range cc.FuncNames() {
-		f := mod.Funcs[name]
-		st := cc.FuncStats(f)
-		jf := jsonFuncCost{
-			Fn:                name,
-			MemInstrs:         st.Mem,
-			AlwaysHit:         st.AlwaysHit,
-			AlwaysMiss:        st.AlwaysMiss,
-			Unclassified:      st.Unclassified,
-			UnclassifiedRatio: math.Round(st.UnclassifiedRatio()*10000) / 10000,
-			AcyclicPath:       cc.AcyclicPathBound(f),
-		}
-		if b, ok := cc.FuncBound(f); ok {
-			jf.StaticBound = b
-		}
-		jm.CacheCost.Functions = append(jm.CacheCost.Functions, jf)
 	}
 	return jm
 }

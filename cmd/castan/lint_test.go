@@ -68,18 +68,41 @@ func TestOutOfExtentFixtureFails(t *testing.T) {
 	}
 }
 
-// TestWerrorPromotesWarnings: lpm-dl2's data-dependent stage-2 index is a
-// warning by default and a failure under -werror.
+// TestWerrorPromotesWarnings: -werror is a usable gate on the catalog.
+// Every NF but lpm-dl2 lints warning-free and passes under it; lpm-dl2's
+// one warning — its data-dependent stage-2 index, which memregion cannot
+// prove inside dl2_stage2 — passes by default and fails under -werror.
 func TestWerrorPromotesWarnings(t *testing.T) {
-	inst, err := nf.New("lpm-dl2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if code := lintModules([]*ir.Module{inst.Mod}, false, false, false, &buf); code != 0 {
-		t.Fatalf("lpm-dl2 should pass by default:\n%s", buf.String())
-	}
-	if code := lintModules([]*ir.Module{inst.Mod}, false, true, false, &buf); code != 1 {
-		t.Fatalf("lpm-dl2 should fail under -werror, got %d", code)
+	for _, name := range nf.Names {
+		inst, err := nf.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mods := []*ir.Module{inst.Mod}
+		var buf bytes.Buffer
+		if code := lintModules(mods, false, false, false, &buf); code != 0 {
+			t.Fatalf("%s should pass by default, got exit %d:\n%s", name, code, buf.String())
+		}
+		want := 0
+		if name == "lpm-dl2" {
+			want = 1
+		}
+		buf.Reset()
+		if code := lintModules(mods, false, true, false, &buf); code != want {
+			t.Errorf("%s: exit %d under -werror, want %d:\n%s", name, code, want, buf.String())
+		}
+		if name != "lpm-dl2" {
+			continue
+		}
+		var warns []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "warn ") {
+				warns = append(warns, line)
+			}
+		}
+		if len(warns) != 1 || !strings.HasPrefix(warns[0], "warn memregion ") ||
+			!strings.Contains(warns[0], "dl2_stage2") || !strings.Contains(warns[0], "may escape extent") {
+			t.Errorf("lpm-dl2: want exactly the memregion dl2_stage2 extent warning, got %q", warns)
+		}
 	}
 }

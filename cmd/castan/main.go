@@ -9,7 +9,7 @@
 //	castan rainbow -hash table -bits 12 -coverage 8        # one §3.5 table's coverage
 //	castan contention -lines 2600 -sets 6                  # §3.2 discovery on a bare region
 //	castan bench -compare results/BENCH_castan.json        # record or gate effort counters
-//	castan lint -json lpm-trie                             # the IR static-analysis gate
+//	castan lint -werror lpm-trie                           # the IR structural gate
 //	castan tracediff -base a.json -new b.json              # attribute telemetry deltas
 //	castan tracediff check -trace t.json -metrics m.json   # validate one run's artifacts
 //	castan testbed -figure 4                               # the §5 measurement campaign

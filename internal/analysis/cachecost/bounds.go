@@ -45,9 +45,8 @@ func maxBound(a, b bound) bound {
 
 // instrBound prices one instruction: its opcode cost, the miss penalty
 // for any memory access not proven always-hit, and — for calls — the
-// callee's whole-function bound (or its acyclic bound when acyclic is
-// set).
-func (a *Analysis) instrBound(in *ir.Instr, acyclic bool) bound {
+// callee's whole-function bound.
+func (a *Analysis) instrBound(in *ir.Instr) bound {
 	c := a.cost.Op.InstrCost(in)
 	switch in.Op {
 	case ir.OpLoad, ir.OpStore:
@@ -56,17 +55,10 @@ func (a *Analysis) instrBound(in *ir.Instr, acyclic bool) bound {
 		}
 	case ir.OpCall:
 		cs := a.fns[in.Callee]
-		if cs == nil {
+		if cs == nil || !cs.funcBound.ok {
 			return bound{0, false}
 		}
-		if acyclic {
-			c = satAdd(c, cs.acyclic)
-		} else {
-			if !cs.funcBound.ok {
-				return bound{0, false}
-			}
-			c = satAdd(c, cs.funcBound.v)
-		}
+		c = satAdd(c, cs.funcBound.v)
 	}
 	return bound{c, true}
 }
@@ -101,19 +93,14 @@ func (a *Analysis) buildBounds(f *ir.Func, fc *funcCost) {
 
 	// Per-block suffix arrays: suffix[b][i] bounds the cost of executing
 	// instructions i..end of b once.
-	acySuffix := map[*ir.Block][]bound{}
 	for _, b := range fa.RPO {
 		n := len(b.Instrs)
 		suf := make([]bound, n+1)
-		acy := make([]bound, n+1)
 		suf[n] = bound{0, true}
-		acy[n] = bound{0, true}
 		for i := n - 1; i >= 0; i-- {
-			suf[i] = a.instrBound(b.Instrs[i], false).add(suf[i+1])
-			acy[i] = a.instrBound(b.Instrs[i], true).add(acy[i+1])
+			suf[i] = a.instrBound(b.Instrs[i]).add(suf[i+1])
 		}
 		fc.suffix[b] = suf
-		acySuffix[b] = acy
 
 		// The per-block bound charges the whole block once per possible
 		// execution: one pass times the loop trip multiplier.
@@ -138,45 +125,18 @@ func (a *Analysis) buildBounds(f *ir.Func, fc *funcCost) {
 	// rest of the execution starting at b — including every remaining
 	// iteration of loops containing b, because b's weight already carries
 	// the trip multiplier.
-	acyR := map[*ir.Block]uint64{}
 	for i := len(fa.RPO) - 1; i >= 0; i-- {
 		b := fa.RPO[i]
 		succBest := bound{0, true}
-		var acyBest uint64
 		for _, s := range b.Succs() {
 			if retreating(fa, b, s) {
 				continue
 			}
 			succBest = maxBound(succBest, fc.residual[s])
-			if r := acyR[s]; r > acyBest {
-				acyBest = r
-			}
 		}
 		fc.residual[b] = fc.blockBound[b].add(succBest)
-		acyR[b] = satAdd(acySuffix[b][0].v, acyBest)
 	}
 	fc.funcBound = fc.residual[f.Entry()]
-	fc.acyclic = acyR[f.Entry()]
-}
-
-// FuncBound bounds the cost of one call to f, callees included.
-func (a *Analysis) FuncBound(f *ir.Func) (uint64, bool) {
-	fc := a.fns[f]
-	if fc == nil || !fc.funcBound.ok {
-		return 0, false
-	}
-	return fc.funcBound.v, true
-}
-
-// AcyclicPathBound bounds the cost of any single acyclic path through f
-// (loop bodies charged once, callees by their own acyclic bounds). It is
-// always finite.
-func (a *Analysis) AcyclicPathBound(f *ir.Func) uint64 {
-	fc := a.fns[f]
-	if fc == nil {
-		return 0
-	}
-	return fc.acyclic
 }
 
 // Residual bounds the remaining cost of an execution positioned at

@@ -1,8 +1,9 @@
 // Package cachecost runs a Ferdinand-style must/may abstract cache
-// analysis over the IR and turns the result into static worst-case cost
-// bounds (per block, per function, per acyclic path). Its consumer is
-// `castan lint`, which reports the classification; CrossCheck is the
-// oracle that holds the must side sound against the simulated hierarchy.
+// analysis over the IR and turns the result into static worst-case
+// bounds on the cost remaining from any program point (Residual). Its
+// one consumer is the symbex engine's StaticCost search term, which only
+// the benchmark's own engine sets; CrossCheck is the oracle that holds
+// the must side sound against the simulated hierarchy.
 //
 // The abstraction works on cache lines with *statically known* virtual
 // addresses: the memory-region pass resolves every load/store to a base
@@ -42,7 +43,6 @@ package cachecost
 
 import (
 	"fmt"
-	"sort"
 
 	"castan/internal/analysis"
 	"castan/internal/icfg"
@@ -110,24 +110,6 @@ func (c Class) String() string {
 		return "always-miss"
 	}
 	return "unclassified"
-}
-
-// Stats summarizes the classification of one function's memory
-// instructions.
-type Stats struct {
-	Mem          int // loads + stores
-	AlwaysHit    int
-	AlwaysMiss   int
-	Unclassified int
-}
-
-// UnclassifiedRatio is the fraction of memory instructions the analysis
-// could not classify (0 for a function without memory instructions).
-func (s Stats) UnclassifiedRatio() float64 {
-	if s.Mem == 0 {
-		return 0
-	}
-	return float64(s.Unclassified) / float64(s.Mem)
 }
 
 // Analysis is the module-level result.
@@ -329,23 +311,6 @@ func (st *absState) join(other *absState) bool {
 	return changed
 }
 
-func (st *absState) equal(other *absState) bool {
-	if st.mayTop != other.mayTop || len(st.must) != len(other.must) || len(st.may) != len(other.may) {
-		return false
-	}
-	for l, age := range st.must {
-		if o, ok := other.must[l]; !ok || o != age {
-			return false
-		}
-	}
-	for l, age := range st.may {
-		if o, ok := other.may[l]; !ok || o != age {
-			return false
-		}
-	}
-	return true
-}
-
 // clobber forgets everything the must side knows and makes every line
 // possibly resident — the transfer of an access whose address (or
 // footprint) is statically unknown.
@@ -489,7 +454,6 @@ func (a *Analysis) applyCall(st *absState, callee *ir.Func) {
 // funcCost carries one function's classification summary and cost bounds.
 type funcCost struct {
 	facts *analysis.Facts
-	stats Stats
 
 	// Interprocedural summary.
 	footprint   map[uint64]bool // lines the function (incl. callees) may access
@@ -502,7 +466,6 @@ type funcCost struct {
 	residual   map[*ir.Block]bound
 	outerLoop  map[*ir.Block]*analysis.Loop
 	funcBound  bound
-	acyclic    uint64
 }
 
 // analyzeFunc runs the fixpoint over one function (entry state: empty
@@ -592,15 +555,6 @@ func (a *Analysis) analyzeFunc(f *ir.Func, fa *analysis.Facts, ops map[*ir.Instr
 			cl := a.transferInstr(st, instr, ops)
 			if instr.Op == ir.OpLoad || instr.Op == ir.OpStore {
 				a.class[instr] = cl
-				fc.stats.Mem++
-				switch cl {
-				case AlwaysHit:
-					fc.stats.AlwaysHit++
-				case AlwaysMiss:
-					fc.stats.AlwaysMiss++
-				default:
-					fc.stats.Unclassified++
-				}
 			}
 			if instr.Op == ir.OpRet {
 				if !sawRet {
@@ -638,22 +592,3 @@ func (a *Analysis) ClassOf(in *ir.Instr) Class { return a.class[in] }
 // Ref returns the "fn/block/idx" reference of a classified memory
 // instruction, for diagnostics.
 func (a *Analysis) Ref(in *ir.Instr) string { return a.refs[in] }
-
-// FuncStats returns the classification summary of f.
-func (a *Analysis) FuncStats(f *ir.Func) Stats {
-	fc := a.fns[f]
-	if fc == nil {
-		return Stats{}
-	}
-	return fc.stats
-}
-
-// FuncNames returns the analyzed function names, sorted.
-func (a *Analysis) FuncNames() []string {
-	names := make([]string, 0, len(a.fns))
-	for f := range a.fns {
-		names = append(names, f.Name)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -36,7 +36,7 @@ func (s Severity) String() string {
 // Finding is one structured diagnostic anchored at an instruction (or a
 // whole block/function when InstrIdx is -1).
 type Finding struct {
-	Pass     string // producing pass: "validate", "defuse", "memregion", "liveness", "loops"
+	Pass     string // producing pass: "validate", "defuse", "liveness" or "memregion"
 	Sev      Severity
 	Fn       *ir.Func
 	Block    *ir.Block
@@ -124,33 +124,6 @@ func (r *Report) Sort() {
 		}
 		return a.InstrIdx < b.InstrIdx
 	})
-}
-
-// Dedup removes exact duplicate findings (same pass, severity, program
-// point, and message), keeping the first occurrence of each and
-// preserving order otherwise. Passes that walk overlapping structures
-// (e.g. a lint pass and a consumer pass flagging the same access) can
-// merge their findings into one report without double-reporting.
-func (r *Report) Dedup() {
-	type key struct {
-		pass     string
-		sev      Severity
-		fn       *ir.Func
-		block    *ir.Block
-		instrIdx int
-		msg      string
-	}
-	seen := make(map[key]bool, len(r.Findings))
-	out := r.Findings[:0]
-	for _, f := range r.Findings {
-		k := key{f.Pass, f.Sev, f.Fn, f.Block, f.InstrIdx, f.Msg}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, f)
-	}
-	r.Findings = out
 }
 
 // Write renders the report, findings at or above minSev, one per line.

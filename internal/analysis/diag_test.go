@@ -69,54 +69,6 @@ func TestSortIsStableWithinTies(t *testing.T) {
 	}
 }
 
-func TestDedupRemovesExactDuplicatesOnly(t *testing.T) {
-	f := diagFixture(t)
-	b0 := f.Blocks[0]
-	dup := Finding{Pass: "p", Sev: SevWarn, Fn: f, Block: b0, InstrIdx: 0, Msg: "same"}
-	rep := &Report{Findings: []Finding{
-		dup,
-		{Pass: "p", Sev: SevWarn, Fn: f, Block: b0, InstrIdx: 1, Msg: "same"}, // other instr
-		dup, // exact duplicate
-		{Pass: "q", Sev: SevWarn, Fn: f, Block: b0, InstrIdx: 0, Msg: "same"},  // other pass
-		{Pass: "p", Sev: SevInfo, Fn: f, Block: b0, InstrIdx: 0, Msg: "same"},  // other severity
-		{Pass: "p", Sev: SevWarn, Fn: f, Block: b0, InstrIdx: 0, Msg: "other"}, // other message
-		dup, // exact duplicate again
-	}}
-	rep.Dedup()
-	if len(rep.Findings) != 5 {
-		t.Fatalf("Dedup kept %d findings, want 5: %v", len(rep.Findings), rep.Findings)
-	}
-	// First occurrence survives in place; order of the rest is preserved.
-	if rep.Findings[0] != dup {
-		t.Fatalf("first occurrence not kept first: %v", rep.Findings[0])
-	}
-	wantMsgs := []string{"same", "same", "same", "same", "other"}
-	wantPass := []string{"p", "p", "q", "p", "p"}
-	for i, fd := range rep.Findings {
-		if fd.Msg != wantMsgs[i] || fd.Pass != wantPass[i] {
-			t.Fatalf("order not preserved at %d: got %s/%q", i, fd.Pass, fd.Msg)
-		}
-	}
-}
-
-func TestDedupIdempotentAndEmptySafe(t *testing.T) {
-	rep := &Report{}
-	rep.Dedup() // must not panic on nil Findings
-	if len(rep.Findings) != 0 {
-		t.Fatalf("empty report grew findings: %d", len(rep.Findings))
-	}
-	f := diagFixture(t)
-	rep.Findings = []Finding{
-		{Pass: "p", Sev: SevWarn, Fn: f, Msg: "a"},
-		{Pass: "p", Sev: SevWarn, Fn: f, Msg: "a"},
-	}
-	rep.Dedup()
-	rep.Dedup()
-	if len(rep.Findings) != 1 {
-		t.Fatalf("double Dedup left %d findings, want 1", len(rep.Findings))
-	}
-}
-
 func TestFindingRefAndString(t *testing.T) {
 	f := diagFixture(t)
 	b0 := f.Blocks[0]

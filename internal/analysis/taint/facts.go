@@ -1,10 +1,7 @@
 package taint
 
 import (
-	"fmt"
-
 	"castan/internal/analysis"
-	"castan/internal/analysis/cachecost"
 	"castan/internal/ir"
 )
 
@@ -90,72 +87,6 @@ func (a *Analysis) HashSites() []HashSiteTaint {
 			st.Foldable = !it.Addr.Tainted()
 		}
 		out = append(out, st)
-	}
-	return out
-}
-
-// Controllability renders the adversary-controllability findings: every
-// access whose address the input controls, ranked by what that control
-// buys the adversary — a tainted address reaching a DRAM-cost (non
-// always-hit) region is the paper's core vulnerability signal and
-// leads at SevWarn; cache-resident tainted accesses and hash-site key
-// controllability are advisory. cc may be nil (no cost ranking: every
-// tainted address warns).
-func (a *Analysis) Controllability(cc *cachecost.Analysis) []analysis.Finding {
-	var out []analysis.Finding
-	for i := range a.mr.Accesses {
-		acc := &a.mr.Accesses[i]
-		in := acc.Block.Instrs[acc.InstrIdx]
-		it, ok := a.instr[in]
-		if !ok || !it.Addr.Tainted() {
-			continue
-		}
-		kind := "load"
-		if acc.IsStore {
-			kind = "store"
-		}
-		region := "region"
-		if acc.Region != nil {
-			region = acc.Region.Name()
-		}
-		costClass := cachecost.Unclassified
-		if cc != nil {
-			costClass = cc.ClassOf(in)
-		}
-		if costClass == cachecost.AlwaysHit {
-			out = append(out, analysis.Finding{
-				Pass: "taint", Sev: analysis.SevInfo,
-				Fn: acc.Fn, Block: acc.Block, InstrIdx: acc.InstrIdx,
-				Msg: fmt.Sprintf("adversary-controlled %s address (%s) stays cache-resident in %s",
-					kind, it.Addr, region),
-			})
-		} else {
-			out = append(out, analysis.Finding{
-				Pass: "taint", Sev: analysis.SevWarn,
-				Fn: acc.Fn, Block: acc.Block, InstrIdx: acc.InstrIdx,
-				Msg: fmt.Sprintf("adversary-controlled %s address (%s) reaches %s %s — DRAM-cost amplification point",
-					kind, it.Addr, costClass, region),
-			})
-		}
-	}
-	for _, site := range a.HashSites() {
-		if !site.Reached {
-			continue
-		}
-		in := site.Block.Instrs[site.InstrIdx]
-		if site.Foldable {
-			out = append(out, analysis.Finding{
-				Pass: "taint", Sev: analysis.SevInfo,
-				Fn: site.Fn, Block: site.Block, InstrIdx: site.InstrIdx,
-				Msg: fmt.Sprintf("hash site %d key is input-independent — output folds to a constant, no inversion applies", in.HashID),
-			})
-		} else {
-			out = append(out, analysis.Finding{
-				Pass: "taint", Sev: analysis.SevInfo,
-				Fn: site.Fn, Block: site.Block, InstrIdx: site.InstrIdx,
-				Msg: fmt.Sprintf("hash site %d key is adversary-controlled (%s) — collision inversion applies", in.HashID, site.Key),
-			})
-		}
 	}
 	return out
 }

@@ -13,14 +13,13 @@
 //	                       unclassifiable memory access, or a byte set
 //	                       too wide to track
 //
-// TaintedLinear carries the byte set as provenance — "this index is
-// controlled by packet bytes 26..38" is exactly the fact the
-// controllability lint and the rainbow-table filter need. The analysis
-// is flow-sensitive over registers (RPO worklist fixpoints with loop
-// widening, in the memregion style), flow-INsensitive over memory
-// (one taint per memory region, a sound module-lifetime invariant that
-// also covers cross-packet state), and interprocedural via call
-// summaries iterated caller-first to a module-level fixpoint.
+// TaintedLinear carries the byte set as provenance: "this index is
+// controlled by packet bytes 26..38". The analysis is flow-sensitive
+// over registers (RPO worklist fixpoints with loop widening, in the
+// memregion style), flow-INsensitive over memory (one taint per memory
+// region, a sound module-lifetime invariant that also covers
+// cross-packet state), and interprocedural via call summaries iterated
+// caller-first to a module-level fixpoint.
 //
 // Implicit flows are handled: a conditional branch whose condition is
 // tainted taints every definition (and store, and call) in the blocks
@@ -241,7 +240,6 @@ var packetKey = regionKey{kind: analysis.RegionPacket}
 // Analysis is the module-level taint solution.
 type Analysis struct {
 	mf *analysis.ModuleFacts
-	mr *analysis.MemRegions
 
 	// Entries lists the analyzed root functions, sorted.
 	Entries []string
@@ -283,7 +281,6 @@ const maxCtlIters = 16
 func Run(mf *analysis.ModuleFacts, mr *analysis.MemRegions, cfg Config) *Analysis {
 	a := &Analysis{
 		mf:        mf,
-		mr:        mr,
 		instr:     map[*ir.Instr]InstrTaint{},
 		accessOf:  map[*ir.Instr]*analysis.Access{},
 		keyReadOf: map[*ir.Instr]*analysis.Access{},

@@ -3,7 +3,6 @@ package vrange
 import (
 	"fmt"
 
-	"castan/internal/analysis"
 	"castan/internal/ir"
 )
 
@@ -74,53 +73,6 @@ func (a *Analysis) Stats() Summary {
 		}
 	}
 	return s
-}
-
-// Findings reports statically-dead branch edges and unreachable blocks
-// with source coordinates, in deterministic (caller-first, block-index)
-// order. Severity is informational: a dead edge is a precision win for
-// the engine, not a module defect.
-func (a *Analysis) Findings() []analysis.Finding {
-	var out []analysis.Finding
-	for _, f := range a.order {
-		reached := a.reached[f]
-		for _, b := range f.Blocks {
-			if !reached[b.Index] {
-				out = append(out, analysis.Finding{
-					Pass:     "vrange",
-					Sev:      analysis.SevInfo,
-					Fn:       f,
-					Block:    b,
-					InstrIdx: -1,
-					Msg:      "block unreachable: no feasible in-edge under value-range analysis",
-				})
-				continue
-			}
-			for idx, in := range b.Instrs {
-				if in.Op != ir.OpCondBr {
-					continue
-				}
-				take, ok := a.BranchDecided(in)
-				if !ok {
-					continue
-				}
-				dead, live := in.Blk1, in.Blk0
-				if !take {
-					dead, live = in.Blk0, in.Blk1
-				}
-				out = append(out, analysis.Finding{
-					Pass:     "vrange",
-					Sev:      analysis.SevInfo,
-					Fn:       f,
-					Block:    b,
-					InstrIdx: idx,
-					Msg: fmt.Sprintf("branch statically decided: edge to %s is dead, always falls to %s (cond %s)",
-						dead.Name, live.Name, a.condRng[in]),
-				})
-			}
-		}
-	}
-	return out
 }
 
 // String renders a fact compactly: "=k" for constants, "[lo,hi]" plain

@@ -11,8 +11,7 @@
 // Consumers act only on the lattice's definite points: a branch whose
 // condition range excludes zero (or is exactly zero) is statically
 // decided, so symbex takes it concretely instead of forking and
-// querying; castan lint reports the never-taken edge and any block no
-// feasible edge reaches. Everything else is a plain range fact.
+// querying. Everything else is a plain range fact.
 package vrange
 
 import (
@@ -966,8 +965,8 @@ func (a *Analysis) joinParams(callee *ir.Func, args []VRange) bool {
 }
 
 // finalPass recomputes, from the settled facts, which blocks have a
-// feasible in-edge — the reachability castan lint's unreachable-block
-// findings report.
+// feasible in-edge — the reachability Stats counts unreachable blocks
+// by.
 func (a *Analysis) finalPass() {
 	if a.Capped {
 		return

@@ -151,15 +151,6 @@ func TestDeadEdgeDetection(t *testing.T) {
 	if s.UnreachableBlocks != 1 {
 		t.Fatalf("want 1 unreachable block (the dead else), got %+v", s)
 	}
-	fs := a.Findings()
-	if len(fs) != 2 {
-		t.Fatalf("want 2 findings (dead edge + unreachable block), got %d: %v", len(fs), fs)
-	}
-	for _, f := range fs {
-		if f.Pass != "vrange" || f.Sev != analysis.SevInfo {
-			t.Errorf("finding pass/sev: %v", f)
-		}
-	}
 	// The decided branch must be decided "true" (byte < 0x100 always).
 	decided := 0
 	for _, f := range m.Funcs {
