@@ -256,7 +256,8 @@ lint-strict:
 # chain walk Build takes (portable and AVX-512) the scalar walk on any
 # seeds, space, width and chain length;
 # the interval kernels must equal the reference Hacker's Delight loops on any
-# operands and brute force on 8-bit ones; the memory hierarchy must be
+# operands and brute force on 8-bit ones, and Range's transfer functions
+# must never grow when their operands shrink; the memory hierarchy must be
 # indistinguishable from its stamp-based reference on any call trace;
 # arbitrary bytes in a store entry's file must read as a miss or as that
 # entry's payload; arbitrary bytes must never panic cachemodel.Load or
@@ -275,6 +276,8 @@ fuzz-smoke:
 	$(GO) test ./internal/nfhash/ -fuzz FuzzRingLanes -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/expr/ -run FuzzIntervalKernels -count=1
 	$(GO) test ./internal/expr/ -fuzz FuzzIntervalKernels -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/expr/ -run FuzzRangeIsotone -count=1
+	$(GO) test ./internal/expr/ -fuzz FuzzRangeIsotone -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/memsim/ -run FuzzHierarchyTrace -count=1
 	$(GO) test ./internal/memsim/ -fuzz FuzzHierarchyTrace -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/store/ -run FuzzStoreEnvelope -count=1

@@ -3,6 +3,7 @@ package expr
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -208,5 +209,111 @@ func BenchmarkRange(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkU64 += Range(e, vals).Hi
+	}
+}
+
+// rangeOps is every op rangeBin has a transfer function for.
+var rangeOps = []Op{
+	OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpShl, OpLshr, OpUDiv, OpURem,
+	OpEq, OpNe, OpUlt, OpUle,
+}
+
+// within returns the sub-interval of iv between the two points x and y
+// select (each reduced into iv).
+func within(iv Interval, x, y uint64) Interval {
+	w := iv.Hi - iv.Lo + 1 // 0 when iv is Full
+	if w != 0 {
+		x, y = iv.Lo+x%w, iv.Lo+y%w
+	}
+	return Interval{min(x, y), max(x, y)}
+}
+
+func ordered(lo, hi uint64) Interval { return Interval{min(lo, hi), max(lo, hi)} }
+
+func inside(small, big Interval) bool { return small.Lo >= big.Lo && small.Hi <= big.Hi }
+
+// checkIsotone holds every transfer function to inclusion-isotonicity on
+// [a0,a1] x [b0,b1] x [c0,c1] and sub-intervals of them the s* pairs
+// pick: the result on the smaller operands lies inside the result on the
+// larger ones. Block refutation in the solver rests on it: Range with a
+// variable over a block of values contains Range with it pinned to any
+// one of them. Where the smaller operands are all points, the value
+// binConst computes lies inside too (soundness, the Eval-checked half).
+func checkIsotone(t *testing.T, op uint8, a0, a1, b0, b1, c0, c1, sa0, sa1, sb0, sb1, sc0, sc1 uint64) {
+	t.Helper()
+	a, b, c := ordered(a0, a1), ordered(b0, b1), ordered(c0, c1)
+	as, bs, cs := within(a, sa0, sa1), within(b, sb0, sb1), within(c, sc0, sc1)
+	if int(op)%(len(rangeOps)+1) == len(rangeOps) {
+		big, small := rangeIte(a, b, c), rangeIte(as, bs, cs)
+		if !inside(small, big) {
+			t.Fatalf("rangeIte(%v, %v, %v) = %v, but on %v, %v, %v it is %v", a, b, c, big, as, bs, cs, small)
+		}
+		return
+	}
+	o := rangeOps[int(op)%(len(rangeOps)+1)]
+	big, small := rangeBin(o, a, b), rangeBin(o, as, bs)
+	if !inside(small, big) {
+		t.Fatalf("%v: %v x %v gives %v, but %v x %v gives %v", o, a, b, big, as, bs, small)
+	}
+	x, xok := as.Singleton()
+	y, yok := bs.Singleton()
+	if v := binConst(o, x, y); xok && yok && !big.Contains(v) {
+		t.Fatalf("%v: %#x, %#x evaluates to %#x, outside %v x %v's %v", o, x, y, v, a, b, big)
+	}
+}
+
+// FuzzRangeIsotone: shrinking the operands of Range's transfer functions
+// never grows the result (checkIsotone).
+func FuzzRangeIsotone(f *testing.F) {
+	const top = ^uint64(0)
+	seed := func(op Op, a0, a1, b0, b1, sa0, sa1, sb0, sb1 uint64) {
+		f.Add(uint8(slices.Index(rangeOps, op)), a0, a1, b0, b1, uint64(0), uint64(0), sa0, sa1, sb0, sb1, uint64(0), uint64(0))
+	}
+	seed(OpAdd, top-10, top, 0, 20, 0, 3, 0, 5)   // wraps; the smaller sum does not
+	seed(OpSub, 5, 300, 0, 10, 200, 295, 0, 0)    // borrows; the smaller difference does not
+	seed(OpMul, 1, 1<<32+1, 1, 1<<32, 0, 3, 0, 3) // overflows; the smaller product does not
+	seed(OpMul, 0, 255, 0, 0, 0, 255, 0, 0)       // a zero factor
+	seed(OpShl, 1, 1<<62, 0, 3, 0, 1<<40, 2, 2)   // shift amount a point only in the smaller
+	seed(OpShl, 1, 255, 64, 64, 0, 254, 0, 0)     // shift past the width
+	seed(OpLshr, 0, top, 0, 70, 0, 5, 63, 63)     // ditto, right
+	seed(OpUDiv, 10, 1000, 0, 5, 0, 990, 0, 0)    // divisor interval holds zero
+	seed(OpURem, 10, 1000, 0, 5, 0, 990, 0, 0)    // ditto
+	seed(OpURem, 0, 1000, 7, 7, 0, 5, 0, 0)       // a point divisor above the smaller dividend
+	seed(OpEq, 0, 255, 100, 100, 100, 100, 0, 0)  // a point pair
+	seed(OpUle, 0, 255, 0, 255, 10, 10, 9, 9)     // decided only on the smaller
+	seed(OpAnd, 0x0a0b0c0d0e0f0000, 0x0a0b0c0d0e0fffff, 0, 255, 5, 9, 3, 3)
+	f.Add(uint8(len(rangeOps)), uint64(0), uint64(1), uint64(3), uint64(9), uint64(20), uint64(40), // Ite, condition a point only in the smaller
+		uint64(1), uint64(1), uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, op uint8, a0, a1, b0, b1, c0, c1, sa0, sa1, sb0, sb1, sc0, sc1 uint64) {
+		checkIsotone(t, op, a0, a1, b0, b1, c0, c1, sa0, sa1, sb0, sb1, sc0, sc1)
+		// Narrow copies reach the byte and point shapes the solver poses
+		// far more often than raw 64-bit draws do.
+		checkIsotone(t, op, a0>>56, a1>>56, b0>>58, b1>>58, c0&1, c1&1, sa0, sa1, sb0, sb1, sc0, sc1)
+		checkIsotone(t, op, a0&^0xff, a0|0xff, b0&0xff, b1&0xff, c0>>63, c1>>63, sa0, sa0, sb0, sb0, sc0, sc0)
+	})
+}
+
+// TestRangeIsotone runs the fuzz property over a seeded sample on every
+// plain `go test`.
+func TestRangeIsotone(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	draw := func() uint64 {
+		v := rng.Uint64()
+		switch rng.Intn(4) {
+		case 0:
+			v >>= uint(rng.Intn(64))
+		case 1:
+			v &= 0xff
+		case 2:
+			v = uint64(rng.Intn(70))
+		}
+		return v
+	}
+	for i := 0; i < 200000; i++ {
+		var v [12]uint64
+		for j := range v {
+			v[j] = draw()
+		}
+		checkIsotone(t, uint8(rng.Intn(256)), v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8], v[9], v[10], v[11])
 	}
 }

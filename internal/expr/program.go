@@ -188,26 +188,52 @@ func (p *Program) Eval(state []uint16) uint64 {
 
 // Range returns the expression's interval under state, as Range would.
 func (p *Program) Range(state []uint16) Interval {
-	iv := p.iv
 	if dirty := p.sync(p.rangeLeaf, state); dirty != 0 {
-		for i := range p.nodes {
-			n := &p.nodes[i]
-			if n.dep&dirty == 0 {
-				continue
-			}
-			switch n.op {
-			case OpVar:
-				if s := p.rangeLeaf[n.a]; s == Free {
-					iv[i] = Interval{0, 255}
-				} else {
-					iv[i] = Interval{uint64(s), uint64(s)}
-				}
-			case OpIte:
-				iv[i] = rangeIte(iv[n.a], iv[n.b], iv[n.c])
+		p.rangeFrom(dirty, -1, Interval{})
+	}
+	return p.iv[len(p.iv)-1]
+}
+
+// RangeOver returns the expression's interval under state, except that
+// the variable in state slot `slot` ranges over `over` (a sub-interval
+// of [0,255]) instead of reading state[slot]: Range's value with that
+// one leaf widened. Every transfer function is inclusion-isotone
+// (FuzzRangeIsotone), so the result contains what Range gives for each
+// pin of the variable inside `over`. The slot must be one the program
+// reads.
+func (p *Program) RangeOver(state []uint16, slot int32, over Interval) Interval {
+	j := int32(slices.Index(p.slots, slot))
+	dirty := p.sync(p.rangeLeaf, state) | depBit(int(j))
+	// The plane no longer holds state[slot]'s value at this leaf; marking
+	// it stale makes the next Range or RangeOver recompute what it reaches.
+	p.rangeLeaf[j] = stale
+	p.rangeFrom(dirty, j, over)
+	return p.iv[len(p.iv)-1]
+}
+
+// rangeFrom recomputes the Range plane's nodes that dirty reaches, with
+// local variable `over` (none when -1) read as overIv.
+func (p *Program) rangeFrom(dirty uint64, over int32, overIv Interval) {
+	iv := p.iv
+	for i := range p.nodes {
+		n := &p.nodes[i]
+		if n.dep&dirty == 0 {
+			continue
+		}
+		switch n.op {
+		case OpVar:
+			switch s := p.rangeLeaf[n.a]; {
+			case n.a == over:
+				iv[i] = overIv
+			case s == Free:
+				iv[i] = Interval{0, 255}
 			default:
-				iv[i] = rangeBin(n.op, iv[n.a], iv[n.b])
+				iv[i] = Interval{uint64(s), uint64(s)}
 			}
+		case OpIte:
+			iv[i] = rangeIte(iv[n.a], iv[n.b], iv[n.c])
+		default:
+			iv[i] = rangeBin(n.op, iv[n.a], iv[n.b])
 		}
 	}
-	return iv[len(iv)-1]
 }

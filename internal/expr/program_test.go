@@ -50,10 +50,28 @@ func randomDAG(rng *rand.Rand, nvars, size int) *Expr {
 	return pool[len(pool)-1]
 }
 
+// rangeOver is Range's tree walk with variable v ranging over `over`
+// whatever vals says of it.
+func rangeOver(e *Expr, vals map[VarID]uint64, v VarID, over Interval) Interval {
+	switch e.Op {
+	case OpConst:
+		return Interval{e.Val, e.Val}
+	case OpVar:
+		if e.Var == v {
+			return over
+		}
+		return Range(e, vals)
+	case OpIte:
+		return rangeIte(rangeOver(e.A, vals, v, over), rangeOver(e.B, vals, v, over), rangeOver(e.C, vals, v, over))
+	}
+	return rangeBin(e.Op, rangeOver(e.A, vals, v, over), rangeOver(e.B, vals, v, over))
+}
+
 // TestProgramMatchesTreeWalk: a compiled Program gives exactly Expr.Eval
-// and Range — on random DAGs, under random partial assignments, and
-// across sequences of small state changes, where it recomputes only the
-// dirty part and must still agree.
+// and Range, and RangeOver exactly Range with one variable's leaf
+// widened — on random DAGs, under random partial assignments, and across
+// sequences of small state changes, where it recomputes only the dirty
+// part and must still agree.
 func TestProgramMatchesTreeWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var compiler Compiler // reused, as the solver reuses its own
@@ -87,6 +105,16 @@ func TestProgramMatchesTreeWalk(t *testing.T) {
 					b := uint16(rng.Intn(256))
 					state[slots[j]] = b
 					vals[vars[j]] = uint64(b)
+				}
+			}
+			// Widen one variable to an interval, sometimes twice in a row
+			// and sometimes the same one: the next Range must not see it.
+			for n := rng.Intn(3); n > 0 && len(vars) > 0; n-- {
+				j := rng.Intn(len(vars))
+				lo, hi := uint64(rng.Intn(256)), uint64(rng.Intn(256))
+				over := Interval{min(lo, hi), max(lo, hi)}
+				if got, want := prog.RangeOver(state, slots[j], over), rangeOver(e, vals, vars[j], over); got != want {
+					t.Fatalf("dag %d step %d: Program.RangeOver %v, Range %v with v%d over %v\n%v under %v", i, step, got, want, vars[j], over, e, vals)
 				}
 			}
 			if rng.Intn(3) > 0 {

@@ -64,6 +64,7 @@ var Catalog = []Instrument{
 	{"rainbow.invert_keys", CounterKind, "keys", "internal/castan", false, "hash preimages recovered by table lookup, plus brute-force preimages for the inversions where that fallback ran"},
 	{"rainbow.tables", CounterKind, "tables", "internal/castan", false, "rainbow tables built (or loaded from the store) this run"},
 	{"solver.backtracks", CounterKind, "backtracks", "internal/solver", true, "constraint-solver search backtracks"},
+	{"solver.bulk_refuted_steps", CounterKind, "steps", "internal/solver", false, "search steps whose value a block check refuted in one interval evaluation; each is charged as a failed value check, so steps, propagation rounds and backtracks include them"},
 	{"solver.hint_hits", CounterKind, "values", "internal/solver", false, "hinted variable values (from the warm-start model) that survived propagation and were taken without search"},
 	{"solver.propagation_rounds", CounterKind, "rounds", "internal/solver", false, "constraint-propagation rounds across all queries"},
 	{"solver.queries", CounterKind, "queries", "internal/solver", true, "satisfiability queries issued by symbolic execution"},

@@ -24,31 +24,35 @@ func benchCheck(b *testing.B, q query) {
 }
 
 // BenchmarkCheckLocal is localRepair's solver work on the two kinds of
-// query that carry lb-rbtree's cost: the three-constraint local problem
-// that burns its whole 20000-step cap and comes back Unknown, and the
-// most expensive local refutation (3840 steps).
+// query that carry a tree NF's cost: the first local problem that burns
+// its whole 20000-step cap and comes back Unknown, and the most
+// expensive local refutation. lb-rbtree's (3840 steps refuted) is the
+// older row; nat-ubtree, whose queries are 97 % refutations at 24
+// packets, is ROADMAP item 1's target NF.
 func BenchmarkCheckLocal(b *testing.B) {
-	qs, _ := explore(b, "lb-rbtree")
-	var capped, unsat *query
-	unsatSteps := 0
-	for i := range qs {
-		q := &qs[i]
-		if q.maxSteps != 20000 {
-			continue // a full solve, not a local repair
+	for _, name := range []string{"lb-rbtree", "nat-ubtree"} {
+		qs, _ := explore(b, name)
+		var capped, unsat *query
+		unsatSteps := 0
+		for i := range qs {
+			q := &qs[i]
+			if q.maxSteps != 20000 {
+				continue // a full solve, not a local repair
+			}
+			sol := solver.Solver{MaxSteps: q.maxSteps, Hint: q.hint}
+			switch res, _, eff := sol.CheckEffort(q.cons); {
+			case res == solver.Unknown && capped == nil:
+				capped = q
+			case res == solver.Unsat && eff.Steps > unsatSteps:
+				unsat, unsatSteps = q, eff.Steps
+			}
 		}
-		sol := solver.Solver{MaxSteps: q.maxSteps, Hint: q.hint}
-		switch res, _, eff := sol.CheckEffort(q.cons); {
-		case res == solver.Unknown && capped == nil:
-			capped = q
-		case res == solver.Unsat && eff.Steps > unsatSteps:
-			unsat, unsatSteps = q, eff.Steps
+		if capped == nil || unsat == nil {
+			b.Fatalf("%s no longer poses a capped and a refuted local query", name)
 		}
+		b.Run(name+"/capped", func(b *testing.B) { benchCheck(b, *capped) })
+		b.Run(name+"/unsat", func(b *testing.B) { benchCheck(b, *unsat) })
 	}
-	if capped == nil || unsat == nil {
-		b.Fatal("lb-rbtree no longer poses a capped and a refuted local query")
-	}
-	b.Run("capped", func(b *testing.B) { benchCheck(b, *capped) })
-	b.Run("unsat", func(b *testing.B) { benchCheck(b, *unsat) })
 }
 
 // BenchmarkCheckPath is a from-scratch, unhinted Check of a completed

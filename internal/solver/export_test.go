@@ -15,3 +15,24 @@ func (s *Solver) CheckEffort(constraints []*expr.Expr) (Result, Model, Effort) {
 	}
 	return res, m, Effort{p.steps, p.props, p.backtracks, p.hintHits}
 }
+
+// Block is one run of values a block check refuted: the search had
+// taken Before steps, and the block's N values were charged the next N.
+type Block struct{ Before, N int }
+
+// SkippedBlocks runs Check's search on constraints and returns every
+// block it skipped, in order.
+func (s *Solver) SkippedBlocks(constraints []*expr.Expr) []Block {
+	p, res := newProblem(constraints, s.Hint)
+	if res != Unknown {
+		return nil
+	}
+	p.budget = s.MaxSteps
+	if p.budget <= 0 {
+		p.budget = DefaultMaxSteps
+	}
+	var blocks []Block
+	p.onSkip = func(steps, n int) { blocks = append(blocks, Block{steps, n}) }
+	p.search()
+	return blocks
+}

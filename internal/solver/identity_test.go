@@ -41,6 +41,32 @@ func sameAsReference(t *testing.T, what string, q query) (solver.Result, solver.
 	return res, m, eff
 }
 
+// cutInsideBlocks re-runs q under step caps that land on blocks the
+// search skipped (see solver.go's block refutation): at a block's first
+// value, somewhere inside it, and at its last, for the first and
+// last block and up to extra more drawn from rng. Every cut must give
+// the reference's Result, model and effort. It returns the number of
+// caps it tried.
+func cutInsideBlocks(t *testing.T, what string, q query, rng *rand.Rand, extra int) int {
+	t.Helper()
+	blocks := (&solver.Solver{MaxSteps: q.maxSteps, Hint: q.hint}).SkippedBlocks(q.cons)
+	if len(blocks) == 0 {
+		return 0
+	}
+	picks := []solver.Block{blocks[0], blocks[len(blocks)-1]}
+	for ; extra > 0; extra-- {
+		picks = append(picks, blocks[rng.Intn(len(blocks))])
+	}
+	cuts := 0
+	for _, b := range picks {
+		for _, cut := range []int{b.Before, b.Before + 1 + rng.Intn(max(b.N-1, 1)), b.Before + b.N} {
+			sameAsReference(t, fmt.Sprintf("%s cut at step %d (block of %d after step %d)", what, cut, b.N, b.Before), query{q.cons, q.hint, cut})
+			cuts++
+		}
+	}
+	return cuts
+}
+
 // explore runs the engine castan.Analyze runs on one catalog NF at
 // -packets 6 -states 4000 -seed 2018 and returns every query it posed to
 // a solver and the path constraints of every state it completed.
@@ -78,12 +104,14 @@ func explore(t testing.TB, name string) (qs []query, done [][]*expr.Expr) {
 // contention sets — as posed, without its hint, and under each of the
 // pipeline's three step caps (symbex full solve 8000, local repair 20000,
 // reconcile 30000), so that queries which hit a cap are compared at the
-// cut too.
+// cut too; and, as posed, under caps that cut inside the value blocks a
+// single interval check refuted.
 func TestCheckMatchesReferenceOnCapturedQueries(t *testing.T) {
 	for _, name := range []string{"lb-rbtree", "nat-ubtree", "lpm-trie", "nat-chain", "lb-ring", "lpm-dl1"} {
 		t.Run(name, func(t *testing.T) {
 			qs, _ := explore(t, name)
-			searched, capped := 0, 0
+			rng := rand.New(rand.NewSource(48))
+			searched, capped, cuts := 0, 0, 0
 			for i, q := range qs {
 				what := fmt.Sprintf("%s query %d", name, i)
 				res, _, eff := sameAsReference(t, what, q)
@@ -99,8 +127,12 @@ func TestCheckMatchesReferenceOnCapturedQueries(t *testing.T) {
 						sameAsReference(t, what, query{q.cons, q.hint, steps})
 					}
 				}
+				cuts += cutInsideBlocks(t, what, q, rng, 1)
 			}
-			t.Logf("%s: %d queries, %d searched, %d hit their cap", name, len(qs), searched, capped)
+			if cuts == 0 {
+				t.Fatalf("%s: no query skipped a block, so no cap cut inside one", name)
+			}
+			t.Logf("%s: %d queries, %d searched, %d hit their cap, %d caps cut on a skipped block", name, len(qs), searched, capped, cuts)
 		})
 	}
 }
@@ -196,11 +228,13 @@ func satisfiable(cons []*expr.Expr, nvars int, bounds []uint64) bool {
 // at most four byte variables Check equals the reference search (with
 // and without a hint, uncapped and under a cap small enough to bite),
 // every Sat model satisfies every constraint, and every verdict agrees
-// with exhaustive enumeration.
+// with exhaustive enumeration. Caps that cut inside skipped value blocks
+// (cutInsideBlocks) are compared too.
 func TestCheckMatchesReferenceAndBruteForce(t *testing.T) {
 	const systems = 3000
 	rng := rand.New(rand.NewSource(2018))
 	verdicts := map[solver.Result]int{}
+	cutRng, cuts := rand.New(rand.NewSource(48)), 0 // its own, so the systems drawn stay the same
 	for i := 0; i < systems; i++ {
 		nvars := 1 + rng.Intn(4)
 		bounds := make([]uint64, nvars)
@@ -240,11 +274,16 @@ func TestCheckMatchesReferenceAndBruteForce(t *testing.T) {
 		sameAsReference(t, what, query{cons, hint, 400000})
 		sameAsReference(t, what, query{cons, hint, 1 + rng.Intn(40)})
 		sameAsReference(t, what, query{cons, nil, 1 + rng.Intn(40)})
+		cuts += cutInsideBlocks(t, what, query{cons, hint, 400000}, cutRng, 1)
+		cuts += cutInsideBlocks(t, what, query{cons, nil, 400000}, cutRng, 1)
+	}
+	if cuts < systems {
+		t.Fatalf("only %d caps cut on a skipped block over %d systems", cuts, systems)
 	}
 	if verdicts[solver.Sat] < systems/10 || verdicts[solver.Unsat] < systems/10 {
 		t.Fatalf("generator is lopsided: %v", verdicts)
 	}
-	t.Logf("verdicts over %d systems: %v", systems, verdicts)
+	t.Logf("verdicts over %d systems: %v; %d caps cut on a skipped block", systems, verdicts, cuts)
 }
 
 // TestQuickFeasibleUnsatIsSound: on seeded random systems over at most

@@ -220,6 +220,7 @@ func (s *Solver) record(res Result, p *problem, durNanos uint64) {
 	rec.Histogram("solver.steps_per_query", obs.ExpBuckets(16, 16)...).Observe(uint64(p.steps))
 	rec.Counter("solver.propagation_rounds").Add(uint64(p.props))
 	rec.Counter("solver.backtracks").Add(uint64(p.backtracks))
+	rec.Counter("solver.bulk_refuted_steps").Add(uint64(p.bulkRefuted))
 	rec.Counter("solver.hint_hits").Add(uint64(p.hintHits))
 }
 
@@ -270,6 +271,12 @@ type problem struct {
 	props      int // propagateCheck invocations
 	backtracks int // assignments undone
 	hintHits   int // hinted values that survived propagation
+	// bulkRefuted counts the failed value checks a block check settled
+	// (part of steps, props and backtracks above).
+	bulkRefuted int
+	// onSkip, when set, sees every block skip: the step count before it
+	// and the block's length. Tests use it to cut the search inside one.
+	onSkip func(steps, n int)
 }
 
 type constraint struct {
@@ -467,7 +474,23 @@ func (p *problem) search() searchResult {
 	if slot < 0 {
 		return searchSat
 	}
-	for k := uint16(0); k < 256; k++ {
+	// size is the next block's length; wait counts the value-by-value
+	// checks left before the next block check.
+	size, wait := uint16(blockFirst), blockAfter
+	for k := uint16(0); k < 256; {
+		if wait == 0 {
+			n := min(size, 256-k)
+			if p.blockRefuted(slot, k, n) {
+				if !p.skip(int(n)) {
+					return searchBudget
+				}
+				k += n
+				size = min(2*size, 256)
+				continue
+			}
+			size = max(size/2, 1)
+			wait = blockCool
+		}
 		p.steps++
 		if p.steps > p.budget {
 			return searchBudget
@@ -483,8 +506,72 @@ func (p *problem) search() searchResult {
 			}
 		}
 		p.unassignVar(slot)
+		wait = max(wait-1, 0)
+		k++
 	}
 	return searchUnsat
+}
+
+// Block refutation. Most of a search node's values fail propagateCheck,
+// and often one interval check with the variable left ranging over a
+// block of them settles them all: if some constraint the value loop
+// would check has Range's Hi == 0 with the variable over the block's
+// values, every value in the block fails. For a constraint checked by
+// Eval (no other free variable), Eval lies inside Range (soundness);
+// for one checked by Range, the pinned Range lies inside the block's
+// (every transfer function is inclusion-isotone). So the search skips
+// the block and charges each value exactly what its failed check costs
+// — same steps, props, backtracks and cap — and explores the same tree.
+//
+// Block sizes gallop so that nodes the check cannot help pay little:
+// after blockAfter failed values in a row a node tries a block of
+// blockFirst values; a refuted block doubles the next one and is tried
+// again at once, a block that is not refuted halves it and waits out
+// blockCool value-by-value checks before the next try. blockAfter must
+// be at least 1 (see blockRefuted).
+const (
+	blockAfter = 2
+	blockFirst = 8
+	blockCool  = 4
+)
+
+// blockRefuted reports whether every value the node would try at
+// indices [k, k+n) fails propagateCheck, judged by one RangeOver per
+// constraint over the hull of those values. k must be at least 1: from
+// there on valueAt ascends, so the hull is [valueAt(k), valueAt(k+n-1)]
+// (it may contain the hinted value, tried at k = 0, which only widens
+// it).
+func (p *problem) blockRefuted(slot int32, k, n uint16) bool {
+	over := expr.Interval{Lo: uint64(p.valueAt(slot, k)), Hi: uint64(p.valueAt(slot, k+n-1))}
+	for _, ci := range p.varCons[slot] {
+		c := &p.cons[ci]
+		// After the assignment the value loop would make, c has c.free-1
+		// free variables: Eval-checked at 0, Range-checked up to the limit.
+		if c.free-1 <= rangeCheckMaxFree && c.prog.RangeOver(p.state, slot, over).Hi == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// skip charges n refuted values as n failed value checks: a step each,
+// under the same budget test, and a propagation round and a backtrack
+// for each that is not cut by the cap. It reports false when the cap
+// lands inside the block.
+func (p *problem) skip(n int) bool {
+	if p.onSkip != nil {
+		p.onSkip(p.steps, n)
+	}
+	m := min(n, p.budget-p.steps)
+	p.steps += m
+	p.props += m
+	p.backtracks += m
+	p.bulkRefuted += m
+	if m < n {
+		p.steps++ // the value the cap cuts at, counted as the value loop counts it
+		return false
+	}
+	return true
 }
 
 // QuickFeasible is a cheap, sound-for-Unsat check: it returns Unsat only
