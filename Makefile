@@ -263,7 +263,9 @@ lint-strict:
 # entry's payload; arbitrary bytes must never panic cachemodel.Load or
 # the pcap reader, and what they accept must survive a write/read round
 # trip; arbitrary bytes POSTed to /v1/analyze must never panic the
-# handler or draw a 5xx, and are a 400 unless they decode and validate.
+# handler or draw a 5xx, and are a 400 unless they decode and validate;
+# arbitrary bytes must never panic obs.ReadChromeTrace, and a recorder's
+# Chrome trace must read back to its exact spans and counters.
 FUZZ_TIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/ir/ -run FuzzModuleValidate -count=1
@@ -288,6 +290,8 @@ fuzz-smoke:
 	$(GO) test ./internal/pcap/ -fuzz FuzzPcapRead -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/service/ -run FuzzAnalyzeBody -count=1
 	$(GO) test ./internal/service/ -fuzz FuzzAnalyzeBody -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/obs/ -run FuzzReadChromeTrace -count=1
+	$(GO) test ./internal/obs/ -fuzz FuzzReadChromeTrace -fuzztime $(FUZZ_TIME)
 
 # Regenerate docs/TELEMETRY.md from the instrument tables (obs.Catalog,
 # service.Instruments). Run after editing a row; `go test .` fails on

@@ -83,11 +83,11 @@ func tracediffCheck(args []string, stdout, stderr io.Writer) int {
 	}
 	fatal := func(err error) int { return fail(stderr, "tracediff check", err) }
 	if *trace != "" {
-		n, err := obs.ValidateChromeTraceFile(*trace)
+		t, err := obs.ReadChromeTraceFile(*trace)
 		if err != nil {
 			return fatal(fmt.Errorf("%s: %w", *trace, err))
 		}
-		fmt.Fprintf(stdout, "%s: valid Chrome trace, %d events\n", *trace, n)
+		fmt.Fprintf(stdout, "%s: valid Chrome trace, %d events\n", *trace, t.Events)
 	}
 	if *metrics != "" {
 		f, err := os.Open(*metrics)

@@ -113,7 +113,7 @@ func newHavocFixture(t *testing.T) havocFixture {
 		tbl: tbl,
 		hu:  hu,
 		h: symbex.HavocRecord{
-			HashID: 1, Packet: 2, KeyLen: 2,
+			HashID: 1, Packet: 2,
 			Key:     []*expr.Expr{expr.Var(1), expr.Var(2)},
 			OutVars: []expr.VarID{3},
 			Out:     expr.Var(3),

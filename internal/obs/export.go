@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -32,6 +34,24 @@ type Phase struct {
 	Name       string `json:"name"`
 	Count      uint64 `json:"count"`
 	TotalNanos uint64 `json:"total_ns"`
+}
+
+// Phases groups events by name, in the order each name first appears:
+// the phase rule behind both a snapshot's Phases and a trace-only run's.
+func Phases(evs []Event) []Phase {
+	var out []Phase
+	idx := map[string]int{}
+	for _, ev := range evs {
+		i, ok := idx[ev.Name]
+		if !ok {
+			i = len(out)
+			idx[ev.Name] = i
+			out = append(out, Phase{Name: ev.Name})
+		}
+		out[i].Count++
+		out[i].TotalNanos += ev.Dur
+	}
+	return out
 }
 
 // Metrics is a recorder snapshot. JSON encoding is deterministic: map
@@ -81,17 +101,7 @@ func (r *Recorder) Snapshot() *Metrics {
 	evs := append([]Event(nil), r.events...)
 	r.mu.Unlock()
 	sortEvents(evs)
-	idx := map[string]int{}
-	for _, ev := range evs {
-		i, ok := idx[ev.Name]
-		if !ok {
-			i = len(m.Phases)
-			idx[ev.Name] = i
-			m.Phases = append(m.Phases, Phase{Name: ev.Name})
-		}
-		m.Phases[i].Count++
-		m.Phases[i].TotalNanos += ev.Dur
-	}
+	m.Phases = Phases(evs)
 	return m
 }
 
@@ -233,60 +243,123 @@ func (r *Recorder) WriteChromeTraceFile(path string) error {
 	return f.Close()
 }
 
-// ValidateChromeTrace checks that data matches the exporter's schema:
-// a strict JSON array, one event object per line bracketed by "[" and
-// "]" lines, every event carrying name/ph/pid/tid/ts, and every "X"
-// event a duration. It returns the number of events, or an error naming
-// the first offending line.
-func ValidateChromeTrace(data []byte) (int, error) {
+// ChromeTrace is what ReadChromeTrace recovers from a trace file.
+type ChromeTrace struct {
+	// Spans are the "X" events in file order, with the exact nanosecond
+	// ticks the writer encoded (IDs are not exported, so ID is 0).
+	Spans []Event
+	// Counters holds the final "C" samples (nil when there are none).
+	Counters map[string]uint64
+	// Events counts every event, "M" metadata included.
+	Events int
+}
+
+// ReadChromeTrace parses a trace in the layout WriteChromeTrace writes: a
+// strict JSON array, one event object per line bracketed by "[" and "]"
+// lines, every event carrying name/ph/pid/tid/ts, every "X" event a
+// duration, every "X" and "C" event a string name, and only "X", "C" and
+// "M" phases. Anything else is an error naming the first offending line.
+func ReadChromeTrace(data []byte) (*ChromeTrace, error) {
 	var all []map[string]any
 	if err := json.Unmarshal(data, &all); err != nil {
-		return 0, fmt.Errorf("trace is not a JSON array: %w", err)
+		return nil, fmt.Errorf("trace is not a JSON array: %w", err)
 	}
 	if len(all) == 0 {
-		return 0, fmt.Errorf("trace holds no events")
+		return nil, fmt.Errorf("trace holds no events")
 	}
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
 	if len(lines) < 3 || strings.TrimSpace(lines[0]) != "[" || strings.TrimSpace(lines[len(lines)-1]) != "]" {
-		return 0, fmt.Errorf("trace body is not one event per line inside [ ... ] lines")
+		return nil, fmt.Errorf("trace body is not one event per line inside [ ... ] lines")
 	}
 	body := lines[1 : len(lines)-1]
 	if len(body) != len(all) {
-		return 0, fmt.Errorf("%d events but %d body lines; expected one event per line", len(all), len(body))
+		return nil, fmt.Errorf("%d events but %d body lines; expected one event per line", len(all), len(body))
 	}
+	t := &ChromeTrace{Events: len(all)}
 	for i, line := range body {
-		var ev map[string]any
+		var ev map[string]json.RawMessage
 		if err := json.Unmarshal([]byte(strings.TrimSuffix(strings.TrimSpace(line), ",")), &ev); err != nil {
-			return 0, fmt.Errorf("line %d: not a JSON event object: %w", i+2, err)
+			return nil, fmt.Errorf("line %d: not a JSON event object: %w", i+2, err)
 		}
 		for _, key := range []string{"name", "ph", "pid", "tid", "ts"} {
 			if _, ok := ev[key]; !ok {
-				return 0, fmt.Errorf("line %d: event missing %q", i+2, key)
+				return nil, fmt.Errorf("line %d: event missing %q", i+2, key)
 			}
 		}
-		ph, _ := ev["ph"].(string)
+		var ph, name string
+		_ = json.Unmarshal(ev["ph"], &ph) // not a string: no phase
+		dur, durOK := nonnegative(ev["dur"])
+		if ph == "X" && !durOK {
+			return nil, fmt.Errorf("line %d: complete event missing nonnegative dur", i+2)
+		}
+		if ph != "X" && ph != "C" && ph != "M" {
+			return nil, fmt.Errorf("line %d: unexpected phase %q", i+2, ph)
+		}
+		ts, ok := nonnegative(ev["ts"])
+		if !ok {
+			return nil, fmt.Errorf("line %d: ts is not a nonnegative number", i+2)
+		}
+		if json.Unmarshal(ev["name"], &name) != nil && ph != "M" {
+			return nil, fmt.Errorf("line %d: event name is not a string", i+2)
+		}
 		switch ph {
 		case "X":
-			d, ok := ev["dur"].(float64)
-			if !ok || d < 0 {
-				return 0, fmt.Errorf("line %d: complete event missing nonnegative dur", i+2)
+			t.Spans = append(t.Spans, Event{Name: name, Start: ticks(ts), Dur: ticks(dur)})
+		case "C":
+			var args map[string]json.RawMessage
+			_ = json.Unmarshal(ev["args"], &args) // no args object: no sample
+			if v, ok := nonnegative(args["value"]); ok {
+				if t.Counters == nil {
+					t.Counters = map[string]uint64{}
+				}
+				t.Counters[name] = sampleValue(v)
 			}
-		case "M", "C":
-		default:
-			return 0, fmt.Errorf("line %d: unexpected phase %q", i+2, ph)
-		}
-		if ts, ok := ev["ts"].(float64); !ok || ts < 0 {
-			return 0, fmt.Errorf("line %d: ts is not a nonnegative number", i+2)
 		}
 	}
-	return len(all), nil
+	return t, nil
 }
 
-// ValidateChromeTraceFile validates the file at path.
-func ValidateChromeTraceFile(path string) (int, error) {
+// ReadChromeTraceFile reads the trace file at path.
+func ReadChromeTraceFile(path string) (*ChromeTrace, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return ValidateChromeTrace(bytes.TrimSpace(data))
+	return ReadChromeTrace(bytes.TrimSpace(data))
+}
+
+// nonnegative returns raw's text when it is a JSON number (not a string
+// holding one) that is not below zero.
+func nonnegative(raw json.RawMessage) (string, bool) {
+	var n json.Number
+	if len(raw) == 0 || raw[0] == '"' || json.Unmarshal(raw, &n) != nil || n == "" {
+		return "", false
+	}
+	v, _ := n.Float64()
+	return string(n), v >= 0
+}
+
+// ticks inverts usec: the writer's "<us>.<ns%1000>" form converts back to
+// its nanoseconds exactly, any other number through float64.
+func ticks(n string) uint64 {
+	us, frac, _ := strings.Cut(n, ".")
+	if len(frac) == 3 {
+		u, err1 := strconv.ParseUint(us, 10, 64)
+		f, err2 := strconv.ParseUint(frac, 10, 64)
+		if err1 == nil && err2 == nil && u <= (math.MaxUint64-f)/1000 {
+			return u*1000 + f
+		}
+	}
+	v, _ := strconv.ParseFloat(n, 64)
+	return uint64(v*1000 + 0.5)
+}
+
+// sampleValue reads a counter sample: integers exactly, other numbers
+// rounded.
+func sampleValue(n string) uint64 {
+	if v, err := strconv.ParseUint(n, 10, 64); err == nil {
+		return v
+	}
+	v, _ := strconv.ParseFloat(n, 64)
+	return uint64(v + 0.5)
 }

@@ -1,6 +1,7 @@
 // Package obs is the repo's zero-dependency observability layer: named
-// counters and gauges, fixed-bucket histograms, hierarchical spans, and
-// exporters (a metrics JSON snapshot and a Chrome trace_event file).
+// counters and gauges, fixed-bucket histograms, nested spans, and
+// exporters (a metrics JSON snapshot and a Chrome trace_event file, both
+// of which it also reads back).
 // Every analysis layer — symbex, solver, memsim, rainbow, and the castan
 // pipeline — records into a *Recorder, and later PRs prove their speedups
 // against the emitted numbers.

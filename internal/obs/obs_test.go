@@ -2,7 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"strings"
+	"reflect"
 	"testing"
 
 	"castan/internal/parallel"
@@ -15,7 +15,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Gauge("g").Set(7)
 	r.Histogram("h", 1, 2, 4).Observe(3)
 	sp := r.Span("root")
-	sp.Child("child").End()
+	sp.Stage("child").End()
 	sp.End()
 	if r.NowNanos() != 0 {
 		t.Error("nil recorder clock should read 0")
@@ -64,7 +64,7 @@ func TestFakeClockSpansAreDeterministic(t *testing.T) {
 		r := New(NewFakeClock(1000))
 		root := r.Span("analyze")
 		for _, phase := range []string{"static", "discover", "symbex"} {
-			sp := root.Child(phase)
+			sp := root.Stage(phase)
 			r.Counter("work." + phase).Inc()
 			sp.End()
 		}
@@ -95,12 +95,13 @@ func TestFakeClockSpansAreDeterministic(t *testing.T) {
 	if len(evs) != 4 {
 		t.Fatalf("%d events, want 4", len(evs))
 	}
-	if evs[0].Name != "analyze" || evs[0].Parent != 0 {
-		t.Errorf("first event should be the root span: %+v", evs[0])
+	root := evs[0]
+	if root.Name != "analyze" {
+		t.Errorf("first event should be the root span: %+v", root)
 	}
 	for _, ev := range evs[1:] {
-		if ev.Parent != evs[0].ID {
-			t.Errorf("child %s has parent %d, want %d", ev.Name, ev.Parent, evs[0].ID)
+		if ev.Start < root.Start || ev.Start+ev.Dur > root.Start+root.Dur {
+			t.Errorf("stage %+v lies outside the root %+v", ev, root)
 		}
 	}
 }
@@ -134,37 +135,51 @@ func TestWorkerCountInvariant(t *testing.T) {
 	}
 }
 
+// badTraces are files the trace reader must refuse.
+var badTraces = []string{
+	"",
+	"{}",
+	"[]",
+	"[\n{\"name\":\"x\"}\n]",
+	"[\n{\"name\":\"x\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":0}\n]",       // X without dur
+	"[\n{\"name\":\"x\",\"ph\":\"Q\",\"pid\":1,\"tid\":1,\"ts\":0}\n]",       // unknown phase
+	"[\n{\"name\":7,\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":0,\"dur\":1}\n]", // span name not a string
+}
+
 func TestChromeTraceValidates(t *testing.T) {
-	r := New(NewFakeClock(1000))
-	sp := r.Span("phase")
+	for _, bad := range badTraces {
+		if _, err := ReadChromeTrace([]byte(bad)); err == nil {
+			t.Errorf("ReadChromeTrace accepted %q", bad)
+		}
+	}
+}
+
+// TestChromeRoundTripExactTicks: the reader recovers the writer's spans
+// to the nanosecond, on ticks that are not whole microseconds, and its
+// final counters.
+func TestChromeRoundTripExactTicks(t *testing.T) {
+	r := New(NewFakeClock(1234567))
+	root := r.Span("analyze")
+	root.Stage("symbex").End()
 	r.Counter("solver.queries").Add(42)
-	sp.End()
+	root.End()
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	n, err := ValidateChromeTrace(bytes.TrimSpace(buf.Bytes()))
+	tr, err := ReadChromeTrace(buf.Bytes())
 	if err != nil {
 		t.Fatalf("exporter output fails its own schema: %v\n%s", err, buf.String())
 	}
-	if n != 3 { // metadata + span + counter
-		t.Errorf("validated %d events, want 3", n)
+	if tr.Events != 4 { // metadata + two spans + counter
+		t.Errorf("read %d events, want 4", tr.Events)
 	}
-	if !strings.Contains(buf.String(), `"ph":"X"`) || !strings.Contains(buf.String(), `"ph":"C"`) {
-		t.Errorf("trace missing span or counter events:\n%s", buf.String())
+	want := r.Events()
+	for i := range want {
+		want[i].ID = 0 // the trace does not export span IDs
 	}
-
-	for _, bad := range []string{
-		"",
-		"{}",
-		"[]",
-		"[\n{\"name\":\"x\"}\n]",
-		"[\n{\"name\":\"x\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":0}\n]", // X without dur
-		"[\n{\"name\":\"x\",\"ph\":\"Q\",\"pid\":1,\"tid\":1,\"ts\":0}\n]", // unknown phase
-	} {
-		if _, err := ValidateChromeTrace([]byte(bad)); err == nil {
-			t.Errorf("ValidateChromeTrace accepted %q", bad)
-		}
+	if !reflect.DeepEqual(tr.Spans, want) || !reflect.DeepEqual(tr.Counters, r.Snapshot().Counters) {
+		t.Errorf("read spans %+v counters %v, want %+v and solver.queries=42", tr.Spans, tr.Counters, want)
 	}
 }
 

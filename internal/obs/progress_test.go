@@ -347,7 +347,7 @@ func TestStageIsBeginChildEndEnd(t *testing.T) {
 		}
 		wantPub, wantSpans := run(func(rec *Recorder, root *Span, name string, work func()) {
 			rec.StageBegin(name)
-			sp := root.Child(name)
+			sp := rec.Span(name)
 			work()
 			sp.End()
 			rec.StageEnd(name)

@@ -51,7 +51,7 @@ func TestConcurrentInstrumentsAndSubscribers(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			sp := rec.Span("race.span")
-			sp.Child("race.child").End()
+			rec.Span("race.child").End()
 			sp.End()
 		}
 	}()

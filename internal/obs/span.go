@@ -2,33 +2,30 @@ package obs
 
 import "sort"
 
-// Span is one timed region of the pipeline. Spans form a hierarchy via
-// Child; a completed span becomes an Event in the recorder's sink. Spans
-// must start and end on the pipeline goroutine (DESIGN.md decision 8) so
-// their clock readings — and therefore the trace bytes — stay
-// deterministic under the fake clock.
+// Span is one timed region of the pipeline: a root opened by
+// Recorder.Span or a stage opened inside it by Stage. A completed span
+// becomes an Event in the recorder's sink; nesting is by time interval,
+// not by a recorded link. Spans must start and end on the pipeline
+// goroutine (DESIGN.md decision 8) so their clock readings — and
+// therefore the trace bytes — stay deterministic under the fake clock.
 type Span struct {
-	r      *Recorder
-	name   string
-	id     int64
-	parent int64
-	start  uint64
-	stage  bool // opened by Stage: End also publishes stage_end
+	r     *Recorder
+	name  string
+	id    int64
+	start uint64
+	stage bool // opened by Stage: End also publishes stage_end
 }
 
 // Event is one completed span, as Recorder.Events returns it.
 type Event struct {
-	Name   string `json:"name"`
-	Start  uint64 `json:"start_ns"`
-	Dur    uint64 `json:"dur_ns"`
-	ID     int64  `json:"id"`
-	Parent int64  `json:"parent,omitempty"`
+	Name  string `json:"name"`
+	Start uint64 `json:"start_ns"`
+	Dur   uint64 `json:"dur_ns"`
+	ID    int64  `json:"id"`
 }
 
 // Span starts a new root span.
-func (r *Recorder) Span(name string) *Span { return r.span(name, 0) }
-
-func (r *Recorder) span(name string, parent int64) *Span {
+func (r *Recorder) Span(name string) *Span {
 	if r == nil {
 		return nil
 	}
@@ -36,19 +33,11 @@ func (r *Recorder) span(name string, parent int64) *Span {
 	r.nextID++
 	id := r.nextID
 	r.mu.Unlock()
-	return &Span{r: r, name: name, id: id, parent: parent, start: r.clock.Now()}
-}
-
-// Child starts a span nested under s.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.r.span(name, s.id)
+	return &Span{r: r, name: name, id: id, start: r.clock.Now()}
 }
 
 // Stage opens a pipeline stage under s: it publishes the stage_begin
-// progress event and then starts the child span, both under one name, and
+// progress event and then starts the stage's span, both under one name, and
 // the returned span's End closes both in the reverse order. The name is
 // the stage's identity on the event bus, in the trace and in the catalog's
 // phase rows, so it is written once per stage.
@@ -57,7 +46,7 @@ func (s *Span) Stage(name string) *Span {
 		return nil
 	}
 	s.r.StageBegin(name)
-	c := s.r.span(name, s.id)
+	c := s.r.Span(name)
 	c.stage = true
 	return c
 }
@@ -70,7 +59,7 @@ func (s *Span) End() {
 		return
 	}
 	end := s.r.clock.Now()
-	ev := Event{Name: s.name, Start: s.start, Dur: end - s.start, ID: s.id, Parent: s.parent}
+	ev := Event{Name: s.name, Start: s.start, Dur: end - s.start, ID: s.id}
 	s.r.mu.Lock()
 	s.r.events = append(s.r.events, ev)
 	s.r.mu.Unlock()

@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"castan/internal/obs"
-	"castan/internal/obs/traceanalysis"
 )
 
 // Run is one side of a comparison.
@@ -28,14 +27,16 @@ type Run struct {
 	// Counters and Phases come from an obs.Metrics snapshot or a bench row.
 	Counters map[string]uint64
 	Phases   []obs.Phase
-	// Tree, when non-nil, is the run's reconstructed span tree; the report
-	// then includes both runs' critical paths.
-	Tree *traceanalysis.Tree
+	// Spans are the run's trace spans, when a trace was given; the report
+	// then includes the run's critical path.
+	Spans []obs.Event
 }
 
 // LoadRun reads a run from a metrics snapshot file and an optional trace
-// file ("" to skip). A trace-only run (metricsPath "") takes its counters
-// from the trace's final counter samples.
+// file ("" to skip). The trace goes through obs.ReadChromeTrace, so a file
+// castan tracediff check refuses is refused here too. A trace-only run
+// (metricsPath "") takes its counters from the trace's final counter
+// samples and its phases from its spans, by the snapshot's rule.
 func LoadRun(metricsPath, tracePath string) (*Run, error) {
 	r := &Run{Label: metricsPath}
 	if metricsPath != "" {
@@ -52,11 +53,11 @@ func LoadRun(metricsPath, tracePath string) (*Run, error) {
 		r.Phases = m.Phases
 	}
 	if tracePath != "" {
-		t, err := traceanalysis.LoadFile(tracePath)
+		t, err := obs.ReadChromeTraceFile(tracePath)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", tracePath, err)
 		}
-		r.Tree = t
+		r.Spans = t.Spans
 		if r.Label == "" {
 			r.Label = tracePath
 		}
@@ -64,10 +65,7 @@ func LoadRun(metricsPath, tracePath string) (*Run, error) {
 			r.Counters = t.Counters
 		}
 		if r.Phases == nil {
-			for _, st := range t.ByName() {
-				r.Phases = append(r.Phases, obs.Phase{Name: st.Name, Count: uint64(st.Count), TotalNanos: st.Total})
-			}
-			sort.Slice(r.Phases, func(i, j int) bool { return r.Phases[i].Name < r.Phases[j].Name })
+			r.Phases = obs.Phases(t.Spans)
 		}
 	}
 	if r.Counters == nil && r.Phases == nil {
@@ -231,19 +229,62 @@ func Diff(base, cur *Run, tolerance float64) *Report {
 	}
 	sortEntries(rep.Phases)
 
-	if base.Tree != nil {
-		rep.BaseCriticalPath = renderPath(base.Tree)
-	}
-	if cur.Tree != nil {
-		rep.NewCriticalPath = renderPath(cur.Tree)
-	}
+	rep.BaseCriticalPath = criticalPath(base.Spans)
+	rep.NewCriticalPath = criticalPath(cur.Spans)
 	return rep
 }
 
-func renderPath(t *traceanalysis.Tree) string {
+// criticalPath renders the chain of stages that bounds a run's length:
+// the longest root span, then at every level its longest child, ties
+// going to the earlier start. A trace records no parent links, so a span's
+// parent is the innermost earlier span whose interval contains it. Each
+// step prints its share of the root's duration.
+func criticalPath(spans []obs.Event) string {
+	order := append([]obs.Event(nil), spans...)
+	sort.SliceStable(order, func(i, j int) bool {
+		if order[i].Start != order[j].Start {
+			return order[i].Start < order[j].Start
+		}
+		return order[i].Dur > order[j].Dur
+	})
+	parent := make([]int, len(order))
+	var open []int // the chain of spans containing the current one
+	for i, s := range order {
+		for len(open) > 0 {
+			p := order[open[len(open)-1]]
+			if s.Start >= p.Start && s.Start+s.Dur <= p.Start+p.Dur {
+				break
+			}
+			open = open[:len(open)-1]
+		}
+		parent[i] = -1
+		if len(open) > 0 {
+			parent[i] = open[len(open)-1]
+		}
+		open = append(open, i)
+	}
 	var parts []string
-	for _, step := range t.CriticalPath() {
-		parts = append(parts, fmt.Sprintf("%s %dns (%.0f%%)", step.Span.Name, step.Span.Dur, step.Share*100))
+	var rootDur uint64
+	for cur := -1; ; {
+		next := -1
+		for i := range order {
+			if parent[i] == cur && (next < 0 || order[i].Dur > order[next].Dur) {
+				next = i
+			}
+		}
+		if next < 0 {
+			break
+		}
+		s := order[next]
+		if cur < 0 {
+			rootDur = s.Dur
+		}
+		share := 1.0
+		if rootDur > 0 {
+			share = float64(s.Dur) / float64(rootDur)
+		}
+		parts = append(parts, fmt.Sprintf("%s %dns (%.0f%%)", s.Name, s.Dur, share*100))
+		cur = next
 	}
 	return strings.Join(parts, " > ")
 }

@@ -2,7 +2,11 @@ package tracediff
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -108,23 +112,32 @@ func TestDiffZeroBaseline(t *testing.T) {
 	}
 }
 
-func TestLoadRunFromFiles(t *testing.T) {
-	dir := t.TempDir()
-	rec := obs.New(obs.NewFakeClock(1000))
-	rec.Counter("solver.queries").Add(42)
-	root := rec.Span("castan.analyze")
-	child := root.Child("castan.symbex")
-	child.End()
-	root.End()
-
-	metricsPath := filepath.Join(dir, "metrics.json")
+// writeTrace exports rec's metrics and Chrome trace into dir.
+func writeTrace(t *testing.T, rec *obs.Recorder, dir string) (metricsPath, tracePath string) {
+	t.Helper()
+	metricsPath = filepath.Join(dir, "metrics.json")
 	if err := rec.Snapshot().WriteJSONFile(metricsPath); err != nil {
 		t.Fatal(err)
 	}
-	tracePath := filepath.Join(dir, "trace.json")
+	tracePath = filepath.Join(dir, "trace.json")
 	if err := rec.WriteChromeTraceFile(tracePath); err != nil {
 		t.Fatal(err)
 	}
+	return metricsPath, tracePath
+}
+
+func TestLoadRunFromFiles(t *testing.T) {
+	rec := obs.New(obs.NewFakeClock(1000))
+	rec.Counter("solver.queries").Add(42)
+	root := rec.Span("castan.analyze")
+	root.Stage("castan.discover").End()
+	symbex := root.Stage("castan.symbex")
+	for i := 0; i < 3; i++ {
+		symbex.Stage("castan.symbex.shard").End()
+	}
+	symbex.End()
+	root.End()
+	metricsPath, tracePath := writeTrace(t, rec, t.TempDir())
 
 	run, err := LoadRun(metricsPath, tracePath)
 	if err != nil {
@@ -133,11 +146,12 @@ func TestLoadRunFromFiles(t *testing.T) {
 	if run.Counters["solver.queries"] != 42 {
 		t.Errorf("counters = %v", run.Counters)
 	}
-	if run.Tree == nil || len(run.Tree.Roots) != 1 {
-		t.Fatalf("tree not loaded: %+v", run.Tree)
+	if len(run.Spans) != 6 {
+		t.Fatalf("spans not loaded: %+v", run.Spans)
 	}
 
-	// Trace-only run: counters come from the trace's "C" samples.
+	// Trace-only run: counters come from the trace's "C" samples, and
+	// phases are the recorder's own by name, count and total ticks.
 	tRun, err := LoadRun("", tracePath)
 	if err != nil {
 		t.Fatal(err)
@@ -145,8 +159,8 @@ func TestLoadRunFromFiles(t *testing.T) {
 	if tRun.Counters["solver.queries"] != 42 {
 		t.Errorf("trace-only counters = %v", tRun.Counters)
 	}
-	if len(tRun.Phases) == 0 {
-		t.Error("trace-only run derived no phases")
+	if want := rec.Snapshot().Phases; !reflect.DeepEqual(tRun.Phases, want) {
+		t.Errorf("trace-only phases %+v, want the snapshot's %+v", tRun.Phases, want)
 	}
 
 	rep := Diff(run, tRun, 0.05)
@@ -155,5 +169,65 @@ func TestLoadRunFromFiles(t *testing.T) {
 	}
 	if rep.BaseCriticalPath == "" || !strings.Contains(rep.BaseCriticalPath, "castan.analyze") {
 		t.Errorf("critical path not rendered: %q", rep.BaseCriticalPath)
+	}
+}
+
+// TestLoadRunRejectsWhatCheckRejects: tracediff and tracediff check read
+// traces through one reader, so a file check refuses cannot be diffed —
+// not even a valid trace re-serialized onto one line.
+func TestLoadRunRejectsWhatCheckRejects(t *testing.T) {
+	rec := obs.New(obs.NewFakeClock(1000))
+	rec.Span("castan.analyze").End()
+	var buf bytes.Buffer
+	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var oneLine bytes.Buffer
+	if err := json.Compact(&oneLine, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for i, bad := range []string{
+		"",
+		"{}",
+		"[]",
+		oneLine.String(),
+		"[\n{\"name\":\"x\"}\n]",
+		"[\n{\"name\":\"x\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":0}\n]",
+		"[\n{\"name\":\"x\",\"ph\":\"Q\",\"pid\":1,\"tid\":1,\"ts\":0}\n]",
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("bad%d.json", i))
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := obs.ReadChromeTraceFile(path); err == nil {
+			t.Errorf("tracediff check accepts %q", bad)
+		}
+		if _, err := LoadRun("", path); err == nil {
+			t.Errorf("LoadRun accepted %q, which tracediff check refuses", bad)
+		}
+	}
+}
+
+func TestCriticalPathFollowsHeaviestChild(t *testing.T) {
+	rec := obs.New(obs.NewFakeClock(1000))
+	root := rec.Span("root")
+	root.Stage("light").End()
+	heavy := root.Stage("heavy")
+	inner := heavy.Stage("inner")
+	for i := 0; i < 10; i++ {
+		rec.NowNanos() // widen the heavy branch
+	}
+	inner.End()
+	heavy.End()
+	root.End()
+	_, tracePath := writeTrace(t, rec, t.TempDir())
+	run, err := LoadRun("", tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "root 17000ns (100%) > heavy 13000ns (76%) > inner 11000ns (65%)"
+	if got := criticalPath(run.Spans); got != want {
+		t.Errorf("critical path = %s, want %s", got, want)
 	}
 }

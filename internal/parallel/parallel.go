@@ -256,19 +256,3 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	close(f.done)
 	return f.v, f.err
 }
-
-// Cached reports whether key has a completed outcome, without blocking.
-func (g *Group[K, V]) Cached(key K) bool {
-	g.mu.Lock()
-	f, ok := g.m[key]
-	g.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
-}

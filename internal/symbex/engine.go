@@ -191,9 +191,6 @@ type Result struct {
 	// StatesExplored and Forks describe the search effort.
 	StatesExplored int
 	Forks          int
-	// PopsToFirstDone is the number of state pops when the first state
-	// completed (0 if none did).
-	PopsToFirstDone int
 	// PopsToBest is the number of state pops when the state that ended up
 	// as Best completed — the searcher's steps-to-worst-path (0 if no
 	// state completed).
@@ -295,7 +292,7 @@ func (e *Engine) Run() (*Result, error) {
 	var completed []*State
 	done := 0
 	pops := 0
-	popsToFirstDone, popsToBest := 0, 0
+	popsToBest := 0
 	bSymbex := e.Budget.Stage(budget.StageSymbex)
 	var budgetReason string
 	for pq.Len() > 0 && e.explored < e.Cfg.MaxStates && done < stopAfterDone {
@@ -350,9 +347,6 @@ func (e *Engine) Run() (*Result, error) {
 			if e.Trace != nil {
 				e.Trace("done", s)
 			}
-			if done == 1 {
-				popsToFirstDone = pops
-			}
 			completed = insertCompleted(completed, s)
 			if completed[0] == s {
 				popsToBest = pops
@@ -374,7 +368,6 @@ func (e *Engine) Run() (*Result, error) {
 		Completed:       completed,
 		StatesExplored:  e.explored,
 		Forks:           e.forks,
-		PopsToFirstDone: popsToFirstDone,
 		PopsToBest:      popsToBest,
 		BudgetExhausted: budgetReason,
 	}
@@ -615,7 +608,7 @@ func (e *Engine) step(s *State, entry *ir.Func) []*State {
 				// state against pending forks before the next packet —
 				// otherwise a cheap path would race through the whole
 				// sequence inside one chunk.
-				e.finishPacket(s, ret, entry)
+				e.finishPacket(s, entry)
 				return forks
 			}
 			retDst := f.retDst
@@ -1114,8 +1107,6 @@ func (e *Engine) havoc(s *State, in *ir.Instr) {
 	s.Havocs = append(s.Havocs, HavocRecord{
 		HashID:  in.HashID,
 		Packet:  s.PacketsDone,
-		KeyAddr: keyAddr,
-		KeyLen:  keyLen,
 		Key:     key,
 		OutVars: outVars,
 		Out:     out,
@@ -1124,19 +1115,15 @@ func (e *Engine) havoc(s *State, in *ir.Instr) {
 }
 
 // finishPacket records the completed packet and either injects the next
-// one or marks the state done. Returns true when the state finished all
-// packets (so the caller stops stepping it).
-func (e *Engine) finishPacket(s *State, ret *expr.Expr, entry *ir.Func) bool {
+// one or marks the state done.
+func (e *Engine) finishPacket(s *State, entry *ir.Func) {
 	cost := s.CurCost - s.packetStartCost
 	s.PacketCosts = append(s.PacketCosts, cost)
-	rv, _ := ret.IsConst()
-	s.PacketRet = append(s.PacketRet, rv)
 	s.PacketsDone++
 	if s.PacketsDone >= e.Cfg.NPackets {
 		s.Done = true
-		return true
+		return
 	}
 	s.LoopDepth = 0
 	e.injectPacket(s, entry)
-	return false
 }

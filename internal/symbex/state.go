@@ -12,9 +12,7 @@ import (
 // output variables that replaced the hash value.
 type HavocRecord struct {
 	HashID  int
-	Packet  int // which packet was being processed
-	KeyAddr uint64
-	KeyLen  int
+	Packet  int          // which packet was being processed
 	Key     []*expr.Expr // per-byte expressions of the hash input
 	OutVars []expr.VarID // fresh symbols forming the havoced output
 	Out     *expr.Expr   // the havoced output expression (masked concat)
@@ -54,7 +52,6 @@ type State struct {
 	// per-packet cycle estimate.
 	PacketsDone  int
 	PacketCosts  []uint64
-	PacketRet    []uint64 // concretized return values (best effort)
 	Havocs       []HavocRecord
 	Instrs       uint64 // instructions executed (metric output)
 	Loads        uint64
@@ -101,7 +98,6 @@ func (s *State) clone(newID int) *State {
 		CurCost:      s.CurCost,
 		PacketsDone:  s.PacketsDone,
 		PacketCosts:  append([]uint64(nil), s.PacketCosts...),
-		PacketRet:    append([]uint64(nil), s.PacketRet...),
 		Havocs:       append([]HavocRecord(nil), s.Havocs...),
 		Instrs:       s.Instrs,
 		Loads:        s.Loads,

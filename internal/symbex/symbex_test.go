@@ -317,7 +317,7 @@ func TestHavocRecording(t *testing.T) {
 		t.Fatalf("havocs = %d", len(res.Best.Havocs))
 	}
 	h := res.Best.Havocs[0]
-	if h.HashID != hid || h.KeyLen != 4 || len(h.OutVars) != 2 {
+	if h.HashID != hid || len(h.Key) != 4 || len(h.OutVars) != 2 {
 		t.Errorf("havoc record = %+v", h)
 	}
 	// Best path should be the expensive one: hash value pinned to 0x7ff.

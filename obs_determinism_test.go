@@ -61,8 +61,8 @@ func TestWorkerCountDeterminismTelemetry(t *testing.T) {
 			t.Errorf("counter %s is zero; run did not exercise its layer", name)
 		}
 	}
-	if n, err := obs.ValidateChromeTrace(bytes.TrimSpace(refTrace)); err != nil || n == 0 {
-		t.Fatalf("trace fails its own schema (%d events): %v", n, err)
+	if tr, err := obs.ReadChromeTrace(bytes.TrimSpace(refTrace)); err != nil || len(tr.Spans) == 0 {
+		t.Fatalf("trace fails its own schema: %v", err)
 	}
 	wantPhases := map[string]bool{}
 	for _, p := range refOut.Telemetry.Phases {
