@@ -71,11 +71,6 @@ func (f Finding) String() string {
 type Report struct {
 	Module   string
 	Findings []Finding
-	// Facts and Regions are the per-function facts and the memory-region
-	// result Lint computed on the way, for callers that run further passes
-	// over the same module; both nil when structural validation failed.
-	Facts   *ModuleFacts
-	Regions *MemRegions
 }
 
 func (r *Report) add(f Finding) { r.Findings = append(r.Findings, f) }
@@ -177,17 +172,16 @@ func Lint(mod *ir.Module, opts Options) *Report {
 		rep.add(Finding{Pass: "validate", Sev: SevError, Msg: err.Error()})
 		return rep
 	}
-	rep.Facts = ForModule(mod)
-	for _, name := range rep.Facts.FuncNames {
+	mf := ForModule(mod)
+	for _, name := range mf.FuncNames {
 		f := mod.Funcs[name]
-		fa := rep.Facts.Funcs[f]
+		fa := mf.Funcs[f]
 		checkDefBeforeUse(f, fa, rep)
 		if !opts.NoDeadDefs {
 			checkDeadDefs(f, fa, rep)
 		}
 	}
-	rep.Regions = RunMemRegions(rep.Facts, opts.EntryHints)
-	rep.Regions.report(rep)
+	RunMemRegions(mf, opts.EntryHints).report(rep)
 	rep.Sort()
 	return rep
 }

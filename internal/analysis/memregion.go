@@ -611,59 +611,3 @@ func (mr *MemRegions) report(rep *Report) {
 		}
 	}
 }
-
-// Footprint summarizes the statically inferred access footprint of one
-// global: the hull of accessed offsets and whether any access sits inside
-// a loop (where adversarial sweeps multiply).
-type Footprint struct {
-	Global *ir.Global
-	Lo, Hi uint64 // accessed byte offsets, end-exclusive hull
-	Loads  int
-	Stores int
-	InLoop bool
-}
-
-// Span returns the width of the accessed hull in bytes.
-func (fp Footprint) Span() uint64 {
-	if fp.Hi <= fp.Lo {
-		return 0
-	}
-	return fp.Hi - fp.Lo
-}
-
-// GlobalFootprints aggregates classified accesses per global, sorted by
-// global name. Unclassified accesses contribute nothing.
-func (mr *MemRegions) GlobalFootprints() []Footprint {
-	byGlobal := map[*ir.Global]*Footprint{}
-	for _, a := range mr.Accesses {
-		if a.Region == nil || a.Region.Kind != RegionGlobal {
-			continue
-		}
-		g := a.Region.Global
-		fp := byGlobal[g]
-		if fp == nil {
-			fp = &Footprint{Global: g, Lo: math.MaxUint64}
-			byGlobal[g] = fp
-		}
-		fp.Lo = min64(fp.Lo, a.Lo)
-		end := satAdd(a.Hi, uint64(a.Size))
-		if end > g.Size {
-			end = g.Size
-		}
-		fp.Hi = max64(fp.Hi, end)
-		if a.IsStore {
-			fp.Stores++
-		} else {
-			fp.Loads++
-		}
-		if mr.mf.Funcs[a.Fn].Loops.Depth(a.Block) > 0 {
-			fp.InLoop = true
-		}
-	}
-	out := make([]Footprint, 0, len(byGlobal))
-	for _, fp := range byGlobal {
-		out = append(out, *fp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Global.Name < out[j].Global.Name })
-	return out
-}

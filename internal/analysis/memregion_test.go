@@ -203,48 +203,6 @@ func TestPacketEntryHint(t *testing.T) {
 	}
 }
 
-func TestGlobalFootprints(t *testing.T) {
-	mod := ir.NewModule("fp")
-	g := mod.AddGlobal("tbl", 2048, 0)
-	h := mod.AddGlobal("counter", 8, 0)
-	mod.Layout()
-	fb := mod.NewFunc("f", 0)
-	base := fb.GlobalAddr(g)
-	i := fb.VarImm(0)
-	fb.While(func() ir.Reg { return fb.CmpUlt(i.R(), fb.Const(256)) }, func() {
-		fb.Store(fb.Add(base, fb.MulImm(i.R(), 8)), 0, i.R(), 8)
-		i.Set(fb.AddImm(i.R(), 1))
-	})
-	cbase := fb.GlobalAddr(h)
-	fb.Store(cbase, 0, fb.Load(cbase, 0, 8), 8)
-	fb.RetImm(0)
-	fb.Seal()
-	mod.Layout()
-
-	mf := ForModule(mod)
-	mr := RunMemRegions(mf, nil)
-	fps := mr.GlobalFootprints()
-	if len(fps) != 2 {
-		t.Fatalf("expected 2 footprints, got %d", len(fps))
-	}
-	// Sorted by name: counter first.
-	if fps[0].Global != h || fps[1].Global != g {
-		t.Fatalf("footprints not sorted by global name")
-	}
-	if fps[0].InLoop {
-		t.Errorf("counter access is not inside a loop")
-	}
-	if !fps[1].InLoop {
-		t.Errorf("table accesses are inside a loop")
-	}
-	if fps[1].Span() != 2048 {
-		t.Errorf("table span = %d, want 2048 (256 slots × 8, hull clamped to extent)", fps[1].Span())
-	}
-	if fps[0].Loads != 1 || fps[0].Stores != 1 {
-		t.Errorf("counter loads/stores = %d/%d, want 1/1", fps[0].Loads, fps[0].Stores)
-	}
-}
-
 func TestValueStringAndConstructors(t *testing.T) {
 	if got := NumConst(5).String(); got != "0x5" {
 		t.Errorf("NumConst(5) = %q", got)

@@ -60,11 +60,9 @@ func TestCrossCheckCatalog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := analysis.Lint(inst.Mod, analysis.Options{EntryHints: analysis.NFEntryHints(), NoDeadDefs: true})
-			if rep.HasErrors() {
-				t.Fatal(rep.Findings[0].String())
-			}
-			cc := cachecost.Run(rep.Facts, rep.Regions, cachecost.Config{Geometry: cachecost.DefaultGeometry()})
+			mf := analysis.ForModule(inst.Mod)
+			mr := analysis.RunMemRegions(mf, analysis.NFEntryHints())
+			cc := cachecost.Run(mf, mr, cachecost.Config{Geometry: cachecost.DefaultGeometry()})
 			if err := cachecost.CrossCheck(cc, inst.Machine, memsim.New(geo, 2018), "nf_process", out.Frames); err != nil {
 				t.Fatalf("Analyze workload (%d packets): %v", packets, err)
 			}

@@ -181,9 +181,8 @@ type Search struct {
 	// Trace hooks before calling Run.
 	Engine *symbex.Engine
 
-	cfg           Config
-	model         *cachemodel.Model
-	staticHashIDs map[int]bool
+	cfg   Config
+	model *cachemodel.Model
 	// degr accumulates degradations in pipeline order; the matching
 	// counters are bumped once, at the end, from the accepted output
 	// only, so retried concretize attempts never pollute telemetry.
@@ -219,10 +218,8 @@ func NewSearch(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Search, 
 
 	// Stage 0: static gate. A module that fails the pass pipeline (broken
 	// structure, use-before-def, definite out-of-extent access) would make
-	// symbolic exploration explore garbage; reject it up front. The same
-	// run yields the facts the later stages reuse: the memory-region
-	// footprints seed contention-set candidates when the NF declares no
-	// attack regions.
+	// symbolic exploration explore garbage; reject it up front. The gate
+	// is all this stage is: no later stage reads the report.
 	spStatic := s.root.Stage("castan.static")
 	rep := analysis.Lint(inst.Mod, analysis.Options{
 		EntryHints: analysis.NFEntryHints(),
@@ -232,22 +229,10 @@ func NewSearch(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Search, 
 		return nil, fmt.Errorf("castan: static analysis rejects %s: %s",
 			inst.Mod.Name, rep.Findings[0].String())
 	}
-	mf, mr := rep.Facts, rep.Regions
-	// Rainbow tables are only built for hash IDs that appear as havoc
-	// sites in the IR.
-	s.staticHashIDs = map[int]bool{}
-	for _, site := range mf.HavocSites() {
-		s.staticHashIDs[site.HashID] = true
-	}
 	spStatic.End()
 
-	// Stage 1: empirical cache model over the NF's attack regions; when
-	// the NF declares none, fall back to the statically derived table
-	// footprints (globals large enough to exceed a cache way).
-	regions := inst.AttackRegions
-	if len(regions) == 0 {
-		regions = staticAttackRegions(mr)
-	}
+	// Stage 1: empirical cache model over the NF's attack regions. An NF
+	// that declares none gets no model (discoverModel's empty pool).
 	spDiscover := s.root.Stage("castan.discover")
 	// Probe ticks charge the "discover" stage through the hierarchy
 	// itself (forks inherit the stage); the fault hook perturbs probe
@@ -255,11 +240,9 @@ func NewSearch(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Search, 
 	// probe this hierarchy.
 	hier.SetBudget(cfg.Budget.Stage(budget.StageDiscover))
 	hier.SetProbeFault(cfg.Faults.ProbeHook())
-	switch {
-	case cfg.NoCacheModel:
-	case len(regions) > 0:
+	if !cfg.NoCacheModel {
 		var derr error
-		s.model, derr = discoverModel(regions, hier, cfg, rec)
+		s.model, derr = discoverModel(inst.AttackRegions, hier, cfg, rec)
 		switch {
 		case derr == nil:
 		case errors.Is(derr, cachemodel.ErrBudget) && s.model != nil:
@@ -447,33 +430,6 @@ func modelSets(m *cachemodel.Model) int {
 	return len(m.Sets)
 }
 
-// staticAttackRegions derives contention-set candidates from the
-// memory-region pass when an NF declares none: every global whose
-// statically accessed footprint spans at least a cache way's worth of
-// lines is a table an adversary could contend on. Footprints are sorted
-// by global name, so the derived pool is deterministic.
-func staticAttackRegions(mr *analysis.MemRegions) []nf.Region {
-	const minSpan = 4096
-	var regions []nf.Region
-	for _, fp := range mr.GlobalFootprints() {
-		if fp.Span() < minSpan {
-			continue
-		}
-		regions = append(regions, nf.Region{
-			Name: fp.Global.Name,
-			Addr: fp.Global.Addr + fp.Lo,
-			Size: fp.Span(),
-		})
-	}
-	return regions
-}
-
-// errStoreSkip marks a store.Do computation whose result must not be
-// persisted: discovery degraded (budget cut, filter wipeout) or found
-// nothing. The caller unpacks the real (model, error) pair from the
-// closure; the store only ever sees this sentinel.
-var errStoreSkip = errors.New("castan: artifact not persistable")
-
 // modelStoreKey derives the content address of a discovered model: every
 // input that can change the model's bytes is included (plus an algorithm
 // revision salt, bumped whenever the discovery pipeline itself changes);
@@ -527,7 +483,7 @@ func discoverModel(regions []nf.Region, hier *memsim.Hierarchy, cfg Config, rec 
 		return nil, nil // an empty pool: nothing to probe
 	}
 	geo := hier.Geometry()
-	// The pool is built inside the closure: a store hit never reads it.
+	// The pool is built inside discover: a store hit never reads it.
 	discover := func() (*cachemodel.Model, error) {
 		dcfg := cachemodel.DiscoverConfig{
 			Pool:      discoverPool(regions, geo, cfg.Seed),
@@ -558,27 +514,14 @@ func discoverModel(regions []nf.Region, hier *memsim.Hierarchy, cfg Config, rec 
 		return discover()
 	}
 
+	// Get, validate, derive, put — the rainbow tables' path, with no
+	// in-process memo: a degraded or unusable outcome is never
+	// remembered, so the next caller for this key starts from the store.
+	// Load validates internal consistency, so a decodable-but-inconsistent
+	// payload — or one for a geometry other than the probed one — is a
+	// miss instead of poisoning the pipeline.
 	key := modelStoreKey(geo, regions, cfg.Seed)
-	var gotModel *cachemodel.Model
-	var gotErr error
-	ran := false
-	payload, hit, err := st.Do(store.KindModel, key, func() ([]byte, error) {
-		ran = true
-		gotModel, gotErr = discover()
-		if gotErr != nil || gotModel == nil {
-			return nil, errStoreSkip
-		}
-		var buf bytes.Buffer
-		if err := gotModel.Save(&buf); err != nil {
-			return nil, errStoreSkip
-		}
-		return buf.Bytes(), nil
-	})
-	if err == nil && hit {
-		// Served from disk or from another caller's flight. Load validates
-		// internal consistency, so a decodable-but-inconsistent payload —
-		// or one for a geometry other than the probed one — degrades to a
-		// miss below instead of poisoning the pipeline.
+	if payload, ok := st.Get(store.KindModel, key); ok {
 		if m, lerr := cachemodel.Load(bytes.NewReader(payload)); lerr == nil &&
 			m.Assoc == geo.L3Assoc() && m.LineBytes == geo.LineBytes {
 			rec.Counter("castan.store.hits").Inc()
@@ -586,25 +529,13 @@ func discoverModel(regions []nf.Region, hier *memsim.Hierarchy, cfg Config, rec 
 		}
 	}
 	rec.Counter("castan.store.misses").Inc()
-	if ran {
-		// This caller ran discovery inside the flight. err == nil means
-		// the payload was persisted too; a failed Put (or a skipped
-		// persist) still leaves a perfectly usable model.
-		if err == nil {
-			rec.Counter("castan.store.writes").Inc()
-		}
-		return gotModel, gotErr
-	}
-	// Miss without having computed: the flight's outcome was unusable (a
-	// memoized skip/error from an earlier run, or a stored payload that
-	// failed validation). Re-derive directly and heal the store entry.
 	m, derr := discover()
 	if derr == nil && m != nil {
+		// Only a clean, non-empty model is persisted; a failed Save or Put
+		// still leaves a perfectly usable model.
 		var buf bytes.Buffer
-		if serr := m.Save(&buf); serr == nil {
-			if st.Put(store.KindModel, key, buf.Bytes()) == nil {
-				rec.Counter("castan.store.writes").Inc()
-			}
+		if m.Save(&buf) == nil && st.Put(store.KindModel, key, buf.Bytes()) == nil {
+			rec.Counter("castan.store.writes").Inc()
 		}
 	}
 	return m, derr
@@ -655,7 +586,7 @@ func (s *Search) concretize(inst *nf.Instance, st *symbex.State) (*Output, error
 			}
 		}
 	} else {
-		tables := buildRainbowTables(inst, cfg, s.staticHashIDs, s.degrade)
+		tables := buildRainbowTables(inst, cfg, s.degrade)
 		hook := cfg.Faults.PanicHook(faultinject.PanicReconcile)
 		bRainbow := cfg.Budget.Stage(budget.StageRainbow)
 		pinnedVars := map[expr.VarID]bool{}
@@ -749,18 +680,11 @@ func safeReconcile(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pinn
 // buildRainbowTables returns one rainbow table per havocable hash site,
 // built or loaded through cfg.Tables (Analyze fills in a per-call cache
 // when the caller passed none).
-func buildRainbowTables(inst *nf.Instance, cfg Config, staticHashIDs map[int]bool, degrade func(stage, reason, fallback string)) map[int]*rainbow.Table {
+func buildRainbowTables(inst *nf.Instance, cfg Config, degrade func(stage, reason, fallback string)) map[int]*rainbow.Table {
 	corrupt := cfg.Faults.ChainHook()
 	out := map[int]*rainbow.Table{}
 	for _, h := range inst.Hashes {
 		if h.Space == nil {
-			continue
-		}
-		// Only spend table-building effort on hash IDs that actually appear
-		// as OpHavoc sites in the IR: every dynamic havoc record is an
-		// execution of one of those sites, so the filter can never starve
-		// reconciliation.
-		if !staticHashIDs[h.HashID] {
 			continue
 		}
 		h := h

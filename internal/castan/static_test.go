@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"castan/internal/analysis"
 	"castan/internal/ir"
 	"castan/internal/memsim"
 	"castan/internal/nf"
@@ -30,56 +29,6 @@ func TestStaticGateRejectsBrokenModule(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "static analysis rejects") {
 		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-// TestStaticAttackRegions checks the fallback candidate derivation: a
-// global with a large statically accessed footprint becomes a contention
-// candidate; small scalars do not.
-func TestStaticAttackRegions(t *testing.T) {
-	mod := ir.NewModule("fallback")
-	big := mod.AddGlobal("table", 1<<16, 0)
-	mod.AddGlobal("counter", 8, 0)
-	mod.Layout()
-	fb := mod.NewFunc("nf_process", 2)
-	idx := fb.AndImm(fb.Load(fb.Param(0), 26, 4), 0xfff)
-	fb.Ret(fb.Load(fb.Add(fb.GlobalAddr(big), fb.MulImm(idx, 8)), 0, 8))
-	fb.Seal()
-
-	mf := analysis.ForModule(mod)
-	mr := analysis.RunMemRegions(mf, analysis.NFEntryHints())
-	regions := staticAttackRegions(mr)
-	if len(regions) != 1 {
-		t.Fatalf("regions = %v, want exactly the big table", regions)
-	}
-	if regions[0].Name != "table" || regions[0].Addr != big.Addr {
-		t.Fatalf("region = %+v, want table @%#x", regions[0], big.Addr)
-	}
-	if regions[0].Size != 4096*8 {
-		t.Fatalf("region size = %d, want %d (0xfff index × 8-byte stride)", regions[0].Size, 4096*8)
-	}
-}
-
-// TestSeedNFsDeclareOnlyStaticHashes asserts the premise of the rainbow
-// filter: every declared HashUse of every seed NF corresponds to at least
-// one static OpHavoc site, so filtering by static sites never drops a
-// table that reconciliation could need.
-func TestSeedNFsDeclareOnlyStaticHashes(t *testing.T) {
-	for _, name := range nf.Names {
-		inst, err := nf.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mf := analysis.ForModule(inst.Mod)
-		static := map[int]bool{}
-		for _, s := range mf.HavocSites() {
-			static[s.HashID] = true
-		}
-		for _, hu := range inst.Hashes {
-			if !static[hu.HashID] {
-				t.Errorf("%s: declared hash %d has no OpHavoc site in the IR", name, hu.HashID)
-			}
-		}
 	}
 }
 

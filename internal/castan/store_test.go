@@ -22,10 +22,22 @@ import (
 // separate processes sharing a store.
 func analyzeStored(t *testing.T, name, dir string, cfg Config) (*Output, *obs.Recorder) {
 	t.Helper()
+	return analyzeIn(t, name, openStore(t, dir), cfg)
+}
+
+func openStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+// analyzeIn runs one Analyze against the given store handle with its own
+// recorder and no shared table cache.
+func analyzeIn(t *testing.T, name string, st *store.Store, cfg Config) (*Output, *obs.Recorder) {
+	t.Helper()
 	rec := obs.New(obs.NewFakeClock(1))
 	cfg.Store = st
 	cfg.Obs = rec
@@ -86,7 +98,10 @@ func TestStoreWarmRunSkipsDiscovery(t *testing.T) {
 // TestStoreCorruptModelEntryReadsAsMiss: a model entry that cannot be
 // trusted — bytes that are no envelope, or a well-formed model for a
 // geometry other than the probed one — is a miss that re-derives and
-// overwrites, never a model the search is steered by.
+// overwrites, never a model the search is steered by. Each corruption runs
+// once with a store handle per run (separate processes) and once with one
+// handle for every run (castand): an unusable entry must not be
+// remembered past the run that healed it.
 func TestStoreCorruptModelEntryReadsAsMiss(t *testing.T) {
 	cfg := Config{NPackets: 20, MaxStates: 3000, Seed: 1}
 	corruptions := []struct {
@@ -103,10 +118,7 @@ func TestStoreCorruptModelEntryReadsAsMiss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := store.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := openStore(t, dir)
 			key := modelStoreKey(memsim.DefaultGeometry(), inst.AttackRegions, cfg.Seed)
 			payload, ok := st.Get(store.KindModel, key)
 			if !ok {
@@ -128,36 +140,49 @@ func TestStoreCorruptModelEntryReadsAsMiss(t *testing.T) {
 	}
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			cold, _ := analyzeStored(t, "lpm-dl1", dir, cfg)
+			for _, handle := range []string{"own handle", "shared handle"} {
+				t.Run(handle, func(t *testing.T) {
+					dir := t.TempDir()
+					cold, _ := analyzeStored(t, "lpm-dl1", dir, cfg)
 
-			files, err := filepath.Glob(filepath.Join(dir, store.KindModel+"-*.json"))
-			if err != nil || len(files) != 1 {
-				t.Fatalf("model entries on disk: %v (%v)", files, err)
-			}
-			c.corrupt(t, dir, files[0])
+					files, err := filepath.Glob(filepath.Join(dir, store.KindModel+"-*.json"))
+					if err != nil || len(files) != 1 {
+						t.Fatalf("model entries on disk: %v (%v)", files, err)
+					}
+					c.corrupt(t, dir, files[0])
 
-			warm, rec := analyzeStored(t, "lpm-dl1", dir, cfg)
-			if v := rec.Counter("castan.store.hits").Value(); v != 0 {
-				t.Errorf("corrupt entry served as hit (%d)", v)
-			}
-			if v := rec.Counter("castan.store.misses").Value(); v == 0 {
-				t.Error("corrupt entry not recorded as miss")
-			}
-			if v := rec.Counter("memsim.probe_line_reads").Value(); v == 0 {
-				t.Error("corrupt entry did not trigger re-discovery")
-			}
-			if v := rec.Counter("castan.store.writes").Value(); v == 0 {
-				t.Error("re-discovered model not written back")
-			}
-			if !reflect.DeepEqual(storedComparable(cold), storedComparable(warm)) {
-				t.Error("re-discovered output differs from cold output")
-			}
+					st := openStore(t, dir)
+					run := func() *obs.Recorder {
+						if handle == "own handle" {
+							st = openStore(t, dir)
+						}
+						warm, rec := analyzeIn(t, "lpm-dl1", st, cfg)
+						if !reflect.DeepEqual(storedComparable(cold), storedComparable(warm)) {
+							t.Error("output differs from cold output")
+						}
+						return rec
+					}
+					rec := run()
+					if v := rec.Counter("castan.store.hits").Value(); v != 0 {
+						t.Errorf("corrupt entry served as hit (%d)", v)
+					}
+					if v := rec.Counter("castan.store.misses").Value(); v == 0 {
+						t.Error("corrupt entry not recorded as miss")
+					}
+					if v := rec.Counter("memsim.probe_line_reads").Value(); v == 0 {
+						t.Error("corrupt entry did not trigger re-discovery")
+					}
+					if v := rec.Counter("castan.store.writes").Value(); v == 0 {
+						t.Error("re-discovered model not written back")
+					}
 
-			// The overwrite healed the entry: a third run hits.
-			_, rec3 := analyzeStored(t, "lpm-dl1", dir, cfg)
-			if v := rec3.Counter("castan.store.hits").Value(); v != 1 {
-				t.Errorf("healed entry not hit: hits = %d", v)
+					// The overwrite healed the entry: every later run hits.
+					for i := 0; i < 2; i++ {
+						if v := run().Counter("castan.store.hits").Value(); v != 1 {
+							t.Errorf("healed entry not hit: hits = %d", v)
+						}
+					}
+				})
 			}
 		})
 	}

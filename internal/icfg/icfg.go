@@ -102,7 +102,6 @@ type funcInfo struct {
 	potential map[*ir.Block]uint64 // max cost from block start → return
 	loopHead  map[*ir.Block]bool
 	suffix    map[*ir.Block][]uint64 // suffix[i] = cost of instrs i..end
-	facts     *analysis.Facts
 }
 
 // Analyze builds the annotated ICFG. M must be at least 1; the module must
@@ -167,8 +166,7 @@ func (a *Analysis) analyzeFunc(f *ir.Func) *funcInfo {
 	// exactly the back-edge targets a DFS would gray-mark, so this is a
 	// drop-in replacement (pinned by the regression test against the
 	// pre-swap goldens).
-	fi.facts = analysis.ForFunc(f)
-	for _, h := range fi.facts.Loops.Headers() {
+	for _, h := range analysis.ForFunc(f).Loops.Headers() {
 		fi.loopHead[h] = true
 	}
 	a.propagate(f, fi)
@@ -304,24 +302,4 @@ func (a *Analysis) Potential(b *ir.Block, pc int) uint64 {
 func (a *Analysis) IsLoopHead(b *ir.Block) bool {
 	fi := a.fns[b.Fn]
 	return fi != nil && fi.loopHead[b]
-}
-
-// LoopDepth returns b's loop nesting depth (0 = not in any loop), from
-// the underlying natural-loop forest.
-func (a *Analysis) LoopDepth(b *ir.Block) int {
-	fi := a.fns[b.Fn]
-	if fi == nil {
-		return 0
-	}
-	return fi.facts.Loops.Depth(b)
-}
-
-// Facts exposes the function's CFG/dataflow facts computed during the
-// ICFG build, so downstream consumers share one analysis.
-func (a *Analysis) Facts(f *ir.Func) *analysis.Facts {
-	fi := a.fns[f]
-	if fi == nil {
-		return nil
-	}
-	return fi.facts
 }

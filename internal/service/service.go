@@ -346,10 +346,6 @@ func newServer(cfg Config) *Server {
 // Metrics snapshots the service recorder.
 func (s *Server) Metrics() *obs.Metrics { return s.rec.Snapshot() }
 
-// Recorder exposes the service recorder (the SSE layer wires subscriber
-// drop counters to it).
-func (s *Server) Recorder() *obs.Recorder { return s.rec }
-
 // Draining reports whether Shutdown has begun (readyz turns 503).
 func (s *Server) Draining() bool {
 	s.mu.Lock()

@@ -578,6 +578,38 @@ func TestServerOwnsItsRainbowTables(t *testing.T) {
 	}
 }
 
+// TestBudgetCutDoesNotPoisonModelReuse: a budget-cut request that is
+// first to reach a cache-model key persists nothing, and must not stop
+// later full requests on the same server (one store handle, as castand
+// holds) from reusing the model the first of them writes.
+func TestBudgetCutDoesNotPoisonModelReuse(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, Store: st})
+	defer shutdown(t, s)
+	req := Request{NF: "lpm-dl1", Seed: 3, Budget: 200}
+	if resp := s.Do(context.Background(), req, nil); resp.Status != 200 || !resp.Degraded {
+		t.Fatalf("budget-cut request = %+v, want a degraded 200", resp)
+	}
+	req.Budget = 0
+	for i := 0; i < 3; i++ {
+		resp := s.Do(context.Background(), req, nil)
+		if resp.Status != 200 || resp.Degraded {
+			t.Fatalf("full request %d = %+v, want a clean 200", i, resp)
+		}
+		if i == 0 {
+			continue
+		}
+		c := resp.Report.Telemetry.Counters
+		if c["castan.store.hits"] != 1 || c["memsim.probe_line_reads"] != 0 {
+			t.Errorf("full request %d: store hits %d, probe line reads %d; want 1 and 0",
+				i, c["castan.store.hits"], c["memsim.probe_line_reads"])
+		}
+	}
+}
+
 // TestMetricsMatchInstruments is the service half of the telemetry
 // catalog's drift check: a server's recorder carries exactly the
 // instruments the Instruments table declares, with the declared kinds,

@@ -17,8 +17,11 @@
 // through a temp file and rename, so a crashed writer leaves either the
 // old entry or none — a torn write surfaces as a miss on the next run.
 //
-// Do wraps Get/Put in a keyed single-flight (parallel.Group), so
-// concurrent analyses in one process derive a missing artifact once.
+// Do wraps Get/Put in a keyed single-flight (parallel.Group) that keeps
+// every key's outcome for the life of the process. The analysis pipeline
+// does not use it: it reads through Get and writes through Put, so no
+// outcome outlives the run that produced it. bench/layers.go is Do's
+// last caller.
 package store
 
 import (
@@ -182,10 +185,11 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 // Do returns the payload for (kind, key), computing and persisting it on
 // a miss. Concurrent callers for the same entry share one computation
 // (single-flight); hit reports whether THIS caller avoided the compute —
-// a disk hit, or a ride on another caller's in-flight derivation. A
-// compute error is returned as-is and, like every Group outcome, is
-// remembered for the key's lifetime in this process; compute functions
-// that can fail transiently belong outside Do.
+// a disk hit, or a ride on another caller's in-flight derivation. Every
+// outcome — payload or compute error — is kept for the key for the rest
+// of the process, and later calls return it without reading the disk;
+// compute functions that can fail transiently, or whose result a caller
+// may reject, belong outside Do. bench/layers.go is its last caller.
 func (s *Store) Do(kind, key string, compute func() ([]byte, error)) (payload []byte, hit bool, err error) {
 	if s == nil {
 		p, err := compute()
