@@ -112,8 +112,8 @@ func (c *Config) fill() {
 		c.MaxStates = DefaultMaxStates
 	}
 	if c.Tables == nil {
-		// Per-call memo: the completed states concretize falls back
-		// through still share one build.
+		// Per-call memo: hash sites that need the same table (the NATs'
+		// forward and reverse flow tables) still share one build.
 		c.Tables = new(TableCache)
 	}
 }
@@ -184,17 +184,13 @@ type Search struct {
 	cfg   Config
 	model *cachemodel.Model
 	// degr accumulates degradations in pipeline order; the matching
-	// counters are bumped once, at the end, from the accepted output
-	// only, so retried concretize attempts never pollute telemetry.
+	// counters are bumped once, at the end, when the output is assembled.
 	degr  []StageDegradation
 	root  *obs.Span
 	start time.Time
 }
 
-// degrade records a stage cut and publishes it as a note. A concretize
-// attempt that is rolled back keeps its notes: the live stream reports
-// what actually happened, in attempt order, which is deterministic
-// (completed states are tried in order).
+// degrade records a stage cut and publishes it as a note.
 func (s *Search) degrade(stage, reason, fallback string) {
 	s.degr = append(s.degr, StageDegradation{Stage: stage, Reason: reason, Fallback: fallback})
 	s.cfg.Obs.Note(stage, "degraded: "+reason+"; fallback: "+fallback)
@@ -202,7 +198,7 @@ func (s *Search) degrade(stage, reason, fallback string) {
 
 // NewSearch runs every stage in front of symbolic execution on a
 // *freshly built* NF instance — the static gate, cache-model
-// discovery, both ICFG analyses — and builds the engine from their
+// discovery, the ICFG analysis — and builds the engine from their
 // results. It is the one place the pipeline's engine is assembled:
 // Analyze and the tests that watch the pipeline's solver queries all
 // build through it. (bench/layers.go still carries its own copy until
@@ -263,27 +259,23 @@ func NewSearch(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Search, 
 	rec.Counter("castan.contention_sets").Add(uint64(modelSets(s.model)))
 	spDiscover.End()
 
-	// Stage 2, set up: realized costs use the realistic model; the search
-	// heuristic uses an optimistic one (memory at DRAM latency, loops
-	// assumed to run as often as there are packets), so the best-first
-	// queue surfaces worst-case paths first.
+	// Stage 2, set up: one ICFG analysis serves both the realized costs
+	// (its cost model and loop heads, which do not depend on M) and the
+	// search heuristic, whose potentials assume loops run as often as
+	// there are packets, so the best-first queue surfaces worst-case
+	// paths first.
 	spICFG := s.root.Stage("castan.icfg")
-	an, err := icfg.Analyze(inst.Mod, 2, icfg.DefaultCostModel())
+	an, err := icfg.Analyze(inst.Mod, max(icfgLoopBound, cfg.NPackets+2), icfg.DefaultCostModel())
 	if err != nil {
 		return nil, fmt.Errorf("castan: icfg: %w", err)
 	}
-	potAn, err := icfg.Analyze(inst.Mod, max(icfgLoopBound, cfg.NPackets+2), icfg.DefaultCostModel())
-	if err != nil {
-		return nil, fmt.Errorf("castan: icfg potential: %w", err)
-	}
 	spICFG.End()
 	s.Engine = &symbex.Engine{
-		Mod:               inst.Mod,
-		Analysis:          an,
-		PotentialAnalysis: potAn,
-		Model:             s.model,
-		Base:              inst.Machine.Mem,
-		HeapTop:           ir.HeapBase + inst.Machine.HeapUsed(),
+		Mod:      inst.Mod,
+		Analysis: an,
+		Model:    s.model,
+		Base:     inst.Machine.Mem,
+		HeapTop:  ir.HeapBase + inst.Machine.HeapUsed(),
 		Cfg: symbex.Config{
 			Entry:        "nf_process",
 			NPackets:     cfg.NPackets,
@@ -320,85 +312,54 @@ func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, er
 		return nil, fmt.Errorf("castan: symbex: %w", err)
 	}
 
-	// Stages 3+4: reconcile havocs and solve. finish carries everything
-	// common to the clean path and the degraded ones: summary fields,
-	// degradation counters, spans, telemetry.
+	// Stages 3+4: pick the one state to emit and concretize it. The
+	// paper's contract is the worst completed path, or best-so-far output
+	// when the search was cut (budget) or starved (injected solver fault)
+	// before any state finished: then the most-progressed partial state,
+	// or, with no surviving state at all, zero-model frames.
 	spReconcile := root.Stage("castan.reconcile")
-	finish := func(out *Output, cycles []uint64) (*Output, error) {
-		out.Packets = packetReports(out.Frames, cycles)
-		out.ContentionSetsFound = modelSets(s.model)
-		out.StatesExplored = res.StatesExplored
-		out.Forks = res.Forks
-		out.StepsToWorstPath = res.PopsToBest
-		out.Degradations = s.degr
-		out.BudgetTicksUsed = cfg.Budget.TotalUsed()
-		for _, d := range s.degr {
-			rec.Counter("castan.degraded." + d.Stage).Inc()
+	st := res.Best
+	switch {
+	case st != nil:
+		if res.BudgetExhausted != "" {
+			s.degrade("symbex", res.BudgetExhausted, "best completed state from truncated search")
 		}
-		out.AnalysisSeconds = time.Since(s.start).Seconds()
-		// End the spans before snapshotting so every phase is in the
-		// snapshot; Telemetry is the last field assigned.
-		spReconcile.End()
-		root.End()
-		out.Telemetry = rec.Snapshot()
-		return out, nil
-	}
-
-	if res.Best == nil {
-		if res.BudgetExhausted == "" && !cfg.Faults.Enabled() {
-			return nil, fmt.Errorf("castan: no state consumed all %d packets within the exploration budget of %d states (Config.MaxStates, the commands' -states)",
-				cfg.NPackets, cfg.MaxStates)
-		}
-		// Degraded emit: the search was cut (budget) or starved
-		// (injected solver fault) before any state finished. The paper's
-		// contract is best-so-far output, so emit the workload of the
-		// most-progressed partial state — its cached model satisfies its
-		// path constraints by the engine invariant — or, with no
-		// surviving state at all, zero-model frames.
+	case res.BudgetExhausted == "" && !cfg.Faults.Enabled():
+		return nil, fmt.Errorf("castan: no state consumed all %d packets within the exploration budget of %d states (Config.MaxStates, the commands' -states)",
+			cfg.NPackets, cfg.MaxStates)
+	default:
 		reason := res.BudgetExhausted
 		if reason == "" {
 			reason = "no state consumed all packets under injected faults"
 		}
-		out := &Output{Report: Report{NF: inst.Name}}
-		mdl := solver.Model{}
-		var cycles []uint64
-		if st := res.BestPartial; st != nil {
+		st = res.BestPartial
+		if st != nil {
 			s.degrade("symbex", reason,
 				fmt.Sprintf("most-progressed partial state (%d/%d packets)", st.PacketsDone, cfg.NPackets))
-			mdl = st.Model()
-			out.Instrs, out.Loads, out.Stores = st.Instrs, st.Loads, st.Stores
-			out.ExpectDRAM, out.ExpectHit = st.ExpectDRAM, st.ExpectHit
-			out.HavocsTotal = len(st.Havocs)
-			unrec := map[int]bool{}
-			for _, h := range st.Havocs {
-				unrec[h.HashID] = true
-			}
-			out.UnreconciledSites = sortedSites(unrec)
-			cycles = st.PacketCosts
 		} else {
 			s.degrade("symbex", reason, "no surviving states; zero-model frames")
 		}
-		out.Frames = buildFrames(eng, mdl)
-		return finish(out, cycles)
 	}
-	if res.BudgetExhausted != "" {
-		s.degrade("symbex", res.BudgetExhausted, "best completed state from truncated search")
+	out, err := s.concretize(inst, st)
+	if err != nil {
+		return nil, fmt.Errorf("castan: %w", err)
 	}
-
-	// Clean(ish) path: fall back to the next-best completed state if the
-	// best one resists solving. Degradations a failed attempt recorded
-	// are rolled back — only the accepted attempt's survive.
-	var lastErr error
-	for _, st := range res.Completed {
-		kept := s.degr
-		out, err := s.concretize(inst, st)
-		if err != nil {
-			s.degr, lastErr = kept, err
-			continue
-		}
-		return finish(out, st.PacketCosts)
+	out.ContentionSetsFound = modelSets(s.model)
+	out.StatesExplored = res.StatesExplored
+	out.Forks = res.Forks
+	out.StepsToWorstPath = res.PopsToBest
+	out.Degradations = s.degr
+	out.BudgetTicksUsed = cfg.Budget.TotalUsed()
+	for _, d := range s.degr {
+		rec.Counter("castan.degraded." + d.Stage).Inc()
 	}
-	return nil, fmt.Errorf("castan: no completed state solvable: %v", lastErr)
+	out.AnalysisSeconds = time.Since(s.start).Seconds()
+	// End the spans before snapshotting so every phase is in the
+	// snapshot; Telemetry is the last field assigned.
+	spReconcile.End()
+	root.End()
+	out.Telemetry = rec.Snapshot()
+	return out, nil
 }
 
 // sortedSites flattens a hash-ID set into a sorted slice (nil if empty).
@@ -541,37 +502,44 @@ func discoverModel(regions []nf.Region, hier *memsim.Hierarchy, cfg Config, rec 
 	return m, derr
 }
 
-// concretize reconciles the state's havocs and solves its constraints
-// into frames. The degradations it records land in s.degr; the caller
-// rolls them back when the attempt fails.
+// concretize turns the state Analyze chose into the workload. A completed
+// state's path constraints are solved and its havocs reconciled. A partial
+// state (the search was cut) ships its cached model, which satisfies its
+// path constraints by the engine invariant, and no state at all ships the
+// empty model: neither is solved or reconciled, so every havoc site of
+// theirs stays unreconciled. The degradations it records land in s.degr.
 func (s *Search) concretize(inst *nf.Instance, st *symbex.State) (*Output, error) {
 	cfg, eng := s.cfg, s.Engine
-	// The engine maintains the invariant that each state's cached model
-	// satisfies its constraints, so it is both the starting model and the
-	// hint for all reconciliation checks. The solver runs on the pipeline
-	// goroutine, so instrumenting it keeps the recorded totals
-	// deterministic.
+	if st == nil {
+		frames := buildFrames(eng, solver.Model{})
+		return &Output{Report: Report{NF: inst.Name, Packets: packetReports(frames, nil)}, Frames: frames}, nil
+	}
+	// The cached model is both the fallback and the hint for every
+	// reconciliation check. The solver runs on the pipeline goroutine, so
+	// instrumenting it keeps the recorded totals deterministic.
+	mdl := st.Model()
 	sol := solver.Solver{
-		Hint: st.Model(), MaxSteps: 30000, Obs: cfg.Obs,
+		Hint: mdl, MaxSteps: 30000, Obs: cfg.Obs,
 		Budget: cfg.Budget.Stage(budget.StageSolver), ForceUnknown: eng.SolverFault,
 	}
 	cons := append([]*expr.Expr(nil), st.Constraints()...)
-	mdl, err := sol.Solve(cons)
-	solveDegraded := false
-	if err != nil {
-		if !errors.Is(err, solver.ErrBudget) {
+	reconcile := st.Done && !cfg.NoRainbow
+	if st.Done {
+		m, err := sol.Solve(cons)
+		switch {
+		case err == nil:
+			mdl = m
+			sol.Hint = mdl
+		case errors.Is(err, solver.ErrBudget):
+			// Budget exhaustion (or an injected Unknown) cut the final
+			// solve: the cached model stands in, and with no solver left
+			// there is nothing to re-check candidate preimages against.
+			reconcile = false
+			s.degrade("solve", err.Error(), "state's cached localRepair model")
+		default:
 			return nil, fmt.Errorf("state %d: %w", st.ID, err)
 		}
-		// Budget exhaustion (or an injected Unknown) cut the final solve.
-		// The state's cached localRepair model satisfies its constraints
-		// by the engine invariant, so it stands in; reconciliation is
-		// skipped — with no solver left there is nothing to re-check
-		// candidate preimages against.
-		mdl = st.Model()
-		solveDegraded = true
-		s.degrade("solve", err.Error(), "state's cached localRepair model")
 	}
-	sol.Hint = mdl
 
 	uses := map[int]nf.HashUse{}
 	for _, hu := range inst.Hashes {
@@ -579,7 +547,7 @@ func (s *Search) concretize(inst *nf.Instance, st *symbex.State) (*Output, error
 	}
 	unrec := map[int]bool{}
 	reconciled := 0
-	if cfg.NoRainbow || solveDegraded {
+	if !reconcile {
 		for _, h := range st.Havocs {
 			if _, known := uses[h.HashID]; known {
 				unrec[h.HashID] = true
@@ -609,7 +577,7 @@ func (s *Search) concretize(inst *nf.Instance, st *symbex.State) (*Output, error
 				unrec[h.HashID] = true
 				continue
 			}
-			ok, extra, pan := safeReconcile(&sol, cons, mdl, pinnedVars, usedKeys, h, hu, tables[h.HashID], cfg.Workers, hook)
+			extra, pan := safeReconcile(&sol, cons, mdl, pinnedVars, usedKeys, h, hu, tables[h.HashID], cfg.Workers, hook)
 			if pan != nil {
 				if !panicked {
 					s.degrade("reconcile", pan.Error(), "havoc site left unreconciled")
@@ -618,7 +586,7 @@ func (s *Search) concretize(inst *nf.Instance, st *symbex.State) (*Output, error
 				unrec[h.HashID] = true
 				continue
 			}
-			if !ok {
+			if extra == nil {
 				unrec[h.HashID] = true
 				continue
 			}
@@ -634,7 +602,9 @@ func (s *Search) concretize(inst *nf.Instance, st *symbex.State) (*Output, error
 			sol.Hint = mdl
 			reconciled++
 			for _, ke := range h.Key {
-				ke.Vars(pinnedVars, nil)
+				for _, v := range ke.VarList() {
+					pinnedVars[v] = true
+				}
 			}
 			for _, v := range h.OutVars {
 				pinnedVars[v] = true
@@ -644,6 +614,7 @@ func (s *Search) concretize(inst *nf.Instance, st *symbex.State) (*Output, error
 	cfg.Obs.Counter("castan.havocs").Add(uint64(len(st.Havocs)))
 	cfg.Obs.Counter("castan.havocs_reconciled").Add(uint64(reconciled))
 
+	frames := buildFrames(eng, mdl)
 	return &Output{
 		Report: Report{
 			NF:                inst.Name,
@@ -655,26 +626,26 @@ func (s *Search) concretize(inst *nf.Instance, st *symbex.State) (*Output, error
 			HavocsTotal:       len(st.Havocs),
 			HavocsReconciled:  reconciled,
 			UnreconciledSites: sortedSites(unrec),
+			Packets:           packetReports(frames, st.PacketCosts),
 		},
-		Frames: buildFrames(eng, mdl),
+		Frames: frames,
 	}, nil
 }
 
 // safeReconcile contains a worker panic escaping one havoc's candidate
 // fan-out, so a single poisoned site degrades instead of killing the run.
 // Non-parallel panics (real bugs) still propagate.
-func safeReconcile(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pinnedVars map[expr.VarID]bool, usedKeys map[string]bool, h symbex.HavocRecord, hu nf.HashUse, tbl *rainbow.Table, workers int, hook func(int)) (ok bool, extra []*expr.Expr, pan *parallel.Panic) {
+func safeReconcile(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pinnedVars map[expr.VarID]bool, usedKeys map[string]bool, h symbex.HavocRecord, hu nf.HashUse, tbl *rainbow.Table, workers int, hook func(int)) (pins []*expr.Expr, pan *parallel.Panic) {
 	defer func() {
 		if v := recover(); v != nil {
 			p, isPanic := v.(*parallel.Panic)
 			if !isPanic {
 				panic(v)
 			}
-			ok, extra, pan = false, nil, p
+			pins, pan = nil, p
 		}
 	}()
-	ok, extra = reconcileHavoc(sol, cons, mdl, pinnedVars, usedKeys, h, hu, tbl, workers, hook)
-	return ok, extra, nil
+	return reconcileHavoc(sol, cons, mdl, pinnedVars, usedKeys, h, hu, tbl, workers, hook), nil
 }
 
 // buildRainbowTables returns one rainbow table per havocable hash site,
@@ -785,11 +756,12 @@ func rainbowSite(h nf.HashUse) (cacheKey, diskKey string, rcfg rainbow.Config) {
 // reconcileHavoc implements §3.5's three-step reconciliation for one
 // havoc record: solve for the hash value the path wants, invert it with
 // the rainbow table, and re-check the preimage against the packet
-// constraints. Returns pin constraints on success. hook, when non-nil, is
-// the fault-injection worker-panic hook (tests only).
-func reconcileHavoc(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pinnedVars map[expr.VarID]bool, usedKeys map[string]bool, h symbex.HavocRecord, hu nf.HashUse, tbl *rainbow.Table, workers int, hook func(int)) (bool, []*expr.Expr) {
+// constraints. Returns the pin constraints on success, nil on failure.
+// hook, when non-nil, is the fault-injection worker-panic hook (tests
+// only).
+func reconcileHavoc(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pinnedVars map[expr.VarID]bool, usedKeys map[string]bool, h symbex.HavocRecord, hu nf.HashUse, tbl *rainbow.Table, workers int, hook func(int)) []*expr.Expr {
 	if tbl == nil {
-		return false, nil
+		return nil
 	}
 	masked := nfhash.Masked(hu.Fn, hu.Bits)
 	// If every variable of the key was already pinned by earlier
@@ -798,12 +770,10 @@ func reconcileHavoc(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pin
 	// what fails for the NAT's second, related key (§5.4).
 	keyForced := true
 	for _, ke := range h.Key {
-		if ke.HasVars() {
-			for _, v := range ke.Vars(map[expr.VarID]bool{}, nil) {
-				if !pinnedVars[v] {
-					keyForced = false
-					break
-				}
+		for _, v := range ke.VarList() {
+			if !pinnedVars[v] {
+				keyForced = false
+				break
 			}
 		}
 		if !keyForced {
@@ -822,12 +792,12 @@ func reconcileHavoc(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pin
 		real := masked(keyBytes)
 		pins := pinOut(h, real)
 		if solver.QuickFeasible(append(append([]*expr.Expr(nil), cons...), pins...)) == solver.Unsat {
-			return false, nil
+			return nil
 		}
 		if res, _ := sol.Check(append(append([]*expr.Expr(nil), cons...), pins...)); res == solver.Sat {
-			return true, pins
+			return pins
 		}
-		return false, nil
+		return nil
 	}
 
 	// Key still has free bytes: invert candidate hash values and test
@@ -917,7 +887,7 @@ func reconcileHavoc(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pin
 		pins = try(tbl.BruteForce(want, 48, budget, want^uint64(h.Packet)*0x9e3779b9))
 	}
 	rec.Counter("castan.reconcile_checks").Add(uint64(checked))
-	return pins != nil, pins
+	return pins
 }
 
 // warmExprs populates the lazily cached per-node fields (variable lists,

@@ -171,8 +171,8 @@ func (f havocFixture) reconcile(t *testing.T, excluded, taken [][]byte, hook fun
 	for _, k := range taken {
 		usedKeys[string(k)] = true
 	}
-	ok, pins, pan := safeReconcile(&sol, cons, mdl, map[expr.VarID]bool{}, usedKeys, f.h, f.hu, f.tbl, 2, hook)
-	if ok {
+	pins, pan := safeReconcile(&sol, cons, mdl, map[expr.VarID]bool{}, usedKeys, f.h, f.hu, f.tbl, 2, hook)
+	if pins != nil {
 		for k := range usedKeys {
 			if !containsKey(taken, []byte(k)) {
 				key = []byte(k)

@@ -629,17 +629,6 @@ func mergeVars(a, b []VarID) []VarID {
 	return out
 }
 
-// Vars appends the distinct variables of e to dst (deduplicated via seen).
-func (e *Expr) Vars(seen map[VarID]bool, dst []VarID) []VarID {
-	for _, v := range e.VarList() {
-		if !seen[v] {
-			seen[v] = true
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
 // NumVars returns the number of distinct variables in e.
 func (e *Expr) NumVars() int { return len(e.VarList()) }
 

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -147,9 +148,8 @@ func TestTruth(t *testing.T) {
 
 func TestVarsAndSubstitute(t *testing.T) {
 	e := Add(Mul(Var(1), Var(2)), Ite(Eq(Var(3), Const(0)), Var(1), Var(4)))
-	vars := e.Vars(map[VarID]bool{}, nil)
-	if len(vars) != 4 {
-		t.Errorf("Vars = %v", vars)
+	if vars := e.VarList(); !slices.Equal(vars, []VarID{1, 2, 3, 4}) {
+		t.Errorf("VarList = %v", vars)
 	}
 	if e.NumVars() != 4 {
 		t.Errorf("NumVars = %d", e.NumVars())

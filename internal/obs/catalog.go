@@ -44,7 +44,7 @@ var Catalog = []Instrument{
 	{"castan.degraded.reconcile", CounterKind, "cuts", "internal/castan", false, "reconciliation cut by the rainbow budget or a candidate-check worker panic; remaining havoc sites stay unreconciled"},
 	{"castan.degraded.solve", CounterKind, "cuts", "internal/castan", false, "the final solve of the chosen path hit its budget (or an injected Unknown); the state's cached model stands in and reconciliation is skipped"},
 	{"castan.degraded.symbex", CounterKind, "cuts", "internal/castan", false, "symbex stage cut short by a budget/deadline (one per degradation; the castan.degraded.<stage> family covers every stage)"},
-	{"castan.havocs", CounterKind, "sites", "internal/castan", false, "havoced hash sites the symbolic path depends on"},
+	{"castan.havocs", CounterKind, "sites", "internal/castan", false, "havoced hash sites the emitted state's path depends on, completed or partial (the report's havocs_total)"},
 	{"castan.havocs_reconciled", CounterKind, "sites", "internal/castan", true, "havoc sites the rainbow stage concretized back to real packet bytes"},
 	{"castan.reconcile_checks", CounterKind, "replays", "internal/castan", false, "reconciliation validation replays of candidate concretizations"},
 	{"castan.store.hits", CounterKind, "artifacts", "internal/castan", true, "cross-run store lookups that returned a reusable artifact (skipping discovery/table builds)"},

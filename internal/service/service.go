@@ -450,8 +450,10 @@ func (s *Server) Do(ctx context.Context, req Request, sub *obs.ChanSub) Response
 			s.cSingleflight.Inc()
 			select {
 			case <-existing.done:
+				// Only a computed report is a cache hit; a rejection is
+				// passed on as it is.
 				r := existing.resp
-				r.CacheHit = true
+				r.CacheHit = r.Status == 200
 				return r
 			case <-ctx.Done():
 				return Response{Status: StatusClientGone, Err: ctx.Err().Error()}
@@ -476,8 +478,12 @@ func (s *Server) Do(ctx context.Context, req Request, sub *obs.ChanSub) Response
 		return j.resp
 	case <-ctx.Done():
 		// The waiter is gone; cancel the analysis so the worker degrades
-		// out at its next checkpoint rather than finishing for nobody.
-		j.meter.Cancel("client gone")
+		// out at its next checkpoint rather than finishing for nobody. A
+		// keyed job runs on: its followers wait for the clean result, and
+		// the report cache keeps it for the leader's retry.
+		if j.fl == nil {
+			j.meter.Cancel("client gone")
+		}
 		return Response{Status: StatusClientGone, Err: ctx.Err().Error()}
 	}
 }
@@ -612,8 +618,9 @@ func (s *Server) pop() *job {
 			j := s.queue[best]
 			s.queue = append(s.queue[:best], s.queue[best+1:]...)
 			s.gQueue.Set(uint64(len(s.queue)))
-			if j.ctx != nil && j.ctx.Err() != nil && !s.draining {
-				// The waiter gave up while queued; don't burn a worker.
+			if j.fl == nil && j.ctx != nil && j.ctx.Err() != nil && !s.draining {
+				// The waiter gave up while queued; don't burn a worker on
+				// a job no follower or later retry can collect.
 				s.finishLocked(j, Response{Status: StatusClientGone, Err: "client gone before start"})
 				continue
 			}

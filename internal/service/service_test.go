@@ -331,6 +331,70 @@ func TestSingleflightDoesNotAliasAcrossParams(t *testing.T) {
 	}
 }
 
+// TestFollowerOutlivesLeader: a keyed job belongs to every client of its
+// flight, so the leader's client leaving neither skips it (queued) nor
+// cancels it (running). The follower, still connected, gets the clean
+// computed report, and the leader's retry finds it in the report cache.
+func TestFollowerOutlivesLeader(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No fleet yet, so the leader's job is still queued when it leaves.
+	s := newServer(Config{Workers: 1, Store: st})
+	started := false
+	defer func() {
+		if started {
+			shutdown(t, s)
+		}
+	}()
+	computes := uint64(0)
+	for i, leaveWhile := range []string{"queued", "running"} {
+		// lpm-dl1 probes for tens of milliseconds before symbex (a fresh
+		// seed each round, so the store holds no model for it), so a
+		// leader that leaves once the job is in flight leaves mid-run.
+		req := Request{NF: "lpm-dl1", Packets: 4, MaxStates: 2000, Seed: uint64(3 + i), Key: "leave-" + leaveWhile}
+		leaderCtx, leave := context.WithCancel(context.Background())
+		leader := make(chan Response, 1)
+		go func() { leader <- s.Do(leaderCtx, req, nil) }()
+		if leaveWhile == "queued" {
+			waitFor(t, "leader queued", func() bool { q, _ := s.queueSnapshot(); return q == 1 })
+		} else {
+			waitFor(t, "leader running", func() bool { _, n := s.queueSnapshot(); return n == 1 })
+		}
+		follower := make(chan Response, 1)
+		go func() { follower <- s.Do(context.Background(), req, nil) }()
+		waitFor(t, "follower joined", func() bool {
+			return counterValue(s.Metrics(), CounterSingleflight) == computes+1
+		})
+		leave()
+		if r := <-leader; r.Status != StatusClientGone {
+			t.Fatalf("%s: leader = %+v, want %d", leaveWhile, r, StatusClientGone)
+		}
+		if !started {
+			s.start()
+			started = true
+		}
+		r := <-follower
+		if r.Status != 200 || !r.CacheHit || r.Degraded {
+			t.Fatalf("%s: follower = %d cache_hit=%v degraded=%v err=%q, want a clean cached 200",
+				leaveWhile, r.Status, r.CacheHit, r.Degraded, r.Err)
+		}
+		if err := r.Report.Check(req.NF); err != nil {
+			t.Fatalf("%s: follower report invalid: %v", leaveWhile, err)
+		}
+		computes++
+		retry := s.Do(context.Background(), req, nil)
+		if retry.Status != 200 || !retry.CacheHit || !retry.Report.SameOutcome(r.Report) {
+			t.Fatalf("%s: leader retry = %d cache_hit=%v, want the follower's report from the cache",
+				leaveWhile, retry.Status, retry.CacheHit)
+		}
+		if got := counterValue(s.Metrics(), CounterCompleted); got != computes {
+			t.Fatalf("%s: %s = %d, want %d", leaveWhile, CounterCompleted, got, computes)
+		}
+	}
+}
+
 // TestTenantBudgetExhaustion: with a cumulative per-tenant allotment, a
 // tenant that burned it is rejected 429 while others proceed.
 func TestTenantBudgetExhaustion(t *testing.T) {

@@ -45,8 +45,6 @@ const (
 	// localSolverSteps is the per-query budget for localRepair's small
 	// substituted problems.
 	localSolverSteps = 20000
-	// keepBest is how many completed states to retain.
-	keepBest = 8
 	// maxPinned bounds the substitution cache (Engine.pinned). An entry
 	// is a few KB of expression nodes; a 6-packet run makes a thousand or
 	// two, a paper-size run of a tree NF would make hundreds of thousands.
@@ -183,11 +181,10 @@ type pinKey struct {
 
 // Result is the outcome of an exploration.
 type Result struct {
-	// Best is the completed state with the highest current cost, or nil
-	// if no state consumed all N packets within budget.
+	// Best is the completed state with the highest current cost (the
+	// earliest completion on a tie), or nil if no state consumed all N
+	// packets within budget.
 	Best *State
-	// Completed holds the keepBest best completed states (Best first).
-	Completed []*State
 	// StatesExplored and Forks describe the search effort.
 	StatesExplored int
 	Forks          int
@@ -202,8 +199,7 @@ type Result struct {
 	// BestPartial is the most-progressed pending state when no state
 	// completed: most packets consumed, then highest realized cost, then
 	// lowest ID — a deterministic choice a degraded pipeline can still
-	// emit a workload from. nil when Completed is non-empty or the queue
-	// drained.
+	// emit a workload from. nil when Best is set or the queue drained.
 	BestPartial *State
 }
 
@@ -247,7 +243,7 @@ func (e *Engine) newSolver(maxSteps int) solver.Solver {
 	}
 }
 
-// Run explores the NF and returns the best adversarial states found.
+// Run explores the NF and returns the best adversarial state found.
 func (e *Engine) Run() (*Result, error) {
 	e.Cfg.fill()
 	entry := e.Mod.Funcs[e.Cfg.Entry]
@@ -289,7 +285,7 @@ func (e *Engine) Run() (*Result, error) {
 	e.cAvoided = e.Obs.Counter("solver.queries_avoided")
 	e.cPruned = e.Obs.Counter("symbex.pruned_edges")
 
-	var completed []*State
+	var best *State
 	done := 0
 	pops := 0
 	popsToBest := 0
@@ -347,9 +343,8 @@ func (e *Engine) Run() (*Result, error) {
 			if e.Trace != nil {
 				e.Trace("done", s)
 			}
-			completed = insertCompleted(completed, s)
-			if completed[0] == s {
-				popsToBest = pops
+			if best == nil || s.CurCost > best.CurCost {
+				best, popsToBest = s, pops
 			}
 			continue
 		}
@@ -365,15 +360,13 @@ func (e *Engine) Run() (*Result, error) {
 	e.Obs.Counter("symbex.states_explored").Add(uint64(e.explored))
 	e.Obs.Counter("symbex.forks").Add(uint64(e.forks))
 	res := &Result{
-		Completed:       completed,
+		Best:            best,
 		StatesExplored:  e.explored,
 		Forks:           e.forks,
 		PopsToBest:      popsToBest,
 		BudgetExhausted: budgetReason,
 	}
-	if len(completed) > 0 {
-		res.Best = completed[0]
-	} else {
+	if best == nil {
 		res.BestPartial = bestPartial(pq)
 	}
 	return res, nil
@@ -394,17 +387,6 @@ func bestPartial(pq stateHeap) *State {
 		}
 	}
 	return best
-}
-
-func insertCompleted(list []*State, s *State) []*State {
-	list = append(list, s)
-	for i := len(list) - 1; i > 0 && list[i].CurCost > list[i-1].CurCost; i-- {
-		list[i], list[i-1] = list[i-1], list[i]
-	}
-	if len(list) > keepBest {
-		list = list[:keepBest]
-	}
-	return list
 }
 
 // potential estimates the cycles still reachable from s: the annotated

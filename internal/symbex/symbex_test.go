@@ -360,12 +360,17 @@ func TestInfeasibleSidePruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newEngine(t, m, Config{NPackets: 1, PacketLen: 2, MaxStates: 100})
-	res, err := e.Run()
-	if err != nil {
+	var completed []*State
+	e.Trace = func(event string, s *State) {
+		if event == "done" {
+			completed = append(completed, s)
+		}
+	}
+	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	var s solver.Solver
-	for _, st := range res.Completed {
+	for _, st := range completed {
 		mdl, err := s.Solve(st.Constraints())
 		if err != nil {
 			t.Errorf("completed state %d unsat", st.ID)
