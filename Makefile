@@ -268,7 +268,9 @@ lint-strict:
 # trip; arbitrary bytes POSTed to /v1/analyze must never panic the
 # handler or draw a 5xx, and are a 400 unless they decode and validate;
 # arbitrary bytes must never panic obs.ReadChromeTrace, and a recorder's
-# Chrome trace must read back to its exact spans and counters.
+# Chrome trace must read back to its exact spans and counters; on any
+# random DAG and pin set, expr.Pinner must build the node-by-node
+# substitution's fingerprint, structure and node sharing.
 FUZZ_TIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/ir/ -run FuzzModuleValidate -count=1
@@ -295,6 +297,8 @@ fuzz-smoke:
 	$(GO) test ./internal/service/ -fuzz FuzzAnalyzeBody -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/obs/ -run FuzzReadChromeTrace -count=1
 	$(GO) test ./internal/obs/ -fuzz FuzzReadChromeTrace -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/expr/ -run FuzzPinMatchesSubstitute -count=1
+	$(GO) test ./internal/expr/ -fuzz FuzzPinMatchesSubstitute -fuzztime $(FUZZ_TIME)
 
 # Regenerate docs/TELEMETRY.md from the instrument tables (obs.Catalog,
 # service.Instruments). Run after editing a row; `go test .` fails on

@@ -16,6 +16,7 @@ package expr
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -659,38 +660,121 @@ func (e *Expr) HasVars() bool {
 	return has
 }
 
-// Substitute returns e with every variable replaced per vals; variables not
-// present in vals are kept symbolic. The walk is DAG-aware: shared
-// subtrees are rewritten once.
-func (e *Expr) Substitute(vals map[VarID]uint64) *Expr {
-	// Sized for a path constraint's two or three dozen interior nodes, so
-	// the common walk never rehashes.
-	return e.substitute(vals, make(map[*Expr]*Expr, 32))
+// Pinner replaces some of an expression's variables by byte constants
+// and folds what that decides. The result is the node a substitution
+// through the constructors (New, Ite) would build, but a subtree whose
+// variables are all pinned is folded by value: no constant is built for
+// it unless a node that survives the pinning takes it as an operand.
+// Its scratch is reused from one Pin to the next; a Pinner belongs to
+// one goroutine.
+//
+// Node identity is what a node-by-node rebuild would give wherever the
+// constructors compare operands by identity (Ite's then == els, New's
+// a == b): a shared interior node is rewritten once, so all its users
+// get one result, while a pinned leaf becomes a fresh constant at each
+// use.
+type Pinner struct {
+	vars []VarID
+	pins []uint16
+	// memo maps an interior node to the cell holding its result.
+	memo  map[*Expr]int32
+	cells []pinCell
 }
 
-func (e *Expr) substitute(vals map[VarID]uint64, cache map[*Expr]*Expr) *Expr {
+// pinCell is one rewritten node. When folded, the result is the
+// constant val, and e stays nil until some node needs it as an operand;
+// otherwise e is the result node.
+type pinCell struct {
+	e      *Expr
+	val    uint64
+	folded bool
+}
+
+// Pin returns e with its j-th variable (in VarList order) replaced by
+// the constant pins[j], or kept where pins[j] is Free.
+func (p *Pinner) Pin(e *Expr, pins []uint16) *Expr {
 	if !e.HasVars() {
 		return e
 	}
+	p.vars, p.pins = e.VarList(), pins
+	if len(pins) != len(p.vars) {
+		panic("expr: Pin needs one pin per variable")
+	}
+	if p.memo == nil {
+		p.memo = make(map[*Expr]int32, 32)
+	}
+	clear(p.memo)
+	p.cells = p.cells[:0]
+	return p.node(p.rewrite(e))
+}
+
+// node returns cell i's result node, building its constant on first need.
+func (p *Pinner) node(i int32) *Expr {
+	c := &p.cells[i]
+	if c.e == nil {
+		c.e = Const(c.val)
+	}
+	return c.e
+}
+
+func (p *Pinner) add(c pinCell) int32 {
+	p.cells = append(p.cells, c)
+	return int32(len(p.cells) - 1)
+}
+
+// result files the node a constructor returned.
+func (p *Pinner) result(r *Expr) int32 {
+	return p.add(pinCell{e: r, val: r.Val, folded: r.Op == OpConst})
+}
+
+func (p *Pinner) rewrite(e *Expr) int32 {
+	if !e.HasVars() {
+		return p.result(e)
+	}
 	if e.Op == OpVar {
-		// Leaves are not worth a cache entry: a pinned one folds into its
-		// parent by value, an unpinned one is returned as is.
-		if v, ok := vals[e.Var]; ok {
-			return Const(v & 0xff)
+		// Leaves get no memo entry: each use of a pinned one is its own
+		// (fresh) constant.
+		j, _ := slices.BinarySearch(p.vars, e.Var)
+		if s := p.pins[j]; s != Free {
+			return p.add(pinCell{val: uint64(s & 0xff), folded: true})
 		}
-		return e
+		return p.add(pinCell{e: e})
 	}
-	if r, ok := cache[e]; ok {
-		return r
+	if i, ok := p.memo[e]; ok {
+		return i
 	}
-	var r *Expr
+	var r int32
 	if e.Op == OpIte {
-		r = Ite(e.A.substitute(vals, cache), e.B.substitute(vals, cache), e.C.substitute(vals, cache))
+		r = p.rewriteIte(e)
 	} else {
-		r = New(e.Op, e.A.substitute(vals, cache), e.B.substitute(vals, cache))
+		a, b := p.rewrite(e.A), p.rewrite(e.B)
+		if ca, cb := p.cells[a], p.cells[b]; ca.folded && cb.folded {
+			r = p.add(pinCell{val: binConst(e.Op, ca.val, cb.val), folded: true})
+		} else {
+			r = p.result(New(e.Op, p.node(a), p.node(b)))
+		}
 	}
-	cache[e] = r
+	p.memo[e] = r
 	return r
+}
+
+// rewriteIte mirrors Ite: a decided condition yields its arm's own
+// cell, so the arm keeps its identity; arms that are one node collapse.
+func (p *Pinner) rewriteIte(e *Expr) int32 {
+	cond := p.rewrite(e.A)
+	if c := p.cells[cond]; c.folded {
+		if c.val != 0 {
+			return p.rewrite(e.B)
+		}
+		return p.rewrite(e.C)
+	}
+	then, els := p.rewrite(e.B), p.rewrite(e.C)
+	// Distinct cells are one node only if both are built: a constant not
+	// built yet would be fresh.
+	if t, f := p.cells[then], p.cells[els]; then == els || t.e != nil && t.e == f.e {
+		return then
+	}
+	return p.result(Ite(p.node(cond), p.node(then), p.node(els)))
 }
 
 // String renders e in prefix form, e.g. "(add v3 (mul v4 0x2))".

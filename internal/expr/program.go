@@ -147,6 +147,18 @@ func (c *Compiler) emit(e *Expr) int32 {
 	return int32(len(c.nodes) - 1)
 }
 
+// Rebind makes the program read its j-th variable from state[slots[j]]
+// from now on, in whatever state vector the next call passes; slots is
+// retained. The planes stay valid: each holds node values beside the
+// variable states they were computed under, and the next Eval, Range or
+// RangeOver recomputes what every variable whose state differs reaches.
+func (p *Program) Rebind(slots []int32) {
+	if len(slots) != len(p.slots) {
+		panic("expr: Rebind needs one slot per variable")
+	}
+	p.slots = slots
+}
+
 // sync copies the current variable states into seen and returns the
 // dirty set: the dep bits of every variable whose state changed.
 func (p *Program) sync(seen []uint16, state []uint16) uint64 {

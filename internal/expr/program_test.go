@@ -128,6 +128,71 @@ func TestProgramMatchesTreeWalk(t *testing.T) {
 				}
 			}
 		}
+		// The same program, rebound to other slots of a second state
+		// vector (the next query posing this node), then back: each
+		// binding must match the tree walk of its own assignment. The
+		// random draws come from their own source, so the cases above
+		// stay what they were.
+		checkRebound(t, rand.New(rand.NewSource(int64(i))), i, e, prog, slots, state, vals)
+	}
+}
+
+// checkRebound moves prog between the binding (slots, state) it was
+// compiled with and a second one, changing a few variables of whichever
+// binding is current between calls, and holds every Eval, Range and
+// RangeOver to the tree walk of that binding's assignment.
+func checkRebound(t *testing.T, rng *rand.Rand, i int, e *Expr, prog *Program, slots []int32, state []uint16, vals map[VarID]uint64) {
+	t.Helper()
+	vars := e.VarList()
+	type binding struct {
+		slots []int32
+		state []uint16
+		vals  map[VarID]uint64
+	}
+	second := binding{make([]int32, len(vars)), make([]uint16, len(vars)+5), map[VarID]uint64{}}
+	for j, s := range rng.Perm(len(vars) + 5)[:len(vars)] {
+		second.slots[j] = int32(s)
+	}
+	for j := range second.state {
+		second.state[j] = Free
+	}
+	// Some variables start where the first binding left them, so a
+	// rebind dirties only part of the program.
+	for j, v := range vars {
+		if b, ok := vals[v]; ok && rng.Intn(2) == 0 {
+			second.state[second.slots[j]] = uint16(b)
+			second.vals[v] = b
+		}
+	}
+	bindings := [2]binding{{slots, state, vals}, second}
+	for step := 0; step < 12; step++ {
+		cur := &bindings[(step+1)%2]
+		prog.Rebind(cur.slots)
+		for n := rng.Intn(3); n > 0 && len(vars) > 0; n-- {
+			j := rng.Intn(len(vars))
+			if rng.Intn(4) == 0 {
+				cur.state[cur.slots[j]] = Free
+				delete(cur.vals, vars[j])
+			} else {
+				b := uint16(rng.Intn(256))
+				cur.state[cur.slots[j]] = b
+				cur.vals[vars[j]] = uint64(b)
+			}
+		}
+		if len(vars) > 0 && rng.Intn(2) == 0 {
+			j := rng.Intn(len(vars))
+			lo, hi := uint64(rng.Intn(256)), uint64(rng.Intn(256))
+			over := Interval{min(lo, hi), max(lo, hi)}
+			if got, want := prog.RangeOver(cur.state, cur.slots[j], over), rangeOver(e, cur.vals, vars[j], over); got != want {
+				t.Fatalf("dag %d rebind %d: Program.RangeOver %v, Range %v with v%d over %v\n%v under %v", i, step, got, want, vars[j], over, e, cur.vals)
+			}
+		}
+		if got, want := prog.Range(cur.state), Range(e, cur.vals); got != want {
+			t.Fatalf("dag %d rebind %d: Program.Range %v, Range %v\n%v under %v", i, step, got, want, e, cur.vals)
+		}
+		if got, want := prog.Eval(cur.state), e.Eval(cur.vals); got != want {
+			t.Fatalf("dag %d rebind %d: Program.Eval %#x, Expr.Eval %#x\n%v under %v", i, step, got, want, e, cur.vals)
+		}
 	}
 }
 

@@ -76,6 +76,9 @@ var Catalog = []Instrument{
 	{"symbex.folded_instructions", CounterKind, "instructions", "internal/symbex", true, "address write-backs: symbolic base registers replaced by the address their access pinned (an engine given a taint analysis also counts input-independent results that came out constant)"},
 	{"symbex.forks", CounterKind, "states", "internal/symbex", true, "state forks at symbolic branches"},
 	{"symbex.instructions", CounterKind, "instructions", "internal/symbex", true, "IR instructions symbolically executed"},
+	{"symbex.local_unknown_capped", CounterKind, "repairs", "internal/symbex", false, "local repairs the solver left undecided: its step cap ran out, or the budget or an injected fault ended the query; the fork falls through to a full solve"},
+	{"symbex.local_unknown_no_free", CounterKind, "repairs", "internal/symbex", false, "local repairs not posed because the branch condition mentions no byte of the in-flight packet and no hash output; the fork falls through to a full solve"},
+	{"symbex.local_unknown_wide", CounterKind, "repairs", "internal/symbex", false, "local repairs not posed because the branch condition has more than 40 variables; the fork falls through to a full solve"},
 	{"symbex.pruned_edges", CounterKind, "edges", "internal/symbex", true, "conditional-branch edges skipped as infeasible by value-range analysis"},
 	{"symbex.state_pops", CounterKind, "states", "internal/symbex", false, "states popped off the priority queue (the searcher's step count)"},
 	{"symbex.states_explored", CounterKind, "states", "internal/symbex", true, "distinct states explored before the budget or queue ran out"},

@@ -23,7 +23,7 @@ type Block struct{ Before, N int }
 // SkippedBlocks runs Check's search on constraints and returns every
 // block it skipped, in order.
 func (s *Solver) SkippedBlocks(constraints []*expr.Expr) []Block {
-	p, res := newProblem(constraints, s.Hint)
+	p, res := newProblem(constraints, s.Hint, s.Programs)
 	if res != Unknown {
 		return nil
 	}
@@ -35,4 +35,10 @@ func (s *Solver) SkippedBlocks(constraints []*expr.Expr) []Block {
 	p.onSkip = func(steps, n int) { blocks = append(blocks, Block{steps, n}) }
 	p.search()
 	return blocks
+}
+
+// Has reports whether the cache holds a program for e.
+func (c *Programs) Has(e *expr.Expr) bool {
+	_, ok := c.progs[e]
+	return ok
 }

@@ -137,6 +137,41 @@ func TestCheckMatchesReferenceOnCapturedQueries(t *testing.T) {
 	}
 }
 
+// TestProgramCacheKeepsEveryQuery replays each exploration's queries in
+// the order it posed them through solvers that share one Programs
+// cache, as the engine's do, so a constraint posed again reuses the
+// program an earlier query left behind, rebound and holding that
+// query's node values. Every query must come out exactly as with
+// programs compiled afresh.
+func TestProgramCacheKeepsEveryQuery(t *testing.T) {
+	for _, name := range []string{"lb-ubtree", "nat-ubtree", "lb-rbtree", "lpm-trie"} {
+		t.Run(name, func(t *testing.T) {
+			qs, _ := explore(t, name)
+			var progs solver.Programs
+			reused := 0
+			for i, q := range qs {
+				for _, c := range q.cons {
+					if progs.Has(c) {
+						reused++
+					}
+				}
+				fresh := solver.Solver{MaxSteps: q.maxSteps, Hint: q.hint}
+				cached := solver.Solver{MaxSteps: q.maxSteps, Hint: q.hint, Programs: &progs}
+				res, m, eff := cached.CheckEffort(q.cons)
+				wantRes, wantM, wantEff := fresh.CheckEffort(q.cons)
+				if res != wantRes || eff != wantEff || !maps.Equal(m, wantM) {
+					t.Fatalf("%s query %d (%d constraints, cap %d):\n  cached programs %v %+v model %v\n  fresh programs  %v %+v model %v",
+						name, i, len(q.cons), q.maxSteps, res, eff, m, wantRes, wantEff, wantM)
+				}
+			}
+			if reused == 0 {
+				t.Fatalf("%s: %d queries reused no program", name, len(qs))
+			}
+			t.Logf("%s: %d queries, %d constraints posed with a cached program", name, len(qs), reused)
+		})
+	}
+}
+
 // randomSystem draws a constraint system over nvars byte variables,
 // each confined by an explicit bound to bounds[v]+1 values so that brute
 // force over the whole space stays cheap. Every expr op occurs, shared

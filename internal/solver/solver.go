@@ -137,6 +137,50 @@ type Solver struct {
 	// exactly as if the caller had never asked. Shared, like Hint,
 	// across the solvers one engine constructs; never across workers.
 	Memo *Memo
+	// Programs, when set, keeps the constraints this solver compiles
+	// for later queries to reuse. Like Memo it is shared across the
+	// solvers one goroutine constructs, and never across goroutines: a
+	// Program belongs to one.
+	Programs *Programs
+}
+
+// Programs caches compiled constraints across queries, keyed by node
+// identity: a query that poses a node an earlier one compiled rebinds
+// that Program to its own slots instead of compiling the node again.
+// That is exact because a Program's planes hold node values beside the
+// variable states they were computed under (expr.Program.Rebind). A
+// query poses a node at most once — a repeat is dropped as a duplicate
+// — so no two live constraints share a Program. The zero value is
+// ready; a Programs belongs to one goroutine.
+type Programs struct {
+	compiler expr.Compiler
+	progs    map[*expr.Expr]*expr.Program
+}
+
+// maxPrograms bounds the cache. Like symbex's substitution cache it is
+// dropped whole when full: the paths being repaired refill it at once.
+const maxPrograms = 1 << 14
+
+// compile returns t's Program reading its variables from slots: the
+// cached one rebound, or a new one it then caches. A nil cache compiles
+// with compiler and keeps nothing.
+func (c *Programs) compile(compiler *expr.Compiler, t *expr.Expr, slots []int32) *expr.Program {
+	if c == nil {
+		return compiler.Compile(t, slots)
+	}
+	if prog, ok := c.progs[t]; ok {
+		prog.Rebind(slots)
+		return prog
+	}
+	prog := c.compiler.Compile(t, slots)
+	switch {
+	case c.progs == nil:
+		c.progs = make(map[*expr.Expr]*expr.Program)
+	case len(c.progs) >= maxPrograms:
+		clear(c.progs)
+	}
+	c.progs[t] = prog
+	return prog
 }
 
 // DefaultMaxSteps is the default search budget.
@@ -176,7 +220,7 @@ func (s *Solver) check(constraints []*expr.Expr) (Result, Model, *problem, bool)
 			memoKey = key
 		}
 	}
-	p, res := newProblem(constraints, s.Hint)
+	p, res := newProblem(constraints, s.Hint, s.Programs)
 	defer func() {
 		if p != nil {
 			s.Budget.Charge(uint64(p.steps))
@@ -289,7 +333,8 @@ const noHint uint16 = 0xffff
 
 // newProblem normalizes constraints. Returns (nil, Unsat) for a trivially
 // false system and an empty problem with Sat for a trivially true one.
-func newProblem(constraints []*expr.Expr, hint Model) (*problem, Result) {
+// Constraints are compiled through progs (nil: compiled afresh).
+func newProblem(constraints []*expr.Expr, hint Model, progs *Programs) (*problem, Result) {
 	// Interval pre-pass: constraints comparing structurally identical
 	// expressions against constants narrow a shared interval; an empty
 	// intersection refutes the system without any search. This catches
@@ -362,7 +407,7 @@ func newProblem(constraints []*expr.Expr, hint Model) (*problem, Result) {
 			occurs[slot]++
 		}
 		own := slots[from:len(slots):len(slots)]
-		p.cons[ci] = constraint{prog: compiler.Compile(t, own), slots: own, free: len(own)}
+		p.cons[ci] = constraint{prog: progs.compile(&compiler, t, own), slots: own, free: len(own)}
 	}
 	p.varCons = make([][]int32, len(p.vars))
 	backing := make([]int32, nvars)

@@ -410,7 +410,7 @@ func TestDuplicateConstraintsDropped(t *testing.T) {
 		bare, expr.Ne(expr.And(expr.Var(2), expr.Const(0x0f)), expr.Const(0)),
 		expr.Ult(word(0, 3), expr.Const(0x1234)), // same shape, another variable
 	}
-	p, res := newProblem(cons, nil)
+	p, res := newProblem(cons, nil, nil)
 	if res != Unknown || p == nil {
 		t.Fatalf("newProblem = %v, want an undecided problem", res)
 	}

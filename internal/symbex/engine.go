@@ -45,6 +45,9 @@ const (
 	// localSolverSteps is the per-query budget for localRepair's small
 	// substituted problems.
 	localSolverSteps = 20000
+	// maxLocalVars is the most variables a branch condition may have for
+	// localRepair to pose it as a local problem.
+	maxLocalVars = 40
 	// maxPinned bounds the substitution cache (Engine.pinned). An entry
 	// is a few KB of expression nodes; a 6-packet run makes a thousand or
 	// two, a paper-size run of a tree NF would make hundreds of thousands.
@@ -156,24 +159,38 @@ type Engine struct {
 	sol    solver.Solver
 	nextID int
 	// pinned caches localRepair's substituted path constraints (see
-	// pinKey); free, pins and local are its scratch, reused across calls.
+	// pinKey); pinner, free, pins, key and local are its scratch, reused
+	// across calls.
 	pinned map[pinKey]*expr.Expr
+	pinner expr.Pinner
 	free   []expr.VarID
-	pins   []byte
+	pins   []uint16
+	key    []byte
 	local  []*expr.Expr
+	// progs keeps the constraints the engine's solvers compile for later
+	// queries (newSolver hands it to each). It is the pipeline
+	// goroutine's alone: reconciliation's parallel workers build their
+	// own solvers and never see it.
+	progs solver.Programs
 
 	forks    int
 	explored int
 	cFolded  *obs.Counter
 	cAvoided *obs.Counter
 	cPruned  *obs.Counter
+	// localRepair's Unknowns, by reason: the solver left its query
+	// undecided, the condition was too wide to pose, or nothing in it
+	// was free to repair.
+	cLocalCapped *obs.Counter
+	cLocalWide   *obs.Counter
+	cLocalNoFree *obs.Counter
 }
 
 // pinKey identifies one substituted form of a path constraint: the
 // constraint node and, per variable of its VarList in order, two bytes
 // holding the byte it is pinned to or expr.Free. A path re-poses the
-// same constraint under the same pins at nearly every fork, and
-// Substitute is a pure function of exactly this pair.
+// same constraint under the same pins at nearly every fork, and the
+// substitution is a pure function of exactly this pair.
 type pinKey struct {
 	c    *expr.Expr
 	pins string
@@ -240,6 +257,7 @@ func (e *Engine) newSolver(maxSteps int) solver.Solver {
 		Budget:       e.Budget.Stage(budget.StageSolver),
 		ForceUnknown: e.SolverFault,
 		Memo:         e.Memo,
+		Programs:     &e.progs,
 	}
 }
 
@@ -284,6 +302,9 @@ func (e *Engine) Run() (*Result, error) {
 	e.cFolded = e.Obs.Counter("symbex.folded_instructions")
 	e.cAvoided = e.Obs.Counter("solver.queries_avoided")
 	e.cPruned = e.Obs.Counter("symbex.pruned_edges")
+	e.cLocalCapped = e.Obs.Counter("symbex.local_unknown_capped")
+	e.cLocalWide = e.Obs.Counter("symbex.local_unknown_wide")
+	e.cLocalNoFree = e.Obs.Counter("symbex.local_unknown_no_free")
 
 	var best *State
 	done := 0
@@ -472,6 +493,7 @@ func (e *Engine) injectPacket(s *State, entry *ir.Func) {
 	f.retDst = ir.NoReg
 	s.frames = []*frame{f}
 	s.packetStartCost = s.CurCost
+	s.packetStartCons = len(s.constraints)
 }
 
 // step runs s until it forks, completes a packet sequence, traps, or
@@ -858,7 +880,8 @@ func (e *Engine) currentPacketFilter(s *State) func(expr.VarID) bool {
 // pinning may be too rigid), so callers fall through.
 func (e *Engine) localRepair(s *State, c *expr.Expr, filter func(expr.VarID) bool) (solver.Model, solver.Result) {
 	vars := c.VarList()
-	if len(vars) == 0 || len(vars) > 40 {
+	if len(vars) > maxLocalVars {
+		e.cLocalWide.Inc()
 		return nil, solver.Unknown
 	}
 	e.free = e.free[:0]
@@ -868,10 +891,19 @@ func (e *Engine) localRepair(s *State, c *expr.Expr, filter func(expr.VarID) boo
 		}
 	}
 	if len(e.free) == 0 {
+		e.cLocalNoFree.Inc()
 		return nil, solver.Unknown
 	}
+	// Constraints recorded before the in-flight packet arrived cannot
+	// mention its bytes, so when those are all that is free the scan
+	// starts at the packet's first constraint. A free havoc output may
+	// come from any earlier packet: then the whole path is scanned.
+	scan := s.constraints
+	if e.free[0] >= e.PacketVar(s.PacketsDone, 0) && e.free[len(e.free)-1] < e.havocVarBase() {
+		scan = scan[min(s.packetStartCons, len(scan)):]
+	}
 	e.local = e.local[:0]
-	for _, pc := range s.constraints {
+	for _, pc := range scan {
 		if sharesVar(pc.VarList(), e.free) {
 			e.local = append(e.local, e.pin(pc, s.model))
 		}
@@ -883,10 +915,13 @@ func (e *Engine) localRepair(s *State, c *expr.Expr, filter func(expr.VarID) boo
 	sol := e.newSolver(localSolverSteps)
 	sol.Hint = s.model
 	res, m := sol.Check(e.local)
-	if res != solver.Sat {
-		return nil, res
+	switch res {
+	case solver.Sat:
+		return m, solver.Sat
+	case solver.Unknown:
+		e.cLocalCapped.Inc()
 	}
-	return m, solver.Sat
+	return nil, res
 }
 
 // sharesVar reports whether two ascending variable lists intersect.
@@ -905,12 +940,11 @@ func sharesVar(a, b []expr.VarID) bool {
 }
 
 // pin returns c with every variable outside e.free replaced by its model
-// byte — c.Substitute of those bindings, computed once per pinKey.
+// byte, computed once per pinKey.
 func (e *Engine) pin(c *expr.Expr, model solver.Model) *expr.Expr {
-	vars := c.VarList()
-	e.pins = e.pins[:0]
+	e.pins, e.key = e.pins[:0], e.key[:0]
 	fi := 0
-	for _, v := range vars {
+	for _, v := range c.VarList() {
 		for fi < len(e.free) && e.free[fi] < v {
 			fi++
 		}
@@ -918,18 +952,13 @@ func (e *Engine) pin(c *expr.Expr, model solver.Model) *expr.Expr {
 		if fi == len(e.free) || e.free[fi] != v {
 			state = uint16(model[v] & 0xff)
 		}
-		e.pins = append(e.pins, byte(state), byte(state>>8))
+		e.pins = append(e.pins, state)
+		e.key = append(e.key, byte(state), byte(state>>8))
 	}
-	if r, ok := e.pinned[pinKey{c, string(e.pins)}]; ok {
+	if r, ok := e.pinned[pinKey{c, string(e.key)}]; ok {
 		return r
 	}
-	fixed := make(map[expr.VarID]uint64, len(vars))
-	for i, v := range vars {
-		if e.pins[2*i+1] == 0 {
-			fixed[v] = uint64(e.pins[2*i])
-		}
-	}
-	r := c.Substitute(fixed)
+	r := e.pinner.Pin(c, e.pins)
 	switch {
 	case e.pinned == nil:
 		e.pinned = map[pinKey]*expr.Expr{}
@@ -938,7 +967,7 @@ func (e *Engine) pin(c *expr.Expr, model solver.Model) *expr.Expr {
 		// refill it within a few repairs, and nothing depends on a hit.
 		clear(e.pinned)
 	}
-	e.pinned[pinKey{c, string(e.pins)}] = r
+	e.pinned[pinKey{c, string(e.key)}] = r
 	return r
 }
 

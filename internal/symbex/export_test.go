@@ -14,6 +14,12 @@ func (e *Engine) LocalRepair(s *State, c *expr.Expr) (solver.Model, solver.Resul
 	return e.localRepair(s, c, nil)
 }
 
+// LocalRepairInFlight is LocalRepair as fork poses it: only the
+// in-flight packet's bytes and hash outputs are free.
+func (e *Engine) LocalRepairInFlight(s *State, c *expr.Expr) (solver.Model, solver.Result) {
+	return e.localRepair(s, c, e.currentPacketFilter(s))
+}
+
 // PinnedLen and LocalLen are the sizes of localRepair's substitution
 // cache and of its last local problem.
 func (e *Engine) PinnedLen() int { return len(e.pinned) }
@@ -21,3 +27,10 @@ func (e *Engine) LocalLen() int  { return len(e.local) }
 
 // TruncateConstraints drops every path constraint from index n on.
 func (s *State) TruncateConstraints(n int) { s.constraints = s.constraints[:n] }
+
+// ReopenLastPacket makes a completed state's last packet the in-flight
+// one again, as it was while that packet ran.
+func (s *State) ReopenLastPacket() {
+	s.PacketsDone--
+	s.Done = false
+}

@@ -64,6 +64,9 @@ type State struct {
 
 	heapTop         uint64
 	packetStartCost uint64
+	// packetStartCons is len(constraints) when the in-flight packet
+	// arrived: no earlier constraint mentions its bytes.
+	packetStartCons int
 	trapped         error
 
 	// havocVars marks the fresh symbols minted for havoc outputs;
@@ -109,6 +112,7 @@ func (s *State) clone(newID int) *State {
 
 		heapTop:         s.heapTop,
 		packetStartCost: s.packetStartCost,
+		packetStartCons: s.packetStartCons,
 		model:           make(solver.Model, len(s.model)),
 	}
 	for k, v := range s.model {

@@ -399,3 +399,43 @@ func TestExprHelperMapping(t *testing.T) {
 		t.Error("ult")
 	}
 }
+
+// TestLocalRepairScanBound: a repair whose free bytes all belong to the
+// in-flight packet scans only the constraints recorded since that
+// packet arrived; one that frees a hash output scans the whole path,
+// since an earlier packet's constraints may mention it.
+func TestLocalRepairScanBound(t *testing.T) {
+	e := &Engine{Cfg: Config{NPackets: 2, PacketLen: 4}} // packet 1 is bytes 4-7, hash outputs from 8
+	early := expr.Ult(expr.Var(8), expr.Const(10))       // a hash output constrained during packet 0
+	stale := expr.Ult(expr.Var(4), expr.Const(3))        // cannot occur: packet 1's byte before packet 1
+	s := &State{
+		PacketsDone:     1,
+		constraints:     []*expr.Expr{early, stale, expr.Eq(expr.Var(0), expr.Const(1)), expr.Ult(expr.Var(4), expr.Const(100))},
+		packetStartCons: 3,
+		model:           solver.Model{0: 1, 8: 5},
+	}
+	var posed []*expr.Expr
+	e.QueryTrace = func(cons []*expr.Expr, _ solver.Model, _ int) { posed = append(posed[:0], cons...) }
+	for _, tc := range []struct {
+		name string
+		c    *expr.Expr
+		want []*expr.Expr
+	}{
+		{"packet bytes", expr.Eq(expr.Var(4), expr.Const(7)), []*expr.Expr{s.constraints[3]}},
+		{"hash output", expr.Eq(expr.Add(expr.Var(4), expr.Var(8)), expr.Const(20)), []*expr.Expr{early, stale, s.constraints[3]}},
+	} {
+		posed = nil
+		if _, res := e.localRepair(s, tc.c, e.currentPacketFilter(s)); res == solver.Unknown {
+			t.Fatalf("%s: local repair undecided", tc.name)
+		}
+		want := append(tc.want, tc.c)
+		if len(posed) != len(want) {
+			t.Fatalf("%s: posed %v, want %v", tc.name, posed, want)
+		}
+		for i := range want {
+			if !expr.SameStructure(posed[i], want[i]) {
+				t.Fatalf("%s: posed %v, want %v", tc.name, posed, want)
+			}
+		}
+	}
+}
