@@ -45,9 +45,11 @@ bench:
 # once with -short budgets, proving the harness end to end in minutes.
 # The per-layer packages are listed so their testing.B benchmarks (the
 # yardsticks performance PRs quote) cannot rot unrun; internal/castan's
-# are BenchmarkDiscover, cold discovery on lpm-dl1, and
+# are BenchmarkDiscover, cold discovery on lpm-dl1,
 # BenchmarkAnalyzeWarm, warm nat-chain + nat-ring analyses through one
-# shared store handle. internal/testbed's run at one and two Ps: testbed.Measure is a two-goroutine pipeline, and
+# shared store handle, and BenchmarkAnalyzeCold, cold lb-ring and
+# nat-ring analyses (quote it at -cpu 1,2: the table build runs beside
+# discovery and symbex). internal/testbed's run at one and two Ps: testbed.Measure is a two-goroutine pipeline, and
 # with one P its stages must take turns.
 bench-smoke:
 	$(GO) test -short -bench . -benchtime 1x -run '^$$' \

@@ -54,10 +54,12 @@ type Config struct {
 	NoCacheModel bool
 	// NoRainbow disables havoc reconciliation (ablation).
 	NoRainbow bool
-	// Workers bounds the analysis fan-out (0 = GOMAXPROCS): rainbow-chain
+	// Workers bounds each stage's fan-out (0 = GOMAXPROCS): rainbow-chain
 	// generation, contention-set sweeps, and batched candidate solver
-	// checks during havoc reconciliation. Output is identical at every
-	// worker count.
+	// checks during havoc reconciliation. The rainbow-table work itself
+	// runs beside discovery and symbex, on a goroutine Analyze starts and
+	// joins (DESIGN.md decision 21), so the two stages' fan-outs can
+	// overlap. Output is identical at every worker count.
 	Workers int
 	// Obs, when non-nil, receives pipeline telemetry: phase spans, solver
 	// and symbex effort, memory-simulator traffic, and rainbow/havoc
@@ -188,6 +190,10 @@ type Search struct {
 	degr  []StageDegradation
 	root  *obs.Span
 	start time.Time
+	// tables is the table work Analyze started before this search was
+	// built; nil when it started none (NoRainbow, no hash site, or a
+	// search built by NewSearch alone).
+	tables *tableWork
 }
 
 // degrade records a stage cut and publishes it as a note.
@@ -295,12 +301,18 @@ func NewSearch(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Search, 
 }
 
 // Analyze runs the full CASTAN pipeline on a *freshly built* NF instance.
-// The hierarchy is only ever probed as a black box.
+// The hierarchy is only ever probed as a black box. Every hash site's
+// rainbow table is built (or loaded) beside discovery and symbex, and
+// joined before Analyze returns, on every path.
 func Analyze(inst *nf.Instance, hier *memsim.Hierarchy, cfg Config) (*Output, error) {
+	cfg.fill()
+	tables := startTables(inst, cfg)
+	defer tables.join()
 	s, err := NewSearch(inst, hier, cfg)
 	if err != nil {
 		return nil, err
 	}
+	s.tables = tables
 	cfg, eng, root := s.cfg, s.Engine, s.root
 	rec := cfg.Obs
 
@@ -511,6 +523,7 @@ func discoverModel(regions []nf.Region, hier *memsim.Hierarchy, cfg Config, rec 
 func (s *Search) concretize(inst *nf.Instance, st *symbex.State) (*Output, error) {
 	cfg, eng := s.cfg, s.Engine
 	if st == nil {
+		s.joinTables(false)
 		frames := buildFrames(eng, solver.Model{})
 		return &Output{Report: Report{NF: inst.Name, Packets: packetReports(frames, nil)}, Frames: frames}, nil
 	}
@@ -548,13 +561,14 @@ func (s *Search) concretize(inst *nf.Instance, st *symbex.State) (*Output, error
 	unrec := map[int]bool{}
 	reconciled := 0
 	if !reconcile {
+		s.joinTables(false)
 		for _, h := range st.Havocs {
 			if _, known := uses[h.HashID]; known {
 				unrec[h.HashID] = true
 			}
 		}
 	} else {
-		tables := buildRainbowTables(inst, cfg, s.degrade)
+		tables := s.joinTables(true)
 		hook := cfg.Faults.PanicHook(faultinject.PanicReconcile)
 		bRainbow := cfg.Budget.Stage(budget.StageRainbow)
 		pinnedVars := map[expr.VarID]bool{}
@@ -648,22 +662,127 @@ func safeReconcile(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pinn
 	return reconcileHavoc(sol, cons, mdl, pinnedVars, usedKeys, h, hu, tbl, workers, hook), nil
 }
 
-// buildRainbowTables returns one rainbow table per havocable hash site,
-// built or loaded through cfg.Tables (Analyze fills in a per-call cache
-// when the caller passed none).
-func buildRainbowTables(inst *nf.Instance, cfg Config, degrade func(stage, reason, fallback string)) map[int]*rainbow.Table {
-	corrupt := cfg.Faults.ChainHook()
+// tableWork is one Analyze call's rainbow-table work: every hash site's
+// table, built or loaded on a goroutine of its own while discovery and
+// symbex run (DESIGN.md decision 21). The goroutine records nothing — no
+// span, event, counter or budget charge; each site keeps what the store
+// did instead, and joinTables records it on the pipeline goroutine.
+type tableWork struct {
+	done  chan struct{}
+	sites []siteTable
+	// pan is a panic the goroutine contained, for join to re-raise.
+	pan any
+}
+
+// siteTable is one hash site's table (nil when building it failed) and
+// what getting it did in the cross-run store.
+type siteTable struct {
+	hashID int
+	tbl    *rainbow.Table
+	store  storeOutcome
+}
+
+// storeOutcome is what one table build did in the cross-run store. It is
+// zero when the table came from the TableCache or the run has no store.
+type storeOutcome struct{ hit, miss, write bool }
+
+func (o storeOutcome) record(rec *obs.Recorder) {
+	if o.hit {
+		rec.Counter("castan.store.hits").Inc()
+	}
+	if o.miss {
+		rec.Counter("castan.store.misses").Inc()
+	}
+	if o.write {
+		rec.Counter("castan.store.writes").Inc()
+	}
+}
+
+// tableBuildFault, when non-nil, runs at the start of every table build
+// on the table goroutine (a test seam; nil outside tests).
+var tableBuildFault func(hashID int)
+
+// startTables starts the table work for every havocable hash site of
+// inst, or returns nil when there is none to do (NoRainbow, or no hash
+// site). cfg must be filled: the work goes through cfg.Tables.
+func startTables(inst *nf.Instance, cfg Config) *tableWork {
+	if cfg.NoRainbow || !slices.ContainsFunc(inst.Hashes, func(h nf.HashUse) bool { return h.Space != nil }) {
+		return nil
+	}
+	w := &tableWork{done: make(chan struct{})}
+	go func() {
+		defer close(w.done)
+		defer func() { w.pan = recover() }()
+		w.sites = buildRainbowTables(inst, cfg)
+	}()
+	return w
+}
+
+// join waits for the table work and hands its sites to the caller. The
+// first join after the goroutine panicked re-raises that panic's value on
+// the caller's goroutine instead. A nil *tableWork joins at once.
+func (w *tableWork) join() []siteTable {
+	if w == nil {
+		return nil
+	}
+	<-w.done
+	if p := w.pan; p != nil {
+		w.pan = nil
+		panic(p)
+	}
+	return w.sites
+}
+
+// joinTables joins the table work and records it on the pipeline
+// goroutine, site by site in inst.Hashes order: the store outcome always;
+// then, only when the run reconciles, the integrity gate, the rainbow
+// counters and the StageRainbow charge, and the table joins the returned
+// map. A run that does not reconcile records only the store work it did.
+func (s *Search) joinTables(reconcile bool) map[int]*rainbow.Table {
+	cfg := s.cfg
 	out := map[int]*rainbow.Table{}
+	for _, site := range s.tables.join() {
+		site.store.record(cfg.Obs)
+		if !reconcile || site.tbl == nil {
+			continue
+		}
+		// Integrity gate: rewalk a handful of chains before trusting the
+		// table (it may come from the shared cache or a faulty build). A
+		// failed check drops the table — its havoc sites will simply stay
+		// unreconciled, which is a degradation, not an error.
+		//
+		// Build effort is not recorded at build time: a table in a
+		// caller-owned cache outlives one Analyze, so a build-time recorder
+		// would credit all chain work to whichever run built it. Counting
+		// here from the finished table charges every run identically,
+		// cache hit or fresh build (DESIGN.md decision 8).
+		tbl := site.tbl
+		if scErr := tbl.SelfCheck(4); scErr != nil {
+			s.degrade("rainbow", scErr.Error(),
+				fmt.Sprintf("table for hash %d dropped; its havoc sites stay unreconciled", site.hashID))
+			continue
+		}
+		cfg.Obs.Counter("rainbow.tables").Inc()
+		cfg.Obs.Counter("rainbow.chains").Add(uint64(tbl.Chains()))
+		cfg.Budget.Stage(budget.StageRainbow).Charge(uint64(tbl.Chains()) * uint64(tbl.ChainLen()))
+		out[site.hashID] = tbl
+	}
+	return out
+}
+
+// buildRainbowTables builds or loads one rainbow table per havocable hash
+// site through cfg.Tables (Analyze fills in a per-call cache when the
+// caller passed none). It runs on the table goroutine, so it touches
+// neither the recorder nor the budget.
+func buildRainbowTables(inst *nf.Instance, cfg Config) []siteTable {
+	corrupt := cfg.Faults.ChainHook()
+	var out []siteTable
 	for _, h := range inst.Hashes {
 		if h.Space == nil {
 			continue
 		}
 		h := h
-		// Build effort is not recorded at build time: a table in a
-		// caller-owned cache outlives one Analyze, so a build-time recorder
-		// would credit all chain work to whichever run built it. Counting
-		// below from the finished table charges every run identically,
-		// cache hit or fresh build (DESIGN.md decision 8).
+		site := siteTable{hashID: h.HashID}
 		key, diskKey, rcfg := rainbowSite(h)
 		rcfg.Workers = cfg.Workers
 		rcfg.Corrupt = corrupt
@@ -673,7 +792,12 @@ func buildRainbowTables(inst *nf.Instance, cfg Config, degrade func(stage, reaso
 			// it a possibly corrupted table.
 			diskStore = nil
 		}
+		// build sets site.store only when it runs: a table another call
+		// or site already put in cfg.Tables records no store outcome.
 		build := func() (*rainbow.Table, error) {
+			if tableBuildFault != nil {
+				tableBuildFault(h.HashID)
+			}
 			// Disk first: a stored table is only trusted after a
 			// SelfCheck rewalks sample chains from the build seed —
 			// decodable bytes with wrong chain data (tampering, torn
@@ -681,52 +805,34 @@ func buildRainbowTables(inst *nf.Instance, cfg Config, degrade func(stage, reaso
 			// table any other way. Any failure is a plain miss.
 			if payload, ok := diskStore.Get(store.KindRainbow, diskKey); ok {
 				if tbl, lerr := rainbow.LoadTable(payload, h.Fn, h.Space); lerr == nil && tbl.SelfCheck(4) == nil {
-					cfg.Obs.Counter("castan.store.hits").Inc()
+					site.store.hit = true
 					return tbl, nil
 				}
 			}
-			if diskStore != nil {
-				cfg.Obs.Counter("castan.store.misses").Inc()
-			}
+			site.store.miss = diskStore != nil
 			tbl, err := rainbow.Build(h.Fn, h.Space, rcfg)
 			if err != nil {
 				return nil, err
 			}
 			if diskStore != nil {
 				if data, serr := tbl.Serialize(); serr == nil && diskStore.Put(store.KindRainbow, diskKey, data) == nil {
-					cfg.Obs.Counter("castan.store.writes").Inc()
+					site.store.write = true
 				}
 			}
 			return tbl, nil
 		}
-		var tbl *rainbow.Table
-		var err error
+		// A failed build returns no table, and its sites stay
+		// unreconciled; that is all the error changes.
 		if corrupt != nil {
 			// A corrupted table must never enter a cache the caller may
 			// share with clean runs, so fault runs build privately and eat
-			// the cost
-			// (diskStore is already nil under faults, so the corrupted
-			// table cannot be persisted either).
-			tbl, err = build()
+			// the cost (diskStore is already nil under faults, so the
+			// corrupted table cannot be persisted either).
+			site.tbl, _ = build()
 		} else {
-			tbl, err = cfg.Tables.tables.Do(key, build)
+			site.tbl, _ = cfg.Tables.tables.Do(key, build)
 		}
-		if err != nil {
-			continue
-		}
-		// Integrity gate: rewalk a handful of chains before trusting the
-		// table (it may come from the shared cache or a faulty build). A
-		// failed check drops the table — its havoc sites will simply stay
-		// unreconciled, which is a degradation, not an error.
-		if scErr := tbl.SelfCheck(4); scErr != nil {
-			degrade("rainbow", scErr.Error(),
-				fmt.Sprintf("table for hash %d dropped; its havoc sites stay unreconciled", h.HashID))
-			continue
-		}
-		cfg.Obs.Counter("rainbow.tables").Inc()
-		cfg.Obs.Counter("rainbow.chains").Add(uint64(tbl.Chains()))
-		cfg.Budget.Stage(budget.StageRainbow).Charge(uint64(tbl.Chains()) * uint64(tbl.ChainLen()))
-		out[h.HashID] = tbl
+		out = append(out, site)
 	}
 	return out
 }

@@ -450,3 +450,26 @@ func BenchmarkAnalyzeWarm(b *testing.B) {
 		run()
 	}
 }
+
+// BenchmarkAnalyzeCold times a cold analysis of the two ring NFs, where
+// the rainbow table build is the largest single piece of work: lb-ring
+// and nat-ring at 6 packets and 4000 states, seed 2018, two workers, with
+// no store and no shared TableCache, so every op discovers, builds and
+// reconciles from scratch. Quote it at -cpu 1,2: with one P the table
+// build and discovery take turns.
+func BenchmarkAnalyzeCold(b *testing.B) {
+	for _, name := range []string{"lb-ring", "nat-ring"} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				inst, err := nf.New(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfg := Config{NPackets: 6, MaxStates: 4000, Seed: 2018, Workers: 2}
+				if _, err := Analyze(inst, memsim.New(memsim.DefaultGeometry(), 2018), cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

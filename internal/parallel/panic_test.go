@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // recoverPanic runs fn and returns the contained *Panic it re-threw, or
@@ -136,5 +137,57 @@ func TestNoPanicFastPathUnchanged(t *testing.T) {
 	}
 	if idx := First(4, 10, func(i int) bool { return i >= 6 }); idx != 6 {
 		t.Fatalf("First = %d", idx)
+	}
+}
+
+// TestGroupPanicReleasesEveryCaller holds Do to landing a panicking
+// flight: the caller that ran fn, one waiting on it, and one arriving
+// after all get the same *Panic, and none of them waits forever.
+func TestGroupPanicReleasesEveryCaller(t *testing.T) {
+	var g Group[string, int]
+	started, release := make(chan struct{}), make(chan struct{})
+	do := func(fn func() (int, error)) <-chan any {
+		got := make(chan any, 1)
+		go func() {
+			defer func() { got <- recover() }()
+			g.Do("k", fn)
+		}()
+		return got
+	}
+	leader := do(func() (int, error) {
+		close(started)
+		<-release
+		panic("build down")
+	})
+	<-started
+	again := func() (int, error) {
+		t.Error("fn ran a second time for the same key")
+		return 0, nil
+	}
+	follower := do(again)
+	close(release)
+	wait := func(who string, got <-chan any) *Panic {
+		t.Helper()
+		select {
+		case v := <-got:
+			p, ok := v.(*Panic)
+			if !ok {
+				t.Fatalf("%s: recovered %v (%T), want a *Panic", who, v, v)
+			}
+			return p
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Do still waiting on a flight whose fn panicked", who)
+			return nil
+		}
+	}
+	first := wait("leader", leader)
+	if first.Value != "build down" || len(first.Stack) == 0 {
+		t.Fatalf("leader's panic = %+v", first)
+	}
+	if p := wait("follower", follower); p != first {
+		t.Fatalf("follower got %p, leader %p: want the same *Panic", p, first)
+	}
+	if p := wait("later caller", do(again)); p != first {
+		t.Fatalf("later caller got %p, leader %p: want the same *Panic", p, first)
 	}
 }

@@ -226,6 +226,11 @@ func ShardSeed(parent uint64, shard int) uint64 {
 // result map" caching in the campaign, where holding a lock across an
 // expensive compute would serialize everything, and plain double-checked
 // caching would compute the same key twice.
+//
+// A panicking fn is an outcome too: it is contained as one *Panic (Index
+// 0), cached like an error, and re-panicked on the goroutine of every
+// caller for the key — the one that ran fn, those waiting on it, and
+// every later one — so no caller waits on a flight that will never land.
 type Group[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*flight[V]
@@ -235,6 +240,7 @@ type flight[V any] struct {
 	done chan struct{}
 	v    V
 	err  error
+	pan  *Panic
 }
 
 // Do returns the cached outcome for key, computing it with fn exactly
@@ -244,15 +250,34 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	if g.m == nil {
 		g.m = map[K]*flight[V]{}
 	}
-	if f, ok := g.m[key]; ok {
+	f, ok := g.m[key]
+	if !ok {
+		f = &flight[V]{done: make(chan struct{})}
+		g.m[key] = f
+		g.mu.Unlock()
+		f.run(fn)
+	} else {
 		g.mu.Unlock()
 		<-f.done
-		return f.v, f.err
 	}
-	f := &flight[V]{done: make(chan struct{})}
-	g.m[key] = f
-	g.mu.Unlock()
-	f.v, f.err = fn()
-	close(f.done)
+	if f.pan != nil {
+		panic(f.pan)
+	}
 	return f.v, f.err
+}
+
+// run computes the flight's outcome and lands it even if fn panics. A
+// panic that is already a *Panic (a fan-out inside fn) is kept as is.
+func (f *flight[V]) run(fn func() (V, error)) {
+	defer close(f.done)
+	defer func() {
+		if v := recover(); v != nil {
+			p, ok := v.(*Panic)
+			if !ok {
+				p = &Panic{Value: v, Stack: debug.Stack()}
+			}
+			f.pan = p
+		}
+	}()
+	f.v, f.err = fn()
 }

@@ -146,7 +146,11 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatalf("post-soak request = %+v, want clean 200", resp)
 	}
 
-	// Drain during a final in-flight request: valid degraded 200.
+	// Drain during a final in-flight request: valid degraded 200. A
+	// finished job leaves s.inflight only after its response is out, so
+	// the post-soak request's job could still be counted; wait for it to
+	// go, so that only the drain victim's job can satisfy the wait below.
+	waitFor(t, "post-soak job out of flight", func() bool { _, inflight := s.queueSnapshot(); return inflight == 0 })
 	var drainResp Response
 	var dwg sync.WaitGroup
 	dwg.Add(1)

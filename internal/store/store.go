@@ -186,8 +186,9 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 // a miss. Concurrent callers for the same entry share one computation
 // (single-flight); hit reports whether THIS caller avoided the compute —
 // a disk hit, or a ride on another caller's in-flight derivation. Every
-// outcome — payload or compute error — is kept for the key for the rest
-// of the process, and later calls return it without reading the disk;
+// outcome — payload, compute error, or a compute panic, re-raised on each
+// caller as one *parallel.Panic — is kept for the key for the rest of the
+// process, and later calls return it without reading the disk;
 // compute functions that can fail transiently, or whose result a caller
 // may reject, belong outside Do. bench/layers.go is its last caller.
 func (s *Store) Do(kind, key string, compute func() ([]byte, error)) (payload []byte, hit bool, err error) {

@@ -19,9 +19,9 @@ import (
 // run does — discovery is skipped entirely — but never what it outputs,
 // at any worker count.
 
-func analyzeWithStore(t *testing.T, dir string, workers int) (*obs.Recorder, []byte) {
+func analyzeWithStore(t *testing.T, name, dir string, workers int) (*obs.Recorder, []byte) {
 	t.Helper()
-	inst, err := nf.New("lpm-dl1")
+	inst, err := nf.New(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func analyzeWithStore(t *testing.T, dir string, workers int) (*obs.Recorder, []b
 		Obs:       rec,
 	})
 	if err != nil {
-		t.Fatalf("Analyze(W=%d): %v", workers, err)
+		t.Fatalf("Analyze(%s, W=%d): %v", name, workers, err)
 	}
 	path := filepath.Join(t.TempDir(), "out.pcap")
 	if err := pcap.WriteFile(path, out.Frames); err != nil {
@@ -54,7 +54,7 @@ func analyzeWithStore(t *testing.T, dir string, workers int) (*obs.Recorder, []b
 
 func TestStoreWarmRunDeterminismAcrossWorkers(t *testing.T) {
 	dir := t.TempDir()
-	recCold, refPCAP := analyzeWithStore(t, dir, 1)
+	recCold, refPCAP := analyzeWithStore(t, "lpm-dl1", dir, 1)
 	if v := recCold.Counter("castan.store.writes").Value(); v == 0 {
 		t.Fatal("cold run persisted nothing")
 	}
@@ -62,7 +62,7 @@ func TestStoreWarmRunDeterminismAcrossWorkers(t *testing.T) {
 		t.Fatal("cold run did not probe")
 	}
 	for _, w := range []int{1, 4, 8} {
-		rec, raw := analyzeWithStore(t, dir, w)
+		rec, raw := analyzeWithStore(t, "lpm-dl1", dir, w)
 		if !bytes.Equal(raw, refPCAP) {
 			t.Errorf("warm W=%d: PCAP bytes differ from cold run", w)
 		}
@@ -74,6 +74,45 @@ func TestStoreWarmRunDeterminismAcrossWorkers(t *testing.T) {
 		}
 		if v := rec.Counter("memsim.probe_line_reads").Value(); v != 0 {
 			t.Errorf("warm W=%d: discovery still probed (%d line reads)", w, v)
+		}
+	}
+}
+
+// TestStoreHashNFDeterminismAcrossWorkers is the same rule on a hash NF,
+// whose rainbow table is built or loaded beside discovery and symbex:
+// lb-chain cold and then warm in a fresh store at W=1, 4 and 8. Each
+// run's castan.store.* counters and PCAP must equal W=1's, the warm run
+// must load the table rather than build it, and cold and warm must ship
+// the same bytes.
+func TestStoreHashNFDeterminismAcrossWorkers(t *testing.T) {
+	counters := func(rec *obs.Recorder) [3]uint64 {
+		return [3]uint64{
+			rec.Counter("castan.store.hits").Value(),
+			rec.Counter("castan.store.misses").Value(),
+			rec.Counter("castan.store.writes").Value(),
+		}
+	}
+	var refCold, refWarm [3]uint64
+	var refPCAP []byte
+	for _, w := range []int{1, 4, 8} {
+		dir := t.TempDir()
+		recCold, cold := analyzeWithStore(t, "lb-chain", dir, w)
+		recWarm, warm := analyzeWithStore(t, "lb-chain", dir, w)
+		c, wm := counters(recCold), counters(recWarm)
+		if w == 1 {
+			refCold, refWarm, refPCAP = c, wm, cold
+			if c[2] == 0 {
+				t.Fatal("cold run persisted nothing")
+			}
+			if wm[0] == 0 || wm[2] != 0 {
+				t.Fatalf("warm run: store hits, misses, writes = %v; want the table loaded, nothing written", wm)
+			}
+		}
+		if c != refCold || wm != refWarm {
+			t.Errorf("W=%d: store hits, misses, writes cold %v warm %v; W=1: %v, %v", w, c, wm, refCold, refWarm)
+		}
+		if !bytes.Equal(cold, refPCAP) || !bytes.Equal(warm, refPCAP) {
+			t.Errorf("W=%d: PCAP bytes differ from W=1's cold run", w)
 		}
 	}
 }
