@@ -192,3 +192,37 @@ func TestTableBuildPanicReachesCaller(t *testing.T) {
 		})
 	}
 }
+
+// TestTableCacheForgetsPanickedBuild panics the first table build of a
+// shared TableCache: that Analyze re-raises it, and the next Analyze with
+// the same cache builds the table again and reconciles instead of
+// meeting the old panic (a long-lived owner such as castand keeps one
+// cache for its life).
+func TestTableCacheForgetsPanickedBuild(t *testing.T) {
+	var builds atomic.Int32
+	tableBuildFault = func(int) {
+		if builds.Add(1) == 1 {
+			panic("injected table build panic")
+		}
+	}
+	t.Cleanup(func() { tableBuildFault = nil })
+	tables := new(TableCache)
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		analyzeLBChain(t, Config{NPackets: 6, MaxStates: 4000, Tables: tables})
+		return nil
+	}()
+	if _, ok := got.(*parallel.Panic); !ok {
+		t.Fatalf("first run recovered %v (%T), want a *parallel.Panic", got, got)
+	}
+	out, err := analyzeLBChain(t, Config{NPackets: 6, MaxStates: 4000, Tables: tables})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := builds.Load(); n != 2 {
+		t.Fatalf("%d table builds, want 2: the second run must rebuild", n)
+	}
+	if out.Degraded() || out.HavocsReconciled == 0 {
+		t.Fatalf("second run: degradations %v, %d havocs reconciled", out.Degradations, out.HavocsReconciled)
+	}
+}

@@ -33,11 +33,16 @@ type traceRun struct {
 	// adjacent lines plus, per page, enough lines of one contention set
 	// to overflow it, so every level evicts within a short trace.
 	pool []uint64
-	geo  Geometry
-	obs  [7]*obs.Counter
-	data []byte
-	pos  int
-	step int
+	// class is each pool line's contention set on page 0. The hidden
+	// hash is f(in-page line) xor g(page), so lines of one page share a
+	// set iff they share a class.
+	class   []int
+	geo     Geometry
+	obs     [7]*obs.Counter
+	counted *obs.Counter // memsim.probes_counted, which the reference lacks
+	data    []byte
+	pos     int
+	step    int
 }
 
 var obsNames = [7]string{
@@ -53,6 +58,7 @@ func newTraceRun(t *testing.T, geo Geometry, seed uint64, data []byte) *traceRun
 	for i, n := range obsNames {
 		tr.obs[i] = rec.Counter(n)
 	}
+	tr.counted = rec.Counter("memsim.probes_counted")
 	// The hidden hash is f(in-page line) xor g(page), so lines that share
 	// a contention set in one page share one in every page and after
 	// every reboot: find them once on a scratch machine.
@@ -65,6 +71,9 @@ func newTraceRun(t *testing.T, geo Geometry, seed uint64, data []byte) *traceRun
 		if scout.DebugContentionSet(line<<scout.lineShift) == target {
 			tr.pool = append(tr.pool, line)
 		}
+	}
+	for _, line := range tr.pool {
+		tr.class = append(tr.class, scout.DebugContentionSet(line<<scout.lineShift))
 	}
 	return tr
 }
@@ -98,59 +107,102 @@ func (tr *traceRun) addr(page uint64) uint64 {
 
 func (tr *traceRun) run() {
 	for tr.pos < len(tr.data) {
-		tr.step++
-		tw := tr.twins[tr.cur]
-		op := tr.next()
-		var what string
-		switch {
-		case op < 208: // sizes 1-8 at any offset, so some cross a line boundary
-			a, size := tr.addr(tr.page()), 1+tr.next()%8
-			what = fmt.Sprintf("Access(%#x, %d)", a, size)
-			gl, gc := tw.h.Access(a, size, op&1 == 1)
-			wl, wc := tw.r.Access(a, size)
-			if gl != wl || gc != wc {
-				tr.t.Fatalf("step %d: %s = %v/%d, reference %v/%d", tr.step, what, gl, gc, wl, wc)
-			}
-		case op < 240:
-			a, n := tr.addr(tr.page()), int(tr.next())
-			what = fmt.Sprintf("InjectPacket(%#x, %d)", a, n)
-			tw.h.InjectPacket(a, n)
-			tw.r.InjectPacket(a, n)
-		case op < 244:
-			what = "Fork"
-			if len(tr.twins) < 4 {
-				tr.twins = append(tr.twins, twin{tw.h.Fork(), tw.r.Fork()})
-			}
-		case op < 255: // diverge: carry on with another fork (or the origin)
-			what = "switch"
-			tr.cur = int(tr.next()) % len(tr.twins)
-		default:
-			// Everything that empties the caches shares one opcode, or a
-			// random trace never keeps state long enough to evict.
-			switch sub := tr.next(); {
-			case sub < 160:
-				sets := make([][]uint64, 1+tr.next()%3)
-				for i := range sets {
-					page := tr.page()
-					for n := int(tr.next()) % 64; n > 0; n-- {
-						sets[i] = append(sets[i], tr.addr(page))
-					}
-				}
-				what, _ = tr.probeBatch(tw, sets, int(tr.next())%4)
-			case sub < 208:
-				what = "Flush"
-				tw.h.Flush()
-				tw.r.Flush()
-			default:
-				boot := uint64(tr.next())
-				what = fmt.Sprintf("Reboot(%d)", boot)
-				tw.h.Reboot(boot)
-				tw.r.Reboot(boot)
-			}
-		}
-		tr.sameCounters(tw, what)
+		tr.op()
 	}
 	tr.sameCaches()
+}
+
+// op decodes and runs one call on the current twin, then compares the
+// counters.
+func (tr *traceRun) op() {
+	tr.step++
+	tw := tr.twins[tr.cur]
+	op := tr.next()
+	var what string
+	switch {
+	case op < 208: // sizes 1-8 at any offset, so some cross a line boundary
+		a, size := tr.addr(tr.page()), 1+tr.next()%8
+		what = tr.access(tw, a, size, op&1 == 1)
+	case op < 240:
+		a, n := tr.addr(tr.page()), int(tr.next())
+		what = fmt.Sprintf("InjectPacket(%#x, %d)", a, n)
+		tw.h.InjectPacket(a, n)
+		tw.r.InjectPacket(a, n)
+	case op < 244:
+		what = "Fork"
+		if len(tr.twins) < 4 {
+			tr.twins = append(tr.twins, twin{tw.h.Fork(), tw.r.Fork()})
+		}
+	case op < 255: // diverge: carry on with another fork (or the origin)
+		what = "switch"
+		tr.cur = int(tr.next()) % len(tr.twins)
+	default:
+		// Everything that empties the caches shares one opcode, or a
+		// random trace never keeps state long enough to evict.
+		switch sub := tr.next(); {
+		case sub < 160:
+			what, _ = tr.probeBatch(tw, tr.probeSets(), int(tr.next())%4)
+		case sub < 208:
+			what = "Flush"
+			tw.h.Flush()
+			tw.r.Flush()
+		default:
+			boot := uint64(tr.next())
+			what = fmt.Sprintf("Reboot(%d)", boot)
+			tw.h.Reboot(boot)
+			tw.r.Reboot(boot)
+		}
+	}
+	tr.sameCounters(tw, what)
+}
+
+// access runs one Access on a twin and compares the results.
+func (tr *traceRun) access(tw twin, a uint64, size uint8, write bool) string {
+	what := fmt.Sprintf("Access(%#x, %d)", a, size)
+	gl, gc := tw.h.Access(a, size, write)
+	wl, wc := tw.r.Access(a, size)
+	if gl != wl || gc != wc {
+		tr.t.Fatalf("step %d: %s = %v/%d, reference %v/%d", tr.step, what, gl, gc, wl, wc)
+	}
+	return what
+}
+
+// probeSets decodes one to three probe sets, each on one page and of one
+// of three kinds: pool lines drawn freely, so repeats are common; lines
+// that are distinct but may overflow a contention set; and distinct
+// lines with at most L3Ways of any set, the probes ProbeBatch counts
+// rather than simulates when it times one round.
+func (tr *traceRun) probeSets() [][]uint64 {
+	sets := make([][]uint64, 1+tr.next()%3)
+	for i := range sets {
+		page := tr.page()
+		kind, n := tr.next()%3, int(tr.next())%64
+		if kind == 0 {
+			for ; n > 0; n-- {
+				sets[i] = append(sets[i], tr.addr(page))
+			}
+			continue
+		}
+		used := make([]bool, len(tr.pool))
+		perSet := map[int]int{}
+		taken := func(j int) bool {
+			return used[j] || kind == 2 && perSet[tr.class[j]] == tr.geo.L3Ways
+		}
+		for ; n > 0; n-- {
+			j := int(tr.next()) % len(tr.pool)
+			for k := 0; k < len(tr.pool) && taken(j); k++ {
+				j = (j + 1) % len(tr.pool)
+			}
+			if taken(j) {
+				break // no pool line can join without breaking the kind
+			}
+			used[j] = true
+			perSet[tr.class[j]]++
+			off := uint64(tr.next()) % uint64(tr.geo.LineBytes)
+			sets[i] = append(sets[i], page<<uint(tr.geo.PageBits)|tr.pool[j]*uint64(tr.geo.LineBytes)|off)
+		}
+	}
+	return sets
 }
 
 // probeBatch runs one ProbeBatch on a twin and compares the timings.
@@ -245,11 +297,81 @@ func TestHierarchyMatchesReference(t *testing.T) {
 				tr.run()
 				// The trace must have reached what it is there to compare.
 				ref := tr.twins[0].r.tally
-				if ref.evictions == 0 || ref.L2Hits == 0 || ref.L3Hits == 0 || ref.probeCalls == 0 || len(tr.twins) < 2 {
-					t.Errorf("trace too tame: %+v, %d twins", *ref, len(tr.twins))
+				if ref.evictions == 0 || ref.L2Hits == 0 || ref.L3Hits == 0 || ref.probeCalls == 0 || tr.counted.Value() == 0 || len(tr.twins) < 2 {
+					t.Errorf("trace too tame: %+v, %d counted probes, %d twins", *ref, tr.counted.Value(), len(tr.twins))
 				}
 			})
 		}
+	}
+}
+
+// TestProbeBatchCountsAndSimulates drives one-round probes of all three
+// kinds probeSets makes, so ProbeBatch both counts and simulates, and
+// holds each to the reference: timings and counters, every set's
+// contents right after the probe, and the same again after the call
+// that follows it, one of Access and InjectPacket on a probed line,
+// Fork, Flush and Reboot in turn, then a few random calls.
+func TestProbeBatchCountsAndSimulates(t *testing.T) {
+	for _, g := range []struct {
+		name string
+		geo  Geometry
+	}{{"tiny", TinyGeometry()}, {"default", DefaultGeometry()}, {"odd", oddGeometry()}} {
+		t.Run(g.name, func(t *testing.T) {
+			rng := stats.NewRNG(55)
+			data := make([]byte, 1<<16)
+			for i := range data {
+				data[i] = byte(rng.Uint64())
+			}
+			tr := newTraceRun(t, g.geo, 5, data)
+			for i := 0; i < 400; i++ {
+				tr.step++
+				tw := tr.twins[tr.cur]
+				sets := tr.probeSets()
+				what, _ := tr.probeBatch(tw, sets, 1)
+				tr.sameCounters(tw, what)
+				tr.sameCaches()
+				var probed uint64
+				for _, set := range sets {
+					if len(set) > 0 {
+						probed = set[len(set)/2]
+					}
+				}
+				tr.step++
+				switch i % 5 {
+				case 0:
+					what = tr.access(tw, probed, 8, false)
+				case 1:
+					what = "InjectPacket"
+					tw.h.InjectPacket(probed, 3*g.geo.LineBytes)
+					tw.r.InjectPacket(probed, 3*g.geo.LineBytes)
+				case 2:
+					what = "Fork"
+					if len(tr.twins) < 4 {
+						tr.twins = append(tr.twins, twin{tw.h.Fork(), tw.r.Fork()})
+					}
+					tr.cur = (tr.cur + 1) % len(tr.twins)
+				case 3:
+					what = "Flush"
+					tw.h.Flush()
+					tw.r.Flush()
+				case 4:
+					what = fmt.Sprintf("Reboot(%d)", i)
+					tw.h.Reboot(uint64(i))
+					tw.r.Reboot(uint64(i))
+				}
+				tr.sameCounters(tw, what)
+				tr.sameCaches()
+				for j := 0; j < 4; j++ {
+					tr.op()
+				}
+			}
+			tr.sameCaches()
+			counted, calls := tr.counted.Value(), tr.obs[5].Value() // memsim.probe_calls
+			if counted == 0 || counted == calls {
+				t.Errorf("%d of %d probes counted: one path never ran", counted, calls)
+			}
+			t.Logf("%d of %d probes counted", counted, calls)
+		})
 	}
 }
 
@@ -303,6 +425,19 @@ func FuzzHierarchyTrace(f *testing.F) {
 			}
 			f.Add(data)
 		}
+	}
+	// Probe-dense traces: one byte in eight is the probe opcode, so the
+	// seeds alone reach both of ProbeBatch's paths.
+	for geo := byte(0); geo < 3; geo++ {
+		data := []byte{geo}
+		for len(data) < 3000 {
+			b := byte(rng.Uint64())
+			if b%8 == 0 {
+				b = 255
+			}
+			data = append(data, b)
+		}
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

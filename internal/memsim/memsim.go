@@ -122,6 +122,7 @@ type obsCounters struct {
 	l1Hits, l2Hits, l3Hits, dram *obs.Counter
 	l3Evictions                  *obs.Counter
 	probeCalls, probeLineReads   *obs.Counter
+	probesCounted                *obs.Counter
 }
 
 // level is one set-associative cache level with LRU replacement. Which
@@ -259,11 +260,13 @@ type Hierarchy struct {
 	// probes see the same corruption.
 	probeFault func(addrs []uint64, t uint64) uint64
 
-	// scratch holds ProbeBatch's per-address precomputed indices. A
-	// hierarchy is goroutine-confined (parallel discovery forks first),
-	// so reusing it across probes is safe and keeps the tight loop
+	// scratch holds ProbeBatch's per-address precomputed indices, and
+	// counts countProbe's per-set tallies. A hierarchy is
+	// goroutine-confined (parallel discovery forks first), so reusing
+	// them across probes is safe and keeps the tight loop
 	// allocation-free.
 	scratch []probeLine
+	counts  probeCounts
 }
 
 // derived is the part of a Geometry the per-line path reads, as shifts
@@ -315,6 +318,35 @@ type tlbEntry struct {
 type probeLine struct {
 	tag        uint64
 	s1, s2, s3 int32
+	lvl        Level // countProbe: where the timed access was served
+}
+
+// probeCounts is countProbe's per-set scratch: six rows of counters over
+// one backing slice. Each "in" row first counts a set's probe lines, then
+// serves as the cursor that hands out the set's ways from the back.
+type probeCounts struct {
+	in3, reached3      []int32 // per contention set: lines served by L3
+	in1                []int32 // per L1 set
+	in2, hit2, missed2 []int32 // per L2 set: lines that hit / missed L1
+	// rest is every row but in3, which countProbe clears on its own
+	// first, so that a probe that overflows a set pays for just that row.
+	rest []int32
+}
+
+func newProbeCounts(g Geometry) probeCounts {
+	n1, n2, n3 := g.L1Sets, g.L2Sets, g.L3Slices*g.L3SetsPerSlice
+	rest := make([]int32, n1+3*n2+2*n3)
+	take := func(n int) []int32 {
+		r := rest[:n:n]
+		rest = rest[n:]
+		return r
+	}
+	var c probeCounts
+	c.in3 = take(n3)
+	c.rest = rest
+	c.reached3, c.in1 = take(n3), take(n1)
+	c.in2, c.hit2, c.missed2 = take(n2), take(n2), take(n2)
+	return c
 }
 
 // SetObs points the hierarchy's telemetry at rec (nil disables it).
@@ -335,6 +367,7 @@ func (h *Hierarchy) SetObs(rec *obs.Recorder) {
 		l3Evictions:    rec.Counter("memsim.l3_evictions"),
 		probeCalls:     rec.Counter("memsim.probe_calls"),
 		probeLineReads: rec.Counter("memsim.probe_line_reads"),
+		probesCounted:  rec.Counter("memsim.probes_counted"),
 	}
 }
 
@@ -590,8 +623,11 @@ func (h *Hierarchy) ProbeTime(addrs []uint64, rounds int) uint64 {
 // total ProbeTime would charge per call, and charges are commutative
 // atomic adds, so the accounting is call-shape invariant), and the
 // per-address translation and set-index work is done once per set
-// instead of once per access. Timings are bit-identical to looping
-// ProbeTime: the flush/warm-up/round access sequence is unchanged.
+// instead of once per access. A one-round probe whose lines are
+// distinct and fit their contention sets is counted rather than
+// simulated (countProbe). Timings, counters and the cache state left
+// behind are bit-identical to looping ProbeTime: the flush/warm-up/round
+// access sequence is unchanged, or, when counted, computed exactly.
 func (h *Hierarchy) ProbeBatch(sets [][]uint64, rounds int) []uint64 {
 	if rounds < 1 {
 		rounds = 1
@@ -606,23 +642,25 @@ func (h *Hierarchy) ProbeBatch(sets [][]uint64, rounds int) []uint64 {
 
 	out := make([]uint64, len(sets))
 	var served [DRAM + 1]uint64 // line reads by serving level
-	var evictions uint64
+	var evictions, counted uint64
 	for i, addrs := range sets {
-		out[i] = h.probeSet(addrs, rounds, &served, &evictions)
+		out[i] = h.probeSet(addrs, rounds, &served, &evictions, &counted)
 	}
 	h.obs.l1Hits.Add(served[L1])
 	h.obs.l2Hits.Add(served[L2])
 	h.obs.l3Hits.Add(served[L3])
 	h.obs.dram.Add(served[DRAM])
 	h.obs.l3Evictions.Add(evictions)
+	h.obs.probesCounted.Add(counted)
 	return out
 }
 
 // probeSet times one probe set. It differs from a loop of Access only
 // in where the indices and tallies come from: indices are computed once
-// per address, tallies land in served (NF-visible Stats are never
-// touched, matching the save/restore the scalar path used).
-func (h *Hierarchy) probeSet(addrs []uint64, rounds int, served *[DRAM + 1]uint64, evictions *uint64) uint64 {
+// per address, tallies land in served, evictions and counted (NF-visible
+// Stats are never touched, matching the save/restore the scalar path
+// used).
+func (h *Hierarchy) probeSet(addrs []uint64, rounds int, served *[DRAM + 1]uint64, evictions, counted *uint64) uint64 {
 	h.Flush()
 	if cap(h.scratch) < len(addrs) {
 		h.scratch = make([]probeLine, len(addrs))
@@ -639,6 +677,25 @@ func (h *Hierarchy) probeSet(addrs []uint64, rounds int, served *[DRAM + 1]uint6
 			s3:  int32(h.l3Set(pline)),
 		}
 	}
+	total, ok := uint64(0), false
+	if rounds == 1 {
+		total, ok = h.countProbe(lines, served)
+	}
+	if ok {
+		*counted++
+	} else {
+		total = h.simulateProbe(lines, rounds, served, evictions)
+	}
+	if h.probeFault != nil {
+		total = h.probeFault(addrs, total)
+	}
+	return total
+}
+
+// simulateProbe runs the warm-up pass and rounds timed passes over lines
+// through the caches, one line read at a time, and returns the timed
+// passes' cycles. The caches must be empty.
+func (h *Hierarchy) simulateProbe(lines []probeLine, rounds int, served *[DRAM + 1]uint64, evictions *uint64) uint64 {
 	var total uint64
 	for r := 0; r <= rounds; r++ {
 		for i := range lines {
@@ -663,10 +720,118 @@ func (h *Hierarchy) probeSet(addrs []uint64, rounds int, served *[DRAM + 1]uint6
 			}
 		}
 	}
-	if h.probeFault != nil {
-		total = h.probeFault(addrs, total)
-	}
 	return total
+}
+
+// countProbe computes what simulateProbe would for one warm-up and one
+// timed pass, from per-set counts instead of line reads, when the lines
+// are pairwise distinct and no contention set receives more than L3Ways
+// of them (DESIGN.md decision 22). Then nothing leaves the L3: the
+// warm-up is all DRAM misses without an eviction, and in the timed pass
+// a line
+//   - hits L1 iff its L1 set holds at most L1Ways probe lines (a cyclic
+//     walk over more lines than ways misses every time under LRU);
+//   - else hits L2 iff fewer than L2Ways other lines of its L2 set were
+//     filled or hit there since its warm-up fill: the set's lines after
+//     it in the probe, plus its earlier lines that missed L1 in this
+//     pass — all of the set's other lines but the earlier L1 hits;
+//   - else hits L3, which still holds every probe line.
+//
+// It then writes the caches as the simulation leaves them, each set its
+// most recently used lines newest first. It returns false, with the
+// caches still empty, when the lines do not qualify. The caches must be
+// empty on entry.
+func (h *Hierarchy) countProbe(lines []probeLine, served *[DRAM + 1]uint64) (uint64, bool) {
+	c := &h.counts
+	if c.rest == nil {
+		*c = newProbeCounts(h.geo)
+	}
+	w1, w2, w3 := int32(h.l1.ways), int32(h.l2.ways), int32(h.l3.ways)
+	// Fit: count the lines per contention set, and stop at the first
+	// set that gets one too many. This is checked first because it is
+	// the condition that discovery's other probes fail.
+	clear(c.in3)
+	for i := range lines {
+		p := &lines[i]
+		if c.in3[p.s3]++; c.in3[p.s3] > w3 {
+			return 0, false
+		}
+	}
+	clear(c.rest)
+	// The warm-up pass: each line's L3 fill goes to the first free way
+	// of its contention set, after the set's earlier lines, which it
+	// must not repeat.
+	for i := range lines {
+		p := &lines[i]
+		s := h.l3.tags[p.s3*w3:][:w3]
+		k := 0
+		for ; s[k] != 0; k++ {
+			if s[k] == p.tag {
+				for _, q := range lines[:i] {
+					clear(h.l3.set(int(q.s3)))
+				}
+				return 0, false
+			}
+		}
+		s[k] = p.tag
+		c.in1[p.s1]++
+		c.in2[p.s2]++
+	}
+	served[DRAM] += uint64(len(lines))
+
+	// The timed pass.
+	var total uint64
+	for i := range lines {
+		p := &lines[i]
+		switch {
+		case c.in1[p.s1] <= w1:
+			p.lvl = L1
+			c.hit2[p.s2]++
+		case c.in2[p.s2]-1-c.hit2[p.s2] < w2:
+			p.lvl = L2
+			c.missed2[p.s2]++
+		default:
+			p.lvl = L3
+			c.missed2[p.s2]++
+			c.reached3[p.s3]++
+		}
+		served[p.lvl]++
+		total += h.lat[p.lvl]
+	}
+
+	// The state left behind, newest first. Every timed access touched
+	// L1, so its sets are in timed order. An L2 (L3) set holds first the
+	// lines whose timed access reached it, then the rest by warm-up
+	// order: the rest take the ways from the set's line count down to
+	// the count that reached it, those that reached it the ways below.
+	// Ways past a set's end stay empty or are dropped.
+	for i := range lines {
+		p := &lines[i]
+		c.in1[p.s1]--
+		if k := c.in1[p.s1]; k < w1 {
+			h.l1.tags[p.s1*w1+k] = p.tag
+		}
+		var k int32
+		if p.lvl == L1 {
+			c.in2[p.s2]--
+			k = c.in2[p.s2]
+		} else {
+			c.missed2[p.s2]--
+			k = c.missed2[p.s2]
+		}
+		if k < w2 {
+			h.l2.tags[p.s2*w2+k] = p.tag
+		}
+		if p.lvl == L3 {
+			c.reached3[p.s3]--
+			k = c.reached3[p.s3]
+		} else {
+			c.in3[p.s3]--
+			k = c.in3[p.s3]
+		}
+		h.l3.tags[p.s3*w3+k] = p.tag
+	}
+	return total, true
 }
 
 // CyclesToNanos converts cycles to nanoseconds at the configured clock.

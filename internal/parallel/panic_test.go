@@ -141,10 +141,15 @@ func TestNoPanicFastPathUnchanged(t *testing.T) {
 }
 
 // TestGroupPanicReleasesEveryCaller holds Do to landing a panicking
-// flight: the caller that ran fn, one waiting on it, and one arriving
-// after all get the same *Panic, and none of them waits forever.
+// flight: the caller that ran fn and one waiting on it get the same
+// *Panic, and neither waits forever. The panic is not cached: a caller
+// arriving after the flight landed runs fn again, and its outcome is
+// the one cached.
 func TestGroupPanicReleasesEveryCaller(t *testing.T) {
 	var g Group[string, int]
+	joined := make(chan struct{}, 1)
+	flightJoined = func() { joined <- struct{}{} }
+	t.Cleanup(func() { flightJoined = nil })
 	started, release := make(chan struct{}), make(chan struct{})
 	do := func(fn func() (int, error)) <-chan any {
 		got := make(chan any, 1)
@@ -160,11 +165,11 @@ func TestGroupPanicReleasesEveryCaller(t *testing.T) {
 		panic("build down")
 	})
 	<-started
-	again := func() (int, error) {
-		t.Error("fn ran a second time for the same key")
+	follower := do(func() (int, error) {
+		t.Error("fn ran a second time for the same flight")
 		return 0, nil
-	}
-	follower := do(again)
+	})
+	<-joined
 	close(release)
 	wait := func(who string, got <-chan any) *Panic {
 		t.Helper()
@@ -187,7 +192,17 @@ func TestGroupPanicReleasesEveryCaller(t *testing.T) {
 	if p := wait("follower", follower); p != first {
 		t.Fatalf("follower got %p, leader %p: want the same *Panic", p, first)
 	}
-	if p := wait("later caller", do(again)); p != first {
-		t.Fatalf("later caller got %p, leader %p: want the same *Panic", p, first)
+	runs := 0
+	for i := 0; i < 2; i++ {
+		v, err := g.Do("k", func() (int, error) {
+			runs++
+			return 7, nil
+		})
+		if v != 7 || err != nil {
+			t.Fatalf("later caller %d: Do = %d, %v; want 7, nil", i, v, err)
+		}
+	}
+	if runs != 1 {
+		t.Fatalf("fn ran %d times after the panic, want once: the rerun's outcome is cached", runs)
 	}
 }

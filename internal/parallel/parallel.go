@@ -227,10 +227,11 @@ func ShardSeed(parent uint64, shard int) uint64 {
 // expensive compute would serialize everything, and plain double-checked
 // caching would compute the same key twice.
 //
-// A panicking fn is an outcome too: it is contained as one *Panic (Index
-// 0), cached like an error, and re-panicked on the goroutine of every
-// caller for the key — the one that ran fn, those waiting on it, and
-// every later one — so no caller waits on a flight that will never land.
+// A panicking fn is contained as one *Panic (Index 0) and re-panicked on
+// the goroutine of the caller that ran fn and of those waiting on it, so
+// no caller waits on a flight that will never land. It is not cached:
+// the key is forgotten before the flight lands, and the next caller runs
+// fn afresh.
 type Group[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*flight[V]
@@ -243,8 +244,12 @@ type flight[V any] struct {
 	pan  *Panic
 }
 
+// flightJoined, when non-nil, runs whenever Do joins a flight another
+// caller is running, before it waits (a test seam; nil outside tests).
+var flightJoined func()
+
 // Do returns the cached outcome for key, computing it with fn exactly
-// once across all concurrent and future callers.
+// once across all concurrent and future callers unless fn panics.
 func (g *Group[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -255,9 +260,12 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 		f = &flight[V]{done: make(chan struct{})}
 		g.m[key] = f
 		g.mu.Unlock()
-		f.run(fn)
+		g.run(key, f, fn)
 	} else {
 		g.mu.Unlock()
+		if flightJoined != nil {
+			flightJoined()
+		}
 		<-f.done
 	}
 	if f.pan != nil {
@@ -266,9 +274,11 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	return f.v, f.err
 }
 
-// run computes the flight's outcome and lands it even if fn panics. A
-// panic that is already a *Panic (a fan-out inside fn) is kept as is.
-func (f *flight[V]) run(fn func() (V, error)) {
+// run computes key's flight outcome and lands it even if fn panics. A
+// panic that is already a *Panic (a fan-out inside fn) is kept as is. A
+// panicked flight leaves the map before it lands, so its waiters still
+// see the panic and no later caller does.
+func (g *Group[K, V]) run(key K, f *flight[V], fn func() (V, error)) {
 	defer close(f.done)
 	defer func() {
 		if v := recover(); v != nil {
@@ -277,6 +287,9 @@ func (f *flight[V]) run(fn func() (V, error)) {
 				p = &Panic{Value: v, Stack: debug.Stack()}
 			}
 			f.pan = p
+			g.mu.Lock()
+			delete(g.m, key)
+			g.mu.Unlock()
 		}
 	}()
 	f.v, f.err = fn()

@@ -185,11 +185,12 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 // Do returns the payload for (kind, key), computing and persisting it on
 // a miss. Concurrent callers for the same entry share one computation
 // (single-flight); hit reports whether THIS caller avoided the compute —
-// a disk hit, or a ride on another caller's in-flight derivation. Every
-// outcome — payload, compute error, or a compute panic, re-raised on each
-// caller as one *parallel.Panic — is kept for the key for the rest of the
-// process, and later calls return it without reading the disk;
-// compute functions that can fail transiently, or whose result a caller
+// a disk hit, or a ride on another caller's in-flight derivation. The
+// outcome — payload or compute error — is kept for the key for the rest
+// of the process, and later calls return it without reading the disk. A
+// compute panic is re-raised as one *parallel.Panic on the callers that
+// shared that computation and is not kept: the next call computes again.
+// Compute functions that can fail transiently, or whose result a caller
 // may reject, belong outside Do. bench/layers.go is its last caller.
 func (s *Store) Do(kind, key string, compute func() ([]byte, error)) (payload []byte, hit bool, err error) {
 	if s == nil {
