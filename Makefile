@@ -41,8 +41,11 @@ race:
 bench:
 	$(GO) test -bench . -benchmem .
 
-# Scaled-down benchmark pass (what CI runs): every benchmark executes
-# once with -short budgets, proving the harness end to end in minutes.
+# One-iteration benchmark pass (what CI runs): every benchmark executes
+# once, proving the harness end to end in minutes. The root package's
+# table and figure benchmarks run the one campaign there is and rewrite
+# results/ with the same cells (Table 4's wall-clock Time column aside);
+# -short scales down only the root package's ablation and speedup benches.
 # The per-layer packages are listed so their testing.B benchmarks (the
 # yardsticks performance PRs quote) cannot rot unrun; internal/castan's
 # are BenchmarkDiscover, cold discovery on lpm-dl1,

@@ -25,7 +25,7 @@ func analyzeCmd(args []string, stdout, stderr io.Writer) int {
 	var (
 		nfName   = fs.String("nf", "", "network function to analyze ("+strings.Join(nf.Names, ", ")+")")
 		packets  = fs.Int("packets", 0, "adversarial workload length (default: the paper's per-NF size)")
-		states   = fs.Int("states", 0, fmt.Sprintf("symbolic exploration budget (0 = %d); nat-ubtree at its paper size of 50 packets does not finish within minutes at this or half this budget, so give it fewer -packets", castan.DefaultMaxStates))
+		states   = fs.Int("states", 0, fmt.Sprintf("symbolic exploration budget (0 = %d)", castan.DefaultMaxStates))
 		seed     = fs.Uint64("seed", 2018, "seed for discovery sampling and the DUT's hidden hash")
 		out      = fs.String("out", "", "PCAP output path (default <nf>-castan.pcap)")
 		noCache  = fs.Bool("no-cache-model", false, "disable the cache model (ablation)")

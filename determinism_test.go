@@ -92,18 +92,7 @@ func tableCells(t *testing.T, tbl *experiments.Table) string {
 func TestWorkerCountDeterminismTables(t *testing.T) {
 	nfs := []string{"lb-chain", "lpm-dl1"}
 	render := func(workers int) string {
-		c := experiments.NewCampaign(experiments.Config{
-			Seed:         2018,
-			Packets:      4096,
-			ZipfUniverse: 512,
-			MeasureCap:   512,
-			CastanStates: 30000,
-			CastanPackets: map[string]int{
-				"lb-chain": 8,
-				"lpm-dl1":  8,
-			},
-			Workers: workers,
-		})
+		c := experiments.NewCampaign(experiments.Config{Workers: workers})
 		var b strings.Builder
 		builds := []struct {
 			id    int

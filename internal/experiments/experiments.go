@@ -21,16 +21,21 @@ import (
 	"castan/internal/workload"
 )
 
-// CampaignStates is the exploration budget of the full campaign (and so
-// castan testbed's -states default). Test campaigns pass far less; lpm-trie's
-// 30-packet workload behind Figures 7 and 8 needs this much.
+// CampaignStates is the exploration budget of the campaign (and so castan
+// testbed's -states default). lpm-trie's 30-packet workload behind Figures
+// 7 and 8 needs this much.
 const CampaignStates = 120000
 
-// campaignPackets is the full campaign's synthesized workload length per
-// NF. Tree analyses are the slowest (as in the paper, where
+// measureCap bounds the measured packets per experiment. testbed's own
+// default is twice this, so the campaign passes it explicitly.
+const measureCap = 4096
+
+// campaignPackets is the campaign's synthesized workload length per NF.
+// Tree analyses are the slowest (as in the paper, where
 // NAT/unbalanced-tree took 2444 s); these counts keep the whole campaign
 // within a benchmark run while staying past every threshold that matters
-// (L3 associativity 16, visible skew depth).
+// (L3 associativity 16, visible skew depth). NFs it does not list use the
+// paper's Table 4 sizes.
 var campaignPackets = map[string]int{
 	"nat-ubtree": 24,
 	"lb-ubtree":  24,
@@ -45,27 +50,18 @@ var campaignPackets = map[string]int{
 	"nat-ring":   24,
 }
 
-// Config scales a campaign. The zero value is the full evaluation: the
-// campaign the checked-in results/ were generated at, which is what
-// `go test -bench .` and castan testbed at its defaults both run. Workload
-// sizes follow §5.1 (scaled per DESIGN.md). Tests pass smaller workloads
-// and budgets; Short is the scale-down CI's bench-smoke uses.
+// Config parameterizes the campaign. The zero value is the evaluation the
+// checked-in results/ were generated at: what `go test -bench .`, castan
+// testbed at its defaults and this package's tests all run. Workload
+// sizes follow §5.1 (scaled per DESIGN.md).
 type Config struct {
 	// Seed defaults to 2018.
 	Seed uint64
 	// Packets is the Zipfian/UniRand workload size (default 65536).
 	Packets int
-	// ZipfUniverse is the Zipfian flow universe (default 4096).
-	ZipfUniverse int
-	// MeasureCap bounds measured packets per experiment (default 4096).
-	MeasureCap int
 	// CastanStates is CASTAN's exploration budget per NF (default
 	// CampaignStates).
 	CastanStates int
-	// CastanPackets is the synthesized workload length per NF (default:
-	// the full campaign's sizes); NFs it does not list use the paper's
-	// Table 4 sizes.
-	CastanPackets map[string]int
 	// Workers bounds the campaign fan-out (0 = GOMAXPROCS): per-NF CASTAN
 	// analyses, per-workload measurements, and the parallel stages inside
 	// each analysis. Every rendered table and figure is identical at
@@ -77,25 +73,6 @@ type Config struct {
 	Obs *obs.Recorder
 }
 
-// Short is the campaign `go test -short -bench .` runs (CI's bench-smoke):
-// every knob scaled down so the whole suite completes in minutes while
-// still exercising each table and figure end to end.
-func Short() Config {
-	return Config{
-		Packets:      4096,
-		ZipfUniverse: 512,
-		MeasureCap:   512,
-		CastanStates: 30000,
-		CastanPackets: map[string]int{
-			"nat-ubtree": 6, "lb-ubtree": 6,
-			"nat-rbtree": 6, "lb-rbtree": 6,
-			"lpm-trie": 8, "lpm-dl1": 8, "lpm-dl2": 8,
-			"lb-chain": 8, "nat-chain": 8,
-			"lb-ring": 6, "nat-ring": 6,
-		},
-	}
-}
-
 func (c *Config) fill() {
 	if c.Seed == 0 {
 		c.Seed = 2018
@@ -103,17 +80,8 @@ func (c *Config) fill() {
 	if c.Packets <= 0 {
 		c.Packets = workload.DefaultPackets
 	}
-	if c.ZipfUniverse <= 0 {
-		c.ZipfUniverse = workload.DefaultZipfUniverse
-	}
-	if c.MeasureCap <= 0 {
-		c.MeasureCap = 4096
-	}
 	if c.CastanStates <= 0 {
 		c.CastanStates = CampaignStates
-	}
-	if c.CastanPackets == nil {
-		c.CastanPackets = campaignPackets
 	}
 }
 
@@ -136,7 +104,7 @@ func NewCampaign(cfg Config) *Campaign {
 	cfg.fill()
 	return &Campaign{
 		cfg:  cfg,
-		opts: testbed.Options{Seed: cfg.Seed, MeasureCap: cfg.MeasureCap},
+		opts: testbed.Options{Seed: cfg.Seed, MeasureCap: measureCap},
 	}
 }
 
@@ -153,17 +121,11 @@ func (c *Campaign) Castan(nfName string) (*castan.Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		np := c.cfg.CastanPackets[nfName]
+		np := campaignPackets[nfName]
 		if np == 0 {
 			np = nf.PaperPackets[nfName]
 		}
-		if np == 0 {
-			np = 30
-		}
-		hier := memsim.New(c.opts.Geometry, c.cfg.Seed)
-		if c.opts.Geometry.LineBytes == 0 {
-			hier = memsim.New(memsim.DefaultGeometry(), c.cfg.Seed)
-		}
+		hier := memsim.New(memsim.DefaultGeometry(), c.cfg.Seed)
 		out, err := castan.Analyze(inst, hier, castan.Config{
 			NPackets:  np,
 			MaxStates: c.cfg.CastanStates,
@@ -182,7 +144,7 @@ func (c *Campaign) Castan(nfName string) (*castan.Output, error) {
 // UniRand, UniRand CASTAN, CASTAN, and Manual where the paper crafted one.
 func (c *Campaign) Workloads(nfName string) ([]*workload.Workload, error) {
 	prof := workload.ProfileFor(nfName)
-	zipf, err := workload.Zipfian(prof, c.cfg.Packets, c.cfg.ZipfUniverse, c.cfg.Seed+1)
+	zipf, err := workload.Zipfian(prof, c.cfg.Packets, workload.DefaultZipfUniverse, c.cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}

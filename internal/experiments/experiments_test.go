@@ -2,35 +2,15 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
-// quick returns a scaled-down campaign whose workloads and budgets keep
-// the full pipeline (discovery → symbex → reconcile → measure) exercised
-// while fitting in test time. Shape assertions, not absolute numbers.
-func quick(t *testing.T) *Campaign {
-	t.Helper()
-	return NewCampaign(Config{
-		Seed:         2018,
-		Packets:      8192,
-		ZipfUniverse: 1024,
-		MeasureCap:   1024,
-		CastanStates: 60000,
-		CastanPackets: map[string]int{
-			"lpm-dl1":    20,
-			"lpm-dl2":    10,
-			"lpm-trie":   10,
-			"nat-ubtree": 12,
-			"lb-ubtree":  10,
-			"nat-rbtree": 8,
-			"lb-rbtree":  8,
-			"lb-chain":   10,
-			"nat-chain":  8,
-			"lb-ring":    20,
-			"nat-ring":   20,
-		},
-	})
-}
+// shared is the one campaign every test in this package reads: the zero
+// Config, the evaluation results/ is generated at, so each shape
+// assertion checks the published tables and figures. Analyses and
+// measurements are memoized in it, so each NF is analyzed once per run.
+var shared = sync.OnceValue(func() *Campaign { return NewCampaign(Config{}) })
 
 func median(t *testing.T, c *Campaign, nfName, wl string) float64 {
 	t.Helper()
@@ -47,7 +27,7 @@ func median(t *testing.T, c *Campaign, nfName, wl string) float64 {
 
 func TestFig4ShapeDL1(t *testing.T) {
 	// CASTAN (few packets) ≈ UniRand (thousands) ≫ Zipfian ≈ 1 Packet.
-	c := quick(t)
+	c := shared()
 	one := median(t, c, "lpm-dl1", "1 Packet")
 	zipf := median(t, c, "lpm-dl1", "Zipfian")
 	uni := median(t, c, "lpm-dl1", "UniRand")
@@ -85,7 +65,7 @@ func TestFig4ShapeDL1(t *testing.T) {
 func TestFig6ShapeDL2(t *testing.T) {
 	// The small first stage defeats the contention attack: CASTAN rides
 	// the floor with everything except UniRand.
-	c := quick(t)
+	c := shared()
 	out, err := c.Castan("lpm-dl2")
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +86,7 @@ func TestFig6ShapeDL2(t *testing.T) {
 
 func TestFig7ShapeTrie(t *testing.T) {
 	// CASTAN ≈ Manual (deep routes) on instructions per packet.
-	c := quick(t)
+	c := shared()
 	ms, err := c.MeasureAll("lpm-trie")
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +105,7 @@ func TestFig7ShapeTrie(t *testing.T) {
 func TestFig9ShapeNATUBTree(t *testing.T) {
 	// The skew attack: CASTAN ≈ Manual, both above the same-size random
 	// workload (which builds a balanced-ish tree).
-	c := quick(t)
+	c := shared()
 	ms, err := c.MeasureAll("nat-ubtree")
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +124,7 @@ func TestFig9ShapeNATUBTree(t *testing.T) {
 func TestFig11ShapeNATRBTree(t *testing.T) {
 	// The red-black tree thwarts skew: latency ordered by flow count, so
 	// the small CASTAN workload sits at the bottom.
-	c := quick(t)
+	c := shared()
 	cas := median(t, c, "nat-rbtree", "CASTAN")
 	zipf := median(t, c, "nat-rbtree", "Zipfian")
 	uni := median(t, c, "nat-rbtree", "UniRand")
@@ -158,7 +138,7 @@ func TestFig11ShapeNATRBTree(t *testing.T) {
 
 func TestFig12ShapeLBChain(t *testing.T) {
 	// Persistent collisions: CASTAN above the same-size random workload.
-	c := quick(t)
+	c := shared()
 	out, err := c.Castan("lb-chain")
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +159,7 @@ func TestFig12ShapeLBChain(t *testing.T) {
 func TestFig14ShapeNATChain(t *testing.T) {
 	// The NAT's two related keys defeat full reconciliation: CASTAN stays
 	// well below UniRand.
-	c := quick(t)
+	c := shared()
 	out, err := c.Castan("nat-chain")
 	if err != nil {
 		t.Fatal(err)
@@ -196,12 +176,9 @@ func TestFig14ShapeNATChain(t *testing.T) {
 }
 
 func TestFig13ShapeLBRing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ring analysis is slow")
-	}
 	// Cache contention dominates: CASTAN's misses far above the same-size
 	// random workload's.
-	c := quick(t)
+	c := shared()
 	ms, err := c.MeasureAll("lb-ring")
 	if err != nil {
 		t.Fatal(err)
@@ -216,8 +193,34 @@ func TestFig13ShapeLBRing(t *testing.T) {
 	}
 }
 
+func TestFig15ShapeNATRing(t *testing.T) {
+	// Only the first of each key pair reconciles, yet the forward ring's
+	// contention alone lifts CASTAN above the typical workload.
+	c := shared()
+	out, err := c.Castan("nat-ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.HavocsReconciled == 0 || out.HavocsReconciled >= out.HavocsTotal {
+		t.Errorf("nat-ring reconciled %d/%d havocs, want some but not all",
+			out.HavocsReconciled, out.HavocsTotal)
+	}
+	ms, err := c.MeasureAll("nat-ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms["CASTAN"].L3Misses.Median() <= ms["UniRand CASTAN"].L3Misses.Median() {
+		t.Errorf("CASTAN misses %.0f not above same-size random %.0f",
+			ms["CASTAN"].L3Misses.Median(), ms["UniRand CASTAN"].L3Misses.Median())
+	}
+	if ms["CASTAN"].Latency.Median() <= ms["Zipfian"].Latency.Median() {
+		t.Errorf("CASTAN latency %.0f not above Zipfian %.0f",
+			ms["CASTAN"].Latency.Median(), ms["Zipfian"].Latency.Median())
+	}
+}
+
 func TestTablesRender(t *testing.T) {
-	c := quick(t)
+	c := shared()
 	nfs := []string{"lpm-dl1", "lpm-dl2"}
 	t4, err := c.Table4(nfs)
 	if err != nil {
@@ -248,7 +251,7 @@ func TestFigureRenderAndIDs(t *testing.T) {
 	if FigureNF(4) != "lpm-dl1" || FigureNF(15) != "nat-ring" {
 		t.Error("figure NF mapping broken")
 	}
-	c := quick(t)
+	c := shared()
 	fig, err := c.Figure(6)
 	if err != nil {
 		t.Fatal(err)

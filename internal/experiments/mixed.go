@@ -85,7 +85,7 @@ func (c *Campaign) MixedSweep(nfName string, fractions []float64) (*MixedResult,
 		fractions = []float64{0, 0.01, 0.05, 0.10, 0.25, 0.50, 1}
 	}
 	prof := workload.ProfileFor(nfName)
-	zipf, err := workload.Zipfian(prof, c.cfg.Packets, c.cfg.ZipfUniverse, c.cfg.Seed+1)
+	zipf, err := workload.Zipfian(prof, c.cfg.Packets, workload.DefaultZipfUniverse, c.cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func TestMixWorkloadsFractions(t *testing.T) {
 func TestMixedSweepHeadOfLineBlocking(t *testing.T) {
 	// §5.5's hypothesis: adversarial fractions raise tail latency for
 	// everyone. Verified on the cheapest attackable NF.
-	c := quick(t)
+	c := shared()
 	res, err := c.MixedSweep("lpm-dl1", []float64{0, 0.25, 1})
 	if err != nil {
 		t.Fatal(err)
