@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"castan/internal/obs"
+	"castan/internal/stats"
 )
 
 // Per-layer yardsticks (ROADMAP north-star aim 1), shaped like the
@@ -36,9 +37,11 @@ func BenchmarkAccess(b *testing.B) {
 
 // BenchmarkProbeBatch times discovery-shaped probes, one warm-up and one
 // timed round each, and reports the cost per probe line read: "fits" is
-// 64 sets of 32 stride-8 lines, which ProbeBatch counts; "overflows" is
-// 64 sets of L3Ways+1 lines of one contention set each, which it must
-// simulate.
+// 64 sets of 32 stride-8 lines, no contention set over L3Ways; "overflows"
+// is 64 sets of L3Ways+1 lines of one contention set each; "discovery"
+// is 64 sets of 215 lines like a grow probe of lpm-dl1's, drawn at random
+// from 4 MiB, with one contention set over L3Ways by 1 to 3 lines.
+// ProbeBatch computes all three; only the last two evict.
 func BenchmarkProbeBatch(b *testing.B) {
 	geo := DefaultGeometry()
 	line := uint64(geo.LineBytes)
@@ -58,10 +61,40 @@ func BenchmarkProbeBatch(b *testing.B) {
 			bySet[cs] = nil
 		}
 	}
+	rng := stats.NewRNG(215)
+	var discovery [][]uint64
+	for len(discovery) < 64 {
+		over := geo.L3Ways + 1 + len(discovery)%3
+		target := -1
+		used := map[uint64]bool{}
+		perSet := map[int]int{}
+		var probe []uint64
+		for len(probe) < 215 {
+			a := 0x10000000 + rng.Uint64()%(4<<20/line)*line
+			cs := scout.DebugContentionSet(a)
+			if target < 0 {
+				target = cs
+			}
+			limit := geo.L3Ways
+			if cs == target {
+				limit = over
+			}
+			// Leave room for the target set to reach its count.
+			room := 215 - len(probe) - (over - perSet[target])
+			if used[a] || perSet[cs] == limit || cs != target && room == 0 {
+				continue
+			}
+			used[a] = true
+			perSet[cs]++
+			probe = append(probe, a)
+		}
+		rng.Shuffle(len(probe), func(i, j int) { probe[i], probe[j] = probe[j], probe[i] })
+		discovery = append(discovery, probe)
+	}
 	for _, c := range []struct {
 		name string
 		sets [][]uint64
-	}{{"fits", fits}, {"overflows", overflows}} {
+	}{{"fits", fits}, {"overflows", overflows}, {"discovery", discovery}} {
 		b.Run(c.name, func(b *testing.B) {
 			h := New(geo, 2018)
 			rec := obs.New(obs.NewFakeClock(1))
@@ -75,8 +108,10 @@ func BenchmarkProbeBatch(b *testing.B) {
 				benchSink += h.ProbeBatch(c.sets, 1)[0]
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines*2), "ns/line")
-			if counted := rec.Counter("memsim.probes_counted").Value() > 0; counted != (c.name == "fits") {
-				b.Fatalf("%s: probes counted: %v", c.name, counted)
+			counted := rec.Counter("memsim.probes_counted").Value()
+			evicts := rec.Counter("memsim.l3_evictions").Value() > 0
+			if counted != uint64(b.N*len(c.sets)) || evicts != (c.name != "fits") {
+				b.Fatalf("%s: %d of %d probes computed, L3 evictions: %v", c.name, counted, b.N*len(c.sets), evicts)
 			}
 		})
 	}

@@ -306,11 +306,13 @@ func TestHierarchyMatchesReference(t *testing.T) {
 }
 
 // TestProbeBatchCountsAndSimulates drives one-round probes of all three
-// kinds probeSets makes, so ProbeBatch both counts and simulates, and
-// holds each to the reference: timings and counters, every set's
-// contents right after the probe, and the same again after the call
-// that follows it, one of Access and InjectPacket on a probed line,
-// Fork, Flush and Reboot in turn, then a few random calls.
+// kinds probeSets makes and holds each to the reference: timings and
+// counters, every set's contents right after the probe, and the same
+// again after the call that follows it, one of Access and InjectPacket
+// on a probed line, Fork, Flush and Reboot in turn, then a few random
+// calls. ProbeBatch must compute every probe of distinct lines, those
+// that overflow a contention set too, and simulate exactly the probes
+// that repeat a line.
 func TestProbeBatchCountsAndSimulates(t *testing.T) {
 	for _, g := range []struct {
 		name string
@@ -323,12 +325,26 @@ func TestProbeBatchCountsAndSimulates(t *testing.T) {
 				data[i] = byte(rng.Uint64())
 			}
 			tr := newTraceRun(t, g.geo, 5, data)
+			overflowing := 0
 			for i := 0; i < 400; i++ {
 				tr.step++
 				tw := tr.twins[tr.cur]
 				sets := tr.probeSets()
+				before := tr.counted.Value()
 				what, _ := tr.probeBatch(tw, sets, 1)
 				tr.sameCounters(tw, what)
+				distinct := 0
+				for _, set := range sets {
+					if !repeatsLine(g.geo, set) {
+						distinct++
+						if overflows(tw.h, set) {
+							overflowing++
+						}
+					}
+				}
+				if got := tr.counted.Value() - before; got != uint64(distinct) {
+					t.Fatalf("step %d: %s computed %d probes, %d have distinct lines", tr.step, what, got, distinct)
+				}
 				tr.sameCaches()
 				var probed uint64
 				for _, set := range sets {
@@ -367,10 +383,157 @@ func TestProbeBatchCountsAndSimulates(t *testing.T) {
 			}
 			tr.sameCaches()
 			counted, calls := tr.counted.Value(), tr.obs[5].Value() // memsim.probe_calls
-			if counted == 0 || counted == calls {
-				t.Errorf("%d of %d probes counted: one path never ran", counted, calls)
+			if counted == calls || overflowing == 0 {
+				t.Errorf("%d of %d probes computed, %d of them overflowing: a path never ran", counted, calls, overflowing)
 			}
-			t.Logf("%d of %d probes counted", counted, calls)
+			t.Logf("%d of %d probes computed, %d of them overflowing", counted, calls, overflowing)
+		})
+	}
+}
+
+// repeatsLine reports whether a probe set names some line twice.
+func repeatsLine(geo Geometry, set []uint64) bool {
+	seen := map[uint64]bool{}
+	for _, a := range set {
+		line := a &^ uint64(geo.LineBytes-1)
+		if seen[line] {
+			return true
+		}
+		seen[line] = true
+	}
+	return false
+}
+
+// overflows reports whether a probe set gives some contention set more
+// than L3Ways lines. Its pages must be mapped already.
+func overflows(h *Hierarchy, set []uint64) bool {
+	perSet := map[int]int{}
+	for _, a := range set {
+		cs := h.DebugContentionSet(a)
+		if perSet[cs]++; perSet[cs] > h.geo.L3Ways {
+			return true
+		}
+	}
+	return false
+}
+
+// probeLevels is the reference's one-round probe of addrs: it returns
+// where each line's timed access was served.
+func (h *refHierarchy) probeLevels(addrs []uint64) []Level {
+	h.Flush()
+	saved, tally := h.Stats, *h.tally
+	lb := uint64(h.geo.LineBytes)
+	for _, a := range addrs {
+		h.accessLine(a &^ (lb - 1))
+	}
+	levels := make([]Level, len(addrs))
+	for i, a := range addrs {
+		levels[i], _ = h.accessLine(a &^ (lb - 1))
+	}
+	h.Stats, *h.tally = saved, tally
+	return levels
+}
+
+// overflowProbe draws a one-round probe of distinct lines on one page,
+// shaped like discovery's: one to three contention sets get L3Ways+1 to
+// L3Ways+3 lines each, and up to 215 random lines (fewer than the L3
+// holds) are mixed in. byClass lists in-page lines by contention set.
+func overflowProbe(geo Geometry, rng *stats.RNG, byClass [][]uint64) []uint64 {
+	page := rng.Uint64() % 3
+	used := map[uint64]bool{}
+	var probe []uint64
+	add := func(line uint64) {
+		if !used[line] {
+			used[line] = true
+			probe = append(probe, page<<uint(geo.PageBits)|line*uint64(geo.LineBytes))
+		}
+	}
+	for k := 1 + rng.Uint64()%3; k > 0; k-- {
+		class := slices.Clone(byClass[rng.Uint64()%uint64(len(byClass))])
+		rng.Shuffle(len(class), func(i, j int) { class[i], class[j] = class[j], class[i] })
+		for _, line := range class[:geo.L3Ways+1+int(rng.Uint64()%3)] {
+			add(line)
+		}
+	}
+	total := len(probe) + int(rng.Uint64()%uint64(min(216, geo.L3Bytes()/geo.LineBytes)))
+	for tries := 0; len(probe) < total && tries < 4*total; tries++ {
+		class := byClass[rng.Uint64()%uint64(len(byClass))]
+		add(class[rng.Uint64()%uint64(len(class))])
+	}
+	rng.Shuffle(len(probe), func(i, j int) { probe[i], probe[j] = probe[j], probe[i] })
+	return probe
+}
+
+// TestProbeOverflowIsServedByDRAM checks the rule computeProbe rests on
+// against the reference, which reads every line: in a one-round probe of
+// distinct lines, a timed access goes to DRAM iff its contention set
+// receives more than L3Ways of the probe's lines. It also holds each
+// line's level as computeProbe decided it, and the timing, to the
+// reference, as well as every set's contents after the probe, and
+// requires some probes to have replayed an L1 set and some an L2 set.
+func TestProbeOverflowIsServedByDRAM(t *testing.T) {
+	for _, g := range []struct {
+		name string
+		geo  Geometry
+	}{{"tiny", TinyGeometry()}, {"default", DefaultGeometry()}, {"odd", oddGeometry()}} {
+		t.Run(g.name, func(t *testing.T) {
+			h, ref := New(g.geo, 9), newRef(g.geo, 9)
+			// The hidden hash is f(in-page line) xor g(page), so lines
+			// that share a contention set on one page share one on all.
+			scout := New(g.geo, 9)
+			byClass := make([][]uint64, g.geo.NumContentionSets())
+			for line := uint64(0); line < uint64(64*g.geo.NumContentionSets()); line++ {
+				cs := scout.DebugContentionSet(line * uint64(g.geo.LineBytes))
+				byClass[cs] = append(byClass[cs], line)
+			}
+			rng := stats.NewRNG(57)
+			lat := [...]uint64{L1: g.geo.LatL1, L2: g.geo.LatL2, L3: g.geo.LatL3, DRAM: g.geo.LatDRAM}
+			var overLines, lines, replayed1, replayed2 int
+			for probe := 0; probe < 300; probe++ {
+				addrs := overflowProbe(g.geo, rng, byClass)
+				got := h.ProbeBatch([][]uint64{addrs}, 1)[0]
+				levels := ref.probeLevels(addrs)
+				perSet := map[int]int{}
+				for _, a := range addrs {
+					perSet[ref.l3Set(ref.translate(a)>>refLineShift(g.geo))]++
+				}
+				var want uint64
+				for i, a := range addrs {
+					over := perSet[ref.l3Set(ref.translate(a)>>refLineShift(g.geo))] > g.geo.L3Ways
+					if (levels[i] == DRAM) != over {
+						t.Fatalf("probe %d line %d: served by %v, its contention set overflowing: %v", probe, i, levels[i], over)
+					}
+					if l := h.scratch[i].lvl; l != levels[i] {
+						t.Fatalf("probe %d line %d: computed %v, reference %v", probe, i, l, levels[i])
+					}
+					want += lat[levels[i]]
+					if over {
+						overLines++
+					}
+				}
+				if got != want {
+					t.Fatalf("probe %d: timed %d, reference %d", probe, got, want)
+				}
+				tr := &traceRun{t: t}
+				tr.sameResidency(0, "L1", &h.l1, ref.l1)
+				tr.sameResidency(0, "L2", &h.l2, ref.l2)
+				tr.sameResidency(0, "L3", &h.l3, ref.l3)
+				lines += len(addrs)
+				for _, a := range h.counts.c1 {
+					if a.replay {
+						replayed1++
+					}
+				}
+				for _, b := range h.counts.c2 {
+					if b.replay {
+						replayed2++
+					}
+				}
+			}
+			if overLines == 0 || overLines == lines || replayed1 == 0 || replayed2 == 0 {
+				t.Errorf("%d of %d lines over; %d L1 and %d L2 sets replayed: a case never ran", overLines, lines, replayed1, replayed2)
+			}
+			t.Logf("%d of %d lines over; %d L1 and %d L2 sets replayed", overLines, lines, replayed1, replayed2)
 		})
 	}
 }
@@ -411,6 +574,74 @@ func TestProbeBatchRepeatedLines(t *testing.T) {
 	}
 }
 
+// traceGeometries is the geometry FuzzHierarchyTrace reads from the low
+// two bits of its first byte.
+var traceGeometries = [...]Geometry{TinyGeometry(), DefaultGeometry(), oddGeometry(), TinyGeometry()}
+
+// overflowSeeds returns FuzzHierarchyTrace inputs for the given first
+// byte that each make one one-round ProbeBatch call of distinct lines on
+// page 0: three whose one contention set gets L3Ways+1 to L3Ways+3
+// lines, and, where the pool allows them, one whose probe computeProbe
+// must replay an L1 set for and one it must replay an L2 set for. The
+// latter are found by search, so they stay what they say if the hidden
+// hash changes.
+func overflowSeeds(first byte) [][]byte {
+	geo := traceGeometries[first&3]
+	tr := newTraceRun(nil, geo, uint64(first>>2), nil)
+	// encode writes the ProbeBatch opcode for one kind-1 set of the
+	// given pool lines, each at offset 0, timed for one round.
+	encode := func(pool []int) []byte {
+		data := []byte{first, 255, 0, 0, 0, 1, byte(len(pool))}
+		for _, j := range pool {
+			data = append(data, byte(j), 0)
+		}
+		return append(data, 1)
+	}
+	addrs := func(pool []int) []uint64 {
+		var a []uint64
+		for _, j := range pool {
+			a = append(a, tr.pool[j]*uint64(geo.LineBytes))
+		}
+		return a
+	}
+	var seeds [][]byte
+	// tr.pool[32:] share one contention set; up to eight of the adjacent
+	// lines that keep every other set within L3Ways go between them.
+	for k := 1; k <= 3; k++ {
+		var pool []int
+		perSet := map[int]int{}
+		for j := 0; j < 32 && len(pool) < 8; j++ {
+			if c := tr.class[j]; c != tr.class[32] && perSet[c] < geo.L3Ways {
+				perSet[c]++
+				pool = append(pool, j)
+			}
+		}
+		for j := 32; j < 32+geo.L3Ways+k; j++ {
+			pool = slices.Insert(pool, min(len(pool), 2*(j-32)), j)
+		}
+		seeds = append(seeds, encode(pool))
+	}
+	rng := stats.NewRNG(uint64(first) + 1)
+	var found1, found2 bool
+	for try := 0; try < 2000 && !(found1 && found2); try++ {
+		pool := make([]int, len(tr.pool))
+		for j := range pool {
+			pool[j] = j
+		}
+		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+		pool = pool[:min(len(pool), 16+int(rng.Uint64()%48))]
+		h := New(geo, uint64(first>>2))
+		h.ProbeBatch([][]uint64{addrs(pool)}, 1)
+		r1 := slices.ContainsFunc(h.counts.c1, func(a setTally) bool { return a.replay })
+		r2 := slices.ContainsFunc(h.counts.c2, func(b setTally) bool { return b.replay })
+		if r1 && !found1 || r2 && !found2 {
+			seeds = append(seeds, encode(pool))
+			found1, found2 = found1 || r1, found2 || r2
+		}
+	}
+	return seeds
+}
+
 // FuzzHierarchyTrace is TestHierarchyMatchesReference driven by the
 // fuzzer: the first byte picks geometry and seed, the rest is the trace.
 func FuzzHierarchyTrace(f *testing.F) {
@@ -439,11 +670,15 @@ func FuzzHierarchyTrace(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	for geo := byte(0); geo < 3; geo++ {
+		for _, data := range overflowSeeds(geo) {
+			f.Add(data)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		geo := [...]Geometry{TinyGeometry(), DefaultGeometry(), oddGeometry(), TinyGeometry()}[data[0]&3]
-		newTraceRun(t, geo, uint64(data[0]>>2), data[1:]).run()
+		newTraceRun(t, traceGeometries[data[0]&3], uint64(data[0]>>2), data[1:]).run()
 	})
 }

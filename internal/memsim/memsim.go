@@ -13,6 +13,8 @@ package memsim
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"castan/internal/budget"
 	"castan/internal/obs"
@@ -261,7 +263,7 @@ type Hierarchy struct {
 	probeFault func(addrs []uint64, t uint64) uint64
 
 	// scratch holds ProbeBatch's per-address precomputed indices, and
-	// counts countProbe's per-set tallies. A hierarchy is
+	// counts computeProbe's per-set tallies. A hierarchy is
 	// goroutine-confined (parallel discovery forks first), so reusing
 	// them across probes is safe and keeps the tight loop
 	// allocation-free.
@@ -314,39 +316,46 @@ type tlbEntry struct {
 // probeLine is one probe address with its translation and set selection
 // done: the page mapping cannot change mid-probe, so the warm-up pass and
 // every timed round reuse it instead of re-translating per access like the
-// general Access path must.
+// general Access path must. The remaining fields are computeProbe's.
 type probeLine struct {
 	tag        uint64
 	s1, s2, s3 int32
-	lvl        Level // countProbe: where the timed access was served
+	rank       int32 // how many of the probe's earlier lines share s3
+	lvl        Level // where the timed access was served
+	over       bool  // s3 receives more than L3Ways of the probe's lines
+	dead       bool  // evicted from the L3 after its timed access
 }
 
-// probeCounts is countProbe's per-set scratch: six rows of counters over
-// one backing slice. Each "in" row first counts a set's probe lines, then
-// serves as the cursor that hands out the set's ways from the back.
+// setTally is computeProbe's scratch for one L1 or L2 set.
+type setTally struct {
+	in           int32 // probe lines; in the final pass, a cursor
+	over         int32 // of them over
+	dead         int32 // of them dead
+	lastDead     int32 // L1: 1 + the set rank of the last dead line, 0 if none
+	hit          int32 // L2: timed accesses that hit L1 so far
+	missed       int32 // L2: timed accesses that missed L1; then a cursor
+	missedAtDead int32 // L2: missed when the last dead line missed L1
+	replay       bool  // simulated line by line rather than computed
+}
+
+// contentionTally is computeProbe's scratch for one contention set.
+type contentionTally struct {
+	in      int32 // probe lines; in the final pass, a cursor
+	seen    int32 // probe lines so far
+	at      int32 // where the set's tags start in probeCounts.order
+	reached int32 // timed accesses served by the L3; then a cursor
+}
+
+// probeCounts is computeProbe's per-set scratch, cleared per probe, and
+// order, the probe's line tags grouped by contention set in probe order.
 type probeCounts struct {
-	in3, reached3      []int32 // per contention set: lines served by L3
-	in1                []int32 // per L1 set
-	in2, hit2, missed2 []int32 // per L2 set: lines that hit / missed L1
-	// rest is every row but in3, which countProbe clears on its own
-	// first, so that a probe that overflows a set pays for just that row.
-	rest []int32
-}
-
-func newProbeCounts(g Geometry) probeCounts {
-	n1, n2, n3 := g.L1Sets, g.L2Sets, g.L3Slices*g.L3SetsPerSlice
-	rest := make([]int32, n1+3*n2+2*n3)
-	take := func(n int) []int32 {
-		r := rest[:n:n]
-		rest = rest[n:]
-		return r
-	}
-	var c probeCounts
-	c.in3 = take(n3)
-	c.rest = rest
-	c.reached3, c.in1 = take(n3), take(n1)
-	c.in2, c.hit2, c.missed2 = take(n2), take(n2), take(n2)
-	return c
+	c1, c2 []setTally
+	c3     []contentionTally
+	order  []uint64
+	// filter is a bitmap of hashed line tags, so that computeProbe
+	// scans a set for a repeat only when a hash collides. It is clear
+	// between probes.
+	filter []uint64
 }
 
 // SetObs points the hierarchy's telemetry at rec (nil disables it).
@@ -623,11 +632,11 @@ func (h *Hierarchy) ProbeTime(addrs []uint64, rounds int) uint64 {
 // total ProbeTime would charge per call, and charges are commutative
 // atomic adds, so the accounting is call-shape invariant), and the
 // per-address translation and set-index work is done once per set
-// instead of once per access. A one-round probe whose lines are
-// distinct and fit their contention sets is counted rather than
-// simulated (countProbe). Timings, counters and the cache state left
-// behind are bit-identical to looping ProbeTime: the flush/warm-up/round
-// access sequence is unchanged, or, when counted, computed exactly.
+// instead of once per access. A one-round probe of pairwise-distinct
+// lines is computed rather than simulated (computeProbe). Timings,
+// counters and the cache state left behind are bit-identical to looping
+// ProbeTime: the flush/warm-up/round access sequence is unchanged, or,
+// when computed, reproduced exactly.
 func (h *Hierarchy) ProbeBatch(sets [][]uint64, rounds int) []uint64 {
 	if rounds < 1 {
 		rounds = 1
@@ -666,20 +675,32 @@ func (h *Hierarchy) probeSet(addrs []uint64, rounds int, served *[DRAM + 1]uint6
 		h.scratch = make([]probeLine, len(addrs))
 	}
 	lines := h.scratch[:len(addrs)]
-	// First-touch page allocation happens here in address order — the
-	// same order the scalar warm-up pass would allocate in.
+	// The page half of the hidden L3 hash, and the translation, once per
+	// page: a probe's lines lie in one or two pages, which this memo,
+	// indexed by the page number's low bit, holds both of. First-touch
+	// page allocation happens here in address order — the same order the
+	// scalar warm-up pass would allocate in.
+	type page struct{ key, pline, g uint64 } // key: page number + 1
+	var pages [2]page
 	for i, a := range addrs {
-		pline := h.translate(a&^h.lineMask) >> h.lineShift
+		vpn := a >> h.pageBits
+		pg := &pages[vpn&1]
+		if pg.key != vpn+1 {
+			ppn := h.translate(a) >> h.pageBits
+			*pg = page{vpn + 1, ppn << h.pageLineShift, mix(ppn, h.secretG)}
+		}
+		off := a & h.pageMask >> h.lineShift
+		pline := pg.pline | off
 		lines[i] = probeLine{
 			tag: pline + 1,
 			s1:  int32(h.l1.index(pline)),
 			s2:  int32(h.l2.index(pline)),
-			s3:  int32(h.l3Set(pline)),
+			s3:  int32((mix(off, h.secretF) ^ pg.g) & h.l3Mask),
 		}
 	}
 	total, ok := uint64(0), false
 	if rounds == 1 {
-		total, ok = h.countProbe(lines, served)
+		total, ok = h.computeProbe(lines, served, evictions)
 	}
 	if ok {
 		*counted++
@@ -723,115 +744,300 @@ func (h *Hierarchy) simulateProbe(lines []probeLine, rounds int, served *[DRAM +
 	return total
 }
 
-// countProbe computes what simulateProbe would for one warm-up and one
-// timed pass, from per-set counts instead of line reads, when the lines
-// are pairwise distinct and no contention set receives more than L3Ways
-// of them (DESIGN.md decision 22). Then nothing leaves the L3: the
-// warm-up is all DRAM misses without an eviction, and in the timed pass
-// a line
-//   - hits L1 iff its L1 set holds at most L1Ways probe lines (a cyclic
-//     walk over more lines than ways misses every time under LRU);
-//   - else hits L2 iff fewer than L2Ways other lines of its L2 set were
-//     filled or hit there since its warm-up fill: the set's lines after
-//     it in the probe, plus its earlier lines that missed L1 in this
-//     pass — all of the set's other lines but the earlier L1 hits;
-//   - else hits L3, which still holds every probe line.
+// computeProbe computes what simulateProbe would for one warm-up and one
+// timed pass over pairwise-distinct lines, from per-set counts instead
+// of line reads (DESIGN.md decision 22). Call a contention set that
+// receives n > L3Ways = W of the lines overflowing, and its lines over.
 //
-// It then writes the caches as the simulation leaves them, each set its
-// most recently used lines newest first. It returns false, with the
-// caches still empty, when the lines do not qualify. The caches must be
-// empty on entry.
-func (h *Hierarchy) countProbe(lines []probeLine, served *[DRAM + 1]uint64) (uint64, bool) {
+// The L3 follows from the counts. The warm-up is n DRAM misses, since
+// the lines are new. A set that fits never evicts, so its lines stay in
+// the L3 through both passes. An overflowing set is only ever filled,
+// since nothing hits in it, so it is a queue of its last W fills: its
+// m-th fill (m ≥ W, both passes counted) evicts its ((m−W) mod n)-th
+// line, and every line has been evicted by the time its timed access
+// comes, which therefore goes to DRAM. The lines of rank < n−W are
+// evicted again after their timed access: they are dead, and end in no
+// level. Each eviction back-invalidates the line in L1 and L2.
+//
+// Lines that are not over are never invalidated. In an L1 or L2 set a
+// line is still resident when its timed access comes if fewer than ways
+// other lines were touched there since its warm-up fill, and evicted if
+// ways lines that are not over were (the oldest of ways+1 resident lines
+// goes). Every read touches L1, so between a line's two reads each other
+// line of its L1 set is touched once. L2 sees every warm-up read but
+// only the timed reads that missed L1: between a line's two reads, the
+// set's lines after it in the probe and its earlier lines that missed
+// L1 — all of the set's other lines but the earlier L1 hits. So a line
+// that is not over
+//   - hits L1 iff its L1 set holds at most L1Ways probe lines; past
+//     that, it misses if more than L1Ways of them are not over;
+//   - else hits L2 if fewer than L2Ways other lines were touched in its
+//     L2 set as above, and misses if L2Ways of those are not over;
+//   - else hits L3.
+//
+// What a set holds at the end follows the same way: its lines by last
+// touch, newest first, dead lines left out, cut to its ways where it
+// overflowed. That is exact unless a dead line is among the last ways
+// lines touched: a way it freed may have been refilled.
+//
+// An L1 or L2 set where these rules leave a line's outcome or the end
+// state open, and an L2 set holding a line of such an L1 set, is
+// replayed instead (replaySets). The rest are written as the simulation
+// leaves them. It returns false, with the caches still empty, when the
+// lines are not distinct. The caches must be empty on entry.
+func (h *Hierarchy) computeProbe(lines []probeLine, served *[DRAM + 1]uint64, evictions *uint64) (uint64, bool) {
 	c := &h.counts
-	if c.rest == nil {
-		*c = newProbeCounts(h.geo)
+	if c.c3 == nil {
+		c.c1 = make([]setTally, h.geo.L1Sets)
+		c.c2 = make([]setTally, h.geo.L2Sets)
+		c.c3 = make([]contentionTally, h.geo.NumContentionSets())
 	}
+	clear(c.c1)
+	clear(c.c2)
+	clear(c.c3)
 	w1, w2, w3 := int32(h.l1.ways), int32(h.l2.ways), int32(h.l3.ways)
-	// Fit: count the lines per contention set, and stop at the first
-	// set that gets one too many. This is checked first because it is
-	// the condition that discovery's other probes fail.
-	clear(c.in3)
+
+	// Group the lines by contention set, refusing a repeated line, which
+	// can only repeat within its own set.
+	for i := range lines {
+		c.c3[lines[i].s3].in++
+	}
+	// The filter hashes into at least 32 bits per line.
+	logBits := 5 + uint(bits.Len(uint(len(lines))))
+	if cap(c.order) < len(lines) || len(c.filter) < 1<<logBits/64 {
+		c.order = make([]uint64, len(lines))
+		c.filter = make([]uint64, 1<<logBits/64)
+	}
+	order := c.order[:len(lines)]
+	shift := 64 - logBits
+	var evicted uint64
+	next, anyOver := int32(0), false
 	for i := range lines {
 		p := &lines[i]
-		if c.in3[p.s3]++; c.in3[p.s3] > w3 {
+		x := &c.c3[p.s3]
+		if x.seen == 0 {
+			x.at = next
+			next += x.in
+		}
+		// Only a line whose filter bit an earlier line set scans the
+		// set's earlier tags, a scan that would be quadratic in a set
+		// that holds many of them (a probe of a whole pool).
+		if f := p.tag * 0x9e3779b97f4a7c15 >> shift; c.filter[f/64]&(1<<(f%64)) == 0 {
+			c.filter[f/64] |= 1 << (f % 64)
+		} else if slices.Contains(order[x.at:x.at+x.seen], p.tag) {
+			c.clearFilter(lines[:i], shift)
 			return 0, false
 		}
-	}
-	clear(c.rest)
-	// The warm-up pass: each line's L3 fill goes to the first free way
-	// of its contention set, after the set's earlier lines, which it
-	// must not repeat.
-	for i := range lines {
-		p := &lines[i]
-		s := h.l3.tags[p.s3*w3:][:w3]
-		k := 0
-		for ; s[k] != 0; k++ {
-			if s[k] == p.tag {
-				for _, q := range lines[:i] {
-					clear(h.l3.set(int(q.s3)))
-				}
-				return 0, false
+		order[x.at+x.seen] = p.tag
+		p.rank = x.seen
+		x.seen++
+		p.over = x.in > w3
+		p.dead = p.rank < x.in-w3
+		a, b := &c.c1[p.s1], &c.c2[p.s2]
+		a.in++
+		b.in++
+		if p.over {
+			anyOver = true
+			a.over++
+			b.over++
+			if p.dead {
+				a.dead++
+				a.lastDead = a.in
+				b.dead++
+			}
+			if p.rank == 0 { // n−W evictions in the warm-up, n in the timed pass
+				evicted += uint64(2*x.in - w3)
 			}
 		}
-		s[k] = p.tag
-		c.in1[p.s1]++
-		c.in2[p.s2]++
 	}
-	served[DRAM] += uint64(len(lines))
+	c.clearFilter(lines, shift)
+	*evictions += evicted
+	served[DRAM] += uint64(len(lines)) // the warm-up
 
-	// The timed pass.
-	var total uint64
+	// The timed pass by the rules, marking the sets they leave open. Only
+	// a line over can leave one open.
+	var timed [DRAM + 1]uint64 // timed accesses by serving level
 	for i := range lines {
 		p := &lines[i]
+		a, b := &c.c1[p.s1], &c.c2[p.s2]
+		if anyOver {
+			stable := a.in - a.over
+			a.replay = a.in > w1 && (stable > 0 && stable <= w1 || a.lastDead > a.in-w1)
+		}
 		switch {
-		case c.in1[p.s1] <= w1:
+		case p.over:
+			p.lvl = DRAM
+		case a.replay:
+			b.replay = true // its L1 outcome is not known yet
+			continue
+		case a.in <= w1:
 			p.lvl = L1
-			c.hit2[p.s2]++
-		case c.in2[p.s2]-1-c.hit2[p.s2] < w2:
-			p.lvl = L2
-			c.missed2[p.s2]++
+			b.hit++
 		default:
-			p.lvl = L3
-			c.missed2[p.s2]++
-			c.reached3[p.s3]++
+			touched := b.in - 1 - b.hit
+			if touched < w2 {
+				p.lvl = L2
+			} else {
+				p.lvl = L3
+				c.c3[p.s3].reached++
+				b.replay = b.replay || touched-b.over < w2
+			}
 		}
-		served[p.lvl]++
-		total += h.lat[p.lvl]
+		timed[p.lvl]++
+		if p.lvl != L1 {
+			b.missed++
+			if p.dead {
+				b.missedAtDead = b.missed
+			}
+		}
+	}
+	replay := false
+	if anyOver {
+		for s := range c.c1 {
+			replay = replay || c.c1[s].replay
+		}
+		for s := range c.c2 {
+			b := &c.c2[s]
+			b.replay = b.replay || b.in > w2 && b.dead > 0 && b.missed-b.missedAtDead < w2
+			replay = replay || b.replay
+		}
+	}
+	if replay {
+		// The replay decides some lines and overrules the rules on
+		// others: count again.
+		h.replaySets(lines, order)
+		timed = [DRAM + 1]uint64{}
+		for i := range lines {
+			c.c3[lines[i].s3].reached = 0
+		}
+		for i := range lines {
+			p := &lines[i]
+			timed[p.lvl]++
+			if p.lvl == L3 {
+				c.c3[p.s3].reached++
+			}
+		}
+	}
+	var total uint64
+	for lvl, n := range timed {
+		served[lvl] += n
+		total += n * h.lat[lvl]
 	}
 
-	// The state left behind, newest first. Every timed access touched
-	// L1, so its sets are in timed order. An L2 (L3) set holds first the
-	// lines whose timed access reached it, then the rest by warm-up
-	// order: the rest take the ways from the set's line count down to
-	// the count that reached it, those that reached it the ways below.
-	// Ways past a set's end stay empty or are dropped.
+	// The state left behind, newest first, in the sets not replayed.
+	// Every timed access touched L1, so an L1 set holds its last live
+	// lines in timed order. An L2 (L3) set holds first the lines whose
+	// timed access reached it, then the rest by warm-up order: the rest
+	// take the ways from the set's live line count down to the count
+	// that reached it, those that reached it the ways below. Ways past a
+	// set's end stay empty or are dropped. An overflowing contention set
+	// holds its last L3Ways lines.
 	for i := range lines {
 		p := &lines[i]
-		c.in1[p.s1]--
-		if k := c.in1[p.s1]; k < w1 {
-			h.l1.tags[p.s1*w1+k] = p.tag
-		}
+		x := &c.c3[p.s3]
 		var k int32
-		if p.lvl == L1 {
-			c.in2[p.s2]--
-			k = c.in2[p.s2]
-		} else {
-			c.missed2[p.s2]--
-			k = c.missed2[p.s2]
-		}
-		if k < w2 {
-			h.l2.tags[p.s2*w2+k] = p.tag
-		}
 		if p.lvl == L3 {
-			c.reached3[p.s3]--
-			k = c.reached3[p.s3]
+			x.reached--
+			k = x.reached
 		} else {
-			c.in3[p.s3]--
-			k = c.in3[p.s3]
+			x.in--
+			k = x.in
 		}
-		h.l3.tags[p.s3*w3+k] = p.tag
+		if k < w3 {
+			h.l3.tags[p.s3*w3+k] = p.tag
+		}
+		if p.dead {
+			continue
+		}
+		if a := &c.c1[p.s1]; !a.replay {
+			a.in--
+			if k := a.in - a.dead; k < w1 {
+				h.l1.tags[p.s1*w1+k] = p.tag
+			}
+		}
+		if b := &c.c2[p.s2]; !b.replay {
+			if p.lvl == L1 {
+				b.in--
+				k = b.in - b.dead
+			} else {
+				b.missed--
+				k = b.missed - b.dead
+			}
+			if k < w2 {
+				h.l2.tags[p.s2*w2+k] = p.tag
+			}
+		}
 	}
 	return total, true
+}
+
+// clearFilter clears the filter words the lines set bits in.
+func (c *probeCounts) clearFilter(lines []probeLine, shift uint) {
+	for i := range lines {
+		c.filter[lines[i].tag*0x9e3779b97f4a7c15>>shift/64] = 0
+	}
+}
+
+// replaySets runs both passes through the L1 and L2 sets computeProbe
+// marked for replay, line by line, with each L3 eviction applied to the
+// line it evicts by its rank, and sets the timed level of the lines those
+// sets hold. The L3 is not touched.
+func (h *Hierarchy) replaySets(lines []probeLine, order []uint64) {
+	c := &h.counts
+	w3 := int32(h.l3.ways)
+	// evict back-invalidates the line of p's contention set that p's
+	// fill evicts, the one of rank k mod n.
+	evict := func(p *probeLine, k int32) {
+		x := &c.c3[p.s3]
+		if k < 0 {
+			k += x.seen
+		}
+		tag := order[x.at+k]
+		if s1 := h.l1.index(tag - 1); c.c1[s1].replay {
+			h.l1.invalidate(s1, tag)
+		}
+		if s2 := h.l2.index(tag - 1); c.c2[s2].replay {
+			h.l2.invalidate(s2, tag)
+		}
+	}
+	for i := range lines { // the warm-up: every read misses
+		p := &lines[i]
+		if p.over && p.rank >= w3 {
+			evict(p, p.rank-w3)
+		}
+		if c.c1[p.s1].replay {
+			h.l1.fill(int(p.s1), p.tag)
+		}
+		if c.c2[p.s2].replay {
+			h.l2.fill(int(p.s2), p.tag)
+		}
+	}
+	for i := range lines { // the timed pass; a line over misses throughout
+		p := &lines[i]
+		if p.over {
+			evict(p, p.rank-w3)
+		}
+		if c.c1[p.s1].replay {
+			if !p.over && h.l1.hit(int(p.s1), p.tag) {
+				p.lvl = L1
+				continue
+			}
+			h.l1.fill(int(p.s1), p.tag)
+		} else if p.lvl == L1 {
+			continue
+		}
+		if c.c2[p.s2].replay {
+			switch {
+			case p.over:
+				h.l2.fill(int(p.s2), p.tag)
+			case h.l2.hit(int(p.s2), p.tag):
+				p.lvl = L2
+			default:
+				h.l2.fill(int(p.s2), p.tag)
+				p.lvl = L3
+			}
+		}
+	}
 }
 
 // CyclesToNanos converts cycles to nanoseconds at the configured clock.

@@ -57,7 +57,7 @@ var Catalog = []Instrument{
 	{"memsim.l3_hits", CounterKind, "accesses", "internal/memsim", false, "accesses served by the L3 model"},
 	{"memsim.probe_calls", CounterKind, "probes", "internal/memsim", false, "timing-probe invocations during contention-set discovery"},
 	{"memsim.probe_line_reads", CounterKind, "lines", "internal/memsim", true, "cache lines touched by discovery probes — the discovery-effort gate column"},
-	{"memsim.probes_counted", CounterKind, "probes", "internal/memsim", false, "discovery probes whose timing was counted from per-set line counts instead of simulated line by line"},
+	{"memsim.probes_counted", CounterKind, "probes", "internal/memsim", false, "probes of distinct lines timed for one round, computed from per-set line counts instead of simulated line by line"},
 	{SubDroppedCounter, CounterKind, "events", "internal/obs", false, "progress events a bounded subscriber (obs.ChanSub) discarded because its buffer was full — a slow-consumer signal, deliberately not a gate column"},
 	{"rainbow.bruteforce_calls", CounterKind, "calls", "internal/castan", false, "hash inversions whose table candidates were all rejected (or already taken) and that fell back to bounded brute force"},
 	{"rainbow.chains", CounterKind, "chains", "internal/castan", true, "rainbow-table chains built for hash inversion"},

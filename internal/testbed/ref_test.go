@@ -84,3 +84,49 @@ func refMeasure(nfName string, wl *workload.Workload, opt Options) (*Measurement
 		ThroughputMpps: maxThroughput(serviceNS, queueDepth),
 	}, nil
 }
+
+// refMaxThroughput is maxThroughput as it was before it stopped a
+// simulated rate once its drops reached 1%: every rate runs all its
+// arrivals and is judged by the final loss rate.
+func refMaxThroughput(serviceNS []float64, queueDepth int) float64 {
+	arrivals := len(serviceNS)
+	if arrivals < 20000 {
+		arrivals = 20000
+	}
+	finish := make([]float64, arrivals)
+	lossAt := func(mpps float64) float64 {
+		interval := 1000.0 / mpps
+		head, tail := 0, 0
+		var lastFinish float64
+		drops := 0
+		for i := 0; i < arrivals; i++ {
+			s := serviceNS[i%len(serviceNS)]
+			t := float64(i) * interval
+			for head < tail && finish[head] <= t {
+				head++
+			}
+			if tail-head > queueDepth {
+				drops++
+				continue
+			}
+			start := t
+			if tail > head {
+				start = lastFinish
+			}
+			lastFinish = start + s
+			finish[tail] = lastFinish
+			tail++
+		}
+		return float64(drops) / float64(arrivals)
+	}
+	lo, hi := 0.05, 40.0
+	for i := 0; i < 40; i++ {
+		mid := (lo + hi) / 2
+		if lossAt(mid) < 0.01 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}

@@ -341,7 +341,16 @@ func maxThroughput(serviceNS []float64, queueDepth int) float64 {
 	// finish holds the accepted packets' finish times in arrival order;
 	// the FIFO of packets in the system is finish[head:tail].
 	finish := make([]float64, arrivals)
-	lossAt := func(mpps float64) float64 {
+	// limit is the fewest drops whose loss rate is not below 1%. Drops
+	// only grow, so a rate is overloaded as soon as they reach it.
+	limit := int(0.01 * float64(arrivals))
+	for float64(limit)/float64(arrivals) < 0.01 {
+		limit++
+	}
+	for limit > 1 && float64(limit-1)/float64(arrivals) >= 0.01 {
+		limit--
+	}
+	overloaded := func(mpps float64) bool {
 		interval := 1000.0 / mpps // ns between arrivals
 		head, tail := 0, 0
 		var lastFinish float64
@@ -358,7 +367,9 @@ func maxThroughput(serviceNS []float64, queueDepth int) float64 {
 				head++
 			}
 			if tail-head > queueDepth {
-				drops++
+				if drops++; drops == limit {
+					return true
+				}
 				continue
 			}
 			start := t
@@ -369,15 +380,15 @@ func maxThroughput(serviceNS []float64, queueDepth int) float64 {
 			finish[tail] = lastFinish
 			tail++
 		}
-		return float64(drops) / float64(arrivals)
+		return false
 	}
 	lo, hi := 0.05, 40.0
 	for i := 0; i < 40; i++ {
 		mid := (lo + hi) / 2
-		if lossAt(mid) < 0.01 {
-			lo = mid
-		} else {
+		if overloaded(mid) {
 			hi = mid
+		} else {
+			lo = mid
 		}
 	}
 	return lo

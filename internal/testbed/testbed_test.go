@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"castan/internal/nf"
+	"castan/internal/stats"
 	"castan/internal/workload"
 )
 
@@ -116,6 +117,34 @@ func TestMedianDeviation(t *testing.T) {
 func TestEmptyWorkloadRejected(t *testing.T) {
 	if _, err := Measure("nop", &workload.Workload{Name: "x"}, small()); err == nil {
 		t.Error("empty workload accepted")
+	}
+}
+
+// TestMaxThroughputMatchesReference holds the early-exit bisection to
+// the one that runs every rate to the end, bit for bit, on service
+// times that are constant, patterned, heavy-tailed and longer than the
+// 20 000 simulated arrivals, at two queue depths.
+func TestMaxThroughputMatchesReference(t *testing.T) {
+	rng := stats.NewRNG(57)
+	for _, n := range []int{1, 2000, 8192, 25000} {
+		for shape := 0; shape < 3; shape++ {
+			service := make([]float64, n)
+			for i := range service {
+				switch shape {
+				case 0:
+					service[i] = 250
+				case 1:
+					service[i] = 280 + float64(i*7919%211)
+				default:
+					service[i] = 100 + 5000*float64(rng.Uint64()%1000)/1000*float64(rng.Uint64()%1000)/1000
+				}
+			}
+			for _, depth := range []int{16, 256} {
+				if got, want := maxThroughput(service, depth), refMaxThroughput(service, depth); got != want {
+					t.Errorf("n %d shape %d depth %d: %v Mpps, reference %v", n, shape, depth, got, want)
+				}
+			}
+		}
 	}
 }
 
