@@ -16,10 +16,6 @@
 //     the orchestrating goroutine (between state pops, between discovery
 //     sweeps, between reconciliation rounds), so a budget-cut run stops at
 //     the same tick at every worker count;
-//   - speculative parallel work (e.g. candidate checks a parallel.First
-//     batch evaluates past the accepting index) must not charge the meter
-//     from worker closures — the orchestrator charges the
-//     sequential-equivalent effort, exactly as it records telemetry;
 //   - batched hot paths may charge once per batch with the batch's total
 //     (memsim.ProbeBatch charges one sum for a whole probe set rather
 //     than one Charge per access): the tick total is identical to the

@@ -268,46 +268,6 @@ func TestModelLoadRejectsDuplicateMembership(t *testing.T) {
 	}
 }
 
-// scalarProber hides memsim's ProbeBatch so discovery exercises its
-// per-probe fallback path, and counts line reads on the side.
-type scalarProber struct {
-	h     *memsim.Hierarchy
-	reads *uint64
-}
-
-func (p *scalarProber) ProbeTime(addrs []uint64, rounds int) uint64 {
-	*p.reads += uint64(len(addrs) * (rounds + 1))
-	return p.h.ProbeTime(addrs, rounds)
-}
-
-func (p *scalarProber) Reboot(id uint64) { p.h.Reboot(id) }
-
-// TestDiscoverScalarProberFallback asserts a prober without ProbeBatch
-// discovers exactly what the batch fast path does.
-func TestDiscoverScalarProberFallback(t *testing.T) {
-	g := memsim.TinyGeometry()
-	batch, err := Discover(memsim.New(g, 11), tinyConfig(pool(0, 64)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reads uint64
-	scalar, err := Discover(&scalarProber{h: memsim.New(g, 11), reads: &reads}, tinyConfig(pool(0, 64)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scalar.Sets) != len(batch.Sets) {
-		t.Fatalf("scalar found %d sets, batch %d", len(scalar.Sets), len(batch.Sets))
-	}
-	for si := range batch.Sets {
-		if got, want := scalar.Sets[si].Addrs, batch.Sets[si].Addrs; !equalAddrs(got, want) {
-			t.Errorf("set %d: scalar %v != batch %v", si, got, want)
-		}
-	}
-	if reads == 0 {
-		t.Fatal("scalar prober saw no probes")
-	}
-}
-
 func equalAddrs(a, b []uint64) bool {
 	if len(a) != len(b) {
 		return false
@@ -369,13 +329,15 @@ type noisyProber struct {
 	jumped *atomic.Int64
 }
 
-func (p noisyProber) ProbeTime(addrs []uint64, rounds int) uint64 {
-	t := p.h.ProbeTime(addrs, rounds)
-	if n := len(addrs); n > 0 && n <= p.assoc && addrs[n-1] == p.at {
-		p.jumped.Add(1)
-		t += 1 << 20
+func (p noisyProber) ProbeBatch(sets [][]uint64, rounds int) []uint64 {
+	times := p.h.ProbeBatch(sets, rounds)
+	for i, addrs := range sets {
+		if n := len(addrs); n > 0 && n <= p.assoc && addrs[n-1] == p.at {
+			p.jumped.Add(1)
+			times[i] += 1 << 20
+		}
 	}
-	return t
+	return times
 }
 
 func (p noisyProber) Reboot(id uint64) { p.h.Reboot(id) }
@@ -387,11 +349,11 @@ type firstProber struct {
 	first []uint64
 }
 
-func (p *firstProber) ProbeTime(addrs []uint64, rounds int) uint64 {
+func (p *firstProber) ProbeBatch(sets [][]uint64, rounds int) []uint64 {
 	if p.first == nil {
-		p.first = slices.Clone(addrs)
+		p.first = slices.Clone(sets[0])
 	}
-	return p.h.ProbeTime(addrs, rounds)
+	return p.h.ProbeBatch(sets, rounds)
 }
 
 func (p *firstProber) Reboot(id uint64) { p.h.Reboot(id) }

@@ -43,19 +43,13 @@ var (
 // Prober is the timing side-channel the discovery tool is allowed to use.
 // *memsim.Hierarchy satisfies it.
 type Prober interface {
-	// ProbeTime returns the cycles needed to sequentially read all addrs,
-	// rounds times, after a warm-up pass.
-	ProbeTime(addrs []uint64, rounds int) uint64
+	// ProbeBatch returns, per probe set, the cycles needed to read all
+	// its addresses sequentially, rounds times, after a warm-up pass.
+	// Each set is timed from a flushed cache, exactly as if it were
+	// probed alone.
+	ProbeBatch(sets [][]uint64, rounds int) []uint64
 	// Reboot re-randomizes the virtual→physical mapping.
 	Reboot(bootID uint64)
-}
-
-// BatchProber is the optional fast path a Prober may offer: time many
-// independent probe sets in one call (each flushed separately, exactly
-// as consecutive ProbeTime calls would measure them). *memsim.Hierarchy
-// implements it; discovery falls back to looping ProbeTime otherwise.
-type BatchProber interface {
-	ProbeBatch(sets [][]uint64, rounds int) []uint64
 }
 
 // ContentionSet is a group of line addresses that compete for the same L3
@@ -120,9 +114,9 @@ type DiscoverConfig struct {
 	Workers int
 	// Fork, when set, returns an independent prober sharing the hidden
 	// state and current address mapping of p (e.g. memsim's
-	// Hierarchy.Fork). Without it the sweep and filter run sequentially
-	// regardless of Workers, since concurrent probes on one prober would
-	// perturb each other.
+	// Hierarchy.Fork). Without it every probe runs on p, regardless of
+	// Workers, since concurrent probes on one prober would perturb each
+	// other.
 	Fork func() Prober
 	// Budget, when set, bounds discovery effort. Probe ticks are charged
 	// by the prober itself (memsim.SetBudget); Discover checks for
@@ -169,6 +163,7 @@ func Discover(p Prober, cfg DiscoverConfig) (*Model, error) {
 	// mappings of their own, which is what makes sweep results
 	// independent of how candidates are divided among workers.
 	d.probe(pool)
+	d.forks = []Prober{p}
 	if w := parallel.Workers(cfg.Workers); w > 1 && cfg.Fork != nil {
 		d.forks = make([]Prober, w)
 		for i := range d.forks {
@@ -230,7 +225,7 @@ type discoverer struct {
 	p     Prober
 	cfg   DiscoverConfig
 	rng   *stats.RNG
-	forks []Prober // per-worker probers; nil = sequential probing only
+	forks []Prober // per-worker probers; just p when probing is sequential
 }
 
 func (d *discoverer) probe(s []uint64) uint64 {
@@ -241,32 +236,16 @@ func (d *discoverer) probeOn(p Prober, s []uint64) uint64 {
 	if len(s) == 0 {
 		return 0
 	}
-	return p.ProbeTime(s, rounds)
+	return p.ProbeBatch([][]uint64{s}, rounds)[0]
 }
 
-// probeBatchOn times many independent probe sets on one prober, using
-// the batch fast path when the prober offers it.
-func (d *discoverer) probeBatchOn(p Prober, sets [][]uint64) []uint64 {
-	if bp, ok := p.(BatchProber); ok {
-		return bp.ProbeBatch(sets, rounds)
-	}
-	out := make([]uint64, len(sets))
-	for i, s := range sets {
-		out[i] = d.probeOn(p, s)
-	}
-	return out
-}
-
-// probeMany shards a batch of independent probe sets across the forked
-// probers (sequential on the root prober otherwise). Results land in
-// input order, so the answer is identical at every worker count.
+// probeMany shards a batch of independent probe sets across the probers.
+// Results land in input order, so the answer is identical at every
+// worker count.
 func (d *discoverer) probeMany(sets [][]uint64) []uint64 {
-	if d.forks == nil || len(sets) < 2 {
-		return d.probeBatchOn(d.p, sets)
-	}
 	out := make([]uint64, len(sets))
 	parallel.Shards(len(d.forks), len(sets), func(shard, lo, hi int) {
-		copy(out[lo:hi], d.probeBatchOn(d.forks[shard], sets[lo:hi]))
+		copy(out[lo:hi], d.forks[shard].ProbeBatch(sets[lo:hi], rounds))
 	})
 	return out
 }
@@ -520,19 +499,12 @@ func (d *discoverer) sweep(pool, members []uint64) []uint64 {
 		t := d.probeOn(p, swap)
 		return t+d.sweepDelta() > base
 	}
-	if d.forks == nil {
+	parallel.Shards(len(d.forks), len(retest), func(shard, lo, hi int) {
 		swap := append([]uint64(nil), members...)
-		for _, i := range retest {
-			hits[i] = sweepOne(d.p, swap, i)
+		for j := lo; j < hi; j++ {
+			hits[retest[j]] = sweepOne(d.forks[shard], swap, retest[j])
 		}
-	} else {
-		parallel.Shards(len(d.forks), len(retest), func(shard, lo, hi int) {
-			swap := append([]uint64(nil), members...)
-			for j := lo; j < hi; j++ {
-				hits[retest[j]] = sweepOne(d.forks[shard], swap, retest[j])
-			}
-		})
-	}
+	})
 	for i, hit := range hits {
 		if hit {
 			members = append(members, cands[i])
@@ -550,17 +522,11 @@ func (d *discoverer) filterConsistent(m *Model) {
 	// fully resets a prober's mapping and caches, so the per-set loop
 	// shards across forked probers without any cross-talk.
 	ok := make([]bool, len(m.Sets))
-	if d.forks == nil {
-		for si, set := range m.Sets {
-			ok[si] = d.consistentAcrossReboots(d.p, si, set)
+	parallel.Shards(len(d.forks), len(m.Sets), func(shard, lo, hi int) {
+		for si := lo; si < hi; si++ {
+			ok[si] = d.consistentAcrossReboots(d.forks[shard], si, m.Sets[si])
 		}
-	} else {
-		parallel.Shards(len(d.forks), len(m.Sets), func(shard, lo, hi int) {
-			for si := lo; si < hi; si++ {
-				ok[si] = d.consistentAcrossReboots(d.forks[shard], si, m.Sets[si])
-			}
-		})
-	}
+	})
 	kept := m.Sets[:0]
 	for si, set := range m.Sets {
 		if ok[si] {

@@ -55,11 +55,12 @@ type Config struct {
 	// NoRainbow disables havoc reconciliation (ablation).
 	NoRainbow bool
 	// Workers bounds each stage's fan-out (0 = GOMAXPROCS): rainbow-chain
-	// generation, contention-set sweeps, and batched candidate solver
-	// checks during havoc reconciliation. The rainbow-table work itself
-	// runs beside discovery and symbex, on a goroutine Analyze starts and
-	// joins (DESIGN.md decision 21), so the two stages' fan-outs can
-	// overlap. Output is identical at every worker count.
+	// generation and discovery's probe batches. Havoc reconciliation
+	// checks its candidates in order on the pipeline goroutine. The
+	// rainbow-table work itself runs beside discovery and symbex, on a
+	// goroutine Analyze starts and joins (DESIGN.md decision 21), so the
+	// two stages' fan-outs can overlap. Output is identical at every
+	// worker count.
 	Workers int
 	// Obs, when non-nil, receives pipeline telemetry: phase spans, solver
 	// and symbex effort, memory-simulator traffic, and rainbow/havoc
@@ -569,11 +570,10 @@ func (s *Search) concretize(inst *nf.Instance, st *symbex.State) (*Output, error
 		}
 	} else {
 		tables := s.joinTables(true)
-		hook := cfg.Faults.PanicHook(faultinject.PanicReconcile)
 		bRainbow := cfg.Budget.Stage(budget.StageRainbow)
 		pinnedVars := map[expr.VarID]bool{}
 		usedKeys := map[string]bool{}
-		cut, panicked := false, false
+		cut := false
 		for _, h := range st.Havocs {
 			hu, known := uses[h.HashID]
 			if !known {
@@ -591,15 +591,7 @@ func (s *Search) concretize(inst *nf.Instance, st *symbex.State) (*Output, error
 				unrec[h.HashID] = true
 				continue
 			}
-			extra, pan := safeReconcile(&sol, cons, mdl, pinnedVars, usedKeys, h, hu, tables[h.HashID], cfg.Workers, hook)
-			if pan != nil {
-				if !panicked {
-					s.degrade("reconcile", pan.Error(), "havoc site left unreconciled")
-					panicked = true
-				}
-				unrec[h.HashID] = true
-				continue
-			}
+			extra := reconcileHavoc(&sol, cons, mdl, pinnedVars, usedKeys, h, hu, tables[h.HashID])
 			if extra == nil {
 				unrec[h.HashID] = true
 				continue
@@ -644,22 +636,6 @@ func (s *Search) concretize(inst *nf.Instance, st *symbex.State) (*Output, error
 		},
 		Frames: frames,
 	}, nil
-}
-
-// safeReconcile contains a worker panic escaping one havoc's candidate
-// fan-out, so a single poisoned site degrades instead of killing the run.
-// Non-parallel panics (real bugs) still propagate.
-func safeReconcile(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pinnedVars map[expr.VarID]bool, usedKeys map[string]bool, h symbex.HavocRecord, hu nf.HashUse, tbl *rainbow.Table, workers int, hook func(int)) (pins []*expr.Expr, pan *parallel.Panic) {
-	defer func() {
-		if v := recover(); v != nil {
-			p, isPanic := v.(*parallel.Panic)
-			if !isPanic {
-				panic(v)
-			}
-			pins, pan = nil, p
-		}
-	}()
-	return reconcileHavoc(sol, cons, mdl, pinnedVars, usedKeys, h, hu, tbl, workers, hook), nil
 }
 
 // tableWork is one Analyze call's rainbow-table work: every hash site's
@@ -863,9 +839,7 @@ func rainbowSite(h nf.HashUse) (cacheKey, diskKey string, rcfg rainbow.Config) {
 // havoc record: solve for the hash value the path wants, invert it with
 // the rainbow table, and re-check the preimage against the packet
 // constraints. Returns the pin constraints on success, nil on failure.
-// hook, when non-nil, is the fault-injection worker-panic hook (tests
-// only).
-func reconcileHavoc(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pinnedVars map[expr.VarID]bool, usedKeys map[string]bool, h symbex.HavocRecord, hu nf.HashUse, tbl *rainbow.Table, workers int, hook func(int)) []*expr.Expr {
+func reconcileHavoc(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pinnedVars map[expr.VarID]bool, usedKeys map[string]bool, h symbex.HavocRecord, hu nf.HashUse, tbl *rainbow.Table) []*expr.Expr {
 	if tbl == nil {
 		return nil
 	}
@@ -910,20 +884,12 @@ func reconcileHavoc(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pin
 	// preimages against the constraints.
 	rec := sol.Obs
 	rec.Counter("rainbow.invert_attempts").Inc()
-	// Shared expression nodes cache var lists and const-ness lazily;
-	// warm those caches up front so concurrent checks only read them.
-	warmExprs(cons)
-	warmExprs(h.Key)
-	// try checks one batch of candidates and returns the pins of the one
-	// it accepts, or nil. Candidate checks are independent — each builds
-	// its own pin set over the shared constraint prefix — so they fan out
-	// in batches, keeping sequential semantics by accepting the
-	// lowest-index Sat candidate. checked counts the candidates a
-	// sequential scan would have checked, over every batch tried.
+	// try checks candidates in order and returns the pins of the first
+	// one the solver accepts, or nil. checked counts the candidates
+	// checked, over every list tried.
 	checked := 0
 	try := func(candidates [][]byte) []*expr.Expr {
 		rec.Counter("rainbow.invert_keys").Add(uint64(len(candidates)))
-		viable := candidates[:0]
 		for _, key := range candidates {
 			if len(key) != len(h.Key) {
 				continue
@@ -931,15 +897,7 @@ func reconcileHavoc(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pin
 			if usedKeys[string(key)] {
 				continue // identical to an already-pinned key: flow uniqueness
 			}
-			viable = append(viable, key)
-		}
-		first := checked
-		pins := make([][]*expr.Expr, len(viable))
-		hit := parallel.First(workers, len(viable), func(i int) bool {
-			if hook != nil {
-				hook(first + i)
-			}
-			key := viable[i]
+			checked++
 			p := make([]*expr.Expr, 0, len(key)+len(h.OutVars))
 			for j, ke := range h.Key {
 				p = append(p, expr.Eq(ke, expr.Const(uint64(key[j]))))
@@ -947,29 +905,18 @@ func reconcileHavoc(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pin
 			p = append(p, pinOut(h, want)...)
 			all := append(append([]*expr.Expr(nil), cons...), p...)
 			if solver.QuickFeasible(all) == solver.Unsat {
-				return false
+				continue
 			}
-			// Worker solvers stay uninstrumented: parallel.First batches may
-			// speculatively check a few candidates past the accepting index,
-			// so per-worker query counts vary with the worker count. The
-			// sequential-equivalent effort is recorded below instead
-			// (DESIGN.md decision 8).
-			worker := solver.Solver{MaxSteps: sol.MaxSteps, Hint: sol.Hint}
-			if res, _ := worker.Check(all); res != solver.Sat {
-				return false
+			// The check solver stays bare (no telemetry, budget or fault
+			// hook): castan.reconcile_checks, recorded below, is what
+			// these checks show in a run's counters.
+			check := solver.Solver{MaxSteps: sol.MaxSteps, Hint: sol.Hint}
+			if res, _ := check.Check(all); res == solver.Sat {
+				usedKeys[string(key)] = true
+				return p
 			}
-			pins[i] = p
-			return true
-		})
-		// hit is worker-count invariant (lowest accepted index), so so is
-		// checked.
-		if hit < 0 {
-			checked += len(viable)
-			return nil
 		}
-		checked += hit + 1
-		usedKeys[string(viable[hit])] = true
-		return pins[hit]
+		return nil
 	}
 	// Rainbow candidates come first; brute force (per §3.5: "brute-force
 	// methods augmented by the use of rainbow tables") runs only when the
@@ -994,15 +941,6 @@ func reconcileHavoc(sol *solver.Solver, cons []*expr.Expr, mdl solver.Model, pin
 	}
 	rec.Counter("castan.reconcile_checks").Add(uint64(checked))
 	return pins
-}
-
-// warmExprs populates the lazily cached per-node fields (variable lists,
-// const-ness) of every node reachable from es, so that subsequent
-// concurrent traversals of the shared DAG are read-only.
-func warmExprs(es []*expr.Expr) {
-	for _, e := range es {
-		e.VarList()
-	}
 }
 
 // pinOut pins the havoc's output variables to a concrete hash value.

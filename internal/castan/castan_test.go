@@ -249,7 +249,7 @@ func TestAblationRainbowMatters(t *testing.T) {
 // contract: the same seed produces byte-identical frames, the same
 // explored-state count, and the same reconciliation outcome at every
 // worker count. lb-chain exercises all parallel stages (discovery sweep,
-// rainbow build, batched reconciliation checks).
+// rainbow build).
 func TestAnalyzeWorkerCountInvariant(t *testing.T) {
 	run := func(workers int) *Output {
 		return analyze(t, "lb-chain", Config{NPackets: 12, MaxStates: 4000, Seed: 1, Workers: workers})

@@ -20,8 +20,8 @@ import (
 // writes, then hits), a rainbow-reconciling NF clean and with its symbex
 // budget cut, a tree NF whose path constraints the solver refutes
 // (reconcile's refutable queries no longer reach it), and the fault
-// matrix's plans plus the reconcile worker panic on the NFs where each
-// one's degradation lands.
+// matrix's plans plus a rainbow budget cut on the NFs where each one's
+// degradation lands.
 func TestCatalogMatchesEmission(t *testing.T) {
 	rec := obs.New(obs.NewFakeClock(1000))
 	// A one-slot subscriber nobody drains: the slow-consumer drop path.
@@ -54,8 +54,7 @@ func TestCatalogMatchesEmission(t *testing.T) {
 		{"lpm-dl1", Config{NPackets: 8, MaxStates: 3000, Seed: 2018, Store: st}},
 		{"lb-chain", Config{NPackets: 8, MaxStates: 3000, Seed: 2018}},
 		{"lb-chain", Config{NPackets: 8, MaxStates: 3000, Seed: 2018, Budget: cutSymbex()}},
-		{"lb-chain", Config{NPackets: 4, MaxStates: 2500, Seed: 7,
-			Faults: &faultinject.Plan{Name: "worker-panic-reconcile", Seed: 5, PanicStage: faultinject.PanicReconcile}}},
+		{"lb-chain", Config{NPackets: 4, MaxStates: 2500, Seed: 7, Budget: rainbowCut()}},
 		{"nat-rbtree", Config{NPackets: 3, MaxStates: 800, Seed: 2018}},
 	}
 	for _, plan := range faultinject.MatrixPlans() {

@@ -9,13 +9,12 @@ import (
 	"slices"
 	"testing"
 
+	"castan/internal/budget"
 	"castan/internal/expr"
-	"castan/internal/faultinject"
 	"castan/internal/memsim"
 	"castan/internal/nf"
 	"castan/internal/nfhash"
 	"castan/internal/obs"
-	"castan/internal/parallel"
 	"castan/internal/pcap"
 	"castan/internal/rainbow"
 	"castan/internal/solver"
@@ -152,11 +151,11 @@ func (f havocFixture) eager(excluded, taken [][]byte) (key []byte, checks uint64
 	return nil, checks
 }
 
-// reconcile runs one havoc through safeReconcile with the excluded keys
+// reconcile runs one havoc through reconcileHavoc with the excluded keys
 // ruled out by constraints and the taken ones already pinned to other
-// flows, returning the key it accepted (nil if none), the counters it
-// moved, and the worker panic it contained, if hook raised one.
-func (f havocFixture) reconcile(t *testing.T, excluded, taken [][]byte, hook func(int)) (key []byte, checks, bruteCalls uint64, pan *parallel.Panic) {
+// flows, returning the key it accepted (nil if none) and the counters it
+// moved.
+func (f havocFixture) reconcile(t *testing.T, excluded, taken [][]byte) (key []byte, checks, bruteCalls uint64) {
 	t.Helper()
 	var cons []*expr.Expr
 	for _, k := range excluded {
@@ -171,7 +170,7 @@ func (f havocFixture) reconcile(t *testing.T, excluded, taken [][]byte, hook fun
 	for _, k := range taken {
 		usedKeys[string(k)] = true
 	}
-	pins, pan := safeReconcile(&sol, cons, mdl, map[expr.VarID]bool{}, usedKeys, f.h, f.hu, f.tbl, 2, hook)
+	pins := reconcileHavoc(&sol, cons, mdl, map[expr.VarID]bool{}, usedKeys, f.h, f.hu, f.tbl)
 	if pins != nil {
 		for k := range usedKeys {
 			if !containsKey(taken, []byte(k)) {
@@ -182,7 +181,7 @@ func (f havocFixture) reconcile(t *testing.T, excluded, taken [][]byte, hook fun
 			t.Fatalf("accepted: usedKeys grew by %d, %d pins", len(usedKeys)-len(taken), len(pins))
 		}
 	}
-	return key, rec.Counter("castan.reconcile_checks").Value(), rec.Counter("rainbow.bruteforce_calls").Value(), pan
+	return key, rec.Counter("castan.reconcile_checks").Value(), rec.Counter("rainbow.bruteforce_calls").Value()
 }
 
 func containsKey(keys [][]byte, k []byte) bool {
@@ -220,7 +219,7 @@ func TestReconcileLazyBruteForceIsTheSameSearch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		wantKey, wantChecks := f.eager(tc.excluded, tc.taken)
-		key, checks, brute, _ := f.reconcile(t, tc.excluded, tc.taken, nil)
+		key, checks, brute := f.reconcile(t, tc.excluded, tc.taken)
 		if !bytes.Equal(key, wantKey) || checks != wantChecks || brute != tc.brute {
 			t.Errorf("%s: accepted %x after %d checks with %d brute-force calls; the eager search accepts %x after %d, want %d calls",
 				tc.name, key, checks, brute, wantKey, wantChecks, tc.brute)
@@ -231,37 +230,28 @@ func TestReconcileLazyBruteForceIsTheSameSearch(t *testing.T) {
 	}
 }
 
-// TestReconcilePanicHookFiresOnFirstCheckedCandidate: the injected worker
-// panic targets the first candidate checked, whichever list it comes
-// from, so the reconcile worker-panic plan degrades a site whose table
-// candidates are all taken just as it did when both lists were one.
-func TestReconcilePanicHookFiresOnFirstCheckedCandidate(t *testing.T) {
-	f := newHavocFixture(t)
-	hook := (&faultinject.Plan{PanicStage: faultinject.PanicReconcile}).PanicHook(faultinject.PanicReconcile)
-	for name, taken := range map[string][][]byte{"table": nil, "brute-force": f.table} {
-		key, _, _, pan := f.reconcile(t, nil, taken, hook)
-		if key != nil || pan == nil || pan.Index != 0 {
-			t.Errorf("first candidate from the %s list: accepted %x, panic %v; want a contained panic on item 0", name, key, pan)
+// TestReconcileBudgetCutDegrades is the reconcile-stage row the fault
+// matrix lacks: a rainbow budget that the table build already exhausts
+// leaves every havoc site unreconciled behind one "reconcile"
+// degradation, and the run still completes, at W=1 and W=2.
+func TestReconcileBudgetCutDegrades(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		out := analyze(t, "lb-chain", Config{NPackets: 4, MaxStates: 2500, Seed: 7, Workers: w, Budget: rainbowCut()})
+		if out.HavocsTotal == 0 || out.HavocsReconciled != 0 || !slices.Equal(out.UnreconciledSites, []int{0}) {
+			t.Errorf("W=%d: reconciled %d of %d havocs, unreconciled sites %v; want none of several, site 0",
+				w, out.HavocsReconciled, out.HavocsTotal, out.UnreconciledSites)
+		}
+		if len(out.Degradations) != 1 || out.Degradations[0].Stage != "reconcile" {
+			t.Errorf("W=%d: degradations = %+v, want exactly one, in stage reconcile", w, out.Degradations)
 		}
 	}
 }
 
-// TestReconcileWorkerPanicDegrades is the reconcile-stage row the fault
-// matrix lacks: a worker panic in the candidate fan-out leaves every
-// havoc site unreconciled behind one "reconcile" degradation, and the
-// run still completes.
-func TestReconcileWorkerPanicDegrades(t *testing.T) {
-	out := analyze(t, "lb-chain", Config{
-		NPackets: 4, MaxStates: 2500, Seed: 7,
-		Faults: &faultinject.Plan{Name: "worker-panic-reconcile", Seed: 5, PanicStage: faultinject.PanicReconcile},
-	})
-	if out.HavocsTotal == 0 || out.HavocsReconciled != 0 || !slices.Equal(out.UnreconciledSites, []int{0}) {
-		t.Errorf("reconciled %d of %d havocs, unreconciled sites %v; want none of several, site 0",
-			out.HavocsReconciled, out.HavocsTotal, out.UnreconciledSites)
-	}
-	if len(out.Degradations) != 1 || out.Degradations[0].Stage != "reconcile" {
-		t.Errorf("degradations = %+v, want exactly one, in stage reconcile", out.Degradations)
-	}
+// rainbowCut is a budget whose rainbow stage one chain link exhausts.
+func rainbowCut() *budget.Meter {
+	m := budget.New(0)
+	m.SetStageLimit(budget.StageRainbow, 1)
+	return m
 }
 
 // TestRainbowStoreKeyPinned pins the content address of lb-chain's table

@@ -2,7 +2,7 @@
 // the pipeline's degradation paths work. A Plan describes which faults to
 // arm; the pipeline wires the resulting hooks into per-run config structs
 // (solver.ForceUnknown, memsim probe perturbation, rainbow chain
-// corruption, parallel worker panics). There is no global state: every
+// corruption). There is no global state: every
 // hook is a closure over the plan, so two concurrent runs with different
 // plans cannot interfere, and a run with a nil plan pays nothing.
 //
@@ -12,16 +12,7 @@
 // relies on this to assert byte-stable degraded reports.
 package faultinject
 
-import (
-	"fmt"
-
-	"castan/internal/stats"
-)
-
-// PanicReconcile is the stage a PanicStage can target: the pipeline's
-// one internal/parallel fan-out whose worker panics degrade the run,
-// rainbow reconciliation's candidate checks.
-const PanicReconcile = "reconcile"
+import "castan/internal/stats"
 
 // Plan selects which faults to arm for one run. The zero value arms
 // nothing. Plans are immutable once handed to the pipeline.
@@ -40,10 +31,6 @@ type Plan struct {
 	// CorruptChainEvery > 0 corrupts every n-th rainbow chain end,
 	// simulating a torn or bit-flipped table.
 	CorruptChainEvery int
-	// PanicStage names a parallel fan-out whose first worker item
-	// panics (contained by internal/parallel, surfaced to the stage
-	// guard in castan.Analyze).
-	PanicStage string
 }
 
 // Enabled reports whether the plan arms any fault at all.
@@ -51,7 +38,7 @@ func (p *Plan) Enabled() bool {
 	if p == nil {
 		return false
 	}
-	return p.SolverUnknownAfter > 0 || p.ProbePerturb || p.CorruptChainEvery > 0 || p.PanicStage != ""
+	return p.SolverUnknownAfter > 0 || p.ProbePerturb || p.CorruptChainEvery > 0
 }
 
 // SolverHook returns the solver.ForceUnknown hook for this plan, or nil
@@ -110,29 +97,8 @@ func (p *Plan) ChainHook() func(chain int, end uint64) uint64 {
 	}
 }
 
-// PanicHook returns a per-item hook for the named fan-out stage, or nil
-// if the plan targets a different stage. The hook panics on item 0 — the
-// lowest index, so containment surfaces it identically at every worker
-// count.
-func (p *Plan) PanicHook(stage string) func(item int) {
-	if p == nil || p.PanicStage != stage {
-		return nil
-	}
-	name := p.Name
-	if name == "" {
-		name = stage
-	}
-	return func(item int) {
-		if item == 0 {
-			panic(fmt.Sprintf("faultinject: injected worker panic (plan %s, stage %s)", name, stage))
-		}
-	}
-}
-
 // MatrixPlans returns the named fault plans the robustness matrix test
-// runs every NF under: one per fault class, seeded deterministically. The
-// worker panic (PanicStage) is not among them; internal/castan's tests arm
-// it on the NFs whose reconciliation it can reach.
+// runs every NF under: one per fault class, seeded deterministically.
 func MatrixPlans() []*Plan {
 	return []*Plan{
 		{Name: "solver-unknown", Seed: 1, SolverUnknownAfter: 1},

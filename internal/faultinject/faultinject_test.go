@@ -18,9 +18,6 @@ func TestNilAndZeroPlansArmNothing(t *testing.T) {
 		if p.ChainHook() != nil {
 			t.Fatal("chain hook armed")
 		}
-		if p.PanicHook(PanicReconcile) != nil {
-			t.Fatal("panic hook armed")
-		}
 	}
 }
 
@@ -75,21 +72,6 @@ func TestChainHookCorruptsSelectedChains(t *testing.T) {
 	if again := hook(0, 555); again != c0 {
 		t.Fatal("corruption not deterministic")
 	}
-}
-
-func TestPanicHookTargetsStageAndItemZero(t *testing.T) {
-	p := &Plan{Name: "test", PanicStage: PanicReconcile}
-	if p.PanicHook("discover") != nil {
-		t.Fatal("hook armed for wrong stage")
-	}
-	hook := p.PanicHook(PanicReconcile)
-	hook(1) // non-zero items pass through
-	defer func() {
-		if recover() == nil {
-			t.Fatal("item 0 did not panic")
-		}
-	}()
-	hook(0)
 }
 
 func TestMatrixPlansCoverEveryFaultClass(t *testing.T) {

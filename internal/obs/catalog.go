@@ -41,12 +41,12 @@ var Catalog = []Instrument{
 	{"castan.contention_sets", CounterKind, "sets", "internal/castan", false, "cache contention sets the discovery stage (or a store hit) produced"},
 	{"castan.degraded.discover", CounterKind, "cuts", "internal/castan", false, "discovery cut short by its budget, or every candidate set failed the cross-reboot filter; a partial or no cache model is used"},
 	{"castan.degraded.rainbow", CounterKind, "cuts", "internal/castan", false, "a rainbow table failed its self-check and was dropped (one per table); its havoc sites stay unreconciled"},
-	{"castan.degraded.reconcile", CounterKind, "cuts", "internal/castan", false, "reconciliation cut by the rainbow budget or a candidate-check worker panic; remaining havoc sites stay unreconciled"},
+	{"castan.degraded.reconcile", CounterKind, "cuts", "internal/castan", false, "reconciliation cut by the rainbow budget; remaining havoc sites stay unreconciled"},
 	{"castan.degraded.solve", CounterKind, "cuts", "internal/castan", false, "the final solve of the chosen path hit its budget (or an injected Unknown); the state's cached model stands in and reconciliation is skipped"},
 	{"castan.degraded.symbex", CounterKind, "cuts", "internal/castan", false, "symbex stage cut short by a budget/deadline (one per degradation; the castan.degraded.<stage> family covers every stage)"},
 	{"castan.havocs", CounterKind, "sites", "internal/castan", false, "havoced hash sites the emitted state's path depends on, completed or partial (the report's havocs_total)"},
 	{"castan.havocs_reconciled", CounterKind, "sites", "internal/castan", true, "havoc sites the rainbow stage concretized back to real packet bytes"},
-	{"castan.reconcile_checks", CounterKind, "replays", "internal/castan", false, "reconciliation validation replays of candidate concretizations"},
+	{"castan.reconcile_checks", CounterKind, "checks", "internal/castan", false, "candidate preimages checked against the path constraints during reconciliation (pre-filter and solver)"},
 	{"castan.store.hits", CounterKind, "artifacts", "internal/castan", true, "cross-run store lookups that returned a reusable artifact (skipping discovery/table builds)"},
 	{"castan.store.misses", CounterKind, "artifacts", "internal/castan", false, "store lookups that found nothing and fell through to a fresh computation"},
 	{"castan.store.writes", CounterKind, "artifacts", "internal/castan", false, "freshly computed artifacts persisted for future runs"},

@@ -23,11 +23,6 @@
 //     events are emitted in sorted order, so the trace is a deterministic
 //     function of the pipeline's (deterministic) control flow.
 //
-// Speculative parallel work — e.g. the few candidate checks a
-// parallel.First batch evaluates past the accepting index — must not be
-// recorded from inside worker functions; the orchestrator records the
-// sequential-equivalent effort instead. See DESIGN.md decision 8.
-//
 // All methods are nil-receiver safe: a nil *Recorder hands out nil
 // instruments whose methods no-op, so instrumented code never branches on
 // "is observability on".

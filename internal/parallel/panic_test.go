@@ -112,31 +112,12 @@ func TestShardsContainsPanicLowestShard(t *testing.T) {
 	}
 }
 
-func TestFirstContainsPanic(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		p := recoverPanic(t, func() {
-			First(w, 10, func(i int) bool {
-				if i == 1 {
-					panic("first worker down")
-				}
-				return i == 7
-			})
-		})
-		if p == nil || p.Index != 1 {
-			t.Fatalf("w=%d: panic = %+v", w, p)
-		}
-	}
-}
-
 func TestNoPanicFastPathUnchanged(t *testing.T) {
 	got := Map(4, 5, func(i int) int { return i * i })
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("slot %d = %d", i, v)
 		}
-	}
-	if idx := First(4, 10, func(i int) bool { return i >= 6 }); idx != 6 {
-		t.Fatalf("First = %d", idx)
 	}
 }
 

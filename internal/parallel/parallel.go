@@ -1,6 +1,6 @@
 // Package parallel is the deterministic fan-out layer used by every hot
 // loop in the repo: rainbow-table chain generation, contention-set
-// sweeps, the measurement campaign, and batched solver checks.
+// sweeps and the measurement campaign.
 //
 // The design invariant — the repo-wide determinism rule (DESIGN.md
 // decision 6) — is that the worker count only changes *scheduling*, never
@@ -13,16 +13,15 @@
 //   - randomness inside an item derives from the parent seed and the item
 //     index (ShardSeed, or stats.RNG.Skip for splitmix streams that must
 //     match a sequential draw order bit-for-bit);
-//   - error and early-exit selection is by lowest index (MapErr, First),
-//     which is exactly what a sequential loop would have produced.
+//   - error selection is by lowest index (MapErr), which is exactly what
+//     a sequential loop would have produced.
 //
 // Worker panics are contained rather than process-fatal: every fan-out
 // attempts all of its items, records panics with their stacks, and
 // re-panics the lowest-index *Panic on the caller's goroutine — the same
-// lowest-index rule MapErr and First use, so which panic surfaces does
-// not depend on the worker count. Callers that can degrade (the castan
-// stage guards) recover the *Panic; everyone else still crashes with the
-// original stack attached.
+// lowest-index rule MapErr uses, so which panic surfaces does not depend
+// on the worker count. The panic carries the worker's original stack;
+// castand's job boundary contains it like any other panic.
 package parallel
 
 import (
@@ -170,42 +169,6 @@ func MapErr[T any](w, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
-}
-
-// First returns the lowest i in [0, n) for which fn(i) is true, or -1.
-// Items are evaluated in batches of w workers with early exit after the
-// first batch containing a hit, so fn may be called for a few indices
-// past the answer (but never for a later batch). fn must be pure in i:
-// under that contract the result is identical at every worker count, and
-// w=1 degenerates to a plain sequential loop with early exit.
-func First(w, n int, fn func(i int) bool) int {
-	w = Workers(w)
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			var hit bool
-			if p := capture(func(i int) { hit = fn(i) }, i); p != nil {
-				panic(p)
-			}
-			if hit {
-				return i
-			}
-		}
-		return -1
-	}
-	hits := make([]bool, n)
-	for lo := 0; lo < n; lo += w {
-		hi := lo + w
-		if hi > n {
-			hi = n
-		}
-		ForEach(w, hi-lo, func(k int) { hits[lo+k] = fn(lo + k) })
-		for i := lo; i < hi; i++ {
-			if hits[i] {
-				return i
-			}
-		}
-	}
-	return -1
 }
 
 // ShardSeed derives an independent per-shard seed from a parent seed.

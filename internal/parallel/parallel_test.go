@@ -64,26 +64,6 @@ func TestMapErrLowestIndexWins(t *testing.T) {
 	}
 }
 
-func TestFirstMatchesSequential(t *testing.T) {
-	for _, hit := range []int{-1, 0, 1, 5, 31, 32, 33, 99} {
-		pred := func(i int) bool { return hit >= 0 && i >= hit }
-		want := First(1, 100, pred)
-		for _, w := range []int{2, 8, 64} {
-			if got := First(w, 100, pred); got != want {
-				t.Fatalf("hit=%d w=%d: First = %d, want %d", hit, w, got, want)
-			}
-		}
-	}
-}
-
-func TestFirstEarlyExitSkipsLaterBatches(t *testing.T) {
-	var calls atomic.Int32
-	First(4, 1000, func(i int) bool { calls.Add(1); return i == 0 })
-	if n := calls.Load(); n > 4 {
-		t.Errorf("First evaluated %d items; must stop after the first batch", n)
-	}
-}
-
 func TestShardSeedDistinct(t *testing.T) {
 	seen := map[uint64]int{}
 	for shard := 0; shard < 4096; shard++ {

@@ -35,9 +35,7 @@ import (
 const memoMaxKey = 64 << 10
 
 // Memo discharges qualifying queries without search: cached Unsat
-// verdicts under canonical keys. It is not safe for concurrent use;
-// parallel speculative workers must run with a nil memo, same as they
-// run with a nil recorder (DESIGN.md decision 8).
+// verdicts under canonical keys. It is not safe for concurrent use.
 type Memo struct {
 	// MinVar filters which queries participate: a constraint set is
 	// memoized only if it mentions at least one variable >= MinVar.

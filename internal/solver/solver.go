@@ -115,16 +115,15 @@ type Solver struct {
 	// Obs, when set, receives per-query telemetry: query counts by
 	// outcome, steps and clock time per query, propagation rounds,
 	// backtracks, and hint hits. Callers whose query count depends on the
-	// worker count (speculative parallel batches) must leave it nil so
-	// the recorded totals stay deterministic (DESIGN.md decision 8).
+	// worker count must leave it nil so the recorded totals stay
+	// deterministic (DESIGN.md decision 8).
 	Obs *obs.Recorder
 	// Budget, when set, is charged one tick per search step after each
 	// query, and a query entered with the budget already exhausted
 	// returns Unknown immediately (cooperative cancellation — an
 	// in-flight query always runs to its own MaxSteps, so the cut point
 	// is a query boundary, which is deterministic). The same caveat as
-	// Obs applies: speculative parallel callers must leave it nil and
-	// let the orchestrator charge the sequential-equivalent effort.
+	// Obs applies.
 	Budget *budget.Stage
 	// ForceUnknown is a fault-injection hook: when it returns true the
 	// query is abandoned as Unknown before any search. Production code

@@ -26,7 +26,7 @@ func refMeasure(nfName string, wl *workload.Workload, opt Options) (*Measurement
 	if err != nil {
 		return nil, err
 	}
-	hier := memsim.New(opt.Geometry, opt.Seed)
+	hier := memsim.New(memsim.DefaultGeometry(), opt.Seed)
 	price := newPriceList(icfg.DefaultCostModel())
 
 	var memCycles, misses uint64

@@ -24,8 +24,6 @@ import (
 
 // Options configures a measurement.
 type Options struct {
-	// Geometry of the DUT; zero value means memsim.DefaultGeometry.
-	Geometry memsim.Geometry
 	// Seed fixes the DUT's hidden hash and page mapping.
 	Seed uint64
 	// MeasureCap bounds the measured packets per experiment (the paper
@@ -46,9 +44,6 @@ const (
 )
 
 func (o *Options) fill() {
-	if o.Geometry.LineBytes == 0 {
-		o.Geometry = memsim.DefaultGeometry()
-	}
 	if o.MeasureCap <= 0 {
 		o.MeasureCap = 8192
 	}
@@ -98,7 +93,7 @@ func Measure(nfName string, wl *workload.Workload, opt Options) (*Measurement, e
 	if err != nil {
 		return nil, err
 	}
-	hier := memsim.New(opt.Geometry, opt.Seed)
+	hier := memsim.New(memsim.DefaultGeometry(), opt.Seed)
 	price := newPriceList(icfg.DefaultCostModel())
 
 	// Per measured packet: instruction cycles and count from this
